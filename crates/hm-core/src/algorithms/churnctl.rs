@@ -171,11 +171,7 @@ impl ChurnCtl {
 
     /// Training data of an active client by global id (original shard or
     /// minted joiner shard).
-    pub(crate) fn data<'a>(
-        &'a self,
-        problem: &'a FederatedProblem,
-        gid: usize,
-    ) -> &'a Dataset {
+    pub(crate) fn data<'a>(&'a self, problem: &'a FederatedProblem, gid: usize) -> &'a Dataset {
         self.roster.data(problem, gid)
     }
 
@@ -198,8 +194,8 @@ impl ChurnCtl {
     /// shard from its keyed stream. Returns the persisted stale-round
     /// counter.
     pub(crate) fn restore(&mut self, problem: &FederatedProblem, bytes: &[u8]) -> u64 {
-        let snap = crate::checkpoint::decode_churn(bytes)
-            .unwrap_or_else(|e| panic!("cannot resume: {e}"));
+        let snap =
+            crate::checkpoint::decode_churn(bytes).unwrap_or_else(|e| panic!("cannot resume: {e}"));
         self.topo = ActiveTopology::from_parts(
             snap.base_total,
             snap.edge_up,
@@ -315,9 +311,9 @@ mod tests {
         assert_eq!(up.len(), 1);
         // All the mass sat on edges that died.
         let mut p = vec![0.0_f32; 3];
-        for e in 0..3 {
+        for (e, pe) in p.iter_mut().enumerate() {
             if !up.contains(&e) {
-                p[e] = 0.5;
+                *pe = 0.5;
             }
         }
         ctl.reproject_weights(&mut p);

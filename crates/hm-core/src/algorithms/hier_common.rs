@@ -28,13 +28,13 @@ use crate::localsgd::{local_sgd_fresh, local_sgd_into};
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
-use std::collections::HashMap;
 use hm_simnet::trace::{Event, Trace};
 use hm_simnet::{
     CommMeter, ExecEngine, FaultInjector, Link, Parallelism, Quantizer, StragglerFate,
 };
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::{vecops, Aggregator};
+use std::collections::HashMap;
 
 /// A client's block output: the updated model and, in the checkpoint
 /// block, the checkpoint snapshot.

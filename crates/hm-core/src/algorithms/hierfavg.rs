@@ -82,7 +82,8 @@ impl Algorithm for HierFavg {
     }
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.try_run(problem, seed).unwrap_or_else(|e| panic!("{e}"))
+        self.try_run(problem, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

@@ -176,7 +176,8 @@ impl Algorithm for HierMinimax {
     }
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.try_run(problem, seed).unwrap_or_else(|e| panic!("{e}"))
+        self.try_run(problem, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
@@ -824,38 +825,28 @@ impl Algorithm for HierMinimax {
                 &w,
                 p.clone(),
             );
-            ckpt.after_round(
-                k,
-                &w,
-                &p,
-                &avg_w,
-                &avg_p,
-                &history,
-                comm_now,
-                fstats,
-                {
-                    let mut extra = Vec::new();
-                    if quarantine.active() || fault.has_adversary() {
-                        extra.push((
-                            crate::checkpoint::QUARANTINE_SECTION.to_string(),
-                            // Read the counters fresh: `end_round` has added
-                            // this round's quarantine sentences since `adv_now`
-                            // was captured for the telemetry delta.
-                            crate::checkpoint::encode_quarantine(
-                                quarantine.state(),
-                                &fault.adversary_stats(),
-                            ),
-                        ));
-                    }
-                    if churn_active {
-                        extra.push((
-                            crate::checkpoint::CHURN_SECTION.to_string(),
-                            churn.checkpoint_bytes(stale_rounds),
-                        ));
-                    }
-                    extra
-                },
-            );
+            ckpt.after_round(k, &w, &p, &avg_w, &avg_p, &history, comm_now, fstats, {
+                let mut extra = Vec::new();
+                if quarantine.active() || fault.has_adversary() {
+                    extra.push((
+                        crate::checkpoint::QUARANTINE_SECTION.to_string(),
+                        // Read the counters fresh: `end_round` has added
+                        // this round's quarantine sentences since `adv_now`
+                        // was captured for the telemetry delta.
+                        crate::checkpoint::encode_quarantine(
+                            quarantine.state(),
+                            &fault.adversary_stats(),
+                        ),
+                    ));
+                }
+                if churn_active {
+                    extra.push((
+                        crate::checkpoint::CHURN_SECTION.to_string(),
+                        churn.checkpoint_bytes(stale_rounds),
+                    ));
+                }
+                extra
+            });
         }
 
         let comm_final = meter.snapshot();

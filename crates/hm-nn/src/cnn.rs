@@ -13,6 +13,7 @@
 
 use crate::losses::{cross_entropy_backward_into, cross_entropy_from_logits};
 use crate::model::Model;
+use crate::pool::with_scratch;
 use crate::workspace::Workspace;
 use hm_data::{Dataset, StreamRng};
 use hm_tensor::{ops, Matrix, MatrixView};
@@ -256,8 +257,10 @@ impl Model for SimpleCnn {
     }
 
     fn loss(&self, params: &[f32], batch: &Dataset) -> f64 {
-        let logits = self.forward_batch(params, &batch.x);
-        cross_entropy_from_logits(&logits, &batch.y)
+        with_scratch(|s| {
+            self.forward_ws(params, &batch.x, &mut s.ws, false);
+            cross_entropy_from_logits(&s.ws.logits, &batch.y)
+        })
     }
 
     fn loss_grad_ws(
@@ -269,6 +272,10 @@ impl Model for SimpleCnn {
     ) -> f64 {
         assert_eq!(grad.len(), self.num_params(), "bad gradient length");
         grad.iter_mut().for_each(|g| *g = 0.0);
+        // Forward keeping every row's conv caches, then a manual backward;
+        // batch loops are plain — clarity over speed for this extension
+        // model.
+        self.forward_ws(params, &batch.x, ws, true);
         let n = batch.len();
         let d = self.dims();
         let off = self.offsets();
@@ -283,35 +290,11 @@ impl Model for SimpleCnn {
             da2,
             dp1,
             da1,
-            wt,
-            lanes,
             ..
         } = ws;
-        // Forward (keeping per-sample caches) then manual backward; batch
-        // loops are plain — clarity over speed for this extension model.
-        while conv.len() < n {
-            conv.push(ConvCache::default());
-        }
-        feats.resize(n, d.flat);
-        for (i, cache) in conv.iter_mut().enumerate().take(n) {
-            self.ensure_cache(cache);
-            self.run_conv_stack(params, batch.x.row(i), cache);
-            feats.row_mut(i).copy_from_slice(&cache.p2);
-        }
-        // Head: feats → fc(ReLU) → logits. Weights are viewed in place from
-        // the flat parameter slice.
-        let fcw = MatrixView::new(self.hidden, d.flat, &params[off[4]..off[5]]);
-        // Shape-dispatched forward (bit-identical to `matmul_transb_into`):
-        // post-pooling features are sparse, and the wide fc layer goes
-        // through the pre-transposed kernel whose streaming loop skips the
-        // zeros.
-        ops::matmul_transb_fwd_into(feats.view(), fcw, wt, lanes, hid);
-        ops::add_row_inplace(hid, &params[off[5]..off[6]]);
-        ops::relu_inplace(hid);
-        let hw = MatrixView::new(self.classes, self.hidden, &params[off[6]..off[7]]);
-        ops::matmul_transb_fwd_into(hid.view(), hw, wt, lanes, logits);
-        ops::add_row_inplace(logits, &params[off[7]..off[8]]);
         let loss = cross_entropy_from_logits(logits, &batch.y);
+        let fcw = MatrixView::new(self.hidden, d.flat, &params[off[4]..off[5]]);
+        let hw = MatrixView::new(self.classes, self.hidden, &params[off[6]..off[7]]);
 
         // Backward through the head (`delta` = ∂L/∂logits, `delta2` =
         // ∂L/∂hidden), staging parameter gradients straight into `grad`.
@@ -405,36 +388,52 @@ impl Model for SimpleCnn {
     }
 
     fn predict(&self, params: &[f32], x: &Matrix) -> Vec<usize> {
-        let logits = self.forward_batch(params, x);
-        ops::argmax_rows(&logits)
+        with_scratch(|s| {
+            self.forward_ws(params, x, &mut s.ws, false);
+            ops::argmax_rows(&s.ws.logits)
+        })
     }
 }
 
 impl SimpleCnn {
-    /// Batched forward to logits (one conv cache reused across samples).
-    fn forward_batch(&self, params: &[f32], x: &Matrix) -> Matrix {
+    /// Forward to logits in the workspace: every row's conv features into
+    /// `ws.feats`, the fully connected head into `ws.hid` (post-ReLU) and
+    /// `ws.logits`. With `keep_caches`, row `i`'s conv intermediates stay
+    /// in `ws.conv[i]` for the backward pass; otherwise one cache serves
+    /// every row.
+    fn forward_ws(&self, params: &[f32], x: &Matrix, ws: &mut Workspace, keep_caches: bool) {
         assert_eq!(params.len(), self.num_params(), "bad parameter length");
         assert_eq!(x.cols(), self.side * self.side, "input dim mismatch");
+        let n = x.rows();
         let d = self.dims();
         let off = self.offsets();
-        let n = x.rows();
-        let mut cache = ConvCache::default();
-        self.ensure_cache(&mut cache);
-        let mut feats = Matrix::zeros(n, d.flat);
+        let Workspace {
+            logits,
+            feats,
+            hid,
+            conv,
+            ..
+        } = ws;
+        let caches = if keep_caches { n } else { 1 };
+        while conv.len() < caches {
+            conv.push(ConvCache::default());
+        }
+        feats.resize(n, d.flat);
         for i in 0..n {
-            self.run_conv_stack(params, x.row(i), &mut cache);
+            let cache = &mut conv[if keep_caches { i } else { 0 }];
+            self.ensure_cache(cache);
+            self.run_conv_stack(params, x.row(i), cache);
             feats.row_mut(i).copy_from_slice(&cache.p2);
         }
+        // Head: feats → fc(ReLU) → logits. Weights are viewed in place from
+        // the flat parameter slice.
         let fcw = MatrixView::new(self.hidden, d.flat, &params[off[4]..off[5]]);
-        let mut hid = Matrix::zeros(0, 0);
-        ops::matmul_transb_into(feats.view(), fcw, &mut hid);
-        ops::add_row_inplace(&mut hid, &params[off[5]..off[6]]);
-        ops::relu_inplace(&mut hid);
+        ops::matmul_transb_into(feats.view(), fcw, hid);
+        ops::add_row_inplace(hid, &params[off[5]..off[6]]);
+        ops::relu_inplace(hid);
         let hw = MatrixView::new(self.classes, self.hidden, &params[off[6]..off[7]]);
-        let mut logits = Matrix::zeros(0, 0);
-        ops::matmul_transb_into(hid.view(), hw, &mut logits);
-        ops::add_row_inplace(&mut logits, &params[off[7]..off[8]]);
-        logits
+        ops::matmul_transb_into(hid.view(), hw, logits);
+        ops::add_row_inplace(logits, &params[off[7]..off[8]]);
     }
 }
 

@@ -9,6 +9,7 @@
 
 use crate::losses::{cross_entropy_backward_into, cross_entropy_from_logits};
 use crate::model::Model;
+use crate::pool::with_scratch;
 use crate::workspace::Workspace;
 use hm_data::{Dataset, StreamRng};
 use hm_tensor::{ops, Matrix, MatrixView};
@@ -55,13 +56,6 @@ impl MulticlassLogistic {
         ops::matmul_transb_into(x.view(), w, out);
         ops::add_row_inplace(out, b);
     }
-
-    /// Logits `X·Wᵀ + b` for a batch.
-    fn logits(&self, params: &[f32], x: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.logits_into(params, x, &mut out);
-        out
-    }
 }
 
 impl Model for MulticlassLogistic {
@@ -76,8 +70,10 @@ impl Model for MulticlassLogistic {
     }
 
     fn loss(&self, params: &[f32], batch: &Dataset) -> f64 {
-        let logits = self.logits(params, &batch.x);
-        cross_entropy_from_logits(&logits, &batch.y)
+        with_scratch(|s| {
+            self.logits_into(params, &batch.x, &mut s.ws.logits);
+            cross_entropy_from_logits(&s.ws.logits, &batch.y)
+        })
     }
 
     fn loss_grad_ws(
@@ -88,13 +84,7 @@ impl Model for MulticlassLogistic {
         ws: &mut Workspace,
     ) -> f64 {
         assert_eq!(grad.len(), self.num_params(), "bad gradient length");
-        assert_eq!(batch.x.cols(), self.dim, "input dim mismatch");
-        // Same logits as `logits_into`, but through the shape-dispatched
-        // forward kernel (bit-identical, see `ops::matmul_transb_fwd_into`).
-        let (w_flat, b) = self.unpack(params);
-        let w = MatrixView::new(self.classes, self.dim, w_flat);
-        ops::matmul_transb_fwd_into(batch.x.view(), w, &mut ws.wt, &mut ws.lanes, &mut ws.logits);
-        ops::add_row_inplace(&mut ws.logits, b);
+        self.logits_into(params, &batch.x, &mut ws.logits);
         let loss = cross_entropy_from_logits(&ws.logits, &batch.y);
         // Δ = (softmax − onehot)/n;  gW = Δᵀ X;  gb = column sums of Δ.
         cross_entropy_backward_into(&ws.logits, &batch.y, &mut ws.delta);
@@ -105,7 +95,10 @@ impl Model for MulticlassLogistic {
     }
 
     fn predict(&self, params: &[f32], x: &Matrix) -> Vec<usize> {
-        ops::argmax_rows(&self.logits(params, x))
+        with_scratch(|s| {
+            self.logits_into(params, x, &mut s.ws.logits);
+            ops::argmax_rows(&s.ws.logits)
+        })
     }
 }
 

@@ -10,6 +10,7 @@
 
 use crate::losses::{cross_entropy_backward_into, cross_entropy_from_logits};
 use crate::model::Model;
+use crate::pool::with_scratch;
 use crate::workspace::Workspace;
 use hm_data::{Dataset, StreamRng};
 use hm_tensor::{ops, Matrix, MatrixView};
@@ -77,30 +78,19 @@ impl Mlp {
         let layout = self.layout();
         let num_layers = self.num_layers();
         ws.ensure_acts(num_layers - 1);
-        let Workspace {
-            acts,
-            logits,
-            wt,
-            lanes,
-            ..
-        } = ws;
+        let Workspace { acts, logits, .. } = ws;
         for (l, &(wo, wl, bo, bl)) in layout.iter().enumerate() {
             let (fan_in, fan_out) = (self.widths[l], self.widths[l + 1]);
             let w = MatrixView::new(fan_out, fan_in, &params[wo..wo + wl]);
-            // Shape-dispatched forward (bit-identical to
-            // `matmul_transb_into`): wide layers go through the
-            // pre-transposed kernel, whose streaming inner loop skips
-            // exactly-zero inputs (clamped pixels, ReLU'd hidden units) —
-            // that dominates the step cost at training batch sizes.
             if l + 1 == num_layers {
                 let input = if l == 0 { x.view() } else { acts[l - 1].view() };
-                ops::matmul_transb_fwd_into(input, w, wt, lanes, logits);
+                ops::matmul_transb_into(input, w, logits);
                 ops::add_row_inplace(logits, &params[bo..bo + bl]);
             } else {
                 let (prev, rest) = acts.split_at_mut(l);
                 let z = &mut rest[0];
                 let input = if l == 0 { x.view() } else { prev[l - 1].view() };
-                ops::matmul_transb_fwd_into(input, w, wt, lanes, z);
+                ops::matmul_transb_into(input, w, z);
                 ops::add_row_inplace(z, &params[bo..bo + bl]);
                 ops::relu_inplace(z);
             }
@@ -127,9 +117,10 @@ impl Model for Mlp {
     }
 
     fn loss(&self, params: &[f32], batch: &Dataset) -> f64 {
-        let mut ws = Workspace::new();
-        self.forward_ws(params, &batch.x, &mut ws);
-        cross_entropy_from_logits(&ws.logits, &batch.y)
+        with_scratch(|s| {
+            self.forward_ws(params, &batch.x, &mut s.ws);
+            cross_entropy_from_logits(&s.ws.logits, &batch.y)
+        })
     }
 
     fn loss_grad_ws(
@@ -176,9 +167,10 @@ impl Model for Mlp {
     }
 
     fn predict(&self, params: &[f32], x: &Matrix) -> Vec<usize> {
-        let mut ws = Workspace::new();
-        self.forward_ws(params, x, &mut ws);
-        ops::argmax_rows(&ws.logits)
+        with_scratch(|s| {
+            self.forward_ws(params, x, &mut s.ws);
+            ops::argmax_rows(&s.ws.logits)
+        })
     }
 }
 

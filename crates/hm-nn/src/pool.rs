@@ -6,7 +6,9 @@
 //! bench attributes to logistic/CNN (small models amortise nothing), and
 //! under the chained round engine a worker thread runs thousands of
 //! client-blocks back to back — so scratch is pooled per *thread* and
-//! reused across blocks, rounds, and even algorithm runs.
+//! reused across blocks, rounds, and even algorithm runs, for as long as
+//! the thread lives (the vendored rayon shim starts fresh threads for
+//! every parallel call; DESIGN.md §7b).
 //!
 //! Pooling is safe for determinism because every buffer in the bundle is
 //! overwrite-on-use: `Workspace` stages intermediates that are fully
@@ -43,8 +45,10 @@ thread_local! {
 /// thread's pool afterwards.
 ///
 /// Pop-then-push (rather than borrowing the pool across `f`) keeps the
-/// call reentrant: if `f` itself reaches [`with_scratch`] — nested rayon
-/// jobs on the same worker do — the inner call simply takes another bundle.
+/// call reentrant: if `f` itself reaches [`with_scratch`] — a Phase-2 loss
+/// estimate holds a bundle for its mini-batch while `Model::loss` takes
+/// another for the forward pass — the inner call simply takes another
+/// bundle.
 /// Buffer contents are *not* cleared between uses; see the module docs for
 /// why that cannot affect results.
 pub fn with_scratch<R>(f: impl FnOnce(&mut TrainScratch) -> R) -> R {
@@ -132,5 +136,54 @@ mod tests {
 
         assert_eq!(l_fresh.to_bits(), l_pool.to_bits());
         assert_eq!(fresh.grad, g_pool);
+    }
+
+    #[test]
+    fn pooled_forward_matches_a_fresh_workspace() {
+        // `loss` and `predict` stage their forward in pooled scratch. After
+        // other models of other shapes have dirtied the pool, `loss` must
+        // still equal the loss `loss_grad` computes in a fresh workspace,
+        // and `predict` must not change.
+        use crate::{Mlp, Model, MulticlassLogistic, SimpleCnn};
+        use hm_data::rng::{Purpose, StreamKey};
+        use hm_data::{Dataset, StreamRng};
+        use hm_tensor::Matrix;
+
+        let models: Vec<(Box<dyn Model>, usize, usize)> = vec![
+            (Box::new(MulticlassLogistic::new(13, 4)), 13, 4),
+            (Box::new(Mlp::new(13, &[11, 6], 4)), 13, 4),
+            (Box::new(SimpleCnn::new(10, 3, 2, 3, 12, 4)), 100, 4),
+        ];
+        let mut rng = StreamRng::for_key(StreamKey::new(5, Purpose::Misc, 0, 0));
+        let mut data_of = |dim: usize, classes: usize, n: usize| {
+            let x = Matrix::from_fn(n, dim, |_, _| rng.normal() as f32 * 0.5);
+            let y = (0..n).map(|_| rng.below(classes)).collect();
+            Dataset::new(x, y, classes)
+        };
+        let cases: Vec<(Dataset, Vec<f32>)> = models
+            .iter()
+            .enumerate()
+            .map(|(i, (model, dim, classes))| {
+                let data = data_of(*dim, *classes, 3 + 2 * i);
+                let params = (0..model.num_params())
+                    .map(|j| ((j * 7 + i) % 11) as f32 * 0.05 - 0.25)
+                    .collect();
+                (data, params)
+            })
+            .collect();
+        for (i, ((model, _, _), (data, params))) in models.iter().zip(&cases).enumerate() {
+            let mut grad = vec![0.0; model.num_params()];
+            let fresh = model.loss_grad(params, data, &mut grad);
+            let pred = model.predict(params, &data.x);
+            // Dirty the pool with every other model's forward.
+            for (j, ((other, _, _), (odata, oparams))) in models.iter().zip(&cases).enumerate() {
+                if j != i {
+                    other.loss(oparams, odata);
+                    other.predict(oparams, &odata.x);
+                }
+            }
+            assert_eq!(model.loss(params, data).to_bits(), fresh.to_bits());
+            assert_eq!(model.predict(params, &data.x), pred);
+        }
     }
 }

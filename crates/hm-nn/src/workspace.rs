@@ -2,8 +2,8 @@
 //! [`Model::loss_grad_ws`](crate::Model::loss_grad_ws).
 //!
 //! A [`Workspace`] owns every intermediate buffer a model needs for one
-//! `loss_grad` evaluation: activations, logits, backprop deltas, the CNN's
-//! per-sample conv caches. Buffers are sized lazily on first use and then
+//! `loss_grad` evaluation or one forward pass (`loss`, `predict`):
+//! activations, logits, backprop deltas, the CNN's per-sample conv caches. Buffers are sized lazily on first use and then
 //! reused, so a workspace held across the τ1 local-SGD steps of a client
 //! makes the steady-state step loop allocation-free.
 //!
@@ -44,11 +44,6 @@ pub struct Workspace {
     pub(crate) dp1: Vec<f32>,
     /// CNN per-sample backward scratch: grad w.r.t. conv1 activations.
     pub(crate) da1: Vec<f32>,
-    /// Transposed weight matrix for the pre-transposed forward kernel
-    /// (`ops::matmul_transb_pret_into`), rebuilt per linear layer.
-    pub(crate) wt: Matrix,
-    /// Lane-accumulator scratch (`4 × fan_out`) for the same kernel.
-    pub(crate) lanes: Matrix,
 }
 
 impl Workspace {

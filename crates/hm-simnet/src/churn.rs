@@ -64,7 +64,13 @@ impl Default for ChurnPlan {
 }
 
 /// Preset names accepted by [`ChurnPlan::preset`], in display order.
-pub const CHURN_PRESETS: [&str; 5] = ["none", "mild", "flash-crowd", "edge-failover", "chaos-churn"];
+pub const CHURN_PRESETS: [&str; 5] = [
+    "none",
+    "mild",
+    "flash-crowd",
+    "edge-failover",
+    "chaos-churn",
+];
 
 impl ChurnPlan {
     /// True when every rate is zero: the plan draws nothing and the run
@@ -315,7 +321,9 @@ impl ActiveTopology {
 
     /// Up edges, ascending.
     pub fn up_edges(&self) -> Vec<usize> {
-        (0..self.edge_up.len()).filter(|&e| self.edge_up[e]).collect()
+        (0..self.edge_up.len())
+            .filter(|&e| self.edge_up[e])
+            .collect()
     }
 
     /// Number of up edges.
@@ -565,7 +573,12 @@ mod tests {
         let r1 = at.apply_round(&plan, 1, 1);
         assert_eq!(r0.joined.len(), 4);
         assert_eq!(r1.joined.len(), 4);
-        let ids: Vec<usize> = r0.joined.iter().chain(&r1.joined).map(|&(g, _)| g).collect();
+        let ids: Vec<usize> = r0
+            .joined
+            .iter()
+            .chain(&r1.joined)
+            .map(|&(g, _)| g)
+            .collect();
         assert_eq!(ids, vec![12, 13, 14, 15, 16, 17, 18, 19]);
         assert_eq!(at.active_clients(), 20);
         assert_eq!(at.id_bound(), 20);
@@ -579,8 +592,7 @@ mod tests {
             at.apply_round(&plan, 5, round);
         }
         let (base, up, members, next) = at.parts();
-        let rebuilt =
-            ActiveTopology::from_parts(base, up.to_vec(), members.to_vec(), next);
+        let rebuilt = ActiveTopology::from_parts(base, up.to_vec(), members.to_vec(), next);
         assert_eq!(rebuilt, at);
         // And the rebuilt view continues identically.
         let mut cont = rebuilt.clone();

@@ -13,7 +13,8 @@
 //!   paper) with `f64` accumulators in dot products and reductions.
 //! - Parallelism kicks in above [`ops::PAR_THRESHOLD`] scalar ops so tiny
 //!   matrices (common in unit tests) don't pay rayon overhead.
-//! - No `unsafe`.
+//! - One `unsafe` block: the SSE2 loads of the forward kernel
+//!   ([`ops::matmul_transb_into`]), each kept inside its row.
 
 pub mod matrix;
 pub mod ops;

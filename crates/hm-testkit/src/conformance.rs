@@ -2100,7 +2100,10 @@ mod tests {
             rehomed.push((0, 1, 2));
         }
         let err = check_hierminimax_trace(&fp, &cfg, 42, &events).unwrap_err();
-        assert!(matches!(err, ConformanceError::ChurnMismatch { .. }), "{err}");
+        assert!(
+            matches!(err, ConformanceError::ChurnMismatch { .. }),
+            "{err}"
+        );
     }
 
     /// A forged leave is likewise rejected.
@@ -2122,7 +2125,10 @@ mod tests {
             left.push(0);
         }
         let err = check_hierfavg_trace(&fp, &cfg, 19, &events).unwrap_err();
-        assert!(matches!(err, ConformanceError::ChurnMismatch { .. }), "{err}");
+        assert!(
+            matches!(err, ConformanceError::ChurnMismatch { .. }),
+            "{err}"
+        );
     }
 
     /// Dropping a ChurnRound desynchronizes the replay immediately.
@@ -2142,7 +2148,10 @@ mod tests {
             .unwrap();
         events.remove(idx);
         let err = check_hierminimax_trace(&fp, &cfg, 42, &events).unwrap_err();
-        assert!(matches!(err, ConformanceError::ChurnMismatch { .. }), "{err}");
+        assert!(
+            matches!(err, ConformanceError::ChurnMismatch { .. }),
+            "{err}"
+        );
     }
 
     /// A ChurnRound in a churnless trace is an unexpected event — runs
