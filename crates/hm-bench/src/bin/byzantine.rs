@@ -69,7 +69,6 @@ fn config(rounds: usize, plan: FaultPlan, agg: Aggregator) -> HierMinimaxConfig 
             telemetry: Telemetry::disabled(),
             fault: plan,
             checkpoint: Default::default(),
-            engine: Default::default(),
             profile: Default::default(),
             aggregator: agg,
             quarantine_z: 0.0,

@@ -64,7 +64,6 @@ fn config(plan: ChurnPlan) -> HierMinimaxConfig {
             telemetry: Telemetry::disabled(),
             fault: Default::default(),
             checkpoint: Default::default(),
-            engine: Default::default(),
             profile: Default::default(),
             aggregator: Default::default(),
             quarantine_z: 0.0,

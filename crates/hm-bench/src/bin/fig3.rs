@@ -60,7 +60,6 @@ fn main() {
             None
         },
         fault: Default::default(),
-        engine: Default::default(),
     };
 
     println!("Fig. 3 reproduction: convex logistic regression, one class per edge");

@@ -70,7 +70,6 @@ fn main() {
         parallelism: Parallelism::Rayon,
         telemetry_dir: None,
         fault: Default::default(),
-        engine: Default::default(),
     };
 
     println!("Fig. 4 reproduction: non-convex MLP, 50% similarity split");

@@ -31,7 +31,6 @@ fn pair(problem: &FederatedProblem, slots: usize) -> (EvalReport, EvalReport) {
         parallelism: Parallelism::Rayon,
         telemetry_dir: None,
         fault: Default::default(),
-        engine: Default::default(),
     };
     // Mean over three algorithm seeds: single-seed worst accuracy is noisy
     // at this scale.

@@ -45,7 +45,6 @@ fn suite_params(total_slots: usize, m_edges: usize, eta_w: f32, eta_p: f32) -> S
         parallelism: Parallelism::Rayon,
         telemetry_dir: None,
         fault: Default::default(),
-        engine: Default::default(),
     }
 }
 

@@ -48,7 +48,6 @@ fn main() {
                 parallelism: Parallelism::Rayon,
                 telemetry_dir: None,
                 fault: Default::default(),
-                engine: Default::default(),
             };
             for m in Method::all() {
                 let evals: Vec<EvalReport> = (0..3)

@@ -10,7 +10,7 @@ use hm_core::algorithms::{
 };
 use hm_core::problem::FederatedProblem;
 use hm_core::RunResult;
-use hm_simnet::{ExecEngine, FaultPlan, Parallelism};
+use hm_simnet::{FaultPlan, Parallelism};
 use hm_telemetry::Telemetry;
 
 /// The five methods of the paper's evaluation.
@@ -92,10 +92,6 @@ pub struct SuiteParams {
     /// Deterministic fault plan applied to the hierarchical methods (the
     /// flat baselines ignore it; see `hm_simnet::fault`).
     pub fault: FaultPlan,
-    /// Round scheduling engine for the hierarchical methods (chained by
-    /// default; `Barrier` is the pre-chain reference the round-throughput
-    /// benchmark compares against).
-    pub engine: ExecEngine,
 }
 
 impl SuiteParams {
@@ -118,7 +114,6 @@ impl SuiteParams {
             telemetry,
             fault: self.fault.clone(),
             checkpoint: Default::default(),
-            engine: self.engine,
             profile: Default::default(),
             aggregator: Default::default(),
             quarantine_z: 0.0,
@@ -241,7 +236,6 @@ mod tests {
             parallelism: Parallelism::Sequential,
             telemetry_dir: None,
             fault: FaultPlan::default(),
-            engine: Default::default(),
         }
     }
 

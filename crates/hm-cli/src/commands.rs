@@ -13,8 +13,8 @@ use hm_core::problem::FederatedProblem;
 use hm_core::{CheckpointOpts, RunResult};
 use hm_data::partition::label_skew;
 use hm_simnet::{
-    AttackModel, ChurnPlan, ExecEngine, FaultPlan, LatencyModel, Link, Parallelism, Quantizer,
-    ATTACK_MODELS, CHURN_PRESETS, FAULT_PRESETS,
+    AttackModel, ChurnPlan, FaultPlan, LatencyModel, Link, Parallelism, Quantizer, ATTACK_MODELS,
+    CHURN_PRESETS, FAULT_PRESETS,
 };
 use hm_telemetry::{PhaseAgg, Profiler, SpanAggregator, Telemetry};
 use hm_tensor::{Aggregator, AGGREGATORS};
@@ -126,8 +126,6 @@ CHECKPOINT/RESUME FLAGS (run; see DESIGN.md par. 12):
   --mlp W1,W2,...       use an MLP with these hidden widths
   --cnn                 use the SimpleCnn model (square inputs only)
   --seed N --eval-every N --sequential --csv PATH
-  --engine chained|barrier  round scheduling engine (default chained; both
-                        bit-identical — barrier is the benchmark baseline)
   --telemetry PATH      write structured run telemetry (JSONL, one event
                         per line; see DESIGN.md par. 10)
   --profile             collect per-phase wall-clock spans and print the
@@ -296,15 +294,6 @@ fn opts(args: &Args) -> Result<RunOpts, ArgError> {
         telemetry,
         fault: fault_plan(args)?,
         checkpoint: checkpoint_opts(args)?,
-        engine: match args.str_or("engine", "chained").as_str() {
-            "chained" => ExecEngine::Chained,
-            "barrier" => ExecEngine::Barrier,
-            other => {
-                return Err(ArgError(format!(
-                    "--engine {other:?} unknown (chained|barrier)"
-                )))
-            }
-        },
         profile: if args.switch("profile") {
             Profiler::enabled()
         } else {

@@ -83,6 +83,29 @@ fn typo_flag_is_reported() {
 }
 
 #[test]
+fn removed_engine_flag_is_unknown() {
+    let out = bin()
+        .args([
+            "run",
+            "--scenario",
+            "tiny",
+            "--edges",
+            "3",
+            "--clients",
+            "2",
+            "--rounds",
+            "1",
+            "--engine",
+            "chained",
+        ])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag(s): --engine"), "{err}");
+}
+
+#[test]
 fn data_subcommand_reports_skew() {
     let out = bin()
         .args([

@@ -3,8 +3,8 @@
 //! Wraps the simulator's [`ActiveTopology`] (the membership state machine,
 //! `hm_simnet::churn`) together with the run-side consequences the ISSUE's
 //! re-homing policy demands: minting deterministic data shards for clients
-//! that join mid-run, keeping the [`ClientRoster`] the execution engines
-//! enumerate in sync with the membership, re-projecting the fairness
+//! that join mid-run, keeping the [`ClientRoster`] the block phase
+//! enumerates in sync with the membership, re-projecting the fairness
 //! weights `p` onto the simplex over surviving edges after a permanent
 //! edge failure, and emitting the `ChurnRound` trace event plus the
 //! unsequenced `churn`/`rehome` telemetry records the conformance
@@ -12,8 +12,8 @@
 //!
 //! An inert plan ([`ChurnPlan::is_none`]) makes the controller a zero-cost
 //! no-op: no RNG draws, no events, `roster()` returns `None` so the
-//! engines take the frozen legacy enumeration — bit-identical to pre-churn
-//! builds.
+//! block phase takes the frozen legacy enumeration — bit-identical to
+//! pre-churn builds.
 
 use super::hier_common::{ClientRoster, QuarantineCtl};
 use crate::problem::FederatedProblem;
@@ -27,8 +27,7 @@ use hm_telemetry::{Telemetry, TelemetryEvent};
 /// resample (with replacement) of its home edge's training pool, the same
 /// size as the edge's original per-client shards, drawn from the keyed
 /// `Purpose::ChurnData` stream so the shard is a pure function of
-/// `(seed, gid)` — identical across executors, engines, and resume
-/// splices.
+/// `(seed, gid)` — identical across executors and resume splices.
 fn mint_shard(problem: &FederatedProblem, seed: u64, gid: usize, edge: usize) -> Dataset {
     let pool = problem.scenario.edges[edge].train_concat();
     let n0 = problem.clients_per_edge();
@@ -71,12 +70,12 @@ impl ChurnCtl {
     }
 
     /// Whether the plan has any non-zero rate. Inactive controllers do
-    /// nothing and route the engines onto the legacy layout.
+    /// nothing and route the block phase onto the legacy layout.
     pub(crate) fn active(&self) -> bool {
         !self.plan.is_none()
     }
 
-    /// The roster the execution engines should enumerate: `Some` only
+    /// The roster the block phase should enumerate: `Some` only
     /// when churn is active, so churn-off runs stay on the frozen path.
     pub(crate) fn roster(&self) -> Option<&ClientRoster> {
         self.active().then_some(&self.roster)

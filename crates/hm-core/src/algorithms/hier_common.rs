@@ -2,43 +2,36 @@
 //! HierFAVG): the `ModelUpdate` procedure — `τ2` client-edge aggregation
 //! blocks of `τ1` local SGD steps each — with optional checkpoint capture.
 //!
-//! Two execution engines produce bit-identical results (asserted by
-//! `tests/determinism.rs`):
+//! A round's block phase runs in three steps (DESIGN.md §7):
 //!
-//! - [`ExecEngine::Chained`] (default) — one parallel task **per edge**
-//!   runs that edge's `τ2` blocks sequentially with its clients fanned
-//!   out inside, so a round costs a single fork/join instead of `τ2` of
-//!   them. Client training reuses thread-local scratch
-//!   ([`hm_nn::with_scratch`]), fault/metering decisions are hoisted into
-//!   a sequential prepass (keyed fault streams make them independent of
-//!   execution order), and trace/telemetry events are replayed after the
-//!   join in the exact legacy order.
-//! - [`ExecEngine::Barrier`] — the pre-chain engine, kept as the frozen
-//!   reference: a global fork/join per block with per-call workspace
-//!   allocation. Benchmarks (`hm-bench`, `results/BENCH_roundtime.json`)
-//!   measure the chained engine against this baseline.
+//! 1. A sequential prepass draws every crash, straggler, quarantine and
+//!    corruption decision of the round (`compute_schedule`) and meters the
+//!    round's client-edge traffic in closed form (`meter_round`). Keyed
+//!    fault streams make these decisions independent of execution order.
+//! 2. One task **per edge** runs that edge's `τ2` blocks back to back
+//!    ([`Parallelism::map_chains`]), so a round costs a single fork/join.
+//!    Inside a chain the edge's clients train one after another, in slot
+//!    order, on the chain's thread, reusing its thread-local scratch
+//!    ([`hm_nn::with_scratch`]); the edge aggregates after every block.
+//! 3. After the join, trace and telemetry events are replayed in protocol
+//!    order (`replay_events`).
 //!
-//! Bit-identity holds because every reduction runs in the same slot order
-//! in both engines (DESIGN.md §7), the per-client RNG streams are keyed by
-//! `(seed, purpose, block, client)` rather than execution order, and the
-//! straggler-slot accumulator is fed per block in `t2` order by both
-//! engines.
+//! Results are bit-identical across executors (`tests/determinism.rs`)
+//! and to the naive reference round in `hm-testkit`
+//! (`tests/oracle_diff.rs`): every reduction runs in slot order
+//! (DESIGN.md §7), the per-client RNG streams are keyed by `(seed,
+//! purpose, block, client)` rather than execution order, and the prepass
+//! feeds the straggler-slot accumulator per block in `t2` order.
 
-use crate::localsgd::{local_sgd_fresh, local_sgd_into};
+use crate::localsgd::local_sgd_into;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_simnet::trace::{Event, Trace};
-use hm_simnet::{
-    CommMeter, ExecEngine, FaultInjector, Link, Parallelism, Quantizer, StragglerFate,
-};
+use hm_simnet::{CommMeter, FaultInjector, Link, Parallelism, Quantizer, StragglerFate};
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::{vecops, Aggregator};
 use std::collections::HashMap;
-
-/// A client's block output: the updated model and, in the checkpoint
-/// block, the checkpoint snapshot.
-type ClientBlockResult = (Vec<f32>, Option<Vec<f32>>);
 
 /// Live client membership for churn-enabled runs: which global client ids
 /// each edge currently serves, plus the data shards minted for mid-run
@@ -208,16 +201,12 @@ pub(crate) struct EdgeBlockParams<'a> {
     pub seed: u64,
     pub meter: &'a CommMeter,
     pub par: Parallelism,
-    /// Round scheduling strategy (see module docs). Both engines are
-    /// bit-identical; `Barrier` exists as the benchmark baseline and as a
-    /// cross-check in the determinism suite.
-    pub engine: ExecEngine,
     pub trace: &'a Trace,
     pub telemetry: &'a Telemetry,
     /// Span profiler. Per-edge chain durations are measured inside the
     /// workers (wall-clock only — never consulted by the computation) and
     /// recorded after the join, in edge order, so profiled span streams
-    /// are identical in shape across engines and parallelism modes.
+    /// are identical in shape across parallelism modes.
     pub profile: &'a Profiler,
     /// Client→edge reduction rule. [`Aggregator::Mean`] is the frozen
     /// reference path (bit-identical to the historical
@@ -242,11 +231,10 @@ pub(crate) struct EdgeBlockParams<'a> {
 ///
 /// The fault oracle draws from keyed streams, so its decisions depend only
 /// on `(block, level, client)` — hoisting them out of the parallel region
-/// changes nothing about the outcome but lets the chained engine run whole
-/// edges without synchronising, and lets communication be metered in
-/// closed form. Oracle queries and the straggler-slot accumulator are
-/// driven in the same `(t2, slot)` order the barrier engine uses, so
-/// fault statistics stay bit-identical.
+/// changes nothing about the outcome but lets whole edges run without
+/// synchronising, and lets communication be metered in closed form.
+/// Oracle queries and the straggler-slot accumulator are driven in
+/// `(t2, slot)` order, so fault statistics do not depend on the executor.
 struct RoundSchedule {
     /// `alive[t2 * n_slots + slot]` — does that slot's upload survive
     /// block `t2`? (With no roster, `slot = ei·n₀ + c`, the legacy flat
@@ -332,9 +320,8 @@ fn quarantine_excludes(quarantined: &[u64], client: usize, round: usize) -> bool
 /// Meter the whole round's client-edge traffic in closed form: one
 /// broadcast to every client per block, one upload per surviving client
 /// per block (doubled in the checkpoint block, whose model is piggybacked
-/// on the gather), and `τ2` synchronisation rounds. Byte-for-byte the
-/// same totals as the barrier engine's per-block calls, in a handful of
-/// atomic updates.
+/// on the gather), and `τ2` synchronisation rounds — the per-block totals
+/// of the protocol in a handful of atomic updates.
 fn meter_round(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedule) {
     let d = p.problem.num_params() as u64;
     let n_slots = slots.n_slots() as u64;
@@ -357,11 +344,10 @@ fn meter_round(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedul
     }
 }
 
-/// Replay the round's protocol events after the parallel join, in the
-/// exact order the barrier engine emits them while running: per block,
-/// `LocalSteps` for every survivor in slot order, then per edge (with at
-/// least one survivor) the checkpoint capture, the aggregation event, and
-/// the telemetry record.
+/// Replay the round's protocol events after the parallel join, in protocol
+/// order: per block, `LocalSteps` for every survivor in slot order, then
+/// per edge (with at least one survivor) the checkpoint capture, the
+/// aggregation event, and the telemetry record.
 fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedule) {
     let ne = p.edges.len();
     let n_slots = slots.n_slots();
@@ -409,17 +395,14 @@ fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSched
 
 /// Run `τ2` client-edge aggregation blocks on each participating edge.
 ///
-/// All clients of all participating edges execute a block concurrently
-/// (they are mutually independent); blocks are sequential, as the protocol
-/// requires. Communication is metered on the `ClientEdge` link: one
-/// broadcast + one gather + one round per block, with the checkpoint model
-/// piggybacked on the gather of block `c2` (doubling that block's uplink
-/// payload, as in the paper where clients "send along" the checkpoint).
+/// Blocks of one edge are sequential, as the protocol requires; edges do
+/// not synchronise until the end of the round (see module docs).
+/// Communication is metered on the `ClientEdge` link: one broadcast + one
+/// gather + one round per block, with the checkpoint model piggybacked on
+/// the gather of block `c2` (doubling that block's uplink payload, as in
+/// the paper where clients "send along" the checkpoint).
 pub(crate) fn run_edge_blocks(p: EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
-    match p.engine {
-        ExecEngine::Chained => run_edge_blocks_chained(&p),
-        ExecEngine::Barrier => run_edge_blocks_barrier(&p),
-    }
+    run_edge_blocks_chained(&p)
 }
 
 /// Per-edge chain result: final edge model, checkpoint model, per-client
@@ -591,10 +574,10 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
         .collect()
 }
 
-/// Checkpoint fallback shared by both engines: if every client of an edge
-/// dropped during the checkpoint block, fall back to the edge's final
-/// model so Phase 2 still has an estimate to evaluate (slightly biased,
-/// but only in a failure corner the paper's protocol does not define).
+/// Checkpoint fallback: if every client of an edge dropped during the
+/// checkpoint block, fall back to the edge's final model so Phase 2 still
+/// has an estimate to evaluate (slightly biased, but only in a failure
+/// corner the paper's protocol does not define).
 fn finish_edge(
     p: &EdgeBlockParams<'_>,
     edge: usize,
@@ -612,237 +595,6 @@ fn finish_edge(
         checkpoint,
         client_norms,
     }
-}
-
-/// The barrier engine: the pre-chain scheduler, frozen as the reference
-/// implementation the chained engine is benchmarked and cross-checked
-/// against. One global fork/join per block, per-call training scratch
-/// ([`local_sgd_fresh`]), per-block result and survivor vectors.
-fn run_edge_blocks_barrier(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
-    let d = p.problem.num_params() as u64;
-    let slots = SlotMap::build(p);
-    let n_slots = slots.n_slots();
-    let mut edge_models: Vec<Vec<f32>> = p.edges.iter().map(|_| p.w_start.to_vec()).collect();
-    let mut edge_checkpoints: Vec<Option<Vec<f32>>> = vec![None; p.edges.len()];
-    // Per-edge accumulated work time across blocks (client tasks + the
-    // edge's aggregation fold), so the barrier engine emits the same
-    // one-span-per-edge stream as the chained engine's whole-chain timer.
-    let mut chain_s = vec![0.0_f64; p.edges.len()];
-    // Robust-aggregation workspace and quarantine observables, mirroring
-    // the chained engine (flat slot-map norm slots here).
-    let needs_base = p.aggregator.needs_base();
-    let mut agg_scratch: Vec<f32> = Vec::new();
-    let mut base_buf: Vec<f32> = Vec::new();
-    let mut norms: Vec<(f64, u32)> = if p.track_norms {
-        vec![(0.0, 0); n_slots]
-    } else {
-        Vec::new()
-    };
-
-    for t2 in 0..p.tau2 {
-        let is_cp_block = p.checkpoint.map(|(_, c2)| c2 == t2).unwrap_or(false);
-        let cp_after = p.checkpoint.and_then(|(c1, c2)| (c2 == t2).then_some(c1));
-        let block_tag = (p.round * p.tau2 + t2) as u64;
-        let mut max_slow = 1.0_f64;
-        let mut corrupt = vec![false; n_slots];
-        let alive: Vec<bool> = (0..n_slots)
-            .map(|slot| {
-                let client = slots.gids[slot];
-                let a = if quarantine_excludes(p.quarantined, client, p.round) {
-                    p.fault.add_excluded(1);
-                    false
-                } else if !p.fault.client_alive(block_tag, p.level, client) {
-                    false
-                } else {
-                    match p.fault.straggler(block_tag, p.level, client) {
-                        StragglerFate::Missed => false,
-                        StragglerFate::Slow(s) => {
-                            max_slow = max_slow.max(s);
-                            true
-                        }
-                        StragglerFate::OnTime => true,
-                    }
-                };
-                corrupt[slot] = a && p.fault.client_corrupt(block_tag, p.level, client);
-                a
-            })
-            .collect();
-        if max_slow > 1.0 {
-            p.fault
-                .add_straggler_slots((max_slow - 1.0) * p.tau1 as f64);
-        }
-        // Edge broadcasts its block-start model to its clients.
-        p.meter
-            .record_broadcast(Link::ClientEdge, d, n_slots as u64);
-
-        // All (edge, client) pairs run τ1 local steps concurrently, with a
-        // full join before the edge aggregations. Tasks carry the flat
-        // slot index; the owning edge is recovered from the slot map.
-        let tasks: Vec<(usize, usize)> = (0..p.edges.len())
-            .flat_map(|ei| slots.range(ei).map(move |slot| (ei, slot)))
-            .filter(|&(_, slot)| alive[slot])
-            .collect();
-        let results_alive: Vec<(Vec<f32>, Option<Vec<f32>>, f64)> = {
-            let edge_models = &edge_models;
-            let corrupt = &corrupt;
-            let slots = &slots;
-            p.par.map_ref(&tasks, |&(ei, slot)| {
-                let task_timer = p.profile.start();
-                let client = slots.gids[slot];
-                let mut rng = StreamRng::for_key(StreamKey::new(
-                    p.seed,
-                    Purpose::Batch,
-                    (p.round * p.tau2 + t2) as u64,
-                    client as u64,
-                ));
-                let (mut w_out, mut cp_out) = local_sgd_fresh(
-                    &*p.problem.model,
-                    data_of(p, client),
-                    &edge_models[ei],
-                    p.tau1,
-                    p.eta_w,
-                    p.batch_size,
-                    &p.problem.w_domain,
-                    &mut rng,
-                    cp_after,
-                );
-                if corrupt[slot] {
-                    let base = &edge_models[ei];
-                    p.fault
-                        .corrupt_update(block_tag, p.level, client, base, &mut w_out);
-                    if let Some(cp) = cp_out.as_mut() {
-                        p.fault.corrupt_update(block_tag, p.level, client, base, cp);
-                    }
-                }
-                if p.quantizer != Quantizer::Exact {
-                    let mut qrng = StreamRng::for_key(StreamKey::new(
-                        p.seed,
-                        Purpose::Quantize,
-                        (p.round * p.tau2 + t2) as u64,
-                        client as u64,
-                    ));
-                    let base = &edge_models[ei];
-                    quantize_delta(&p.quantizer, base, &mut w_out, &mut qrng);
-                    if let Some(cp) = cp_out.as_mut() {
-                        quantize_delta(&p.quantizer, base, cp, &mut qrng);
-                    }
-                }
-                (w_out, cp_out, task_timer.elapsed_s())
-            })
-        };
-        // Scatter results back to their slots; dropped slots None.
-        let mut results: Vec<Option<ClientBlockResult>> = (0..n_slots).map(|_| None).collect();
-        for (&(ei, slot), (w_out, cp_out, secs)) in tasks.iter().zip(results_alive) {
-            p.trace.record(|| Event::LocalSteps {
-                round: p.round,
-                t2,
-                edge: p.edges[ei],
-                client: slots.gids[slot],
-                steps: p.tau1,
-            });
-            chain_s[ei] += secs;
-            if p.track_norms {
-                let entry = &mut norms[slot];
-                entry.0 += vecops::dist2_sq(&w_out, &edge_models[ei]).sqrt();
-                entry.1 += 1;
-            }
-            results[slot] = Some((w_out, cp_out));
-        }
-
-        // Surviving clients upload their (possibly quantized) models, plus
-        // the checkpoint in block c2.
-        let unit = p.quantizer.wire_floats(d as usize);
-        let floats_up = if is_cp_block { 2 * unit } else { unit };
-        let survivors = alive.iter().filter(|&&a| a).count() as u64;
-        p.meter
-            .record_gather(Link::ClientEdge, floats_up, survivors);
-        if p.record_rounds {
-            p.meter.record_round(Link::ClientEdge);
-        }
-
-        // Edge-side aggregation over survivors (deterministic order:
-        // clients are indexed). The aggregator's Mean arm is the
-        // historical `average_present_into` fold over the result slots —
-        // bit-identical to the frozen `average_into(compacted)` reference
-        // (asserted in `hm_tensor::vecops` tests).
-        for (ei, model) in edge_models.iter_mut().enumerate() {
-            let agg_timer = p.profile.start();
-            let edge_results = &results[slots.range(ei)];
-            // An edge with no surviving clients keeps its block-start
-            // model (and captures no checkpoint from this block).
-            if edge_results.iter().any(|s| s.is_some()) {
-                if needs_base {
-                    base_buf.clone_from(model);
-                }
-                let survivors = p.aggregator.aggregate_present_into(
-                    edge_results,
-                    |s| s.as_ref().map(|(w, _)| w.as_slice()),
-                    needs_base.then_some(base_buf.as_slice()),
-                    &mut agg_scratch,
-                    model,
-                );
-                if is_cp_block {
-                    let mut cp = vec![0.0_f32; model.len()];
-                    let got = p.aggregator.aggregate_present_into(
-                        edge_results,
-                        |s| {
-                            s.as_ref().map(|(_, cp)| {
-                                cp.as_deref()
-                                    .expect("checkpoint block must return checkpoints")
-                            })
-                        },
-                        needs_base.then_some(base_buf.as_slice()),
-                        &mut agg_scratch,
-                        &mut cp,
-                    );
-                    assert_eq!(got, survivors, "checkpoint block must return checkpoints");
-                    edge_checkpoints[ei] = Some(cp);
-                    p.trace.record(|| Event::CheckpointCaptured {
-                        round: p.round,
-                        edge: p.edges[ei],
-                        t2,
-                    });
-                }
-                p.trace.record(|| Event::ClientEdgeAggregation {
-                    round: p.round,
-                    edge: p.edges[ei],
-                    t2,
-                });
-                p.telemetry.record(|| TelemetryEvent::BlockAggregated {
-                    round: p.round,
-                    edge: p.edges[ei],
-                    t2,
-                    survivors,
-                });
-            }
-            chain_s[ei] += agg_timer.elapsed_s();
-        }
-    }
-
-    for (ei, &edge) in p.edges.iter().enumerate() {
-        p.profile.record_secs(
-            p.telemetry,
-            Phase::LocalSgdChain,
-            Some(p.round),
-            Some(edge),
-            chain_s[ei],
-        );
-    }
-
-    p.edges
-        .iter()
-        .enumerate()
-        .zip(edge_models)
-        .zip(edge_checkpoints)
-        .map(|(((ei, &edge), w_final), checkpoint)| {
-            let client_norms = if p.track_norms {
-                norms[slots.range(ei)].to_vec()
-            } else {
-                Vec::new()
-            };
-            finish_edge(p, edge, w_final, checkpoint, client_norms)
-        })
-        .collect()
 }
 
 /// Quantize `v` as a delta against `base` (which the receiver already
@@ -1117,7 +869,6 @@ mod tests {
             seed: 42,
             meter: &meter,
             par: Parallelism::Sequential,
-            engine: ExecEngine::Chained,
             trace: &trace,
             telemetry: &Telemetry::disabled(),
             profile: &Profiler::disabled(),
@@ -1178,7 +929,6 @@ mod tests {
             seed: 7,
             meter: &meter,
             par: Parallelism::Sequential,
-            engine: ExecEngine::Chained,
             trace: &trace,
             telemetry: &Telemetry::disabled(),
             profile: &Profiler::disabled(),
@@ -1190,22 +940,11 @@ mod tests {
         assert_eq!(out[0].checkpoint.as_deref(), Some(w0.as_slice()));
     }
 
-    /// Run the same round under a given engine/parallelism pair, returning
-    /// outputs plus the observables both engines must agree on.
+    /// Run one round on the given executor, returning the outputs plus
+    /// the meter totals and trace events.
     fn run_one(
         fp: &FederatedProblem,
         fault: FaultPlan,
-        engine: ExecEngine,
-        par: Parallelism,
-        quantizer: Quantizer,
-    ) -> (Vec<EdgeBlockOutput>, hm_simnet::CommStats, Vec<Event>) {
-        run_one_agg(fp, fault, engine, par, quantizer, Aggregator::Mean)
-    }
-
-    fn run_one_agg(
-        fp: &FederatedProblem,
-        fault: FaultPlan,
-        engine: ExecEngine,
         par: Parallelism,
         quantizer: Quantizer,
         aggregator: Aggregator,
@@ -1230,7 +969,6 @@ mod tests {
             seed: 11,
             meter: &meter,
             par,
-            engine,
             trace: &trace,
             telemetry: &Telemetry::disabled(),
             profile: &Profiler::disabled(),
@@ -1244,37 +982,9 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree() {
-        let sc = tiny_problem(3, 3, 9);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-            let (a, am, ae) = run_one(
-                &fp,
-                FaultPlan::default(),
-                engine,
-                Parallelism::Sequential,
-                Quantizer::Exact,
-            );
-            let (b, bm, be) = run_one(
-                &fp,
-                FaultPlan::default(),
-                engine,
-                Parallelism::Rayon,
-                Quantizer::Exact,
-            );
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.w_final, y.w_final);
-                assert_eq!(x.checkpoint, y.checkpoint);
-            }
-            assert_eq!(am, bm);
-            assert_eq!(ae, be);
-        }
-    }
-
-    #[test]
-    fn chained_and_barrier_engines_are_bit_identical() {
-        // The tentpole invariant at the unit level: identical models,
-        // checkpoints, meter totals, and trace event *order* across
-        // engines, under faults and quantization too.
+        // Identical models, checkpoints, norm observables, meter totals
+        // and trace event *order* on both executors, under faults,
+        // quantization, Byzantine uploads and every robust aggregator.
         let sc = tiny_problem(3, 3, 9);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
         let chaotic = FaultPlan::preset("chaos").unwrap();
@@ -1306,32 +1016,24 @@ mod tests {
                 Aggregator::NormClip { tau: 0.5 },
             ),
         ] {
-            for par in [Parallelism::Sequential, Parallelism::Rayon] {
-                let (a, am, ae) = run_one_agg(
-                    &fp,
-                    fault.clone(),
-                    ExecEngine::Chained,
-                    par,
-                    quantizer,
-                    aggregator,
-                );
-                let (b, bm, be) = run_one_agg(
-                    &fp,
-                    fault.clone(),
-                    ExecEngine::Barrier,
-                    par,
-                    quantizer,
-                    aggregator,
-                );
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.edge, y.edge);
-                    assert_eq!(x.w_final, y.w_final);
-                    assert_eq!(x.checkpoint, y.checkpoint);
-                    assert_eq!(x.client_norms, y.client_norms, "norm observables diverged");
-                }
-                assert_eq!(am, bm, "meter totals diverged");
-                assert_eq!(ae, be, "trace event order diverged");
+            let tag = format!("{fault:?} {quantizer:?} {aggregator:?}");
+            let (a, am, ae) = run_one(
+                &fp,
+                fault.clone(),
+                Parallelism::Sequential,
+                quantizer,
+                aggregator,
+            );
+            let (b, bm, be) = run_one(&fp, fault, Parallelism::Rayon, quantizer, aggregator);
+            assert_eq!(a.len(), b.len());
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!(x.edge, y.edge, "{tag}");
+                assert_eq!(x.w_final, y.w_final, "{tag}");
+                assert_eq!(x.checkpoint, y.checkpoint, "{tag}");
+                assert_eq!(x.client_norms, y.client_norms, "{tag}: norms diverged");
             }
+            assert_eq!(am, bm, "{tag}: meter totals diverged");
+            assert_eq!(ae, be, "{tag}: trace event order diverged");
         }
     }
 
@@ -1345,46 +1047,43 @@ mod tests {
         let mut until = vec![0u64; n_clients];
         let benched = topo.client_id(0, 0);
         until[benched] = 10;
-        for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-            let meter = CommMeter::new();
-            let trace = Trace::enabled();
-            let fi = FaultInjector::none(5);
-            let out = run_edge_blocks(EdgeBlockParams {
-                problem: &fp,
-                w_start: &vec![0.0; fp.num_params()],
-                edges: &[0, 1],
-                tau1: 1,
-                tau2: 2,
-                eta_w: 0.1,
-                batch_size: 2,
-                checkpoint: None,
-                quantizer: Quantizer::Exact,
-                fault: &fi,
-                level: 0,
-                record_rounds: true,
-                round: 3,
-                seed: 5,
-                meter: &meter,
-                par: Parallelism::Sequential,
-                engine,
-                trace: &trace,
-                telemetry: &Telemetry::disabled(),
-                profile: &Profiler::disabled(),
-                aggregator: Aggregator::Mean,
-                quarantined: &until,
-                track_norms: true,
-                roster: None,
-            });
-            // The benched client never ran (no LocalSteps events) and was
-            // counted once per block.
-            assert!(trace.events().iter().all(|e| !matches!(
-                e,
-                Event::LocalSteps { client, .. } if *client == benched
-            )));
-            assert_eq!(fi.adversary_stats().excluded_uploads, 2);
-            assert_eq!(out[0].client_norms[0], (0.0, 0));
-            assert!(out[0].client_norms[1].1 > 0);
-        }
+        let meter = CommMeter::new();
+        let trace = Trace::enabled();
+        let fi = FaultInjector::none(5);
+        let out = run_edge_blocks(EdgeBlockParams {
+            problem: &fp,
+            w_start: &vec![0.0; fp.num_params()],
+            edges: &[0, 1],
+            tau1: 1,
+            tau2: 2,
+            eta_w: 0.1,
+            batch_size: 2,
+            checkpoint: None,
+            quantizer: Quantizer::Exact,
+            fault: &fi,
+            level: 0,
+            record_rounds: true,
+            round: 3,
+            seed: 5,
+            meter: &meter,
+            par: Parallelism::Sequential,
+            trace: &trace,
+            telemetry: &Telemetry::disabled(),
+            profile: &Profiler::disabled(),
+            aggregator: Aggregator::Mean,
+            quarantined: &until,
+            track_norms: true,
+            roster: None,
+        });
+        // The benched client never ran (no LocalSteps events) and was
+        // counted once per block.
+        assert!(trace.events().iter().all(|e| !matches!(
+            e,
+            Event::LocalSteps { client, .. } if *client == benched
+        )));
+        assert_eq!(fi.adversary_stats().excluded_uploads, 2);
+        assert_eq!(out[0].client_norms[0], (0.0, 0));
+        assert!(out[0].client_norms[1].1 > 0);
     }
 
     #[test]

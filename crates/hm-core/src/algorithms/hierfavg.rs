@@ -261,7 +261,6 @@ impl Algorithm for HierFavg {
                 seed,
                 meter: &meter,
                 par: cfg.opts.parallelism,
-                engine: cfg.opts.engine,
                 trace: &trace,
                 telemetry: tel,
                 profile: prof,

@@ -393,7 +393,6 @@ impl Algorithm for HierMinimax {
                     seed,
                     meter: &meter,
                     par: cfg.opts.parallelism,
-                    engine: cfg.opts.engine,
                     trace: &trace,
                     telemetry: tel,
                     profile: prof,
@@ -436,7 +435,6 @@ impl Algorithm for HierMinimax {
                             seed,
                             meter: &meter,
                             par: cfg.opts.parallelism,
-                            engine: cfg.opts.engine,
                             trace: &trace,
                             telemetry: tel,
                             profile: prof,

@@ -49,8 +49,7 @@ use crate::metrics::evaluate;
 use crate::problem::FederatedProblem;
 use hm_simnet::trace::Trace;
 use hm_simnet::{
-    ChurnPlan, ChurnStats, CommStats, ExecEngine, FaultPlan, FaultStats, Parallelism,
-    QuarantineStats,
+    ChurnPlan, ChurnStats, CommStats, FaultPlan, FaultStats, Parallelism, QuarantineStats,
 };
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::Aggregator;
@@ -82,14 +81,6 @@ pub struct RunOpts {
     /// plan's `client_crash` (the plan wins when both are set); flat
     /// two-layer baselines ignore the plan.
     pub fault: FaultPlan,
-    /// Round scheduling engine for the hierarchical algorithms (see
-    /// `hm_simnet::ExecEngine` and DESIGN.md §7). [`ExecEngine::Chained`]
-    /// (the default) runs each edge's `τ2` blocks as one task chain;
-    /// [`ExecEngine::Barrier`] is the pre-chain per-block fork/join
-    /// scheduler, kept as the benchmarking baseline. Both are bit-identical
-    /// (asserted by `tests/determinism.rs`). Flat baselines, which have no
-    /// block structure, ignore this.
-    pub engine: ExecEngine,
     /// Crash-consistent checkpointing: where/how often to write snapshots
     /// and, optionally, a snapshot to resume from (see `hm-checkpoint` and
     /// DESIGN.md §12). The default neither writes nor resumes.
@@ -141,7 +132,6 @@ impl Default for RunOpts {
             trace: false,
             telemetry: Telemetry::disabled(),
             fault: FaultPlan::default(),
-            engine: ExecEngine::default(),
             checkpoint: crate::checkpoint::CheckpointOpts::default(),
             profile: Profiler::disabled(),
             aggregator: Aggregator::Mean,

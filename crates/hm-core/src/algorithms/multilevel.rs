@@ -180,7 +180,6 @@ impl MultiLevelMinimax {
                 seed,
                 meter,
                 par: cfg.opts.parallelism,
-                engine: cfg.opts.engine,
                 trace,
                 telemetry: &cfg.opts.telemetry,
                 profile: &cfg.opts.profile,

@@ -252,7 +252,6 @@ impl OverselectMinimax {
                 seed,
                 meter: &meter,
                 par: cfg.opts.parallelism,
-                engine: cfg.opts.engine,
                 trace: &trace,
                 telemetry: &cfg.opts.telemetry,
                 profile: prof,

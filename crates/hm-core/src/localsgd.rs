@@ -1,13 +1,11 @@
 //! Client-side local SGD (eq. 4) with optional checkpoint snapshot.
 //!
 //! All scratch memory (gradient buffer, mini-batch gather, model workspace)
-//! comes from the thread-local [`hm_nn::pool`], so across the thousands of
-//! client-blocks a worker thread runs per experiment, the steady-state step
-//! loop performs no heap allocation at all — not even at call boundaries.
-//! The pooled and fresh-scratch paths are bit-identical (every buffer is
-//! overwrite-on-use); [`local_sgd_fresh`] keeps the allocate-per-call
-//! behaviour available as the measurement baseline for the `roundtime`
-//! bench's barrier engine.
+//! comes from the thread-local [`hm_nn::pool`] or a caller-owned
+//! [`TrainScratch`], so across the thousands of client-blocks a thread runs
+//! per experiment, the steady-state step loop performs no heap allocation
+//! at all — not even at call boundaries. Every buffer is overwrite-on-use,
+//! so reused scratch gives the same bits as fresh.
 
 use hm_data::batch::sample_batch_into;
 use hm_data::{Dataset, StreamRng};
@@ -92,9 +90,9 @@ pub fn local_sgd(
 }
 
 /// [`local_sgd`] writing the final iterate into a caller-owned buffer with
-/// caller-owned scratch — the chained engine's slot-reuse entry point: one
-/// `w` buffer and one [`TrainScratch`] per (chain, client slot) serve every
-/// block of the round with zero allocation.
+/// caller-owned scratch — the block phase's slot-reuse entry point: one
+/// `w` buffer per client slot and one [`TrainScratch`] per edge chain
+/// serve every block of the round with zero allocation.
 #[allow(clippy::too_many_arguments)]
 pub fn local_sgd_into(
     model: &dyn Model,
@@ -123,39 +121,6 @@ pub fn local_sgd_into(
         checkpoint_after,
         scratch,
     )
-}
-
-/// [`local_sgd`] with freshly allocated scratch on every call — the pre-pool
-/// allocation profile, kept so the barrier reference engine measures what
-/// the system actually cost before chaining and pooling landed. Results are
-/// bit-identical to [`local_sgd`].
-#[allow(clippy::too_many_arguments)]
-pub fn local_sgd_fresh(
-    model: &dyn Model,
-    data: &Dataset,
-    w0: &[f32],
-    steps: usize,
-    lr: f32,
-    batch_size: usize,
-    proj: &ProjectionOp,
-    rng: &mut StreamRng,
-    checkpoint_after: Option<usize>,
-) -> (Vec<f32>, Option<Vec<f32>>) {
-    let mut scratch = TrainScratch::default();
-    let mut w = w0.to_vec();
-    let cp = local_sgd_core(
-        model,
-        data,
-        &mut w,
-        steps,
-        lr,
-        batch_size,
-        proj,
-        rng,
-        checkpoint_after,
-        &mut scratch,
-    );
-    (w, cp)
 }
 
 /// Proximal local SGD (FedProx, Li et al., MLSys 2020): each step adds the
@@ -389,8 +354,8 @@ mod tests {
     }
 
     #[test]
-    fn pooled_into_and_fresh_paths_are_bit_identical() {
-        // The three entry points differ only in where scratch lives; the
+    fn pooled_and_into_paths_are_bit_identical() {
+        // The two entry points differ only in where scratch lives; the
         // arithmetic must be the same to the bit. `local_sgd_into` is run
         // with a dirty slot buffer and dirty scratch to mimic cross-block
         // reuse inside a chain.
@@ -414,21 +379,6 @@ mod tests {
         let (w_b, cp_b) = run_pooled(); // second call reuses the pooled bundle
         assert_eq!(w_a, w_b);
         assert_eq!(cp_a, cp_b);
-
-        let mut rng = StreamRng::new(8, Purpose::Batch, 3, 1);
-        let (w_f, cp_f) = local_sgd_fresh(
-            &model,
-            &data,
-            &w0,
-            7,
-            0.3,
-            3,
-            &ProjectionOp::Unconstrained,
-            &mut rng,
-            Some(4),
-        );
-        assert_eq!(w_a, w_f);
-        assert_eq!(cp_a, cp_f);
 
         let mut rng = StreamRng::new(8, Purpose::Batch, 3, 1);
         let mut slot = vec![f32::NAN; 3]; // wrong size AND garbage contents

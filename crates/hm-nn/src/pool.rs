@@ -4,11 +4,11 @@
 //! [`Workspace`], a gradient buffer, and a [`BatchScratch`] for mini-batch
 //! gathers. Allocating these per call is the residual cost the hotpath
 //! bench attributes to logistic/CNN (small models amortise nothing), and
-//! under the chained round engine a worker thread runs thousands of
-//! client-blocks back to back — so scratch is pooled per *thread* and
-//! reused across blocks, rounds, and even algorithm runs, for as long as
-//! the thread lives (the vendored rayon shim starts fresh threads for
-//! every parallel call; DESIGN.md §7b).
+//! in the block phase one thread runs every client-block of its edge
+//! chains back to back — so scratch is pooled per *thread* and reused
+//! across blocks, rounds, and even algorithm runs, for as long as the
+//! thread lives (the vendored rayon shim starts fresh threads for every
+//! parallel call; DESIGN.md §7b).
 //!
 //! Pooling is safe for determinism because every buffer in the bundle is
 //! overwrite-on-use: `Workspace` stages intermediates that are fully
@@ -17,7 +17,8 @@
 //! is overwritten by `loss_grad_ws`'s contract, and `BatchScratch` clears
 //! its index buffer on every draw. A dirty pooled bundle therefore yields
 //! bit-identical results to a fresh one — proven by the tests below and by
-//! the engine-equivalence matrix in `tests/determinism.rs`.
+//! `tests/oracle_diff.rs`, whose naive reference round allocates fresh
+//! buffers for every step.
 
 use crate::workspace::Workspace;
 use hm_data::batch::BatchScratch;

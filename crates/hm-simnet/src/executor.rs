@@ -11,30 +11,15 @@
 //! Because the rule constrains only *streams* and *slots* — never the
 //! schedule — it also licenses coarser task shapes than a flat per-item
 //! map: [`Parallelism::map_chains`] runs long-lived sequential chains (one
-//! per edge, say) with nested fan-out inside, with no barrier between
-//! chains. The round-level engine in `hm-core` uses this to remove the
-//! per-block global joins of the barrier engine.
+//! per edge) with no barrier between chains. The block phase in `hm-core`
+//! uses this to run a whole round with a single fork/join.
+//!
+//! The workspace builds against a vendored rayon shim (`vendor/rayon`):
+//! each parallel call splits its input into at most one contiguous part
+//! per thread, runs the parts on fresh scoped threads and joins; a call
+//! made from inside a worker runs inline on that worker.
 
 use rayon::prelude::*;
-
-/// Which round-level execution engine an algorithm run uses.
-///
-/// Both engines obey the concurrency rule above and are bit-identical on
-/// every algorithm and fault preset (asserted by `tests/determinism.rs`);
-/// they differ only in task shape and allocation behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// Per-edge task chains: each participating edge runs its τ2 blocks as
-    /// one sequential task with its clients fanned out inside, so there is
-    /// no cross-edge join until the end of the round (the default).
-    #[default]
-    Chained,
-    /// The pre-chain reference engine: all edges synchronise at every
-    /// block boundary (τ2−1 global joins per round) and every client-block
-    /// allocates fresh scratch. Kept as the measurement baseline for the
-    /// `roundtime` bench and as the oracle for engine-equivalence tests.
-    Barrier,
-}
 
 /// Whether client work runs sequentially or on the rayon pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,19 +51,6 @@ impl Parallelism {
         }
     }
 
-    /// Map `f` over `items`, returning outputs in input order.
-    pub fn map<T, U, F>(self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(T) -> U + Send + Sync,
-    {
-        match self {
-            Parallelism::Sequential => items.into_iter().map(f).collect(),
-            Parallelism::Rayon => items.into_par_iter().map(f).collect(),
-        }
-    }
-
     /// Map `f` over index `0..n`, returning outputs in index order.
     pub fn map_indexed<U, F>(self, n: usize, f: F) -> Vec<U>
     where
@@ -92,10 +64,6 @@ impl Parallelism {
     }
 
     /// Map `f` over borrowed `items`, returning outputs in input order.
-    ///
-    /// Unlike [`Parallelism::map`] this does not consume the input, so call
-    /// sites that reuse the same task list every block don't have to clone
-    /// it just to satisfy the executor.
     pub fn map_ref<T, U, F>(self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -113,11 +81,13 @@ impl Parallelism {
     ///
     /// A chain is a long-lived task (e.g. one edge's τ2 client-edge blocks)
     /// that runs start to finish on one worker with no synchronisation
-    /// against sibling chains. `with_max_len(1)` forces rayon to split the
-    /// range down to one chain per task, so chains of very different cost
-    /// (heterogeneous τ2, stragglers) never get glued into the same task.
-    /// Nested rayon calls inside a chain (client fan-out) are fine: rayon's
-    /// work-stealing lets idle workers pick up the inner jobs.
+    /// against sibling chains. `with_max_len(1)` asks the real rayon crate
+    /// to split the range down to one chain per task, so chains of very
+    /// different cost (stragglers, uneven rosters) are not glued into the
+    /// same task and idle workers can steal them. The vendored shim
+    /// ignores the hint: it hands each thread one contiguous run of
+    /// chains, and parallel calls made inside a chain run inline on the
+    /// chain's thread.
     pub fn map_chains<U, F>(self, n: usize, f: F) -> Vec<U>
     where
         U: Send,
@@ -128,44 +98,11 @@ impl Parallelism {
             Parallelism::Rayon => (0..n).into_par_iter().with_max_len(1).map(f).collect(),
         }
     }
-
-    /// Apply `f` to every element of `items` in place, passing the index.
-    ///
-    /// The in-place counterpart of [`Parallelism::map_ref`]: chains use it
-    /// to fan client work out into pre-allocated result slots that persist
-    /// across blocks, instead of collecting a fresh `Vec` per block.
-    pub fn for_each_mut<T, F>(self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Send + Sync,
-    {
-        match self {
-            Parallelism::Sequential => {
-                for (i, item) in items.iter_mut().enumerate() {
-                    f(i, item);
-                }
-            }
-            Parallelism::Rayon => {
-                items
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(i, item)| f(i, item));
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_preserves_order() {
-        for mode in [Parallelism::Sequential, Parallelism::Rayon] {
-            let out = mode.map((0..100).collect::<Vec<usize>>(), |x| x * 2);
-            assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-        }
-    }
 
     #[test]
     fn map_indexed_matches_sequential() {
@@ -210,15 +147,12 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u8> = Parallelism::Rayon.map(Vec::<u8>::new(), |x| x);
-        assert!(out.is_empty());
-        let out2: Vec<u8> = Parallelism::Rayon.map_indexed(0, |_| 0);
-        assert!(out2.is_empty());
-        let out3: Vec<u8> = Parallelism::Rayon.map_ref(&[], |x: &u8| *x);
-        assert!(out3.is_empty());
-        let out4: Vec<u8> = Parallelism::Rayon.map_chains(0, |_| 0);
-        assert!(out4.is_empty());
-        Parallelism::Rayon.for_each_mut(&mut Vec::<u8>::new(), |_, _| {});
+        let indexed: Vec<u8> = Parallelism::Rayon.map_indexed(0, |_| 0);
+        assert!(indexed.is_empty());
+        let borrowed: Vec<u8> = Parallelism::Rayon.map_ref(&[], |x: &u8| *x);
+        assert!(borrowed.is_empty());
+        let chains: Vec<u8> = Parallelism::Rayon.map_chains(0, |_| 0);
+        assert!(chains.is_empty());
     }
 
     #[test]
@@ -234,9 +168,8 @@ mod tests {
 
     #[test]
     fn map_chains_matches_sequential_with_nested_fanout() {
-        // Each chain runs several "blocks" sequentially, fanning inner work
-        // out through the same Parallelism — the exact shape the round
-        // engine uses (edges × blocks × clients).
+        // Each chain runs several "blocks" sequentially, with a nested
+        // parallel call inside (edges × blocks × inner items).
         let run = |mode: Parallelism| -> Vec<u64> {
             mode.map_chains(6, |chain| {
                 let mut acc = chain as u64;
@@ -258,19 +191,5 @@ mod tests {
             })
         };
         assert_eq!(run(Parallelism::Sequential), run(Parallelism::Rayon));
-    }
-
-    #[test]
-    fn for_each_mut_writes_every_slot() {
-        for mode in [Parallelism::Sequential, Parallelism::Rayon] {
-            let mut slots = vec![0usize; 40];
-            mode.for_each_mut(&mut slots, |i, s| *s = i + 1);
-            assert_eq!(slots, (1..=40).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn exec_engine_default_is_chained() {
-        assert_eq!(ExecEngine::default(), ExecEngine::Chained);
     }
 }

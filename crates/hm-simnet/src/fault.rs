@@ -83,7 +83,7 @@ impl FaultKind {
 /// How a Byzantine client corrupts the update it uploads. Every model is a
 /// deterministic transform of `(honest update, block-start model)` plus, for
 /// the stochastic variants, draws from `Purpose::AdversaryPayload` streams —
-/// so corrupted runs replay bit-identically across executors and engines.
+/// so corrupted runs replay bit-identically across executors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackModel {
     /// Upload `base − κ·(w − base)`: the honest delta reversed and scaled

@@ -44,7 +44,7 @@ pub mod trace;
 
 pub use churn::{ActiveTopology, ChurnPlan, ChurnStats, RoundChurn, CHURN_PRESETS, NO_CHURN};
 pub use comm::{CommMeter, CommStats, Link};
-pub use executor::{ExecEngine, Parallelism};
+pub use executor::Parallelism;
 pub use fault::{
     AttackModel, Delivery, FaultInjector, FaultKind, FaultPlan, FaultStats, MsgChannel,
     QuarantineStats, StragglerFate, ATTACK_MODELS, FAULT_PRESETS, NO_FAULTS,

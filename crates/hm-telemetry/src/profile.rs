@@ -9,8 +9,8 @@
 //!   *unsequenced*, so the sequenced event stream — and with it checkpoint
 //!   `seq` values, resume splices, and conformance digests — is
 //!   bit-identical between profiled and unprofiled runs
-//!   (`tests/profile.rs` proves this over the full engine × parallelism
-//!   matrix).
+//!   (`tests/profile.rs` proves this on both executors, with and without
+//!   faults).
 //! - **No dependencies.** Quantiles come from a small fixed log-spaced
 //!   bucket histogram, not a sketch library: bucket 0 holds spans below
 //!   1 µs and every later bucket doubles the bound, so 40 buckets cover

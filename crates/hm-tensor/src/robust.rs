@@ -5,8 +5,8 @@
 //! coordinate-wise median, and norm-clipped averaging. Like the mean
 //! kernels they accumulate in `f64` in a fixed fold order, so results are
 //! a pure function of the surviving inputs — bit-identical across
-//! executors, engines, and reruns. All kernels are `_into` style and reuse
-//! a caller-provided scratch vector, preserving the chained engine's
+//! executors and reruns. All kernels are `_into` style and reuse a
+//! caller-provided scratch vector, preserving the block phase's
 //! zero-allocation discipline after first use.
 //!
 //! Slot conventions match `average_present_into`: `slots` is indexed in

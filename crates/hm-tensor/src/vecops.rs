@@ -164,7 +164,7 @@ pub fn weighted_average_into(sources: &[&[f32]], weights: &[f64], out: &mut [f32
 /// `out = mean_{j : get(slots[j]) = Some(v_j)} v_j`, folding slots in index
 /// order. Returns the number of present entries.
 ///
-/// This is the survivor-aggregation primitive of the round engine: client
+/// This is the survivor-aggregation primitive of the block phase: client
 /// results live in fixed per-slot `Option`s (absent = crashed / missed
 /// deadline), and aggregation walks the slots directly instead of first
 /// compacting the survivors into a `Vec<&[f32]>`. The fold order equals the

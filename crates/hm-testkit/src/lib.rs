@@ -13,7 +13,9 @@
 //! - [`oracle`] — a deliberately naive, allocation-heavy reference
 //!   reimplementation of one HierMinimax round (plus the flat FedAvg/DRFA
 //!   round shapes) that the optimized `hm-core::algorithms` path must
-//!   match **bit-for-bit** per round.
+//!   match **bit-for-bit** per round — under client-level faults and
+//!   every aggregation rule, which makes it the reference for the
+//!   client-edge block phase.
 //! - [`strategies`] — proptest generators for whole scenarios (topology,
 //!   `τ1`/`τ2`, participation, dropout, quantizers, constrained `P` sets)
 //!   driving both the checker and the oracle across hundreds of cases.

@@ -4,10 +4,20 @@
 //! of one HierMinimax round (Algorithm 1) and of the flat FedAvg/DRFA
 //! round shapes, written straight from the paper's pseudocode. They share
 //! only the substrate the protocol itself is defined over — the keyed RNG
-//! streams, the model's loss/gradient oracle, and the projection operators
-//! — and re-derive everything the optimized `hm-core::algorithms` path
-//! does cleverly: multiplicity counting, survivor bookkeeping, scratch
-//! reuse, fused projected steps, workspace-based gradients.
+//! streams, the model's loss/gradient oracle, the projection operators,
+//! the pure [`FaultPlan`] decision functions (client crashes, straggler
+//! deadlines, Byzantine corruption) and the robust aggregation kernels —
+//! and re-derive everything the optimized `hm-core::algorithms` path does
+//! cleverly: the fault prepass, multiplicity counting, survivor
+//! bookkeeping, per-edge task chains, scratch reuse, fused projected
+//! steps, workspace-based gradients.
+//!
+//! The HierMinimax round is the reference for the client-edge block
+//! phase: it runs every block of every sampled edge in plain loop order,
+//! with fresh allocations, and applies faults and aggregation rules
+//! exactly as the protocol defines them. Cloud-link faults (edge outages,
+//! message loss), quarantine, membership churn and heterogeneous rates
+//! are not modelled; `tests/pinned_bits.rs` pins those paths instead.
 //!
 //! The contract is **bit-identical** per-round iterates: the optimized run
 //! emits `GlobalModel`/`WeightUpdate` trace events, and the differential
@@ -24,7 +34,8 @@ use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_nn::Model;
 use hm_optim::{Projection, ProjectionOp};
-use hm_simnet::Quantizer;
+use hm_simnet::{FaultPlan, Quantizer, StragglerFate};
+use hm_tensor::Aggregator;
 
 /// The iterates a reference round produces.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,27 +174,33 @@ fn naive_estimate_loss(
     model.loss(w, &batch)
 }
 
-/// Whether a client survives a block, replaying the dedicated dropout
-/// stream (`dropout == 0` short-circuits without a draw, as the protocol
-/// does).
-fn survives(seed: u64, round: usize, tau2: usize, t2: usize, client: usize, dropout: f32) -> bool {
-    if dropout == 0.0 {
-        return true;
-    }
-    let mut drng = StreamRng::for_key(StreamKey::new(
-        seed,
-        Purpose::Dropout,
-        (round * tau2 + t2) as u64,
-        client as u64,
-    ));
-    drng.uniform() >= f64::from(dropout)
+/// Whether a client's upload reaches its edge in a block: it neither
+/// crashed nor straggled past the deadline.
+fn uploads(plan: &FaultPlan, seed: u64, block_tag: u64, client: usize) -> bool {
+    !plan.client_crashed(seed, block_tag, 0, client)
+        && plan.straggler(seed, block_tag, 0, client) != StragglerFate::Missed
+}
+
+/// A robust rule's reduction of `sources` (unweighted by construction),
+/// with `base` the model norm clipping measures deviations against. The
+/// kernels are tested against naive references in `hm_tensor::robust`.
+fn robust_reduce(agg: &Aggregator, sources: &[&[f32]], base: &[f32]) -> Vec<f32> {
+    let mut out = vec![0.0_f32; base.len()];
+    agg.aggregate_present_into(sources, |v| Some(*v), Some(base), &mut Vec::new(), &mut out);
+    out
 }
 
 /// One full HierMinimax round (Algorithm 1, Phases 1 and 2), transcribed
 /// naively. `w`/`p` are the round-start iterates `w^(k)` / `p^(k)`.
 ///
+/// Client crashes (the legacy `dropout` knob included), straggler
+/// deadline misses and Byzantine corruption follow `cfg.opts.fault`;
+/// client→edge and edge→cloud reductions follow `cfg.opts.aggregator`.
+///
 /// # Panics
-/// Panics on heterogeneous `tau2_per_edge` configs (not modelled here).
+/// Panics on what the reference does not model: heterogeneous
+/// `tau2_per_edge` rates, edge outages, message loss, quarantine and
+/// membership churn.
 pub fn reference_hierminimax_round(
     problem: &FederatedProblem,
     cfg: &HierMinimaxConfig,
@@ -196,6 +213,16 @@ pub fn reference_hierminimax_round(
         cfg.tau2_per_edge.is_none(),
         "reference round models homogeneous rates only"
     );
+    let plan = cfg.opts.fault.clone().with_dropout(cfg.dropout);
+    assert!(
+        plan.edge_outage == 0.0 && plan.msg_loss == 0.0,
+        "reference round models client-level faults only"
+    );
+    assert!(
+        cfg.opts.quarantine_z == 0.0 && cfg.opts.churn.is_none(),
+        "reference round models neither quarantine nor churn"
+    );
+    let agg = &cfg.opts.aggregator;
     let n_edges = problem.num_edges();
     let n0 = problem.clients_per_edge();
     let topo = problem.topology();
@@ -212,25 +239,26 @@ pub fn reference_hierminimax_round(
     let (distinct, counts) = naive_multiplicities(&sampled);
 
     // Phase 1 (b): ModelUpdate at every distinct sampled edge — τ2 blocks
-    // of τ1 local steps, averaging survivors per block, checkpoint in
-    // block c2.
+    // of τ1 local steps, aggregating the surviving uploads per block,
+    // checkpoint in block c2.
     let mut edge_models: Vec<Vec<f32>> = distinct.iter().map(|_| w.to_vec()).collect();
     let mut edge_cps: Vec<Option<Vec<f32>>> = vec![None; distinct.len()];
     for t2 in 0..cfg.tau2 {
         let cp_after = (t2 == c2).then_some(c1);
+        let block_tag = (k * cfg.tau2 + t2) as u64;
         for (ei, &e) in distinct.iter().enumerate() {
             let base = edge_models[ei].clone();
             let mut outs: Vec<Option<ClientIterates>> = Vec::new();
             for c in 0..n0 {
                 let client = topo.client_id(e, c);
-                if !survives(seed, k, cfg.tau2, t2, client, cfg.dropout) {
+                if !uploads(&plan, seed, block_tag, client) {
                     outs.push(None);
                     continue;
                 }
                 let mut rng = StreamRng::for_key(StreamKey::new(
                     seed,
                     Purpose::Batch,
-                    (k * cfg.tau2 + t2) as u64,
+                    block_tag,
                     client as u64,
                 ));
                 let (mut w_out, mut cp_out) = naive_local_sgd(
@@ -244,11 +272,19 @@ pub fn reference_hierminimax_round(
                     &mut rng,
                     cp_after,
                 );
+                // A Byzantine client forges its model and checkpoint
+                // before the uplink codec sees them.
+                if plan.client_corrupt(seed, block_tag, 0, client) {
+                    plan.corrupt_update(seed, block_tag, 0, client, &base, &mut w_out);
+                    if let Some(cp) = cp_out.as_mut() {
+                        plan.corrupt_update(seed, block_tag, 0, client, &base, cp);
+                    }
+                }
                 if cfg.quantizer != Quantizer::Exact {
                     let mut qrng = StreamRng::for_key(StreamKey::new(
                         seed,
                         Purpose::Quantize,
-                        (k * cfg.tau2 + t2) as u64,
+                        block_tag,
                         client as u64,
                     ));
                     naive_quantize_delta(&cfg.quantizer, &base, &mut w_out, &mut qrng);
@@ -266,7 +302,13 @@ pub fn reference_hierminimax_round(
                 // Total blackout: the edge keeps its block-start model.
                 continue;
             }
-            edge_models[ei] = naive_mean(&survivors);
+            // Survivors fold in slot order; `base` is the block-start
+            // model.
+            let reduce = |sources: &[&[f32]]| match agg {
+                Aggregator::Mean => naive_mean(sources),
+                _ => robust_reduce(agg, sources, &base),
+            };
+            edge_models[ei] = reduce(&survivors);
             if t2 == c2 {
                 let cps: Vec<&[f32]> = outs
                     .iter()
@@ -275,7 +317,7 @@ pub fn reference_hierminimax_round(
                             .map(|(_, cp)| cp.as_deref().expect("checkpoint block"))
                     })
                     .collect();
-                edge_cps[ei] = Some(naive_mean(&cps));
+                edge_cps[ei] = Some(reduce(&cps));
             }
         }
     }
@@ -301,15 +343,20 @@ pub fn reference_hierminimax_round(
         }
     }
 
-    // Cloud aggregation over the m_E sampled slots (eqs. 5–6).
+    // Cloud aggregation over the m_E sampled slots (eqs. 5–6). A robust
+    // rule ignores the multiplicity weights; `w` is the broadcast model.
     let weights: Vec<f64> = counts
         .iter()
         .map(|&c| c as f64 / cfg.m_edges as f64)
         .collect();
+    let reduce = |sources: &[&[f32]]| match agg {
+        Aggregator::Mean => naive_weighted_mean(sources, &weights),
+        _ => robust_reduce(agg, sources, w),
+    };
     let finals: Vec<&[f32]> = edge_models.iter().map(|v| v.as_slice()).collect();
-    let w_next = naive_weighted_mean(&finals, &weights);
+    let w_next = reduce(&finals);
     let cps: Vec<&[f32]> = edge_cps.iter().map(|v| v.as_slice()).collect();
-    let w_checkpoint = naive_weighted_mean(&cps, &weights);
+    let w_checkpoint = reduce(&cps);
 
     // Phase 2: uniform U^(k), per-edge loss estimates on the checkpoint
     // (or an ablation model), importance-weighted ascent (eq. 7).

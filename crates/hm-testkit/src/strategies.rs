@@ -19,7 +19,8 @@ use hm_core::algorithms::{
 use hm_core::problem::FederatedProblem;
 use hm_data::scenarios::tiny_problem;
 use hm_optim::ProjectionOp;
-use hm_simnet::{FaultPlan, Parallelism, Quantizer};
+use hm_simnet::{AttackModel, FaultPlan, Parallelism, Quantizer};
+use hm_tensor::Aggregator;
 use proptest::prelude::*;
 
 /// The constrained weight domain `P` of problem (3).
@@ -278,6 +279,68 @@ pub fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
             msg_loss: l,
             max_retries: 1,
             ..FaultPlan::default()
+        }),
+    ]
+}
+
+/// Strategy over client-level fault plans — the classes the naive oracle
+/// models: crashes, stragglers (some past the deadline), Byzantine
+/// corruption under every attack model, and a mix of all three. Cloud-link
+/// classes stay zero.
+pub fn arb_client_fault_plan() -> impl Strategy<Value = FaultPlan> {
+    let rate = || (0.05_f32..0.5).prop_map(|x| (x * 100.0).round() / 100.0);
+    let attack = || {
+        prop_oneof![
+            Just(AttackModel::SignFlip),
+            Just(AttackModel::Scale),
+            Just(AttackModel::Noise),
+            Just(AttackModel::Zero),
+            Just(AttackModel::Collude),
+        ]
+    };
+    let stragglers = |r: f32| FaultPlan {
+        straggler_rate: r,
+        straggler_slowdown: 3.0,
+        deadline_factor: 1.5,
+        ..FaultPlan::default()
+    };
+    prop_oneof![
+        Just(FaultPlan::default()),
+        rate().prop_map(|r| FaultPlan {
+            client_crash: r,
+            ..FaultPlan::default()
+        }),
+        rate().prop_map(stragglers),
+        (rate(), attack(), 1usize..=8).prop_map(|(r, attack, scale)| FaultPlan {
+            corrupt_rate: r,
+            attack,
+            attack_scale: scale as f64,
+            ..FaultPlan::default()
+        }),
+        (rate(), rate(), rate(), attack()).prop_map(move |(crash, slow, corrupt, attack)| {
+            FaultPlan {
+                client_crash: crash,
+                corrupt_rate: corrupt,
+                attack,
+                attack_scale: 4.0,
+                ..stragglers(slow)
+            }
+        }),
+    ]
+}
+
+/// Strategy over client→edge and edge→cloud aggregation rules: the mean
+/// and each robust rule with a drawn parameter.
+pub fn arb_aggregator() -> impl Strategy<Value = Aggregator> {
+    prop_oneof![
+        Just(Aggregator::Mean),
+        Just(Aggregator::Mean),
+        (1usize..=4).prop_map(|k| Aggregator::TrimmedMean {
+            beta: 0.1 * k as f32
+        }),
+        Just(Aggregator::CoordinateMedian),
+        (1usize..=8).prop_map(|k| Aggregator::NormClip {
+            tau: 0.25 * k as f32
         }),
     ]
 }

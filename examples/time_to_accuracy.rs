@@ -35,7 +35,6 @@ fn main() {
         parallelism: Parallelism::Rayon,
         telemetry_dir: None,
         fault: Default::default(),
-        engine: Default::default(),
     };
     let suite = run_suite(&problem, &sp, 19);
 

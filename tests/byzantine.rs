@@ -5,12 +5,12 @@
 //! 1. **Zero-rate inertness** — a plan whose `corrupt_rate` is zero makes
 //!    no adversary-stream draws, and `Aggregator::Mean` routes through the
 //!    exact legacy averaging kernels: runs with the adversary knobs at
-//!    their defaults are bit-identical to `RunOpts::default()` runs across
-//!    `{Sequential, Rayon} × {Chained, Barrier}`.
+//!    their defaults are bit-identical to `RunOpts::default()` runs on
+//!    both executors.
 //! 2. **Adversarial determinism** — corrupted runs draw every corruption
 //!    bit and payload from keyed streams, so attacked runs (any attack ×
 //!    any robust aggregator, quarantine on) are bit-identical across both
-//!    executors and both engines, down to the adversary counters.
+//!    executors, down to the adversary counters.
 //! 3. **Resume carries quarantine state** — a run killed at any cloud
 //!    round resumes bit-identically with the adversary active and the
 //!    z-score quarantine enabled: exclusion windows and cumulative
@@ -27,7 +27,7 @@ use hierminimax::core::algorithms::{
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{AttackModel, ExecEngine, FaultPlan, Parallelism};
+use hierminimax::simnet::{AttackModel, FaultPlan, Parallelism};
 use hierminimax::tensor::Aggregator;
 use std::sync::Arc;
 
@@ -47,12 +47,11 @@ fn byzantine_plan(attack: AttackModel) -> FaultPlan {
     }
 }
 
-fn opts(par: Parallelism, engine: ExecEngine, plan: FaultPlan, agg: Aggregator) -> RunOpts {
+fn opts(par: Parallelism, plan: FaultPlan, agg: Aggregator) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
         fault: plan,
-        engine,
         aggregator: agg,
         ..Default::default()
     }
@@ -87,28 +86,22 @@ fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.quarantine, b.quarantine, "{tag}: adversary stats differ");
 }
 
-const GRID: [(Parallelism, ExecEngine); 4] = [
-    (Parallelism::Sequential, ExecEngine::Chained),
-    (Parallelism::Sequential, ExecEngine::Barrier),
-    (Parallelism::Rayon, ExecEngine::Chained),
-    (Parallelism::Rayon, ExecEngine::Barrier),
-];
+const EXECUTORS: [Parallelism; 2] = [Parallelism::Sequential, Parallelism::Rayon];
 
 #[test]
 fn zero_rate_adversary_knobs_are_inert() {
     // The frozen reference: `RunOpts::default()` predates the adversary
     // layer entirely. Spelling out a zero-rate plan and the Mean
-    // aggregator must not change a single bit, on any executor × engine
-    // cell, and must record no adversary activity.
+    // aggregator must not change a single bit, on either executor, and
+    // must record no adversary activity.
     let fp = problem();
-    for (par, engine) in GRID {
-        let tag = format!("{par:?}/{engine:?}");
+    for par in EXECUTORS {
+        let tag = format!("{par:?}");
         let baseline = hierminimax(
             ROUNDS,
             RunOpts {
                 eval_every: 2,
                 parallelism: par,
-                engine,
                 ..Default::default()
             },
         )
@@ -117,7 +110,6 @@ fn zero_rate_adversary_knobs_are_inert() {
             ROUNDS,
             opts(
                 par,
-                engine,
                 FaultPlan {
                     corrupt_rate: 0.0,
                     attack: AttackModel::Collude,
@@ -146,12 +138,7 @@ fn adversarial_runs_are_bit_identical_across_executors_and_engines() {
         (AttackModel::Collude, Aggregator::NormClip { tau: 1.0 }),
     ];
     for (attack, agg) in cells {
-        let mut quarantined = opts(
-            Parallelism::Sequential,
-            ExecEngine::Chained,
-            byzantine_plan(attack),
-            agg,
-        );
+        let mut quarantined = opts(Parallelism::Sequential, byzantine_plan(attack), agg);
         quarantined.quarantine_z = 2.0;
         quarantined.quarantine_window = 2;
         let reference = hierminimax(ROUNDS, quarantined).run(&fp, SEED);
@@ -161,12 +148,12 @@ fn adversarial_runs_are_bit_identical_across_executors_and_engines() {
             attack.as_str(),
             agg.as_str()
         );
-        for (par, engine) in GRID {
-            let mut o = opts(par, engine, byzantine_plan(attack), agg);
+        for par in EXECUTORS {
+            let mut o = opts(par, byzantine_plan(attack), agg);
             o.quarantine_z = 2.0;
             o.quarantine_window = 2;
             let r = hierminimax(ROUNDS, o).run(&fp, SEED);
-            let tag = format!("{}/{} [{par:?}/{engine:?}]", attack.as_str(), agg.as_str());
+            let tag = format!("{}/{} [{par:?}]", attack.as_str(), agg.as_str());
             assert_identical(&tag, &reference, &r);
         }
     }
@@ -181,7 +168,6 @@ fn resume_carries_quarantine_state_bit_identically() {
     let base = {
         let mut o = opts(
             Parallelism::Sequential,
-            ExecEngine::Chained,
             byzantine_plan(AttackModel::SignFlip),
             Aggregator::TrimmedMean { beta: 0.25 },
         );
@@ -275,7 +261,7 @@ fn attack_drift(fp: &FederatedProblem, agg: Aggregator, plan: FaultPlan) -> f64 
             quantizer: Default::default(),
             dropout: 0.0,
             tau2_per_edge: None,
-            opts: opts(Parallelism::Sequential, ExecEngine::Chained, plan, agg),
+            opts: opts(Parallelism::Sequential, plan, agg),
         })
         .run(fp, SEED)
     };

@@ -4,8 +4,8 @@
 //!
 //! - a zero-rate plan draws nothing and is bit-identical to a run without
 //!   churn (the pre-churn build);
-//! - active plans are deterministic and executor/engine-invariant across
-//!   the `{Sequential, Rayon} × {Chained, Barrier}` grid;
+//! - active plans are deterministic and give the same bits on both
+//!   executors;
 //! - a churn run killed at any checkpointed round and resumed from its
 //!   snapshot (which carries the `churn` section: topology, rosters,
 //!   joiner provenance, stale counter) is bit-identical to the
@@ -24,7 +24,7 @@ use hierminimax::core::algorithms::{
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{ChurnPlan, ExecEngine, FaultPlan, Link, Parallelism};
+use hierminimax::simnet::{ChurnPlan, FaultPlan, Link, Parallelism};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -36,11 +36,10 @@ fn problem() -> FederatedProblem {
     FederatedProblem::logistic_from_scenario(&sc)
 }
 
-fn opts(par: Parallelism, engine: ExecEngine, plan: &ChurnPlan) -> RunOpts {
+fn opts(par: Parallelism, plan: &ChurnPlan) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
-        engine,
         churn: *plan,
         ..Default::default()
     }
@@ -105,7 +104,7 @@ fn zero_rate_plan_is_bit_identical_to_no_churn() {
         edge_fail_rate: 0.0,
         rehome: true,
     };
-    let base = opts(Parallelism::Sequential, ExecEngine::Chained, &zero);
+    let base = opts(Parallelism::Sequential, &zero);
     let plain = RunOpts {
         churn: ChurnPlan::default(),
         ..base.clone()
@@ -120,10 +119,10 @@ fn zero_rate_plan_is_bit_identical_to_no_churn() {
     assert_identical("hierfavg zero-rate", &with_zero, &without);
 }
 
-// ---- Executor/engine invariance. ----------------------------------------
+// ---- Executor invariance. -----------------------------------------------
 
-/// Each `{Sequential, Rayon} × {Chained, Barrier}` cell produces the same
-/// bits under an active plan, and re-running a cell reproduces it.
+/// Both executors produce the same bits under an active plan, and
+/// re-running a cell reproduces it.
 #[test]
 fn churn_is_bit_identical_across_executors_and_engines() {
     let fp = problem();
@@ -131,14 +130,12 @@ fn churn_is_bit_identical_across_executors_and_engines() {
         let plan = ChurnPlan::preset(preset).unwrap();
         let mut cells: Vec<(String, RunResult)> = Vec::new();
         for par in [Parallelism::Sequential, Parallelism::Rayon] {
-            for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-                let tag = format!("{preset}-{par:?}-{engine:?}").to_lowercase();
-                let o = opts(par, engine, &plan);
-                let r = HierMinimax::new(hmx_cfg(ROUNDS, o.clone())).run(&fp, SEED);
-                let again = HierMinimax::new(hmx_cfg(ROUNDS, o)).run(&fp, SEED);
-                assert_identical(&format!("{tag} rerun"), &r, &again);
-                cells.push((tag, r));
-            }
+            let tag = format!("{preset}-{par:?}").to_lowercase();
+            let o = opts(par, &plan);
+            let r = HierMinimax::new(hmx_cfg(ROUNDS, o.clone())).run(&fp, SEED);
+            let again = HierMinimax::new(hmx_cfg(ROUNDS, o)).run(&fp, SEED);
+            assert_identical(&format!("{tag} rerun"), &r, &again);
+            cells.push((tag, r));
         }
         let (ref_tag, reference) = &cells[0];
         assert!(
@@ -161,7 +158,7 @@ fn churn_run_resumes_bit_identically_from_every_round() {
     let fp = problem();
     for preset in ["edge-failover", "chaos-churn"] {
         let plan = ChurnPlan::preset(preset).unwrap();
-        let base = opts(Parallelism::Sequential, ExecEngine::Chained, &plan);
+        let base = opts(Parallelism::Sequential, &plan);
         let dir = scratch_dir(&format!("{preset}-w"));
         let dir_r = scratch_dir(&format!("{preset}-r"));
 
@@ -205,7 +202,7 @@ fn rehoming_restores_upload_availability() {
         ..fail
     };
 
-    let o = |p: &ChurnPlan| opts(Parallelism::Sequential, ExecEngine::Chained, p);
+    let o = |p: &ChurnPlan| opts(Parallelism::Sequential, p);
     let rehomed = HierMinimax::new(hmx_cfg(rounds, o(&fail))).run(&fp, SEED);
     let stranded = HierMinimax::new(hmx_cfg(rounds, o(&strand))).run(&fp, SEED);
 

@@ -1,7 +1,7 @@
 //! Workspace-level determinism guarantees (DESIGN.md §7): every algorithm
-//! produces bit-identical results across (a) repeated runs, (b) sequential
-//! vs rayon-parallel client execution, and (c) the barrier vs chained
-//! round-scheduling engines — including under injected faults.
+//! produces bit-identical results across (a) repeated runs and (b)
+//! sequential vs rayon-parallel execution — for the hierarchical
+//! algorithms also under injected faults.
 
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig,
@@ -11,7 +11,7 @@ use hierminimax::core::algorithms::{
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{ExecEngine, FaultPlan, Parallelism};
+use hierminimax::simnet::{FaultPlan, Parallelism};
 
 fn opts(par: Parallelism) -> RunOpts {
     RunOpts {
@@ -222,18 +222,15 @@ fn workspace_grad_is_bit_identical_to_legacy_path() {
     }
 }
 
-/// The four hierarchical algorithms (the ones with a `τ2`-block structure,
-/// i.e. the ones the execution engine applies to), parameterised by
-/// parallelism × engine.
+/// The four hierarchical algorithms (the ones with a `τ2`-block structure),
+/// parameterised by executor and fault plan.
 fn hierarchical_algorithms(
     par: Parallelism,
-    engine: ExecEngine,
     fault: &FaultPlan,
 ) -> Vec<(&'static str, Box<dyn Algorithm>)> {
     let opts = RunOpts {
         eval_every: 2,
         parallelism: par,
-        engine,
         fault: fault.clone(),
         ..Default::default()
     };
@@ -307,13 +304,12 @@ fn hierarchical_algorithms(
 }
 
 #[test]
-fn chained_engine_matches_barrier_for_every_hierarchical_algorithm() {
-    // The tentpole invariant at the full-run level: the chained scheduler
-    // (one task chain per edge, pooled scratch, fused aggregation, batched
-    // metering) is bit-identical to the legacy per-block barrier engine —
-    // models, weights, comm totals, history — for every hierarchical
-    // algorithm, fault-free and under the chaos preset, under both
-    // executors.
+fn hierarchical_algorithms_match_across_executors_under_faults() {
+    // The block phase (fault prepass, one task chain per edge, pooled
+    // scratch, batched metering, event replay) gives the same models,
+    // weights, comm totals, fault counters and history on both executors,
+    // for every hierarchical algorithm, fault-free and under the chaos
+    // preset.
     let sc = tiny_problem(4, 2, 21);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let plans = [
@@ -321,14 +317,12 @@ fn chained_engine_matches_barrier_for_every_hierarchical_algorithm() {
         ("chaos", FaultPlan::preset("chaos").unwrap()),
     ];
     for (plan_name, plan) in &plans {
-        for par in [Parallelism::Sequential, Parallelism::Rayon] {
-            let chained = hierarchical_algorithms(par, ExecEngine::Chained, plan);
-            let barrier = hierarchical_algorithms(par, ExecEngine::Barrier, plan);
-            for ((name, a), (_, b)) in chained.into_iter().zip(barrier) {
-                let ra = a.run(&fp, 17);
-                let rb = b.run(&fp, 17);
-                assert_identical(&format!("{name} [{plan_name}, {par:?}]"), &ra, &rb);
-            }
+        let sequential = hierarchical_algorithms(Parallelism::Sequential, plan);
+        let rayon = hierarchical_algorithms(Parallelism::Rayon, plan);
+        for ((name, a), (_, b)) in sequential.into_iter().zip(rayon) {
+            let ra = a.run(&fp, 17);
+            let rb = b.run(&fp, 17);
+            assert_identical(&format!("{name} [{plan_name}]"), &ra, &rb);
         }
     }
 }

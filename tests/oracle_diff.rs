@@ -3,13 +3,14 @@
 //! `hm-testkit` — same keyed RNG streams, same accumulation order, same
 //! projections, so every `assert_eq!` below is on raw `Vec<f32>` with no
 //! tolerance. Any refactor of the hot path (fused steps, workspaces,
-//! scratch reuse) that changes even one ULP anywhere fails here.
+//! scratch reuse, the fault prepass, per-edge task chains) that changes
+//! even one ULP anywhere fails here.
 
 use hierminimax::core::algorithms::{
     Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierMinimax,
 };
 use hierminimax::simnet::trace::Event;
-use hm_testkit::strategies::{arb_scenario, traced_opts};
+use hm_testkit::strategies::{arb_aggregator, arb_client_fault_plan, arb_scenario, traced_opts};
 use hm_testkit::{
     reference_drfa_round, reference_fedavg_round, reference_hierminimax_run, reference_init_w,
     ReferenceRound,
@@ -34,16 +35,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// HierMinimax's per-round global model and edge weights match the
-    /// naive reference round-for-round, bit-for-bit. The oracle models the
-    /// fault-free protocol (legacy dropout included), so the generated
-    /// fault plan is cleared here; fault-injected runs are covered by the
-    /// conformance replay and the dedicated fault suite.
+    /// naive reference round-for-round, bit-for-bit, under client-level
+    /// faults (crashes, legacy dropout, stragglers, Byzantine corruption)
+    /// and every aggregation rule. Cloud-link faults, which the oracle
+    /// does not model, are covered by the conformance replay, the fault
+    /// suite and the pinned-bits cases.
     #[test]
-    fn hierminimax_matches_reference(spec in arb_scenario()) {
-        let mut spec = spec;
-        spec.fault = hierminimax::simnet::FaultPlan::default();
+    fn hierminimax_matches_reference(
+        spec in arb_scenario(),
+        fault in arb_client_fault_plan(),
+        aggregator in arb_aggregator(),
+    ) {
+        let spec = hm_testkit::ScenarioSpec { fault, ..spec };
         let fp = spec.problem();
-        let cfg = spec.hierminimax_config();
+        let mut cfg = spec.hierminimax_config();
+        cfg.opts.aggregator = aggregator;
         let r = HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
         let (ws, ps) = traced_iterates(&r.trace.events());
         let reference: Vec<ReferenceRound> =

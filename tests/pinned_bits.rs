@@ -9,43 +9,72 @@
 //! fully connected forward kernel was rewritten. Any change to how the
 //! model kernels round shows up here.
 //!
+//! A second group pins what the naive oracle in `hm-testkit` does not
+//! model: quarantine, membership churn, heterogeneous rates, cloud-link
+//! faults, and the HierFAVG, multi-level and over-selection loops. Each
+//! case is a short run on the tiny logistic problem, hashed over the
+//! final iterate, the final edge weights and the `Debug` text of the
+//! communication, fault, quarantine and churn counters, and checked under
+//! both executors. Their constants were recorded while the block phase
+//! still had a second, cross-checked implementation.
+//!
 //! The losses go through `f64::exp`/`ln`, whose last bit is the platform
 //! libm's, so the constants are pinned on x86_64 Linux only.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use hierminimax::core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, RunOpts};
+use hierminimax::core::algorithms::{
+    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig,
+    MultiLevelMinimax, OverselectConfig, OverselectMinimax, RunOpts, UpperLevel,
+};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
 use hierminimax::data::generators::synthetic_images::ImageConfig;
 use hierminimax::data::scenarios::{
-    linear_sizes, one_class_per_edge_sized, similarity_scenario, SimilarityOptions,
+    linear_sizes, one_class_per_edge_sized, similarity_scenario, tiny_problem, SimilarityOptions,
 };
 use hierminimax::nn::SimpleCnn;
 use hierminimax::optim::ProjectionOp;
-use hierminimax::simnet::Parallelism;
+use hierminimax::simnet::{ChurnPlan, FaultPlan, Parallelism};
+use hierminimax::tensor::Aggregator;
 use std::sync::Arc;
+
+/// One FNV-1a step over `bytes`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over the bits of `final_w`, `final_p` and the evaluated
 /// per-edge accuracies, in that order.
 fn digest(r: &RunResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
     for v in r.final_w.iter().chain(&r.final_p) {
-        eat(&v.to_bits().to_le_bytes());
+        h = fnv1a(h, &v.to_bits().to_le_bytes());
     }
     for round in &r.history.rounds {
         if let Some(e) = &round.eval {
             for a in &e.per_edge_accuracy {
-                eat(&a.to_bits().to_le_bytes());
+                h = fnv1a(h, &a.to_bits().to_le_bytes());
             }
         }
     }
     h
+}
+
+/// FNV-1a over the bits of `final_w` and `final_p`, then the `Debug` text
+/// of the communication, fault, quarantine and churn counters.
+fn state_digest(r: &RunResult) -> u64 {
+    let mut h = FNV_OFFSET;
+    for v in r.final_w.iter().chain(&r.final_p) {
+        h = fnv1a(h, &v.to_bits().to_le_bytes());
+    }
+    let counters = format!("{:?}{:?}{:?}{:?}", r.comm, r.faults, r.quarantine, r.churn);
+    fnv1a(h, counters.as_bytes())
 }
 
 fn train(fp: &FederatedProblem, rounds: usize, m_edges: usize, batch: usize, eta_w: f32) -> u64 {
@@ -132,4 +161,155 @@ fn cnn_training_bits_are_pinned() {
         ProjectionOp::Simplex,
     );
     check("cnn", train(&fp, 6, 2, 4, 0.05), 0x439b_445f_2baf_43a7);
+}
+
+// ---- What the oracle does not model. -----------------------------------
+
+fn tiny(n_edges: usize, clients_per_edge: usize, seed: u64) -> FederatedProblem {
+    FederatedProblem::logistic_from_scenario(&tiny_problem(n_edges, clients_per_edge, seed))
+}
+
+fn opts(par: Parallelism, fault: &str) -> RunOpts {
+    RunOpts {
+        eval_every: 2,
+        parallelism: par,
+        fault: FaultPlan::preset(fault).unwrap(),
+        ..Default::default()
+    }
+}
+
+fn hmx(rounds: usize, m_edges: usize, opts: RunOpts) -> HierMinimaxConfig {
+    HierMinimaxConfig {
+        rounds,
+        tau1: 2,
+        tau2: 2,
+        m_edges,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        batch_size: 2,
+        loss_batch: 4,
+        opts,
+        ..Default::default()
+    }
+}
+
+/// Run a case on both executors; each must reproduce the pinned digest.
+fn check_executors(name: &str, want: u64, run: impl Fn(Parallelism) -> RunResult) {
+    for par in [Parallelism::Sequential, Parallelism::Rayon] {
+        check(&format!("{name} [{par:?}]"), state_digest(&run(par)), want);
+    }
+}
+
+#[test]
+fn byzantine_quarantine_bits_are_pinned() {
+    let fp = tiny(4, 4, 31);
+    check_executors(
+        "byzantine+trimmed-mean+quarantine",
+        0xc6ba_1fe3_8147_a0ce,
+        |par| {
+            let o = RunOpts {
+                aggregator: Aggregator::TrimmedMean { beta: 0.25 },
+                quarantine_z: 2.0,
+                quarantine_window: 2,
+                ..opts(par, "byzantine")
+            };
+            let r = HierMinimax::new(hmx(8, 3, o)).run(&fp, 41);
+            assert!(
+                r.quarantine.corrupted_updates > 0,
+                "no upload was corrupted"
+            );
+            r
+        },
+    );
+}
+
+#[test]
+fn edge_failover_under_chaos_bits_are_pinned() {
+    let fp = tiny(5, 2, 32);
+    check_executors("edge-failover+chaos", 0xd408_e8e9_9cba_c44b, |par| {
+        let o = RunOpts {
+            churn: ChurnPlan::preset("edge-failover").unwrap(),
+            ..opts(par, "chaos")
+        };
+        let r = HierMinimax::new(hmx(8, 3, o)).run(&fp, 42);
+        assert!(r.churn.total() > 0, "no edge failed");
+        r
+    });
+}
+
+#[test]
+fn heterogeneous_rate_bits_are_pinned() {
+    let fp = tiny(4, 2, 33);
+    check_executors("tau2_per_edge+chaos", 0xec7a_91c3_dde4_5d7b, |par| {
+        let cfg = HierMinimaxConfig {
+            tau2_per_edge: Some(vec![1, 3, 2, 2]),
+            ..hmx(6, 3, opts(par, "chaos"))
+        };
+        HierMinimax::new(cfg).run(&fp, 43)
+    });
+}
+
+#[test]
+fn hierfavg_churn_under_chaos_bits_are_pinned() {
+    let fp = tiny(4, 2, 34);
+    check_executors("hierfavg+mild+chaos", 0xf7ec_1de1_9e04_a376, |par| {
+        let cfg = HierFavgConfig {
+            rounds: 8,
+            m_edges: 2,
+            eta_w: 0.1,
+            batch_size: 2,
+            opts: RunOpts {
+                churn: ChurnPlan::preset("mild").unwrap(),
+                ..opts(par, "chaos")
+            },
+            ..Default::default()
+        };
+        let r = HierFavg::new(cfg).run(&fp, 44);
+        assert!(r.churn.total() > 0, "no client left or joined");
+        r
+    });
+}
+
+#[test]
+fn multilevel_under_chaos_bits_are_pinned() {
+    let fp = tiny(4, 2, 35);
+    check_executors("multilevel+chaos", 0x0c78_c39c_8f9e_4d67, |par| {
+        let cfg = MultiLevelConfig {
+            rounds: 4,
+            upper: vec![UpperLevel {
+                group_size: 2,
+                tau: 2,
+            }],
+            m_groups: 2,
+            eta_w: 0.1,
+            eta_p: 0.02,
+            batch_size: 2,
+            loss_batch: 4,
+            opts: opts(par, "chaos"),
+            ..Default::default()
+        };
+        MultiLevelMinimax::new(cfg).run(&fp, 45)
+    });
+}
+
+#[test]
+fn overselect_under_chaos_bits_are_pinned() {
+    let fp = tiny(4, 2, 36);
+    check_executors("overselect+chaos", 0x76af_8dc8_259c_9efb, |par| {
+        let cfg = OverselectConfig {
+            rounds: 5,
+            tau1: 2,
+            tau2: 2,
+            m_edges: 2,
+            m_over: 3,
+            seconds_per_slot: vec![1.0, 1.5, 2.0, 1.2],
+            eta_w: 0.1,
+            eta_p: 0.05,
+            batch_size: 2,
+            loss_batch: 4,
+            dropout: 0.0,
+            opts: opts(par, "chaos"),
+        };
+        OverselectMinimax::new(cfg).run(&fp, 46)
+    });
 }

@@ -7,10 +7,10 @@
 //! everything except the unsequenced `span`/`profile_summary` events —
 //! is bit-identical to the unprofiled run's.
 //!
-//! HierMinimax runs the full `{Sequential, Rayon} × {Chained, Barrier} ×
-//! {none, chaos}` grid; the other eight algorithms run the default cell.
-//! A separate shape test pins that both engines emit the same span
-//! sequence (phase, round, entity) — only the measured durations differ.
+//! HierMinimax runs the full `{Sequential, Rayon} × {none, chaos}` grid;
+//! the other eight algorithms run the default cell. A separate shape test
+//! pins that both executors emit the same span sequence (phase, round,
+//! entity) — only the measured durations differ.
 
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
@@ -20,7 +20,7 @@ use hierminimax::core::algorithms::{
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{ExecEngine, FaultPlan, Parallelism};
+use hierminimax::simnet::{FaultPlan, Parallelism};
 use hierminimax::telemetry::{MemorySink, Profiler, Telemetry, TelemetryEvent};
 use std::sync::Arc;
 
@@ -273,13 +273,12 @@ fn assert_profile_inert(tag: &str, factory: &Factory, base: &RunOpts) {
     );
 }
 
-fn opts(par: Parallelism, engine: ExecEngine, fault: &FaultPlan) -> RunOpts {
+fn opts(par: Parallelism, fault: &FaultPlan) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
         trace: false,
         fault: fault.clone(),
-        engine,
         ..Default::default()
     }
 }
@@ -294,10 +293,8 @@ fn hierminimax_profile_inert_full_grid() {
     ];
     for (plan_name, plan) in &plans {
         for par in [Parallelism::Sequential, Parallelism::Rayon] {
-            for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-                let tag = format!("hmx-{plan_name}-{par:?}-{engine:?}").to_lowercase();
-                assert_profile_inert(&tag, &factory, &opts(par, engine, plan));
-            }
+            let tag = format!("hmx-{plan_name}-{par:?}").to_lowercase();
+            assert_profile_inert(&tag, &factory, &opts(par, plan));
         }
     }
 }
@@ -307,11 +304,7 @@ fn every_algorithm_is_profile_inert() {
     let none = FaultPlan::preset("none").unwrap();
     for (name, factory) in all_algorithms() {
         let tag = format!("inert-{}", name.to_lowercase().replace('-', "_"));
-        assert_profile_inert(
-            &tag,
-            &factory,
-            &opts(Parallelism::Sequential, ExecEngine::Chained, &none),
-        );
+        assert_profile_inert(&tag, &factory, &opts(Parallelism::Sequential, &none));
     }
 }
 
@@ -334,23 +327,20 @@ fn span_shape(events: &[TelemetryEvent]) -> Vec<(String, Option<usize>, Option<u
 
 #[test]
 fn span_stream_shape_is_engine_and_parallelism_invariant() {
-    // Both engines time per-edge chains differently internally (one task
-    // chain vs per-block fork/join) but must emit the same span sequence:
-    // one local_sgd_chain span per participating edge, recorded after the
-    // join in edge order.
+    // Chains run on different threads under the two executors, but both
+    // must emit the same span sequence: one local_sgd_chain span per
+    // participating edge, recorded after the join in edge order.
     let (_, factory) = all_algorithms().swap_remove(0);
     let none = FaultPlan::preset("none").unwrap();
     let fp = problem();
     let mut shapes = Vec::new();
     for par in [Parallelism::Sequential, Parallelism::Rayon] {
-        for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-            let sink = Arc::new(MemorySink::new());
-            let mut o = opts(par, engine, &none);
-            o.telemetry = Telemetry::with_sink(sink.clone());
-            o.profile = Profiler::enabled();
-            factory(o).run(&fp, SEED);
-            shapes.push((format!("{par:?}-{engine:?}"), span_shape(&sink.events())));
-        }
+        let sink = Arc::new(MemorySink::new());
+        let mut o = opts(par, &none);
+        o.telemetry = Telemetry::with_sink(sink.clone());
+        o.profile = Profiler::enabled();
+        factory(o).run(&fp, SEED);
+        shapes.push((format!("{par:?}"), span_shape(&sink.events())));
     }
     let (ref_tag, ref_shape) = &shapes[0];
     for (tag, shape) in &shapes[1..] {
@@ -366,7 +356,7 @@ fn profiled_phases_cover_the_taxonomy() {
 
     let dir = std::env::temp_dir().join(format!("hm-profile-tax-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut o = opts(Parallelism::Sequential, ExecEngine::Chained, &none);
+    let mut o = opts(Parallelism::Sequential, &none);
     o.checkpoint = CheckpointOpts::writing(&dir, 1);
     o.profile = Profiler::enabled();
     let profiler = o.profile.clone();
@@ -412,7 +402,7 @@ fn fault_retry_spans_track_injected_retries() {
     let (_, factory) = all_algorithms().swap_remove(0);
     let chaos = FaultPlan::preset("chaos").unwrap();
     let fp = problem();
-    let mut o = opts(Parallelism::Sequential, ExecEngine::Chained, &chaos);
+    let mut o = opts(Parallelism::Sequential, &chaos);
     o.profile = Profiler::enabled();
     let profiler = o.profile.clone();
     let r = factory(o).run(&fp, SEED);

@@ -7,12 +7,11 @@
 //! and the same telemetry stream once the killed run's prefix and the
 //! resumed run's suffix are spliced at the `checkpoint` event.
 //!
-//! HierMinimax runs the full `{Sequential, Rayon} × {Chained, Barrier} ×
-//! {none, chaos}` grid with a kill at every checkpointed round; the other
-//! eight algorithms run the kill-at-every-round sweep on the reduced grid
-//! (the flat baselines ignore the engine and the fault plan by design),
-//! with a chaos × Rayon × engine spot-check for the remaining
-//! hierarchical ones.
+//! HierMinimax runs the full `{Sequential, Rayon} × {none, chaos}` grid
+//! with a kill at every checkpointed round; the other eight algorithms run
+//! the kill-at-every-round sweep on the reduced grid (the flat baselines
+//! ignore the fault plan by design), with a chaos × Rayon spot-check for
+//! the remaining hierarchical ones.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path, Snapshot};
 use hierminimax::core::algorithms::{
@@ -23,7 +22,7 @@ use hierminimax::core::algorithms::{
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{ExecEngine, FaultPlan, Parallelism};
+use hierminimax::simnet::{FaultPlan, Parallelism};
 use hierminimax::telemetry::{MemorySink, Telemetry, TelemetryEvent};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -325,13 +324,12 @@ fn assert_resume_bit_identity(
     let _ = std::fs::remove_dir_all(&dir_r);
 }
 
-fn opts(par: Parallelism, engine: ExecEngine, fault: &FaultPlan) -> RunOpts {
+fn opts(par: Parallelism, fault: &FaultPlan) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
         trace: false,
         fault: fault.clone(),
-        engine,
         ..Default::default()
     }
 }
@@ -346,10 +344,8 @@ fn hierminimax_resume_matrix_full_grid() {
     ];
     for (plan_name, plan) in &plans {
         for par in [Parallelism::Sequential, Parallelism::Rayon] {
-            for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-                let tag = format!("hmx-{plan_name}-{par:?}-{engine:?}").to_lowercase();
-                assert_resume_bit_identity(&tag, name, has_tel, &factory, &opts(par, engine, plan));
-            }
+            let tag = format!("hmx-{plan_name}-{par:?}").to_lowercase();
+            assert_resume_bit_identity(&tag, name, has_tel, &factory, &opts(par, plan));
         }
     }
 }
@@ -357,7 +353,7 @@ fn hierminimax_resume_matrix_full_grid() {
 #[test]
 fn every_algorithm_resumes_bit_identically() {
     // Reduced grid: the default executor cell, kill at every round, for
-    // all nine algorithms (flat baselines ignore engine and fault plan).
+    // all nine algorithms (flat baselines ignore the fault plan).
     let none = FaultPlan::preset("none").unwrap();
     for (name, has_tel, factory) in all_algorithms() {
         let tag = format!("all-{}", name.to_lowercase().replace('-', "_"));
@@ -366,7 +362,7 @@ fn every_algorithm_resumes_bit_identically() {
             name,
             has_tel,
             &factory,
-            &opts(Parallelism::Sequential, ExecEngine::Chained, &none),
+            &opts(Parallelism::Sequential, &none),
         );
     }
 }
@@ -375,22 +371,20 @@ fn every_algorithm_resumes_bit_identically() {
 fn hierarchical_algorithms_resume_under_chaos_on_rayon() {
     // Chaos spot-check for the hierarchical algorithms beyond HierMinimax
     // (which already runs the full grid): faults must restore across the
-    // resume boundary under both engines on the rayon executor.
+    // resume boundary on the rayon executor.
     let chaos = FaultPlan::preset("chaos").unwrap();
     for (name, has_tel, factory) in all_algorithms() {
         if !matches!(name, "HierFAVG" | "MultiLevelMinimax" | "Overselect") {
             continue;
         }
-        for engine in [ExecEngine::Chained, ExecEngine::Barrier] {
-            let tag = format!("chaos-{}-{engine:?}", name.to_lowercase()).to_lowercase();
-            assert_resume_bit_identity(
-                &tag,
-                name,
-                has_tel,
-                &factory,
-                &opts(Parallelism::Rayon, engine, &chaos),
-            );
-        }
+        let tag = format!("chaos-{}", name.to_lowercase());
+        assert_resume_bit_identity(
+            &tag,
+            name,
+            has_tel,
+            &factory,
+            &opts(Parallelism::Rayon, &chaos),
+        );
     }
 }
 
@@ -409,11 +403,7 @@ fn final_round_snapshot_is_never_written() {
         // ROUNDS = 4: cadence 1 is due after rounds 1..=4, cadence 2 after
         // rounds 2 and 4 — in both cases round 4 is due AND final.
         let dir = scratch_dir(&format!("final-round-{every}"));
-        let mut w_opts = opts(
-            Parallelism::Sequential,
-            ExecEngine::Chained,
-            &FaultPlan::preset("none").unwrap(),
-        );
+        let mut w_opts = opts(Parallelism::Sequential, &FaultPlan::preset("none").unwrap());
         w_opts.checkpoint = CheckpointOpts::writing(&dir, every);
         factory(w_opts).run(&fp, SEED);
         for completed in 1..=ROUNDS {
@@ -436,11 +426,7 @@ fn sample_snapshot() -> Snapshot {
     let fp = problem();
     let dir = scratch_dir("negative");
     let (_, _, factory) = all_algorithms().swap_remove(0);
-    let mut w_opts = opts(
-        Parallelism::Sequential,
-        ExecEngine::Chained,
-        &FaultPlan::preset("none").unwrap(),
-    );
+    let mut w_opts = opts(Parallelism::Sequential, &FaultPlan::preset("none").unwrap());
     w_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
     factory(w_opts).run(&fp, SEED);
     let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", 2)).unwrap();
