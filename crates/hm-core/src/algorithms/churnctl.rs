@@ -1,4 +1,4 @@
-//! Per-run membership-churn controller for the hierarchical run loops.
+//! Per-run membership-churn controller for the hierarchical round driver.
 //!
 //! Wraps the simulator's [`ActiveTopology`] (the membership state machine,
 //! `hm_simnet::churn`) together with the run-side consequences the ISSUE's

@@ -1,6 +1,8 @@
-//! Shared machinery for the three-layer algorithms (HierMinimax and
-//! HierFAVG): the `ModelUpdate` procedure — `τ2` client-edge aggregation
-//! blocks of `τ1` local SGD steps each — with optional checkpoint capture.
+//! The block phase of the hierarchical round driver (HierMinimax,
+//! HierFAVG, MultiLevel and Overselect): the `ModelUpdate` procedure —
+//! `τ2` client-edge aggregation blocks of `τ1` local SGD steps each —
+//! with optional checkpoint capture, plus the cloud-side reductions and
+//! the quarantine controller the driver uses.
 //!
 //! A round's block phase runs in three steps (DESIGN.md §7):
 //!
@@ -651,7 +653,7 @@ pub(crate) fn robust_reduce_into(
 
 /// Per-round quarantine controller: z-scores each reporting client's mean
 /// per-block update norm against the cohort and benches outliers for a
-/// fixed window of rounds. Driven by the run loops between rounds —
+/// fixed window of rounds. Driven by the round driver between rounds —
 /// entirely outside the parallel region, so it cannot perturb execution
 /// order — and keyed off *observed* uploads only, which makes it a pure
 /// function of the round's outputs (checkpoint/resume serializes just the

@@ -5,6 +5,11 @@
 //!   checkpoint-based edge-weight updates, and partial participation.
 //! - [`MultiLevelMinimax`] — the paper's §3 generalisation to arbitrary
 //!   hierarchy depth (clients → edges → regions → … → cloud).
+//! - [`OverselectMinimax`] — HierMinimax with straggler-aware
+//!   over-selection in Phase 1.
+//!
+//! These two, HierMinimax and HierFAVG run one round driver (`driver`,
+//! DESIGN.md §7c).
 //! - Baselines, exactly the four the evaluation compares against (§6):
 //!   [`FedAvg`] (two-layer minimization, multi-step), [`StochasticAfl`]
 //!   (two-layer minimax, single-step), [`Drfa`] (two-layer minimax,
@@ -25,6 +30,7 @@
 
 mod churnctl;
 mod drfa;
+mod driver;
 mod fedavg;
 mod fedprox;
 mod flat_common;
@@ -98,10 +104,11 @@ pub struct RunOpts {
     /// Byzantine uploads. Flat two-layer baselines ignore this.
     pub aggregator: Aggregator,
     /// Update-norm quarantine trigger threshold in standard deviations
-    /// (`0.0` = disabled, the default). When positive, the hierarchical
-    /// runs z-score each reporting client's mean per-block upload norm
-    /// every round and bench outliers for [`RunOpts::quarantine_window`]
-    /// rounds.
+    /// (`0.0` = disabled, the default). When positive, HierMinimax,
+    /// HierFAVG and Overselect z-score each reporting client's mean
+    /// per-block upload norm every round and bench outliers for
+    /// [`RunOpts::quarantine_window`] rounds; MultiLevel and the flat
+    /// baselines ignore it.
     pub quarantine_z: f64,
     /// Rounds a quarantined client sits out after being flagged.
     pub quarantine_window: usize,
@@ -110,17 +117,18 @@ pub struct RunOpts {
     /// permanently with their clients re-homed onto survivors. The
     /// default zero-rate plan makes no RNG draws and takes the frozen
     /// legacy paths everywhere, so churn-capable runs with churn off are
-    /// bit-identical to pre-churn builds. Only the three-layer
-    /// hierarchical runs (HierMinimax, HierFAVG) support churn; the
-    /// multi-level and flat runners reject or ignore an active plan.
+    /// bit-identical to pre-churn builds. HierMinimax and HierFAVG honour
+    /// it; MultiLevel and Overselect reject an active plan, and the flat
+    /// baselines ignore it.
     pub churn: ChurnPlan,
     /// Abort cap on consecutive stale rounds (rounds in which every
     /// sampled edge failed to report, leaving the global model untouched).
     /// `0` (the default) preserves the legacy behaviour of looping on the
     /// stale model forever; a positive cap makes
-    /// [`Algorithm::try_run`] return
-    /// [`RunError::StaleRoundsExceeded`] once that many stale rounds
-    /// occur back to back.
+    /// [`Algorithm::try_run`] of HierMinimax, HierFAVG, MultiLevel and
+    /// Overselect return [`RunError::StaleRoundsExceeded`] once more than
+    /// that many stale rounds occur back to back, counting across a
+    /// resume. The flat baselines never abort.
     pub max_stale_rounds: usize,
 }
 
@@ -254,7 +262,7 @@ pub trait Algorithm {
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult;
 
     /// Fallible form of [`Algorithm::run`]: runners with abort conditions
-    /// (the hierarchical loops' `max_stale_rounds` cap) return a typed
+    /// (the hierarchical algorithms' `max_stale_rounds` cap) return a typed
     /// [`RunError`] instead of panicking. The default forwards to `run`,
     /// which never aborts for the other algorithms.
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

@@ -19,20 +19,11 @@
 //! exchange with the cloud on `EdgeCloud` (WAN class), consistent with the
 //! cost model where everything below the cloud is site-local.
 
-use super::hier_common::{multiplicities, robust_reduce_into, run_edge_blocks, EdgeBlockParams};
-use super::hierminimax::{delivery_fault_kind, record_edge_fault};
-use super::{finish_round, Algorithm, IterateAverage, RunOpts, RunResult};
-use crate::checkpoint::{emit_preamble, CheckpointCtx, ResumedRun};
-use crate::history::History;
-use crate::localsgd::estimate_loss;
+use super::driver::{self, Blocks, Dual, RoundSpec, Sampler};
+use super::hier_common::{robust_reduce_into, run_edge_blocks, EdgeBlockParams};
+use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
-use hm_data::rng::{Purpose, StreamKey, StreamRng};
-use hm_optim::sgd::projected_ascent_step;
-use hm_simnet::sampling::{sample_edges_uniform, sample_edges_weighted};
-use hm_simnet::trace::Event;
-use hm_simnet::trace::Trace;
-use hm_simnet::{CommMeter, FaultInjector, FaultKind, FaultStats, Link, MsgChannel, Quantizer};
-use hm_telemetry::{Phase, TelemetryEvent};
+use hm_simnet::{Link, Quantizer};
 
 /// One intermediate aggregation level above the edge servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,133 +128,105 @@ impl MultiLevelMinimax {
         );
         n / per
     }
+}
 
-    /// Recursive subtree update: runs the level `li` (index into
-    /// `cfg.upper`, from the top) aggregation loop over the given edge
-    /// set, returning `(model, checkpoint)`.
-    #[allow(clippy::too_many_arguments)]
-    fn subtree_update(
-        &self,
-        problem: &FederatedProblem,
-        w_start: &[f32],
-        edges: &[usize],
-        li: usize,
-        cp_index: &[usize], // one entry per upper level + the (c1, c2) base
-        round_tag: usize,   // unique per (round, position) for RNG keying
-        seed: u64,
-        meter: &CommMeter,
-        trace: &Trace,
-        fault: &FaultInjector,
-    ) -> (Vec<f32>, Option<Vec<f32>>) {
-        let cfg = &self.cfg;
-        if li == cfg.upper.len() {
-            // Base case: one edge-level block over these edges. Client
-            // faults key on the tree depth as their level, so a deeper
-            // hierarchy draws survival bits independent of the three-layer
-            // case even when block indices coincide (with `upper: []` the
-            // depth is 0 and the legacy streams are preserved).
-            let (c1, c2) = (cp_index[cp_index.len() - 2], cp_index[cp_index.len() - 1]);
-            let outputs = run_edge_blocks(EdgeBlockParams {
-                problem,
-                w_start,
-                edges,
-                tau1: cfg.tau1,
-                tau2: cfg.tau2,
-                eta_w: cfg.eta_w,
-                batch_size: cfg.batch_size,
-                checkpoint: Some((c1, c2)),
-                quantizer: Quantizer::Exact,
-                fault,
-                level: cfg.upper.len(),
-                record_rounds: true,
-                round: round_tag,
-                seed,
-                meter,
-                par: cfg.opts.parallelism,
-                trace,
-                telemetry: &cfg.opts.telemetry,
-                profile: &cfg.opts.profile,
-                aggregator: cfg.opts.aggregator,
-                quarantined: &[],
-                track_norms: false,
-                roster: None,
-            });
-            let agg = &cfg.opts.aggregator;
-            let mut agg_scratch: Vec<f32> = Vec::new();
-            let finals: Vec<&[f32]> = outputs.iter().map(|o| o.w_final.as_slice()).collect();
-            let mut w = vec![0.0_f32; w_start.len()];
-            robust_reduce_into(agg, &finals, None, w_start, &mut agg_scratch, &mut w);
-            let cps: Vec<&[f32]> = outputs
-                .iter()
-                .map(|o| {
-                    o.checkpoint
-                        .as_deref()
-                        .expect("base level captures checkpoints")
-                })
-                .collect();
-            let mut cp = vec![0.0_f32; w_start.len()];
-            robust_reduce_into(agg, &cps, None, w_start, &mut agg_scratch, &mut cp);
-            // The edge→aggregator upload is metered by the parent level's
-            // gather (every recursion level records one gather over its
-            // children), so nothing extra is recorded here.
-            return (w, Some(cp));
-        }
-
-        let level = cfg.upper[li];
-        // Split this subtree's edges into the child groups of the next
-        // level down (contiguous, equal-sized by construction).
-        let child_edges: usize = cfg.upper[li + 1..]
+/// Recursive subtree update: runs the aggregation loop of upper level `li`
+/// (an index into `upper`, top first) over `edges`, starting from
+/// `w_start`, and returns the subtree's `(model, checkpoint)`.
+///
+/// `leaf` holds the block-phase parameters of the edge-level base case,
+/// `cp_index` the round's checkpoint index (one coordinate per upper
+/// level, then `(c1, c2)`), and `round_tag` keys the RNG streams uniquely
+/// per (round, position) as `(tag · τ_l + t) · children + child`.
+pub(super) fn subtree_update(
+    leaf: &EdgeBlockParams<'_>,
+    upper: &[UpperLevel],
+    w_start: &[f32],
+    edges: &[usize],
+    li: usize,
+    cp_index: &[usize],
+    round_tag: usize,
+) -> (Vec<f32>, Option<Vec<f32>>) {
+    let agg = &leaf.aggregator;
+    let mut agg_scratch: Vec<f32> = Vec::new();
+    if li == upper.len() {
+        // Base case: one edge-level block over these edges. Client faults
+        // key on the tree depth as their level, so a deeper hierarchy
+        // draws survival bits independent of the three-layer case even
+        // when block indices coincide (with `upper: []` the depth is 0 and
+        // the three-layer streams are preserved).
+        let outputs = run_edge_blocks(EdgeBlockParams {
+            w_start,
+            edges,
+            level: upper.len(),
+            round: round_tag,
+            ..*leaf
+        });
+        let finals: Vec<&[f32]> = outputs.iter().map(|o| o.w_final.as_slice()).collect();
+        let mut w = vec![0.0_f32; w_start.len()];
+        robust_reduce_into(agg, &finals, None, w_start, &mut agg_scratch, &mut w);
+        let cps: Vec<&[f32]> = outputs
             .iter()
-            .map(|u| u.group_size)
-            .product::<usize>()
-            .max(1);
-        let children: Vec<&[usize]> = edges.chunks(child_edges).collect();
-        let mut w = w_start.to_vec();
-        let mut checkpoint: Option<Vec<f32>> = None;
-        for t in 0..level.tau {
-            // Broadcast down to children (intermediate link).
-            meter.record_broadcast(Link::ClientEdge, w.len() as u64, children.len() as u64);
-            let mut child_results = Vec::with_capacity(children.len());
-            for (ci, child) in children.iter().enumerate() {
-                let tag = (round_tag * level.tau + t) * children.len() + ci;
-                child_results.push(self.subtree_update(
-                    problem,
-                    &w,
-                    child,
-                    li + 1,
-                    cp_index,
-                    tag,
-                    seed,
-                    meter,
-                    trace,
-                    fault,
-                ));
-            }
-            // Gather child models (+ checkpoints when this is the
-            // checkpointed sub-block) and aggregate.
-            meter.record_gather(Link::ClientEdge, 2 * w.len() as u64, children.len() as u64);
-            meter.record_round(Link::ClientEdge);
-            let agg = &cfg.opts.aggregator;
-            let mut agg_scratch: Vec<f32> = Vec::new();
-            let base = if agg.needs_base() {
-                w.clone()
-            } else {
-                Vec::new()
-            };
-            let models: Vec<&[f32]> = child_results.iter().map(|(m, _)| m.as_slice()).collect();
-            robust_reduce_into(agg, &models, None, &base, &mut agg_scratch, &mut w);
-            if t == cp_index[li] {
-                let cps: Vec<&[f32]> = child_results
-                    .iter()
-                    .map(|(_, cp)| cp.as_deref().expect("children carry checkpoints"))
-                    .collect();
-                let mut cp = vec![0.0_f32; w.len()];
-                robust_reduce_into(agg, &cps, None, &base, &mut agg_scratch, &mut cp);
-                checkpoint = Some(cp);
-            }
-        }
-        (w, checkpoint)
+            .map(|o| {
+                o.checkpoint
+                    .as_deref()
+                    .expect("base level captures checkpoints")
+            })
+            .collect();
+        let mut cp = vec![0.0_f32; w_start.len()];
+        robust_reduce_into(agg, &cps, None, w_start, &mut agg_scratch, &mut cp);
+        // The edge→aggregator upload is metered by the parent level's
+        // gather (every recursion level records one gather over its
+        // children), so nothing extra is recorded here.
+        return (w, Some(cp));
     }
+
+    let level = upper[li];
+    // Split this subtree's edges into the child groups of the next level
+    // down (contiguous, equal-sized by construction).
+    let child_edges: usize = upper[li + 1..]
+        .iter()
+        .map(|u| u.group_size)
+        .product::<usize>()
+        .max(1);
+    let children: Vec<&[usize]> = edges.chunks(child_edges).collect();
+    let mut w = w_start.to_vec();
+    let mut checkpoint: Option<Vec<f32>> = None;
+    for t in 0..level.tau {
+        // Broadcast down to children (intermediate link).
+        leaf.meter
+            .record_broadcast(Link::ClientEdge, w.len() as u64, children.len() as u64);
+        let child_results: Vec<(Vec<f32>, Option<Vec<f32>>)> = children
+            .iter()
+            .enumerate()
+            .map(|(ci, child)| {
+                let tag = (round_tag * level.tau + t) * children.len() + ci;
+                subtree_update(leaf, upper, &w, child, li + 1, cp_index, tag)
+            })
+            .collect();
+        // Gather child models (+ checkpoints when this is the
+        // checkpointed sub-block) and aggregate.
+        leaf.meter
+            .record_gather(Link::ClientEdge, 2 * w.len() as u64, children.len() as u64);
+        leaf.meter.record_round(Link::ClientEdge);
+        let base = if agg.needs_base() {
+            w.clone()
+        } else {
+            Vec::new()
+        };
+        let models: Vec<&[f32]> = child_results.iter().map(|(m, _)| m.as_slice()).collect();
+        robust_reduce_into(agg, &models, None, &base, &mut agg_scratch, &mut w);
+        if t == cp_index[li] {
+            let cps: Vec<&[f32]> = child_results
+                .iter()
+                .map(|(_, cp)| cp.as_deref().expect("children carry checkpoints"))
+                .collect();
+            let mut cp = vec![0.0_f32; w.len()];
+            robust_reduce_into(agg, &cps, None, &base, &mut agg_scratch, &mut cp);
+            checkpoint = Some(cp);
+        }
+    }
+    (w, checkpoint)
 }
 
 impl Algorithm for MultiLevelMinimax {
@@ -272,6 +235,11 @@ impl Algorithm for MultiLevelMinimax {
     }
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
+        self.try_run(problem, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
         assert!(
             cfg.opts.churn.is_none(),
@@ -284,454 +252,31 @@ impl Algorithm for MultiLevelMinimax {
             cfg.m_groups,
             num_groups
         );
-        let per_group = cfg.edges_per_group();
-        let d = problem.num_params();
-        let n0 = problem.clients_per_edge();
-        let meter = CommMeter::new();
-        let trace = cfg.opts.make_trace();
-        let mut history = History::default();
-        let mut avg_w = IterateAverage::new(d);
-        let mut avg_p = IterateAverage::new(num_groups);
-
-        let mut w = problem
-            .model
-            .init_params(&mut StreamRng::for_key(StreamKey::new(
-                seed,
-                Purpose::Init,
-                0,
-                0,
-            )));
-        let mut p = vec![1.0 / num_groups as f32; num_groups];
-        let group_edges: Vec<Vec<usize>> = (0..num_groups)
-            .map(|g| (g * per_group..(g + 1) * per_group).collect())
-            .collect();
-        let total_tau = cfg.slots_per_round();
-        // Cloud-link faults (outages, message loss) act on the top-level
-        // groups at level 0; client faults key on the tree depth inside
-        // `subtree_update`. Intermediate links are site-local and modeled
-        // as reliable.
-        let fault = FaultInjector::new(seed, cfg.opts.fault.clone().with_dropout(cfg.dropout));
-        let mut faults_prev = FaultStats::default();
-        let mut adv_prev = hm_simnet::QuarantineStats::default();
-
-        let resumed = ResumedRun::from_opts(&cfg.opts, "MultiLevelMinimax", seed, cfg.rounds);
-        let start_round = match &resumed {
-            Some(rr) => {
-                w.clone_from(&rr.w);
-                p.clone_from(&rr.p);
-                avg_w = rr.avg_w.clone();
-                avg_p = rr.avg_p.clone();
-                history = rr.history.clone();
-                meter.restore(&rr.comm);
-                fault.restore(&rr.faults);
-                faults_prev = rr.faults;
-                if let Some(bytes) = rr.snap.extra(crate::checkpoint::QUARANTINE_SECTION) {
-                    let (_, adv) = crate::checkpoint::decode_quarantine(bytes)
-                        .unwrap_or_else(|e| panic!("cannot resume: {e}"));
-                    fault.restore_adversary(&adv);
-                    adv_prev = adv;
-                }
-                rr.start_round
-            }
-            None => 0,
-        };
-        let mut comm_prev = meter.snapshot();
-
-        let tel = &cfg.opts.telemetry;
-        let run_timer = tel.timer();
-        // The weighted top-level groups play the edge-area role here, so
-        // they are what `n_edges` (and the `p` vectors below) count.
-        emit_preamble(
-            tel,
-            resumed.as_ref(),
-            "MultiLevelMinimax",
-            cfg.rounds,
-            num_groups,
-            d,
-            seed,
-        );
-        cfg.opts.emit_aggregator_summary();
-        let ckpt = CheckpointCtx::new(&cfg.opts, "MultiLevelMinimax", seed, cfg.rounds, true);
-
-        let prof = &cfg.opts.profile;
-        // ClientEdge traffic spreads over every disjoint bottom-level
-        // network: one per edge area across all sampled groups.
-        let edge_areas = (cfg.m_groups * per_group).max(1);
-        for k in start_round..cfg.rounds {
-            tel.record(|| TelemetryEvent::RoundStart { round: k });
-            let round_timer = tel.timer();
-            let phase1_timer = tel.timer();
-            let round_span = prof.start();
-            let sampling_span = prof.start();
-            // --- Phase 1: weighted top-level sampling + recursive update.
-            let mut e_rng =
-                StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-            let p64: Vec<f64> = p.iter().map(|&x| f64::from(x).max(0.0)).collect();
-            let sampled = sample_edges_weighted(&p64, cfg.m_groups, &mut e_rng);
-            trace.record(|| Event::Phase1EdgesSampled {
-                round: k,
-                edges: sampled.clone(),
-            });
-            let (distinct, counts) = multiplicities(&sampled);
-
-            // Checkpoint index: one coordinate per upper level plus (c2, c1).
-            let mut c_rng =
-                StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
-            let mut cp_index: Vec<usize> = cfg.upper.iter().map(|u| c_rng.below(u.tau)).collect();
-            let c1 = c_rng.below(cfg.tau1);
-            let c2 = c_rng.below(cfg.tau2);
-            cp_index.push(c1);
-            cp_index.push(c2);
-            trace.record(|| Event::CheckpointSampled { round: k, c1, c2 });
-            // The reported (c1, c2) is the base-level coordinate of the
-            // checkpoint; the upper-level coordinates stay internal.
-            tel.record(|| TelemetryEvent::Phase1Sampled {
-                round: k,
-                edges: sampled.clone(),
-                checkpoint: Some((c1, c2)),
-            });
-            prof.record(tel, Phase::Phase1Sampling, Some(k), None, sampling_span);
-
-            // Cloud-link fault pipeline on the sampled top-level groups:
-            // outage filter, then downlink deliveries with metered retries.
-            let payload_down = d as u64 + cp_index.len() as u64;
-            let mut active: Vec<usize> = Vec::with_capacity(distinct.len());
-            let mut active_counts: Vec<usize> = Vec::with_capacity(distinct.len());
-            for (&g, &c) in distinct.iter().zip(&counts) {
-                if fault.edge_out(k as u64, 0, g) {
-                    record_edge_fault(&trace, tel, k, 0, g, FaultKind::EdgeOutage, 0);
-                } else {
-                    active.push(g);
-                    active_counts.push(c);
-                }
-            }
-            meter.record_broadcast(Link::EdgeCloud, payload_down, active.len() as u64);
-            trace.record(|| Event::CloudBroadcast {
-                round: k,
-                recipients: active.clone(),
-            });
-            let mut participants: Vec<usize> = Vec::with_capacity(active.len());
-            let mut part_counts: Vec<usize> = Vec::with_capacity(active.len());
-            let mut retries = 0u64;
-            let retry_span = prof.start();
-            for (&g, &c) in active.iter().zip(&active_counts) {
-                let dv = fault.deliver(k as u64, 0, MsgChannel::Phase1Down, g);
-                retries += u64::from(dv.attempts - 1);
-                if let Some(kind) = delivery_fault_kind(dv.delivered, dv.attempts) {
-                    record_edge_fault(&trace, tel, k, 0, g, kind, dv.attempts as usize);
-                }
-                if dv.delivered {
-                    participants.push(g);
-                    part_counts.push(c);
-                }
-            }
-            // Retried downlinks, metered once for the whole loop (every
-            // retry carries the same payload, so the totals are exact).
-            if retries > 0 {
-                meter.record_broadcast(Link::EdgeCloud, payload_down, retries);
-                prof.record(tel, Phase::FaultRetry, Some(k), None, retry_span);
-            }
-            let results: Vec<(Vec<f32>, Option<Vec<f32>>)> = participants
-                .iter()
-                .map(|&g| {
-                    self.subtree_update(
-                        problem,
-                        &w,
-                        &group_edges[g],
-                        0,
-                        &cp_index,
-                        k * num_groups + g,
-                        seed,
-                        &meter,
-                        &trace,
-                        &fault,
-                    )
-                })
-                .collect();
-            // Uplink deliveries: every attempt transmits (first attempts
-            // in the base gather, retries here).
-            let mut reported: Vec<usize> = Vec::with_capacity(participants.len());
-            let mut retries = 0u64;
-            let retry_span = prof.start();
-            for (i, &g) in participants.iter().enumerate() {
-                let dv = fault.deliver(k as u64, 0, MsgChannel::Phase1Up, g);
-                retries += u64::from(dv.attempts - 1);
-                if let Some(kind) = delivery_fault_kind(dv.delivered, dv.attempts) {
-                    record_edge_fault(&trace, tel, k, 0, g, kind, dv.attempts as usize);
-                }
-                if dv.delivered {
-                    reported.push(i);
-                }
-            }
-            if retries > 0 {
-                meter.record_gather(Link::EdgeCloud, 2 * d as u64, retries);
-                prof.record(tel, Phase::FaultRetry, Some(k), None, retry_span);
-            }
-            meter.record_gather(Link::EdgeCloud, 2 * d as u64, participants.len() as u64);
-            meter.record_round(Link::EdgeCloud);
-
-            // Aggregation over the surviving reports, weights renormalized
-            // (fault-free the denominator is exactly m_groups); a fully
-            // failed round keeps w^(k) bit-identically.
-            let agg_span = prof.start();
-            let mut w_checkpoint = vec![0.0_f32; d];
-            if reported.is_empty() {
-                w_checkpoint.copy_from_slice(&w);
-            } else {
-                let m_reported: usize = reported.iter().map(|&i| part_counts[i]).sum();
-                let weights: Vec<f64> = reported
-                    .iter()
-                    .map(|&i| part_counts[i] as f64 / m_reported as f64)
-                    .collect();
-                let models: Vec<&[f32]> =
-                    reported.iter().map(|&i| results[i].0.as_slice()).collect();
-                let base_w = if cfg.opts.aggregator.needs_base() {
-                    w.clone()
-                } else {
-                    Vec::new()
-                };
-                let mut agg_scratch: Vec<f32> = Vec::new();
-                robust_reduce_into(
-                    &cfg.opts.aggregator,
-                    &models,
-                    Some(&weights),
-                    &base_w,
-                    &mut agg_scratch,
-                    &mut w,
-                );
-                let cps: Vec<&[f32]> = reported
-                    .iter()
-                    .map(|&i| results[i].1.as_deref().expect("groups carry checkpoints"))
-                    .collect();
-                robust_reduce_into(
-                    &cfg.opts.aggregator,
-                    &cps,
-                    Some(&weights),
-                    &base_w,
-                    &mut agg_scratch,
-                    &mut w_checkpoint,
-                );
-            }
-            prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-            trace.record(|| Event::GlobalAggregation { round: k });
-            trace.record(|| Event::GlobalModel {
-                round: k,
-                w: w.clone(),
-            });
-            tel.record(|| TelemetryEvent::Phase1Done {
-                round: k,
-                elapsed_s: phase1_timer.elapsed_s(),
-            });
-
-            // --- Phase 2: uniform group sampling, loss estimation, ascent.
-            let phase2_timer = tel.timer();
-            let dual_span = prof.start();
-            let mut u_rng = StreamRng::for_key(StreamKey::new(
-                seed,
-                Purpose::LossEstSampling,
-                k as u64,
-                u64::MAX,
-            ));
-            let u_set = sample_edges_uniform(num_groups, cfg.m_groups, &mut u_rng);
-            trace.record(|| Event::Phase2EdgesSampled {
-                round: k,
-                edges: u_set.clone(),
-            });
-            // Outage + downlink-delivery filter for the Phase-2 estimate
-            // request; the scalar uplink rides the reliable control channel.
-            let live: Vec<usize> = u_set
-                .iter()
-                .copied()
-                .filter(|&g| {
-                    if fault.edge_out(k as u64, 0, g) {
-                        record_edge_fault(&trace, tel, k, 0, g, FaultKind::EdgeOutage, 0);
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .collect();
-            meter.record_broadcast(Link::EdgeCloud, d as u64, live.len() as u64);
-            let mut est: Vec<usize> = Vec::with_capacity(live.len());
-            let mut retries = 0u64;
-            let retry_span = prof.start();
-            for &g in &live {
-                let dv = fault.deliver(k as u64, 0, MsgChannel::Phase2Down, g);
-                retries += u64::from(dv.attempts - 1);
-                if let Some(kind) = delivery_fault_kind(dv.delivered, dv.attempts) {
-                    record_edge_fault(&trace, tel, k, 0, g, kind, dv.attempts as usize);
-                }
-                if dv.delivered {
-                    est.push(g);
-                }
-            }
-            if retries > 0 {
-                meter.record_broadcast(Link::EdgeCloud, d as u64, retries);
-                prof.record(tel, Phase::FaultRetry, Some(k), None, retry_span);
-            }
-            meter.record_broadcast(
-                Link::ClientEdge,
-                d as u64,
-                (est.len() * per_group * n0) as u64,
-            );
-            let topo = problem.topology();
-            let group_losses: Vec<f64> = cfg.opts.parallelism.map_ref(&est, |&g| {
-                let mut total = 0.0_f64;
-                for &e in &group_edges[g] {
-                    for c in 0..n0 {
-                        let client = topo.client_id(e, c);
-                        let mut rng = StreamRng::for_key(StreamKey::new(
-                            seed,
-                            Purpose::LossEstSampling,
-                            k as u64,
-                            client as u64,
-                        ));
-                        total += estimate_loss(
-                            &*problem.model,
-                            problem.client_data(e, c),
-                            &w_checkpoint,
-                            cfg.loss_batch,
-                            &mut rng,
-                        );
-                    }
-                }
-                total / (per_group * n0) as f64
-            });
-            meter.record_gather(Link::ClientEdge, 1, (est.len() * per_group * n0) as u64);
-            meter.record_round(Link::ClientEdge);
-            meter.record_gather(Link::EdgeCloud, 1, est.len() as u64);
-
-            // Failed groups contribute v_g = 0: their weight coordinate is
-            // simply not pushed this round; the projection keeps p ∈ P.
-            let mut v = vec![0.0_f32; num_groups];
-            let scale = num_groups as f64 / cfg.m_groups as f64;
-            for (&g, &l) in est.iter().zip(&group_losses) {
-                v[g] = (scale * l) as f32;
-            }
-            projected_ascent_step(&mut p, &v, cfg.eta_p * total_tau as f32, &problem.p_domain);
-            prof.record(tel, Phase::DualUpdate, Some(k), None, dual_span);
-            trace.record(|| Event::WeightUpdate {
-                round: k,
-                p: p.clone(),
-            });
-            tel.record(|| TelemetryEvent::DualUpdate {
-                round: k,
-                edges: est.clone(),
-                losses: group_losses.clone(),
-                p: p.clone(),
-                elapsed_s: phase2_timer.elapsed_s(),
-            });
-            if fault.is_active() {
-                let fnow = fault.stats();
-                let fd = fnow.since(&faults_prev);
-                tel.record(|| TelemetryEvent::FaultSummary {
-                    round: k,
-                    crashes: fd.crashes,
-                    outages: fd.outages,
-                    retries: fd.retries,
-                    gave_up: fd.gave_up,
-                    deadline_missed: fd.deadline_missed,
-                    backoff_s: fd.backoff_s,
-                    straggler_slots: fd.straggler_slots,
-                });
-                faults_prev = fnow;
-            }
-            let adv_now = fault.adversary_stats();
-            if fault.has_adversary() {
-                let ad = adv_now.since(&adv_prev);
-                trace.record(|| Event::AdversaryRound {
-                    round: k,
-                    corrupted: ad.corrupted_updates,
-                    attack: cfg.opts.fault.attack.as_str(),
-                });
-                tel.record_unsequenced(|| TelemetryEvent::Adversary {
-                    round: k,
-                    corrupted: ad.corrupted_updates,
-                    attack: cfg.opts.fault.attack.as_str().to_string(),
-                });
-            }
-            adv_prev = adv_now;
-            let comm_now = meter.snapshot();
-            trace.record(|| Event::RoundComm {
-                round: k,
-                delta: comm_now.since(&comm_prev),
-            });
-            let slots_done = (k + 1) * total_tau;
-            let fcum = fault.stats();
-            tel.record(|| TelemetryEvent::RoundEnd {
-                round: k,
-                slots: slots_done,
-                comm_delta: comm_now.since(&comm_prev),
-                comm_total: comm_now,
-                sim_s: tel.sim_seconds(&comm_now, slots_done, edge_areas)
-                    + tel.fault_seconds(fcum.straggler_slots, fcum.backoff_s),
-                elapsed_s: round_timer.elapsed_s(),
-            });
-            comm_prev = comm_now;
-            prof.record(tel, Phase::Round, Some(k), None, round_span);
-
-            finish_round(
-                problem,
-                &cfg.opts,
-                &mut history,
-                &mut avg_w,
-                &mut avg_p,
-                k,
-                cfg.rounds,
-                total_tau,
-                comm_now,
-                &w,
-                p.clone(),
-            );
-            ckpt.after_round(
-                k,
-                &w,
-                &p,
-                &avg_w,
-                &avg_p,
-                &history,
-                comm_now,
-                fcum,
-                if fault.has_adversary() {
-                    vec![(
-                        crate::checkpoint::QUARANTINE_SECTION.to_string(),
-                        crate::checkpoint::encode_quarantine(&[], &adv_now),
-                    )]
-                } else {
-                    vec![]
-                },
-            );
-        }
-
-        let comm_final = meter.snapshot();
-        let faults_final = fault.stats();
-        let total_slots = cfg.rounds * total_tau;
-        cfg.opts.profile.emit_summary(tel);
-        tel.record(|| TelemetryEvent::RunEnd {
+        // The weighted top-level groups play the edge-area role: `p`, the
+        // samplers and the `run_start` edge count all range over them.
+        // Cloud-link faults act on the groups; intermediate links are
+        // site-local and modeled as reliable.
+        let spec = RoundSpec {
+            name: "MultiLevelMinimax",
             rounds: cfg.rounds,
-            slots: total_slots,
-            comm_total: comm_final,
-            sim_s: tel.sim_seconds(
-                &comm_final,
-                total_slots,
-                (cfg.m_groups * cfg.edges_per_group()).max(1),
-            ) + tel.fault_seconds(faults_final.straggler_slots, faults_final.backoff_s),
-            elapsed_s: run_timer.elapsed_s(),
-        });
-        tel.flush();
-
-        RunResult {
-            final_w: w,
-            avg_w: avg_w.mean(),
-            final_p: p.clone(),
-            avg_p: avg_p.mean(),
-            history,
-            comm: comm_final,
-            trace,
-            faults: faults_final,
-            quarantine: fault.adversary_stats(),
-            churn: hm_simnet::ChurnStats::default(),
-        }
+            tau1: cfg.tau1,
+            eta_w: cfg.eta_w,
+            batch_size: cfg.batch_size,
+            quantizer: Quantizer::Exact,
+            dropout: cfg.dropout,
+            opts: &cfg.opts,
+            sampler: Sampler::Weighted(cfg.m_groups),
+            blocks: Blocks::Tree {
+                tau2: cfg.tau2,
+                upper: &cfg.upper,
+            },
+            dual: Some(Dual {
+                eta_p: cfg.eta_p,
+                loss_batch: cfg.loss_batch,
+                model: WeightUpdateModel::RandomCheckpoint,
+            }),
+        };
+        driver::run(problem, seed, spec).map(|(r, _)| r)
     }
 }
 

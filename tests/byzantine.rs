@@ -126,7 +126,7 @@ fn zero_rate_adversary_knobs_are_inert() {
 }
 
 #[test]
-fn adversarial_runs_are_bit_identical_across_executors_and_engines() {
+fn adversarial_runs_are_bit_identical_across_executors() {
     let fp = problem();
     let cells = [
         (AttackModel::SignFlip, Aggregator::Mean),

@@ -14,12 +14,13 @@
 //!   the failed edge's clients onto survivors delivers at least 1.5× the
 //!   client uploads of the stale-fallback baseline (`rehome: false`);
 //! - `max_stale_rounds` aborts with the typed [`RunError`] after the
-//!   configured number of consecutive all-failed rounds, and `0` never
-//!   aborts.
+//!   configured number of consecutive all-failed rounds, in every
+//!   hierarchical algorithm and across a resume, and `0` never aborts.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, RunError, RunOpts,
+    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig,
+    MultiLevelMinimax, OverselectConfig, OverselectMinimax, RunError, RunOpts, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
@@ -124,7 +125,7 @@ fn zero_rate_plan_is_bit_identical_to_no_churn() {
 /// Both executors produce the same bits under an active plan, and
 /// re-running a cell reproduces it.
 #[test]
-fn churn_is_bit_identical_across_executors_and_engines() {
+fn churn_is_bit_identical_across_executors() {
     let fp = problem();
     for preset in ["mild", "chaos-churn"] {
         let plan = ChurnPlan::preset(preset).unwrap();
@@ -264,6 +265,81 @@ fn stale_rounds_abort_with_typed_error() {
             limit: 1,
         }
     );
+}
+
+/// MultiLevel and Overselect share the cap: under a total outage their
+/// `try_run` aborts after `limit + 1` stale rounds too.
+#[test]
+fn multilevel_and_overselect_abort_on_stale_rounds() {
+    let fp = problem();
+    let want = RunError::StaleRoundsExceeded {
+        round: 2,
+        consecutive: 3,
+        limit: 2,
+    };
+    let ml = MultiLevelMinimax::new(MultiLevelConfig {
+        rounds: ROUNDS,
+        upper: vec![UpperLevel {
+            group_size: 2,
+            tau: 2,
+        }],
+        m_groups: 2,
+        opts: all_out_opts(2),
+        ..Default::default()
+    });
+    assert_eq!(ml.try_run(&fp, SEED).err(), Some(want.clone()));
+    let ov = OverselectMinimax::new(OverselectConfig {
+        rounds: ROUNDS,
+        tau1: 2,
+        tau2: 2,
+        m_edges: 2,
+        m_over: 3,
+        seconds_per_slot: vec![1.0, 1.5, 2.0, 1.2],
+        eta_w: 0.1,
+        eta_p: 0.05,
+        batch_size: 2,
+        loss_batch: 4,
+        dropout: 0.0,
+        opts: all_out_opts(2),
+    });
+    assert_eq!(ov.try_run(&fp, SEED).err(), Some(want));
+}
+
+/// A resumed run continues the stale-round streak of the run it came
+/// from, with churn off too: resumed from the snapshot after three stale
+/// rounds, the run aborts exactly where the uninterrupted one does.
+#[test]
+fn resumed_run_keeps_the_stale_round_streak() {
+    let fp = problem();
+    // Short enough that a streak restarted at zero would finish the run.
+    let rounds = 6;
+    let want = RunError::StaleRoundsExceeded {
+        round: 3,
+        consecutive: 4,
+        limit: 3,
+    };
+    type Factory = fn(usize, RunOpts) -> Box<dyn Algorithm>;
+    let algorithms: [(&str, Factory); 2] = [
+        ("HierMinimax", |r, o| {
+            Box::new(HierMinimax::new(hmx_cfg(r, o)))
+        }),
+        ("HierFAVG", |r, o| Box::new(HierFavg::new(hfa_cfg(r, o)))),
+    ];
+    for (name, factory) in algorithms {
+        let dir = scratch_dir(&format!("stale-{name}"));
+        let mut writer = all_out_opts(3);
+        writer.checkpoint = CheckpointOpts::writing(&dir, 1);
+        let full = factory(rounds, writer).try_run(&fp, SEED);
+        assert_eq!(full.err(), Some(want.clone()), "{name}: uninterrupted");
+
+        let snap = read_snapshot(&snapshot_path(&dir, name, 3))
+            .unwrap_or_else(|e| panic!("{name}: reading round-3 snapshot: {e}"));
+        let mut resumed = all_out_opts(3);
+        resumed.checkpoint.resume = Some(Arc::new(snap));
+        let got = factory(rounds, resumed).try_run(&fp, SEED);
+        assert_eq!(got.err(), Some(want.clone()), "{name}: resumed at round 3");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `max_stale_rounds: 0` disables the cap: a fully-outed run limps to the

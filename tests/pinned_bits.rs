@@ -16,7 +16,11 @@
 //! final iterate, the final edge weights and the `Debug` text of the
 //! communication, fault, quarantine and churn counters, and checked under
 //! both executors. Their constants were recorded while the block phase
-//! still had a second, cross-checked implementation.
+//! still had a second, cross-checked implementation. Each case also pins
+//! a hash of its telemetry stream (JSONL, wall-clock fields zeroed), so a
+//! change to the order or content of the events a run emits shows up too;
+//! the HierMinimax, HierFAVG and multi-level stream constants were
+//! recorded while each algorithm still had its own round loop.
 //!
 //! The losses go through `f64::exp`/`ln`, whose last bit is the platform
 //! libm's, so the constants are pinned on x86_64 Linux only.
@@ -35,6 +39,7 @@ use hierminimax::data::scenarios::{
 use hierminimax::nn::SimpleCnn;
 use hierminimax::optim::ProjectionOp;
 use hierminimax::simnet::{ChurnPlan, FaultPlan, Parallelism};
+use hierminimax::telemetry::{MemorySink, Telemetry, TelemetryEvent};
 use hierminimax::tensor::Aggregator;
 use std::sync::Arc;
 
@@ -75,6 +80,23 @@ fn state_digest(r: &RunResult) -> u64 {
     }
     let counters = format!("{:?}{:?}{:?}{:?}", r.comm, r.faults, r.quarantine, r.churn);
     fnv1a(h, counters.as_bytes())
+}
+
+/// FNV-1a over the telemetry stream's JSONL lines, with the wall-clock
+/// `elapsed_s` fields zeroed — the only payloads that are not a function of
+/// the run.
+fn stream_digest(events: &[TelemetryEvent]) -> u64 {
+    events.iter().fold(FNV_OFFSET, |h, ev| {
+        let mut ev = ev.clone();
+        match &mut ev {
+            TelemetryEvent::Phase1Done { elapsed_s, .. }
+            | TelemetryEvent::DualUpdate { elapsed_s, .. }
+            | TelemetryEvent::RoundEnd { elapsed_s, .. }
+            | TelemetryEvent::RunEnd { elapsed_s, .. } => *elapsed_s = 0.0,
+            _ => {}
+        }
+        fnv1a(fnv1a(h, ev.to_json().as_bytes()), b"\n")
+    })
 }
 
 fn train(fp: &FederatedProblem, rounds: usize, m_edges: usize, batch: usize, eta_w: f32) -> u64 {
@@ -169,12 +191,10 @@ fn tiny(n_edges: usize, clients_per_edge: usize, seed: u64) -> FederatedProblem 
     FederatedProblem::logistic_from_scenario(&tiny_problem(n_edges, clients_per_edge, seed))
 }
 
-fn opts(par: Parallelism, fault: &str) -> RunOpts {
+fn faulty(base: RunOpts, fault: &str) -> RunOpts {
     RunOpts {
-        eval_every: 2,
-        parallelism: par,
         fault: FaultPlan::preset(fault).unwrap(),
-        ..Default::default()
+        ..base
     }
 }
 
@@ -193,10 +213,23 @@ fn hmx(rounds: usize, m_edges: usize, opts: RunOpts) -> HierMinimaxConfig {
     }
 }
 
-/// Run a case on both executors; each must reproduce the pinned digest.
-fn check_executors(name: &str, want: u64, run: impl Fn(Parallelism) -> RunResult) {
+/// Run a case on both executors with a memory sink attached; each must
+/// reproduce the pinned state digest and the pinned telemetry digest.
+fn check_executors(name: &str, want: u64, want_stream: u64, run: impl Fn(RunOpts) -> RunResult) {
     for par in [Parallelism::Sequential, Parallelism::Rayon] {
-        check(&format!("{name} [{par:?}]"), state_digest(&run(par)), want);
+        let sink = Arc::new(MemorySink::new());
+        let r = run(RunOpts {
+            eval_every: 2,
+            parallelism: par,
+            telemetry: Telemetry::with_sink(sink.clone()),
+            ..Default::default()
+        });
+        check(&format!("{name} [{par:?}]"), state_digest(&r), want);
+        check(
+            &format!("{name} [{par:?}] telemetry"),
+            stream_digest(&sink.events()),
+            want_stream,
+        );
     }
 }
 
@@ -206,12 +239,13 @@ fn byzantine_quarantine_bits_are_pinned() {
     check_executors(
         "byzantine+trimmed-mean+quarantine",
         0xc6ba_1fe3_8147_a0ce,
-        |par| {
+        0xeb24_7a4b_e917_0f75,
+        |base| {
             let o = RunOpts {
                 aggregator: Aggregator::TrimmedMean { beta: 0.25 },
                 quarantine_z: 2.0,
                 quarantine_window: 2,
-                ..opts(par, "byzantine")
+                ..faulty(base, "byzantine")
             };
             let r = HierMinimax::new(hmx(8, 3, o)).run(&fp, 41);
             assert!(
@@ -226,90 +260,117 @@ fn byzantine_quarantine_bits_are_pinned() {
 #[test]
 fn edge_failover_under_chaos_bits_are_pinned() {
     let fp = tiny(5, 2, 32);
-    check_executors("edge-failover+chaos", 0xd408_e8e9_9cba_c44b, |par| {
-        let o = RunOpts {
-            churn: ChurnPlan::preset("edge-failover").unwrap(),
-            ..opts(par, "chaos")
-        };
-        let r = HierMinimax::new(hmx(8, 3, o)).run(&fp, 42);
-        assert!(r.churn.total() > 0, "no edge failed");
-        r
-    });
+    check_executors(
+        "edge-failover+chaos",
+        0xd408_e8e9_9cba_c44b,
+        0x0042_177d_16e6_86e8,
+        |base| {
+            let o = RunOpts {
+                churn: ChurnPlan::preset("edge-failover").unwrap(),
+                ..faulty(base, "chaos")
+            };
+            let r = HierMinimax::new(hmx(8, 3, o)).run(&fp, 42);
+            assert!(r.churn.total() > 0, "no edge failed");
+            r
+        },
+    );
 }
 
 #[test]
 fn heterogeneous_rate_bits_are_pinned() {
     let fp = tiny(4, 2, 33);
-    check_executors("tau2_per_edge+chaos", 0xec7a_91c3_dde4_5d7b, |par| {
-        let cfg = HierMinimaxConfig {
-            tau2_per_edge: Some(vec![1, 3, 2, 2]),
-            ..hmx(6, 3, opts(par, "chaos"))
-        };
-        HierMinimax::new(cfg).run(&fp, 43)
-    });
+    check_executors(
+        "tau2_per_edge+chaos",
+        0xec7a_91c3_dde4_5d7b,
+        0xc7fd_e6cd_0085_f1a9,
+        |base| {
+            let cfg = HierMinimaxConfig {
+                tau2_per_edge: Some(vec![1, 3, 2, 2]),
+                ..hmx(6, 3, faulty(base, "chaos"))
+            };
+            HierMinimax::new(cfg).run(&fp, 43)
+        },
+    );
 }
 
 #[test]
 fn hierfavg_churn_under_chaos_bits_are_pinned() {
     let fp = tiny(4, 2, 34);
-    check_executors("hierfavg+mild+chaos", 0xf7ec_1de1_9e04_a376, |par| {
-        let cfg = HierFavgConfig {
-            rounds: 8,
-            m_edges: 2,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts: RunOpts {
-                churn: ChurnPlan::preset("mild").unwrap(),
-                ..opts(par, "chaos")
-            },
-            ..Default::default()
-        };
-        let r = HierFavg::new(cfg).run(&fp, 44);
-        assert!(r.churn.total() > 0, "no client left or joined");
-        r
-    });
+    check_executors(
+        "hierfavg+mild+chaos",
+        0xf7ec_1de1_9e04_a376,
+        0x204d_b71a_1912_6515,
+        |base| {
+            let cfg = HierFavgConfig {
+                rounds: 8,
+                m_edges: 2,
+                eta_w: 0.1,
+                batch_size: 2,
+                opts: RunOpts {
+                    churn: ChurnPlan::preset("mild").unwrap(),
+                    ..faulty(base, "chaos")
+                },
+                ..Default::default()
+            };
+            let r = HierFavg::new(cfg).run(&fp, 44);
+            assert!(r.churn.total() > 0, "no client left or joined");
+            r
+        },
+    );
 }
 
 #[test]
 fn multilevel_under_chaos_bits_are_pinned() {
     let fp = tiny(4, 2, 35);
-    check_executors("multilevel+chaos", 0x0c78_c39c_8f9e_4d67, |par| {
-        let cfg = MultiLevelConfig {
-            rounds: 4,
-            upper: vec![UpperLevel {
-                group_size: 2,
-                tau: 2,
-            }],
-            m_groups: 2,
-            eta_w: 0.1,
-            eta_p: 0.02,
-            batch_size: 2,
-            loss_batch: 4,
-            opts: opts(par, "chaos"),
-            ..Default::default()
-        };
-        MultiLevelMinimax::new(cfg).run(&fp, 45)
-    });
+    check_executors(
+        "multilevel+chaos",
+        0x0c78_c39c_8f9e_4d67,
+        0xe621_8c5b_75ea_4a96,
+        |base| {
+            let cfg = MultiLevelConfig {
+                rounds: 4,
+                upper: vec![UpperLevel {
+                    group_size: 2,
+                    tau: 2,
+                }],
+                m_groups: 2,
+                eta_w: 0.1,
+                eta_p: 0.02,
+                batch_size: 2,
+                loss_batch: 4,
+                opts: faulty(base, "chaos"),
+                ..Default::default()
+            };
+            MultiLevelMinimax::new(cfg).run(&fp, 45)
+        },
+    );
 }
 
 #[test]
 fn overselect_under_chaos_bits_are_pinned() {
     let fp = tiny(4, 2, 36);
-    check_executors("overselect+chaos", 0x76af_8dc8_259c_9efb, |par| {
-        let cfg = OverselectConfig {
-            rounds: 5,
-            tau1: 2,
-            tau2: 2,
-            m_edges: 2,
-            m_over: 3,
-            seconds_per_slot: vec![1.0, 1.5, 2.0, 1.2],
-            eta_w: 0.1,
-            eta_p: 0.05,
-            batch_size: 2,
-            loss_batch: 4,
-            dropout: 0.0,
-            opts: opts(par, "chaos"),
-        };
-        OverselectMinimax::new(cfg).run(&fp, 46)
-    });
+    // Over-selection emits the standard event stream since it runs on the
+    // shared round driver; this stream constant was recorded then.
+    check_executors(
+        "overselect+chaos",
+        0x76af_8dc8_259c_9efb,
+        0x5caa_88c8_85cc_5871,
+        |base| {
+            let cfg = OverselectConfig {
+                rounds: 5,
+                tau1: 2,
+                tau2: 2,
+                m_edges: 2,
+                m_over: 3,
+                seconds_per_slot: vec![1.0, 1.5, 2.0, 1.2],
+                eta_w: 0.1,
+                eta_p: 0.05,
+                batch_size: 2,
+                loss_batch: 4,
+                dropout: 0.0,
+                opts: faulty(base, "chaos"),
+            };
+            OverselectMinimax::new(cfg).run(&fp, 46)
+        },
+    );
 }

@@ -326,7 +326,7 @@ fn span_shape(events: &[TelemetryEvent]) -> Vec<(String, Option<usize>, Option<u
 }
 
 #[test]
-fn span_stream_shape_is_engine_and_parallelism_invariant() {
+fn span_stream_shape_is_parallelism_invariant() {
     // Chains run on different threads under the two executors, but both
     // must emit the same span sequence: one local_sgd_chain span per
     // participating edge, recorded after the join in edge order.

@@ -11,7 +11,8 @@
 //! with a kill at every checkpointed round; the other eight algorithms run
 //! the kill-at-every-round sweep on the reduced grid (the flat baselines
 //! ignore the fault plan by design), with a chaos × Rayon spot-check for
-//! the remaining hierarchical ones.
+//! the remaining hierarchical ones and a Byzantine cell, with a quarantine
+//! pass that benches clients, for all four hierarchical algorithms.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path, Snapshot};
 use hierminimax::core::algorithms::{
@@ -48,7 +49,7 @@ type Factory = Box<dyn Fn(RunOpts) -> Box<dyn Algorithm>>;
 /// Every algorithm in the workspace, as a factory over `RunOpts` so the
 /// same config can be instantiated for the writer, plain, and resumed
 /// legs. The bool marks algorithms that emit a telemetry stream (the
-/// minimization-only FedProx/q-FedAvg/Overselect paths do not).
+/// FedProx and q-FedAvg paths do not).
 fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
     vec![
         (
@@ -110,7 +111,7 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "Overselect",
-            false,
+            true,
             Box::new(|opts| {
                 Box::new(OverselectMinimax::new(OverselectConfig {
                     rounds: ROUNDS,
@@ -215,6 +216,8 @@ fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.history, b.history, "{tag}: history differs");
     assert_eq!(a.comm, b.comm, "{tag}: comm stats differ");
     assert_eq!(a.faults, b.faults, "{tag}: fault stats differ");
+    assert_eq!(a.quarantine, b.quarantine, "{tag}: adversary stats differ");
+    assert_eq!(a.churn, b.churn, "{tag}: churn stats differ");
 }
 
 /// Zero the wall-clock fields — the only payloads that are not a pure
@@ -265,14 +268,15 @@ fn spliced_stream(
 /// One matrix cell: run `factory` uninterrupted with per-round
 /// checkpoints, then for every snapshot on disk resume from it and assert
 /// the `RunResult` (and, when the algorithm emits telemetry, the spliced
-/// stream) is bit-identical to the uninterrupted run.
+/// stream) is bit-identical to the uninterrupted run. Returns the
+/// uninterrupted run.
 fn assert_resume_bit_identity(
     tag: &str,
     name: &str,
     has_telemetry: bool,
     factory: &Factory,
     base: &RunOpts,
-) {
+) -> RunResult {
     let fp = problem();
     let dir = scratch_dir(&format!("{tag}-w"));
     let dir_r = scratch_dir(&format!("{tag}-r"));
@@ -322,6 +326,7 @@ fn assert_resume_bit_identity(
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir_r);
+    full
 }
 
 fn opts(par: Parallelism, fault: &FaultPlan) -> RunOpts {
@@ -385,6 +390,42 @@ fn hierarchical_algorithms_resume_under_chaos_on_rayon() {
             &factory,
             &opts(Parallelism::Rayon, &chaos),
         );
+    }
+}
+
+#[test]
+fn hierarchical_algorithms_resume_under_byzantine_quarantine() {
+    // The adversary's counters and the quarantine horizon table ride the
+    // snapshot's `quarantine` section; a resume that dropped them would
+    // recount corrupted uploads and re-admit benched clients early.
+    let byzantine = RunOpts {
+        quarantine_z: 1.0,
+        quarantine_window: 2,
+        ..opts(
+            Parallelism::Sequential,
+            &FaultPlan::preset("byzantine").unwrap(),
+        )
+    };
+    for (name, has_tel, factory) in all_algorithms() {
+        if !matches!(
+            name,
+            "HierMinimax" | "HierFAVG" | "MultiLevelMinimax" | "Overselect"
+        ) {
+            continue;
+        }
+        let tag = format!("byz-{}", name.to_lowercase());
+        let full = assert_resume_bit_identity(&tag, name, has_tel, &factory, &byzantine);
+        assert!(
+            full.quarantine.corrupted_updates > 0,
+            "{name}: no upload was corrupted"
+        );
+        // MultiLevel ignores the quarantine threshold; the others bench.
+        if name != "MultiLevelMinimax" {
+            assert!(
+                full.quarantine.quarantined_clients > 0,
+                "{name}: the quarantine never fired"
+            );
+        }
     }
 }
 

@@ -3,8 +3,9 @@
 //!
 //! - per-round `comm_delta` in the telemetry stream equals the trace's
 //!   `RoundComm` delta, and the deltas telescope to the final meter totals;
-//! - the JSONL file a run writes passes the schema validator and its
-//!   `dual_update` lines reproduce the `p^(k)` trajectory from history;
+//! - the JSONL file a HierMinimax or over-selection run writes passes the
+//!   schema validator and its `dual_update` lines reproduce the `p^(k)`
+//!   trajectory from history;
 //! - enabling telemetry cannot perturb a run (bit-identical iterates);
 //! - every algorithm emits a well-formed `run_start` … `run_end` stream
 //!   with one `round_end` per training round.
@@ -13,8 +14,8 @@ use std::sync::Arc;
 
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig,
-    HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, RunOpts, StochasticAfl,
-    UpperLevel,
+    HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, OverselectConfig,
+    OverselectMinimax, RunOpts, StochasticAfl, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
@@ -51,6 +52,25 @@ fn hm_cfg(rounds: usize, opts: RunOpts) -> HierMinimaxConfig {
         tau2_per_edge: None,
         opts,
     }
+}
+
+/// Over-selection of 3 draws down to 2 on `fp`, edge `e` taking
+/// `1 + e/2` seconds per slot.
+fn overselect(fp: &FederatedProblem, rounds: usize, opts: RunOpts) -> OverselectMinimax {
+    OverselectMinimax::new(OverselectConfig {
+        rounds,
+        tau1: 2,
+        tau2: 2,
+        m_edges: 2,
+        m_over: 3,
+        seconds_per_slot: (0..fp.num_edges()).map(|e| 1.0 + 0.5 * e as f64).collect(),
+        eta_w: 0.1,
+        eta_p: 0.05,
+        batch_size: 2,
+        loss_batch: 4,
+        dropout: 0.0,
+        opts,
+    })
 }
 
 fn round_ends(events: &[TelemetryEvent]) -> Vec<&TelemetryEvent> {
@@ -136,43 +156,58 @@ fn round_comm_deltas_match_trace_and_conformance_automaton() {
 fn jsonl_stream_validates_and_p_trajectory_matches_history() {
     let dir = std::env::temp_dir().join(format!("hm-telemetry-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("run.jsonl");
-
     let sc = tiny_problem(3, 2, 22);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let tel = Telemetry::jsonl(&path).unwrap();
-    let cfg = hm_cfg(4, opts_with(tel, false));
-    let r = HierMinimax::new(cfg.clone()).run(&fp, 5);
+    let rounds = 4;
+    type Factory = fn(&FederatedProblem, usize, RunOpts) -> Box<dyn Algorithm>;
+    let algorithms: [(&str, Factory); 2] = [
+        ("hierminimax", |_, r, o| {
+            Box::new(HierMinimax::new(hm_cfg(r, o)))
+        }),
+        ("overselect", |fp, r, o| Box::new(overselect(fp, r, o))),
+    ];
+    for (name, factory) in algorithms {
+        let path = dir.join(format!("{name}.jsonl"));
+        let tel = Telemetry::jsonl(&path).unwrap();
+        let r = factory(&fp, rounds, opts_with(tel, false)).run(&fp, 5);
 
-    let body = std::fs::read_to_string(&path).unwrap();
-    let summary = validate_stream(&body).unwrap_or_else(|e| panic!("{e}\n{body}"));
-    assert_eq!(summary.runs, 1);
-    assert_eq!(summary.events_by_kind.get("round_end"), Some(&cfg.rounds));
-    assert_eq!(summary.events_by_kind.get("dual_update"), Some(&cfg.rounds));
+        let body = std::fs::read_to_string(&path).unwrap();
+        let summary = validate_stream(&body).unwrap_or_else(|e| panic!("{name}: {e}\n{body}"));
+        assert_eq!(summary.runs, 1, "{name}");
+        assert_eq!(
+            summary.events_by_kind.get("round_end"),
+            Some(&rounds),
+            "{name}"
+        );
+        assert_eq!(
+            summary.events_by_kind.get("dual_update"),
+            Some(&rounds),
+            "{name}"
+        );
 
-    let p_lines: Vec<Vec<f32>> = body
-        .lines()
-        .filter_map(|line| {
-            let v = json::parse(line).unwrap();
-            if v.get("ev").unwrap().as_str() != Some("dual_update") {
-                return None;
-            }
-            Some(
-                v.get("p")
-                    .unwrap()
-                    .as_arr()
-                    .unwrap()
-                    .iter()
-                    .map(|x| x.as_f64().unwrap() as f32)
-                    .collect(),
-            )
-        })
-        .collect();
-    assert_eq!(p_lines.len(), r.history.rounds.len());
-    for (k, (from_stream, rec)) in p_lines.iter().zip(&r.history.rounds).enumerate() {
-        assert_eq!(from_stream, &rec.p, "p^({k}) diverged");
+        let p_lines: Vec<Vec<f32>> = body
+            .lines()
+            .filter_map(|line| {
+                let v = json::parse(line).unwrap();
+                if v.get("ev").unwrap().as_str() != Some("dual_update") {
+                    return None;
+                }
+                Some(
+                    v.get("p")
+                        .unwrap()
+                        .as_arr()
+                        .unwrap()
+                        .iter()
+                        .map(|x| x.as_f64().unwrap() as f32)
+                        .collect(),
+                )
+            })
+            .collect();
+        assert_eq!(p_lines.len(), r.history.rounds.len(), "{name}");
+        for (k, (from_stream, rec)) in p_lines.iter().zip(&r.history.rounds).enumerate() {
+            assert_eq!(from_stream, &rec.p, "{name}: p^({k}) diverged");
+        }
     }
-
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -314,5 +349,8 @@ fn all_algorithms_emit_consistent_streams() {
             opts,
         })
         .run(&fp, 7)
+    });
+    run_with("Overselect", &|opts| {
+        overselect(&fp, rounds, opts).run(&fp, 7)
     });
 }
