@@ -2,12 +2,12 @@
 //! shapes, with each round's per-phase breakdown, written as
 //! machine-readable `results/BENCH_roundtime.json`.
 //!
-//! Every run is single-threaded (`Parallelism::Sequential`). The vendored
-//! rayon shim starts fresh threads on every parallel call, so
-//! multi-threaded rates move with the host's thread count and scheduler;
-//! single-thread rates move with the round's work. The phase breakdown is
-//! a breakdown of that single-thread work: per-edge `local_sgd_chain`
-//! spans never overlap, so the shares add up to at most the round.
+//! Every run is single-threaded (`Parallelism::Sequential`). Rates on the
+//! rayon pool move with the host's core count, its other load and the OS
+//! scheduler; single-thread rates move with the round's work. The phase
+//! breakdown is a breakdown of that single-thread work: per-edge
+//! `local_sgd_chain` spans never overlap, so the shares add up to at most
+//! the round.
 //!
 //! Shapes cover three regimes: `balanced` (few edges, several clients
 //! each, chunky per-block work), `wide` (many edges, one client each,

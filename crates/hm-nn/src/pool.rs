@@ -7,8 +7,8 @@
 //! in the block phase one thread runs every client-block of its edge
 //! chains back to back — so scratch is pooled per *thread* and reused
 //! across blocks, rounds, and even algorithm runs, for as long as the
-//! thread lives (the vendored rayon shim starts fresh threads for every
-//! parallel call; DESIGN.md §7b).
+//! thread lives (the vendored rayon shim's workers live as long as the
+//! process; DESIGN.md §7b).
 //!
 //! Pooling is safe for determinism because every buffer in the bundle is
 //! overwrite-on-use: `Workspace` stages intermediates that are fully

@@ -16,8 +16,8 @@
 //!
 //! The workspace builds against a vendored rayon shim (`vendor/rayon`):
 //! each parallel call splits its input into at most one contiguous part
-//! per thread, runs the parts on fresh scoped threads and joins; a call
-//! made from inside a worker runs inline on that worker.
+//! per thread and runs them on the caller and a long-lived worker pool; a
+//! call made from inside a part runs inline on that part's thread.
 
 use rayon::prelude::*;
 
@@ -85,9 +85,9 @@ impl Parallelism {
     /// to split the range down to one chain per task, so chains of very
     /// different cost (stragglers, uneven rosters) are not glued into the
     /// same task and idle workers can steal them. The vendored shim
-    /// ignores the hint: it hands each thread one contiguous run of
-    /// chains, and parallel calls made inside a chain run inline on the
-    /// chain's thread.
+    /// ignores the hint: it splits the chains into one contiguous run per
+    /// thread for the caller and its pool's workers to claim, and parallel
+    /// calls made inside a chain run inline on the chain's thread.
     pub fn map_chains<U, F>(self, n: usize, f: F) -> Vec<U>
     where
         U: Send,

@@ -10,8 +10,12 @@ use hierminimax::core::algorithms::{
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
-use hierminimax::data::scenarios::tiny_problem;
+use hierminimax::data::generators::synthetic_images::ImageConfig;
+use hierminimax::data::scenarios::{similarity_scenario, tiny_problem, SimilarityOptions};
+use hierminimax::nn::SimpleCnn;
+use hierminimax::optim::ProjectionOp;
 use hierminimax::simnet::{FaultPlan, Parallelism};
+use std::sync::Arc;
 
 fn opts(par: Parallelism) -> RunOpts {
     RunOpts {
@@ -336,4 +340,59 @@ fn different_seeds_differ() {
         let b = alg.run(&fp, 2);
         assert_ne!(a.final_w, b.final_w, "{name}: seeds do not change the run");
     }
+}
+
+#[test]
+fn pooled_worker_scratch_survives_between_runs() {
+    // The rayon shim's workers live for the whole process, so each keeps
+    // its `hm_nn::with_scratch` bundles across rounds and runs (DESIGN.md
+    // §7b). A CNN run and a logistic run leave those bundles sized and
+    // filled for other models; the MLP run after them must not notice.
+    let images = |edges, seed| {
+        let opts = SimilarityOptions::default();
+        similarity_scenario(
+            ImageConfig::fashion_mnist_like(),
+            edges,
+            2,
+            40,
+            0.5,
+            0.25,
+            &opts,
+            seed,
+        )
+    };
+    let mlp = FederatedProblem::mlp_from_scenario(&images(4, 6), &[100, 50]);
+    let sc = images(3, 7);
+    let model = Arc::new(SimpleCnn::new(16, 3, 4, 8, 32, sc.num_classes));
+    let cnn = FederatedProblem::new(
+        sc,
+        model,
+        ProjectionOp::Unconstrained,
+        ProjectionOp::Simplex,
+    );
+    let logistic = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 21));
+    let train = |fp: &FederatedProblem| {
+        let alg = HierMinimax::new(HierMinimaxConfig {
+            rounds: 4,
+            batch_size: 8,
+            eta_p: 0.005,
+            opts: opts(Parallelism::Rayon),
+            ..Default::default()
+        });
+        alg.run(fp, 11)
+    };
+    let first = train(&mlp);
+    train(&cnn);
+    train(&logistic);
+    let last = train(&mlp);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&first.final_w), bits(&last.final_w), "final_w differs");
+    assert_eq!(bits(&first.final_p), bits(&last.final_p), "final_p differs");
+    // `Debug` prints each float's shortest round-trip form, so equal text
+    // means equal bits.
+    assert_eq!(
+        format!("{:?}", first.history),
+        format!("{:?}", last.history),
+        "history differs"
+    );
 }
