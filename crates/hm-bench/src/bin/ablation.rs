@@ -41,7 +41,6 @@ fn main() {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     };

@@ -65,7 +65,6 @@ fn config(rounds: usize, plan: FaultPlan, agg: Aggregator) -> HierMinimaxConfig 
         opts: RunOpts {
             eval_every: 0,
             parallelism: Default::default(),
-            trace: false,
             telemetry: Telemetry::disabled(),
             fault: plan,
             checkpoint: Default::default(),

@@ -60,7 +60,6 @@ fn config(plan: ChurnPlan) -> HierMinimaxConfig {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Default::default(),
-            trace: false,
             telemetry: Telemetry::disabled(),
             fault: Default::default(),
             checkpoint: Default::default(),

@@ -66,7 +66,6 @@ fn main() {
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,
-                trace: false,
                 fault: plan,
                 ..Default::default()
             },

@@ -75,7 +75,6 @@ fn config(case: &Case, rounds: usize) -> HierMinimaxConfig {
         opts: RunOpts {
             eval_every: 0, // only the final round is evaluated
             parallelism: Parallelism::Sequential,
-            trace: false,
             telemetry: Telemetry::disabled(),
             fault: Default::default(),
             checkpoint: Default::default(),

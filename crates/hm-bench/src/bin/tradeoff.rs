@@ -70,7 +70,6 @@ fn main() {
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,
-                trace: false,
                 ..Default::default()
             },
         });
@@ -125,7 +124,6 @@ fn main() {
                 opts: RunOpts {
                     eval_every: 0,
                     parallelism: Parallelism::Rayon,
-                    trace: false,
                     ..Default::default()
                 },
             });
@@ -182,7 +180,6 @@ fn main() {
                 opts: RunOpts {
                     eval_every: 0,
                     parallelism: Parallelism::Rayon,
-                    trace: false,
                     ..Default::default()
                 },
             });

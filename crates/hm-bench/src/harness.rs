@@ -110,7 +110,6 @@ impl SuiteParams {
         RunOpts {
             eval_every: (self.eval_every_slots / slots_per_round).max(1),
             parallelism: self.parallelism,
-            trace: false,
             telemetry,
             fault: self.fault.clone(),
             checkpoint: Default::default(),

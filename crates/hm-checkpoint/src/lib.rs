@@ -11,10 +11,10 @@
 //!
 //! What a snapshot deliberately does **not** capture:
 //!
-//! - the protocol trace and the telemetry sink — both are external event
-//!   streams; a resumed run re-emits only rounds `next_round..`, and
-//!   consumers splice the pre-crash prefix with the post-resume suffix
-//!   (the conformance checker in `hm-testkit` validates such splices);
+//! - the telemetry sink — an external event stream; a resumed run
+//!   re-emits only rounds `next_round..`, and consumers splice the
+//!   pre-crash prefix with the post-resume suffix (the conformance
+//!   checker in `hm-testkit` validates such splices);
 //! - wall-clock timings — nondeterministic by nature;
 //! - the dataset — regenerated deterministically from the seed.
 //!

@@ -87,7 +87,7 @@ pub struct Snapshot {
     /// Cumulative injected-fault bookkeeping at the boundary.
     pub faults: FaultStats,
     /// Telemetry events emitted so far (including the `checkpoint` event
-    /// that announced this snapshot). Zero when the run is not traced.
+    /// that announced this snapshot). Zero when telemetry is disabled.
     pub telemetry_seq: u64,
     /// Stream fingerprints for `next_round` (see [`rng_cursors_for`]).
     pub rng_cursors: Vec<RngCursor>,

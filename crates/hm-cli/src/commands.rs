@@ -290,7 +290,6 @@ fn opts(args: &Args) -> Result<RunOpts, ArgError> {
         } else {
             Parallelism::Rayon
         },
-        trace: false,
         telemetry,
         fault: fault_plan(args)?,
         checkpoint: checkpoint_opts(args)?,

@@ -25,9 +25,8 @@ use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_optim::sgd::projected_ascent_step;
 use hm_optim::ProjectionOp;
 use hm_simnet::sampling::{sample_edges_uniform, sample_edges_weighted};
-use hm_simnet::trace::Event;
 use hm_simnet::{CommMeter, Link};
-use hm_telemetry::{Phase, TelemetryEvent};
+use hm_telemetry::{model_digest, Phase, TelemetryEvent};
 use hm_tensor::vecops;
 
 /// Configuration of a Stochastic-AFL run.
@@ -94,7 +93,6 @@ impl Algorithm for StochasticAfl {
         );
         let d = problem.num_params();
         let meter = CommMeter::new();
-        let trace = cfg.opts.make_trace();
         let mut history = History::default();
         let mut avg_w = IterateAverage::new(d);
         let mut avg_p = IterateAverage::new(problem.num_edges());
@@ -150,10 +148,6 @@ impl Algorithm for StochasticAfl {
                 StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
             let q64: Vec<f64> = q.iter().map(|&x| f64::from(x).max(0.0)).collect();
             let sampled = sample_edges_weighted(&q64, cfg.m_clients, &mut e_rng);
-            trace.record(|| Event::Phase1EdgesSampled {
-                round: k,
-                edges: sampled.clone(),
-            });
             let (distinct, counts) = multiplicities(&sampled);
             // Two-layer method: "edges" are sampled client ids.
             tel.record(|| TelemetryEvent::Phase1Sampled {
@@ -170,10 +164,6 @@ impl Algorithm for StochasticAfl {
                 u64::MAX,
             ));
             let u_set = sample_edges_uniform(n, cfg.m_clients, &mut u_rng);
-            trace.record(|| Event::Phase2EdgesSampled {
-                round: k,
-                edges: u_set.clone(),
-            });
             prof.record(tel, Phase::Phase1Sampling, Some(k), None, sampling_span);
 
             // One broadcast serves both sets; meter the union.
@@ -228,10 +218,15 @@ impl Algorithm for StochasticAfl {
             let models: Vec<&[f32]> = results.iter().map(|(m, _)| m.as_slice()).collect();
             vecops::weighted_average_into(&models, &weights, &mut w);
             prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-            trace.record(|| Event::GlobalAggregation { round: k });
-            tel.record(|| TelemetryEvent::Phase1Done {
-                round: k,
-                elapsed_s: phase1_timer.elapsed_s(),
+            tel.record(|| {
+                let elapsed_s = phase1_timer.elapsed_s();
+                let (w_digest, nonfinite) = model_digest(&w);
+                TelemetryEvent::Phase1Done {
+                    round: k,
+                    w_digest,
+                    nonfinite,
+                    elapsed_s,
+                }
             });
 
             // Mixture-weight ascent on the unbiased estimate.
@@ -245,10 +240,6 @@ impl Algorithm for StochasticAfl {
             projected_ascent_step(&mut q, &v, cfg.eta_q, &q_domain);
             prof.record(tel, Phase::DualUpdate, Some(k), None, dual_span);
             let p_edge = q_to_edge_p(problem, &q);
-            trace.record(|| Event::WeightUpdate {
-                round: k,
-                p: p_edge.clone(),
-            });
             tel.record(|| TelemetryEvent::DualUpdate {
                 round: k,
                 edges: u_set.clone(),
@@ -314,7 +305,6 @@ impl Algorithm for StochasticAfl {
             avg_p: avg_p.mean(),
             history,
             comm: comm_final,
-            trace,
             faults: Default::default(),
             quarantine: Default::default(),
             churn: Default::default(),
@@ -339,7 +329,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,
-                trace: false,
                 ..Default::default()
             },
         }

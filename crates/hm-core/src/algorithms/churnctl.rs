@@ -6,9 +6,8 @@
 //! that join mid-run, keeping the [`ClientRoster`] the block phase
 //! enumerates in sync with the membership, re-projecting the fairness
 //! weights `p` onto the simplex over surviving edges after a permanent
-//! edge failure, and emitting the `ChurnRound` trace event plus the
-//! unsequenced `churn`/`rehome` telemetry records the conformance
-//! automaton and report tooling consume.
+//! edge failure, and emitting the unsequenced `churn`/`rehome` telemetry
+//! records the conformance replay and report tooling consume.
 //!
 //! An inert plan ([`ChurnPlan::is_none`]) makes the controller a zero-cost
 //! no-op: no RNG draws, no events, `roster()` returns `None` so the
@@ -19,7 +18,6 @@ use super::hier_common::{ClientRoster, QuarantineCtl};
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
-use hm_simnet::trace::{Event, Trace};
 use hm_simnet::{ActiveTopology, ChurnPlan, ChurnStats, RoundChurn};
 use hm_telemetry::{Telemetry, TelemetryEvent};
 
@@ -112,7 +110,6 @@ impl ChurnCtl {
         round: usize,
         p: &mut [f32],
         quarantine: &mut QuarantineCtl,
-        trace: &Trace,
         tel: &Telemetry,
     ) -> RoundChurn {
         if !self.active() {
@@ -128,18 +125,11 @@ impl ChurnCtl {
         let (_, _, members, _) = self.topo.parts();
         self.roster.sync_members(members);
         quarantine.ensure_clients(self.topo.id_bound());
-        trace.record(|| Event::ChurnRound {
-            round,
-            left: rc.left.clone(),
-            failed_edges: rc.failed_edges.clone(),
-            rehomed: rc.rehomed.clone(),
-            joined: rc.joined.clone(),
-        });
         tel.record_unsequenced(|| TelemetryEvent::Churn {
             round,
-            joins: rc.joined.len() as u64,
-            leaves: rc.left.len() as u64,
-            edge_failures: rc.failed_edges.len() as u64,
+            joined: rc.joined.clone(),
+            left: rc.left.clone(),
+            failed_edges: rc.failed_edges.clone(),
             rehomed: rc.rehomed.len() as u64,
         });
         for &(client, from_edge, to_edge) in &rc.rehomed {
@@ -231,14 +221,7 @@ mod tests {
         assert!(ctl.roster().is_none());
         let mut p = vec![0.5, 0.25, 0.25];
         let mut q = QuarantineCtl::new(0.0, 0, 6);
-        let rc = ctl.begin_round(
-            &fp,
-            0,
-            &mut p,
-            &mut q,
-            &Trace::enabled(),
-            &Telemetry::disabled(),
-        );
+        let rc = ctl.begin_round(&fp, 0, &mut p, &mut q, &Telemetry::disabled());
         assert!(rc.is_empty());
         assert_eq!(p, vec![0.5, 0.25, 0.25]);
         assert_eq!(ctl.stats(), ChurnStats::default());
@@ -269,14 +252,7 @@ mod tests {
         let mut ctl = ChurnCtl::new(&fp, &plan, 3);
         let mut p = vec![0.2, 0.3, 0.5];
         let mut q = QuarantineCtl::new(0.0, 0, 6);
-        ctl.begin_round(
-            &fp,
-            0,
-            &mut p,
-            &mut q,
-            &Trace::disabled(),
-            &Telemetry::disabled(),
-        );
+        ctl.begin_round(&fp, 0, &mut p, &mut q, &Telemetry::disabled());
         // Rate 1.0 kills all but the guarded last up edge.
         let up = ctl.up_edges();
         assert_eq!(up.len(), 1);
@@ -298,14 +274,7 @@ mod tests {
         };
         let mut ctl = ChurnCtl::new(&fp, &plan, 3);
         let mut q = QuarantineCtl::new(0.0, 0, 6);
-        ctl.begin_round(
-            &fp,
-            0,
-            &mut [],
-            &mut q,
-            &Trace::disabled(),
-            &Telemetry::disabled(),
-        );
+        ctl.begin_round(&fp, 0, &mut [], &mut q, &Telemetry::disabled());
         let up = ctl.up_edges();
         assert_eq!(up.len(), 1);
         // All the mass sat on edges that died.
@@ -328,14 +297,7 @@ mod tests {
         let mut p = fp.initial_p();
         let mut q = QuarantineCtl::new(0.0, 0, 6);
         for k in 0..6 {
-            ctl.begin_round(
-                &fp,
-                k,
-                &mut p,
-                &mut q,
-                &Trace::disabled(),
-                &Telemetry::disabled(),
-            );
+            ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
         }
         let bytes = ctl.checkpoint_bytes(2);
         let mut fresh = ChurnCtl::new(&fp, &plan, 13);
@@ -346,23 +308,9 @@ mod tests {
         assert_eq!(fresh.id_bound(), ctl.id_bound());
         // The restored controller continues identically.
         let mut p2 = p.clone();
-        let a = ctl.begin_round(
-            &fp,
-            6,
-            &mut p,
-            &mut q,
-            &Trace::disabled(),
-            &Telemetry::disabled(),
-        );
+        let a = ctl.begin_round(&fp, 6, &mut p, &mut q, &Telemetry::disabled());
         let mut q2 = QuarantineCtl::new(0.0, 0, 6);
-        let b = fresh.begin_round(
-            &fp,
-            6,
-            &mut p2,
-            &mut q2,
-            &Trace::disabled(),
-            &Telemetry::disabled(),
-        );
+        let b = fresh.begin_round(&fp, 6, &mut p2, &mut q2, &Telemetry::disabled());
         assert_eq!(a, b);
         assert_eq!(p, p2);
     }

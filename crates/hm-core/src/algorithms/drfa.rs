@@ -27,9 +27,8 @@ use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_optim::sgd::projected_ascent_step;
 use hm_optim::ProjectionOp;
 use hm_simnet::sampling::{sample_edges_uniform, sample_edges_weighted};
-use hm_simnet::trace::Event;
 use hm_simnet::{CommMeter, Link};
-use hm_telemetry::{Phase, TelemetryEvent};
+use hm_telemetry::{model_digest, Phase, TelemetryEvent};
 use hm_tensor::vecops;
 
 /// Configuration of a DRFA run.
@@ -99,7 +98,6 @@ impl Algorithm for Drfa {
         );
         let d = problem.num_params();
         let meter = CommMeter::new();
-        let trace = cfg.opts.make_trace();
         let mut history = History::default();
         let mut avg_w = IterateAverage::new(d);
         let mut avg_p = IterateAverage::new(problem.num_edges());
@@ -155,20 +153,11 @@ impl Algorithm for Drfa {
                 StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
             let q64: Vec<f64> = q.iter().map(|&x| f64::from(x).max(0.0)).collect();
             let sampled = sample_edges_weighted(&q64, cfg.m_clients, &mut e_rng);
-            trace.record(|| Event::Phase1EdgesSampled {
-                round: k,
-                edges: sampled.clone(),
-            });
             let (distinct, counts) = multiplicities(&sampled);
 
             let mut c_rng =
                 StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
             let t_prime = c_rng.below(cfg.tau1);
-            trace.record(|| Event::CheckpointSampled {
-                round: k,
-                c1: t_prime,
-                c2: 0,
-            });
             // Two-layer method: "edges" are sampled client ids; the single
             // checkpoint coordinate t' maps onto c1.
             tel.record(|| TelemetryEvent::Phase1Sampled {
@@ -212,14 +201,15 @@ impl Algorithm for Drfa {
             let mut w_checkpoint = vec![0.0_f32; d];
             vecops::weighted_average_into(&cps, &weights, &mut w_checkpoint);
             prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-            trace.record(|| Event::GlobalAggregation { round: k });
-            trace.record(|| Event::GlobalModel {
-                round: k,
-                w: w.clone(),
-            });
-            tel.record(|| TelemetryEvent::Phase1Done {
-                round: k,
-                elapsed_s: phase1_timer.elapsed_s(),
+            tel.record(|| {
+                let elapsed_s = phase1_timer.elapsed_s();
+                let (w_digest, nonfinite) = model_digest(&w);
+                TelemetryEvent::Phase1Done {
+                    round: k,
+                    w_digest,
+                    nonfinite,
+                    elapsed_s,
+                }
             });
 
             // Round 2: uniform set evaluates the checkpoint model.
@@ -232,10 +222,6 @@ impl Algorithm for Drfa {
                 u64::MAX,
             ));
             let u_set = sample_edges_uniform(n, cfg.m_clients, &mut u_rng);
-            trace.record(|| Event::Phase2EdgesSampled {
-                round: k,
-                edges: u_set.clone(),
-            });
             meter.record_broadcast(Link::ClientCloud, d as u64, u_set.len() as u64);
             let losses: Vec<f64> = cfg.opts.parallelism.map_ref(&u_set, |&c| {
                 let mut rng = StreamRng::for_key(StreamKey::new(
@@ -262,10 +248,6 @@ impl Algorithm for Drfa {
             projected_ascent_step(&mut q, &v, cfg.eta_q * cfg.tau1 as f32, &q_domain);
             prof.record(tel, Phase::DualUpdate, Some(k), None, dual_span);
             let p_edge = q_to_edge_p(problem, &q);
-            trace.record(|| Event::WeightUpdate {
-                round: k,
-                p: p_edge.clone(),
-            });
             tel.record(|| TelemetryEvent::DualUpdate {
                 round: k,
                 edges: u_set.clone(),
@@ -332,7 +314,6 @@ impl Algorithm for Drfa {
             avg_p: avg_p.mean(),
             history,
             comm: comm_final,
-            trace,
             faults: Default::default(),
             quarantine: Default::default(),
             churn: Default::default(),
@@ -358,7 +339,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,
-                trace: false,
                 ..Default::default()
             },
         }

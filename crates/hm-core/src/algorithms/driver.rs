@@ -42,11 +42,10 @@ use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_optim::sgd::projected_ascent_step;
 use hm_simnet::sampling::{sample_checkpoint, sample_edges_uniform, sample_edges_weighted};
-use hm_simnet::trace::{Event, Trace};
 use hm_simnet::{
     CommMeter, FaultInjector, FaultKind, FaultStats, Link, MsgChannel, Quantizer, QuarantineStats,
 };
-use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
+use hm_telemetry::{model_digest, Phase, Profiler, Telemetry, TelemetryEvent};
 
 /// Snapshot extras section holding the stale-round streak of a run with
 /// a `max_stale_rounds` cap and no churn (the churn section carries it
@@ -185,7 +184,7 @@ pub(crate) struct StragglerClock {
 }
 
 /// One run in progress: the problem, the spec, the cloud's view of the
-/// network (fault oracle, meter, trace, telemetry, profiler) and the
+/// network (fault oracle, meter, telemetry, profiler) and the
 /// shapes derived from the spec. The lifecycle steps are its methods;
 /// [`run`] holds the state that carries across rounds.
 struct Driver<'a> {
@@ -194,7 +193,6 @@ struct Driver<'a> {
     spec: RoundSpec<'a>,
     fault: FaultInjector,
     meter: CommMeter,
-    trace: Trace,
     tel: &'a Telemetry,
     prof: &'a Profiler,
     /// Model dimension.
@@ -250,7 +248,6 @@ pub(crate) fn run(
         // plan makes no RNG draws.
         fault: FaultInjector::new(seed, opts.fault.clone().with_dropout(spec.dropout)),
         meter: CommMeter::new(),
-        trace: opts.make_trace(),
         tel: &opts.telemetry,
         prof: &opts.profile,
         d: problem.num_params(),
@@ -366,7 +363,7 @@ pub(crate) fn run(
         // re-homed), joins, and `p` re-projected onto the surviving
         // simplex. HierFAVG has no weights to re-project.
         let fair: &mut [f32] = if spec.dual.is_some() { &mut p } else { &mut [] };
-        churn.begin_round(problem, k, fair, &mut quarantine, &dv.trace, tel);
+        churn.begin_round(problem, k, fair, &mut quarantine, tel);
 
         // ---- Phase 1: model update ---------------------------------------
         let (sampled, cp, round_secs) = dv.draw(k, &p, &churn, &mut clock);
@@ -406,9 +403,15 @@ pub(crate) fn run(
             &churn,
             cp.is_some(),
         );
-        tel.record(|| TelemetryEvent::Phase1Done {
-            round: k,
-            elapsed_s: phase1_timer.elapsed_s(),
+        tel.record(|| {
+            let elapsed_s = phase1_timer.elapsed_s();
+            let (w_digest, nonfinite) = model_digest(&w);
+            TelemetryEvent::Phase1Done {
+                round: k,
+                w_digest,
+                nonfinite,
+                elapsed_s,
+            }
         });
 
         // ---- Phase 2: edge weight update ---------------------------------
@@ -447,11 +450,6 @@ pub(crate) fn run(
         let adv_now = dv.fault.adversary_stats();
         if dv.fault.has_adversary() {
             let ad = adv_now.since(&adv_prev);
-            dv.trace.record(|| Event::AdversaryRound {
-                round: k,
-                corrupted: ad.corrupted_updates,
-                attack: opts.fault.attack.as_str(),
-            });
             tel.record_unsequenced(|| TelemetryEvent::Adversary {
                 round: k,
                 corrupted: ad.corrupted_updates,
@@ -461,10 +459,6 @@ pub(crate) fn run(
         quarantine.end_round(k, &dv.fault, tel);
         adv_prev = adv_now;
         let comm_now = dv.meter.snapshot();
-        dv.trace.record(|| Event::RoundComm {
-            round: k,
-            delta: comm_now.since(&comm_prev),
-        });
         let slots_done = (k + 1) * slots;
         tel.record(|| TelemetryEvent::RoundEnd {
             round: k,
@@ -543,21 +537,13 @@ pub(crate) fn run(
         quarantine: dv.fault.adversary_stats(),
         faults: faults_final,
         churn: churn.stats(),
-        trace: dv.trace,
     };
     Ok((result, clock))
 }
 
 impl Driver<'_> {
-    /// Record one edge-level fault in the trace and the telemetry stream.
+    /// Record one edge-level fault in the telemetry stream.
     fn record_fault(&self, round: usize, edge: usize, kind: FaultKind, attempts: usize) {
-        self.trace.record(|| Event::EdgeFault {
-            round,
-            level: 0,
-            edge,
-            kind,
-            attempts,
-        });
         self.tel.record(|| TelemetryEvent::Fault {
             round,
             kind: kind.as_str().into(),
@@ -661,10 +647,6 @@ impl Driver<'_> {
                 sampled
             }
         };
-        self.trace.record(|| Event::Phase1EdgesSampled {
-            round: k,
-            edges: sampled.clone(),
-        });
         // Only its base coordinates `(c1, c2)` are reported; under
         // heterogeneous rates each edge redraws its own block.
         let cp = self.spec.dual.map(|_| {
@@ -673,10 +655,6 @@ impl Driver<'_> {
                 .draw_checkpoint(self.seed, k, self.spec.tau1)
         });
         let c1c2 = cp.as_deref().map(base_checkpoint);
-        if let Some((c1, c2)) = c1c2 {
-            self.trace
-                .record(|| Event::CheckpointSampled { round: k, c1, c2 });
-        }
         self.tel.record(|| TelemetryEvent::Phase1Sampled {
             round: k,
             edges: sampled.clone(),
@@ -708,10 +686,6 @@ impl Driver<'_> {
         let (active, active_counts) = (pick(&distinct, &up), pick(&counts, &up));
         self.meter
             .record_broadcast(Link::EdgeCloud, payload, active.len() as u64);
-        self.trace.record(|| Event::CloudBroadcast {
-            round: k,
-            recipients: active.clone(),
-        });
         let got = self.delivered(k, MsgChannel::Phase1Down, &active, payload);
         (pick(&active, &got), pick(&active_counts, &got))
     }
@@ -745,7 +719,6 @@ impl Driver<'_> {
             seed: self.seed,
             meter: &self.meter,
             par: self.spec.opts.parallelism,
-            trace: &self.trace,
             telemetry: self.tel,
             profile: self.prof,
             aggregator: self.spec.opts.aggregator,
@@ -950,11 +923,6 @@ impl Driver<'_> {
         }
         self.prof
             .record(self.tel, Phase::Aggregation, Some(k), None, agg_span);
-        self.trace.record(|| Event::GlobalAggregation { round: k });
-        self.trace.record(|| Event::GlobalModel {
-            round: k,
-            w: w.to_vec(),
-        });
         w_checkpoint
     }
 
@@ -972,10 +940,6 @@ impl Driver<'_> {
             u64::MAX,
         ));
         let (pool, m, u_set) = sample_up(churn, self.n_units, self.spec.sampler.m(), &mut u_rng);
-        self.trace.record(|| Event::Phase2EdgesSampled {
-            round: k,
-            edges: u_set.clone(),
-        });
         // Cloud → U^(k): the evaluation model, relayed to the clients. A
         // unit that is out, or whose downlink is lost after retries,
         // contributes v = 0: the estimate shrinks toward zero instead of
@@ -1047,10 +1011,6 @@ impl Driver<'_> {
         churn.reproject_weights(p);
         self.prof
             .record(self.tel, Phase::DualUpdate, Some(k), None, dual_span);
-        self.trace.record(|| Event::WeightUpdate {
-            round: k,
-            p: p.to_vec(),
-        });
         self.tel.record(|| TelemetryEvent::DualUpdate {
             round: k,
             edges: est.clone(),

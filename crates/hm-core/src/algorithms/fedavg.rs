@@ -12,9 +12,8 @@ use crate::history::History;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_simnet::sampling::sample_edges_uniform;
-use hm_simnet::trace::Event;
 use hm_simnet::{CommMeter, Link};
-use hm_telemetry::{Phase, TelemetryEvent};
+use hm_telemetry::{model_digest, Phase, TelemetryEvent};
 use hm_tensor::vecops;
 
 /// Configuration of a FedAvg run.
@@ -78,7 +77,6 @@ impl Algorithm for FedAvg {
         );
         let d = problem.num_params();
         let meter = CommMeter::new();
-        let trace = cfg.opts.make_trace();
         let mut history = History::default();
         let mut avg_w = IterateAverage::new(d);
         let mut avg_p = IterateAverage::new(problem.num_edges());
@@ -129,10 +127,6 @@ impl Algorithm for FedAvg {
             let mut s_rng =
                 StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
             let sampled = sample_edges_uniform(n, cfg.m_clients, &mut s_rng);
-            trace.record(|| Event::Phase1EdgesSampled {
-                round: k,
-                edges: sampled.clone(),
-            });
             // Two-layer method: the "edges" here are sampled client ids.
             tel.record(|| TelemetryEvent::Phase1Sampled {
                 round: k,
@@ -171,14 +165,15 @@ impl Algorithm for FedAvg {
             let models: Vec<&[f32]> = results.iter().map(|(m, _)| m.as_slice()).collect();
             vecops::weighted_average_into(&models, &weights, &mut w);
             prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-            trace.record(|| Event::GlobalAggregation { round: k });
-            trace.record(|| Event::GlobalModel {
-                round: k,
-                w: w.clone(),
-            });
-            tel.record(|| TelemetryEvent::Phase1Done {
-                round: k,
-                elapsed_s: phase1_timer.elapsed_s(),
+            tel.record(|| {
+                let elapsed_s = phase1_timer.elapsed_s();
+                let (w_digest, nonfinite) = model_digest(&w);
+                TelemetryEvent::Phase1Done {
+                    round: k,
+                    w_digest,
+                    nonfinite,
+                    elapsed_s,
+                }
             });
             let comm_now = meter.snapshot();
             let slots_done = (k + 1) * cfg.tau1;
@@ -239,7 +234,6 @@ impl Algorithm for FedAvg {
             avg_p: avg_p.mean(),
             history,
             comm: comm_final,
-            trace,
             faults: Default::default(),
             quarantine: Default::default(),
             churn: Default::default(),
@@ -263,7 +257,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,
-                trace: false,
                 ..Default::default()
             },
         }

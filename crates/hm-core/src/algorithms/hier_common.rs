@@ -15,8 +15,8 @@
 //!    Inside a chain the edge's clients train one after another, in slot
 //!    order, on the chain's thread, reusing its thread-local scratch
 //!    ([`hm_nn::with_scratch`]); the edge aggregates after every block.
-//! 3. After the join, trace and telemetry events are replayed in protocol
-//!    order (`replay_events`).
+//! 3. After the join, the blocks' `block_agg` telemetry events are
+//!    replayed in protocol order (`replay_events`).
 //!
 //! Results are bit-identical across executors (`tests/determinism.rs`)
 //! and to the naive reference round in `hm-testkit`
@@ -29,7 +29,6 @@ use crate::localsgd::local_sgd_into;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
-use hm_simnet::trace::{Event, Trace};
 use hm_simnet::{CommMeter, FaultInjector, Link, Parallelism, Quantizer, StragglerFate};
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::{vecops, Aggregator};
@@ -203,7 +202,6 @@ pub(crate) struct EdgeBlockParams<'a> {
     pub seed: u64,
     pub meter: &'a CommMeter,
     pub par: Parallelism,
-    pub trace: &'a Trace,
     pub telemetry: &'a Telemetry,
     /// Span profiler. Per-edge chain durations are measured inside the
     /// workers (wall-clock only — never consulted by the computation) and
@@ -249,17 +247,6 @@ struct RoundSchedule {
     corrupt: Vec<bool>,
     /// Surviving uploads per block (`[t2]`).
     block_survivors: Vec<u64>,
-}
-
-impl RoundSchedule {
-    fn survivors_of_edge(&self, slots: &SlotMap, t2: usize, ei: usize) -> usize {
-        let base = t2 * slots.n_slots();
-        let r = slots.range(ei);
-        self.alive[base + r.start..base + r.end]
-            .iter()
-            .filter(|&&a| a)
-            .count()
-    }
 }
 
 fn compute_schedule(p: &EdgeBlockParams<'_>, slots: &SlotMap) -> RoundSchedule {
@@ -346,50 +333,26 @@ fn meter_round(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedul
     }
 }
 
-/// Replay the round's protocol events after the parallel join, in protocol
-/// order: per block, `LocalSteps` for every survivor in slot order, then
-/// per edge (with at least one survivor) the checkpoint capture, the
-/// aggregation event, and the telemetry record.
+/// Replay the round's `block_agg` events after the parallel join, in
+/// protocol order: per block, one per edge with at least one survivor,
+/// listing the clients it aggregated in slot order.
 fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedule) {
-    let ne = p.edges.len();
     let n_slots = slots.n_slots();
     for t2 in 0..p.tau2 {
-        let is_cp_block = p.checkpoint.map(|(_, c2)| c2 == t2).unwrap_or(false);
-        for ei in 0..ne {
-            for slot in slots.range(ei) {
-                if schedule.alive[t2 * n_slots + slot] {
-                    p.trace.record(|| Event::LocalSteps {
-                        round: p.round,
-                        t2,
-                        edge: p.edges[ei],
-                        client: slots.gids[slot],
-                        steps: p.tau1,
-                    });
-                }
-            }
-        }
-        for ei in 0..ne {
-            let survivors = schedule.survivors_of_edge(slots, t2, ei);
-            if survivors == 0 {
+        let alive = &schedule.alive[t2 * n_slots..(t2 + 1) * n_slots];
+        for (ei, &edge) in p.edges.iter().enumerate() {
+            if !alive[slots.range(ei)].contains(&true) {
                 continue;
             }
-            if is_cp_block {
-                p.trace.record(|| Event::CheckpointCaptured {
-                    round: p.round,
-                    edge: p.edges[ei],
-                    t2,
-                });
-            }
-            p.trace.record(|| Event::ClientEdgeAggregation {
-                round: p.round,
-                edge: p.edges[ei],
-                t2,
-            });
             p.telemetry.record(|| TelemetryEvent::BlockAggregated {
                 round: p.round,
-                edge: p.edges[ei],
+                edge,
                 t2,
-                survivors,
+                clients: slots
+                    .range(ei)
+                    .filter(|&slot| alive[slot])
+                    .map(|slot| slots.gids[slot])
+                    .collect(),
             });
         }
     }
@@ -834,9 +797,13 @@ mod tests {
     use super::*;
     use hm_data::scenarios::tiny_problem;
     use hm_simnet::FaultPlan;
+    use hm_telemetry::MemorySink;
+    use std::sync::Arc;
 
-    fn meter_and_trace() -> (CommMeter, Trace) {
-        (CommMeter::new(), Trace::enabled())
+    /// A telemetry handle recording into a fresh in-memory sink.
+    fn recorder() -> (Telemetry, Arc<MemorySink>) {
+        let sink = Arc::new(MemorySink::new());
+        (Telemetry::with_sink(sink.clone()), sink)
     }
 
     #[test]
@@ -851,7 +818,8 @@ mod tests {
     fn edge_blocks_run_and_meter() {
         let sc = tiny_problem(3, 2, 1);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let (meter, trace) = meter_and_trace();
+        let meter = CommMeter::new();
+        let (tel, sink) = recorder();
         let fi = FaultInjector::none(42);
         let w0 = vec![0.0; fp.num_params()];
         let out = run_edge_blocks(EdgeBlockParams {
@@ -871,8 +839,7 @@ mod tests {
             seed: 42,
             meter: &meter,
             par: Parallelism::Sequential,
-            trace: &trace,
-            telemetry: &Telemetry::disabled(),
+            telemetry: &tel,
             profile: &Profiler::disabled(),
             aggregator: Aggregator::Mean,
             quarantined: &[],
@@ -896,13 +863,25 @@ mod tests {
         assert_eq!(s.downlink_floats(Link::ClientEdge), 3 * 2 * 2 * d);
         // Uplink: (2 plain blocks × d + 1 checkpoint block × 2d) × 4 clients.
         assert_eq!(s.uplink_floats(Link::ClientEdge), (2 * d + 2 * d) * 4);
-        // Trace recorded τ2 aggregations per edge.
-        let events = trace.events();
-        let aggs = events
+        // τ2 aggregations per edge, each over both of its clients.
+        let events = sink.events();
+        let aggs: Vec<(usize, usize, &[usize])> = events
             .iter()
-            .filter(|e| matches!(e, Event::ClientEdgeAggregation { .. }))
-            .count();
-        assert_eq!(aggs, 2 * 3);
+            .filter_map(|e| match e {
+                TelemetryEvent::BlockAggregated {
+                    edge, t2, clients, ..
+                } => Some((*t2, *edge, clients.as_slice())),
+                _ => None,
+            })
+            .collect();
+        let topo = fp.topology();
+        let want: Vec<(usize, usize, Vec<usize>)> = (0..3)
+            .flat_map(|t2| [0, 2].map(|e| (t2, e, topo.clients_of(e).collect())))
+            .collect();
+        assert_eq!(aggs.len(), want.len());
+        for ((t2, e, got), (wt2, we, want)) in aggs.iter().zip(&want) {
+            assert_eq!((t2, e, *got), (wt2, we, want.as_slice()));
+        }
     }
 
     #[test]
@@ -911,7 +890,7 @@ mod tests {
         // that is the broadcast global model itself.
         let sc = tiny_problem(2, 2, 3);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let (meter, trace) = (CommMeter::new(), Trace::disabled());
+        let meter = CommMeter::new();
         let fi = FaultInjector::none(7);
         let w0 = vec![0.25; fp.num_params()];
         let out = run_edge_blocks(EdgeBlockParams {
@@ -931,7 +910,6 @@ mod tests {
             seed: 7,
             meter: &meter,
             par: Parallelism::Sequential,
-            trace: &trace,
             telemetry: &Telemetry::disabled(),
             profile: &Profiler::disabled(),
             aggregator: Aggregator::Mean,
@@ -943,16 +921,20 @@ mod tests {
     }
 
     /// Run one round on the given executor, returning the outputs plus
-    /// the meter totals and trace events.
+    /// the meter totals and telemetry events.
     fn run_one(
         fp: &FederatedProblem,
         fault: FaultPlan,
         par: Parallelism,
         quantizer: Quantizer,
         aggregator: Aggregator,
-    ) -> (Vec<EdgeBlockOutput>, hm_simnet::CommStats, Vec<Event>) {
+    ) -> (
+        Vec<EdgeBlockOutput>,
+        hm_simnet::CommStats,
+        Vec<TelemetryEvent>,
+    ) {
         let meter = CommMeter::new();
-        let trace = Trace::enabled();
+        let (tel, sink) = recorder();
         let fi = FaultInjector::new(11, fault);
         let out = run_edge_blocks(EdgeBlockParams {
             problem: fp,
@@ -971,21 +953,20 @@ mod tests {
             seed: 11,
             meter: &meter,
             par,
-            trace: &trace,
-            telemetry: &Telemetry::disabled(),
+            telemetry: &tel,
             profile: &Profiler::disabled(),
             aggregator,
             quarantined: &[],
             track_norms: true,
             roster: None,
         });
-        (out, meter.snapshot(), trace.events())
+        (out, meter.snapshot(), sink.events())
     }
 
     #[test]
     fn parallel_and_sequential_agree() {
         // Identical models, checkpoints, norm observables, meter totals
-        // and trace event *order* on both executors, under faults,
+        // and telemetry event *order* on both executors, under faults,
         // quantization, Byzantine uploads and every robust aggregator.
         let sc = tiny_problem(3, 3, 9);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
@@ -1035,7 +1016,7 @@ mod tests {
                 assert_eq!(x.client_norms, y.client_norms, "{tag}: norms diverged");
             }
             assert_eq!(am, bm, "{tag}: meter totals diverged");
-            assert_eq!(ae, be, "{tag}: trace event order diverged");
+            assert_eq!(ae, be, "{tag}: event order diverged");
         }
     }
 
@@ -1050,7 +1031,7 @@ mod tests {
         let benched = topo.client_id(0, 0);
         until[benched] = 10;
         let meter = CommMeter::new();
-        let trace = Trace::enabled();
+        let (tel, sink) = recorder();
         let fi = FaultInjector::none(5);
         let out = run_edge_blocks(EdgeBlockParams {
             problem: &fp,
@@ -1069,19 +1050,20 @@ mod tests {
             seed: 5,
             meter: &meter,
             par: Parallelism::Sequential,
-            trace: &trace,
-            telemetry: &Telemetry::disabled(),
+            telemetry: &tel,
             profile: &Profiler::disabled(),
             aggregator: Aggregator::Mean,
             quarantined: &until,
             track_norms: true,
             roster: None,
         });
-        // The benched client never ran (no LocalSteps events) and was
-        // counted once per block.
-        assert!(trace.events().iter().all(|e| !matches!(
+        // The benched client was never aggregated and was counted once per
+        // block.
+        let events = sink.events();
+        assert_eq!(events.len(), 2 * 2, "both edges aggregate both blocks");
+        assert!(events.iter().all(|e| matches!(
             e,
-            Event::LocalSteps { client, .. } if *client == benched
+            TelemetryEvent::BlockAggregated { clients, .. } if !clients.contains(&benched)
         )));
         assert_eq!(fi.adversary_stats().excluded_uploads, 2);
         assert_eq!(out[0].client_norms[0], (0.0, 0));

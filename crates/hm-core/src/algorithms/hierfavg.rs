@@ -126,7 +126,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,
-                trace: false,
                 ..Default::default()
             },
         }

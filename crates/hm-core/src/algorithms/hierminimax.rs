@@ -191,7 +191,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,
-                trace: true,
                 ..Default::default()
             },
         }
@@ -220,7 +219,6 @@ mod tests {
         let sc = tiny_problem(3, 2, 2);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
         let mut cfg = quick_cfg(3);
-        cfg.opts.trace = false;
         cfg.opts.parallelism = Parallelism::Sequential;
         let a = HierMinimax::new(cfg.clone()).run(&fp, 7);
         cfg.opts.parallelism = Parallelism::Rayon;
@@ -253,36 +251,25 @@ mod tests {
     }
 
     #[test]
-    fn trace_contains_protocol_events() {
-        use hm_simnet::trace::Event;
+    fn stream_contains_protocol_events() {
+        use hm_telemetry::{MemorySink, Telemetry, TelemetryEvent};
+        use std::sync::Arc;
         let sc = tiny_problem(3, 2, 4);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let r = HierMinimax::new(quick_cfg(2)).run(&fp, 9);
-        let events = r.trace.events();
-        let phase1 = events
-            .iter()
-            .filter(|e| matches!(e, Event::Phase1EdgesSampled { .. }))
-            .count();
-        let phase2 = events
-            .iter()
-            .filter(|e| matches!(e, Event::Phase2EdgesSampled { .. }))
-            .count();
-        let cps = events
-            .iter()
-            .filter(|e| matches!(e, Event::CheckpointSampled { .. }))
-            .count();
-        let wu = events
-            .iter()
-            .filter(|e| matches!(e, Event::WeightUpdate { .. }))
-            .count();
-        assert_eq!(phase1, 2);
-        assert_eq!(phase2, 2);
-        assert_eq!(cps, 2);
-        assert_eq!(wu, 2);
-        // Checkpoint indices are within [τ1]×[τ2].
+        let sink = Arc::new(MemorySink::new());
+        let mut cfg = quick_cfg(2);
+        cfg.opts.telemetry = Telemetry::with_sink(sink.clone());
+        HierMinimax::new(cfg).run(&fp, 9);
+        let events = sink.events();
+        let count = |kind: &str| events.iter().filter(|e| e.kind() == kind).count();
+        assert_eq!(count("phase1"), 2);
+        assert_eq!(count("phase1_done"), 2);
+        assert_eq!(count("dual_update"), 2);
+        // Every round draws a checkpoint index within [τ1]×[τ2].
         for e in &events {
-            if let Event::CheckpointSampled { c1, c2, .. } = e {
-                assert!(*c1 < 2 && *c2 < 2);
+            if let TelemetryEvent::Phase1Sampled { checkpoint, .. } = e {
+                let (c1, c2) = checkpoint.expect("minimax rounds draw a checkpoint");
+                assert!(c1 < 2 && c2 < 2);
             }
         }
     }

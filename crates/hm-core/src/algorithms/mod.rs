@@ -53,7 +53,6 @@ pub use qffl::{QFedAvg, QfflConfig};
 use crate::history::History;
 use crate::metrics::evaluate;
 use crate::problem::FederatedProblem;
-use hm_simnet::trace::Trace;
 use hm_simnet::{
     ChurnPlan, ChurnStats, CommStats, FaultPlan, FaultStats, Parallelism, QuarantineStats,
 };
@@ -74,11 +73,11 @@ pub struct RunOpts {
     /// [`Parallelism::from_env`]), which is how CI runs the whole suite
     /// under both executors.
     pub parallelism: Parallelism,
-    /// Collect a protocol [`Trace`] (off by default; used by tests).
-    pub trace: bool,
     /// Structured run telemetry (disabled by default; see `hm-telemetry`
     /// and DESIGN.md §10). A disabled handle costs one branch per
-    /// round-boundary event and cannot perturb the run.
+    /// round-boundary event and cannot perturb the run. The stream is the
+    /// run's one event log: the conformance replay in `hm-testkit` checks
+    /// it against Algorithm 1 (DESIGN.md §9).
     pub telemetry: Telemetry,
     /// Deterministic fault injection (see `hm_simnet::fault` and
     /// DESIGN.md §11). The default all-zero plan makes no RNG draws, so a
@@ -137,7 +136,6 @@ impl Default for RunOpts {
         Self {
             eval_every: 10,
             parallelism: Parallelism::from_env(),
-            trace: false,
             telemetry: Telemetry::disabled(),
             fault: FaultPlan::default(),
             checkpoint: crate::checkpoint::CheckpointOpts::default(),
@@ -156,15 +154,6 @@ impl RunOpts {
     pub fn should_eval(&self, k: usize, rounds: usize) -> bool {
         let last = k + 1 == rounds;
         last || (self.eval_every > 0 && (k + 1).is_multiple_of(self.eval_every))
-    }
-
-    /// Build the trace handle for a run.
-    pub fn make_trace(&self) -> Trace {
-        if self.trace {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        }
     }
 
     /// Emit the one-shot unsequenced `aggregator_summary` telemetry event.
@@ -200,8 +189,6 @@ pub struct RunResult {
     pub history: History,
     /// Final cumulative communication counters.
     pub comm: CommStats,
-    /// Protocol trace (empty unless requested in [`RunOpts`]).
-    pub trace: Trace,
     /// Cumulative injected-fault bookkeeping (all zeros for fault-free
     /// runs and for the flat baselines, which ignore the fault plan).
     pub faults: FaultStats,

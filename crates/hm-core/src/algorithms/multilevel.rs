@@ -301,7 +301,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,
-                trace: true,
                 ..Default::default()
             },
         }
@@ -411,7 +410,6 @@ mod tests {
             }],
             2,
         );
-        cfg.opts.trace = false;
         let a = MultiLevelMinimax::new(cfg.clone()).run(&fp, 11);
         cfg.opts.parallelism = Parallelism::Rayon;
         let b = MultiLevelMinimax::new(cfg).run(&fp, 11);

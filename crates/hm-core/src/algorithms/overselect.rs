@@ -162,9 +162,12 @@ impl Algorithm for OverselectMinimax {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hm_data::rng::{Purpose, StreamKey, StreamRng};
     use hm_data::scenarios::tiny_problem;
-    use hm_simnet::trace::Event;
+    use hm_simnet::sampling::sample_edges_weighted;
     use hm_simnet::Parallelism;
+    use hm_telemetry::{MemorySink, Telemetry, TelemetryEvent};
+    use std::sync::Arc;
 
     fn cfg(m_over: usize, speeds: Vec<f64>, rounds: usize) -> OverselectConfig {
         OverselectConfig {
@@ -182,7 +185,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,
-                trace: true,
                 ..Default::default()
             },
         }
@@ -218,18 +220,35 @@ mod tests {
         let sc = tiny_problem(4, 2, 62);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
         let speeds = vec![1.0, 2.0, 3.0, 4.0];
-        let r = OverselectMinimax::new(cfg(4, speeds.clone(), 10)).run_timed(&fp, 7);
-        for e in r.run.trace.events() {
-            if let Event::Phase1EdgesSampled { edges, .. } = e {
-                assert_eq!(edges.len(), 2);
-                // Each kept edge must be at least as fast as the slowest
-                // possible pair member: with all 4 sampled, the kept pair
-                // is always the two fastest distinct draws, so edge 3
-                // (the slowest) can appear only if drawn ≥ 3 times.
-                let max_speed = edges.iter().map(|&i| speeds[i]).fold(0.0, f64::max);
-                assert!(max_speed <= 4.0);
+        let sink = Arc::new(MemorySink::new());
+        let mut c = cfg(4, speeds.clone(), 10);
+        c.opts.telemetry = Telemetry::with_sink(sink.clone());
+        OverselectMinimax::new(c).run_timed(&fp, 7);
+        // Replay every round's draw: 4 edges ∝ the round's starting p from
+        // its sampling stream, stable-sorted by speed, the first 2 kept.
+        let mut p = vec![0.25_f32; 4];
+        let mut rounds = 0;
+        for e in sink.events() {
+            match e {
+                TelemetryEvent::Phase1Sampled { round, edges, .. } => {
+                    let mut rng = StreamRng::for_key(StreamKey::new(
+                        7,
+                        Purpose::EdgeSampling,
+                        round as u64,
+                        0,
+                    ));
+                    let p64: Vec<f64> = p.iter().map(|&x| f64::from(x)).collect();
+                    let mut kept = sample_edges_weighted(&p64, 4, &mut rng);
+                    kept.sort_by(|&a, &b| speeds[a].total_cmp(&speeds[b]));
+                    kept.truncate(2);
+                    assert_eq!(edges, kept, "round {round}");
+                    rounds += 1;
+                }
+                TelemetryEvent::DualUpdate { p: next, .. } => p = next,
+                _ => {}
             }
         }
+        assert_eq!(rounds, 10);
     }
 
     #[test]

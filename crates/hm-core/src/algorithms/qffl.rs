@@ -28,7 +28,6 @@ use crate::localsgd::estimate_loss;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_simnet::sampling::sample_edges_uniform;
-use hm_simnet::trace::Event;
 use hm_simnet::{CommMeter, Link};
 use hm_telemetry::Phase;
 use hm_tensor::vecops;
@@ -105,7 +104,6 @@ impl Algorithm for QFedAvg {
         let d = problem.num_params();
         let big_l = f64::from(1.0 / cfg.eta_w);
         let meter = CommMeter::new();
-        let trace = cfg.opts.make_trace();
         let mut history = History::default();
         let mut avg_w = IterateAverage::new(d);
         let mut avg_p = IterateAverage::new(problem.num_edges());
@@ -143,10 +141,6 @@ impl Algorithm for QFedAvg {
             let mut s_rng =
                 StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
             let sampled = sample_edges_uniform(n, cfg.m_clients, &mut s_rng);
-            trace.record(|| Event::Phase1EdgesSampled {
-                round: k,
-                edges: sampled.clone(),
-            });
             prof.record(tel, Phase::Phase1Sampling, Some(k), None, sampling_span);
 
             meter.record_broadcast(Link::ClientCloud, d as u64, sampled.len() as u64);
@@ -206,7 +200,6 @@ impl Algorithm for QFedAvg {
                 problem.w_domain.project(&mut w);
             }
             prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-            trace.record(|| Event::GlobalAggregation { round: k });
 
             finish_round(
                 problem,
@@ -244,7 +237,6 @@ impl Algorithm for QFedAvg {
             avg_p: avg_p.mean(),
             history,
             comm: meter.snapshot(),
-            trace,
             faults: Default::default(),
             quarantine: Default::default(),
             churn: Default::default(),
@@ -270,7 +262,6 @@ mod tests {
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Sequential,
-                trace: false,
                 ..Default::default()
             },
         }

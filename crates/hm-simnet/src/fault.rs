@@ -58,7 +58,7 @@ impl MsgChannel {
     }
 }
 
-/// The fault classes, as reported in traces and telemetry.
+/// The fault classes, as reported in telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// A sampled edge server is down for the whole round.

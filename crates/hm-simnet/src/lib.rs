@@ -19,18 +19,19 @@
 //! - [`quantize`] — unbiased stochastic model quantization (the
 //!   Hier-Local-QSGD extension of the paper's reference \[22\]) with the
 //!   matching wire-cost model.
-//! - [`trace`] — an optional structured event log used by integration
-//!   tests to assert protocol-level behaviour (who was sampled, what was
-//!   aggregated when).
 //! - [`fault`] — deterministic fault injection (client crashes, edge
 //!   outages, message loss with retry/backoff, stragglers, Byzantine
 //!   update corruption), keyed off the
 //!   same RNG-stream discipline so faulty runs stay bit-reproducible and
 //!   conformance-checkable.
-
 //! - [`churn`] — deterministic membership churn (clients leave/join, edge
 //!   servers fail permanently with client re-homing), same keyed-stream
 //!   discipline as [`fault`].
+//!
+//! The samplers, [`FaultPlan`]'s decision functions and [`ActiveTopology`]
+//! are pure functions of `(seed, round, entity)`: the runs call them, and
+//! so does the conformance replay in `hm-testkit`, which checks a run's
+//! telemetry stream against its own re-derivation of every decision.
 
 pub mod churn;
 pub mod comm;
@@ -40,7 +41,6 @@ pub mod latency;
 pub mod quantize;
 pub mod sampling;
 pub mod topology;
-pub mod trace;
 
 pub use churn::{ActiveTopology, ChurnPlan, ChurnStats, RoundChurn, CHURN_PRESETS, NO_CHURN};
 pub use comm::{CommMeter, CommStats, Link};

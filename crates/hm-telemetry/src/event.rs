@@ -54,13 +54,19 @@ pub enum TelemetryEvent {
         edge: usize,
         /// Block index `t2` within the round, 0-based.
         t2: usize,
-        /// Clients that survived dropout and contributed.
-        survivors: usize,
+        /// Global ids of the clients whose uploads the edge aggregated
+        /// (those that survived crashes and the straggler deadline), in
+        /// slot order.
+        clients: Vec<usize>,
     },
     /// Phase 1 (primal work) of a round finished.
     Phase1Done {
         /// Round index.
         round: usize,
+        /// [`model_digest`] of the aggregated global model `w^(k+1)`.
+        w_digest: u64,
+        /// Non-finite entries of `w^(k+1)`.
+        nonfinite: usize,
         /// Real elapsed seconds of phase 1 (monotonic clock; `0.0` when the
         /// handle is disabled).
         elapsed_s: f64,
@@ -70,9 +76,10 @@ pub enum TelemetryEvent {
     DualUpdate {
         /// Round index.
         round: usize,
-        /// The uniformly sampled edge set `U^(k)`.
+        /// The edges of the uniformly sampled set `U^(k)` whose loss
+        /// estimate arrived (the rest were out or unreachable).
         edges: Vec<usize>,
-        /// Loss estimates for each sampled edge, aligned with `edges`.
+        /// Loss estimates for each estimating edge, aligned with `edges`.
         losses: Vec<f64>,
         /// Post-projection weights `p^(k+1)` over all edges.
         p: Vec<f32>,
@@ -158,13 +165,14 @@ pub enum TelemetryEvent {
     Churn {
         /// Round index.
         round: usize,
-        /// Clients that joined this round.
-        joins: u64,
+        /// `(client, home_edge)` of each client that joined this round.
+        joined: Vec<(usize, usize)>,
         /// Clients that permanently left this round.
-        leaves: u64,
-        /// Edge servers that failed permanently this round.
-        edge_failures: u64,
-        /// Clients re-homed off a failed edge this round.
+        left: Vec<usize>,
+        /// Edge servers that failed permanently this round, ascending.
+        failed_edges: Vec<usize>,
+        /// Clients re-homed off a failed edge this round (one `rehome`
+        /// event each follows).
         rehomed: u64,
     },
     /// A client was re-homed from a failed edge onto a survivor.
@@ -286,6 +294,36 @@ pub fn comm_to_json(s: &CommStats) -> String {
     w.finish()
 }
 
+/// Digest of a model's bits and the count of its non-finite entries, in
+/// one pass: FNV-1a over each entry's `f32` bit pattern in four
+/// interleaved lanes, folded together with the length.
+///
+/// Every step is a bijection of the lane state, so changing any entry's
+/// bits (by one ULP, or `0.0` to `-0.0`) changes the digest. This is the
+/// `w_digest` of `phase1_done`; tests compare it with a reference model's.
+pub fn model_digest(w: &[f32]) -> (u64, usize) {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+    let mut lanes = [OFFSET; 4];
+    let mut nonfinite = 0;
+    let mut chunks = w.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &x) in lanes.iter_mut().zip(chunk) {
+            *lane = step(*lane, u64::from(x.to_bits()));
+            nonfinite += usize::from(!x.is_finite());
+        }
+    }
+    for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = step(*lane, u64::from(x.to_bits()));
+        nonfinite += usize::from(!x.is_finite());
+    }
+    let digest = lanes
+        .iter()
+        .fold(step(OFFSET, w.len() as u64), |h, &lane| step(h, lane));
+    (digest, nonfinite)
+}
+
 impl TelemetryEvent {
     /// The `"ev"` kind tag this event serializes under.
     pub fn kind(&self) -> &'static str {
@@ -354,15 +392,23 @@ impl TelemetryEvent {
                 round,
                 edge,
                 t2,
-                survivors,
+                clients,
             } => {
                 w.usize("round", *round)
                     .usize("edge", *edge)
                     .usize("t2", *t2)
-                    .usize("survivors", *survivors);
+                    .arr_usize("clients", clients);
             }
-            TelemetryEvent::Phase1Done { round, elapsed_s } => {
-                w.usize("round", *round).f64("elapsed_s", *elapsed_s);
+            TelemetryEvent::Phase1Done {
+                round,
+                w_digest,
+                nonfinite,
+                elapsed_s,
+            } => {
+                w.usize("round", *round)
+                    .str("w_digest", &format!("{w_digest:016x}"))
+                    .usize("nonfinite", *nonfinite)
+                    .f64("elapsed_s", *elapsed_s);
             }
             TelemetryEvent::DualUpdate {
                 round,
@@ -478,15 +524,15 @@ impl TelemetryEvent {
             }
             TelemetryEvent::Churn {
                 round,
-                joins,
-                leaves,
-                edge_failures,
+                joined,
+                left,
+                failed_edges,
                 rehomed,
             } => {
                 w.usize("round", *round)
-                    .u64("joins", *joins)
-                    .u64("leaves", *leaves)
-                    .u64("edge_failures", *edge_failures)
+                    .arr_pairs("joined", joined)
+                    .arr_usize("left", left)
+                    .arr_usize("failed_edges", failed_edges)
                     .u64("rehomed", *rehomed);
             }
             TelemetryEvent::Rehome {
@@ -585,10 +631,12 @@ mod tests {
                 round: 0,
                 edge: 2,
                 t2: 1,
-                survivors: 4,
+                clients: vec![4, 5],
             },
             TelemetryEvent::Phase1Done {
                 round: 0,
+                w_digest: 0x0123_4567_89ab_cdef,
+                nonfinite: 0,
                 elapsed_s: 0.01,
             },
             TelemetryEvent::DualUpdate {
@@ -660,9 +708,9 @@ mod tests {
             },
             TelemetryEvent::Churn {
                 round: 0,
-                joins: 2,
-                leaves: 1,
-                edge_failures: 1,
+                joined: vec![(8, 0), (9, 2)],
+                left: vec![3],
+                failed_edges: vec![1],
                 rehomed: 3,
             },
             TelemetryEvent::Rehome {
@@ -708,6 +756,49 @@ mod tests {
         let v = parse(&e.to_json()).unwrap();
         assert!(v.get("c1").unwrap().is_null());
         assert!(v.get("c2").unwrap().is_null());
+    }
+
+    /// Thirteen entries cover all four lanes and a one-entry remainder.
+    #[test]
+    fn model_digest_sees_one_ulp_at_every_index() {
+        let w: Vec<f32> = (0..13).map(|i| 0.25 * i as f32 - 1.0).collect();
+        let (base, nonfinite) = model_digest(&w);
+        assert_eq!(nonfinite, 0);
+        for i in 0..w.len() {
+            let mut v = w.clone();
+            v[i] = f32::from_bits(v[i].to_bits() + 1);
+            assert_ne!(model_digest(&v).0, base, "one ULP at index {i}");
+        }
+        assert_ne!(model_digest(&w[..12]).0, base, "length is folded in");
+    }
+
+    #[test]
+    fn model_digest_counts_every_non_finite_entry() {
+        let w = [1.0, f32::NAN, 2.0, f32::INFINITY, f32::NEG_INFINITY, 0.0];
+        assert_eq!(model_digest(&w).1, 3);
+        for x in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(model_digest(&[0.5, x]).1, 1, "{x}");
+        }
+    }
+
+    #[test]
+    fn model_digest_tells_signed_zeros_apart() {
+        assert_ne!(model_digest(&[0.0]).0, model_digest(&[-0.0]).0);
+    }
+
+    #[test]
+    fn phase1_done_writes_the_digest_as_hex() {
+        let e = TelemetryEvent::Phase1Done {
+            round: 0,
+            w_digest: 0xab,
+            nonfinite: 0,
+            elapsed_s: 0.0,
+        };
+        let v = parse(&e.to_json()).unwrap();
+        assert_eq!(
+            v.get("w_digest").unwrap().as_str(),
+            Some("00000000000000ab")
+        );
     }
 
     #[test]

@@ -141,6 +141,20 @@ impl ObjWriter {
         self
     }
 
+    /// Array of `[a, b]` pairs of `usize`.
+    pub fn arr_pairs(&mut self, k: &str, v: &[(usize, usize)]) -> &mut Self {
+        self.key(k);
+        self.buf.push('[');
+        for (i, (a, b)) in v.iter().enumerate() {
+            if i > 0 {
+                self.buf.push(',');
+            }
+            let _ = write!(self.buf, "[{a},{b}]");
+        }
+        self.buf.push(']');
+        self
+    }
+
     /// Array of `f64` (non-finite entries become `null`).
     pub fn arr_f64(&mut self, k: &str, v: &[f64]) -> &mut Self {
         self.key(k);

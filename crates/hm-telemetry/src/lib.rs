@@ -12,7 +12,8 @@
 //!
 //! 1. **Zero cost when off.** A disabled handle is a `None`; every
 //!    `record` call is one branch and the event payload is never built
-//!    (closure form, like `hm_simnet::trace::Trace`). Timers started on a
+//!    (closure form), so the per-round [`model_digest`] of `phase1_done`
+//!    is computed only when a sink listens. Timers started on a
 //!    disabled handle never call `Instant::now`. The training hot path
 //!    (`local_sgd`) is not instrumented at all — telemetry observes round
 //!    boundaries, where the run already synchronises.
@@ -26,6 +27,9 @@
 //!
 //! The event schema is documented in `DESIGN.md` §10 and enforced by
 //! [`schema::validate_stream`], which CI runs on every smoke-test stream.
+//! The stream is a run's one event log: it carries every protocol fact
+//! the conformance replay in `hm-testkit` checks against Algorithm 1
+//! (DESIGN.md §9).
 //! Per-phase wall-clock profiling (span timers, fixed-bucket histograms,
 //! the `span`/`profile_summary` events) lives in [`profile`] and is
 //! documented in `DESIGN.md` §13.
@@ -36,7 +40,7 @@ pub mod profile;
 pub mod schema;
 pub mod sink;
 
-pub use event::{comm_to_json, TelemetryEvent};
+pub use event::{comm_to_json, model_digest, TelemetryEvent};
 pub use profile::{Phase, PhaseAgg, Profiler, SpanAggregator, SpanTimer};
 pub use schema::{
     validate_line, validate_stream, validate_stream_strict, SchemaError, StreamSummary,

@@ -23,6 +23,10 @@ enum Ty {
     Num,
     /// Array of non-negative integers.
     ArrUInt,
+    /// Array of `[a, b]` pairs of non-negative integers.
+    ArrPairUInt,
+    /// A 64-bit digest: a string of 16 lowercase hex digits.
+    Hex64,
     /// Array of numbers/nulls.
     ArrNum,
     /// Non-negative integer or `null` (checkpoint coordinates).
@@ -55,9 +59,14 @@ fn fields_for(kind: &str) -> Option<&'static [(&'static str, Ty)]> {
             ("round", Ty::UInt),
             ("edge", Ty::UInt),
             ("t2", Ty::UInt),
-            ("survivors", Ty::UInt),
+            ("clients", Ty::ArrUInt),
         ],
-        "phase1_done" => &[("round", Ty::UInt), ("elapsed_s", Ty::Num)],
+        "phase1_done" => &[
+            ("round", Ty::UInt),
+            ("w_digest", Ty::Hex64),
+            ("nonfinite", Ty::UInt),
+            ("elapsed_s", Ty::Num),
+        ],
         "dual_update" => &[
             ("round", Ty::UInt),
             ("edges", Ty::ArrUInt),
@@ -109,9 +118,9 @@ fn fields_for(kind: &str) -> Option<&'static [(&'static str, Ty)]> {
         ],
         "churn" => &[
             ("round", Ty::UInt),
-            ("joins", Ty::UInt),
-            ("leaves", Ty::UInt),
-            ("edge_failures", Ty::UInt),
+            ("joined", Ty::ArrPairUInt),
+            ("left", Ty::ArrUInt),
+            ("failed_edges", Ty::ArrUInt),
             ("rehomed", Ty::UInt),
         ],
         "rehome" => &[
@@ -202,6 +211,26 @@ fn check_ty(value: &Json, ty: Ty, field: &str) -> Result<(), SchemaError> {
         Ty::ArrUInt => match value.as_arr() {
             Some(items) if items.iter().all(|x| x.as_u64().is_some()) => Ok(()),
             _ => fail("an array of non-negative integers"),
+        },
+        Ty::ArrPairUInt => match value.as_arr() {
+            Some(items)
+                if items.iter().all(|x| {
+                    x.as_arr().is_some_and(|pair| {
+                        pair.len() == 2 && pair.iter().all(|v| v.as_u64().is_some())
+                    })
+                }) =>
+            {
+                Ok(())
+            }
+            _ => fail("an array of [integer, integer] pairs"),
+        },
+        Ty::Hex64 => match value.as_str() {
+            Some(s)
+                if s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) =>
+            {
+                Ok(())
+            }
+            _ => fail("16 lowercase hex digits"),
         },
         Ty::ArrNum => match value.as_arr() {
             Some(items) if items.iter().all(|x| matches!(x, Json::Num(_) | Json::Null)) => Ok(()),
@@ -540,10 +569,12 @@ mod tests {
                 round: 0,
                 edge: 0,
                 t2: 0,
-                survivors: 2,
+                clients: vec![0, 1],
             },
             TelemetryEvent::Phase1Done {
                 round: 0,
+                w_digest: 7,
+                nonfinite: 0,
                 elapsed_s: 0.1,
             },
             TelemetryEvent::DualUpdate {
@@ -771,9 +802,9 @@ mod tests {
         // streams keep their historical sequence numbers.
         let churn = TelemetryEvent::Churn {
             round: 0,
-            joins: 1,
-            leaves: 0,
-            edge_failures: 1,
+            joined: vec![(6, 0)],
+            left: vec![],
+            failed_edges: vec![1],
             rehomed: 2,
         };
         let rehome = TelemetryEvent::Rehome {
@@ -829,6 +860,30 @@ mod tests {
     fn rejects_wrong_type() {
         let e = validate_line(r#"{"ev":"round_start","round":"zero"}"#).unwrap_err();
         assert!(e.msg.contains("expected a non-negative integer"));
+    }
+
+    #[test]
+    fn rejects_malformed_digest_and_pairs() {
+        let done = |digest: &str| {
+            format!(
+                r#"{{"ev":"phase1_done","round":0,"w_digest":{digest},"nonfinite":0,"elapsed_s":0}}"#
+            )
+        };
+        validate_line(&done(r#""00000000000000ab""#)).unwrap();
+        for bad in [r#""ab""#, r#""00000000000000AB""#, "171"] {
+            let e = validate_line(&done(bad)).unwrap_err();
+            assert!(e.msg.contains("16 lowercase hex digits"), "{bad}: {e}");
+        }
+        let churn = |joined: &str| {
+            format!(
+                r#"{{"ev":"churn","round":0,"joined":{joined},"left":[],"failed_edges":[],"rehomed":0}}"#
+            )
+        };
+        validate_line(&churn("[[6,0],[7,1]]")).unwrap();
+        for bad in ["[6,0]", "[[6]]", "[[6,0,1]]", r#"[["6",0]]"#] {
+            let e = validate_line(&churn(bad)).unwrap_err();
+            assert!(e.msg.contains("pairs"), "{bad}: {e}");
+        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Sinks and the [`Telemetry`] handle algorithms carry.
 //!
-//! The handle mirrors `hm_simnet::trace::Trace`: a disabled handle is a
-//! `None` inside, so `record` is one branch and the event-building closure
-//! is never called. Enabling telemetry therefore cannot perturb a run —
-//! payload construction (clones of `p`, loss vectors, comm snapshots)
-//! happens only when a sink is attached, and only at round boundaries.
+//! A disabled handle is a `None` inside, so `record` is one branch and the
+//! event-building closure is never called. Enabling telemetry therefore
+//! cannot perturb a run — payload construction (clones of `p`, loss
+//! vectors, comm snapshots, the model digest) happens only when a sink is
+//! attached, and only at round boundaries.
 
 use crate::event::TelemetryEvent;
 use hm_simnet::{CommStats, LatencyModel};

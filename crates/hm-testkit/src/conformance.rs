@@ -1,83 +1,96 @@
-//! Trace conformance checking: an executable model of Algorithm 1.
+//! Stream conformance checking: an executable model of Algorithm 1.
 //!
-//! A checker replays the protocol alongside a recorded
-//! [`hm_simnet::trace::Event`] log and validates, round by round:
+//! [`check_stream`] replays the protocol alongside a run's telemetry
+//! stream (the [`TelemetryEvent`]s it emitted, DESIGN.md §10) and
+//! validates, round by round:
 //!
-//! - **Phase ordering** — events appear in exactly the order the paper's
-//!   pseudocode prescribes (Phase-1 sampling → checkpoint draw → broadcast
-//!   → `τ2` blocks of local steps and aggregations → cloud aggregation →
-//!   Phase-2 sampling → weight update → comm accounting).
-//! - **Sampling replay** — the Phase-1 multiset is re-drawn from the keyed
-//!   `EdgeSampling` stream proportionally to the *traced* `p^(k)`, the
-//!   checkpoint from the `Checkpoint` stream, and the Phase-2 set from the
-//!   `LossEstSampling` stream; the log must match the replay exactly.
+//! - **Phase ordering** — protocol events appear in exactly the order the
+//!   round driver prescribes (`round_start` → churn → Phase-1 draw →
+//!   cloud-link faults → `τ2` blocks of client-edge aggregations → uplink
+//!   faults → `phase1_done` → Phase-2 faults and `dual_update` →
+//!   `fault_summary` → `adversary` → `round_end`).
+//! - **Sampling replay** — the Phase-1 draw is re-drawn from the keyed
+//!   `EdgeSampling` stream (∝ the streamed `p^(k)`, uniform over the up
+//!   edges, or over-selected and cut to the fastest), the checkpoint from
+//!   the `Checkpoint` stream, and the Phase-2 set `U^(k)` from the
+//!   `LossEstSampling` stream; the stream must match the replay exactly.
+//!   Every edge of `U^(k)` must show up as a `fault` event or in
+//!   `dual_update.edges`.
 //! - **Checkpoint bounds** — `(c1, c2) ∈ [τ1] × [τ2]`, checked before the
 //!   equality so an off-by-one surfaces as
 //!   [`ConformanceError::CheckpointOutOfRange`].
-//! - **Participation structure** — which clients perform local steps in
-//!   each block is re-derived from the keyed `Dropout` stream (replicating
-//!   the `dropout == 0` no-draw fast path), and per-edge aggregation /
-//!   checkpoint-capture events must match the survivor sets.
-//! - **Fault replay** — the run's [`hm_simnet::FaultPlan`] streams
-//!   (edge outages, per-channel message loss with bounded retries, client
-//!   crashes and straggler deadlines) are re-drawn alongside the log:
-//!   every injected fault must appear as an [`Event::EdgeFault`] in
-//!   protocol order with the replayed kind and attempt count, broadcast
-//!   recipients must equal the post-outage active set, and survivor-only
-//!   participation must match the delivery replay. A fully-failed round
-//!   must still emit its aggregation events (the stale-round path).
-//! - **Adversary replay** — when the plan has a Byzantine adversary
-//!   (`corrupt_rate > 0`), the per-round corrupted-upload count is
-//!   re-drawn from the keyed `Adversary` stream over the surviving slots
-//!   of every block, and the round's [`Event::AdversaryRound`] must carry
-//!   exactly that count and the plan's attack tag. Honest traces must not
-//!   contain the event at all, so a forged adversary record is rejected
-//!   just like a forged fault.
-//! - **Churn replay** — when the run has an active
-//!   [`hm_simnet::ChurnPlan`], the checker maintains its own
-//!   [`ActiveTopology`] mirror and re-derives every round's membership
-//!   transitions (leaves, joins, edge failures and the deterministic
-//!   re-homing moves) from the keyed `Churn` stream; the round's
-//!   [`Event::ChurnRound`] must match the replay exactly, so a forged
-//!   leave, join or re-homing move is rejected. The mirror's member
-//!   lists drive the participation, fault and comm models below, and
-//!   the tracked `p` is re-projected onto the surviving simplex exactly
-//!   like the run whenever an edge fails.
-//! - **Communication accounting** — every [`Event::RoundComm`] delta is
-//!   compared counter-by-counter against a closed-form model of the
-//!   round's float/message/round costs on all three links, including the
-//!   per-attempt retransmission costs of retried and given-up deliveries.
-//! - **Feasibility** — every [`Event::WeightUpdate`] iterate must lie in
-//!   the constrained set `P` (via
-//!   [`ProjectionOp::feasibility_violation`]), and every
-//!   [`Event::GlobalModel`] must be finite and of dimension `d`.
+//! - **Participation structure** — which clients each edge aggregates in
+//!   each block (`block_agg.clients`, in slot order) is re-derived from
+//!   the keyed crash and straggler streams over the edge's member list,
+//!   and `round_end.slots` must be `(k+1)·τ1·τ2` (times `Π τ_l` up a
+//!   tree).
+//! - **Fault replay** — the run's [`FaultPlan`] streams (edge outages,
+//!   per-channel message loss with bounded retries, client crashes and
+//!   straggler deadlines) are re-drawn alongside the stream: every
+//!   injected cloud-link fault must appear as a `fault` event in protocol
+//!   order with the replayed kind and attempt count, and each round's
+//!   `fault_summary` must carry the replayed counts. A `fault` event the
+//!   replay did not draw is a [`ConformanceError::FaultMismatch`] wherever
+//!   it appears.
+//! - **Adversary replay** — when the plan has a Byzantine adversary, the
+//!   per-round corrupted-upload count is re-drawn from the keyed
+//!   `Adversary` stream over the surviving slots of every block, and the
+//!   round's `adversary` event must carry exactly that count and the
+//!   plan's attack tag. Honest streams must not contain the event at all.
+//! - **Churn replay** — with an active [`hm_simnet::ChurnPlan`], the
+//!   checker keeps its own [`ActiveTopology`] and re-derives every
+//!   round's leaves, joins, edge failures and re-homing moves from the
+//!   keyed `Churn` stream; the `churn` event and its `rehome` events must
+//!   match the replay exactly. The mirror's member lists drive the
+//!   participation, fault and comm models, and the tracked `p` is
+//!   re-projected onto the surviving simplex whenever an edge fails.
+//! - **Communication accounting** — every `round_end.comm_delta` is
+//!   compared counter by counter with a closed-form model of the round's
+//!   float/message/round costs on all three links, including the doubled
+//!   upload of the checkpoint block and one full payload per replayed
+//!   retransmission.
+//! - **Feasibility and health** — every `dual_update.p` must lie in the
+//!   constrained set `P` (via [`ProjectionOp::feasibility_violation`]),
+//!   and every `phase1_done` must report zero non-finite parameters.
 //!
-//! The multi-level checker validates the cloud-level protocol (sampling,
-//! checkpoint, aggregation order, exact comm accounting including the
-//! recursive intermediate-level costs); client-level events of inner
-//! subtrees are keyed by position tags rather than the round index and are
-//! deliberately skipped.
+//! One replay serves HierMinimax, HierFAVG, MultiLevel and Overselect.
+//! Like the round driver (DESIGN.md §7c) it is parameterized by three
+//! policies — the Phase-1 sampler, the block phase and an optional dual
+//! step — which [`Protocol`] builds from each algorithm's config. It stays an independent model: it calls `hm-simnet`'s pure
+//! decision functions (samplers, [`FaultPlan`], [`ActiveTopology`]),
+//! never `hm-core`'s driver.
+//!
+//! The replay reads protocol events strictly. It skips only observer
+//! kinds — `span`, `profile_summary`, `eval`, `checkpoint`,
+//! `aggregator_summary` and the run framing (`run_start`, `run_resume`,
+//! `run_end`) — plus, for MultiLevel, the inner `block_agg` events, whose
+//! `round` field is a position tag. MultiLevel is checked at the cloud
+//! level, with the recursive intermediate-level comm cost in closed form.
+//!
+//! [`ProjectionOp::feasibility_violation`]: hm_optim::ProjectionOp::feasibility_violation
 
-use hm_core::algorithms::{HierFavgConfig, HierMinimaxConfig, MultiLevelConfig};
+use hm_core::algorithms::{
+    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, OverselectConfig, RunOpts, UpperLevel,
+};
 use hm_core::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_simnet::sampling::{sample_checkpoint, sample_edges_uniform, sample_edges_weighted};
-use hm_simnet::trace::Event;
 use hm_simnet::{
-    ActiveTopology, ChurnPlan, CommStats, FaultKind, FaultPlan, Link, MsgChannel, RoundChurn,
+    ActiveTopology, CommStats, FaultKind, FaultPlan, Link, MsgChannel, Quantizer, RoundChurn,
     StragglerFate,
 };
+use hm_telemetry::TelemetryEvent;
 use std::fmt;
 
-/// Feasibility slack for traced weight iterates: the projections are exact
-/// up to f32 rounding, so anything beyond this is a protocol violation,
-/// not noise.
+/// Feasibility slack for streamed weight iterates: the projections are
+/// exact up to f32 rounding, so anything beyond this is a protocol
+/// violation, not noise.
 const FEASIBILITY_TOL: f64 = 1e-4;
 
-/// A violation found while replaying a trace against the protocol model.
+/// A violation found while replaying a stream against the protocol model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConformanceError {
-    /// The log ended while the model still expected an event.
+    /// The stream ended while the model still expected an event.
     TraceEnded {
         /// Round being checked.
         round: usize,
@@ -101,16 +114,16 @@ pub enum ConformanceError {
         phase: &'static str,
         /// The replayed (correct) sample.
         expected: Vec<usize>,
-        /// The traced sample.
+        /// The streamed sample.
         actual: Vec<usize>,
     },
     /// A checkpoint index left `[τ1] × [τ2]`.
     CheckpointOutOfRange {
         /// Round being checked.
         round: usize,
-        /// Traced local-step index.
+        /// Streamed local-step index.
         c1: usize,
-        /// Traced block index.
+        /// Streamed block index.
         c2: usize,
         /// Local steps per block.
         tau1: usize,
@@ -123,19 +136,11 @@ pub enum ConformanceError {
         round: usize,
         /// The replayed (correct) index.
         expected: (usize, usize),
-        /// The traced index.
+        /// The streamed index.
         actual: (usize, usize),
     },
-    /// Broadcast recipients differ from the distinct sampled ids.
-    BroadcastMismatch {
-        /// Round being checked.
-        round: usize,
-        /// Expected recipients (first-seen order).
-        expected: Vec<usize>,
-        /// Traced recipients.
-        actual: Vec<usize>,
-    },
-    /// A local-step event contradicts the survivor replay.
+    /// A block's aggregated clients, or the round's slot count,
+    /// contradict the survivor replay.
     LocalStepsMismatch {
         /// Round being checked.
         round: usize,
@@ -144,16 +149,16 @@ pub enum ConformanceError {
         /// What went wrong.
         detail: String,
     },
-    /// An aggregation / checkpoint-capture event is out of order or
-    /// attributed to the wrong edge.
+    /// A `block_agg` event is out of order or attributed to the wrong
+    /// edge or block.
     AggregationMismatch {
         /// Round being checked.
         round: usize,
         /// What went wrong.
         detail: String,
     },
-    /// A global model iterate has the wrong dimension or non-finite
-    /// entries.
+    /// A global model reported non-finite parameters, or a weight vector
+    /// is malformed.
     BadModel {
         /// Round being checked.
         round: usize,
@@ -167,8 +172,9 @@ pub enum ConformanceError {
         /// Largest constraint violation.
         violation: f64,
     },
-    /// An injected-fault event contradicts the keyed fault-stream replay
-    /// (wrong kind, wrong entity, wrong attempt count, or missing).
+    /// A fault, fault-summary or adversary event contradicts the keyed
+    /// fault-stream replay (wrong kind, entity, attempt count or count,
+    /// missing, or never drawn).
     FaultMismatch {
         /// Round being checked.
         round: usize,
@@ -185,20 +191,20 @@ pub enum ConformanceError {
         counter: &'static str,
         /// Closed-form value.
         expected: u64,
-        /// Traced value.
+        /// Streamed value.
         actual: u64,
     },
-    /// A membership-churn event contradicts the keyed churn-stream replay
-    /// (forged leave/join/failure/re-homing move, or missing event).
+    /// A `churn` or `rehome` event contradicts the keyed churn-stream
+    /// replay (forged leave/join/failure/re-homing move, or missing event).
     ChurnMismatch {
         /// Round being checked.
         round: usize,
         /// What went wrong.
         detail: String,
     },
-    /// Events remained after the final round's accounting.
+    /// Protocol events remained after the final round.
     TrailingEvents {
-        /// Number of leftover events.
+        /// Number of leftover protocol events.
         count: usize,
     },
 }
@@ -207,7 +213,7 @@ impl fmt::Display for ConformanceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::TraceEnded { round, expected } => {
-                write!(f, "round {round}: trace ended, expected {expected}")
+                write!(f, "round {round}: stream ended, expected {expected}")
             }
             Self::UnexpectedEvent {
                 round,
@@ -241,26 +247,15 @@ impl fmt::Display for ConformanceError {
                 f,
                 "round {round}: checkpoint {actual:?} != replay {expected:?}"
             ),
-            Self::BroadcastMismatch {
-                round,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "round {round}: broadcast to {actual:?}, expected {expected:?}"
-            ),
             Self::LocalStepsMismatch { round, t2, detail } => {
                 write!(f, "round {round} block {t2}: {detail}")
             }
-            Self::AggregationMismatch { round, detail } => {
-                write!(f, "round {round}: {detail}")
-            }
-            Self::BadModel { round, detail } => write!(f, "round {round}: {detail}"),
+            Self::AggregationMismatch { round, detail }
+            | Self::BadModel { round, detail }
+            | Self::FaultMismatch { round, detail }
+            | Self::ChurnMismatch { round, detail } => write!(f, "round {round}: {detail}"),
             Self::InfeasibleWeights { round, violation } => {
                 write!(f, "round {round}: weights violate P by {violation}")
-            }
-            Self::FaultMismatch { round, detail } => {
-                write!(f, "round {round}: {detail}")
             }
             Self::CommMismatch {
                 round,
@@ -272,9 +267,6 @@ impl fmt::Display for ConformanceError {
                 f,
                 "round {round}: {link} {counter} = {actual}, expected {expected}"
             ),
-            Self::ChurnMismatch { round, detail } => {
-                write!(f, "round {round}: {detail}")
-            }
             Self::TrailingEvents { count } => {
                 write!(f, "{count} trailing events after the final round")
             }
@@ -289,284 +281,241 @@ impl std::error::Error for ConformanceError {}
 pub struct ConformanceReport {
     /// Training rounds validated.
     pub rounds: usize,
-    /// Events consumed by the automaton.
+    /// Stream events read, observers included.
     pub events: usize,
-    /// Client local-step executions validated against the dropout replay.
+    /// Client uploads (one per client per block) validated against the
+    /// survivor replay.
     pub local_steps: usize,
-    /// Checkpoint captures observed.
+    /// Checkpoint-block aggregations observed.
     pub checkpoints: usize,
-    /// Injected-fault events validated against the fault-stream replay.
+    /// `fault` and `adversary` events validated against the fault-stream
+    /// replay.
     pub faults: usize,
 }
 
-/// Strict event cursor: the automaton consumes the log front to back.
-struct Cursor<'a> {
-    events: &'a [Event],
-    pos: usize,
+/// How the cloud picks a round's Phase-1 participants (the driver's
+/// sampler policy).
+#[derive(Debug, Clone, Copy)]
+enum Sampler<'a> {
+    /// `m` draws ∝ `p` with replacement (HierMinimax, MultiLevel).
+    Weighted(usize),
+    /// `m` distinct edges, uniform over the edges still up (HierFAVG).
+    Uniform(usize),
+    /// `m_over` draws ∝ `p`, stable-sorted by seconds per slot, the first
+    /// `m` kept (Overselect).
+    Fastest {
+        m: usize,
+        m_over: usize,
+        seconds_per_slot: &'a [f64],
+    },
 }
 
-impl<'a> Cursor<'a> {
-    fn new(events: &'a [Event]) -> Self {
-        Self { events, pos: 0 }
+impl Sampler<'_> {
+    /// Reports the cloud uses per round; Phase 2 samples as many.
+    fn m(&self) -> usize {
+        match *self {
+            Sampler::Weighted(m) | Sampler::Uniform(m) | Sampler::Fastest { m, .. } => m,
+        }
     }
+}
 
+/// What a participant runs between the broadcast and its upload (the
+/// driver's block policy).
+#[derive(Debug, Clone, Copy)]
+enum Blocks<'a> {
+    /// `τ2` client-edge blocks per participating edge, each replayed
+    /// against its `block_agg` events.
+    Edges,
+    /// MultiLevel's tree over the upper levels (top first); its inner
+    /// events are skipped and its cost is checked in closed form.
+    Tree(&'a [UpperLevel]),
+}
+
+impl Blocks<'_> {
+    fn upper(&self) -> &[UpperLevel] {
+        match *self {
+            Blocks::Edges => &[],
+            Blocks::Tree(upper) => upper,
+        }
+    }
+}
+
+/// The protocol one run followed: shared hyper-parameters and the three
+/// policies. Built from an algorithm config with `From`.
+#[derive(Debug, Clone, Copy)]
+pub struct Protocol<'a> {
+    rounds: usize,
+    tau1: usize,
+    /// Client-edge blocks per edge-level aggregation.
+    tau2: usize,
+    quantizer: Quantizer,
+    /// Legacy per-block dropout, folded into the plan's `client_crash`.
+    dropout: f32,
+    /// The run's options (fault plan, churn plan, quarantine).
+    opts: &'a RunOpts,
+    sampler: Sampler<'a>,
+    blocks: Blocks<'a>,
+    /// Whether rounds draw a checkpoint and end with the dual step on `p`.
+    dual: bool,
+}
+
+impl<'a> From<&'a HierMinimaxConfig> for Protocol<'a> {
+    /// # Panics
+    /// Panics on heterogeneous `tau2_per_edge` configs (not modelled).
+    fn from(cfg: &'a HierMinimaxConfig) -> Self {
+        assert!(
+            cfg.tau2_per_edge.is_none(),
+            "conformance model covers homogeneous rates only"
+        );
+        Protocol {
+            rounds: cfg.rounds,
+            tau1: cfg.tau1,
+            tau2: cfg.tau2,
+            quantizer: cfg.quantizer,
+            dropout: cfg.dropout,
+            opts: &cfg.opts,
+            sampler: Sampler::Weighted(cfg.m_edges),
+            blocks: Blocks::Edges,
+            dual: true,
+        }
+    }
+}
+
+impl<'a> From<&'a HierFavgConfig> for Protocol<'a> {
+    fn from(cfg: &'a HierFavgConfig) -> Self {
+        Protocol {
+            rounds: cfg.rounds,
+            tau1: cfg.tau1,
+            tau2: cfg.tau2,
+            quantizer: cfg.quantizer,
+            dropout: cfg.dropout,
+            opts: &cfg.opts,
+            sampler: Sampler::Uniform(cfg.m_edges),
+            blocks: Blocks::Edges,
+            dual: false,
+        }
+    }
+}
+
+impl<'a> From<&'a MultiLevelConfig> for Protocol<'a> {
+    fn from(cfg: &'a MultiLevelConfig) -> Self {
+        Protocol {
+            rounds: cfg.rounds,
+            tau1: cfg.tau1,
+            tau2: cfg.tau2,
+            quantizer: Quantizer::Exact,
+            dropout: cfg.dropout,
+            opts: &cfg.opts,
+            sampler: Sampler::Weighted(cfg.m_groups),
+            blocks: Blocks::Tree(&cfg.upper),
+            dual: true,
+        }
+    }
+}
+
+impl<'a> From<&'a OverselectConfig> for Protocol<'a> {
+    fn from(cfg: &'a OverselectConfig) -> Self {
+        Protocol {
+            rounds: cfg.rounds,
+            tau1: cfg.tau1,
+            tau2: cfg.tau2,
+            quantizer: Quantizer::Exact,
+            dropout: cfg.dropout,
+            opts: &cfg.opts,
+            sampler: Sampler::Fastest {
+                m: cfg.m_edges,
+                m_over: cfg.m_over,
+                seconds_per_slot: &cfg.seconds_per_slot,
+            },
+            blocks: Blocks::Edges,
+            dual: true,
+        }
+    }
+}
+
+/// Whether the replay skips this event: observers and run framing, plus
+/// the inner `block_agg` events of a tree.
+fn is_skipped(e: &TelemetryEvent, tree: bool) -> bool {
+    match e {
+        TelemetryEvent::Span { .. }
+        | TelemetryEvent::ProfileSummary { .. }
+        | TelemetryEvent::Eval { .. }
+        | TelemetryEvent::Checkpoint { .. }
+        | TelemetryEvent::AggregatorSummary { .. }
+        | TelemetryEvent::RunStart { .. }
+        | TelemetryEvent::RunResume { .. }
+        | TelemetryEvent::RunEnd { .. } => true,
+        TelemetryEvent::BlockAggregated { .. } => tree,
+        _ => false,
+    }
+}
+
+/// Strict event cursor: the replay consumes the stream front to back.
+struct Cursor<'e> {
+    events: &'e [TelemetryEvent],
+    pos: usize,
+    tree: bool,
+}
+
+impl<'e> Cursor<'e> {
+    /// The next protocol event.
     fn next(
         &mut self,
         round: usize,
         expected: &'static str,
-    ) -> Result<&'a Event, ConformanceError> {
-        match self.events.get(self.pos) {
-            Some(e) => {
-                self.pos += 1;
-                Ok(e)
+    ) -> Result<&'e TelemetryEvent, ConformanceError> {
+        while let Some(e) = self.events.get(self.pos) {
+            self.pos += 1;
+            if !is_skipped(e, self.tree) {
+                return Ok(e);
             }
-            None => Err(ConformanceError::TraceEnded { round, expected }),
         }
+        Err(ConformanceError::TraceEnded { round, expected })
     }
 
+    /// Events read, once no protocol event remains.
     fn finish(&self) -> Result<usize, ConformanceError> {
-        if self.pos < self.events.len() {
-            Err(ConformanceError::TrailingEvents {
-                count: self.events.len() - self.pos,
-            })
+        let count = self.events[self.pos..]
+            .iter()
+            .filter(|e| !is_skipped(e, self.tree))
+            .count();
+        if count > 0 {
+            Err(ConformanceError::TrailingEvents { count })
         } else {
-            Ok(self.pos)
+            Ok(self.events.len())
         }
     }
 }
 
-fn unexpected(round: usize, expected: &'static str, actual: &Event) -> ConformanceError {
-    ConformanceError::UnexpectedEvent {
-        round,
-        expected,
-        actual: format!("{actual:?}"),
+/// The error for event `actual` found where the model expected
+/// `expected`. A `fault` the replay did not draw is a fault mismatch and
+/// a `rehome` it did not derive a churn mismatch, wherever they appear.
+fn unexpected(round: usize, expected: &'static str, actual: &TelemetryEvent) -> ConformanceError {
+    let detail = format!("expected {expected}, found {actual:?}");
+    match actual {
+        TelemetryEvent::Fault { .. } => ConformanceError::FaultMismatch { round, detail },
+        TelemetryEvent::Rehome { .. } => ConformanceError::ChurnMismatch { round, detail },
+        _ => ConformanceError::UnexpectedEvent {
+            round,
+            expected,
+            actual: format!("{actual:?}"),
+        },
     }
 }
 
-/// First-seen-order multiplicity counting (mirrors the production helper,
-/// which is crate-private by design).
-fn multiplicities(sampled: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let mut distinct: Vec<usize> = Vec::new();
-    let mut counts: Vec<usize> = Vec::new();
+/// Distinct ids in first-seen order (the cloud broadcasts once per
+/// distinct sampled unit).
+fn distinct(sampled: &[usize]) -> Vec<usize> {
+    let mut out: Vec<usize> = Vec::with_capacity(sampled.len());
     for &e in sampled {
-        match distinct.iter().position(|&x| x == e) {
-            Some(i) => counts[i] += 1,
-            None => {
-                distinct.push(e);
-                counts.push(1);
-            }
+        if !out.contains(&e) {
+            out.push(e);
         }
     }
-    (distinct, counts)
+    out
 }
 
-/// Replay the keyed client-fault streams for one block over the given
-/// per-edge member lists: `alive[ei][ci]`. A client is cut by a crash
-/// (the legacy dropout stream) or by straggling past the deadline;
-/// zero-rate plans make no draws, replicating the production fast path.
-fn replay_alive(
-    members: &[Vec<usize>],
-    round: usize,
-    tau2: usize,
-    t2: usize,
-    seed: u64,
-    plan: &FaultPlan,
-) -> Vec<Vec<bool>> {
-    let block_tag = (round * tau2 + t2) as u64;
-    members
-        .iter()
-        .map(|gids| {
-            gids.iter()
-                .map(|&client| {
-                    !plan.client_crashed(seed, block_tag, 0, client)
-                        && !matches!(
-                            plan.straggler(seed, block_tag, 0, client),
-                            StragglerFate::Missed
-                        )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Per-edge member lists the run enumerates for the given edges: the
-/// churn mirror's rosters when a plan is active, otherwise the static
-/// `client_id` layout.
-fn edge_members(
-    problem: &FederatedProblem,
-    mirror: &ActiveTopology,
-    churn_on: bool,
-    edges: &[usize],
-) -> Vec<Vec<usize>> {
-    let n0 = problem.clients_per_edge();
-    let topo = problem.topology();
-    edges
-        .iter()
-        .map(|&e| {
-            if churn_on {
-                mirror.members_of(e).to_vec()
-            } else {
-                (0..n0).map(|c| topo.client_id(e, c)).collect()
-            }
-        })
-        .collect()
-}
-
-/// Advance the churn mirror by one round and match the traced
-/// [`Event::ChurnRound`] against the replayed transitions. Any forged or
-/// missing leave, join, edge failure or re-homing move is rejected.
-fn expect_churn_round(
-    cur: &mut Cursor<'_>,
-    k: usize,
-    mirror: &mut ActiveTopology,
-    plan: &ChurnPlan,
-    seed: u64,
-) -> Result<RoundChurn, ConformanceError> {
-    let rc = mirror.apply_round(plan, seed, k);
-    match cur.next(k, "ChurnRound")? {
-        Event::ChurnRound {
-            round,
-            left,
-            failed_edges,
-            rehomed,
-            joined,
-        } if *round == k
-            && *left == rc.left
-            && *failed_edges == rc.failed_edges
-            && *rehomed == rc.rehomed
-            && *joined == rc.joined =>
-        {
-            Ok(rc)
-        }
-        other => Err(ConformanceError::ChurnMismatch {
-            round: k,
-            detail: format!(
-                "expected churn transitions left={:?} failed={:?} rehomed={:?} joined={:?}, \
-                 found {other:?}",
-                rc.left, rc.failed_edges, rc.rehomed, rc.joined
-            ),
-        }),
-    }
-}
-
-/// Consume one [`Event::EdgeFault`] and match it against the replayed
-/// fault occurrence.
-fn expect_edge_fault(
-    cur: &mut Cursor<'_>,
-    round: usize,
-    edge: usize,
-    kind: FaultKind,
-    attempts: usize,
-    report: &mut ConformanceReport,
-) -> Result<(), ConformanceError> {
-    match cur.next(round, "EdgeFault")? {
-        Event::EdgeFault {
-            round: er,
-            level,
-            edge: ee,
-            kind: ek,
-            attempts: ea,
-        } if *er == round && *level == 0 && *ee == edge && *ek == kind && *ea == attempts => {
-            report.faults += 1;
-            Ok(())
-        }
-        other => Err(ConformanceError::FaultMismatch {
-            round,
-            detail: format!(
-                "expected {} fault at edge {edge} ({attempts} attempts), found {other:?}",
-                kind.as_str()
-            ),
-        }),
-    }
-}
-
-/// Replay the per-round outage stream over sampled ids (paired with their
-/// sample multiplicities), consuming one fault event per outed id, and
-/// return the surviving `(ids, counts)`.
-fn replay_outages(
-    cur: &mut Cursor<'_>,
-    plan: &FaultPlan,
-    seed: u64,
-    round: usize,
-    ids: &[usize],
-    counts: &[usize],
-    report: &mut ConformanceReport,
-) -> Result<(Vec<usize>, Vec<usize>), ConformanceError> {
-    let mut ok_ids = Vec::with_capacity(ids.len());
-    let mut ok_counts = Vec::with_capacity(ids.len());
-    for (&e, &c) in ids.iter().zip(counts) {
-        if plan.edge_out(seed, round as u64, 0, e) {
-            expect_edge_fault(cur, round, e, FaultKind::EdgeOutage, 0, report)?;
-        } else {
-            ok_ids.push(e);
-            ok_counts.push(c);
-        }
-    }
-    Ok((ok_ids, ok_counts))
-}
-
-/// Replay of one batch of per-edge cloud-link deliveries.
-struct DeliveryReplay {
-    /// Positions (into the input id list) whose message got through.
-    delivered: Vec<usize>,
-    /// `Σ (attempts − 1)` across all messages, delivered or not — each
-    /// retransmission is metered at the full payload.
-    extra_attempts: u64,
-}
-
-/// Replay the delivery stream of one channel over the given ids, consuming
-/// one fault event per retried or given-up message.
-fn replay_deliveries(
-    cur: &mut Cursor<'_>,
-    plan: &FaultPlan,
-    seed: u64,
-    round: usize,
-    channel: MsgChannel,
-    ids: &[usize],
-    report: &mut ConformanceReport,
-) -> Result<DeliveryReplay, ConformanceError> {
-    let mut delivered = Vec::with_capacity(ids.len());
-    let mut extra_attempts = 0_u64;
-    for (i, &e) in ids.iter().enumerate() {
-        let dv = plan.delivery(seed, round as u64, 0, channel, e);
-        extra_attempts += u64::from(dv.attempts - 1);
-        let kind = if !dv.delivered {
-            Some(FaultKind::MsgGaveUp)
-        } else if dv.attempts > 1 {
-            Some(FaultKind::MsgRetried)
-        } else {
-            None
-        };
-        if let Some(kind) = kind {
-            expect_edge_fault(cur, round, e, kind, dv.attempts as usize, report)?;
-        }
-        if dv.delivered {
-            delivered.push(i);
-        }
-    }
-    Ok(DeliveryReplay {
-        delivered,
-        extra_attempts,
-    })
-}
-
-fn check_finite_model(round: usize, w: &[f32], d: usize) -> Result<(), ConformanceError> {
-    if w.len() != d {
-        return Err(ConformanceError::BadModel {
-            round,
-            detail: format!("global model has dim {}, expected {d}", w.len()),
-        });
-    }
-    if let Some(i) = w.iter().position(|x| !x.is_finite()) {
-        return Err(ConformanceError::BadModel {
-            round,
-            detail: format!("global model non-finite at coordinate {i}"),
-        });
-    }
-    Ok(())
-}
-
-/// Closed-form expectation for one round's communication counters.
+/// Closed-form expectation for one round's counters on one link.
 #[derive(Debug, Clone, Copy, Default)]
 struct LinkCost {
     down_floats: u64,
@@ -608,693 +557,36 @@ fn check_link(
     Ok(())
 }
 
-/// Validate the `run_edge_blocks` section of a round: `LocalSteps` events
-/// in edge-major survivor order, then per-edge checkpoint captures and
-/// aggregations. `members` holds the client ids each edge enumerates
-/// (roster lists under churn, the static layout otherwise). Returns
-/// per-block survivor counts.
-#[allow(clippy::too_many_arguments)]
-fn check_edge_blocks(
-    cur: &mut Cursor<'_>,
-    edges: &[usize],
-    members: &[Vec<usize>],
-    k: usize,
-    tau1: usize,
-    tau2: usize,
-    c2: Option<usize>,
-    seed: u64,
-    plan: &FaultPlan,
-    report: &mut ConformanceReport,
-) -> Result<(Vec<u64>, u64), ConformanceError> {
-    let mut survivors_per_block = Vec::with_capacity(tau2);
-    let mut corrupted = 0u64;
-    for t2 in 0..tau2 {
-        let block_tag = (k * tau2 + t2) as u64;
-        let alive = replay_alive(members, k, tau2, t2, seed, plan);
-        survivors_per_block.push(alive.iter().flatten().filter(|&&a| a).count() as u64);
-        for (ei, &edge) in edges.iter().enumerate() {
-            for (ci, &client) in members[ei].iter().enumerate() {
-                if !alive[ei][ci] {
-                    continue;
-                }
-                // Surviving uploads draw their Byzantine bit from the
-                // dedicated adversary stream, exactly as the run does.
-                if plan.has_adversary() && plan.client_corrupt(seed, block_tag, 0, client) {
-                    corrupted += 1;
-                }
-                match cur.next(k, "LocalSteps")? {
-                    Event::LocalSteps {
-                        round,
-                        t2: et2,
-                        edge: ee,
-                        client: ec,
-                        steps,
-                    } if *round == k
-                        && *et2 == t2
-                        && *ee == edge
-                        && *ec == client
-                        && *steps == tau1 =>
-                    {
-                        report.local_steps += 1;
-                    }
-                    other => {
-                        return Err(ConformanceError::LocalStepsMismatch {
-                            round: k,
-                            t2,
-                            detail: format!(
-                                "expected LocalSteps for client {client} of edge {edge} \
-                                 ({tau1} steps), found {other:?}"
-                            ),
-                        })
-                    }
-                }
-            }
-        }
-        // Per-edge aggregation over survivors; a fully-dropped edge emits
-        // nothing and keeps its block-start model.
-        for (ei, &edge) in edges.iter().enumerate() {
-            let any_alive = alive[ei].iter().any(|&a| a);
-            if !any_alive {
-                continue;
-            }
-            if c2 == Some(t2) {
-                match cur.next(k, "CheckpointCaptured")? {
-                    Event::CheckpointCaptured {
-                        round,
-                        edge: ee,
-                        t2: et2,
-                    } if *round == k && *ee == edge && *et2 == t2 => {
-                        report.checkpoints += 1;
-                    }
-                    other => {
-                        return Err(ConformanceError::AggregationMismatch {
-                            round: k,
-                            detail: format!(
-                                "expected CheckpointCaptured at edge {edge} block {t2}, \
-                                 found {other:?}"
-                            ),
-                        })
-                    }
-                }
-            }
-            match cur.next(k, "ClientEdgeAggregation")? {
-                Event::ClientEdgeAggregation {
-                    round,
-                    edge: ee,
-                    t2: et2,
-                } if *round == k && *ee == edge && *et2 == t2 => {}
-                other => {
-                    return Err(ConformanceError::AggregationMismatch {
-                        round: k,
-                        detail: format!(
-                            "expected ClientEdgeAggregation at edge {edge} block {t2}, \
-                             found {other:?}"
-                        ),
-                    })
-                }
-            }
-        }
-    }
-    Ok((survivors_per_block, corrupted))
-}
-
-/// Consume one [`Event::AdversaryRound`] and match its corrupted-upload
-/// count and attack tag against the independent replay of the keyed
-/// adversary decision stream. Only called when the plan has an adversary;
-/// honest traces must not contain the event at all.
-fn expect_adversary_round(
-    cur: &mut Cursor<'_>,
-    round: usize,
-    plan: &FaultPlan,
-    corrupted: Option<u64>,
-    report: &mut ConformanceReport,
-) -> Result<(), ConformanceError> {
-    match cur.next(round, "AdversaryRound")? {
-        Event::AdversaryRound {
-            round: er,
-            corrupted: ec,
-            attack,
-        } if *er == round
-            && *attack == plan.attack.as_str()
-            && corrupted.is_none_or(|c| *ec == c) =>
-        {
-            report.faults += 1;
-            Ok(())
-        }
-        other => Err(ConformanceError::FaultMismatch {
-            round,
-            detail: match corrupted {
-                Some(c) => format!(
-                    "expected AdversaryRound with {c} corrupted uploads ({}), found {other:?}",
-                    plan.attack.as_str()
-                ),
-                None => format!(
-                    "expected AdversaryRound ({}), found {other:?}",
-                    plan.attack.as_str()
-                ),
-            },
-        }),
-    }
-}
-
-/// Check a full HierMinimax trace against the Algorithm-1 model.
-///
-/// `events` must be the complete log of a traced run of
-/// `HierMinimax::new(cfg.clone()).run(problem, seed)` with
-/// `cfg.opts.trace = true`.
-///
-/// # Panics
-/// Panics on heterogeneous `tau2_per_edge` configs (not modelled).
-pub fn check_hierminimax_trace(
-    problem: &FederatedProblem,
-    cfg: &HierMinimaxConfig,
-    seed: u64,
-    events: &[Event],
-) -> Result<ConformanceReport, ConformanceError> {
-    assert!(
-        cfg.tau2_per_edge.is_none(),
-        "conformance model covers homogeneous rates only"
-    );
-    assert!(
-        cfg.opts.quarantine_z <= 0.0,
-        "conformance replay does not model quarantine exclusion windows"
-    );
-    let n_edges = problem.num_edges();
-    let n0 = problem.clients_per_edge() as u64;
-    let d = problem.num_params();
-    let wire = cfg.quantizer.wire_floats(d);
-    // The effective fault plan: the run folds the legacy `dropout` knob
-    // into `client_crash` exactly like this (plan wins when nonzero).
-    let plan = cfg.opts.fault.clone().with_dropout(cfg.dropout);
-    let churn_plan = &cfg.opts.churn;
-    let churn_on = !churn_plan.is_none();
-    let mut mirror = ActiveTopology::new(&problem.topology());
-    let mut cur = Cursor::new(events);
-    let mut p = problem.initial_p();
-    let mut report = ConformanceReport::default();
-
-    for k in 0..cfg.rounds {
-        // Membership churn applies at the round boundary, before any
-        // sampling draw; a failed edge re-projects the tracked p exactly
-        // like the run does.
-        if churn_on {
-            let rc = expect_churn_round(&mut cur, k, &mut mirror, churn_plan, seed)?;
-            if !rc.failed_edges.is_empty() {
-                mirror.reproject_weights(&mut p);
-            }
-        }
-
-        // Phase 1 (a): weighted edge sample from the traced p^(k).
-        let sampled = match cur.next(k, "Phase1EdgesSampled")? {
-            Event::Phase1EdgesSampled { round, edges } if *round == k => edges.clone(),
-            other => return Err(unexpected(k, "Phase1EdgesSampled", other)),
-        };
-        let mut e_rng =
-            StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-        let p64: Vec<f64> = p.iter().map(|&x| f64::from(x).max(0.0)).collect();
-        let expect = sample_edges_weighted(&p64, cfg.m_edges, &mut e_rng);
-        if sampled != expect {
-            return Err(ConformanceError::SamplingMismatch {
-                round: k,
-                phase: "phase1",
-                expected: expect,
-                actual: sampled,
-            });
-        }
-
-        // Checkpoint draw: range first, then stream equality.
-        let (c1, c2) = match cur.next(k, "CheckpointSampled")? {
-            Event::CheckpointSampled { round, c1, c2 } if *round == k => (*c1, *c2),
-            other => return Err(unexpected(k, "CheckpointSampled", other)),
-        };
-        if c1 >= cfg.tau1 || c2 >= cfg.tau2 {
-            return Err(ConformanceError::CheckpointOutOfRange {
-                round: k,
-                c1,
-                c2,
-                tau1: cfg.tau1,
-                tau2: cfg.tau2,
-            });
-        }
-        let mut c_rng = StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
-        let expect_cp = sample_checkpoint(cfg.tau1, cfg.tau2, &mut c_rng);
-        if (c1, c2) != expect_cp {
-            return Err(ConformanceError::CheckpointMismatch {
-                round: k,
-                expected: expect_cp,
-                actual: (c1, c2),
-            });
-        }
-
-        // Outage filter over the distinct sampled edges (one fault event
-        // per outed edge), then the broadcast to the survivors.
-        let (distinct, counts) = multiplicities(&sampled);
-        let (active, _active_counts) =
-            replay_outages(&mut cur, &plan, seed, k, &distinct, &counts, &mut report)?;
-        match cur.next(k, "CloudBroadcast")? {
-            Event::CloudBroadcast { round, recipients } if *round == k => {
-                if *recipients != active {
-                    return Err(ConformanceError::BroadcastMismatch {
-                        round: k,
-                        expected: active.clone(),
-                        actual: recipients.clone(),
-                    });
-                }
-            }
-            other => return Err(unexpected(k, "CloudBroadcast", other)),
-        }
-
-        // Phase-1 downlink deliveries decide which active edges take part.
-        let p1_down = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase1Down,
-            &active,
-            &mut report,
-        )?;
-        let participants: Vec<usize> = p1_down.delivered.iter().map(|&i| active[i]).collect();
-
-        // τ2 blocks of local steps + aggregations over each edge's
-        // current member list.
-        let prt_members = edge_members(problem, &mirror, churn_on, &participants);
-        let (survivors, corrupted) = check_edge_blocks(
-            &mut cur,
-            &participants,
-            &prt_members,
-            k,
-            cfg.tau1,
-            cfg.tau2,
-            Some(c2),
-            seed,
-            &plan,
-            &mut report,
-        )?;
-
-        // Phase-1 uplink deliveries decide which reports the cloud
-        // aggregates (an empty report set is the stale-round path — the
-        // aggregation events must still appear).
-        let p1_up = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase1Up,
-            &participants,
-            &mut report,
-        )?;
-
-        // Cloud aggregation.
-        match cur.next(k, "GlobalAggregation")? {
-            Event::GlobalAggregation { round } if *round == k => {}
-            other => return Err(unexpected(k, "GlobalAggregation", other)),
-        }
-        match cur.next(k, "GlobalModel")? {
-            Event::GlobalModel { round, w } if *round == k => check_finite_model(k, w, d)?,
-            other => return Err(unexpected(k, "GlobalModel", other)),
-        }
-
-        // Phase 2: uniform sample.
-        let u_set = match cur.next(k, "Phase2EdgesSampled")? {
-            Event::Phase2EdgesSampled { round, edges } if *round == k => edges.clone(),
-            other => return Err(unexpected(k, "Phase2EdgesSampled", other)),
-        };
-        let mut u_rng = StreamRng::for_key(StreamKey::new(
-            seed,
-            Purpose::LossEstSampling,
-            k as u64,
-            u64::MAX,
-        ));
-        // Under churn the run samples indices into the up-edge list (with
-        // m clamped to its size) and maps them back to edge ids.
-        let expect_u = if churn_on {
-            let up = mirror.up_edges();
-            let m = cfg.m_edges.min(up.len());
-            sample_edges_uniform(up.len(), m, &mut u_rng)
-                .into_iter()
-                .map(|i| up[i])
-                .collect()
-        } else {
-            sample_edges_uniform(n_edges, cfg.m_edges, &mut u_rng)
-        };
-        if u_set != expect_u {
-            return Err(ConformanceError::SamplingMismatch {
-                round: k,
-                phase: "phase2",
-                expected: expect_u,
-                actual: u_set,
-            });
-        }
-
-        // Phase-2 fault pipeline: outed edges, then lost estimate-request
-        // downlinks; a failed edge contributes v_e = 0.
-        let ones = vec![1_usize; u_set.len()];
-        let (live, _) = replay_outages(&mut cur, &plan, seed, k, &u_set, &ones, &mut report)?;
-        let p2_down = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase2Down,
-            &live,
-            &mut report,
-        )?;
-        let est = p2_down.delivered.len() as u64;
-        // Loss-estimation fan-out: each delivered estimate edge touches
-        // its current member count (`n0` each in the static layout).
-        let est_clients: u64 = if churn_on {
-            p2_down
-                .delivered
-                .iter()
-                .map(|&i| mirror.members_of(live[i]).len() as u64)
-                .sum()
-        } else {
-            est * n0
-        };
-
-        // Weight update: dimension, finiteness, feasibility; the traced p
-        // becomes the next round's sampling distribution.
-        let p_new = match cur.next(k, "WeightUpdate")? {
-            Event::WeightUpdate { round, p } if *round == k => p.clone(),
-            other => return Err(unexpected(k, "WeightUpdate", other)),
-        };
-        if p_new.len() != n_edges || p_new.iter().any(|x| !x.is_finite()) {
-            return Err(ConformanceError::BadModel {
-                round: k,
-                detail: format!("weight vector malformed: {p_new:?}"),
-            });
-        }
-        if churn_on && mirror.num_up() < n_edges {
-            // After an edge failure the run re-projects p onto the
-            // surviving simplex, which can leave the original domain `P`;
-            // check the surviving-simplex constraints instead: entries
-            // non-negative, zero on dead edges, summing to one.
-            let mut sum = 0.0_f64;
-            let mut violation = 0.0_f64;
-            for (e, &x) in p_new.iter().enumerate() {
-                let x = f64::from(x);
-                if !mirror.is_up(e) {
-                    violation = violation.max(x.abs());
-                }
-                violation = violation.max(-x);
-                sum += x;
-            }
-            violation = violation.max((sum - 1.0).abs());
-            if violation > FEASIBILITY_TOL {
-                return Err(ConformanceError::InfeasibleWeights {
-                    round: k,
-                    violation,
-                });
-            }
-        } else {
-            let violation = problem.p_domain.feasibility_violation(&p_new);
-            if violation > FEASIBILITY_TOL {
-                return Err(ConformanceError::InfeasibleWeights {
-                    round: k,
-                    violation,
-                });
-            }
-        }
-
-        // Adversarial rounds account their corrupted uploads immediately
-        // before the communication record; the count must equal the
-        // independent replay of the keyed corruption stream over the
-        // surviving slots of every block.
-        if plan.has_adversary() {
-            expect_adversary_round(&mut cur, k, &plan, Some(corrupted), &mut report)?;
-        }
-
-        // Closed-form communication accounting for this round: base costs
-        // over the surviving sets, plus one full payload per replayed
-        // retransmission (retried and given-up deliveries alike).
-        let delta = match cur.next(k, "RoundComm")? {
-            Event::RoundComm { round, delta } if *round == k => *delta,
-            other => return Err(unexpected(k, "RoundComm", other)),
-        };
-        let act = active.len() as u64;
-        let prt = participants.len() as u64;
-        let liv = live.len() as u64;
-        let du = d as u64;
-        let t2u = cfg.tau2 as u64;
-        check_link(
-            k,
-            &delta,
-            Link::EdgeCloud,
-            "EdgeCloud",
-            LinkCost {
-                down_floats: (du + 2) * (act + p1_down.extra_attempts)
-                    + du * (liv + p2_down.extra_attempts),
-                down_msgs: act + p1_down.extra_attempts + liv + p2_down.extra_attempts,
-                up_floats: 2 * wire * (prt + p1_up.extra_attempts) + est,
-                up_msgs: prt + p1_up.extra_attempts + est,
-                rounds: 1,
-            },
-        )?;
-        let prt_clients: u64 = prt_members.iter().map(|m| m.len() as u64).sum();
-        let mut ce_up_f = est_clients;
-        let mut ce_up_m = est_clients;
-        for (t2, &s) in survivors.iter().enumerate() {
-            ce_up_f += if t2 == c2 { 2 * wire } else { wire } * s;
-            ce_up_m += s;
-        }
-        check_link(
-            k,
-            &delta,
-            Link::ClientEdge,
-            "ClientEdge",
-            LinkCost {
-                down_floats: t2u * prt_clients * du + du * est_clients,
-                down_msgs: t2u * prt_clients + est_clients,
-                up_floats: ce_up_f,
-                up_msgs: ce_up_m,
-                rounds: t2u + 1,
-            },
-        )?;
-        check_link(
-            k,
-            &delta,
-            Link::ClientCloud,
-            "ClientCloud",
-            LinkCost::default(),
-        )?;
-
-        p = p_new;
-        report.rounds += 1;
-    }
-    report.events = cur.finish()?;
-    Ok(report)
-}
-
-/// Check a full HierFAVG trace: Phase 1 only, uniform edge sampling,
-/// no checkpoint machinery and no weight update.
-pub fn check_hierfavg_trace(
-    problem: &FederatedProblem,
-    cfg: &HierFavgConfig,
-    seed: u64,
-    events: &[Event],
-) -> Result<ConformanceReport, ConformanceError> {
-    let n_edges = problem.num_edges();
-    let d = problem.num_params();
-    let wire = cfg.quantizer.wire_floats(d);
-    assert!(
-        cfg.opts.quarantine_z <= 0.0,
-        "conformance replay does not model quarantine exclusion windows"
-    );
-    let plan = cfg.opts.fault.clone().with_dropout(cfg.dropout);
-    let churn_plan = &cfg.opts.churn;
-    let churn_on = !churn_plan.is_none();
-    let mut mirror = ActiveTopology::new(&problem.topology());
-    let mut cur = Cursor::new(events);
-    let mut report = ConformanceReport::default();
-
-    for k in 0..cfg.rounds {
-        // Membership churn applies at the round boundary, before the
-        // Phase-1 draw (HierFAVG has no fairness weights to re-project).
-        if churn_on {
-            expect_churn_round(&mut cur, k, &mut mirror, churn_plan, seed)?;
-        }
-        let sampled = match cur.next(k, "Phase1EdgesSampled")? {
-            Event::Phase1EdgesSampled { round, edges } if *round == k => edges.clone(),
-            other => return Err(unexpected(k, "Phase1EdgesSampled", other)),
-        };
-        let mut e_rng =
-            StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-        // Under churn the run samples uniformly over the up-edge list
-        // (with m clamped to its size) and maps indices back to edge ids.
-        let expect = if churn_on {
-            let up = mirror.up_edges();
-            let m = cfg.m_edges.min(up.len());
-            sample_edges_uniform(up.len(), m, &mut e_rng)
-                .into_iter()
-                .map(|i| up[i])
-                .collect()
-        } else {
-            sample_edges_uniform(n_edges, cfg.m_edges, &mut e_rng)
-        };
-        if sampled != expect {
-            return Err(ConformanceError::SamplingMismatch {
-                round: k,
-                phase: "phase1",
-                expected: expect,
-                actual: sampled,
-            });
-        }
-        // Uniform sampling is without replacement, so `sampled` is already
-        // the distinct set (multiplicity one each).
-        let ones = vec![1_usize; sampled.len()];
-        let (active, _) = replay_outages(&mut cur, &plan, seed, k, &sampled, &ones, &mut report)?;
-        match cur.next(k, "CloudBroadcast")? {
-            Event::CloudBroadcast { round, recipients } if *round == k => {
-                if *recipients != active {
-                    return Err(ConformanceError::BroadcastMismatch {
-                        round: k,
-                        expected: active.clone(),
-                        actual: recipients.clone(),
-                    });
-                }
-            }
-            other => return Err(unexpected(k, "CloudBroadcast", other)),
-        }
-        let p1_down = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase1Down,
-            &active,
-            &mut report,
-        )?;
-        let participants: Vec<usize> = p1_down.delivered.iter().map(|&i| active[i]).collect();
-        let prt_members = edge_members(problem, &mirror, churn_on, &participants);
-        let (survivors, corrupted) = check_edge_blocks(
-            &mut cur,
-            &participants,
-            &prt_members,
-            k,
-            cfg.tau1,
-            cfg.tau2,
-            None,
-            seed,
-            &plan,
-            &mut report,
-        )?;
-        let p1_up = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase1Up,
-            &participants,
-            &mut report,
-        )?;
-        match cur.next(k, "GlobalAggregation")? {
-            Event::GlobalAggregation { round } if *round == k => {}
-            other => return Err(unexpected(k, "GlobalAggregation", other)),
-        }
-        match cur.next(k, "GlobalModel")? {
-            Event::GlobalModel { round, w } if *round == k => check_finite_model(k, w, d)?,
-            other => return Err(unexpected(k, "GlobalModel", other)),
-        }
-        if plan.has_adversary() {
-            expect_adversary_round(&mut cur, k, &plan, Some(corrupted), &mut report)?;
-        }
-        let delta = match cur.next(k, "RoundComm")? {
-            Event::RoundComm { round, delta } if *round == k => *delta,
-            other => return Err(unexpected(k, "RoundComm", other)),
-        };
-        let act = active.len() as u64;
-        let prt = participants.len() as u64;
-        let du = d as u64;
-        let t2u = cfg.tau2 as u64;
-        check_link(
-            k,
-            &delta,
-            Link::EdgeCloud,
-            "EdgeCloud",
-            LinkCost {
-                down_floats: du * (act + p1_down.extra_attempts),
-                down_msgs: act + p1_down.extra_attempts,
-                up_floats: wire * (prt + p1_up.extra_attempts),
-                up_msgs: prt + p1_up.extra_attempts,
-                rounds: 1,
-            },
-        )?;
-        let prt_clients: u64 = prt_members.iter().map(|m| m.len() as u64).sum();
-        let ce_up_f: u64 = survivors.iter().map(|&s| wire * s).sum();
-        let ce_up_m: u64 = survivors.iter().sum();
-        check_link(
-            k,
-            &delta,
-            Link::ClientEdge,
-            "ClientEdge",
-            LinkCost {
-                down_floats: t2u * prt_clients * du,
-                down_msgs: t2u * prt_clients,
-                up_floats: ce_up_f,
-                up_msgs: ce_up_m,
-                rounds: t2u,
-            },
-        )?;
-        check_link(
-            k,
-            &delta,
-            Link::ClientCloud,
-            "ClientCloud",
-            LinkCost::default(),
-        )?;
-        report.rounds += 1;
-    }
-    report.events = cur.finish()?;
-    Ok(report)
-}
-
-/// Is this event one the multi-level cloud loop emits (as opposed to
-/// client/edge-level events of inner subtrees, whose `round` fields carry
-/// position tags that can collide with real round indices)?
-fn is_cloud_level(e: &Event) -> bool {
-    matches!(
-        e,
-        Event::Phase1EdgesSampled { .. }
-            | Event::CheckpointSampled { .. }
-            | Event::CloudBroadcast { .. }
-            | Event::GlobalAggregation { .. }
-            | Event::GlobalModel { .. }
-            | Event::Phase2EdgesSampled { .. }
-            | Event::WeightUpdate { .. }
-            | Event::AdversaryRound { .. }
-            | Event::RoundComm { .. }
-            // Cloud-link fault events; the multi-level loop models
-            // intermediate links as reliable, so every `EdgeFault` in the
-            // trace is the cloud loop's (level 0, real round index).
-            | Event::EdgeFault { .. }
-    )
-}
-
 /// Recursive closed-form `ClientEdge` cost of one group's subtree update
-/// (mirrors `MultiLevelMinimax::subtree_update`; base levels run with
-/// `Quantizer::Exact` and zero dropout).
-fn subtree_cost(cfg: &MultiLevelConfig, d: u64, n0: u64, li: usize, edges: u64) -> LinkCost {
-    if li == cfg.upper.len() {
-        // run_edge_blocks over `edges` edges, τ2 blocks, exactly one of
-        // which carries the doubled checkpoint payload.
-        let t2 = cfg.tau2 as u64;
+/// over `edges` edges below upper level `li` (base levels run with the
+/// exact codec and no client faults).
+fn subtree_cost(
+    upper: &[UpperLevel],
+    tau2: u64,
+    d: u64,
+    n0: u64,
+    li: usize,
+    edges: u64,
+) -> LinkCost {
+    if li == upper.len() {
+        // τ2 blocks over `edges` edges, exactly one of which carries the
+        // doubled checkpoint payload.
         return LinkCost {
-            down_floats: t2 * edges * n0 * d,
-            down_msgs: t2 * edges * n0,
-            up_floats: (t2 + 1) * d * edges * n0,
-            up_msgs: t2 * edges * n0,
-            rounds: t2,
+            down_floats: tau2 * edges * n0 * d,
+            down_msgs: tau2 * edges * n0,
+            up_floats: (tau2 + 1) * d * edges * n0,
+            up_msgs: tau2 * edges * n0,
+            rounds: tau2,
         };
     }
-    let child_edges: u64 = cfg.upper[li + 1..]
+    let child_edges: u64 = upper[li + 1..]
         .iter()
         .map(|u| u.group_size as u64)
         .product::<u64>()
         .max(1);
     let children = edges / child_edges;
-    let tau = cfg.upper[li].tau as u64;
-    let child = subtree_cost(cfg, d, n0, li + 1, child_edges);
+    let tau = upper[li].tau as u64;
+    let child = subtree_cost(upper, tau2, d, n0, li + 1, child_edges);
     LinkCost {
         down_floats: tau * (d * children + children * child.down_floats),
         down_msgs: tau * (children + children * child.down_msgs),
@@ -1304,90 +596,328 @@ fn subtree_cost(cfg: &MultiLevelConfig, d: u64, n0: u64, li: usize, edges: u64) 
     }
 }
 
-/// Check the cloud-level protocol of a multi-level HierMinimax trace:
-/// sampling replay over top-level groups, the checkpoint draw (upper-level
-/// coordinates first, then `c1`, `c2`), aggregation order, weight
-/// feasibility, and the full closed-form communication accounting
-/// (including recursive intermediate-level costs). Inner subtree events
-/// are skipped (their round fields are position tags).
-pub fn check_multilevel_trace(
-    problem: &FederatedProblem,
-    cfg: &MultiLevelConfig,
+/// One round's replayed fault occurrences, for `fault_summary`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct FaultTally {
+    crashes: u64,
+    outages: u64,
+    retries: u64,
+    gave_up: u64,
+    deadline_missed: u64,
+}
+
+/// What the block phase of one round replayed.
+struct BlockReplay {
+    /// Surviving uploads per block.
+    survivors: Vec<u64>,
+    /// Corrupted uploads, when the replay models them (not up a tree).
+    corrupted: Option<u64>,
+}
+
+/// The replay state carried across rounds.
+struct Replay<'a, 'e> {
+    problem: &'a FederatedProblem,
+    pr: Protocol<'a>,
     seed: u64,
-    events: &[Event],
+    /// The effective plan: the run folds `dropout` into `client_crash`.
+    plan: FaultPlan,
+    churn_on: bool,
+    mirror: ActiveTopology,
+    cur: Cursor<'e>,
+    report: ConformanceReport,
+    /// Model dimension.
+    d: u64,
+    /// Clients per edge in the static layout.
+    n0: u64,
+    /// Edges under one sampled unit.
+    per_unit: usize,
+    /// Units the cloud samples and `p` weighs.
+    n_units: usize,
+    /// Time slots per round.
+    slots: usize,
+}
+
+/// Check a run's telemetry stream against the Algorithm-1 model.
+///
+/// `events` must be the complete stream (for example a `MemorySink`'s, or
+/// a resume splice, see [`crate::splice`]) of `problem` run under the
+/// config `protocol` was built from, with `seed`.
+///
+/// # Panics
+/// Panics on what the model does not cover: update-norm quarantine, and
+/// client crashes, stragglers or churn under MultiLevel.
+pub fn check_stream<'a>(
+    problem: &FederatedProblem,
+    protocol: impl Into<Protocol<'a>>,
+    seed: u64,
+    events: &[TelemetryEvent],
 ) -> Result<ConformanceReport, ConformanceError> {
-    let per_group: usize = cfg.edges_per_group().max(1);
+    let pr = protocol.into();
+    let plan = pr.opts.fault.clone().with_dropout(pr.dropout);
+    let tree = matches!(pr.blocks, Blocks::Tree(_));
+    if tree {
+        // Client crashes and stragglers inside subtrees key their streams
+        // on position tags the closed-form subtree cost does not model.
+        assert!(
+            plan.client_crash == 0.0 && plan.straggler_rate == 0.0,
+            "the tree replay covers cloud-link faults only \
+             (client_crash and straggler_rate must be zero)"
+        );
+        assert!(
+            pr.opts.churn.is_none(),
+            "membership churn is a two-level feature (the multi-level run rejects it)"
+        );
+    } else {
+        assert!(
+            pr.opts.quarantine_z <= 0.0,
+            "conformance replay does not model quarantine exclusion windows"
+        );
+    }
+    let per_unit: usize = pr.blocks.upper().iter().map(|u| u.group_size).product();
     let n_edges = problem.num_edges();
     assert!(
-        n_edges.is_multiple_of(per_group),
-        "{n_edges} edges do not divide into groups of {per_group}"
+        n_edges.is_multiple_of(per_unit),
+        "{n_edges} edges do not divide into groups of {per_unit}"
     );
-    let num_groups = n_edges / per_group;
-    let n0 = problem.clients_per_edge() as u64;
-    let d = problem.num_params();
-    let plan = cfg.opts.fault.clone().with_dropout(cfg.dropout);
-    // The checker replays cloud-link fault classes only: client crashes and
-    // stragglers inside subtrees key their streams on position tags the
-    // closed-form subtree cost does not model.
-    assert!(
-        plan.client_crash == 0.0 && plan.straggler_rate == 0.0,
-        "check_multilevel_trace replays cloud-link faults only \
-         (client_crash and straggler_rate must be zero)"
-    );
-    assert!(
-        cfg.opts.churn.is_none(),
-        "membership churn is a two-level feature (the multi-level run rejects it)"
-    );
-    let cloud: Vec<&Event> = events.iter().filter(|e| is_cloud_level(e)).collect();
-    let mut cur = Cursor {
-        events: &[],
-        pos: 0,
+    let n_units = n_edges / per_unit;
+    let mut replay = Replay {
+        problem,
+        seed,
+        churn_on: !pr.opts.churn.is_none(),
+        plan,
+        mirror: ActiveTopology::new(&problem.topology()),
+        cur: Cursor {
+            events,
+            pos: 0,
+            tree,
+        },
+        report: ConformanceReport::default(),
+        d: problem.num_params() as u64,
+        n0: problem.clients_per_edge() as u64,
+        per_unit,
+        n_units,
+        slots: pr.tau1 * pr.tau2 * pr.blocks.upper().iter().map(|u| u.tau).product::<usize>(),
+        pr,
     };
-    // A cursor over references: rebuild a contiguous buffer instead.
-    let cloud_events: Vec<Event> = cloud.into_iter().cloned().collect();
-    cur.events = &cloud_events;
+    let mut p = vec![1.0_f32 / n_units as f32; n_units];
+    for k in 0..pr.rounds {
+        replay.round(k, &mut p)?;
+        replay.report.rounds += 1;
+    }
+    replay.report.events = replay.cur.finish()?;
+    Ok(replay.report)
+}
 
-    let mut p = vec![1.0_f32 / num_groups as f32; num_groups];
-    let mut report = ConformanceReport::default();
+impl Replay<'_, '_> {
+    /// Replay round `k` from the weights `p` it starts with; leaves the
+    /// streamed `p^(k+1)` in `p`.
+    fn round(&mut self, k: usize, p: &mut Vec<f32>) -> Result<(), ConformanceError> {
+        match self.cur.next(k, "round_start")? {
+            TelemetryEvent::RoundStart { round } if *round == k => {}
+            other => return Err(unexpected(k, "round_start", other)),
+        }
+        // Membership churn applies at the round boundary, before any
+        // draw; a failed edge re-projects the tracked p like the run.
+        if self.churn_on {
+            let rc = self.expect_churn(k)?;
+            if self.pr.dual && !rc.failed_edges.is_empty() {
+                self.mirror.reproject_weights(p);
+            }
+        }
 
-    for k in 0..cfg.rounds {
-        let sampled = match cur.next(k, "Phase1EdgesSampled")? {
-            Event::Phase1EdgesSampled { round, edges } if *round == k => edges.clone(),
-            other => return Err(unexpected(k, "Phase1EdgesSampled", other)),
+        // ---- Phase 1 -----------------------------------------------------
+        let (sampled, c2) = self.expect_phase1(k, p)?;
+        let mut tally = FaultTally::default();
+        let active = self.outages(k, &distinct(&sampled), &mut tally)?;
+        let (participants, p1_down) =
+            self.deliveries(k, MsgChannel::Phase1Down, &active, &mut tally)?;
+        let blocks = self.block_phase(k, &participants, c2, &mut tally)?;
+        // The uplink deliveries decide which reports the cloud averages;
+        // an empty set is the stale-round path, which still reports.
+        let (_, p1_up) = self.deliveries(k, MsgChannel::Phase1Up, &participants, &mut tally)?;
+        match self.cur.next(k, "phase1_done")? {
+            TelemetryEvent::Phase1Done {
+                round, nonfinite, ..
+            } if *round == k => {
+                if *nonfinite > 0 {
+                    return Err(ConformanceError::BadModel {
+                        round: k,
+                        detail: format!("global model has {nonfinite} non-finite parameters"),
+                    });
+                }
+            }
+            other => return Err(unexpected(k, "phase1_done", other)),
+        }
+
+        // ---- Phase 2 -----------------------------------------------------
+        let (live, est, p2_down) = if self.pr.dual {
+            self.phase2(k, p, &mut tally)?
+        } else {
+            (Vec::new(), Vec::new(), 0)
         };
-        let mut e_rng =
-            StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
+
+        // ---- Accounting --------------------------------------------------
+        if !self.plan.is_none() {
+            self.expect_fault_summary(k, tally)?;
+        }
+        if self.plan.has_adversary() {
+            self.expect_adversary(k, blocks.corrupted)?;
+        }
+        let delta = match self.cur.next(k, "round_end")? {
+            TelemetryEvent::RoundEnd {
+                round,
+                slots,
+                comm_delta,
+                ..
+            } if *round == k => {
+                let want = (k + 1) * self.slots;
+                if *slots != want {
+                    return Err(ConformanceError::LocalStepsMismatch {
+                        round: k,
+                        t2: 0,
+                        detail: format!(
+                            "round_end.slots = {slots}, expected (k+1)·τ1·τ2·Πτ_l = {want}"
+                        ),
+                    });
+                }
+                *comm_delta
+            }
+            other => return Err(unexpected(k, "round_end", other)),
+        };
+        self.check_comm(
+            k,
+            &delta,
+            &CommReplay {
+                active: active.len() as u64,
+                participants: &participants,
+                live: live.len() as u64,
+                est: &est,
+                extra: [p1_down, p1_up, p2_down],
+                c2,
+                survivors: &blocks.survivors,
+            },
+        )
+    }
+
+    /// Advance the churn mirror by one round and match the streamed
+    /// `churn` event and its `rehome` events against the replay.
+    fn expect_churn(&mut self, k: usize) -> Result<RoundChurn, ConformanceError> {
+        let rc = self.mirror.apply_round(&self.pr.opts.churn, self.seed, k);
+        let mismatch = |found: &TelemetryEvent| ConformanceError::ChurnMismatch {
+            round: k,
+            detail: format!(
+                "expected churn left={:?} failed={:?} joined={:?} rehomed={:?}, found {found:?}",
+                rc.left, rc.failed_edges, rc.joined, rc.rehomed
+            ),
+        };
+        match self.cur.next(k, "churn")? {
+            TelemetryEvent::Churn {
+                round,
+                joined,
+                left,
+                failed_edges,
+                rehomed,
+            } if *round == k
+                && *joined == rc.joined
+                && *left == rc.left
+                && *failed_edges == rc.failed_edges
+                && *rehomed == rc.rehomed.len() as u64 => {}
+            other => return Err(mismatch(other)),
+        }
+        for &(client, from, to) in &rc.rehomed {
+            match self.cur.next(k, "rehome")? {
+                TelemetryEvent::Rehome {
+                    round,
+                    client: c,
+                    from_edge,
+                    to_edge,
+                } if (*round, *c, *from_edge, *to_edge) == (k, client, from, to) => {}
+                other => return Err(mismatch(other)),
+            }
+        }
+        Ok(rc)
+    }
+
+    /// `m` distinct units uniform over all of them, or over the up edges
+    /// under churn (`m` clamped to their count).
+    fn sample_up(&self, m: usize, rng: &mut StreamRng) -> Vec<usize> {
+        if self.churn_on {
+            let up = self.mirror.up_edges();
+            let m = m.min(up.len());
+            sample_edges_uniform(up.len(), m, rng)
+                .into_iter()
+                .map(|i| up[i])
+                .collect()
+        } else {
+            sample_edges_uniform(self.n_units, m, rng)
+        }
+    }
+
+    /// Match the `phase1` event against the sampler and checkpoint
+    /// replay; returns the draw and the checkpoint block `c2`.
+    fn expect_phase1(
+        &mut self,
+        k: usize,
+        p: &[f32],
+    ) -> Result<(Vec<usize>, Option<usize>), ConformanceError> {
+        let (sampled, checkpoint) = match self.cur.next(k, "phase1")? {
+            TelemetryEvent::Phase1Sampled {
+                round,
+                edges,
+                checkpoint,
+            } if *round == k && checkpoint.is_some() == self.pr.dual => (edges, *checkpoint),
+            other => return Err(unexpected(k, "phase1", other)),
+        };
+        let mut rng = StreamRng::for_key(StreamKey::new(
+            self.seed,
+            Purpose::EdgeSampling,
+            k as u64,
+            0,
+        ));
         let p64: Vec<f64> = p.iter().map(|&x| f64::from(x).max(0.0)).collect();
-        let expect = sample_edges_weighted(&p64, cfg.m_groups, &mut e_rng);
-        if sampled != expect {
+        let expect = match self.pr.sampler {
+            Sampler::Weighted(m) => sample_edges_weighted(&p64, m, &mut rng),
+            Sampler::Uniform(m) => self.sample_up(m, &mut rng),
+            Sampler::Fastest {
+                m,
+                m_over,
+                seconds_per_slot,
+            } => {
+                let mut drawn = sample_edges_weighted(&p64, m_over, &mut rng);
+                drawn.sort_by(|&a, &b| seconds_per_slot[a].total_cmp(&seconds_per_slot[b]));
+                drawn.truncate(m);
+                drawn
+            }
+        };
+        if *sampled != expect {
             return Err(ConformanceError::SamplingMismatch {
                 round: k,
                 phase: "phase1",
                 expected: expect,
-                actual: sampled,
+                actual: sampled.clone(),
             });
         }
-        let (distinct, counts) = multiplicities(&sampled);
-
-        let (c1, c2) = match cur.next(k, "CheckpointSampled")? {
-            Event::CheckpointSampled { round, c1, c2 } if *round == k => (*c1, *c2),
-            other => return Err(unexpected(k, "CheckpointSampled", other)),
+        let Some((c1, c2)) = checkpoint else {
+            return Ok((expect, None));
         };
-        if c1 >= cfg.tau1 || c2 >= cfg.tau2 {
+        // Range first, then the stream: one coordinate per upper level is
+        // drawn before (c1, c2).
+        let (tau1, tau2) = (self.pr.tau1, self.pr.tau2);
+        if c1 >= tau1 || c2 >= tau2 {
             return Err(ConformanceError::CheckpointOutOfRange {
                 round: k,
                 c1,
                 c2,
-                tau1: cfg.tau1,
-                tau2: cfg.tau2,
+                tau1,
+                tau2,
             });
         }
-        // Replay: upper-level coordinates are drawn before (c1, c2).
-        let mut c_rng = StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
-        for u in &cfg.upper {
-            let _ = c_rng.below(u.tau);
+        let mut c_rng =
+            StreamRng::for_key(StreamKey::new(self.seed, Purpose::Checkpoint, k as u64, 0));
+        for u in self.pr.blocks.upper() {
+            c_rng.below(u.tau);
         }
-        let expect_cp = (c_rng.below(cfg.tau1), c_rng.below(cfg.tau2));
+        let expect_cp = sample_checkpoint(tau1, tau2, &mut c_rng);
         if (c1, c2) != expect_cp {
             return Err(ConformanceError::CheckpointMismatch {
                 round: k,
@@ -1395,228 +925,586 @@ pub fn check_multilevel_trace(
                 actual: (c1, c2),
             });
         }
+        Ok((expect, Some(c2)))
+    }
 
-        let (active, _active_counts) =
-            replay_outages(&mut cur, &plan, seed, k, &distinct, &counts, &mut report)?;
-        match cur.next(k, "CloudBroadcast")? {
-            Event::CloudBroadcast { round, recipients } if *round == k => {
-                if *recipients != active {
-                    return Err(ConformanceError::BroadcastMismatch {
-                        round: k,
-                        expected: active.clone(),
-                        actual: recipients.clone(),
-                    });
+    /// Consume one `fault` event and match it against the replayed fault.
+    fn expect_fault(
+        &mut self,
+        k: usize,
+        edge: usize,
+        kind: FaultKind,
+        attempts: usize,
+    ) -> Result<(), ConformanceError> {
+        match self.cur.next(k, "fault")? {
+            TelemetryEvent::Fault {
+                round,
+                kind: ek,
+                level,
+                edge: ee,
+                attempts: ea,
+            } if (*round, *level, *ee, *ea) == (k, 0, edge, attempts) && ek == kind.as_str() => {
+                self.report.faults += 1;
+                Ok(())
+            }
+            other => Err(ConformanceError::FaultMismatch {
+                round: k,
+                detail: format!(
+                    "expected {} fault at edge {edge} ({attempts} attempts), found {other:?}",
+                    kind.as_str()
+                ),
+            }),
+        }
+    }
+
+    /// Replay the round's outage stream over `units`, consuming one fault
+    /// event per outed unit; returns the units that are up.
+    fn outages(
+        &mut self,
+        k: usize,
+        units: &[usize],
+        tally: &mut FaultTally,
+    ) -> Result<Vec<usize>, ConformanceError> {
+        let mut up = Vec::with_capacity(units.len());
+        for &e in units {
+            if self.plan.edge_out(self.seed, k as u64, 0, e) {
+                tally.outages += 1;
+                self.expect_fault(k, e, FaultKind::EdgeOutage, 0)?;
+            } else {
+                up.push(e);
+            }
+        }
+        Ok(up)
+    }
+
+    /// Replay one channel's deliveries to `units`, consuming one fault
+    /// event per retried or given-up message. Returns the units whose
+    /// message arrived and the retransmissions, each metered at the full
+    /// payload.
+    fn deliveries(
+        &mut self,
+        k: usize,
+        channel: MsgChannel,
+        units: &[usize],
+        tally: &mut FaultTally,
+    ) -> Result<(Vec<usize>, u64), ConformanceError> {
+        let mut delivered = Vec::with_capacity(units.len());
+        let mut extra = 0_u64;
+        for &e in units {
+            let dv = self.plan.delivery(self.seed, k as u64, 0, channel, e);
+            extra += u64::from(dv.attempts - 1);
+            let kind = if !dv.delivered {
+                tally.gave_up += 1;
+                Some(FaultKind::MsgGaveUp)
+            } else if dv.attempts > 1 {
+                Some(FaultKind::MsgRetried)
+            } else {
+                None
+            };
+            if let Some(kind) = kind {
+                self.expect_fault(k, e, kind, dv.attempts as usize)?;
+            }
+            if dv.delivered {
+                delivered.push(e);
+            }
+        }
+        tally.retries += extra;
+        Ok((delivered, extra))
+    }
+
+    /// Client ids `edge` enumerates: the churn mirror's roster, or the
+    /// static layout.
+    fn members_of(&self, edge: usize) -> Vec<usize> {
+        if self.churn_on {
+            self.mirror.members_of(edge).to_vec()
+        } else {
+            self.problem.topology().clients_of(edge).collect()
+        }
+    }
+
+    /// Replay the `τ2` blocks on the participating edges: per block, per
+    /// edge with a survivor, one `block_agg` listing the clients that
+    /// survived the crash and straggler streams, in slot order.
+    fn block_phase(
+        &mut self,
+        k: usize,
+        participants: &[usize],
+        c2: Option<usize>,
+        tally: &mut FaultTally,
+    ) -> Result<BlockReplay, ConformanceError> {
+        if matches!(self.pr.blocks, Blocks::Tree(_)) {
+            return Ok(BlockReplay {
+                survivors: Vec::new(),
+                corrupted: None,
+            });
+        }
+        let members: Vec<Vec<usize>> = participants.iter().map(|&e| self.members_of(e)).collect();
+        let tau2 = self.pr.tau2;
+        let mut survivors = Vec::with_capacity(tau2);
+        let mut corrupted = 0_u64;
+        for t2 in 0..tau2 {
+            let block_tag = (k * tau2 + t2) as u64;
+            let mut block_survivors = 0_u64;
+            for (&edge, gids) in participants.iter().zip(&members) {
+                let mut clients = Vec::with_capacity(gids.len());
+                for &client in gids {
+                    if self.plan.client_crashed(self.seed, block_tag, 0, client) {
+                        tally.crashes += 1;
+                    } else if self.plan.straggler(self.seed, block_tag, 0, client)
+                        == StragglerFate::Missed
+                    {
+                        tally.deadline_missed += 1;
+                    } else {
+                        // Surviving uploads draw their Byzantine bit from
+                        // the adversary stream, exactly as the run does.
+                        if self.plan.client_corrupt(self.seed, block_tag, 0, client) {
+                            corrupted += 1;
+                        }
+                        clients.push(client);
+                    }
+                }
+                if clients.is_empty() {
+                    // A fully cut edge keeps its block-start model.
+                    continue;
+                }
+                block_survivors += clients.len() as u64;
+                self.expect_block_agg(k, edge, t2, &clients)?;
+                if c2 == Some(t2) {
+                    self.report.checkpoints += 1;
                 }
             }
-            other => return Err(unexpected(k, "CloudBroadcast", other)),
+            survivors.push(block_survivors);
         }
-        let p1_down = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase1Down,
-            &active,
-            &mut report,
-        )?;
-        let participants: Vec<usize> = p1_down.delivered.iter().map(|&i| active[i]).collect();
-        let p1_up = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase1Up,
-            &participants,
-            &mut report,
-        )?;
-        match cur.next(k, "GlobalAggregation")? {
-            Event::GlobalAggregation { round } if *round == k => {}
-            other => return Err(unexpected(k, "GlobalAggregation", other)),
+        Ok(BlockReplay {
+            survivors,
+            corrupted: Some(corrupted),
+        })
+    }
+
+    fn expect_block_agg(
+        &mut self,
+        k: usize,
+        edge: usize,
+        t2: usize,
+        clients: &[usize],
+    ) -> Result<(), ConformanceError> {
+        match self.cur.next(k, "block_agg")? {
+            TelemetryEvent::BlockAggregated {
+                round,
+                edge: ee,
+                t2: et2,
+                clients: ec,
+            } => {
+                if (*round, *ee, *et2) != (k, edge, t2) {
+                    return Err(ConformanceError::AggregationMismatch {
+                        round: k,
+                        detail: format!(
+                            "expected block_agg at edge {edge} block {t2}, found edge {ee} \
+                             block {et2} of round {round}"
+                        ),
+                    });
+                }
+                if ec != clients {
+                    return Err(ConformanceError::LocalStepsMismatch {
+                        round: k,
+                        t2,
+                        detail: format!(
+                            "edge {edge} aggregated clients {ec:?}, survivor replay {clients:?}"
+                        ),
+                    });
+                }
+                self.report.local_steps += clients.len();
+                Ok(())
+            }
+            other => Err(unexpected(k, "block_agg", other)),
         }
-        match cur.next(k, "GlobalModel")? {
-            Event::GlobalModel { round, w } if *round == k => check_finite_model(k, w, d)?,
-            other => return Err(unexpected(k, "GlobalModel", other)),
-        }
-        let u_set = match cur.next(k, "Phase2EdgesSampled")? {
-            Event::Phase2EdgesSampled { round, edges } if *round == k => edges.clone(),
-            other => return Err(unexpected(k, "Phase2EdgesSampled", other)),
-        };
+    }
+
+    /// Replay Phase 2: `U^(k)`, its outages and estimate-request
+    /// deliveries, then match `dual_update` (the estimating edges and a
+    /// feasible `p^(k+1)`, which replaces `p`). Returns the live units,
+    /// the estimating units and the downlink retransmissions.
+    fn phase2(
+        &mut self,
+        k: usize,
+        p: &mut Vec<f32>,
+        tally: &mut FaultTally,
+    ) -> Result<(Vec<usize>, Vec<usize>, u64), ConformanceError> {
         let mut u_rng = StreamRng::for_key(StreamKey::new(
-            seed,
+            self.seed,
             Purpose::LossEstSampling,
             k as u64,
             u64::MAX,
         ));
-        let expect_u = sample_edges_uniform(num_groups, cfg.m_groups, &mut u_rng);
-        if u_set != expect_u {
+        let u_set = self.sample_up(self.pr.sampler.m(), &mut u_rng);
+        // A unit that is out or unreachable contributes v = 0; every unit
+        // of U^(k) is either a fault event or an estimating edge.
+        let live = self.outages(k, &u_set, tally)?;
+        let (est, p2_down) = self.deliveries(k, MsgChannel::Phase2Down, &live, tally)?;
+        let (edges, losses, p_new) = match self.cur.next(k, "dual_update")? {
+            TelemetryEvent::DualUpdate {
+                round,
+                edges,
+                losses,
+                p,
+                ..
+            } if *round == k => (edges, losses, p),
+            other => return Err(unexpected(k, "dual_update", other)),
+        };
+        if *edges != est {
             return Err(ConformanceError::SamplingMismatch {
                 round: k,
                 phase: "phase2",
-                expected: expect_u,
-                actual: u_set,
+                expected: est,
+                actual: edges.clone(),
             });
         }
-        let ones = vec![1_usize; u_set.len()];
-        let (live, _) = replay_outages(&mut cur, &plan, seed, k, &u_set, &ones, &mut report)?;
-        let p2_down = replay_deliveries(
-            &mut cur,
-            &plan,
-            seed,
-            k,
-            MsgChannel::Phase2Down,
-            &live,
-            &mut report,
-        )?;
-        let est = p2_down.delivered.len() as u64;
-        let p_new = match cur.next(k, "WeightUpdate")? {
-            Event::WeightUpdate { round, p } if *round == k => p.clone(),
-            other => return Err(unexpected(k, "WeightUpdate", other)),
-        };
-        if p_new.len() != num_groups || p_new.iter().any(|x| !x.is_finite()) {
+        if losses.len() != edges.len()
+            || p_new.len() != self.n_units
+            || p_new.iter().any(|x| !x.is_finite())
+        {
             return Err(ConformanceError::BadModel {
                 round: k,
-                detail: format!("weight vector malformed: {p_new:?}"),
+                detail: format!("dual update malformed: losses {losses:?}, p {p_new:?}"),
             });
         }
-        let violation = problem.p_domain.feasibility_violation(&p_new);
+        let violation = if self.churn_on && self.mirror.num_up() < self.n_units {
+            // After an edge failure the run re-projects p onto the
+            // surviving simplex, which can leave the original domain:
+            // entries non-negative, zero on dead edges, summing to one.
+            let mut sum = 0.0_f64;
+            let mut violation = 0.0_f64;
+            for (e, &x) in p_new.iter().enumerate() {
+                let x = f64::from(x);
+                if !self.mirror.is_up(e) {
+                    violation = violation.max(x.abs());
+                }
+                violation = violation.max(-x);
+                sum += x;
+            }
+            violation.max((sum - 1.0).abs())
+        } else {
+            self.problem.p_domain.feasibility_violation(p_new)
+        };
         if violation > FEASIBILITY_TOL {
             return Err(ConformanceError::InfeasibleWeights {
                 round: k,
                 violation,
             });
         }
+        p.clone_from(p_new);
+        Ok((live, est, p2_down))
+    }
 
-        // The per-round corrupted count aggregates over inner subtrees
-        // whose corruption streams key on position tags this closed-form
-        // checker does not model, so only the event's presence, round, and
-        // attack tag are validated here.
-        if plan.has_adversary() {
-            expect_adversary_round(&mut cur, k, &plan, None, &mut report)?;
+    fn expect_fault_summary(&mut self, k: usize, want: FaultTally) -> Result<(), ConformanceError> {
+        match self.cur.next(k, "fault_summary")? {
+            TelemetryEvent::FaultSummary {
+                round,
+                crashes,
+                outages,
+                retries,
+                gave_up,
+                deadline_missed,
+                ..
+            } if *round == k
+                && FaultTally {
+                    crashes: *crashes,
+                    outages: *outages,
+                    retries: *retries,
+                    gave_up: *gave_up,
+                    deadline_missed: *deadline_missed,
+                } == want =>
+            {
+                Ok(())
+            }
+            other => Err(ConformanceError::FaultMismatch {
+                round: k,
+                detail: format!("expected fault_summary with {want:?}, found {other:?}"),
+            }),
         }
+    }
 
-        let delta = match cur.next(k, "RoundComm")? {
-            Event::RoundComm { round, delta } if *round == k => *delta,
-            other => return Err(unexpected(k, "RoundComm", other)),
-        };
-        let act = active.len() as u64;
-        let prt = participants.len() as u64;
-        let liv = live.len() as u64;
-        let du = d as u64;
-        let cp_len = cfg.upper.len() as u64 + 2;
+    /// Consume the round's `adversary` event: the plan's attack tag and,
+    /// when modelled, the replayed corrupted-upload count.
+    fn expect_adversary(
+        &mut self,
+        k: usize,
+        corrupted: Option<u64>,
+    ) -> Result<(), ConformanceError> {
+        let attack = self.plan.attack.as_str();
+        match self.cur.next(k, "adversary")? {
+            TelemetryEvent::Adversary {
+                round,
+                corrupted: c,
+                attack: a,
+            } if *round == k && a == attack && corrupted.is_none_or(|want| *c == want) => {
+                self.report.faults += 1;
+                Ok(())
+            }
+            other => Err(ConformanceError::FaultMismatch {
+                round: k,
+                detail: format!(
+                    "expected adversary ({attack}) with {corrupted:?} corrupted uploads, \
+                     found {other:?}"
+                ),
+            }),
+        }
+    }
+
+    /// Check the round's comm delta against the closed form: base costs
+    /// over the surviving sets, plus one full payload per replayed
+    /// retransmission.
+    fn check_comm(
+        &self,
+        k: usize,
+        delta: &CommStats,
+        r: &CommReplay<'_>,
+    ) -> Result<(), ConformanceError> {
+        let (d, n0) = (self.d, self.n0);
+        let dual = u64::from(self.pr.dual);
+        let wire = self.pr.quantizer.wire_floats(d as usize);
+        let [p1_down, p1_up, p2_down] = r.extra;
+        let prt = r.participants.len() as u64;
+        let est = r.est.len() as u64;
+        // The broadcast carries the checkpoint index, the upload the
+        // checkpoint model.
+        let cp_len = dual * (self.pr.blocks.upper().len() as u64 + 2);
         check_link(
             k,
-            &delta,
+            delta,
             Link::EdgeCloud,
             "EdgeCloud",
             LinkCost {
-                down_floats: (du + cp_len) * (act + p1_down.extra_attempts)
-                    + du * (liv + p2_down.extra_attempts),
-                down_msgs: act + p1_down.extra_attempts + liv + p2_down.extra_attempts,
-                up_floats: 2 * du * (prt + p1_up.extra_attempts) + est,
-                up_msgs: prt + p1_up.extra_attempts + est,
+                down_floats: (d + cp_len) * (r.active + p1_down) + d * (r.live + p2_down),
+                down_msgs: r.active + p1_down + r.live + p2_down,
+                up_floats: (1 + dual) * wire * (prt + p1_up) + est,
+                up_msgs: prt + p1_up + est,
                 rounds: 1,
             },
         )?;
-        let sub = subtree_cost(cfg, du, n0, 0, per_group as u64);
-        let phase2 = est * per_group as u64 * n0;
+        // Loss estimation touches every member of every estimating unit.
+        let est_clients: u64 = if self.churn_on {
+            r.est
+                .iter()
+                .map(|&e| self.mirror.members_of(e).len() as u64)
+                .sum()
+        } else {
+            est * self.per_unit as u64 * n0
+        };
+        let tau2 = self.pr.tau2 as u64;
+        let blocks = match self.pr.blocks {
+            Blocks::Edges => {
+                let prt_clients: u64 = r
+                    .participants
+                    .iter()
+                    .map(|&e| self.members_of(e).len() as u64)
+                    .sum();
+                let mut up_floats = 0;
+                for (t2, &s) in r.survivors.iter().enumerate() {
+                    up_floats += if r.c2 == Some(t2) { 2 * wire } else { wire } * s;
+                }
+                LinkCost {
+                    down_floats: tau2 * prt_clients * d,
+                    down_msgs: tau2 * prt_clients,
+                    up_floats,
+                    up_msgs: r.survivors.iter().sum(),
+                    rounds: tau2,
+                }
+            }
+            Blocks::Tree(upper) => {
+                let sub = subtree_cost(upper, tau2, d, n0, 0, self.per_unit as u64);
+                LinkCost {
+                    down_floats: prt * sub.down_floats,
+                    down_msgs: prt * sub.down_msgs,
+                    up_floats: prt * sub.up_floats,
+                    up_msgs: prt * sub.up_msgs,
+                    rounds: prt * sub.rounds,
+                }
+            }
+        };
         check_link(
             k,
-            &delta,
+            delta,
             Link::ClientEdge,
             "ClientEdge",
             LinkCost {
-                down_floats: prt * sub.down_floats + du * phase2,
-                down_msgs: prt * sub.down_msgs + phase2,
-                up_floats: prt * sub.up_floats + phase2,
-                up_msgs: prt * sub.up_msgs + phase2,
-                rounds: prt * sub.rounds + 1,
+                down_floats: blocks.down_floats + d * est_clients,
+                down_msgs: blocks.down_msgs + est_clients,
+                up_floats: blocks.up_floats + est_clients,
+                up_msgs: blocks.up_msgs + est_clients,
+                rounds: blocks.rounds + dual,
             },
         )?;
         check_link(
             k,
-            &delta,
+            delta,
             Link::ClientCloud,
             "ClientCloud",
             LinkCost::default(),
-        )?;
-
-        p = p_new;
-        report.rounds += 1;
+        )
     }
-    report.events = cur.finish()?;
-    Ok(report)
+}
+
+/// The replayed sets one round's comm closed form is computed over.
+struct CommReplay<'r> {
+    /// Distinct sampled units that were up.
+    active: u64,
+    /// Units whose Phase-1 downlink arrived.
+    participants: &'r [usize],
+    /// Units of `U^(k)` that were up.
+    live: u64,
+    /// Units of `U^(k)` whose estimate request arrived.
+    est: &'r [usize],
+    /// Retransmissions on the Phase-1 down, Phase-1 up and Phase-2 down
+    /// channels.
+    extra: [u64; 3],
+    /// The checkpoint block, whose uploads are doubled.
+    c2: Option<usize>,
+    /// Surviving uploads per block (edge blocks only).
+    survivors: &'r [u64],
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::traced_opts;
+    use crate::strategies::{case_opts, record};
     use hm_core::algorithms::{
-        Algorithm, HierFavg, HierMinimax, MultiLevelMinimax, RunOpts, UpperLevel,
+        Algorithm, HierFavg, HierMinimax, MultiLevelMinimax, OverselectMinimax, RunResult,
     };
     use hm_data::scenarios::tiny_problem;
+    use hm_simnet::ChurnPlan;
 
     fn problem(n_edges: usize, n0: usize, seed: u64) -> FederatedProblem {
         FederatedProblem::logistic_from_scenario(&tiny_problem(n_edges, n0, seed))
     }
 
-    #[test]
-    fn valid_hierminimax_trace_passes() {
-        let fp = problem(3, 2, 1);
-        let cfg = HierMinimaxConfig {
-            rounds: 3,
-            opts: traced_opts(),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let report = check_hierminimax_trace(&fp, &cfg, 42, &r.trace.events()).unwrap();
-        assert_eq!(report.rounds, 3);
-        // 3 rounds × τ2 blocks × 2 distinct-at-most edges × 2 clients…
-        assert!(report.local_steps > 0);
-        assert!(report.checkpoints > 0);
+    /// Run `cfg` with a recording sink; returns the result and the stream.
+    fn hierminimax(
+        fp: &FederatedProblem,
+        cfg: &mut HierMinimaxConfig,
+        seed: u64,
+    ) -> (RunResult, Vec<TelemetryEvent>) {
+        let sink = record(&mut cfg.opts);
+        let r = HierMinimax::new(cfg.clone()).run(fp, seed);
+        (r, sink.events())
     }
 
-    #[test]
-    fn valid_hierfavg_trace_passes() {
-        let fp = problem(3, 2, 2);
-        let cfg = HierFavgConfig {
-            rounds: 3,
-            opts: traced_opts(),
-            ..Default::default()
-        };
-        let r = HierFavg::new(cfg.clone()).run(&fp, 7);
-        let report = check_hierfavg_trace(&fp, &cfg, 7, &r.trace.events()).unwrap();
-        assert_eq!(report.rounds, 3);
-        assert_eq!(report.checkpoints, 0);
+    fn hierfavg(fp: &FederatedProblem, cfg: &mut HierFavgConfig, seed: u64) -> Vec<TelemetryEvent> {
+        let sink = record(&mut cfg.opts);
+        HierFavg::new(cfg.clone()).run(fp, seed);
+        sink.events()
     }
 
-    #[test]
-    fn valid_multilevel_trace_passes() {
-        let fp = problem(4, 2, 3);
-        let cfg = MultiLevelConfig {
-            rounds: 3,
+    fn multilevel(
+        fp: &FederatedProblem,
+        cfg: &mut MultiLevelConfig,
+        seed: u64,
+    ) -> Vec<TelemetryEvent> {
+        let sink = record(&mut cfg.opts);
+        MultiLevelMinimax::new(cfg.clone()).run(fp, seed);
+        sink.events()
+    }
+
+    fn hm_cfg(rounds: usize, opts: RunOpts) -> HierMinimaxConfig {
+        HierMinimaxConfig {
+            rounds,
+            opts,
+            ..Default::default()
+        }
+    }
+
+    fn ml_cfg(rounds: usize, opts: RunOpts) -> MultiLevelConfig {
+        MultiLevelConfig {
+            rounds,
             upper: vec![UpperLevel {
                 group_size: 2,
                 tau: 2,
             }],
             m_groups: 2,
-            opts: traced_opts(),
+            opts,
+            ..Default::default()
+        }
+    }
+
+    fn count(events: &[TelemetryEvent], kind: &str) -> usize {
+        events.iter().filter(|e| e.kind() == kind).count()
+    }
+
+    fn position(events: &[TelemetryEvent], kind: &str) -> usize {
+        events
+            .iter()
+            .position(|e| e.kind() == kind)
+            .unwrap_or_else(|| panic!("stream has a {kind} event"))
+    }
+
+    #[test]
+    fn valid_hierminimax_stream_passes() {
+        let fp = problem(3, 2, 1);
+        let mut cfg = hm_cfg(3, case_opts());
+        let (_, events) = hierminimax(&fp, &mut cfg, 42);
+        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
+        assert_eq!(report.rounds, 3);
+        assert_eq!(report.events, events.len());
+        assert!(report.local_steps > 0);
+        assert!(report.checkpoints > 0);
+    }
+
+    #[test]
+    fn valid_hierfavg_stream_passes() {
+        let fp = problem(3, 2, 2);
+        let mut cfg = HierFavgConfig {
+            rounds: 3,
+            opts: case_opts(),
             ..Default::default()
         };
-        let r = MultiLevelMinimax::new(cfg.clone()).run(&fp, 11);
-        let report = check_multilevel_trace(&fp, &cfg, 11, &r.trace.events()).unwrap();
+        let events = hierfavg(&fp, &mut cfg, 7);
+        let report = check_stream(&fp, &cfg, 7, &events).unwrap();
+        assert_eq!(report.rounds, 3);
+        assert_eq!(report.checkpoints, 0);
+    }
+
+    #[test]
+    fn valid_multilevel_stream_passes() {
+        let fp = problem(4, 2, 3);
+        let mut cfg = ml_cfg(3, case_opts());
+        let events = multilevel(&fp, &mut cfg, 11);
+        let report = check_stream(&fp, &cfg, 11, &events).unwrap();
         assert_eq!(report.rounds, 3);
     }
 
-    /// A fault plan hitting every class replays cleanly: the checker
-    /// consumes the interleaved `EdgeFault` events, recomputes survivor
-    /// sets, and the retry-aware comm closed form matches the meter.
     #[test]
-    fn faulty_hierminimax_trace_passes_and_counts_faults() {
+    fn valid_overselect_stream_passes() {
+        let fp = problem(4, 2, 8);
+        let mut cfg = OverselectConfig {
+            rounds: 4,
+            tau1: 2,
+            tau2: 2,
+            m_edges: 2,
+            m_over: 4,
+            seconds_per_slot: vec![2.0, 1.0, 2.0, 3.0],
+            eta_w: 0.1,
+            eta_p: 0.05,
+            batch_size: 2,
+            loss_batch: 4,
+            dropout: 0.0,
+            opts: case_opts(),
+        };
+        let sink = record(&mut cfg.opts);
+        OverselectMinimax::new(cfg.clone()).run(&fp, 3);
+        let report = check_stream(&fp, &cfg, 3, &sink.events()).unwrap();
+        assert_eq!(report.rounds, 4);
+        assert!(report.checkpoints > 0);
+    }
+
+    /// A fault plan hitting every class replays cleanly: the checker
+    /// consumes the interleaved `fault` events, recomputes survivor sets
+    /// and fault summaries, and the retry-aware comm closed form matches.
+    #[test]
+    fn faulty_hierminimax_stream_passes_and_counts_faults() {
         let fp = problem(3, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 6,
-            opts: RunOpts {
+        let mut cfg = hm_cfg(
+            6,
+            RunOpts {
                 fault: FaultPlan {
                     client_crash: 0.3,
                     edge_outage: 0.4,
@@ -1627,29 +1515,23 @@ mod tests {
                     deadline_factor: 1.5,
                     ..FaultPlan::default()
                 },
-                ..traced_opts()
+                ..case_opts()
             },
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let report = check_hierminimax_trace(&fp, &cfg, 42, &r.trace.events()).unwrap();
+        );
+        let (r, events) = hierminimax(&fp, &mut cfg, 42);
+        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
         assert_eq!(report.rounds, 6);
         assert!(report.faults > 0, "plan rates high enough to always fire");
-        // Every EdgeFault event in the trace was consumed by the replay.
-        let traced_faults = r
-            .trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e, Event::EdgeFault { .. }))
-            .count();
-        assert_eq!(report.faults, traced_faults);
+        // Every fault event in the stream was consumed by the replay.
+        assert_eq!(report.faults, count(&events, "fault"));
+        assert_eq!(count(&events, "fault_summary"), 6);
         assert!(r.faults.outages > 0 || r.faults.gave_up > 0);
     }
 
     #[test]
-    fn faulty_hierfavg_trace_passes() {
+    fn faulty_hierfavg_stream_passes() {
         let fp = problem(3, 2, 5);
-        let cfg = HierFavgConfig {
+        let mut cfg = HierFavgConfig {
             rounds: 5,
             dropout: 0.25,
             opts: RunOpts {
@@ -1659,73 +1541,66 @@ mod tests {
                     max_retries: 0,
                     ..FaultPlan::default()
                 },
-                ..traced_opts()
+                ..case_opts()
             },
             ..Default::default()
         };
-        let r = HierFavg::new(cfg.clone()).run(&fp, 19);
-        let report = check_hierfavg_trace(&fp, &cfg, 19, &r.trace.events()).unwrap();
+        let events = hierfavg(&fp, &mut cfg, 19);
+        let report = check_stream(&fp, &cfg, 19, &events).unwrap();
         assert_eq!(report.rounds, 5);
         assert!(report.faults > 0);
     }
 
     #[test]
-    fn faulty_multilevel_trace_passes_cloud_replay() {
+    fn faulty_multilevel_stream_passes_cloud_replay() {
         let fp = problem(4, 2, 6);
-        let cfg = MultiLevelConfig {
-            rounds: 5,
-            upper: vec![UpperLevel {
-                group_size: 2,
-                tau: 2,
-            }],
-            m_groups: 2,
-            opts: RunOpts {
+        let mut cfg = ml_cfg(
+            5,
+            RunOpts {
                 fault: FaultPlan {
                     edge_outage: 0.35,
                     msg_loss: 0.3,
                     max_retries: 2,
                     ..FaultPlan::default()
                 },
-                ..traced_opts()
+                ..case_opts()
             },
-            ..Default::default()
-        };
-        let r = MultiLevelMinimax::new(cfg.clone()).run(&fp, 13);
-        let report = check_multilevel_trace(&fp, &cfg, 13, &r.trace.events()).unwrap();
+        );
+        let events = multilevel(&fp, &mut cfg, 13);
+        let report = check_stream(&fp, &cfg, 13, &events).unwrap();
         assert_eq!(report.rounds, 5);
         assert!(report.faults > 0);
     }
 
-    /// Dropping a fault event desynchronizes the replay: the checker must
-    /// reject the trace rather than silently mis-attribute survivors.
-    #[test]
-    fn missing_fault_event_is_rejected() {
+    fn outage_run() -> (FederatedProblem, HierMinimaxConfig, Vec<TelemetryEvent>) {
         let fp = problem(3, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 6,
-            opts: RunOpts {
+        let mut cfg = hm_cfg(
+            6,
+            RunOpts {
                 fault: FaultPlan {
                     edge_outage: 0.5,
+                    msg_loss: 0.3,
+                    max_retries: 2,
                     ..FaultPlan::default()
                 },
-                ..traced_opts()
+                ..case_opts()
             },
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let mut events = r.trace.events();
-        let idx = events
-            .iter()
-            .position(|e| matches!(e, Event::EdgeFault { .. }))
-            .expect("outage rate 0.5 over 6 rounds fires");
-        events.remove(idx);
-        let err = check_hierminimax_trace(&fp, &cfg, 42, &events).unwrap_err();
+        );
+        let (_, events) = hierminimax(&fp, &mut cfg, 42);
+        (fp, cfg, events)
+    }
+
+    /// Dropping a fault event desynchronizes the replay: the checker must
+    /// reject the stream rather than silently mis-attribute survivors.
+    #[test]
+    fn missing_fault_event_is_rejected() {
+        let (fp, cfg, mut events) = outage_run();
+        events.remove(position(&events, "fault"));
+        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
         assert!(
             matches!(
                 err,
-                ConformanceError::FaultMismatch { .. }
-                    | ConformanceError::UnexpectedEvent { .. }
-                    | ConformanceError::BroadcastMismatch { .. }
+                ConformanceError::FaultMismatch { .. } | ConformanceError::UnexpectedEvent { .. }
             ),
             "expected replay desync, got {err}"
         );
@@ -1736,65 +1611,106 @@ mod tests {
     #[test]
     fn forged_fault_event_is_rejected() {
         let fp = problem(3, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 2,
-            opts: traced_opts(),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 5);
-        let mut events = r.trace.events();
-        let idx = events
-            .iter()
-            .position(|e| matches!(e, Event::CloudBroadcast { .. }))
-            .unwrap();
+        let mut cfg = hm_cfg(2, case_opts());
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let idx = position(&events, "phase1") + 1;
         events.insert(
             idx,
-            Event::EdgeFault {
+            TelemetryEvent::Fault {
                 round: 0,
+                kind: FaultKind::EdgeOutage.as_str().into(),
                 level: 0,
                 edge: 0,
-                kind: FaultKind::EdgeOutage,
                 attempts: 0,
             },
         );
-        let err = check_hierminimax_trace(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
         assert!(
-            matches!(
-                err,
-                ConformanceError::FaultMismatch { .. } | ConformanceError::UnexpectedEvent { .. }
-            ),
+            matches!(err, ConformanceError::FaultMismatch { .. }),
             "expected fault mismatch, got {err}"
         );
     }
 
+    /// `fault_summary` counts are replayed too: one retry more than the
+    /// message-loss streams drew is rejected, and so is a missing summary.
     #[test]
-    fn truncated_trace_is_rejected() {
+    fn forged_or_missing_fault_summary_is_rejected() {
+        let (fp, cfg, events) = outage_run();
+        let mut forged = events.clone();
+        let idx = position(&forged, "fault_summary");
+        if let TelemetryEvent::FaultSummary { retries, .. } = &mut forged[idx] {
+            *retries += 1;
+        }
+        let err = check_stream(&fp, &cfg, 42, &forged).unwrap_err();
+        assert!(
+            matches!(err, ConformanceError::FaultMismatch { .. }),
+            "{err}"
+        );
+        let mut missing = events;
+        missing.remove(idx);
+        let err = check_stream(&fp, &cfg, 42, &missing).unwrap_err();
+        assert!(
+            matches!(err, ConformanceError::FaultMismatch { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn truncated_stream_is_rejected() {
         let fp = problem(3, 2, 1);
-        let cfg = HierMinimaxConfig {
-            rounds: 2,
-            opts: traced_opts(),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 5);
-        let mut events = r.trace.events();
-        events.pop();
-        let err = check_hierminimax_trace(&fp, &cfg, 5, &events).unwrap_err();
+        let mut cfg = hm_cfg(2, case_opts());
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let last_end = events
+            .iter()
+            .rposition(|e| matches!(e, TelemetryEvent::RoundEnd { .. }))
+            .unwrap();
+        events.truncate(last_end);
+        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
         assert!(matches!(err, ConformanceError::TraceEnded { .. }), "{err}");
     }
 
     #[test]
     fn trailing_events_are_rejected() {
         let fp = problem(3, 2, 1);
-        let cfg = HierMinimaxConfig {
-            rounds: 2,
-            opts: traced_opts(),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 5);
-        let mut events = r.trace.events();
-        events.push(Event::GlobalAggregation { round: 2 });
-        let err = check_hierminimax_trace(&fp, &cfg, 5, &events).unwrap_err();
+        let mut cfg = hm_cfg(2, case_opts());
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        events.push(TelemetryEvent::RoundStart { round: 2 });
+        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
         assert_eq!(err, ConformanceError::TrailingEvents { count: 1 });
+    }
+
+    /// A run whose global model went non-finite is rejected, even though
+    /// the stream carries only the model's digest.
+    #[test]
+    fn non_finite_model_is_rejected() {
+        let fp = problem(3, 2, 1);
+        let mut cfg = hm_cfg(2, case_opts());
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let idx = position(&events, "phase1_done");
+        if let TelemetryEvent::Phase1Done { nonfinite, .. } = &mut events[idx] {
+            *nonfinite = 1;
+        }
+        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        assert!(matches!(err, ConformanceError::BadModel { .. }), "{err}");
+    }
+
+    /// The clients of a block aggregate in slot order; the same set in
+    /// another order is a different protocol step.
+    #[test]
+    fn reordered_block_clients_are_rejected() {
+        let fp = problem(3, 2, 1);
+        let mut cfg = hm_cfg(2, case_opts());
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let idx = position(&events, "block_agg");
+        if let TelemetryEvent::BlockAggregated { clients, .. } = &mut events[idx] {
+            assert!(clients.len() > 1, "two clients per edge, no faults");
+            clients.reverse();
+        }
+        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        assert!(
+            matches!(err, ConformanceError::LocalStepsMismatch { .. }),
+            "{err}"
+        );
     }
 
     fn byzantine_plan(rate: f32) -> FaultPlan {
@@ -1805,46 +1721,53 @@ mod tests {
         }
     }
 
-    /// An adversarial trace replays cleanly and the traced per-round
-    /// corrupted counts sum to the run's own adversary accounting (a
-    /// closed-form cross-check of the keyed corruption stream).
-    #[test]
-    fn adversarial_hierminimax_trace_passes_and_counts_corruption() {
+    fn adversarial_run() -> (
+        FederatedProblem,
+        HierMinimaxConfig,
+        RunResult,
+        Vec<TelemetryEvent>,
+    ) {
         let fp = problem(3, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 5,
-            opts: RunOpts {
+        let mut cfg = hm_cfg(
+            5,
+            RunOpts {
                 fault: byzantine_plan(0.3),
-                ..traced_opts()
+                ..case_opts()
             },
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let report = check_hierminimax_trace(&fp, &cfg, 42, &r.trace.events()).unwrap();
+        );
+        let (r, events) = hierminimax(&fp, &mut cfg, 42);
+        (fp, cfg, r, events)
+    }
+
+    /// An adversarial stream replays cleanly and the per-round corrupted
+    /// counts sum to the run's own adversary accounting (a closed-form
+    /// cross-check of the keyed corruption stream).
+    #[test]
+    fn adversarial_hierminimax_stream_passes_and_counts_corruption() {
+        let (fp, cfg, r, events) = adversarial_run();
+        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
         assert_eq!(report.rounds, 5);
-        assert_eq!(report.faults, 5, "one validated AdversaryRound per round");
-        let traced: u64 = r
-            .trace
-            .events()
+        assert_eq!(report.faults, 5, "one validated adversary event per round");
+        let streamed: u64 = events
             .iter()
             .filter_map(|e| match e {
-                Event::AdversaryRound { corrupted, .. } => Some(*corrupted),
+                TelemetryEvent::Adversary { corrupted, .. } => Some(*corrupted),
                 _ => None,
             })
             .sum();
-        assert!(traced > 0, "30% corruption over 5 rounds fires");
-        assert_eq!(traced, r.quarantine.corrupted_updates);
+        assert!(streamed > 0, "30% corruption over 5 rounds fires");
+        assert_eq!(streamed, r.quarantine.corrupted_updates);
     }
 
     /// Corruption composes with crash/straggler faults: the corrupted
     /// count is drawn over the *surviving* slots only, and the replay
     /// still matches with both fault classes active.
     #[test]
-    fn adversarial_trace_with_crashes_passes() {
+    fn adversarial_stream_with_crashes_passes() {
         let fp = problem(3, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 6,
-            opts: RunOpts {
+        let mut cfg = hm_cfg(
+            6,
+            RunOpts {
                 fault: FaultPlan {
                     client_crash: 0.3,
                     straggler_rate: 0.2,
@@ -1852,136 +1775,93 @@ mod tests {
                     deadline_factor: 1.5,
                     ..byzantine_plan(0.4)
                 },
-                ..traced_opts()
+                ..case_opts()
             },
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 9);
-        let report = check_hierminimax_trace(&fp, &cfg, 9, &r.trace.events()).unwrap();
+        );
+        let (_, events) = hierminimax(&fp, &mut cfg, 9);
+        let report = check_stream(&fp, &cfg, 9, &events).unwrap();
         assert_eq!(report.rounds, 6);
     }
 
     #[test]
-    fn adversarial_hierfavg_trace_passes() {
+    fn adversarial_hierfavg_stream_passes() {
         let fp = problem(3, 2, 5);
-        let cfg = HierFavgConfig {
+        let mut cfg = HierFavgConfig {
             rounds: 4,
             opts: RunOpts {
                 fault: byzantine_plan(0.25),
-                ..traced_opts()
+                ..case_opts()
             },
             ..Default::default()
         };
-        let r = HierFavg::new(cfg.clone()).run(&fp, 19);
-        let report = check_hierfavg_trace(&fp, &cfg, 19, &r.trace.events()).unwrap();
+        let events = hierfavg(&fp, &mut cfg, 19);
+        let report = check_stream(&fp, &cfg, 19, &events).unwrap();
         assert_eq!(report.rounds, 4);
         assert_eq!(report.faults, 4);
     }
 
     #[test]
-    fn adversarial_multilevel_trace_passes() {
+    fn adversarial_multilevel_stream_passes() {
         let fp = problem(4, 2, 6);
-        let cfg = MultiLevelConfig {
-            rounds: 4,
-            upper: vec![UpperLevel {
-                group_size: 2,
-                tau: 2,
-            }],
-            m_groups: 2,
-            opts: RunOpts {
+        let mut cfg = ml_cfg(
+            4,
+            RunOpts {
                 fault: byzantine_plan(0.25),
-                ..traced_opts()
+                ..case_opts()
             },
-            ..Default::default()
-        };
-        let r = MultiLevelMinimax::new(cfg.clone()).run(&fp, 13);
-        let report = check_multilevel_trace(&fp, &cfg, 13, &r.trace.events()).unwrap();
+        );
+        let events = multilevel(&fp, &mut cfg, 13);
+        let report = check_stream(&fp, &cfg, 13, &events).unwrap();
         assert_eq!(report.rounds, 4);
         assert_eq!(report.faults, 4);
     }
 
-    /// Inflating a traced corrupted count forges adversary accounting the
-    /// keyed stream never produced; the replay must reject it.
+    /// Inflating a streamed corrupted count forges adversary accounting
+    /// the keyed stream never produced; the replay must reject it.
     #[test]
     fn forged_adversary_count_is_rejected() {
-        let fp = problem(3, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 5,
-            opts: RunOpts {
-                fault: byzantine_plan(0.3),
-                ..traced_opts()
-            },
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let mut events = r.trace.events();
-        let slot = events
-            .iter_mut()
-            .find_map(|e| match e {
-                Event::AdversaryRound { corrupted, .. } => Some(corrupted),
-                _ => None,
-            })
-            .expect("adversarial run traces AdversaryRound");
-        *slot += 1;
-        let err = check_hierminimax_trace(&fp, &cfg, 42, &events).unwrap_err();
+        let (fp, cfg, _, mut events) = adversarial_run();
+        let idx = position(&events, "adversary");
+        if let TelemetryEvent::Adversary { corrupted, .. } = &mut events[idx] {
+            *corrupted += 1;
+        }
+        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::FaultMismatch { .. }),
             "{err}"
         );
     }
 
-    /// Deleting an AdversaryRound hides corruption from the log; the
-    /// replay still expects the event and must reject the trace.
+    /// Deleting an adversary event hides corruption from the stream; the
+    /// replay still expects the event and must reject the stream.
     #[test]
     fn missing_adversary_event_is_rejected() {
-        let fp = problem(3, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 5,
-            opts: RunOpts {
-                fault: byzantine_plan(0.3),
-                ..traced_opts()
-            },
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let mut events = r.trace.events();
-        let idx = events
-            .iter()
-            .position(|e| matches!(e, Event::AdversaryRound { .. }))
-            .unwrap();
-        events.remove(idx);
-        let err = check_hierminimax_trace(&fp, &cfg, 42, &events).unwrap_err();
+        let (fp, cfg, _, mut events) = adversarial_run();
+        events.remove(position(&events, "adversary"));
+        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::FaultMismatch { .. }),
             "{err}"
         );
     }
 
-    /// An honest (zero-rate) trace must not carry adversary events: the
+    /// An honest (zero-rate) stream must not carry adversary events: the
     /// checker never consumes them, so an injected one desynchronizes.
     #[test]
-    fn injected_adversary_event_in_honest_trace_is_rejected() {
+    fn injected_adversary_event_in_honest_stream_is_rejected() {
         let fp = problem(3, 2, 1);
-        let cfg = HierMinimaxConfig {
-            rounds: 2,
-            opts: traced_opts(),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 5);
-        let mut events = r.trace.events();
-        let idx = events
-            .iter()
-            .position(|e| matches!(e, Event::RoundComm { .. }))
-            .unwrap();
+        let mut cfg = hm_cfg(2, case_opts());
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let idx = position(&events, "round_end");
         events.insert(
             idx,
-            Event::AdversaryRound {
+            TelemetryEvent::Adversary {
                 round: 0,
                 corrupted: 2,
-                attack: "sign-flip",
+                attack: "sign-flip".into(),
             },
         );
-        let err = check_hierminimax_trace(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::UnexpectedEvent { .. }),
             "{err}"
@@ -2004,39 +1884,35 @@ mod tests {
     fn churn_opts(preset: &str) -> RunOpts {
         RunOpts {
             churn: ChurnPlan::preset(preset).unwrap(),
-            ..traced_opts()
+            ..case_opts()
         }
     }
 
-    /// A chaos-churn trace replays cleanly: the checker's topology mirror
+    /// A chaos-churn stream replays cleanly: the checker's topology mirror
     /// re-derives every leave, join, edge failure and re-homing move from
     /// the keyed churn stream, tracks roster-based participation, and the
     /// membership-aware comm closed form matches the meter.
     #[test]
-    fn churn_hierminimax_trace_passes() {
+    fn churn_hierminimax_stream_passes() {
         let fp = problem(4, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 6,
-            opts: churn_opts("chaos-churn"),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
+        let mut cfg = hm_cfg(6, churn_opts("chaos-churn"));
+        let (r, events) = hierminimax(&fp, &mut cfg, 42);
         assert!(r.churn.total() > 0, "chaos-churn over 6 rounds fires");
-        let report = check_hierminimax_trace(&fp, &cfg, 42, &r.trace.events()).unwrap();
+        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
         assert_eq!(report.rounds, 6);
         assert!(report.local_steps > 0);
     }
 
     #[test]
-    fn churn_hierfavg_trace_passes() {
+    fn churn_hierfavg_stream_passes() {
         let fp = problem(4, 2, 5);
-        let cfg = HierFavgConfig {
+        let mut cfg = HierFavgConfig {
             rounds: 6,
             opts: churn_opts("mild"),
             ..Default::default()
         };
-        let r = HierFavg::new(cfg.clone()).run(&fp, 19);
-        let report = check_hierfavg_trace(&fp, &cfg, 19, &r.trace.events()).unwrap();
+        let events = hierfavg(&fp, &mut cfg, 19);
+        let report = check_stream(&fp, &cfg, 19, &events).unwrap();
         assert_eq!(report.rounds, 6);
     }
 
@@ -2044,27 +1920,23 @@ mod tests {
     /// re-home onto survivors, the fairness weights leave the dead
     /// coordinate, and the replay still matches end to end.
     #[test]
-    fn edge_failover_trace_passes_with_rehoming() {
+    fn edge_failover_stream_passes_with_rehoming() {
         let fp = problem(4, 2, 6);
-        let cfg = HierMinimaxConfig {
-            rounds: 10,
-            opts: churn_opts("edge-failover"),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 7);
+        let mut cfg = hm_cfg(10, churn_opts("edge-failover"));
+        let (r, events) = hierminimax(&fp, &mut cfg, 7);
         assert!(r.churn.rehomed > 0, "15% failure rate over 10 rounds fires");
-        let report = check_hierminimax_trace(&fp, &cfg, 7, &r.trace.events()).unwrap();
+        let report = check_stream(&fp, &cfg, 7, &events).unwrap();
         assert_eq!(report.rounds, 10);
     }
 
     /// Churn composes with message-level faults: delivery replays run over
     /// the roster-derived survivor sets and still match.
     #[test]
-    fn churn_with_faults_trace_passes() {
+    fn churn_with_faults_stream_passes() {
         let fp = problem(4, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 5,
-            opts: RunOpts {
+        let mut cfg = hm_cfg(
+            5,
+            RunOpts {
                 fault: FaultPlan {
                     client_crash: 0.2,
                     msg_loss: 0.25,
@@ -2073,110 +1945,90 @@ mod tests {
                 },
                 ..churn_opts("chaos-churn")
             },
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 23);
-        let report = check_hierminimax_trace(&fp, &cfg, 23, &r.trace.events()).unwrap();
+        );
+        let (_, events) = hierminimax(&fp, &mut cfg, 23);
+        let report = check_stream(&fp, &cfg, 23, &events).unwrap();
         assert_eq!(report.rounds, 5);
     }
 
-    /// A forged re-homing move (a transition the keyed churn stream never
-    /// drew) is rejected as a churn mismatch.
+    /// A forged re-homing move — a `rehome` event the keyed churn stream
+    /// never drew — is rejected as a churn mismatch wherever it sits.
     #[test]
     fn forged_rehoming_move_is_rejected() {
         let fp = problem(4, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 3,
-            opts: churn_opts("chaos-churn"),
-            ..Default::default()
+        let mut cfg = hm_cfg(3, churn_opts("chaos-churn"));
+        let (_, events) = hierminimax(&fp, &mut cfg, 42);
+        let forged = TelemetryEvent::Rehome {
+            round: 0,
+            client: 0,
+            from_edge: 1,
+            to_edge: 2,
         };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let mut events = r.trace.events();
-        let idx = events
-            .iter()
-            .position(|e| matches!(e, Event::ChurnRound { .. }))
-            .expect("active plan emits ChurnRound every round");
-        if let Event::ChurnRound { rehomed, .. } = &mut events[idx] {
-            rehomed.push((0, 1, 2));
+        for idx in [position(&events, "churn") + 1, position(&events, "phase1")] {
+            let mut events = events.clone();
+            events.insert(idx, forged.clone());
+            let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
+            assert!(
+                matches!(err, ConformanceError::ChurnMismatch { .. }),
+                "at {idx}: {err}"
+            );
         }
-        let err = check_hierminimax_trace(&fp, &cfg, 42, &events).unwrap_err();
-        assert!(
-            matches!(err, ConformanceError::ChurnMismatch { .. }),
-            "{err}"
-        );
     }
 
     /// A forged leave is likewise rejected.
     #[test]
     fn forged_leave_is_rejected() {
         let fp = problem(4, 2, 5);
-        let cfg = HierFavgConfig {
+        let mut cfg = HierFavgConfig {
             rounds: 3,
             opts: churn_opts("mild"),
             ..Default::default()
         };
-        let r = HierFavg::new(cfg.clone()).run(&fp, 19);
-        let mut events = r.trace.events();
-        let idx = events
-            .iter()
-            .position(|e| matches!(e, Event::ChurnRound { .. }))
-            .unwrap();
-        if let Event::ChurnRound { left, .. } = &mut events[idx] {
+        let mut events = hierfavg(&fp, &mut cfg, 19);
+        let idx = position(&events, "churn");
+        if let TelemetryEvent::Churn { left, .. } = &mut events[idx] {
             left.push(0);
         }
-        let err = check_hierfavg_trace(&fp, &cfg, 19, &events).unwrap_err();
+        let err = check_stream(&fp, &cfg, 19, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::ChurnMismatch { .. }),
             "{err}"
         );
     }
 
-    /// Dropping a ChurnRound desynchronizes the replay immediately.
+    /// Dropping a churn event desynchronizes the replay immediately.
     #[test]
-    fn missing_churn_round_is_rejected() {
+    fn missing_churn_event_is_rejected() {
         let fp = problem(4, 2, 4);
-        let cfg = HierMinimaxConfig {
-            rounds: 3,
-            opts: churn_opts("chaos-churn"),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 42);
-        let mut events = r.trace.events();
-        let idx = events
-            .iter()
-            .position(|e| matches!(e, Event::ChurnRound { .. }))
-            .unwrap();
-        events.remove(idx);
-        let err = check_hierminimax_trace(&fp, &cfg, 42, &events).unwrap_err();
+        let mut cfg = hm_cfg(3, churn_opts("chaos-churn"));
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 42);
+        events.remove(position(&events, "churn"));
+        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::ChurnMismatch { .. }),
             "{err}"
         );
     }
 
-    /// A ChurnRound in a churnless trace is an unexpected event — runs
+    /// A churn event in a churnless stream is an unexpected event — runs
     /// without an active plan must not claim membership transitions.
     #[test]
-    fn churn_event_in_churnless_trace_is_rejected() {
+    fn churn_event_in_churnless_stream_is_rejected() {
         let fp = problem(3, 2, 1);
-        let cfg = HierMinimaxConfig {
-            rounds: 2,
-            opts: traced_opts(),
-            ..Default::default()
-        };
-        let r = HierMinimax::new(cfg.clone()).run(&fp, 5);
-        let mut events = r.trace.events();
+        let mut cfg = hm_cfg(2, case_opts());
+        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let idx = position(&events, "phase1");
         events.insert(
-            0,
-            Event::ChurnRound {
+            idx,
+            TelemetryEvent::Churn {
                 round: 0,
+                joined: vec![],
                 left: vec![],
                 failed_edges: vec![],
-                rehomed: vec![],
-                joined: vec![],
+                rehomed: 0,
             },
         );
-        let err = check_hierminimax_trace(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::UnexpectedEvent { .. }),
             "{err}"

@@ -3,13 +3,15 @@
 //!
 //! Three layers (DESIGN.md §9):
 //!
-//! - [`conformance`] — a replay automaton that validates a full protocol
-//!   [`hm_simnet::trace::Event`] log against the paper's Algorithm 1:
-//!   phase ordering, keyed-RNG sampling replay (Phase-1 multiset ∝ `p^(k)`,
-//!   checkpoint index in `[τ1]×[τ2]`, Phase-2 uniform set), dropout-aware
-//!   local-step/aggregation structure, constrained-simplex feasibility of
+//! - [`conformance`] — one replay automaton that checks a run's telemetry
+//!   stream (the events it wrote, DESIGN.md §10) against Algorithm 1 for
+//!   HierMinimax, HierFAVG, MultiLevel and Overselect: phase ordering,
+//!   keyed-RNG sampling replay (Phase-1 draw ∝ `p^(k)`, checkpoint index
+//!   in `[τ1]×[τ2]`, Phase-2 uniform set), fault, adversary and churn
+//!   replay, per-block survivor sets, constrained-simplex feasibility of
 //!   every weight iterate, and closed-form per-round communication
-//!   accounting.
+//!   accounting. [`splice`] joins a killed run's stream to its resumed
+//!   run's, so resumed runs are checked the same way.
 //! - [`oracle`] — a deliberately naive, allocation-heavy reference
 //!   reimplementation of one HierMinimax round (plus the flat FedAvg/DRFA
 //!   round shapes) that the optimized `hm-core::algorithms` path must
@@ -29,13 +31,10 @@ pub mod oracle;
 pub mod splice;
 pub mod strategies;
 
-pub use conformance::{
-    check_hierfavg_trace, check_hierminimax_trace, check_multilevel_trace, ConformanceError,
-    ConformanceReport,
-};
+pub use conformance::{check_stream, ConformanceError, ConformanceReport, Protocol};
 pub use oracle::{
     reference_drfa_round, reference_fedavg_round, reference_hierminimax_round,
     reference_hierminimax_run, reference_init_w, ReferenceRound,
 };
-pub use splice::{round_start_index, splice_traces};
+pub use splice::{scrub, splice};
 pub use strategies::{MultiLevelSpec, PDomainSpec, ScenarioSpec};

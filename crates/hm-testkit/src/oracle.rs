@@ -20,9 +20,11 @@
 //! are not modelled; `tests/pinned_bits.rs` pins those paths instead.
 //!
 //! The contract is **bit-identical** per-round iterates: the optimized run
-//! emits `GlobalModel`/`WeightUpdate` trace events, and the differential
-//! tests (`tests/oracle_diff.rs`) assert `==` on `f32` vectors, not
-//! approximate closeness. The floating-point contracts that make this
+//! streams each round's model digest (`phase1_done.w_digest`, see
+//! `hm_telemetry::model_digest`) and weights (`dual_update.p`), and the
+//! differential tests (`tests/oracle_diff.rs`) assert `==` on the digest
+//! of the reference model and on the `f32` weight vectors — and on the
+//! final `w` and `p` in full — not approximate closeness. The floating-point contracts that make this
 //! possible are part of the workspace's determinism policy (DESIGN.md §7):
 //! aggregation accumulates per-coordinate in `f64` over sources in index
 //! order, and each SGD step is an `axpy` followed by a projection.
@@ -482,7 +484,7 @@ pub fn reference_fedavg_round(
 /// at the uniform `t' ∈ [τ1]`; a second uniform set evaluates the
 /// checkpoint and `q ← Π_Δ(q + η_q τ1 v)`. Returns `(w^{(k+1)},
 /// q^{(k+1)}, p_edge)` where `p_edge` is `q` collapsed per edge area (the
-/// vector DRFA's `WeightUpdate` trace event carries).
+/// vector DRFA's `dual_update` event carries).
 pub fn reference_drfa_round(
     problem: &FederatedProblem,
     cfg: &DrfaConfig,

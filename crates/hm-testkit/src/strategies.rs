@@ -14,14 +14,17 @@
 //! mapping a free integer instead of `prop_flat_map`.
 
 use hm_core::algorithms::{
-    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, RunOpts, UpperLevel, WeightUpdateModel,
+    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, OverselectConfig, RunOpts, UpperLevel,
+    WeightUpdateModel,
 };
 use hm_core::problem::FederatedProblem;
 use hm_data::scenarios::tiny_problem;
 use hm_optim::ProjectionOp;
 use hm_simnet::{AttackModel, FaultPlan, Parallelism, Quantizer};
+use hm_telemetry::{MemorySink, Telemetry};
 use hm_tensor::Aggregator;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The constrained weight domain `P` of problem (3).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,14 +86,21 @@ pub struct ScenarioSpec {
 }
 
 /// Runner options every generated case uses: sequential (the reference
-/// execution order), traced, no mid-run evaluation.
-pub fn traced_opts() -> RunOpts {
+/// execution order), no mid-run evaluation.
+pub fn case_opts() -> RunOpts {
     RunOpts {
         eval_every: 0,
         parallelism: Parallelism::Sequential,
-        trace: true,
         ..Default::default()
     }
+}
+
+/// Attach a fresh in-memory telemetry sink to `opts` and return it: the
+/// run's event stream, for the conformance replay.
+pub fn record(opts: &mut RunOpts) -> Arc<MemorySink> {
+    let sink = Arc::new(MemorySink::new());
+    opts.telemetry = Telemetry::with_sink(sink.clone());
+    sink
 }
 
 impl ScenarioSpec {
@@ -120,7 +130,7 @@ impl ScenarioSpec {
             tau2_per_edge: None,
             opts: RunOpts {
                 fault: self.fault.clone(),
-                ..traced_opts()
+                ..case_opts()
             },
         }
     }
@@ -139,7 +149,31 @@ impl ScenarioSpec {
             dropout: self.dropout,
             opts: RunOpts {
                 fault: self.fault.clone(),
-                ..traced_opts()
+                ..case_opts()
+            },
+        }
+    }
+
+    /// The Overselect config for this spec: all `N_E` edges drawn, the
+    /// fastest `m_E` kept, under speeds with ties (`1 + e mod 3` seconds
+    /// per slot) so the stable sort's order matters. The spec's codec
+    /// and Phase-2 model have no Overselect counterpart.
+    pub fn overselect_config(&self) -> OverselectConfig {
+        OverselectConfig {
+            rounds: self.rounds,
+            tau1: self.tau1,
+            tau2: self.tau2,
+            m_edges: self.m_edges,
+            m_over: self.n_edges,
+            seconds_per_slot: (0..self.n_edges).map(|e| 1.0 + (e % 3) as f64).collect(),
+            eta_w: 0.1,
+            eta_p: 0.05,
+            batch_size: 2,
+            loss_batch: 3,
+            dropout: self.dropout,
+            opts: RunOpts {
+                fault: self.fault.clone(),
+                ..case_opts()
             },
         }
     }
@@ -223,7 +257,7 @@ impl MultiLevelSpec {
             dropout: 0.0,
             opts: RunOpts {
                 fault: self.fault.clone(),
-                ..traced_opts()
+                ..case_opts()
             },
         }
     }

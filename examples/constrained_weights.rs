@@ -46,7 +46,6 @@ fn main() {
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,
-                trace: false,
                 ..Default::default()
             },
         });

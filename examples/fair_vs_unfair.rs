@@ -25,7 +25,6 @@ fn main() {
     let opts = RunOpts {
         eval_every: 0,
         parallelism: Parallelism::Rayon,
-        trace: false,
         ..Default::default()
     };
 

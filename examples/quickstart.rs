@@ -45,7 +45,6 @@ fn main() {
         opts: RunOpts {
             eval_every: 25,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     };

@@ -26,7 +26,6 @@ fn main() {
     let opts = RunOpts {
         eval_every: 0,
         parallelism: Parallelism::Rayon,
-        trace: false,
         ..Default::default()
     };
     let rounds = 1500;

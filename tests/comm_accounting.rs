@@ -16,7 +16,6 @@ fn opts() -> RunOpts {
     RunOpts {
         eval_every: 1,
         parallelism: Parallelism::Sequential,
-        trace: false,
         ..Default::default()
     }
 }

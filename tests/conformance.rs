@@ -1,9 +1,10 @@
-//! Protocol-conformance suite: every traced run must replay cleanly
-//! through the `hm-testkit` automaton, and deliberately corrupted traces
-//! must be rejected with the right error.
+//! Protocol-conformance suite: every run's telemetry stream must replay
+//! cleanly through the `hm-testkit` automaton, and deliberately corrupted
+//! streams must be rejected with the right error.
 //!
 //! The property tests sweep generated scenarios (topology, periods,
-//! participation, dropout, fault plans, quantizers, constrained `P` sets);
+//! participation, dropout, fault plans, quantizers, constrained `P` sets)
+//! for HierMinimax, HierFAVG, MultiLevel and Overselect;
 //! the pinned corpus below re-checks specs that exercised tricky corners
 //! when first generated (total blackout, capped simplex, quantized
 //! uploads, degenerate `τ = 1`, lossy links with retries, outage-heavy
@@ -11,17 +12,15 @@
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierMinimax, MultiLevelMinimax, WeightUpdateModel,
+    Algorithm, HierFavg, HierMinimax, HierMinimaxConfig, MultiLevelMinimax, OverselectMinimax,
+    WeightUpdateModel,
 };
 use hierminimax::core::CheckpointOpts;
 use hierminimax::simnet::sampling::sample_edges_uniform;
-use hierminimax::simnet::trace::Event;
 use hierminimax::simnet::{CommStats, FaultPlan, Quantizer};
-use hm_testkit::strategies::{arb_multilevel, arb_scenario};
-use hm_testkit::{
-    check_hierfavg_trace, check_hierminimax_trace, check_multilevel_trace, splice_traces,
-    ConformanceError, PDomainSpec, ScenarioSpec,
-};
+use hierminimax::telemetry::TelemetryEvent;
+use hm_testkit::strategies::{arb_multilevel, arb_scenario, record};
+use hm_testkit::{check_stream, scrub, splice, ConformanceError, PDomainSpec, ScenarioSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -32,9 +31,10 @@ proptest! {
     #[test]
     fn hierminimax_traces_conform(spec in arb_scenario()) {
         let fp = spec.problem();
-        let cfg = spec.hierminimax_config();
-        let r = HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        let report = check_hierminimax_trace(&fp, &cfg, spec.run_seed, &r.trace.events())
+        let mut cfg = spec.hierminimax_config();
+        let sink = record(&mut cfg.opts);
+        HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
+        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         prop_assert_eq!(report.rounds, spec.rounds);
     }
@@ -47,9 +47,10 @@ proptest! {
     #[test]
     fn hierfavg_traces_conform(spec in arb_scenario()) {
         let fp = spec.problem();
-        let cfg = spec.hierfavg_config();
-        let r = HierFavg::new(cfg.clone()).run(&fp, spec.run_seed);
-        let report = check_hierfavg_trace(&fp, &cfg, spec.run_seed, &r.trace.events())
+        let mut cfg = spec.hierfavg_config();
+        let sink = record(&mut cfg.opts);
+        HierFavg::new(cfg.clone()).run(&fp, spec.run_seed);
+        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         prop_assert_eq!(report.rounds, spec.rounds);
         prop_assert_eq!(report.checkpoints, 0);
@@ -64,12 +65,62 @@ proptest! {
     #[test]
     fn multilevel_traces_conform(spec in arb_multilevel()) {
         let fp = spec.problem();
-        let cfg = spec.config();
-        let r = MultiLevelMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        let report = check_multilevel_trace(&fp, &cfg, spec.run_seed, &r.trace.events())
+        let mut cfg = spec.config();
+        let sink = record(&mut cfg.opts);
+        MultiLevelMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
+        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         prop_assert_eq!(report.rounds, spec.rounds);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every generated Overselect run conforms: `N_E` draws ∝ `p`,
+    /// stable-sorted by edge speed, the fastest `m_E` kept, then
+    /// HierMinimax's round.
+    #[test]
+    fn overselect_streams_conform(spec in arb_scenario()) {
+        let fp = spec.problem();
+        let mut cfg = spec.overselect_config();
+        let sink = record(&mut cfg.opts);
+        OverselectMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
+        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
+            .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        prop_assert_eq!(report.rounds, spec.rounds);
+    }
+}
+
+/// Over-selection under the `chaos` fault plan: crashes, stragglers,
+/// outages and lossy links around the kept set, all replayed.
+#[test]
+fn overselect_under_chaos_conforms() {
+    let spec = ScenarioSpec {
+        n_edges: 5,
+        clients_per_edge: 3,
+        data_seed: 31,
+        run_seed: 8,
+        rounds: 8,
+        tau1: 2,
+        tau2: 2,
+        m_edges: 2,
+        dropout: 0.0,
+        quantizer: Quantizer::Exact,
+        p_domain: PDomainSpec::Simplex,
+        weight_update_model: WeightUpdateModel::RandomCheckpoint,
+        fault: FaultPlan::preset("chaos").unwrap(),
+    };
+    let fp = spec.problem();
+    let mut cfg = spec.overselect_config();
+    let sink = record(&mut cfg.opts);
+    let r = OverselectMinimax::new(cfg.clone()).run_timed(&fp, spec.run_seed);
+    assert!(r.run.faults.total() > 0, "chaos fires over 8 rounds");
+    assert_eq!(r.discarded, 8 * (5 - 2));
+    let report =
+        check_stream(&fp, &cfg, spec.run_seed, &sink.events()).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(report.rounds, 8);
+    assert!(report.faults > 0);
 }
 
 /// Pinned regression corpus: specs covering corners the generator only
@@ -182,13 +233,15 @@ fn regression_corpus() -> Vec<ScenarioSpec> {
 fn regression_corpus_conforms() {
     for spec in regression_corpus() {
         let fp = spec.problem();
-        let cfg = spec.hierminimax_config();
-        let r = HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        check_hierminimax_trace(&fp, &cfg, spec.run_seed, &r.trace.events())
+        let mut cfg = spec.hierminimax_config();
+        let sink = record(&mut cfg.opts);
+        HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
+        check_stream(&fp, &cfg, spec.run_seed, &sink.events())
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
-        let fcfg = spec.hierfavg_config();
-        let r = HierFavg::new(fcfg.clone()).run(&fp, spec.run_seed);
-        check_hierfavg_trace(&fp, &fcfg, spec.run_seed, &r.trace.events())
+        let mut fcfg = spec.hierfavg_config();
+        let sink = record(&mut fcfg.opts);
+        HierFavg::new(fcfg.clone()).run(&fp, spec.run_seed);
+        check_stream(&fp, &fcfg, spec.run_seed, &sink.events())
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
     }
 }
@@ -197,9 +250,9 @@ fn regression_corpus_conforms() {
 
 fn valid_run() -> (
     hierminimax::core::problem::FederatedProblem,
-    hierminimax::core::algorithms::HierMinimaxConfig,
+    HierMinimaxConfig,
     u64,
-    Vec<Event>,
+    Vec<TelemetryEvent>,
 ) {
     let spec = ScenarioSpec {
         n_edges: 3,
@@ -217,9 +270,10 @@ fn valid_run() -> (
         fault: FaultPlan::default(),
     };
     let fp = spec.problem();
-    let cfg = spec.hierminimax_config();
-    let r = HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-    (fp, cfg, spec.run_seed, r.trace.events())
+    let mut cfg = spec.hierminimax_config();
+    let sink = record(&mut cfg.opts);
+    HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
+    (fp, cfg, spec.run_seed, sink.events())
 }
 
 #[test]
@@ -229,12 +283,16 @@ fn off_by_one_checkpoint_is_caught() {
     // classic 1-based-indexing bug.
     let ev = events
         .iter_mut()
-        .find(|e| matches!(e, Event::CheckpointSampled { .. }))
+        .find(|e| matches!(e, TelemetryEvent::Phase1Sampled { .. }))
         .unwrap();
-    if let Event::CheckpointSampled { c1, .. } = ev {
+    if let TelemetryEvent::Phase1Sampled {
+        checkpoint: Some((c1, _)),
+        ..
+    } = ev
+    {
         *c1 += cfg.tau1;
     }
-    let err = check_hierminimax_trace(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::CheckpointOutOfRange { .. }),
         "expected CheckpointOutOfRange, got {err}"
@@ -249,9 +307,9 @@ fn unweighted_phase1_sampling_is_caught() {
     let n_edges = 3;
     let ev = events
         .iter_mut()
-        .find(|e| matches!(e, Event::Phase1EdgesSampled { .. }))
+        .find(|e| matches!(e, TelemetryEvent::Phase1Sampled { .. }))
         .unwrap();
-    if let Event::Phase1EdgesSampled { round, edges } = ev {
+    if let TelemetryEvent::Phase1Sampled { round, edges, .. } = ev {
         let mut rng = hierminimax::data::StreamRng::new(
             seed,
             hierminimax::data::rng::Purpose::EdgeSampling,
@@ -264,14 +322,14 @@ fn unweighted_phase1_sampling_is_caught() {
         assert_ne!(uniform, *edges, "pick a different seed for this test");
         *edges = uniform;
     }
-    let err = check_hierminimax_trace(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
     assert!(
         matches!(
             err,
             ConformanceError::SamplingMismatch {
                 phase: "phase1",
                 ..
-            } | ConformanceError::BroadcastMismatch { .. }
+            }
         ),
         "expected SamplingMismatch, got {err}"
     );
@@ -283,12 +341,12 @@ fn infeasible_weight_update_is_caught() {
     // Ascent without the projection: p leaves the simplex.
     let ev = events
         .iter_mut()
-        .find(|e| matches!(e, Event::WeightUpdate { .. }))
+        .find(|e| matches!(e, TelemetryEvent::DualUpdate { .. }))
         .unwrap();
-    if let Event::WeightUpdate { p, .. } = ev {
+    if let TelemetryEvent::DualUpdate { p, .. } = ev {
         *p = vec![0.9; p.len()];
     }
-    let err = check_hierminimax_trace(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::InfeasibleWeights { .. }),
         "expected InfeasibleWeights, got {err}"
@@ -301,12 +359,12 @@ fn wrong_comm_accounting_is_caught() {
     // A meter that never recorded anything: every per-round delta zero.
     let ev = events
         .iter_mut()
-        .find(|e| matches!(e, Event::RoundComm { .. }))
+        .find(|e| matches!(e, TelemetryEvent::RoundEnd { .. }))
         .unwrap();
-    if let Event::RoundComm { delta, .. } = ev {
-        *delta = CommStats::default();
+    if let TelemetryEvent::RoundEnd { comm_delta, .. } = ev {
+        *comm_delta = CommStats::default();
     }
-    let err = check_hierminimax_trace(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::CommMismatch { .. }),
         "expected CommMismatch, got {err}"
@@ -316,10 +374,14 @@ fn wrong_comm_accounting_is_caught() {
 #[test]
 fn reordered_phases_are_caught() {
     let (fp, cfg, seed, mut events) = valid_run();
-    // Swap the first Phase-1 sample and the checkpoint draw: right events,
+    // Swap the first round's opening and its Phase-1 draw: right events,
     // wrong protocol order.
-    events.swap(0, 1);
-    let err = check_hierminimax_trace(&fp, &cfg, seed, &events).unwrap_err();
+    let open = events
+        .iter()
+        .position(|e| matches!(e, TelemetryEvent::RoundStart { .. }))
+        .unwrap();
+    events.swap(open, open + 1);
+    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::UnexpectedEvent { .. }),
         "expected UnexpectedEvent, got {err}"
@@ -328,44 +390,50 @@ fn reordered_phases_are_caught() {
 
 // ---- Resumed-run splices (DESIGN.md §12). -------------------------------
 //
-// A snapshot does not carry the trace: the killed run logged rounds
-// `0..k`, the resumed run logs `k..K`, and the full-run view is the
-// splice at the round-`k` boundary. The conformance automaton replays a
-// spliced log exactly like an uninterrupted one, so an honest splice must
-// pass (and, by bit-identity, *equal* the uninterrupted trace), while a
+// A killed run's stream ends at the `checkpoint` event of its last
+// snapshot; the run resumed from that snapshot opens with `run_resume`.
+// The full-run view is their splice, and the conformance automaton
+// replays a spliced stream exactly like an uninterrupted one: an honest
+// splice must pass (and, by bit-identity, *equal* the uninterrupted
+// stream up to its checkpoint events and wall-clock fields), while a
 // forged splice — a skipped or repeated round — must be rejected.
 
+/// The stream with `checkpoint` events dropped and wall-clock scrubbed:
+/// what an honest splice shares with the uninterrupted run.
+fn comparable(events: &[TelemetryEvent]) -> Vec<TelemetryEvent> {
+    events
+        .iter()
+        .filter(|e| !matches!(e, TelemetryEvent::Checkpoint { .. }))
+        .map(|e| scrub(e.clone()))
+        .collect()
+}
+
 /// Run `spec` once with per-round checkpoints in a throwaway dir, then
-/// resume from the round-`kill_round` snapshot. Returns the checkpointed
-/// run's trace (the "killed" run's log is its prefix before `kill_round`)
-/// and the resumed run's trace.
+/// resume from the round-`resume_round` snapshot. Returns the
+/// checkpointed run's stream and the resumed run's stream.
 fn checkpointed_and_resumed(
     spec: &ScenarioSpec,
-    kill_round: usize,
+    resume_round: usize,
     tag: &str,
-) -> (Vec<Event>, Vec<Event>) {
+) -> (Vec<TelemetryEvent>, Vec<TelemetryEvent>) {
     let fp = spec.problem();
     let dir = std::env::temp_dir().join(format!("hm-splice-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut ck_cfg = spec.hierminimax_config();
     ck_cfg.opts.checkpoint = CheckpointOpts::writing(&dir, 1);
-    let prefix = HierMinimax::new(ck_cfg)
-        .run(&fp, spec.run_seed)
-        .trace
-        .events();
+    let writer = record(&mut ck_cfg.opts);
+    HierMinimax::new(ck_cfg).run(&fp, spec.run_seed);
 
-    let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", kill_round))
-        .unwrap_or_else(|e| panic!("{tag}: reading round-{kill_round} snapshot: {e}"));
+    let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", resume_round))
+        .unwrap_or_else(|e| panic!("{tag}: reading round-{resume_round} snapshot: {e}"));
     let mut rs_cfg = spec.hierminimax_config();
     rs_cfg.opts.checkpoint = CheckpointOpts::resuming(Arc::new(snap));
-    let suffix = HierMinimax::new(rs_cfg)
-        .run(&fp, spec.run_seed)
-        .trace
-        .events();
+    let resumed = record(&mut rs_cfg.opts);
+    HierMinimax::new(rs_cfg).run(&fp, spec.run_seed);
 
     let _ = std::fs::remove_dir_all(&dir);
-    (prefix, suffix)
+    (writer.events(), resumed.events())
 }
 
 fn splice_spec() -> ScenarioSpec {
@@ -386,24 +454,29 @@ fn splice_spec() -> ScenarioSpec {
     }
 }
 
+/// The uninterrupted run of `spec` and its stream.
+fn uninterrupted(spec: &ScenarioSpec) -> (HierMinimaxConfig, Vec<TelemetryEvent>) {
+    let mut cfg = spec.hierminimax_config();
+    let sink = record(&mut cfg.opts);
+    HierMinimax::new(cfg.clone()).run(&spec.problem(), spec.run_seed);
+    (cfg, sink.events())
+}
+
 #[test]
 fn spliced_resumed_trace_conforms_and_matches_uninterrupted() {
     let spec = splice_spec();
     let fp = spec.problem();
-    let cfg = spec.hierminimax_config();
-    let full = HierMinimax::new(cfg.clone())
-        .run(&fp, spec.run_seed)
-        .trace
-        .events();
+    let (cfg, full) = uninterrupted(&spec);
 
     for kill_round in 1..spec.rounds {
-        let (prefix, suffix) = checkpointed_and_resumed(&spec, kill_round, "honest");
-        let spliced = splice_traces(&prefix, &suffix, kill_round);
+        let (writer, resumed) = checkpointed_and_resumed(&spec, kill_round, "honest");
+        let spliced = splice(&writer, &resumed, kill_round);
         assert_eq!(
-            spliced, full,
-            "splice at round {kill_round} diverges from the uninterrupted trace"
+            comparable(&spliced),
+            comparable(&full),
+            "splice at round {kill_round} diverges from the uninterrupted stream"
         );
-        let report = check_hierminimax_trace(&fp, &cfg, spec.run_seed, &spliced)
+        let report = check_stream(&fp, &cfg, spec.run_seed, &spliced)
             .unwrap_or_else(|e| panic!("splice at round {kill_round}: {e}"));
         assert_eq!(report.rounds, spec.rounds);
     }
@@ -414,11 +487,11 @@ fn forged_splice_skipping_a_round_is_rejected() {
     let spec = splice_spec();
     let fp = spec.problem();
     let cfg = spec.hierminimax_config();
-    // Prefix cut before round 1, suffix resumed at round 2: round 1 is
-    // missing from the spliced log.
-    let (prefix, suffix) = checkpointed_and_resumed(&spec, 2, "skip");
-    let forged = splice_traces(&prefix, &suffix, 1);
-    let err = check_hierminimax_trace(&fp, &cfg, spec.run_seed, &forged).unwrap_err();
+    // Writer cut before round 1, resumed at round 2: round 1 is missing
+    // from the spliced stream.
+    let (writer, resumed) = checkpointed_and_resumed(&spec, 2, "skip");
+    let forged = splice(&writer, &resumed, 1);
+    let err = check_stream(&fp, &cfg, spec.run_seed, &forged).unwrap_err();
     assert!(
         matches!(
             err,
@@ -433,11 +506,11 @@ fn forged_splice_repeating_a_round_is_rejected() {
     let spec = splice_spec();
     let fp = spec.problem();
     let cfg = spec.hierminimax_config();
-    // Prefix kept through round 1, suffix resumed at round 1: round 1
-    // appears twice in the spliced log.
-    let (prefix, suffix) = checkpointed_and_resumed(&spec, 1, "repeat");
-    let forged = splice_traces(&prefix, &suffix, 2);
-    let err = check_hierminimax_trace(&fp, &cfg, spec.run_seed, &forged).unwrap_err();
+    // Writer kept through round 1, resumed at round 1: round 1 appears
+    // twice in the spliced stream.
+    let (writer, resumed) = checkpointed_and_resumed(&spec, 1, "repeat");
+    let forged = splice(&writer, &resumed, 2);
+    let err = check_stream(&fp, &cfg, spec.run_seed, &forged).unwrap_err();
     assert!(
         matches!(
             err,
@@ -448,7 +521,7 @@ fn forged_splice_repeating_a_round_is_rejected() {
 }
 
 /// Pinned resumed-run corpus: scenario + kill-round pairs whose spliced
-/// traces must keep replaying cleanly. One entry stresses the fault
+/// streams must keep replaying cleanly. One entry stresses the fault
 /// machinery across the resume boundary (lossy links with retries), the
 /// other stresses quantized uplinks plus legacy dropout.
 fn resumed_regression_corpus() -> Vec<(ScenarioSpec, usize)> {
@@ -483,16 +556,16 @@ fn resumed_regression_corpus() -> Vec<(ScenarioSpec, usize)> {
 fn resumed_regression_corpus_conforms() {
     for (i, (spec, kill_round)) in resumed_regression_corpus().into_iter().enumerate() {
         let fp = spec.problem();
-        let cfg = spec.hierminimax_config();
-        let full = HierMinimax::new(cfg.clone())
-            .run(&fp, spec.run_seed)
-            .trace
-            .events();
+        let (cfg, full) = uninterrupted(&spec);
         let tag = format!("corpus-{i}");
-        let (prefix, suffix) = checkpointed_and_resumed(&spec, kill_round, &tag);
-        let spliced = splice_traces(&prefix, &suffix, kill_round);
-        assert_eq!(spliced, full, "{spec:?} kill {kill_round}: splice diverges");
-        check_hierminimax_trace(&fp, &cfg, spec.run_seed, &spliced)
+        let (writer, resumed) = checkpointed_and_resumed(&spec, kill_round, &tag);
+        let spliced = splice(&writer, &resumed, kill_round);
+        assert_eq!(
+            comparable(&spliced),
+            comparable(&full),
+            "{spec:?} kill {kill_round}: splice diverges"
+        );
+        check_stream(&fp, &cfg, spec.run_seed, &spliced)
             .unwrap_or_else(|e| panic!("{spec:?} kill {kill_round}: {e}"));
     }
 }
@@ -501,20 +574,19 @@ fn resumed_regression_corpus_conforms() {
 //
 // The `churn` snapshot section restores the active topology, rosters and
 // joiner provenance, so a killed-and-resumed churn run splices into the
-// uninterrupted trace and the membership-aware automaton replays it — the
+// uninterrupted stream and the membership-aware automaton replays it — the
 // end-to-end proof that every transition (and the re-homed participation
 // and comm accounting that follow it) survives the resume boundary.
 
 #[test]
 fn spliced_churn_trace_conforms_and_matches_uninterrupted() {
-    use hierminimax::core::algorithms::HierMinimaxConfig;
     use hierminimax::core::problem::FederatedProblem;
     use hierminimax::data::scenarios::tiny_problem;
     use hierminimax::simnet::ChurnPlan;
 
     let fp = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 23));
     let rounds = 6;
-    let cfg = HierMinimaxConfig {
+    let mut cfg = HierMinimaxConfig {
         rounds,
         tau1: 2,
         tau2: 2,
@@ -522,36 +594,39 @@ fn spliced_churn_trace_conforms_and_matches_uninterrupted() {
         batch_size: 2,
         loss_batch: 4,
         opts: hierminimax::core::algorithms::RunOpts {
-            trace: true,
             churn: ChurnPlan::preset("chaos-churn").unwrap(),
             ..Default::default()
         },
         ..Default::default()
     };
     let seed = 42;
+    let full_sink = record(&mut cfg.opts);
     let full_run = HierMinimax::new(cfg.clone()).run(&fp, seed);
     assert!(full_run.churn.rehomed > 0, "chaos-churn must re-home here");
-    let full = full_run.trace.events();
-    check_hierminimax_trace(&fp, &cfg, seed, &full).unwrap();
+    let full = full_sink.events();
+    check_stream(&fp, &cfg, seed, &full).unwrap();
 
     let dir = std::env::temp_dir().join(format!("hm-churn-splice-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let mut ck_cfg = cfg.clone();
     ck_cfg.opts.checkpoint = CheckpointOpts::writing(&dir, 1);
-    let prefix = HierMinimax::new(ck_cfg).run(&fp, seed).trace.events();
+    let writer = record(&mut ck_cfg.opts);
+    HierMinimax::new(ck_cfg).run(&fp, seed);
 
     for kill_round in 1..rounds {
         let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", kill_round))
             .unwrap_or_else(|e| panic!("reading round-{kill_round} snapshot: {e}"));
         let mut rs_cfg = cfg.clone();
         rs_cfg.opts.checkpoint = CheckpointOpts::resuming(Arc::new(snap));
-        let suffix = HierMinimax::new(rs_cfg).run(&fp, seed).trace.events();
-        let spliced = splice_traces(&prefix, &suffix, kill_round);
+        let resumed = record(&mut rs_cfg.opts);
+        HierMinimax::new(rs_cfg).run(&fp, seed);
+        let spliced = splice(&writer.events(), &resumed.events(), kill_round);
         assert_eq!(
-            spliced, full,
-            "churn splice at round {kill_round} diverges from the uninterrupted trace"
+            comparable(&spliced),
+            comparable(&full),
+            "churn splice at round {kill_round} diverges from the uninterrupted stream"
         );
-        let report = check_hierminimax_trace(&fp, &cfg, seed, &spliced)
+        let report = check_stream(&fp, &cfg, seed, &spliced)
             .unwrap_or_else(|e| panic!("churn splice at round {kill_round}: {e}"));
         assert_eq!(report.rounds, rounds);
     }

@@ -29,7 +29,6 @@ fn hm_cfg(rounds: usize) -> HierMinimaxConfig {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     }
@@ -80,7 +79,6 @@ fn minimax_beats_minimization_on_worst_edge() {
     let opts = RunOpts {
         eval_every: 0,
         parallelism: Parallelism::Rayon,
-        trace: false,
         ..Default::default()
     };
     let rounds = 600;
@@ -162,7 +160,6 @@ fn frozen_model_weights_climb_to_max_loss_vertex() {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     };
@@ -214,7 +211,6 @@ fn all_methods_learn_tiny_problem_to_high_accuracy() {
     let opts = RunOpts {
         eval_every: 0,
         parallelism: Parallelism::Rayon,
-        trace: false,
         ..Default::default()
     };
     let algs: Vec<Box<dyn Algorithm>> = vec![

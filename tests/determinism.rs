@@ -21,7 +21,6 @@ fn opts(par: Parallelism) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
-        trace: false,
         ..Default::default()
     }
 }

@@ -24,7 +24,6 @@ fn cfg(dropout: f32, rounds: usize) -> HierMinimaxConfig {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     }

@@ -10,19 +10,19 @@ use hierminimax::core::algorithms::{
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::{FaultPlan, Link, MsgChannel, Parallelism};
-use hm_testkit::{check_hierminimax_trace, reference_init_w};
+use hm_testkit::strategies::record;
+use hm_testkit::{check_stream, reference_init_w};
 
-fn opts(fault: FaultPlan, par: Parallelism, trace: bool) -> RunOpts {
+fn opts(fault: FaultPlan, par: Parallelism) -> RunOpts {
     RunOpts {
         eval_every: 0,
         parallelism: par,
-        trace,
         fault,
         ..Default::default()
     }
 }
 
-fn cfg(fault: FaultPlan, rounds: usize, trace: bool) -> HierMinimaxConfig {
+fn cfg(fault: FaultPlan, rounds: usize) -> HierMinimaxConfig {
     HierMinimaxConfig {
         rounds,
         tau1: 2,
@@ -36,7 +36,7 @@ fn cfg(fault: FaultPlan, rounds: usize, trace: bool) -> HierMinimaxConfig {
         quantizer: Default::default(),
         dropout: 0.0,
         tau2_per_edge: None,
-        opts: opts(fault, Parallelism::Sequential, trace),
+        opts: opts(fault, Parallelism::Sequential),
     }
 }
 
@@ -48,7 +48,7 @@ fn cfg(fault: FaultPlan, rounds: usize, trace: bool) -> HierMinimaxConfig {
 fn zero_rate_plan_is_bit_identical_to_fault_off() {
     let sc = tiny_problem(3, 2, 41);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let off = HierMinimax::new(cfg(FaultPlan::default(), 8, false)).run(&fp, 3);
+    let off = HierMinimax::new(cfg(FaultPlan::default(), 8)).run(&fp, 3);
     let zeroed = FaultPlan {
         max_retries: 7,
         backoff_base_s: 1.5,
@@ -56,7 +56,7 @@ fn zero_rate_plan_is_bit_identical_to_fault_off() {
         deadline_factor: 9.0,
         ..FaultPlan::default()
     };
-    let on = HierMinimax::new(cfg(zeroed, 8, false)).run(&fp, 3);
+    let on = HierMinimax::new(cfg(zeroed, 8)).run(&fp, 3);
     assert_eq!(off.final_w, on.final_w);
     assert_eq!(off.final_p, on.final_p);
     assert_eq!(off.avg_w, on.avg_w);
@@ -67,7 +67,7 @@ fn zero_rate_plan_is_bit_identical_to_fault_off() {
 /// Every sampled edge out every round: the cloud never receives an
 /// update, so `w^(k)` must stay bit-identical to the initialization, and
 /// the dual weights must remain a feasible distribution throughout (the
-/// traced run replays through the conformance automaton, which checks
+/// run's stream replays through the conformance automaton, which checks
 /// feasibility round by round).
 #[test]
 fn all_sampled_edges_out_keeps_model_stale_and_p_feasible() {
@@ -77,11 +77,12 @@ fn all_sampled_edges_out_keeps_model_stale_and_p_feasible() {
         edge_outage: 1.0,
         ..FaultPlan::default()
     };
-    let c = cfg(blackout, 4, true);
+    let mut c = cfg(blackout, 4);
+    let sink = record(&mut c.opts);
     let r = HierMinimax::new(c.clone()).run(&fp, 7);
     let init = reference_init_w(&fp, 7);
     assert_eq!(r.final_w, init, "no surviving edge may move the model");
-    let report = check_hierminimax_trace(&fp, &c, 7, &r.trace.events())
+    let report = check_stream(&fp, &c, 7, &sink.events())
         .unwrap_or_else(|e| panic!("conformance under blackout: {e}"));
     assert_eq!(report.rounds, 4);
     assert!(report.faults > 0);
@@ -102,7 +103,7 @@ fn survivor_renormalization_sums_to_one() {
         client_crash: 0.4,
         ..FaultPlan::default()
     };
-    let mut c = cfg(crashy, 6, false);
+    let mut c = cfg(crashy, 6);
     c.eta_w = 0.0;
     let r = HierMinimax::new(c).run(&fp, 11);
     assert!(r.faults.crashes > 0, "crash rate 0.4 must fire");
@@ -135,7 +136,7 @@ fn retry_exhausted_rounds_match_closed_form_comm() {
     };
     let rounds = 12;
     let seed = 23;
-    let mut c = cfg(lossy.clone(), rounds, false);
+    let mut c = cfg(lossy.clone(), rounds);
     c.m_edges = 1;
     let r = HierMinimax::new(c).run(&fp, seed);
     assert!(r.faults.retries > 0, "loss 0.4 over 36 messages must retry");
@@ -179,8 +180,8 @@ fn chaos_preset_is_deterministic_across_parallelism() {
     let sc = tiny_problem(3, 2, 45);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let chaos = FaultPlan::preset("chaos").expect("chaos preset exists");
-    let seq = HierMinimax::new(cfg(chaos.clone(), 10, false)).run(&fp, 17);
-    let mut rc = cfg(chaos.clone(), 10, false);
+    let seq = HierMinimax::new(cfg(chaos.clone(), 10)).run(&fp, 17);
+    let mut rc = cfg(chaos.clone(), 10);
     rc.opts.parallelism = Parallelism::Rayon;
     let par = HierMinimax::new(rc).run(&fp, 17);
     assert_eq!(seq.final_w, par.final_w);
@@ -188,7 +189,7 @@ fn chaos_preset_is_deterministic_across_parallelism() {
     assert_eq!(seq.comm, par.comm);
     assert_eq!(seq.faults, par.faults);
     // And a rerun of the same mode reproduces itself exactly.
-    let again = HierMinimax::new(cfg(chaos, 10, false)).run(&fp, 17);
+    let again = HierMinimax::new(cfg(chaos, 10)).run(&fp, 17);
     assert_eq!(seq.final_w, again.final_w);
     assert_eq!(seq.faults, again.faults);
 }
@@ -211,7 +212,7 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         batch_size: 2,
         quantizer: Default::default(),
         dropout: 0.1,
-        opts: opts(chaos.clone(), Parallelism::Rayon, false),
+        opts: opts(chaos.clone(), Parallelism::Rayon),
     })
     .run(&fp, 29);
     assert!(hf.final_w.iter().all(|x| x.is_finite()));
@@ -239,7 +240,7 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         batch_size: 2,
         loss_batch: 4,
         dropout: 0.2,
-        opts: opts(cloud_faults, Parallelism::Sequential, false),
+        opts: opts(cloud_faults, Parallelism::Sequential),
     })
     .run(&fp, 31);
     assert!(ml.final_w.iter().all(|x| x.is_finite()));
@@ -259,7 +260,7 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         batch_size: 2,
         loss_batch: 4,
         dropout: 0.0,
-        opts: opts(chaos, Parallelism::Sequential, false),
+        opts: opts(chaos, Parallelism::Sequential),
     })
     .run_timed(&fp, 37);
     assert!(ov.run.final_w.iter().all(|x| x.is_finite()));

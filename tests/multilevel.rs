@@ -41,7 +41,6 @@ fn cfg(upper: Vec<UpperLevel>, rounds: usize) -> MultiLevelConfig {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     }

@@ -1,34 +1,43 @@
 //! Differential tests: the optimized algorithm implementations must be
 //! **bit-identical** to the deliberately naive reference oracle in
 //! `hm-testkit` — same keyed RNG streams, same accumulation order, same
-//! projections, so every `assert_eq!` below is on raw `Vec<f32>` with no
-//! tolerance. Any refactor of the hot path (fused steps, workspaces,
+//! projections, so every `assert_eq!` below is on raw bits with no
+//! tolerance: each round's model through its streamed digest
+//! (`phase1_done.w_digest`), each round's weights through `dual_update.p`,
+//! and the final `w` and `p` in full. Any refactor of the hot path (fused steps, workspaces,
 //! scratch reuse, the fault prepass, per-edge task chains) that changes
 //! even one ULP anywhere fails here.
 
 use hierminimax::core::algorithms::{
     Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierMinimax,
 };
-use hierminimax::simnet::trace::Event;
-use hm_testkit::strategies::{arb_aggregator, arb_client_fault_plan, arb_scenario, traced_opts};
+use hierminimax::telemetry::{model_digest, TelemetryEvent};
+use hm_testkit::strategies::{
+    arb_aggregator, arb_client_fault_plan, arb_scenario, case_opts, record,
+};
 use hm_testkit::{
     reference_drfa_round, reference_fedavg_round, reference_hierminimax_run, reference_init_w,
     ReferenceRound,
 };
 use proptest::prelude::*;
 
-/// Per-round `(w, p)` iterates pulled out of a trace.
-fn traced_iterates(events: &[Event]) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+/// Per-round model digests and weights pulled out of a stream.
+fn streamed_iterates(events: &[TelemetryEvent]) -> (Vec<u64>, Vec<Vec<f32>>) {
     let mut ws = Vec::new();
     let mut ps = Vec::new();
     for e in events {
         match e {
-            Event::GlobalModel { w, .. } => ws.push(w.clone()),
-            Event::WeightUpdate { p, .. } => ps.push(p.clone()),
+            TelemetryEvent::Phase1Done { w_digest, .. } => ws.push(*w_digest),
+            TelemetryEvent::DualUpdate { p, .. } => ps.push(p.clone()),
             _ => {}
         }
     }
     (ws, ps)
+}
+
+/// The digest the stream carries for model `w`.
+fn digest(w: &[f32]) -> u64 {
+    model_digest(w).0
 }
 
 proptest! {
@@ -50,15 +59,16 @@ proptest! {
         let fp = spec.problem();
         let mut cfg = spec.hierminimax_config();
         cfg.opts.aggregator = aggregator;
+        let sink = record(&mut cfg.opts);
         let r = HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        let (ws, ps) = traced_iterates(&r.trace.events());
+        let (ws, ps) = streamed_iterates(&sink.events());
         let reference: Vec<ReferenceRound> =
             reference_hierminimax_run(&fp, &cfg, spec.run_seed);
 
         prop_assert_eq!(ws.len(), reference.len());
         prop_assert_eq!(ps.len(), reference.len());
         for (k, rr) in reference.iter().enumerate() {
-            prop_assert_eq!(&ws[k], &rr.w, "w diverged at round {} ({:?})", k, spec);
+            prop_assert_eq!(ws[k], digest(&rr.w), "w diverged at round {} ({:?})", k, spec);
             prop_assert_eq!(&ps[k], &rr.p, "p diverged at round {} ({:?})", k, spec);
         }
         let last = reference.last().unwrap();
@@ -75,22 +85,23 @@ proptest! {
     fn fedavg_matches_reference(spec in arb_scenario()) {
         let fp = spec.problem();
         let n_clients = spec.n_edges * spec.clients_per_edge;
-        let cfg = FedAvgConfig {
+        let mut cfg = FedAvgConfig {
             rounds: spec.rounds,
             tau1: spec.tau1,
             m_clients: 1 + (spec.m_edges * spec.clients_per_edge) % n_clients,
             eta_w: 0.1,
             batch_size: 2,
-            opts: traced_opts(),
+            opts: case_opts(),
         };
+        let sink = record(&mut cfg.opts);
         let r = FedAvg::new(cfg.clone()).run(&fp, spec.run_seed);
-        let (ws, _) = traced_iterates(&r.trace.events());
+        let (ws, _) = streamed_iterates(&sink.events());
         prop_assert_eq!(ws.len(), cfg.rounds);
 
         let mut w = reference_init_w(&fp, spec.run_seed);
-        for (k, traced) in ws.iter().enumerate() {
+        for (k, &streamed) in ws.iter().enumerate() {
             w = reference_fedavg_round(&fp, &cfg, spec.run_seed, k, &w);
-            prop_assert_eq!(traced, &w, "w diverged at round {} ({:?})", k, spec);
+            prop_assert_eq!(streamed, digest(&w), "w diverged at round {} ({:?})", k, spec);
         }
         prop_assert_eq!(&r.final_w, &w);
     }
@@ -105,7 +116,7 @@ proptest! {
     fn drfa_matches_reference(spec in arb_scenario()) {
         let fp = spec.problem();
         let n_clients = spec.n_edges * spec.clients_per_edge;
-        let cfg = DrfaConfig {
+        let mut cfg = DrfaConfig {
             rounds: spec.rounds,
             tau1: spec.tau1,
             m_clients: 1 + (spec.m_edges * spec.clients_per_edge) % n_clients,
@@ -113,10 +124,11 @@ proptest! {
             eta_q: 0.05,
             batch_size: 2,
             loss_batch: 3,
-            opts: traced_opts(),
+            opts: case_opts(),
         };
+        let sink = record(&mut cfg.opts);
         let r = Drfa::new(cfg.clone()).run(&fp, spec.run_seed);
-        let (ws, ps) = traced_iterates(&r.trace.events());
+        let (ws, ps) = streamed_iterates(&sink.events());
         prop_assert_eq!(ws.len(), cfg.rounds);
         prop_assert_eq!(ps.len(), cfg.rounds);
 
@@ -125,7 +137,7 @@ proptest! {
         for k in 0..cfg.rounds {
             let (w_next, q_next, p_edge) =
                 reference_drfa_round(&fp, &cfg, spec.run_seed, k, &w, &q);
-            prop_assert_eq!(&ws[k], &w_next, "w diverged at round {} ({:?})", k, spec);
+            prop_assert_eq!(ws[k], digest(&w_next), "w diverged at round {} ({:?})", k, spec);
             prop_assert_eq!(&ps[k], &p_edge, "p diverged at round {} ({:?})", k, spec);
             w = w_next;
             q = q_next;

@@ -18,9 +18,11 @@
 //! both executors. Their constants were recorded while the block phase
 //! still had a second, cross-checked implementation. Each case also pins
 //! a hash of its telemetry stream (JSONL, wall-clock fields zeroed), so a
-//! change to the order or content of the events a run emits shows up too;
-//! the HierMinimax, HierFAVG and multi-level stream constants were
-//! recorded while each algorithm still had its own round loop.
+//! change to the order or content of the events a run emits shows up too.
+//! The stream constants were re-recorded when `block_agg` gained its
+//! client ids, `phase1_done` its model digest and `churn` its id lists;
+//! mapping those fields back to the old counts reproduced the previous
+//! constants on both executors.
 //!
 //! The losses go through `f64::exp`/`ln`, whose last bit is the platform
 //! libm's, so the constants are pinned on x86_64 Linux only.
@@ -41,6 +43,7 @@ use hierminimax::optim::ProjectionOp;
 use hierminimax::simnet::{ChurnPlan, FaultPlan, Parallelism};
 use hierminimax::telemetry::{MemorySink, Telemetry, TelemetryEvent};
 use hierminimax::tensor::Aggregator;
+use hm_testkit::scrub;
 use std::sync::Arc;
 
 /// One FNV-1a step over `bytes`.
@@ -87,15 +90,8 @@ fn state_digest(r: &RunResult) -> u64 {
 /// the run.
 fn stream_digest(events: &[TelemetryEvent]) -> u64 {
     events.iter().fold(FNV_OFFSET, |h, ev| {
-        let mut ev = ev.clone();
-        match &mut ev {
-            TelemetryEvent::Phase1Done { elapsed_s, .. }
-            | TelemetryEvent::DualUpdate { elapsed_s, .. }
-            | TelemetryEvent::RoundEnd { elapsed_s, .. }
-            | TelemetryEvent::RunEnd { elapsed_s, .. } => *elapsed_s = 0.0,
-            _ => {}
-        }
-        fnv1a(fnv1a(h, ev.to_json().as_bytes()), b"\n")
+        let line = scrub(ev.clone()).to_json();
+        fnv1a(fnv1a(h, line.as_bytes()), b"\n")
     })
 }
 
@@ -239,7 +235,7 @@ fn byzantine_quarantine_bits_are_pinned() {
     check_executors(
         "byzantine+trimmed-mean+quarantine",
         0xc6ba_1fe3_8147_a0ce,
-        0xeb24_7a4b_e917_0f75,
+        0xbb3a_99f8_37c0_dd47,
         |base| {
             let o = RunOpts {
                 aggregator: Aggregator::TrimmedMean { beta: 0.25 },
@@ -263,7 +259,7 @@ fn edge_failover_under_chaos_bits_are_pinned() {
     check_executors(
         "edge-failover+chaos",
         0xd408_e8e9_9cba_c44b,
-        0x0042_177d_16e6_86e8,
+        0x882f_1abc_e8ab_1ec8,
         |base| {
             let o = RunOpts {
                 churn: ChurnPlan::preset("edge-failover").unwrap(),
@@ -282,7 +278,7 @@ fn heterogeneous_rate_bits_are_pinned() {
     check_executors(
         "tau2_per_edge+chaos",
         0xec7a_91c3_dde4_5d7b,
-        0xc7fd_e6cd_0085_f1a9,
+        0x2ba9_fbcf_f201_2ede,
         |base| {
             let cfg = HierMinimaxConfig {
                 tau2_per_edge: Some(vec![1, 3, 2, 2]),
@@ -299,7 +295,7 @@ fn hierfavg_churn_under_chaos_bits_are_pinned() {
     check_executors(
         "hierfavg+mild+chaos",
         0xf7ec_1de1_9e04_a376,
-        0x204d_b71a_1912_6515,
+        0xb511_975d_fe11_ccfa,
         |base| {
             let cfg = HierFavgConfig {
                 rounds: 8,
@@ -325,7 +321,7 @@ fn multilevel_under_chaos_bits_are_pinned() {
     check_executors(
         "multilevel+chaos",
         0x0c78_c39c_8f9e_4d67,
-        0xe621_8c5b_75ea_4a96,
+        0x52b9_773b_be0e_9903,
         |base| {
             let cfg = MultiLevelConfig {
                 rounds: 4,
@@ -354,7 +350,7 @@ fn overselect_under_chaos_bits_are_pinned() {
     check_executors(
         "overselect+chaos",
         0x76af_8dc8_259c_9efb,
-        0x5caa_88c8_85cc_5871,
+        0x18fe_1514_467d_b80d,
         |base| {
             let cfg = OverselectConfig {
                 rounds: 5,

@@ -22,6 +22,7 @@ use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::{FaultPlan, Parallelism};
 use hierminimax::telemetry::{MemorySink, Profiler, Telemetry, TelemetryEvent};
+use hm_testkit::scrub;
 use std::sync::Arc;
 
 const SEED: u64 = 17;
@@ -195,19 +196,6 @@ fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.faults, b.faults, "{tag}: fault stats differ");
 }
 
-/// Zero the wall-clock fields — the only payloads that are not a pure
-/// function of the run — so streams can be compared bit-for-bit.
-fn scrub(mut ev: TelemetryEvent) -> TelemetryEvent {
-    match &mut ev {
-        TelemetryEvent::Phase1Done { elapsed_s, .. }
-        | TelemetryEvent::DualUpdate { elapsed_s, .. }
-        | TelemetryEvent::RoundEnd { elapsed_s, .. }
-        | TelemetryEvent::RunEnd { elapsed_s, .. } => *elapsed_s = 0.0,
-        _ => {}
-    }
-    ev
-}
-
 /// The sequenced portion of a stream: the unsequenced profiling events
 /// (`span`, `profile_summary`) dropped.
 fn sequenced(events: &[TelemetryEvent]) -> Vec<TelemetryEvent> {
@@ -277,7 +265,6 @@ fn opts(par: Parallelism, fault: &FaultPlan) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
-        trace: false,
         fault: fault.clone(),
         ..Default::default()
     }

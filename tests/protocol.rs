@@ -1,14 +1,15 @@
-//! Protocol-level assertions on Algorithm 1 via the structured event trace:
-//! sampling distributions, checkpoint ranges, simplex feasibility of every
-//! weight iterate, and communication accounting identities.
+//! Protocol-level assertions on Algorithm 1 via the run's telemetry
+//! stream: sampling distributions, checkpoint ranges, simplex feasibility
+//! of every weight iterate, and communication accounting identities.
 
 use hierminimax::core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, RunOpts};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::trace::Event;
 use hierminimax::simnet::{Link, Parallelism};
+use hierminimax::telemetry::{MemorySink, Telemetry, TelemetryEvent};
+use std::sync::Arc;
 
-fn traced_run(
+fn recorded_run(
     rounds: usize,
     tau1: usize,
     tau2: usize,
@@ -18,9 +19,11 @@ fn traced_run(
     FederatedProblem,
     hierminimax::core::RunResult,
     HierMinimaxConfig,
+    Vec<TelemetryEvent>,
 ) {
     let sc = tiny_problem(4, 2, 21);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
+    let sink = Arc::new(MemorySink::new());
     let cfg = HierMinimaxConfig {
         rounds,
         tau1,
@@ -37,59 +40,68 @@ fn traced_run(
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Sequential,
-            trace: true,
+            telemetry: Telemetry::with_sink(sink.clone()),
             ..Default::default()
         },
     };
     let r = HierMinimax::new(cfg.clone()).run(&fp, seed);
-    (fp, r, cfg)
+    (fp, r, cfg, sink.events())
+}
+
+/// Whether `e` is round `k`'s event of the given kind.
+fn is(e: &TelemetryEvent, kind: &str, k: usize) -> bool {
+    e.kind() == kind
+        && match e {
+            TelemetryEvent::RoundStart { round }
+            | TelemetryEvent::Phase1Sampled { round, .. }
+            | TelemetryEvent::Phase1Done { round, .. }
+            | TelemetryEvent::DualUpdate { round, .. }
+            | TelemetryEvent::RoundEnd { round, .. } => *round == k,
+            _ => false,
+        }
 }
 
 #[test]
 fn every_round_emits_the_full_phase_sequence() {
-    let (_, r, cfg) = traced_run(6, 2, 3, 2, 1);
-    let events = r.trace.events();
+    let (_, _, cfg, events) = recorded_run(6, 2, 3, 2, 1);
     for k in 0..cfg.rounds {
-        let phase1 = events
-            .iter()
-            .any(|e| matches!(e, Event::Phase1EdgesSampled { round, .. } if *round == k));
-        let cp = events
-            .iter()
-            .any(|e| matches!(e, Event::CheckpointSampled { round, .. } if *round == k));
-        let agg = events
-            .iter()
-            .any(|e| matches!(e, Event::GlobalAggregation { round } if *round == k));
-        let phase2 = events
-            .iter()
-            .any(|e| matches!(e, Event::Phase2EdgesSampled { round, .. } if *round == k));
-        let wu = events
-            .iter()
-            .any(|e| matches!(e, Event::WeightUpdate { round, .. } if *round == k));
-        assert!(phase1 && cp && agg && phase2 && wu, "round {k} incomplete");
+        let phase1_with_cp = events.iter().any(|e| {
+            matches!(e, TelemetryEvent::Phase1Sampled { round, checkpoint: Some(_), .. } if *round == k)
+        });
+        let agg = events.iter().any(|e| is(e, "phase1_done", k));
+        let dual = events.iter().any(|e| is(e, "dual_update", k));
+        let end = events.iter().any(|e| is(e, "round_end", k));
+        assert!(phase1_with_cp && agg && dual && end, "round {k} incomplete");
     }
 }
 
 #[test]
 fn phase_order_within_a_round_is_correct() {
-    let (_, r, _) = traced_run(3, 2, 2, 2, 2);
-    let events = r.trace.events();
+    let (_, _, _, events) = recorded_run(3, 2, 2, 2, 2);
     for k in 0..3 {
-        let pos = |pred: &dyn Fn(&Event) -> bool| -> usize {
-            events.iter().position(pred).expect("event present")
+        let pos = |kind: &str| -> usize {
+            events
+                .iter()
+                .position(|e| is(e, kind, k))
+                .expect("event present")
         };
-        let p1 = pos(&|e| matches!(e, Event::Phase1EdgesSampled { round, .. } if *round == k));
-        let agg = pos(&|e| matches!(e, Event::GlobalAggregation { round } if *round == k));
-        let p2 = pos(&|e| matches!(e, Event::Phase2EdgesSampled { round, .. } if *round == k));
-        let wu = pos(&|e| matches!(e, Event::WeightUpdate { round, .. } if *round == k));
-        assert!(p1 < agg && agg < p2 && p2 < wu, "round {k} out of order");
+        let order = [
+            pos("round_start"),
+            pos("phase1"),
+            pos("phase1_done"),
+            pos("dual_update"),
+            pos("round_end"),
+        ];
+        assert!(order.is_sorted(), "round {k} out of order: {order:?}");
     }
 }
 
 #[test]
 fn phase2_sets_are_distinct_and_in_range() {
-    let (fp, r, cfg) = traced_run(20, 2, 2, 2, 3);
-    for e in r.trace.events() {
-        if let Event::Phase2EdgesSampled { edges, .. } = e {
+    // Fault-free, every edge of U^(k) estimates its loss.
+    let (fp, _, cfg, events) = recorded_run(20, 2, 2, 2, 3);
+    for e in events {
+        if let TelemetryEvent::DualUpdate { edges, .. } = e {
             assert_eq!(edges.len(), cfg.m_edges);
             let mut sorted = edges.clone();
             sorted.sort_unstable();
@@ -106,10 +118,14 @@ fn phase2_sets_are_distinct_and_in_range() {
 
 #[test]
 fn checkpoints_cover_the_whole_grid_over_rounds() {
-    let (_, r, cfg) = traced_run(80, 3, 2, 2, 4);
+    let (_, _, cfg, events) = recorded_run(80, 3, 2, 2, 4);
     let mut seen = vec![false; cfg.tau1 * cfg.tau2];
-    for e in r.trace.events() {
-        if let Event::CheckpointSampled { c1, c2, .. } = e {
+    for e in events {
+        if let TelemetryEvent::Phase1Sampled {
+            checkpoint: Some((c1, c2)),
+            ..
+        } = e
+        {
             assert!(c1 < cfg.tau1 && c2 < cfg.tau2);
             seen[c2 * cfg.tau1 + c1] = true;
         }
@@ -122,9 +138,9 @@ fn checkpoints_cover_the_whole_grid_over_rounds() {
 
 #[test]
 fn weight_iterates_stay_on_the_simplex() {
-    let (_, r, _) = traced_run(25, 2, 2, 3, 5);
-    for e in r.trace.events() {
-        if let Event::WeightUpdate { p, round } = e {
+    let (_, _, _, events) = recorded_run(25, 2, 2, 3, 5);
+    for e in events {
+        if let TelemetryEvent::DualUpdate { p, round, .. } = e {
             let sum: f32 = p.iter().sum();
             assert!((sum - 1.0).abs() < 1e-4, "round {round}: p sums to {sum}");
             assert!(
@@ -138,7 +154,7 @@ fn weight_iterates_stay_on_the_simplex() {
 #[test]
 fn client_edge_rounds_scale_with_tau2() {
     for tau2 in [1usize, 2, 4] {
-        let (_, r, _) = traced_run(5, 2, tau2, 2, 6);
+        let (_, r, _, _) = recorded_run(5, 2, tau2, 2, 6);
         // τ2 training blocks + 1 loss-estimation exchange per round.
         assert_eq!(
             r.comm.rounds(Link::ClientEdge),
@@ -151,7 +167,7 @@ fn client_edge_rounds_scale_with_tau2() {
 
 #[test]
 fn uplink_message_counts_match_protocol() {
-    let (fp, r, cfg) = traced_run(4, 2, 3, 2, 7);
+    let (fp, r, cfg, _) = recorded_run(4, 2, 3, 2, 7);
     let n0 = fp.clients_per_edge();
     let s = r.comm;
     // Phase 1: per round, each distinct sampled edge's clients upload once
@@ -177,8 +193,7 @@ fn phase1_sampling_follows_the_weights() {
     // vertex-heavy vector is overkill; instead run many rounds with a large
     // eta_p on a problem whose losses differ, then check that phase-1
     // samples concentrate on high-weight edges.
-    let (_, r, _) = traced_run(60, 2, 2, 2, 8);
-    let events = r.trace.events();
+    let (_, _, _, events) = recorded_run(60, 2, 2, 2, 8);
     // Correlate: for each round, weight of sampled edges under that round's
     // previous p should on average exceed uniform (2/4 edges sampled).
     let mut p_prev: Vec<f32> = vec![0.25; 4];
@@ -186,13 +201,13 @@ fn phase1_sampling_follows_the_weights() {
     let mut count = 0usize;
     for e in &events {
         match e {
-            Event::Phase1EdgesSampled { edges, .. } => {
+            TelemetryEvent::Phase1Sampled { edges, .. } => {
                 for &i in edges {
                     mass += f64::from(p_prev[i]);
                     count += 1;
                 }
             }
-            Event::WeightUpdate { p, .. } => p_prev = p.clone(),
+            TelemetryEvent::DualUpdate { p, .. } => p_prev = p.clone(),
             _ => {}
         }
     }
@@ -227,7 +242,6 @@ fn heterogeneous_rates_still_learn_and_account_slots() {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     };

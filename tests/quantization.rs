@@ -25,7 +25,6 @@ fn cfg(quantizer: Quantizer, rounds: usize) -> HierMinimaxConfig {
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
-            trace: false,
             ..Default::default()
         },
     }

@@ -25,6 +25,7 @@ use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::{FaultPlan, Parallelism};
 use hierminimax::telemetry::{MemorySink, Telemetry, TelemetryEvent};
+use hm_testkit::{scrub, splice};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -220,19 +221,6 @@ fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {
     assert_eq!(a.churn, b.churn, "{tag}: churn stats differ");
 }
 
-/// Zero the wall-clock fields — the only payloads that are not a pure
-/// function of the run — so streams can be compared bit-for-bit.
-fn scrub(mut ev: TelemetryEvent) -> TelemetryEvent {
-    match &mut ev {
-        TelemetryEvent::Phase1Done { elapsed_s, .. }
-        | TelemetryEvent::DualUpdate { elapsed_s, .. }
-        | TelemetryEvent::RoundEnd { elapsed_s, .. }
-        | TelemetryEvent::RunEnd { elapsed_s, .. } => *elapsed_s = 0.0,
-        _ => {}
-    }
-    ev
-}
-
 /// Canonical JSONL digest of a stream with wall-clock scrubbed; equal
 /// digests = equal streams (serialization has fixed key order).
 fn stream_digest(events: &[TelemetryEvent]) -> String {
@@ -241,28 +229,6 @@ fn stream_digest(events: &[TelemetryEvent]) -> String {
         .map(|e| scrub(e.clone()).to_json())
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-/// Splice the killed run's telemetry prefix (everything through the
-/// `checkpoint` event the resume is based on) with the resumed run's
-/// stream (its unsequenced `run_resume` preamble dropped).
-fn spliced_stream(
-    writer: &[TelemetryEvent],
-    resumed: &[TelemetryEvent],
-    kill: usize,
-) -> Vec<TelemetryEvent> {
-    let cut = writer
-        .iter()
-        .position(|e| matches!(e, TelemetryEvent::Checkpoint { round, .. } if *round + 1 == kill))
-        .unwrap_or_else(|| panic!("writer stream lacks the round-{kill} checkpoint event"))
-        + 1;
-    match resumed.first() {
-        Some(TelemetryEvent::RunResume { next_round, .. }) if *next_round == kill => {}
-        other => panic!("resumed stream must open with run_resume at round {kill}, got {other:?}"),
-    }
-    let mut out = writer[..cut].to_vec();
-    out.extend_from_slice(&resumed[1..]);
-    out
 }
 
 /// One matrix cell: run `factory` uninterrupted with per-round
@@ -315,7 +281,14 @@ fn assert_resume_bit_identity(
         let resumed = factory(resumed_opts).run(&fp, SEED);
         assert_identical(&format!("{tag}: kill at round {kill}"), &full, &resumed);
         if has_telemetry {
-            let spliced = spliced_stream(&writer_sink.events(), &resumed_sink.events(), kill);
+            let resumed = resumed_sink.events();
+            match resumed.first() {
+                Some(TelemetryEvent::RunResume { next_round, .. }) if *next_round == kill => {}
+                other => panic!(
+                    "resumed stream must open with run_resume at round {kill}, got {other:?}"
+                ),
+            }
+            let spliced = splice(&writer_sink.events(), &resumed, kill);
             assert_eq!(
                 stream_digest(&spliced),
                 stream_digest(&writer_sink.events()),
@@ -333,7 +306,6 @@ fn opts(par: Parallelism, fault: &FaultPlan) -> RunOpts {
     RunOpts {
         eval_every: 2,
         parallelism: par,
-        trace: false,
         fault: fault.clone(),
         ..Default::default()
     }

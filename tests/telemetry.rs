@@ -1,8 +1,10 @@
-//! Telemetry-layer invariants, cross-checked against the protocol trace
-//! and the `hm-testkit` conformance automaton:
+//! Telemetry-layer invariants, cross-checked against the run's history
+//! and the `hm-testkit` conformance automaton, which replays the stream
+//! against Algorithm 1:
 //!
-//! - per-round `comm_delta` in the telemetry stream equals the trace's
-//!   `RoundComm` delta, and the deltas telescope to the final meter totals;
+//! - per-round `comm_delta` in the telemetry stream equals the history's
+//!   per-round meter delta, and the deltas telescope to the final meter
+//!   totals;
 //! - the JSONL file a HierMinimax or over-selection run writes passes the
 //!   schema validator and its `dual_update` lines reproduce the `p^(k)`
 //!   trajectory from history;
@@ -19,18 +21,16 @@ use hierminimax::core::algorithms::{
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::trace::Event;
 use hierminimax::simnet::{CommStats, Parallelism, Quantizer};
 use hierminimax::telemetry::{
     comm_to_json, json, validate_stream, MemorySink, Telemetry, TelemetryEvent,
 };
-use hm_testkit::check_hierminimax_trace;
+use hm_testkit::check_stream;
 
-fn opts_with(telemetry: Telemetry, trace: bool) -> RunOpts {
+fn opts_with(telemetry: Telemetry) -> RunOpts {
     RunOpts {
         eval_every: 1,
         parallelism: Parallelism::Sequential,
-        trace,
         telemetry,
         ..Default::default()
     }
@@ -80,39 +80,41 @@ fn round_ends(events: &[TelemetryEvent]) -> Vec<&TelemetryEvent> {
         .collect()
 }
 
-/// The telemetry stream agrees with the independently-validated protocol
-/// trace: the run replays through the conformance automaton, and each
-/// round's `comm_delta` matches the trace's `RoundComm` delta exactly.
+/// The telemetry stream replays through the conformance automaton (whose
+/// closed form checks every `comm_delta`), and each round's `comm_delta`
+/// also equals the per-round delta of the history's meter snapshots.
 #[test]
 fn round_comm_deltas_match_trace_and_conformance_automaton() {
     let sc = tiny_problem(3, 2, 21);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let sink = Arc::new(MemorySink::new());
-    let cfg = hm_cfg(5, opts_with(Telemetry::with_sink(sink.clone()), true));
+    let cfg = hm_cfg(5, opts_with(Telemetry::with_sink(sink.clone())));
     let seed = 77;
     let r = HierMinimax::new(cfg.clone()).run(&fp, seed);
 
-    let report = check_hierminimax_trace(&fp, &cfg, seed, &r.trace.events())
-        .unwrap_or_else(|e| panic!("conformance: {e}"));
+    let events = sink.events();
+    let report =
+        check_stream(&fp, &cfg, seed, &events).unwrap_or_else(|e| panic!("conformance: {e}"));
     assert_eq!(report.rounds, cfg.rounds);
 
-    let events = sink.events();
     let ends = round_ends(&events);
     assert_eq!(ends.len(), report.rounds);
 
-    let trace_deltas: Vec<CommStats> = r
-        .trace
-        .events()
+    let mut prev = CommStats::default();
+    let history_deltas: Vec<CommStats> = r
+        .history
+        .rounds
         .iter()
-        .filter_map(|e| match e {
-            Event::RoundComm { delta, .. } => Some(*delta),
-            _ => None,
+        .map(|rec| {
+            let delta = rec.comm.since(&prev);
+            prev = rec.comm;
+            delta
         })
         .collect();
-    assert_eq!(trace_deltas.len(), ends.len());
+    assert_eq!(history_deltas.len(), ends.len());
 
     let mut last_sim = 0.0_f64;
-    for (k, (end, trace_delta)) in ends.iter().zip(&trace_deltas).enumerate() {
+    for (k, (end, history_delta)) in ends.iter().zip(&history_deltas).enumerate() {
         let TelemetryEvent::RoundEnd {
             round,
             comm_delta,
@@ -126,7 +128,7 @@ fn round_comm_deltas_match_trace_and_conformance_automaton() {
         assert_eq!(*round, k);
         assert_eq!(
             comm_to_json(comm_delta),
-            comm_to_json(trace_delta),
+            comm_to_json(history_delta),
             "round {k} delta"
         );
         // Cumulative totals never decrease, so simulated time is monotone.
@@ -169,7 +171,7 @@ fn jsonl_stream_validates_and_p_trajectory_matches_history() {
     for (name, factory) in algorithms {
         let path = dir.join(format!("{name}.jsonl"));
         let tel = Telemetry::jsonl(&path).unwrap();
-        let r = factory(&fp, rounds, opts_with(tel, false)).run(&fp, 5);
+        let r = factory(&fp, rounds, opts_with(tel)).run(&fp, 5);
 
         let body = std::fs::read_to_string(&path).unwrap();
         let summary = validate_stream(&body).unwrap_or_else(|e| panic!("{name}: {e}\n{body}"));
@@ -217,13 +219,9 @@ fn jsonl_stream_validates_and_p_trajectory_matches_history() {
 fn enabling_telemetry_is_bit_identical_to_disabled() {
     let sc = tiny_problem(3, 2, 23);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let off = HierMinimax::new(hm_cfg(4, opts_with(Telemetry::disabled(), false))).run(&fp, 9);
+    let off = HierMinimax::new(hm_cfg(4, opts_with(Telemetry::disabled()))).run(&fp, 9);
     let sink = Arc::new(MemorySink::new());
-    let on = HierMinimax::new(hm_cfg(
-        4,
-        opts_with(Telemetry::with_sink(sink.clone()), false),
-    ))
-    .run(&fp, 9);
+    let on = HierMinimax::new(hm_cfg(4, opts_with(Telemetry::with_sink(sink.clone())))).run(&fp, 9);
     assert!(!sink.is_empty());
     assert_eq!(off.final_w, on.final_w);
     assert_eq!(off.final_p, on.final_p);
@@ -242,7 +240,7 @@ fn all_algorithms_emit_consistent_streams() {
 
     let run_with = |name: &str, f: &dyn Fn(RunOpts) -> hierminimax::core::RunResult| {
         let sink = Arc::new(MemorySink::new());
-        let r = f(opts_with(Telemetry::with_sink(sink.clone()), false));
+        let r = f(opts_with(Telemetry::with_sink(sink.clone())));
         let events = sink.events();
         let Some(TelemetryEvent::RunStart {
             algorithm,
