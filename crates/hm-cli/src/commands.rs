@@ -349,6 +349,57 @@ fn quantizer(args: &Args) -> Result<Quantizer, ArgError> {
     })
 }
 
+/// The per-class fault flags, which override the `--fault-plan` preset.
+const FAULT_FLAGS: [&str; 12] = [
+    "client-crash",
+    "edge-outage",
+    "msg-loss",
+    "max-retries",
+    "backoff-base",
+    "backoff-jitter",
+    "straggler-rate",
+    "straggler-slowdown",
+    "deadline-factor",
+    "corrupt-rate",
+    "attack",
+    "attack-scale",
+];
+
+/// Refuse an option that `method` would silently ignore, naming the flag
+/// and the methods that honour it. The flat baselines honour none of
+/// these; MultiLevel honours faults, the aggregator and the stale-round
+/// cap, but not an upload codec, quarantine or churn.
+fn refuse_ignored(
+    args: &Args,
+    method: &str,
+    opts: &RunOpts,
+    quant: Quantizer,
+) -> Result<(), ArgError> {
+    let faults = "hierminimax|hierfavg|multilevel";
+    let hier = "hierminimax|hierfavg";
+    let fault_flag = FAULT_FLAGS
+        .into_iter()
+        .find(|f| args.has(f))
+        .unwrap_or("fault-plan");
+    let cases = [
+        (opts.fault != FaultPlan::default(), fault_flag, faults),
+        (opts.aggregator != Aggregator::Mean, "aggregator", faults),
+        (opts.max_stale_rounds > 0, "max-stale-rounds", faults),
+        (quant != Quantizer::Exact, "quant-bits", hier),
+        (opts.quarantine_z > 0.0, "quarantine-z", hier),
+        (!opts.churn.is_none(), "churn-plan", hier),
+    ];
+    let ignored = cases
+        .into_iter()
+        .find(|&(set, _, methods)| set && !methods.split('|').any(|m| m == method));
+    match ignored {
+        Some((_, flag, methods)) => Err(ArgError(format!(
+            "--{flag} requires --method {methods} (got {method:?})"
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Build the selected algorithm. Also returns a clone of the shared
 /// [`RunOpts`] so the caller keeps live handles (telemetry, profiler)
 /// into the run it is about to start.
@@ -364,11 +415,6 @@ fn build_algorithm(args: &Args) -> Result<(Box<dyn Algorithm>, RunOpts), ArgErro
     let batch_size = args.num_or("batch", 2)?;
     let loss_batch = args.num_or("loss-batch", 16)?;
     let opts = opts(args)?;
-    if !opts.churn.is_none() && method != "hierminimax" && method != "hierfavg" {
-        return Err(ArgError(format!(
-            "--churn-plan requires --method hierminimax|hierfavg (got {method:?})"
-        )));
-    }
     let handles = opts.clone();
     let quant = quantizer(args)?;
     let alg: Box<dyn Algorithm> = match method.as_str() {
@@ -466,6 +512,7 @@ fn build_algorithm(args: &Args) -> Result<(Box<dyn Algorithm>, RunOpts), ArgErro
             )))
         }
     };
+    refuse_ignored(args, &method, &handles, quant)?;
     Ok((alg, handles))
 }
 
@@ -1056,6 +1103,7 @@ mod tests {
             "hierminimax",
             "hierfavg",
             "fedavg",
+            "fedprox",
             "afl",
             "drfa",
             "qffl",

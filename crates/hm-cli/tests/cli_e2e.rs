@@ -795,26 +795,97 @@ fn unknown_churn_plan_is_rejected() {
 }
 
 #[test]
-fn churn_plan_requires_hierarchical_method() {
-    let out = bin()
-        .args([
-            "run",
-            "--scenario",
-            "tiny",
-            "--edges",
-            "3",
-            "--clients",
-            "2",
-            "--method",
-            "fedavg",
-            "--churn-plan",
-            "mild",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--churn-plan requires"), "{err}");
+fn options_a_method_ignores_are_refused() {
+    // Each option is refused, by name, for a method that would ignore it.
+    let faults = "hierminimax|hierfavg|multilevel";
+    let hier = "hierminimax|hierfavg";
+    let cases: [(&str, [&str; 2], &str); 10] = [
+        ("fedavg", ["--fault-plan", "chaos"], faults),
+        ("afl", ["--client-crash", "0.2"], faults),
+        ("drfa", ["--aggregator", "trimmed-mean"], faults),
+        ("qffl", ["--max-stale-rounds", "5"], faults),
+        ("fedprox", ["--quant-bits", "4"], hier),
+        ("fedavg", ["--quarantine-z", "2.0"], hier),
+        ("fedavg", ["--churn-plan", "mild"], hier),
+        ("multilevel", ["--quant-bits", "4"], hier),
+        ("multilevel", ["--quarantine-z", "2.0"], hier),
+        ("multilevel", ["--churn-plan", "mild"], hier),
+    ];
+    for (method, flag, methods) in cases {
+        let out = bin()
+            .args([
+                "run",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "1", "--method", method])
+            .args(flag)
+            .output()
+            .expect("spawn");
+        assert!(!out.status.success(), "{method} {flag:?} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let want = format!("{} requires --method {methods}", flag[0]);
+        assert!(err.contains(&want), "{method} {flag:?}: {err}");
+    }
+}
+
+#[test]
+fn flat_baselines_write_valid_streams() {
+    // FedProx and q-FedAvg run on the flat round driver, so their streams
+    // pass the strict validator and render in `report`.
+    let dir = std::env::temp_dir().join(format!("hm-cli-flat-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (method, name) in [("fedprox", "FedProx"), ("qffl", "q-FedAvg")] {
+        let jsonl = dir.join(format!("{method}.jsonl"));
+        let out = bin()
+            .args([
+                "run",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "6", "--m", "2", "--seed", "11", "--sequential"])
+            .args(["--method", method, "--telemetry"])
+            .arg(&jsonl)
+            .output()
+            .expect("spawn");
+        assert!(
+            out.status.success(),
+            "{method}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let strict = bin()
+            .args(["validate-telemetry", "--strict", "--file"])
+            .arg(&jsonl)
+            .output()
+            .expect("spawn");
+        assert!(
+            strict.status.success(),
+            "{method}: {}",
+            String::from_utf8_lossy(&strict.stderr)
+        );
+        let rep = bin()
+            .args(["report", "--file"])
+            .arg(&jsonl)
+            .output()
+            .expect("spawn");
+        assert!(
+            rep.status.success(),
+            "{method}: {}",
+            String::from_utf8_lossy(&rep.stderr)
+        );
+        let rep = String::from_utf8_lossy(&rep.stdout);
+        assert!(rep.contains(&format!("run: {name}")), "{rep}");
+        assert!(rep.contains("6 round(s) recorded"), "{rep}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

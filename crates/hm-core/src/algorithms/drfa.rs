@@ -14,22 +14,14 @@
 //! comparison (Table 1).
 //!
 //! HierMinimax with `τ2 = 1` and edges of one client degenerates to exactly
-//! this method — asserted in the integration tests.
+//! this method, bit for bit — asserted by
+//! `flat_baselines_match_hierarchical_on_one_client_edges` in
+//! `tests/oracle_diff.rs`.
 
-use super::flat_common::{client_dataset, q_to_edge_p, run_flat_clients};
-use super::hier_common::multiplicities;
-use super::{finish_round, Algorithm, IterateAverage, RunOpts, RunResult};
-use crate::checkpoint::{emit_preamble, CheckpointCtx, ResumedRun};
-use crate::history::History;
-use crate::localsgd::estimate_loss;
+use super::driver::Dual;
+use super::flat::{self, FlatSpec, Update};
+use super::{Algorithm, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
-use hm_data::rng::{Purpose, StreamKey, StreamRng};
-use hm_optim::sgd::projected_ascent_step;
-use hm_optim::ProjectionOp;
-use hm_simnet::sampling::{sample_edges_uniform, sample_edges_weighted};
-use hm_simnet::{CommMeter, Link};
-use hm_telemetry::{model_digest, Phase, TelemetryEvent};
-use hm_tensor::vecops;
 
 /// Configuration of a DRFA run.
 #[derive(Debug, Clone)]
@@ -89,235 +81,21 @@ impl Algorithm for Drfa {
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
         let cfg = &self.cfg;
-        let n = problem.topology().total_clients();
-        assert!(
-            cfg.m_clients <= n,
-            "m_clients {} exceeds {} clients",
-            cfg.m_clients,
-            n
-        );
-        let d = problem.num_params();
-        let meter = CommMeter::new();
-        let mut history = History::default();
-        let mut avg_w = IterateAverage::new(d);
-        let mut avg_p = IterateAverage::new(problem.num_edges());
-
-        let mut w = problem
-            .model
-            .init_params(&mut StreamRng::for_key(StreamKey::new(
-                seed,
-                Purpose::Init,
-                0,
-                0,
-            )));
-        let mut q = vec![1.0 / n as f32; n];
-        let q_domain = ProjectionOp::Simplex;
-
-        let resumed = ResumedRun::from_opts(&cfg.opts, "DRFA", seed, cfg.rounds);
-        let start_round = match &resumed {
-            Some(rr) => {
-                w.clone_from(&rr.w);
-                q.clone_from(&rr.p);
-                avg_w = rr.avg_w.clone();
-                avg_p = rr.avg_p.clone();
-                history = rr.history.clone();
-                meter.restore(&rr.comm);
-                rr.start_round
-            }
-            None => 0,
-        };
-        let mut comm_prev = meter.snapshot();
-
-        let tel = &cfg.opts.telemetry;
-        let run_timer = tel.timer();
-        emit_preamble(
-            tel,
-            resumed.as_ref(),
-            "DRFA",
-            cfg.rounds,
-            problem.num_edges(),
-            d,
-            seed,
-        );
-        let ckpt = CheckpointCtx::new(&cfg.opts, "DRFA", seed, cfg.rounds, true);
-
-        let prof = &cfg.opts.profile;
-        for k in start_round..cfg.rounds {
-            tel.record(|| TelemetryEvent::RoundStart { round: k });
-            let round_timer = tel.timer();
-            let phase1_timer = tel.timer();
-            let round_span = prof.start();
-            let sampling_span = prof.start();
-            // Sample clients by q and a checkpoint step t' ∈ [τ1].
-            let mut e_rng =
-                StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-            let q64: Vec<f64> = q.iter().map(|&x| f64::from(x).max(0.0)).collect();
-            let sampled = sample_edges_weighted(&q64, cfg.m_clients, &mut e_rng);
-            let (distinct, counts) = multiplicities(&sampled);
-
-            let mut c_rng =
-                StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
-            let t_prime = c_rng.below(cfg.tau1);
-            // Two-layer method: "edges" are sampled client ids; the single
-            // checkpoint coordinate t' maps onto c1.
-            tel.record(|| TelemetryEvent::Phase1Sampled {
-                round: k,
-                edges: sampled.clone(),
-                checkpoint: Some((t_prime, 0)),
-            });
-            prof.record(tel, Phase::Phase1Sampling, Some(k), None, sampling_span);
-
-            // Round 1: broadcast w + t', run τ1 local steps, gather model
-            // and checkpoint.
-            meter.record_broadcast(Link::ClientCloud, d as u64 + 1, distinct.len() as u64);
-            let sgd_span = prof.start();
-            let results = run_flat_clients(
-                problem,
-                &w,
-                &distinct,
-                cfg.tau1,
-                cfg.eta_w,
-                cfg.batch_size,
-                k,
-                seed,
-                cfg.opts.parallelism,
-                Some(t_prime),
-            );
-            prof.record(tel, Phase::LocalSgdChain, Some(k), None, sgd_span);
-            meter.record_gather(Link::ClientCloud, 2 * d as u64, distinct.len() as u64);
-            meter.record_round(Link::ClientCloud);
-
-            let agg_span = prof.start();
-            let weights: Vec<f64> = counts
-                .iter()
-                .map(|&c| c as f64 / cfg.m_clients as f64)
-                .collect();
-            let models: Vec<&[f32]> = results.iter().map(|(m, _)| m.as_slice()).collect();
-            vecops::weighted_average_into(&models, &weights, &mut w);
-            let cps: Vec<&[f32]> = results
-                .iter()
-                .map(|(_, cp)| cp.as_deref().expect("drfa captures checkpoints"))
-                .collect();
-            let mut w_checkpoint = vec![0.0_f32; d];
-            vecops::weighted_average_into(&cps, &weights, &mut w_checkpoint);
-            prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-            tel.record(|| {
-                let elapsed_s = phase1_timer.elapsed_s();
-                let (w_digest, nonfinite) = model_digest(&w);
-                TelemetryEvent::Phase1Done {
-                    round: k,
-                    w_digest,
-                    nonfinite,
-                    elapsed_s,
-                }
-            });
-
-            // Round 2: uniform set evaluates the checkpoint model.
-            let phase2_timer = tel.timer();
-            let dual_span = prof.start();
-            let mut u_rng = StreamRng::for_key(StreamKey::new(
-                seed,
-                Purpose::LossEstSampling,
-                k as u64,
-                u64::MAX,
-            ));
-            let u_set = sample_edges_uniform(n, cfg.m_clients, &mut u_rng);
-            meter.record_broadcast(Link::ClientCloud, d as u64, u_set.len() as u64);
-            let losses: Vec<f64> = cfg.opts.parallelism.map_ref(&u_set, |&c| {
-                let mut rng = StreamRng::for_key(StreamKey::new(
-                    seed,
-                    Purpose::LossEstSampling,
-                    k as u64,
-                    c as u64,
-                ));
-                estimate_loss(
-                    &*problem.model,
-                    client_dataset(problem, c),
-                    &w_checkpoint,
-                    cfg.loss_batch,
-                    &mut rng,
-                )
-            });
-            meter.record_gather(Link::ClientCloud, 1, u_set.len() as u64);
-
-            let mut v = vec![0.0_f32; n];
-            let scale = n as f64 / cfg.m_clients as f64;
-            for (&c, &l) in u_set.iter().zip(&losses) {
-                v[c] = (scale * l) as f32;
-            }
-            projected_ascent_step(&mut q, &v, cfg.eta_q * cfg.tau1 as f32, &q_domain);
-            prof.record(tel, Phase::DualUpdate, Some(k), None, dual_span);
-            let p_edge = q_to_edge_p(problem, &q);
-            tel.record(|| TelemetryEvent::DualUpdate {
-                round: k,
-                edges: u_set.clone(),
-                losses: losses.clone(),
-                p: p_edge.clone(),
-                elapsed_s: phase2_timer.elapsed_s(),
-            });
-            let comm_now = meter.snapshot();
-            let slots_done = (k + 1) * cfg.tau1;
-            tel.record(|| TelemetryEvent::RoundEnd {
-                round: k,
-                slots: slots_done,
-                comm_delta: comm_now.since(&comm_prev),
-                comm_total: comm_now,
-                sim_s: tel.sim_seconds(&comm_now, slots_done, 1),
-                elapsed_s: round_timer.elapsed_s(),
-            });
-            comm_prev = comm_now;
-            prof.record(tel, Phase::Round, Some(k), None, round_span);
-
-            finish_round(
-                problem,
-                &cfg.opts,
-                &mut history,
-                &mut avg_w,
-                &mut avg_p,
-                k,
-                cfg.rounds,
-                cfg.tau1,
-                comm_now,
-                &w,
-                p_edge,
-            );
-            ckpt.after_round(
-                k,
-                &w,
-                &q,
-                &avg_w,
-                &avg_p,
-                &history,
-                comm_now,
-                Default::default(),
-                vec![],
-            );
-        }
-
-        let comm_final = meter.snapshot();
-        let total_slots = cfg.rounds * cfg.tau1;
-        prof.emit_summary(tel);
-        tel.record(|| TelemetryEvent::RunEnd {
+        let spec = FlatSpec {
+            name: self.name(),
             rounds: cfg.rounds,
-            slots: total_slots,
-            comm_total: comm_final,
-            sim_s: tel.sim_seconds(&comm_final, total_slots, 1),
-            elapsed_s: run_timer.elapsed_s(),
-        });
-        tel.flush();
-
-        let final_p = q_to_edge_p(problem, &q);
-        RunResult {
-            final_w: w,
-            avg_w: avg_w.mean(),
-            final_p,
-            avg_p: avg_p.mean(),
-            history,
-            comm: comm_final,
-            faults: Default::default(),
-            quarantine: Default::default(),
-            churn: Default::default(),
-        }
+            tau1: cfg.tau1,
+            m: cfg.m_clients,
+            eta_w: cfg.eta_w,
+            batch_size: cfg.batch_size,
+            opts: &cfg.opts,
+            update: Update::Minimax(Dual {
+                eta_p: cfg.eta_q,
+                loss_batch: cfg.loss_batch,
+                model: WeightUpdateModel::RandomCheckpoint,
+            }),
+        };
+        flat::run(problem, seed, spec)
     }
 }
 

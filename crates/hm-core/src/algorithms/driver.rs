@@ -144,7 +144,8 @@ impl Blocks<'_> {
     }
 }
 
-/// Phase 2: the weight update on `p` (eq. 7).
+/// Phase 2: the weight update on `p` (eq. 7), or on the flat minimax
+/// baselines' client weights `q` (`flat::Update::Minimax`).
 #[derive(Clone, Copy)]
 pub(crate) struct Dual {
     pub eta_p: f32,
@@ -352,7 +353,7 @@ pub(crate) fn run(
         seed,
     );
     opts.emit_aggregator_summary();
-    let ckpt = CheckpointCtx::new(opts, spec.name, seed, spec.rounds, true);
+    let ckpt = CheckpointCtx::new(opts, spec.name, seed, spec.rounds);
 
     for k in start..spec.rounds {
         tel.record(|| TelemetryEvent::RoundStart { round: k });

@@ -4,17 +4,12 @@
 //! the results weighted by local dataset size — the `q_n ∝ data` choice of
 //! the paper's eq. (1), which is exactly what makes minimization
 //! under-serve data-poor clients. No edge servers, no fairness weights.
+//! With edges of one client this is HierFAVG with `τ2 = 1`, bit for bit
+//! (`tests/oracle_diff.rs`).
 
-use super::flat_common::{client_dataset, q_to_edge_p, run_flat_clients};
-use super::{finish_round, Algorithm, IterateAverage, RunOpts, RunResult};
-use crate::checkpoint::{emit_preamble, CheckpointCtx, ResumedRun};
-use crate::history::History;
+use super::flat::{self, FlatSpec, Update};
+use super::{Algorithm, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
-use hm_data::rng::{Purpose, StreamKey, StreamRng};
-use hm_simnet::sampling::sample_edges_uniform;
-use hm_simnet::{CommMeter, Link};
-use hm_telemetry::{model_digest, Phase, TelemetryEvent};
-use hm_tensor::vecops;
 
 /// Configuration of a FedAvg run.
 #[derive(Debug, Clone)]
@@ -68,176 +63,17 @@ impl Algorithm for FedAvg {
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
         let cfg = &self.cfg;
-        let n = problem.topology().total_clients();
-        assert!(
-            cfg.m_clients <= n,
-            "m_clients {} exceeds {} clients",
-            cfg.m_clients,
-            n
-        );
-        let d = problem.num_params();
-        let meter = CommMeter::new();
-        let mut history = History::default();
-        let mut avg_w = IterateAverage::new(d);
-        let mut avg_p = IterateAverage::new(problem.num_edges());
-        let uniform_p = problem.initial_p();
-
-        let mut w = problem
-            .model
-            .init_params(&mut StreamRng::for_key(StreamKey::new(
-                seed,
-                Purpose::Init,
-                0,
-                0,
-            )));
-
-        let resumed = ResumedRun::from_opts(&cfg.opts, "FedAvg", seed, cfg.rounds);
-        let start_round = match &resumed {
-            Some(rr) => {
-                w.clone_from(&rr.w);
-                avg_w = rr.avg_w.clone();
-                avg_p = rr.avg_p.clone();
-                history = rr.history.clone();
-                meter.restore(&rr.comm);
-                rr.start_round
-            }
-            None => 0,
-        };
-        let mut comm_prev = meter.snapshot();
-        let tel = &cfg.opts.telemetry;
-        let run_timer = tel.timer();
-        emit_preamble(
-            tel,
-            resumed.as_ref(),
-            "FedAvg",
-            cfg.rounds,
-            problem.num_edges(),
-            d,
-            seed,
-        );
-        let ckpt = CheckpointCtx::new(&cfg.opts, "FedAvg", seed, cfg.rounds, true);
-
-        let prof = &cfg.opts.profile;
-        for k in start_round..cfg.rounds {
-            tel.record(|| TelemetryEvent::RoundStart { round: k });
-            let round_timer = tel.timer();
-            let phase1_timer = tel.timer();
-            let round_span = prof.start();
-            let sampling_span = prof.start();
-            let mut s_rng =
-                StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-            let sampled = sample_edges_uniform(n, cfg.m_clients, &mut s_rng);
-            // Two-layer method: the "edges" here are sampled client ids.
-            tel.record(|| TelemetryEvent::Phase1Sampled {
-                round: k,
-                edges: sampled.clone(),
-                checkpoint: None,
-            });
-            prof.record(tel, Phase::Phase1Sampling, Some(k), None, sampling_span);
-
-            meter.record_broadcast(Link::ClientCloud, d as u64, sampled.len() as u64);
-            let sgd_span = prof.start();
-            let results = run_flat_clients(
-                problem,
-                &w,
-                &sampled,
-                cfg.tau1,
-                cfg.eta_w,
-                cfg.batch_size,
-                k,
-                seed,
-                cfg.opts.parallelism,
-                None,
-            );
-            prof.record(tel, Phase::LocalSgdChain, Some(k), None, sgd_span);
-            meter.record_gather(Link::ClientCloud, d as u64, sampled.len() as u64);
-            meter.record_round(Link::ClientCloud);
-
-            // Aggregate weighted by local data size (q_n ∝ |D_n|,
-            // normalised over the sampled set).
-            let agg_span = prof.start();
-            let sizes: Vec<f64> = sampled
-                .iter()
-                .map(|&c| client_dataset(problem, c).len() as f64)
-                .collect();
-            let total: f64 = sizes.iter().sum();
-            let weights: Vec<f64> = sizes.iter().map(|s| s / total).collect();
-            let models: Vec<&[f32]> = results.iter().map(|(m, _)| m.as_slice()).collect();
-            vecops::weighted_average_into(&models, &weights, &mut w);
-            prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-            tel.record(|| {
-                let elapsed_s = phase1_timer.elapsed_s();
-                let (w_digest, nonfinite) = model_digest(&w);
-                TelemetryEvent::Phase1Done {
-                    round: k,
-                    w_digest,
-                    nonfinite,
-                    elapsed_s,
-                }
-            });
-            let comm_now = meter.snapshot();
-            let slots_done = (k + 1) * cfg.tau1;
-            tel.record(|| TelemetryEvent::RoundEnd {
-                round: k,
-                slots: slots_done,
-                comm_delta: comm_now.since(&comm_prev),
-                comm_total: comm_now,
-                sim_s: tel.sim_seconds(&comm_now, slots_done, 1),
-                elapsed_s: round_timer.elapsed_s(),
-            });
-            comm_prev = comm_now;
-            prof.record(tel, Phase::Round, Some(k), None, round_span);
-
-            finish_round(
-                problem,
-                &cfg.opts,
-                &mut history,
-                &mut avg_w,
-                &mut avg_p,
-                k,
-                cfg.rounds,
-                cfg.tau1,
-                comm_now,
-                &w,
-                uniform_p.clone(),
-            );
-            ckpt.after_round(
-                k,
-                &w,
-                &uniform_p,
-                &avg_w,
-                &avg_p,
-                &history,
-                comm_now,
-                Default::default(),
-                vec![],
-            );
-        }
-
-        let comm_final = meter.snapshot();
-        let total_slots = cfg.rounds * cfg.tau1;
-        prof.emit_summary(tel);
-        tel.record(|| TelemetryEvent::RunEnd {
+        let spec = FlatSpec {
+            name: self.name(),
             rounds: cfg.rounds,
-            slots: total_slots,
-            comm_total: comm_final,
-            sim_s: tel.sim_seconds(&comm_final, total_slots, 1),
-            elapsed_s: run_timer.elapsed_s(),
-        });
-        tel.flush();
-
-        let final_p = q_to_edge_p(problem, &vec![1.0 / n as f32; n]);
-        RunResult {
-            final_w: w,
-            avg_w: avg_w.mean(),
-            final_p,
-            avg_p: avg_p.mean(),
-            history,
-            comm: comm_final,
-            faults: Default::default(),
-            quarantine: Default::default(),
-            churn: Default::default(),
-        }
+            tau1: cfg.tau1,
+            m: cfg.m_clients,
+            eta_w: cfg.eta_w,
+            batch_size: cfg.batch_size,
+            opts: &cfg.opts,
+            update: Update::DataWeighted,
+        };
+        flat::run(problem, seed, spec)
     }
 }
 
@@ -245,7 +81,7 @@ impl Algorithm for FedAvg {
 mod tests {
     use super::*;
     use hm_data::scenarios::tiny_problem;
-    use hm_simnet::Parallelism;
+    use hm_simnet::{Link, Parallelism};
 
     fn quick_cfg(rounds: usize) -> FedAvgConfig {
         FedAvgConfig {

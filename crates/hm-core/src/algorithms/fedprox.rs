@@ -6,17 +6,9 @@
 //! comparison triangle complete: drift control (FedProx) vs fairness soft
 //! reweighting (q-FedAvg) vs minimax (HierMinimax).
 
-use super::flat_common::{client_dataset, q_to_edge_p};
-use super::{finish_round, Algorithm, IterateAverage, RunOpts, RunResult};
-use crate::checkpoint::{CheckpointCtx, ResumedRun};
-use crate::history::History;
-use crate::localsgd::local_sgd_prox;
+use super::flat::{self, FlatSpec, Update};
+use super::{Algorithm, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
-use hm_data::rng::{Purpose, StreamKey, StreamRng};
-use hm_simnet::sampling::sample_edges_uniform;
-use hm_simnet::{CommMeter, Link};
-use hm_telemetry::Phase;
-use hm_tensor::vecops;
 
 /// Configuration of a FedProx run.
 #[derive(Debug, Clone)]
@@ -77,124 +69,17 @@ impl Algorithm for FedProx {
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
         let cfg = &self.cfg;
-        let n = problem.topology().total_clients();
-        assert!(
-            cfg.m_clients <= n,
-            "m_clients {} exceeds {} clients",
-            cfg.m_clients,
-            n
-        );
-        let d = problem.num_params();
-        let meter = CommMeter::new();
-        let mut history = History::default();
-        let mut avg_w = IterateAverage::new(d);
-        let mut avg_p = IterateAverage::new(problem.num_edges());
-        let uniform_p = problem.initial_p();
-
-        let mut w = problem
-            .model
-            .init_params(&mut StreamRng::for_key(StreamKey::new(
-                seed,
-                Purpose::Init,
-                0,
-                0,
-            )));
-
-        let resumed = ResumedRun::from_opts(&cfg.opts, "FedProx", seed, cfg.rounds);
-        let start_round = match &resumed {
-            Some(rr) => {
-                w.clone_from(&rr.w);
-                avg_w = rr.avg_w.clone();
-                avg_p = rr.avg_p.clone();
-                history = rr.history.clone();
-                meter.restore(&rr.comm);
-                rr.start_round
-            }
-            None => 0,
+        let spec = FlatSpec {
+            name: self.name(),
+            rounds: cfg.rounds,
+            tau1: cfg.tau1,
+            m: cfg.m_clients,
+            eta_w: cfg.eta_w,
+            batch_size: cfg.batch_size,
+            opts: &cfg.opts,
+            update: Update::Proximal { mu: cfg.mu },
         };
-        // FedProx emits no telemetry, so checkpoint events are suppressed.
-        let ckpt = CheckpointCtx::new(&cfg.opts, "FedProx", seed, cfg.rounds, false);
-        let prof = &cfg.opts.profile;
-        let tel = &cfg.opts.telemetry;
-
-        for k in start_round..cfg.rounds {
-            let round_span = prof.start();
-            let sampling_span = prof.start();
-            let mut s_rng =
-                StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-            let sampled = sample_edges_uniform(n, cfg.m_clients, &mut s_rng);
-            prof.record(tel, Phase::Phase1Sampling, Some(k), None, sampling_span);
-
-            meter.record_broadcast(Link::ClientCloud, d as u64, sampled.len() as u64);
-            let sgd_span = prof.start();
-            let results: Vec<Vec<f32>> = cfg.opts.parallelism.map_ref(&sampled, |&client| {
-                let mut rng = StreamRng::for_key(StreamKey::new(
-                    seed,
-                    Purpose::Batch,
-                    k as u64,
-                    client as u64,
-                ));
-                local_sgd_prox(
-                    &*problem.model,
-                    client_dataset(problem, client),
-                    &w,
-                    cfg.tau1,
-                    cfg.eta_w,
-                    cfg.batch_size,
-                    cfg.mu,
-                    &problem.w_domain,
-                    &mut rng,
-                )
-            });
-            prof.record(tel, Phase::LocalSgdChain, Some(k), None, sgd_span);
-            meter.record_gather(Link::ClientCloud, d as u64, sampled.len() as u64);
-            meter.record_round(Link::ClientCloud);
-
-            let agg_span = prof.start();
-            let models: Vec<&[f32]> = results.iter().map(|m| m.as_slice()).collect();
-            vecops::average_into(&models, &mut w);
-            prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-
-            finish_round(
-                problem,
-                &cfg.opts,
-                &mut history,
-                &mut avg_w,
-                &mut avg_p,
-                k,
-                cfg.rounds,
-                cfg.tau1,
-                meter.snapshot(),
-                &w,
-                uniform_p.clone(),
-            );
-            ckpt.after_round(
-                k,
-                &w,
-                &uniform_p,
-                &avg_w,
-                &avg_p,
-                &history,
-                meter.snapshot(),
-                Default::default(),
-                vec![],
-            );
-            prof.record(tel, Phase::Round, Some(k), None, round_span);
-        }
-        prof.emit_summary(tel);
-
-        let final_p = q_to_edge_p(problem, &vec![1.0 / n as f32; n]);
-        RunResult {
-            final_w: w,
-            avg_w: avg_w.mean(),
-            final_p,
-            avg_p: avg_p.mean(),
-            history,
-            comm: meter.snapshot(),
-            faults: Default::default(),
-            quarantine: Default::default(),
-            churn: Default::default(),
-        }
+        flat::run(problem, seed, spec)
     }
 }
 

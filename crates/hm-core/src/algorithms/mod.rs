@@ -7,13 +7,18 @@
 //!   hierarchy depth (clients → edges → regions → … → cloud).
 //! - [`OverselectMinimax`] — HierMinimax with straggler-aware
 //!   over-selection in Phase 1.
-//!
-//! These two, HierMinimax and HierFAVG run one round driver (`driver`,
-//! DESIGN.md §7c).
 //! - Baselines, exactly the four the evaluation compares against (§6):
 //!   [`FedAvg`] (two-layer minimization, multi-step), [`StochasticAfl`]
 //!   (two-layer minimax, single-step), [`Drfa`] (two-layer minimax,
-//!   multi-step), and [`HierFavg`] (three-layer minimization).
+//!   multi-step), and [`HierFavg`] (three-layer minimization); plus the
+//!   two-layer extension baselines [`FedProx`] and [`QFedAvg`].
+//!
+//! Two round drivers run them all:
+//!
+//! - `driver` (DESIGN.md §7c) — the hierarchical round, for HierMinimax,
+//!   HierFAVG, MultiLevel and Overselect;
+//! - `flat` (DESIGN.md §7d) — the two-layer round, for FedAvg, FedProx,
+//!   q-FedAvg, Stochastic-AFL and DRFA.
 //!
 //! ## Communication-round convention
 //!
@@ -33,7 +38,7 @@ mod drfa;
 mod driver;
 mod fedavg;
 mod fedprox;
-mod flat_common;
+mod flat;
 mod hier_common;
 mod hierfavg;
 mod hierminimax;

@@ -20,16 +20,10 @@
 //!
 //! with `L = 1/η_w` — the Lipschitz surrogate the authors recommend.
 
-use super::flat_common::{client_dataset, q_to_edge_p, run_flat_clients};
-use super::{finish_round, Algorithm, IterateAverage, RunOpts, RunResult};
-use crate::checkpoint::{CheckpointCtx, ResumedRun};
-use crate::history::History;
-use crate::localsgd::estimate_loss;
+use super::flat::{self, FlatSpec, Update};
+use super::{Algorithm, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
-use hm_data::rng::{Purpose, StreamKey, StreamRng};
-use hm_simnet::sampling::sample_edges_uniform;
-use hm_simnet::{CommMeter, Link};
-use hm_telemetry::Phase;
+use hm_optim::projection::Projection;
 use hm_tensor::vecops;
 
 /// Configuration of a q-FedAvg run.
@@ -94,153 +88,52 @@ impl Algorithm for QFedAvg {
 
     fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
         let cfg = &self.cfg;
-        let n = problem.topology().total_clients();
-        assert!(
-            cfg.m_clients <= n,
-            "m_clients {} exceeds {} clients",
-            cfg.m_clients,
-            n
-        );
-        let d = problem.num_params();
-        let big_l = f64::from(1.0 / cfg.eta_w);
-        let meter = CommMeter::new();
-        let mut history = History::default();
-        let mut avg_w = IterateAverage::new(d);
-        let mut avg_p = IterateAverage::new(problem.num_edges());
-        let uniform_p = problem.initial_p();
-
-        let mut w = problem
-            .model
-            .init_params(&mut StreamRng::for_key(StreamKey::new(
-                seed,
-                Purpose::Init,
-                0,
-                0,
-            )));
-
-        let resumed = ResumedRun::from_opts(&cfg.opts, "q-FedAvg", seed, cfg.rounds);
-        let start_round = match &resumed {
-            Some(rr) => {
-                w.clone_from(&rr.w);
-                avg_w = rr.avg_w.clone();
-                avg_p = rr.avg_p.clone();
-                history = rr.history.clone();
-                meter.restore(&rr.comm);
-                rr.start_round
-            }
-            None => 0,
+        let spec = FlatSpec {
+            name: self.name(),
+            rounds: cfg.rounds,
+            tau1: cfg.tau1,
+            m: cfg.m_clients,
+            eta_w: cfg.eta_w,
+            batch_size: cfg.batch_size,
+            opts: &cfg.opts,
+            update: Update::Qffl {
+                q: cfg.q,
+                loss_batch: cfg.loss_batch,
+            },
         };
-        // q-FedAvg emits no telemetry, so checkpoint events are suppressed.
-        let ckpt = CheckpointCtx::new(&cfg.opts, "q-FedAvg", seed, cfg.rounds, false);
-        let prof = &cfg.opts.profile;
-        let tel = &cfg.opts.telemetry;
+        flat::run(problem, seed, spec)
+    }
+}
 
-        for k in start_round..cfg.rounds {
-            let round_span = prof.start();
-            let sampling_span = prof.start();
-            let mut s_rng =
-                StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-            let sampled = sample_edges_uniform(n, cfg.m_clients, &mut s_rng);
-            prof.record(tel, Phase::Phase1Sampling, Some(k), None, sampling_span);
-
-            meter.record_broadcast(Link::ClientCloud, d as u64, sampled.len() as u64);
-            let sgd_span = prof.start();
-            let results = run_flat_clients(
-                problem,
-                &w,
-                &sampled,
-                cfg.tau1,
-                cfg.eta_w,
-                cfg.batch_size,
-                k,
-                seed,
-                cfg.opts.parallelism,
-                None,
-            );
-            // Each client also reports its loss F_k at the broadcast model.
-            let losses: Vec<f64> = cfg.opts.parallelism.map_ref(&sampled, |&c| {
-                let mut rng = StreamRng::for_key(StreamKey::new(
-                    seed,
-                    Purpose::LossEstSampling,
-                    k as u64,
-                    c as u64,
-                ));
-                estimate_loss(
-                    &*problem.model,
-                    client_dataset(problem, c),
-                    &w,
-                    cfg.loss_batch,
-                    &mut rng,
-                )
-                .max(1e-10) // F_k^q-1 must stay finite for q < 1
-            });
-            prof.record(tel, Phase::LocalSgdChain, Some(k), None, sgd_span);
-            meter.record_gather(Link::ClientCloud, d as u64 + 1, sampled.len() as u64);
-            meter.record_round(Link::ClientCloud);
-
-            // q-FedAvg aggregation.
-            let agg_span = prof.start();
-            let mut delta_sum = vec![0.0_f64; d];
-            let mut h_sum = 0.0_f64;
-            for ((w_k, _), &f_k) in results.iter().zip(&losses) {
-                // Δw_k = L (w − w̄_k)
-                let fq = f_k.powf(cfg.q);
-                let mut norm_sq = 0.0_f64;
-                for (i, (&wi, &wki)) in w.iter().zip(w_k.iter()).enumerate() {
-                    let dw = big_l * (f64::from(wi) - f64::from(wki));
-                    norm_sq += dw * dw;
-                    delta_sum[i] += fq * dw;
-                }
-                h_sum += cfg.q * f_k.powf(cfg.q - 1.0) * norm_sq + big_l * fq;
-            }
-            if h_sum > 0.0 {
-                let step: Vec<f32> = delta_sum.iter().map(|&x| (x / h_sum) as f32).collect();
-                vecops::axpy(-1.0, &step, &mut w);
-                use hm_optim::projection::Projection;
-                problem.w_domain.project(&mut w);
-            }
-            prof.record(tel, Phase::Aggregation, Some(k), None, agg_span);
-
-            finish_round(
-                problem,
-                &cfg.opts,
-                &mut history,
-                &mut avg_w,
-                &mut avg_p,
-                k,
-                cfg.rounds,
-                cfg.tau1,
-                meter.snapshot(),
-                &w,
-                uniform_p.clone(),
-            );
-            ckpt.after_round(
-                k,
-                &w,
-                &uniform_p,
-                &avg_w,
-                &avg_p,
-                &history,
-                meter.snapshot(),
-                Default::default(),
-                vec![],
-            );
-            prof.record(tel, Phase::Round, Some(k), None, round_span);
+/// The q-FedAvg server step of the module docs, in f64: fold the
+/// clients' local models `w̄_k` and losses `F_k` into `w`, then project
+/// onto the model domain.
+pub(super) fn server_step(
+    problem: &FederatedProblem,
+    w: &mut [f32],
+    models: &[&[f32]],
+    losses: &[f64],
+    q: f64,
+    eta_w: f32,
+) {
+    let big_l = f64::from(1.0 / eta_w);
+    let mut delta_sum = vec![0.0_f64; w.len()];
+    let mut h_sum = 0.0_f64;
+    for (w_k, &f_k) in models.iter().zip(losses) {
+        // Δw_k = L (w − w̄_k)
+        let fq = f_k.powf(q);
+        let mut norm_sq = 0.0_f64;
+        for (i, (&wi, &wki)) in w.iter().zip(w_k.iter()).enumerate() {
+            let dw = big_l * (f64::from(wi) - f64::from(wki));
+            norm_sq += dw * dw;
+            delta_sum[i] += fq * dw;
         }
-        prof.emit_summary(tel);
-
-        let final_p = q_to_edge_p(problem, &vec![1.0 / n as f32; n]);
-        RunResult {
-            final_w: w,
-            avg_w: avg_w.mean(),
-            final_p,
-            avg_p: avg_p.mean(),
-            history,
-            comm: meter.snapshot(),
-            faults: Default::default(),
-            quarantine: Default::default(),
-            churn: Default::default(),
-        }
+        h_sum += q * f_k.powf(q - 1.0) * norm_sq + big_l * fq;
+    }
+    if h_sum > 0.0 {
+        let step: Vec<f32> = delta_sum.iter().map(|&x| (x / h_sum) as f32).collect();
+        vecops::axpy(-1.0, &step, w);
+        problem.w_domain.project(w);
     }
 }
 

@@ -404,26 +404,15 @@ pub(crate) struct CheckpointCtx<'a> {
     algorithm: &'a str,
     seed: u64,
     rounds: usize,
-    /// Whether this run emits `checkpoint` telemetry events (false for
-    /// the baselines that emit no `run_start`, whose streams must stay
-    /// schema-valid).
-    emit_events: bool,
 }
 
 impl<'a> CheckpointCtx<'a> {
-    pub(crate) fn new(
-        opts: &'a RunOpts,
-        algorithm: &'a str,
-        seed: u64,
-        rounds: usize,
-        emit_events: bool,
-    ) -> Self {
+    pub(crate) fn new(opts: &'a RunOpts, algorithm: &'a str, seed: u64, rounds: usize) -> Self {
         Self {
             opts,
             algorithm,
             seed,
             rounds,
-            emit_events,
         }
     }
 
@@ -450,10 +439,8 @@ impl<'a> CheckpointCtx<'a> {
             return;
         }
         let tel = &self.opts.telemetry;
-        if self.emit_events {
-            let seq = tel.seq() + 1; // count includes the checkpoint event
-            tel.record(|| TelemetryEvent::Checkpoint { round, seq });
-        }
+        let seq = tel.seq() + 1; // count includes the checkpoint event
+        tel.record(|| TelemetryEvent::Checkpoint { round, seq });
         let (avg_w_sum, avg_w_count) = avg_w.parts();
         let (avg_p_sum, avg_p_count) = avg_p.parts();
         let mut extras = vec![(HISTORY_SECTION.to_string(), encode_history(history))];

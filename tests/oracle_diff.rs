@@ -7,17 +7,25 @@
 //! and the final `w` and `p` in full. Any refactor of the hot path (fused steps, workspaces,
 //! scratch reuse, the fault prepass, per-edge task chains) that changes
 //! even one ULP anywhere fails here.
+//!
+//! A second reference for the flat two-layer baselines is the hierarchical
+//! round driver itself: on edges of one client, FedAvg, DRFA and
+//! Stochastic-AFL are special cases of HierFAVG and HierMinimax, and the
+//! two implementations must agree bit for bit.
 
 use hierminimax::core::algorithms::{
-    Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierMinimax,
+    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierMinimax,
+    HierMinimaxConfig, RunOpts, StochasticAfl, WeightUpdateModel,
 };
+use hierminimax::core::RunResult;
+use hierminimax::simnet::{FaultPlan, Parallelism, Quantizer};
 use hierminimax::telemetry::{model_digest, TelemetryEvent};
 use hm_testkit::strategies::{
     arb_aggregator, arb_client_fault_plan, arb_scenario, case_opts, record,
 };
 use hm_testkit::{
     reference_drfa_round, reference_fedavg_round, reference_hierminimax_run, reference_init_w,
-    ReferenceRound,
+    PDomainSpec, ReferenceRound, ScenarioSpec,
 };
 use proptest::prelude::*;
 
@@ -143,6 +151,130 @@ proptest! {
             q = q_next;
         }
         prop_assert_eq!(&r.final_w, &w);
+    }
+}
+
+/// `final_w`, `avg_w`, `final_p`, `avg_p`, and each round's recorded `p`
+/// and per-edge accuracy of `flat` and `hier`, bit for bit.
+fn assert_same_run(
+    what: &str,
+    flat: &RunResult,
+    hier: &RunResult,
+    spec: &ScenarioSpec,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        &flat.final_w,
+        &hier.final_w,
+        "{}: final_w ({:?})",
+        what,
+        spec
+    );
+    prop_assert_eq!(&flat.avg_w, &hier.avg_w, "{}: avg_w ({:?})", what, spec);
+    prop_assert_eq!(
+        &flat.final_p,
+        &hier.final_p,
+        "{}: final_p ({:?})",
+        what,
+        spec
+    );
+    prop_assert_eq!(&flat.avg_p, &hier.avg_p, "{}: avg_p ({:?})", what, spec);
+    prop_assert_eq!(flat.history.rounds.len(), hier.history.rounds.len());
+    for (a, b) in flat.history.rounds.iter().zip(&hier.history.rounds) {
+        prop_assert_eq!(&a.p, &b.p, "{}: p at round {} ({:?})", what, a.round, spec);
+        let acc = |r: &hierminimax::core::history::RoundRecord| {
+            r.eval.as_ref().map(|e| e.per_edge_accuracy.clone())
+        };
+        prop_assert_eq!(
+            acc(a),
+            acc(b),
+            "{}: accuracy at round {} ({:?})",
+            what,
+            a.round,
+            spec
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On edges of one client, with no faults, dropout or codec and the
+    /// simplex `P`: FedAvg is HierFAVG with `τ2 = 1`, DRFA is HierMinimax
+    /// with `τ2 = 1`, and Stochastic-AFL is HierMinimax with `τ1 = τ2 = 1`
+    /// estimating its losses on the round-start model. Every round is
+    /// evaluated, and the executor alternates with the run seed.
+    #[test]
+    fn flat_baselines_match_hierarchical_on_one_client_edges(spec in arb_scenario()) {
+        let spec = ScenarioSpec {
+            clients_per_edge: 1,
+            tau2: 1,
+            dropout: 0.0,
+            fault: FaultPlan::default(),
+            quantizer: Quantizer::Exact,
+            p_domain: PDomainSpec::Simplex,
+            ..spec
+        };
+        let fp = spec.problem();
+        let opts = RunOpts {
+            eval_every: 1,
+            parallelism: if spec.run_seed.is_multiple_of(2) {
+                Parallelism::Sequential
+            } else {
+                Parallelism::Rayon
+            },
+            ..case_opts()
+        };
+        let hmx = |tau1: usize, model: WeightUpdateModel| {
+            let cfg = HierMinimaxConfig {
+                tau1,
+                weight_update_model: model,
+                opts: opts.clone(),
+                ..spec.hierminimax_config()
+            };
+            HierMinimax::new(cfg).run(&fp, spec.run_seed)
+        };
+        let (m, seed) = (spec.m_edges, spec.run_seed);
+
+        let fedavg = FedAvg::new(FedAvgConfig {
+            rounds: spec.rounds,
+            tau1: spec.tau1,
+            m_clients: m,
+            eta_w: 0.1,
+            batch_size: 2,
+            opts: opts.clone(),
+        })
+        .run(&fp, seed);
+        let mut hierfavg = spec.hierfavg_config();
+        hierfavg.opts = opts.clone();
+        assert_same_run("FedAvg vs HierFAVG", &fedavg, &HierFavg::new(hierfavg).run(&fp, seed), &spec)?;
+
+        let drfa = Drfa::new(DrfaConfig {
+            rounds: spec.rounds,
+            tau1: spec.tau1,
+            m_clients: m,
+            eta_w: 0.1,
+            eta_q: 0.05,
+            batch_size: 2,
+            loss_batch: 3,
+            opts: opts.clone(),
+        })
+        .run(&fp, seed);
+        let hier = hmx(spec.tau1, WeightUpdateModel::RandomCheckpoint);
+        assert_same_run("DRFA vs HierMinimax", &drfa, &hier, &spec)?;
+
+        let afl = StochasticAfl::new(AflConfig {
+            rounds: spec.rounds,
+            m_clients: m,
+            eta_w: 0.1,
+            eta_q: 0.05,
+            batch_size: 2,
+            loss_batch: 3,
+            opts: opts.clone(),
+        })
+        .run(&fp, seed);
+        let hier = hmx(1, WeightUpdateModel::RoundStart);
+        assert_same_run("Stochastic-AFL vs HierMinimax", &afl, &hier, &spec)?;
     }
 }
 

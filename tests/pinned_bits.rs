@@ -24,13 +24,25 @@
 //! mapping those fields back to the old counts reproduced the previous
 //! constants on both executors.
 //!
+//! A third group pins the five flat two-layer baselines — FedAvg,
+//! FedProx, q-FedAvg, Stochastic-AFL and DRFA — on the tiny logistic
+//! problem under both executors. Their hash also covers the averaged
+//! iterates and every round's recorded weights (see [`flat_digest`]),
+//! which is where the `q` bookkeeping of a two-layer loop can drift.
+//! Their constants were recorded before the five hand-written two-layer
+//! loops became one round driver. The driver reproduces every state
+//! constant and the FedAvg, AFL and DRFA streams; only the FedProx and
+//! q-FedAvg stream constants were re-recorded, since those two gained
+//! the standard stream there.
+//!
 //! The losses go through `f64::exp`/`ln`, whose last bit is the platform
 //! libm's, so the constants are pinned on x86_64 Linux only.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig,
-    MultiLevelMinimax, OverselectConfig, OverselectMinimax, RunOpts, UpperLevel,
+    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
+    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax,
+    OverselectConfig, OverselectMinimax, QFedAvg, QfflConfig, RunOpts, StochasticAfl, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
@@ -79,6 +91,26 @@ fn digest(r: &RunResult) -> u64 {
 fn state_digest(r: &RunResult) -> u64 {
     let mut h = FNV_OFFSET;
     for v in r.final_w.iter().chain(&r.final_p) {
+        h = fnv1a(h, &v.to_bits().to_le_bytes());
+    }
+    let counters = format!("{:?}{:?}{:?}{:?}", r.comm, r.faults, r.quarantine, r.churn);
+    fnv1a(h, counters.as_bytes())
+}
+
+/// FNV-1a over the bits of `final_w`, `avg_w`, `final_p`, `avg_p` and
+/// every round's recorded `p`, then the `Debug` text of the communication,
+/// fault, quarantine and churn counters.
+fn flat_digest(r: &RunResult) -> u64 {
+    let mut h = FNV_OFFSET;
+    let rounds = r.history.rounds.iter().flat_map(|round| &round.p);
+    for v in r
+        .final_w
+        .iter()
+        .chain(&r.avg_w)
+        .chain(&r.final_p)
+        .chain(&r.avg_p)
+        .chain(rounds)
+    {
         h = fnv1a(h, &v.to_bits().to_le_bytes());
     }
     let counters = format!("{:?}{:?}{:?}{:?}", r.comm, r.faults, r.quarantine, r.churn);
@@ -212,6 +244,17 @@ fn hmx(rounds: usize, m_edges: usize, opts: RunOpts) -> HierMinimaxConfig {
 /// Run a case on both executors with a memory sink attached; each must
 /// reproduce the pinned state digest and the pinned telemetry digest.
 fn check_executors(name: &str, want: u64, want_stream: u64, run: impl Fn(RunOpts) -> RunResult) {
+    check_executors_by(state_digest, name, want, want_stream, run);
+}
+
+/// [`check_executors`] with the state hashed by `digest`.
+fn check_executors_by(
+    digest: fn(&RunResult) -> u64,
+    name: &str,
+    want: u64,
+    want_stream: u64,
+    run: impl Fn(RunOpts) -> RunResult,
+) {
     for par in [Parallelism::Sequential, Parallelism::Rayon] {
         let sink = Arc::new(MemorySink::new());
         let r = run(RunOpts {
@@ -220,7 +263,7 @@ fn check_executors(name: &str, want: u64, want_stream: u64, run: impl Fn(RunOpts
             telemetry: Telemetry::with_sink(sink.clone()),
             ..Default::default()
         });
-        check(&format!("{name} [{par:?}]"), state_digest(&r), want);
+        check(&format!("{name} [{par:?}]"), digest(&r), want);
         check(
             &format!("{name} [{par:?}] telemetry"),
             stream_digest(&sink.events()),
@@ -367,6 +410,125 @@ fn overselect_under_chaos_bits_are_pinned() {
                 opts: faulty(base, "chaos"),
             };
             OverselectMinimax::new(cfg).run(&fp, 46)
+        },
+    );
+}
+
+// ---- The flat two-layer baselines. --------------------------------------
+
+#[test]
+fn fedavg_bits_are_pinned() {
+    let fp = tiny(3, 2, 37);
+    check_executors_by(
+        flat_digest,
+        "fedavg",
+        0xd2ea_d862_51dd_59b0,
+        0xf0c6_bd80_54a4_d46d,
+        |opts| {
+            let cfg = FedAvgConfig {
+                rounds: 6,
+                tau1: 2,
+                m_clients: 4,
+                eta_w: 0.1,
+                batch_size: 2,
+                opts,
+            };
+            FedAvg::new(cfg).run(&fp, 47)
+        },
+    );
+}
+
+#[test]
+fn fedprox_bits_are_pinned() {
+    let fp = tiny(3, 2, 38);
+    check_executors_by(
+        flat_digest,
+        "fedprox",
+        0x127f_4a5e_14e1_7e80,
+        0x1eb5_ea20_d482_c29b,
+        |opts| {
+            let cfg = FedProxConfig {
+                rounds: 6,
+                tau1: 2,
+                m_clients: 4,
+                mu: 0.1,
+                eta_w: 0.1,
+                batch_size: 2,
+                opts,
+            };
+            FedProx::new(cfg).run(&fp, 48)
+        },
+    );
+}
+
+#[test]
+fn qffl_bits_are_pinned() {
+    let fp = tiny(3, 2, 39);
+    check_executors_by(
+        flat_digest,
+        "q-fedavg",
+        0x1a10_8571_a047_53b0,
+        0xeadc_b019_cd28_8aaf,
+        |opts| {
+            let cfg = QfflConfig {
+                rounds: 6,
+                tau1: 2,
+                m_clients: 4,
+                q: 1.0,
+                eta_w: 0.1,
+                batch_size: 2,
+                loss_batch: 4,
+                opts,
+            };
+            QFedAvg::new(cfg).run(&fp, 49)
+        },
+    );
+}
+
+#[test]
+fn afl_bits_are_pinned() {
+    let fp = tiny(3, 2, 40);
+    check_executors_by(
+        flat_digest,
+        "stochastic-afl",
+        0x9a60_9d6c_21c4_a45c,
+        0xa352_b4f1_da7a_5491,
+        |opts| {
+            let cfg = AflConfig {
+                rounds: 8,
+                m_clients: 4,
+                eta_w: 0.1,
+                eta_q: 0.05,
+                batch_size: 2,
+                loss_batch: 4,
+                opts,
+            };
+            StochasticAfl::new(cfg).run(&fp, 50)
+        },
+    );
+}
+
+#[test]
+fn drfa_bits_are_pinned() {
+    let fp = tiny(3, 2, 41);
+    // τ1 = 3, so the checkpoint step t' varies across rounds.
+    check_executors_by(
+        flat_digest,
+        "drfa",
+        0x9794_9e02_a9f7_b06e,
+        0xcb28_154f_401c_c815,
+        |opts| {
+            let cfg = DrfaConfig {
+                rounds: 6,
+                tau1: 3,
+                m_clients: 4,
+                eta_w: 0.1,
+                eta_q: 0.05,
+                batch_size: 2,
+                loss_batch: 4,
+                opts,
+            };
+            Drfa::new(cfg).run(&fp, 51)
         },
     );
 }

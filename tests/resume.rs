@@ -49,13 +49,11 @@ type Factory = Box<dyn Fn(RunOpts) -> Box<dyn Algorithm>>;
 
 /// Every algorithm in the workspace, as a factory over `RunOpts` so the
 /// same config can be instantiated for the writer, plain, and resumed
-/// legs. The bool marks algorithms that emit a telemetry stream (the
-/// FedProx and q-FedAvg paths do not).
-fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
+/// legs.
+fn all_algorithms() -> Vec<(&'static str, Factory)> {
     vec![
         (
             "HierMinimax",
-            true,
             Box::new(|opts| {
                 Box::new(HierMinimax::new(HierMinimaxConfig {
                     rounds: ROUNDS,
@@ -76,7 +74,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "HierFAVG",
-            true,
             Box::new(|opts| {
                 Box::new(HierFavg::new(HierFavgConfig {
                     rounds: ROUNDS,
@@ -93,7 +90,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "MultiLevelMinimax",
-            true,
             Box::new(|opts| {
                 Box::new(MultiLevelMinimax::new(MultiLevelConfig {
                     rounds: ROUNDS,
@@ -112,7 +108,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "Overselect",
-            true,
             Box::new(|opts| {
                 Box::new(OverselectMinimax::new(OverselectConfig {
                     rounds: ROUNDS,
@@ -132,7 +127,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "FedAvg",
-            true,
             Box::new(|opts| {
                 Box::new(FedAvg::new(FedAvgConfig {
                     rounds: ROUNDS,
@@ -146,7 +140,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "FedProx",
-            false,
             Box::new(|opts| {
                 Box::new(FedProx::new(FedProxConfig {
                     rounds: ROUNDS,
@@ -161,7 +154,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "Stochastic-AFL",
-            true,
             Box::new(|opts| {
                 Box::new(StochasticAfl::new(AflConfig {
                     rounds: ROUNDS,
@@ -176,7 +168,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "DRFA",
-            true,
             Box::new(|opts| {
                 Box::new(Drfa::new(DrfaConfig {
                     rounds: ROUNDS,
@@ -192,7 +183,6 @@ fn all_algorithms() -> Vec<(&'static str, bool, Factory)> {
         ),
         (
             "q-FedAvg",
-            false,
             Box::new(|opts| {
                 Box::new(QFedAvg::new(QfflConfig {
                     rounds: ROUNDS,
@@ -233,13 +223,11 @@ fn stream_digest(events: &[TelemetryEvent]) -> String {
 
 /// One matrix cell: run `factory` uninterrupted with per-round
 /// checkpoints, then for every snapshot on disk resume from it and assert
-/// the `RunResult` (and, when the algorithm emits telemetry, the spliced
-/// stream) is bit-identical to the uninterrupted run. Returns the
-/// uninterrupted run.
+/// the `RunResult` and the spliced telemetry stream are bit-identical to
+/// the uninterrupted run. Returns the uninterrupted run.
 fn assert_resume_bit_identity(
     tag: &str,
     name: &str,
-    has_telemetry: bool,
     factory: &Factory,
     base: &RunOpts,
 ) -> RunResult {
@@ -251,9 +239,7 @@ fn assert_resume_bit_identity(
     let writer_sink = Arc::new(MemorySink::new());
     let mut writer_opts = base.clone();
     writer_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
-    if has_telemetry {
-        writer_opts.telemetry = Telemetry::with_sink(writer_sink.clone());
-    }
+    writer_opts.telemetry = Telemetry::with_sink(writer_sink.clone());
     let full = factory(writer_opts).run(&fp, SEED);
 
     // Checkpointing must not perturb the run.
@@ -275,26 +261,22 @@ fn assert_resume_bit_identity(
         // carries the same `checkpoint` events as the uninterrupted one.
         resumed_opts.checkpoint = CheckpointOpts::writing(&dir_r, 1);
         resumed_opts.checkpoint.resume = Some(Arc::new(snap));
-        if has_telemetry {
-            resumed_opts.telemetry = Telemetry::with_sink(resumed_sink.clone());
-        }
+        resumed_opts.telemetry = Telemetry::with_sink(resumed_sink.clone());
         let resumed = factory(resumed_opts).run(&fp, SEED);
         assert_identical(&format!("{tag}: kill at round {kill}"), &full, &resumed);
-        if has_telemetry {
-            let resumed = resumed_sink.events();
-            match resumed.first() {
-                Some(TelemetryEvent::RunResume { next_round, .. }) if *next_round == kill => {}
-                other => panic!(
-                    "resumed stream must open with run_resume at round {kill}, got {other:?}"
-                ),
+        let resumed = resumed_sink.events();
+        match resumed.first() {
+            Some(TelemetryEvent::RunResume { next_round, .. }) if *next_round == kill => {}
+            other => {
+                panic!("resumed stream must open with run_resume at round {kill}, got {other:?}")
             }
-            let spliced = splice(&writer_sink.events(), &resumed, kill);
-            assert_eq!(
-                stream_digest(&spliced),
-                stream_digest(&writer_sink.events()),
-                "{tag}: spliced telemetry differs at kill round {kill}"
-            );
         }
+        let spliced = splice(&writer_sink.events(), &resumed, kill);
+        assert_eq!(
+            stream_digest(&spliced),
+            stream_digest(&writer_sink.events()),
+            "{tag}: spliced telemetry differs at kill round {kill}"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -313,7 +295,7 @@ fn opts(par: Parallelism, fault: &FaultPlan) -> RunOpts {
 
 #[test]
 fn hierminimax_resume_matrix_full_grid() {
-    let (name, has_tel, factory) = all_algorithms().swap_remove(0);
+    let (name, factory) = all_algorithms().swap_remove(0);
     assert_eq!(name, "HierMinimax");
     let plans = [
         ("none", FaultPlan::preset("none").unwrap()),
@@ -322,7 +304,7 @@ fn hierminimax_resume_matrix_full_grid() {
     for (plan_name, plan) in &plans {
         for par in [Parallelism::Sequential, Parallelism::Rayon] {
             let tag = format!("hmx-{plan_name}-{par:?}").to_lowercase();
-            assert_resume_bit_identity(&tag, name, has_tel, &factory, &opts(par, plan));
+            assert_resume_bit_identity(&tag, name, &factory, &opts(par, plan));
         }
     }
 }
@@ -332,15 +314,9 @@ fn every_algorithm_resumes_bit_identically() {
     // Reduced grid: the default executor cell, kill at every round, for
     // all nine algorithms (flat baselines ignore the fault plan).
     let none = FaultPlan::preset("none").unwrap();
-    for (name, has_tel, factory) in all_algorithms() {
+    for (name, factory) in all_algorithms() {
         let tag = format!("all-{}", name.to_lowercase().replace('-', "_"));
-        assert_resume_bit_identity(
-            &tag,
-            name,
-            has_tel,
-            &factory,
-            &opts(Parallelism::Sequential, &none),
-        );
+        assert_resume_bit_identity(&tag, name, &factory, &opts(Parallelism::Sequential, &none));
     }
 }
 
@@ -350,18 +326,12 @@ fn hierarchical_algorithms_resume_under_chaos_on_rayon() {
     // (which already runs the full grid): faults must restore across the
     // resume boundary on the rayon executor.
     let chaos = FaultPlan::preset("chaos").unwrap();
-    for (name, has_tel, factory) in all_algorithms() {
+    for (name, factory) in all_algorithms() {
         if !matches!(name, "HierFAVG" | "MultiLevelMinimax" | "Overselect") {
             continue;
         }
         let tag = format!("chaos-{}", name.to_lowercase());
-        assert_resume_bit_identity(
-            &tag,
-            name,
-            has_tel,
-            &factory,
-            &opts(Parallelism::Rayon, &chaos),
-        );
+        assert_resume_bit_identity(&tag, name, &factory, &opts(Parallelism::Rayon, &chaos));
     }
 }
 
@@ -378,7 +348,7 @@ fn hierarchical_algorithms_resume_under_byzantine_quarantine() {
             &FaultPlan::preset("byzantine").unwrap(),
         )
     };
-    for (name, has_tel, factory) in all_algorithms() {
+    for (name, factory) in all_algorithms() {
         if !matches!(
             name,
             "HierMinimax" | "HierFAVG" | "MultiLevelMinimax" | "Overselect"
@@ -386,7 +356,7 @@ fn hierarchical_algorithms_resume_under_byzantine_quarantine() {
             continue;
         }
         let tag = format!("byz-{}", name.to_lowercase());
-        let full = assert_resume_bit_identity(&tag, name, has_tel, &factory, &byzantine);
+        let full = assert_resume_bit_identity(&tag, name, &factory, &byzantine);
         assert!(
             full.quarantine.corrupted_updates > 0,
             "{name}: no upload was corrupted"
@@ -411,7 +381,7 @@ fn final_round_snapshot_is_never_written() {
     // invite a no-op resume. Pin the contract with a cadence that lands
     // exactly on the final round.
     let fp = problem();
-    let (name, _, factory) = all_algorithms().swap_remove(0);
+    let (name, factory) = all_algorithms().swap_remove(0);
     for every in [1, 2] {
         // ROUNDS = 4: cadence 1 is due after rounds 1..=4, cadence 2 after
         // rounds 2 and 4 — in both cases round 4 is due AND final.
@@ -438,7 +408,7 @@ fn final_round_snapshot_is_never_written() {
 fn sample_snapshot() -> Snapshot {
     let fp = problem();
     let dir = scratch_dir("negative");
-    let (_, _, factory) = all_algorithms().swap_remove(0);
+    let (_, factory) = all_algorithms().swap_remove(0);
     let mut w_opts = opts(Parallelism::Sequential, &FaultPlan::preset("none").unwrap());
     w_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
     factory(w_opts).run(&fp, SEED);

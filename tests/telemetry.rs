@@ -15,9 +15,9 @@
 use std::sync::Arc;
 
 use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig,
-    HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, OverselectConfig,
-    OverselectMinimax, RunOpts, StochasticAfl, UpperLevel,
+    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
+    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax,
+    OverselectConfig, OverselectMinimax, QFedAvg, QfflConfig, RunOpts, StochasticAfl, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
@@ -300,6 +300,31 @@ fn all_algorithms_emit_consistent_streams() {
             m_clients: 4,
             eta_w: 0.1,
             batch_size: 2,
+            opts,
+        })
+        .run(&fp, 7)
+    });
+    run_with("FedProx", &|opts| {
+        FedProx::new(FedProxConfig {
+            rounds,
+            tau1: 2,
+            m_clients: 4,
+            mu: 0.1,
+            eta_w: 0.1,
+            batch_size: 2,
+            opts,
+        })
+        .run(&fp, 7)
+    });
+    run_with("q-FedAvg", &|opts| {
+        QFedAvg::new(QfflConfig {
+            rounds,
+            tau1: 2,
+            m_clients: 4,
+            q: 1.0,
+            eta_w: 0.1,
+            batch_size: 2,
+            loss_batch: 4,
             opts,
         })
         .run(&fp, 7)
