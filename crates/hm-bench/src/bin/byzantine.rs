@@ -29,7 +29,7 @@
 //!   `results/BENCH_byzantine.json` headline, exiting non-zero otherwise
 //!   (the file is left untouched).
 
-use hm_bench::results::{parse_scale_flags, write_result, RESULTS_DIR};
+use hm_bench::results::{number_at, parse_scale_flags, read_committed, write_result};
 use hm_core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, RunOpts};
 use hm_core::problem::FederatedProblem;
 use hm_data::scenarios::tiny_problem;
@@ -145,11 +145,11 @@ fn main() {
     println!("sign-flip drift ratio mean/trimmed-mean: {ratio:.1}x");
 
     if check {
-        let path = std::path::Path::new(RESULTS_DIR).join("BENCH_byzantine.json");
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check needs committed {}: {e}", path.display()));
-        let base = committed_ratio(&committed)
-            .unwrap_or_else(|| panic!("no signflip_mean_over_trimmed in {}", path.display()));
+        let base = number_at(
+            &read_committed("BENCH_byzantine.json"),
+            &["signflip_mean_over_trimmed"],
+        )
+        .expect("no signflip_mean_over_trimmed in results/BENCH_byzantine.json");
         if ratio < RESILIENCE_FLOOR {
             eprintln!("REGRESSION: ratio {ratio:.1}x below the {RESILIENCE_FLOOR}x floor");
             std::process::exit(1);
@@ -171,16 +171,4 @@ fn main() {
     );
     let path = write_result("BENCH_byzantine.json", &json);
     println!("wrote {}", path.display());
-}
-
-/// Pull `"signflip_mean_over_trimmed": <x>` out of the committed JSON (the
-/// format this binary writes, so a flat substring scan suffices).
-fn committed_ratio(json: &str) -> Option<f64> {
-    let key = "\"signflip_mean_over_trimmed\":";
-    let at = json.find(key)?;
-    let num = json[at + key.len()..].trim_start();
-    let end = num
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(num.len());
-    num[..end].parse().ok()
 }

@@ -27,7 +27,7 @@
 //!   `results/BENCH_churn.json` headline, exiting non-zero otherwise
 //!   (the file is left untouched).
 
-use hm_bench::results::{parse_scale_flags, write_result, RESULTS_DIR};
+use hm_bench::results::{number_at, parse_scale_flags, read_committed, write_result};
 use hm_core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, RunOpts};
 use hm_core::problem::FederatedProblem;
 use hm_data::scenarios::tiny_problem;
@@ -119,11 +119,11 @@ fn main() {
     println!("edge-failover upload ratio rehome/stranded: {ratio:.2}x");
 
     if check {
-        let path = std::path::Path::new(RESULTS_DIR).join("BENCH_churn.json");
-        let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check needs committed {}: {e}", path.display()));
-        let base = committed_ratio(&committed)
-            .unwrap_or_else(|| panic!("no rehome_over_stranded in {}", path.display()));
+        let base = number_at(
+            &read_committed("BENCH_churn.json"),
+            &["rehome_over_stranded"],
+        )
+        .expect("no rehome_over_stranded in results/BENCH_churn.json");
         if ratio < AVAILABILITY_FLOOR {
             eprintln!("REGRESSION: ratio {ratio:.2}x below the {AVAILABILITY_FLOOR}x floor");
             std::process::exit(1);
@@ -146,16 +146,4 @@ fn main() {
     );
     let path = write_result("BENCH_churn.json", &json);
     println!("wrote {}", path.display());
-}
-
-/// Pull `"rehome_over_stranded": <x>` out of the committed JSON (the
-/// format this binary writes, so a flat substring scan suffices).
-fn committed_ratio(json: &str) -> Option<f64> {
-    let key = "\"rehome_over_stranded\":";
-    let at = json.find(key)?;
-    let num = json[at + key.len()..].trim_start();
-    let end = num
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(num.len());
-    num[..end].parse().ok()
 }

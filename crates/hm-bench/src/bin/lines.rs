@@ -13,8 +13,8 @@
 //!   the file lacks counts as exceeding). Regenerate the file after a
 //!   change that shrinks the code, to lower the ratchet.
 
-use hm_bench::results::{write_result, RESULTS_DIR};
-use hm_telemetry::json;
+use hm_bench::results::{read_committed, write_result};
+use hm_telemetry::json::Json;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
@@ -58,17 +58,13 @@ fn main() {
     println!("{:<14} {total:>6}", "total");
 
     if check {
-        let path = Path::new(RESULTS_DIR).join("LINES.json");
-        let text = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check needs committed {}: {e}", path.display()));
-        let committed = json::parse(&text)
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+        let committed = read_committed("LINES.json");
+        let lines = committed
             .get("lines")
-            .cloned()
-            .unwrap_or_else(|| panic!("no \"lines\" object in {}", path.display()));
+            .expect("no \"lines\" object in results/LINES.json");
         let mut grew = false;
         for (name, &n) in &counts {
-            let limit = committed.get(name).and_then(json::Json::as_u64);
+            let limit = lines.get(name).and_then(Json::as_u64);
             if limit.is_none_or(|limit| n > limit) {
                 eprintln!("REGRESSION: {name} has {n} non-blank lines, committed {limit:?}");
                 grew = true;

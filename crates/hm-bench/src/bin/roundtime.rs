@@ -23,7 +23,7 @@
 //!   CI box are too noisy to gate on — but per-shape ratios are still
 //!   printed for diagnosis.
 
-use hm_bench::results::{parse_scale_flags, write_result, RESULTS_DIR};
+use hm_bench::results::{number_at, parse_scale_flags, read_committed, write_result};
 use hm_core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, RunOpts};
 use hm_core::problem::FederatedProblem;
 use hm_data::generators::synthetic_images::ImageConfig;
@@ -148,19 +148,6 @@ fn phase_breakdown(case: &Case) -> Vec<(String, f64)> {
     shares
 }
 
-/// Pull a shape's `"rounds_per_sec": <x>` out of the committed JSON (the
-/// format this binary writes, so a flat substring scan suffices).
-fn committed_rate(json: &str, shape: &str) -> Option<f64> {
-    let at = json.find(&format!("\"{shape}\": {{"))?;
-    let key = "\"rounds_per_sec\":";
-    let at = at + json[at..].find(key)? + key.len();
-    let num = json[at..].trim_start();
-    let end = num
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(num.len());
-    num[..end].parse().ok()
-}
-
 fn main() {
     let (quick, _full) = parse_scale_flags();
     let check = std::env::args().any(|a| a == "--check");
@@ -240,11 +227,7 @@ fn main() {
         },
     ];
 
-    let committed = check.then(|| {
-        let path = std::path::Path::new(RESULTS_DIR).join("BENCH_roundtime.json");
-        std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("--check needs committed {}: {e}", path.display()))
-    });
+    let committed = check.then(|| read_committed("BENCH_roundtime.json"));
     let rates = rounds_per_sec(&cases, reps);
     let mut entries = Vec::new();
     let mut ratios = Vec::new();
@@ -257,12 +240,13 @@ fn main() {
             .join("  ");
         match &committed {
             Some(json) => {
-                let base = committed_rate(json, case.name).unwrap_or_else(|| {
-                    panic!(
-                        "no rounds_per_sec for {} in BENCH_roundtime.json",
-                        case.name
-                    )
-                });
+                let base =
+                    number_at(json, &["cases", case.name, "rounds_per_sec"]).unwrap_or_else(|| {
+                        panic!(
+                            "no rounds_per_sec for {} in BENCH_roundtime.json",
+                            case.name
+                        )
+                    });
                 println!(
                     "{:<20} {:>9.2} rounds/sec   committed {:>9.2}   ratio {:.3}",
                     case.name,

@@ -13,11 +13,12 @@ use hm_core::problem::FederatedProblem;
 use hm_core::{CheckpointOpts, RunResult};
 use hm_data::partition::label_skew;
 use hm_simnet::{
-    AttackModel, ChurnPlan, FaultPlan, LatencyModel, Link, Parallelism, Quantizer, ATTACK_MODELS,
-    CHURN_PRESETS, FAULT_PRESETS,
+    AttackModel, ChurnPlan, CommStats, FaultPlan, LatencyModel, Link, Parallelism, Quantizer,
+    ATTACK_MODELS, CHURN_PRESETS, FAULT_PRESETS,
 };
-use hm_telemetry::{PhaseAgg, Profiler, SpanAggregator, Telemetry};
+use hm_telemetry::{JsonlSink, PhaseAgg, Profiler, SpanAggregator, Telemetry, TelemetryEvent};
 use hm_tensor::{Aggregator, AGGREGATORS};
+use std::sync::Arc;
 
 /// Dispatch a parsed command line. Returns the process exit code.
 pub fn dispatch(args: &Args) -> Result<(), ArgError> {
@@ -270,20 +271,28 @@ fn checkpoint_opts(args: &Args) -> Result<CheckpointOpts, ArgError> {
         let rounds = args.num_or("rounds", 500_usize)?;
         snap.validate_for(&algorithm, seed, rounds)
             .map_err(|e| ArgError(format!("--resume {resume}: {e}")))?;
-        ck.resume = Some(std::sync::Arc::new(snap));
+        ck.resume = Some(Arc::new(snap));
     }
     Ok(ck)
 }
 
-fn opts(args: &Args) -> Result<RunOpts, ArgError> {
+/// The run options, and the `--telemetry` file's sink when there is one,
+/// so the command can fail when writing the stream failed
+/// ([`check_written`]).
+fn opts(args: &Args) -> Result<(RunOpts, Option<Arc<JsonlSink>>), ArgError> {
     let telemetry_path = args.str_or("telemetry", "");
-    let telemetry = if telemetry_path.is_empty() {
-        Telemetry::disabled()
+    let jsonl = if telemetry_path.is_empty() {
+        None
     } else {
-        Telemetry::jsonl(&telemetry_path)
-            .map_err(|e| ArgError(format!("--telemetry {telemetry_path}: {e}")))?
+        let sink = JsonlSink::create(&telemetry_path)
+            .map_err(|e| ArgError(format!("--telemetry {telemetry_path}: {e}")))?;
+        Some(Arc::new(sink))
     };
-    Ok(RunOpts {
+    let telemetry = match &jsonl {
+        Some(sink) => Telemetry::with_sink(sink.clone()),
+        None => Telemetry::disabled(),
+    };
+    let opts = RunOpts {
         eval_every: args.num_or("eval-every", 0)?,
         parallelism: if args.switch("sequential") {
             Parallelism::Sequential
@@ -303,7 +312,21 @@ fn opts(args: &Args) -> Result<RunOpts, ArgError> {
         quarantine_window: args.num_or("quarantine-window", 5_usize)?,
         churn: churn_plan(args)?,
         max_stale_rounds: args.num_or("max-stale-rounds", 0_usize)?,
-    })
+    };
+    Ok((opts, jsonl))
+}
+
+/// Fail when writing the `--telemetry` stream failed. The sink latches
+/// write errors instead of aborting the run, so call this after the run's
+/// final flush.
+fn check_written(jsonl: Option<&JsonlSink>) -> Result<(), ArgError> {
+    match jsonl {
+        Some(sink) if sink.had_errors() => Err(ArgError(format!(
+            "--telemetry {}: writing the stream failed",
+            sink.path().display()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 fn build_problem(args: &Args) -> Result<FederatedProblem, ArgError> {
@@ -326,7 +349,7 @@ fn build_problem(args: &Args) -> Result<FederatedProblem, ArgError> {
         let model = hm_nn::SimpleCnn::new(side, 3, 4, 8, 32, sc.num_classes);
         return Ok(FederatedProblem::new(
             sc,
-            std::sync::Arc::new(model),
+            Arc::new(model),
             hm_optim::ProjectionOp::Unconstrained,
             hm_optim::ProjectionOp::Simplex,
         ));
@@ -400,11 +423,14 @@ fn refuse_ignored(
     }
 }
 
-/// Build the selected algorithm. Also returns a clone of the shared
-/// [`RunOpts`] so the caller keeps live handles (telemetry, profiler)
-/// into the run it is about to start.
+/// The selected algorithm, a clone of the shared [`RunOpts`] so the caller
+/// keeps live handles (telemetry, profiler) into the run it is about to
+/// start, and the `--telemetry` file's sink.
+type Built = (Box<dyn Algorithm>, RunOpts, Option<Arc<JsonlSink>>);
+
+/// Build the selected algorithm.
 #[allow(clippy::too_many_lines)]
-fn build_algorithm(args: &Args) -> Result<(Box<dyn Algorithm>, RunOpts), ArgError> {
+fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
     let method = args.str_or("method", "hierminimax");
     let rounds = args.num_or("rounds", 500)?;
     let tau1 = args.num_or("tau1", 2)?;
@@ -414,7 +440,7 @@ fn build_algorithm(args: &Args) -> Result<(Box<dyn Algorithm>, RunOpts), ArgErro
     let eta_p = args.num_or("eta-p", 0.005_f32)?;
     let batch_size = args.num_or("batch", 2)?;
     let loss_batch = args.num_or("loss-batch", 16)?;
-    let opts = opts(args)?;
+    let (opts, jsonl) = opts(args)?;
     let handles = opts.clone();
     let quant = quantizer(args)?;
     let alg: Box<dyn Algorithm> = match method.as_str() {
@@ -513,7 +539,7 @@ fn build_algorithm(args: &Args) -> Result<(Box<dyn Algorithm>, RunOpts), ArgErro
         }
     };
     refuse_ignored(args, &method, &handles, quant)?;
-    Ok((alg, handles))
+    Ok((alg, handles, jsonl))
 }
 
 fn report(problem: &FederatedProblem, name: &str, r: &RunResult) {
@@ -582,7 +608,7 @@ fn report(problem: &FederatedProblem, name: &str, r: &RunResult) {
 
 fn run(args: &Args) -> Result<(), ArgError> {
     let problem = build_problem(args)?;
-    let (alg, handles) = build_algorithm(args)?;
+    let (alg, handles, jsonl) = build_algorithm(args)?;
     let seed = args.num_or("seed", 7_u64)?;
     let csv = args.str_or("csv", "");
     let save_model = args.str_or("save-model", "");
@@ -611,7 +637,7 @@ fn run(args: &Args) -> Result<(), ArgError> {
             .map_err(|e| ArgError(format!("saving model: {e}")))?;
         println!("model written to {save_model}");
     }
-    Ok(())
+    check_written(jsonl.as_deref())
 }
 
 fn eval_model(args: &Args) -> Result<(), ArgError> {
@@ -695,7 +721,7 @@ struct StreamDigest {
     wall_rounds_s: f64,
     run_elapsed_s: f64,
     sim_s: f64,
-    comm_total: Option<hm_telemetry::json::Json>,
+    comm_total: Option<CommStats>,
     spans: SpanAggregator,
     summary_phases: Vec<PhaseAgg>,
     crashes: u64,
@@ -712,80 +738,73 @@ impl StreamDigest {
     fn fault_total(&self) -> u64 {
         self.crashes + self.outages + self.retries + self.gave_up + self.deadline_missed
     }
-}
 
-/// Fold one validated telemetry event line into the digest.
-fn digest_line(d: &mut StreamDigest, v: &hm_telemetry::json::Json) {
-    let f = |key: &str| v.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0);
-    let u = |key: &str| v.get(key).and_then(|x| x.as_u64()).unwrap_or(0);
-    match v.get("ev").and_then(|k| k.as_str()).unwrap_or("") {
-        "run_start" => {
-            let alg = v.get("algorithm").and_then(|a| a.as_str()).unwrap_or("?");
-            d.header.get_or_insert_with(|| {
-                format!(
-                    "{alg}  seed {}  rounds {}  ({} edges, {} params)",
-                    u("seed"),
-                    u("rounds"),
-                    u("n_edges"),
-                    u("num_params")
-                )
-            });
-        }
-        "run_resume" => d.resumes += 1,
-        "round_end" => {
-            d.rounds += 1;
-            d.wall_rounds_s += f("elapsed_s");
-            // Keep the latest totals so truncated streams still report.
-            d.sim_s = f("sim_s");
-            d.comm_total = v.get("comm_total").cloned();
-        }
-        "run_end" => {
-            d.sim_s = f("sim_s");
-            d.run_elapsed_s = f("elapsed_s");
-            d.comm_total = v.get("comm_total").cloned();
-        }
-        "span" => {
-            if let Some(phase) = v.get("phase").and_then(|p| p.as_str()) {
-                d.spans.add(phase, f("elapsed_s"));
+    /// Fold one decoded event into the digest.
+    fn add(&mut self, event: TelemetryEvent) {
+        match event {
+            TelemetryEvent::RunStart {
+                algorithm,
+                rounds,
+                n_edges,
+                num_params,
+                seed,
+            } => {
+                self.header.get_or_insert_with(|| {
+                    format!(
+                        "{algorithm}  seed {seed}  rounds {rounds}  ({n_edges} edges, {num_params} params)"
+                    )
+                });
             }
-        }
-        "profile_summary" => {
+            TelemetryEvent::RunResume { .. } => self.resumes += 1,
+            TelemetryEvent::RoundEnd {
+                comm_total,
+                sim_s,
+                elapsed_s,
+                ..
+            } => {
+                self.rounds += 1;
+                self.wall_rounds_s += elapsed_s;
+                // Keep the latest totals so truncated streams still report.
+                self.sim_s = sim_s;
+                self.comm_total = Some(comm_total);
+            }
+            TelemetryEvent::RunEnd {
+                comm_total,
+                sim_s,
+                elapsed_s,
+                ..
+            } => {
+                self.sim_s = sim_s;
+                self.run_elapsed_s = elapsed_s;
+                self.comm_total = Some(comm_total);
+            }
+            TelemetryEvent::Span {
+                phase, elapsed_s, ..
+            } => self.spans.add(&phase, elapsed_s),
             // Kept only as a fallback: re-aggregating raw spans also covers
             // spliced streams whose summary spans just the resumed suffix.
-            if let Some(arr) = v.get("phases").and_then(|p| p.as_arr()) {
-                d.summary_phases = arr
-                    .iter()
-                    .map(|p| {
-                        let pf = |key: &str| p.get(key).and_then(|x| x.as_f64()).unwrap_or(0.0);
-                        PhaseAgg {
-                            phase: p
-                                .get("phase")
-                                .and_then(|x| x.as_str())
-                                .unwrap_or("?")
-                                .to_string(),
-                            count: p.get("count").and_then(|x| x.as_u64()).unwrap_or(0),
-                            total_s: pf("total_s"),
-                            min_s: pf("min_s"),
-                            max_s: pf("max_s"),
-                            p50_s: pf("p50_s"),
-                            p90_s: pf("p90_s"),
-                            p99_s: pf("p99_s"),
-                        }
-                    })
-                    .collect();
+            TelemetryEvent::ProfileSummary { phases } => self.summary_phases = phases,
+            TelemetryEvent::Fault { .. } => self.fault_events += 1,
+            TelemetryEvent::FaultSummary {
+                crashes,
+                outages,
+                retries,
+                gave_up,
+                deadline_missed,
+                backoff_s,
+                straggler_slots,
+                ..
+            } => {
+                self.crashes += crashes;
+                self.outages += outages;
+                self.retries += retries;
+                self.gave_up += gave_up;
+                self.deadline_missed += deadline_missed;
+                self.backoff_s += backoff_s;
+                self.straggler_slots += straggler_slots;
             }
+            _ => {}
         }
-        "fault" => d.fault_events += 1,
-        "fault_summary" => {
-            d.crashes += u("crashes");
-            d.outages += u("outages");
-            d.retries += u("retries");
-            d.gave_up += u("gave_up");
-            d.deadline_missed += u("deadline_missed");
-            d.backoff_s += f("backoff_s");
-            d.straggler_slots += f("straggler_slots");
-        }
-        _ => {}
     }
 }
 
@@ -800,13 +819,9 @@ fn report_stream(args: &Args) -> Result<(), ArgError> {
         std::fs::read_to_string(&path).map_err(|e| ArgError(format!("reading {path}: {e}")))?;
     // Tolerant validation: a report must render streams from newer builds
     // (unknown kinds are unsequenced observers) and spliced resume streams.
-    let summary =
-        hm_telemetry::validate_stream(&text).map_err(|e| ArgError(format!("{path}: {e}")))?;
     let mut d = StreamDigest::default();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let v = hm_telemetry::json::parse(line).map_err(|e| ArgError(format!("{path}: {e}")))?;
-        digest_line(&mut d, &v);
-    }
+    let summary = hm_telemetry::validate_stream_with(&text, |event| d.add(event))
+        .map_err(|e| ArgError(format!("{path}: {e}")))?;
 
     println!("telemetry report: {path}");
     println!(
@@ -836,22 +851,15 @@ fn report_stream(args: &Args) -> Result<(), ArgError> {
                 "link", "up floats", "down floats", "up msgs", "down msgs", "rounds"
             );
             let names = ["client-edge", "edge-cloud", "client-cloud"];
-            let col = |key: &str, i: usize| -> u64 {
-                comm.get(key)
-                    .and_then(|a| a.as_arr())
-                    .and_then(|a| a.get(i))
-                    .and_then(|x| x.as_u64())
-                    .unwrap_or(0)
-            };
-            for (i, name) in names.iter().enumerate() {
+            for (name, link) in names.into_iter().zip(Link::all()) {
                 println!(
                     "{:<14}{:>14}{:>14}{:>10}{:>10}{:>8}",
                     name,
-                    col("up_floats", i),
-                    col("down_floats", i),
-                    col("up_msgs", i),
-                    col("down_msgs", i),
-                    col("rounds", i)
+                    comm.uplink_floats(link),
+                    comm.downlink_floats(link),
+                    comm.uplink_msgs(link),
+                    comm.downlink_msgs(link),
+                    comm.rounds(link)
                 );
             }
         }
@@ -896,7 +904,7 @@ fn compare(args: &Args) -> Result<(), ArgError> {
     let eta_p = args.num_or("eta-p", 0.005_f32)?;
     let batch_size = args.num_or("batch", 1)?;
     let loss_batch = args.num_or("loss-batch", 16)?;
-    let opts = opts(args)?;
+    let (opts, jsonl) = opts(args)?;
     let extended = args.switch("extended");
     args.reject_unknown()?;
 
@@ -1018,7 +1026,7 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             r.comm.cloud_rounds()
         );
     }
-    Ok(())
+    check_written(jsonl.as_deref())
 }
 
 fn gap(args: &Args) -> Result<(), ArgError> {
@@ -1033,7 +1041,7 @@ fn gap(args: &Args) -> Result<(), ArgError> {
             "gap: multilevel reports group-level weights; use --method hierminimax".into(),
         ));
     }
-    let (alg, _) = build_algorithm(args)?;
+    let (alg, _, jsonl) = build_algorithm(args)?;
     let seed = args.num_or("seed", 7_u64)?;
     args.reject_unknown()?;
     let r = alg.run(&problem, seed);
@@ -1046,7 +1054,7 @@ fn gap(args: &Args) -> Result<(), ArgError> {
         r.history.rounds.len()
     );
     println!(" shrinks as O(T^(-(1-alpha)/2)) in the total slot budget T)");
-    Ok(())
+    check_written(jsonl.as_deref())
 }
 
 fn data(args: &Args) -> Result<(), ArgError> {

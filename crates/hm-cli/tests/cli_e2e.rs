@@ -255,6 +255,40 @@ fn telemetry_jsonl_written_and_validates() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A telemetry stream that cannot be written fails the command, naming
+/// the path, instead of exiting 0 with a truncated file.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_telemetry_fails_the_command() {
+    for sub in ["run", "compare"] {
+        let out = bin()
+            .args([
+                sub,
+                "--scenario",
+                "tiny",
+                "--edges",
+                "3",
+                "--clients",
+                "2",
+                "--rounds",
+                "2",
+                "--m",
+                "2",
+                "--sequential",
+                "--telemetry",
+                "/dev/full",
+            ])
+            .output()
+            .expect("spawn");
+        assert!(!out.status.success(), "{sub}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--telemetry /dev/full: writing the stream failed"),
+            "{sub}: {err}"
+        );
+    }
+}
+
 #[test]
 fn profile_run_prints_table_and_report_renders_stream() {
     let dir = std::env::temp_dir().join(format!("hm-cli-prof-{}", std::process::id()));

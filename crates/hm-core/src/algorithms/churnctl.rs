@@ -125,7 +125,7 @@ impl ChurnCtl {
         let (_, _, members, _) = self.topo.parts();
         self.roster.sync_members(members);
         quarantine.ensure_clients(self.topo.id_bound());
-        tel.record_unsequenced(|| TelemetryEvent::Churn {
+        tel.record(|| TelemetryEvent::Churn {
             round,
             joined: rc.joined.clone(),
             left: rc.left.clone(),
@@ -133,7 +133,7 @@ impl ChurnCtl {
             rehomed: rc.rehomed.len() as u64,
         });
         for &(client, from_edge, to_edge) in &rc.rehomed {
-            tel.record_unsequenced(|| TelemetryEvent::Rehome {
+            tel.record(|| TelemetryEvent::Rehome {
                 round,
                 client,
                 from_edge,

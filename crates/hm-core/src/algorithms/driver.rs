@@ -451,7 +451,7 @@ pub(crate) fn run(
         let adv_now = dv.fault.adversary_stats();
         if dv.fault.has_adversary() {
             let ad = adv_now.since(&adv_prev);
-            tel.record_unsequenced(|| TelemetryEvent::Adversary {
+            tel.record(|| TelemetryEvent::Adversary {
                 round: k,
                 corrupted: ad.corrupted_updates,
                 attack: opts.fault.attack.as_str().to_string(),

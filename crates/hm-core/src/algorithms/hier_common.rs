@@ -740,7 +740,7 @@ impl QuarantineCtl {
                 let until = (round + 1) as u64 + self.window;
                 self.until[id] = until;
                 newly += 1;
-                telemetry.record_unsequenced(|| TelemetryEvent::Quarantine {
+                telemetry.record(|| TelemetryEvent::Quarantine {
                     round,
                     client: id,
                     until: until as usize,

@@ -166,11 +166,10 @@ impl RunOpts {
     /// byte-identical to historical ones.
     pub(crate) fn emit_aggregator_summary(&self) {
         if self.aggregator != Aggregator::Mean {
-            self.telemetry
-                .record_unsequenced(|| TelemetryEvent::AggregatorSummary {
-                    aggregator: self.aggregator.as_str().to_string(),
-                    param: self.aggregator.param(),
-                });
+            self.telemetry.record(|| TelemetryEvent::AggregatorSummary {
+                aggregator: self.aggregator.as_str().to_string(),
+                param: self.aggregator.param(),
+            });
         }
     }
 }

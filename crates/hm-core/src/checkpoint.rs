@@ -377,7 +377,7 @@ pub(crate) fn emit_preamble(
         Some(rr) => {
             tel.set_seq(rr.telemetry_seq);
             let (next_round, seq) = (rr.start_round, rr.telemetry_seq);
-            tel.record_unsequenced(|| TelemetryEvent::RunResume {
+            tel.record(|| TelemetryEvent::RunResume {
                 algorithm: algorithm.to_string(),
                 rounds,
                 next_round,

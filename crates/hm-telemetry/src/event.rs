@@ -1,13 +1,15 @@
-//! Telemetry event types and their JSONL serialization.
+//! Telemetry event types and their JSONL wire format, both directions.
 //!
 //! One event = one JSON object = one line. Every object carries an `"ev"`
 //! kind tag; the rest of the fields are fixed per kind and documented in
 //! DESIGN.md §10. Serialization is deterministic (fixed key order), so
-//! streams can be compared textually in tests.
+//! streams can be compared textually in tests. [`TelemetryEvent::from_json`]
+//! is its inverse and the one reader of event lines: the schema validator,
+//! `hierminimax report` and the tests all decode through it.
 
-use crate::json::ObjWriter;
+use crate::json::{parse, Json, ObjWriter};
 use crate::profile::{phases_to_json, PhaseAgg};
-use hm_simnet::{CommStats, Link};
+use hm_simnet::CommStats;
 
 /// A structured event emitted by an algorithm run.
 ///
@@ -275,25 +277,6 @@ pub enum TelemetryEvent {
     },
 }
 
-/// Canonical JSON form of a [`CommStats`] snapshot: five length-3 arrays in
-/// [`Link::all`] order (`[client_edge, edge_cloud, client_cloud]`).
-///
-/// Public so tests can compare snapshots from a telemetry stream against
-/// live meter snapshots without `CommStats` being constructible.
-pub fn comm_to_json(s: &CommStats) -> String {
-    let per_link = |f: &dyn Fn(Link) -> u64| -> [u64; 3] {
-        let [a, b, c] = Link::all();
-        [f(a), f(b), f(c)]
-    };
-    let mut w = ObjWriter::new();
-    w.arr_u64("up_floats", &per_link(&|l| s.uplink_floats(l)))
-        .arr_u64("down_floats", &per_link(&|l| s.downlink_floats(l)))
-        .arr_u64("up_msgs", &per_link(&|l| s.uplink_msgs(l)))
-        .arr_u64("down_msgs", &per_link(&|l| s.downlink_msgs(l)))
-        .arr_u64("rounds", &per_link(&|l| s.rounds(l)));
-    w.finish()
-}
-
 /// Digest of a model's bits and the count of its non-finite entries, in
 /// one pass: FNV-1a over each entry's `f32` bit pattern in four
 /// interleaved lanes, folded together with the length.
@@ -351,6 +334,26 @@ impl TelemetryEvent {
         }
     }
 
+    /// Whether emitting this event advances the run's sequence count, the
+    /// `seq` that `checkpoint` and `run_resume` carry. The resume preamble
+    /// and the observers (profiling, adversary, quarantine, churn, the
+    /// aggregator rule) do not, so switching any of them on leaves every
+    /// sequenced event's position unchanged. [`crate::Telemetry::record`]
+    /// and the stream validator both read this.
+    pub fn is_sequenced(&self) -> bool {
+        !matches!(
+            self,
+            TelemetryEvent::RunResume { .. }
+                | TelemetryEvent::Span { .. }
+                | TelemetryEvent::ProfileSummary { .. }
+                | TelemetryEvent::Adversary { .. }
+                | TelemetryEvent::Quarantine { .. }
+                | TelemetryEvent::Churn { .. }
+                | TelemetryEvent::Rehome { .. }
+                | TelemetryEvent::AggregatorSummary { .. }
+        )
+    }
+
     /// Serialize to a single JSON object (one JSONL line, no trailing
     /// newline). Key order is fixed, so equal events serialize equally.
     pub fn to_json(&self) -> String {
@@ -378,15 +381,10 @@ impl TelemetryEvent {
                 edges,
                 checkpoint,
             } => {
-                w.usize("round", *round).arr_usize("edges", edges);
-                match checkpoint {
-                    Some((c1, c2)) => {
-                        w.usize("c1", *c1).usize("c2", *c2);
-                    }
-                    None => {
-                        w.null("c1").null("c2");
-                    }
-                }
+                w.usize("round", *round)
+                    .arr_usize("edges", edges)
+                    .opt_usize("c1", checkpoint.map(|c| c.0))
+                    .opt_usize("c2", checkpoint.map(|c| c.1));
             }
             TelemetryEvent::BlockAggregated {
                 round,
@@ -490,16 +488,10 @@ impl TelemetryEvent {
                 entity,
                 elapsed_s,
             } => {
-                w.str("phase", phase);
-                match round {
-                    Some(r) => w.usize("round", *r),
-                    None => w.null("round"),
-                };
-                match entity {
-                    Some(e) => w.usize("entity", *e),
-                    None => w.null("entity"),
-                };
-                w.f64("elapsed_s", *elapsed_s);
+                w.str("phase", phase)
+                    .opt_usize("round", *round)
+                    .opt_usize("entity", *entity)
+                    .f64("elapsed_s", *elapsed_s);
             }
             TelemetryEvent::ProfileSummary { phases } => {
                 w.raw("phases", &phases_to_json(phases));
@@ -580,40 +572,390 @@ impl TelemetryEvent {
         }
         w.finish()
     }
+
+    /// Decode one JSONL line: the inverse of [`TelemetryEvent::to_json`].
+    /// The object must hold exactly its kind's keys plus `"ev"`, each of
+    /// the type the encoder writes, checked in the encoder's key order.
+    /// Counters are read from their raw digits; a `null` number decodes to
+    /// NaN (non-finite values encode as `null`), so a decoded event
+    /// re-encodes to the same line but NaN breaks `==`.
+    ///
+    /// # Errors
+    /// [`DecodeError::UnknownKind`] for a well-formed object whose `"ev"`
+    /// this build does not know (a tolerant reader skips it), and
+    /// [`DecodeError::Invalid`] for anything else.
+    pub fn from_json(line: &str) -> Result<TelemetryEvent, DecodeError> {
+        let v = parse(line).map_err(|e| invalid(format!("not valid JSON: {e}")))?;
+        let Json::Obj(keys) = &v else {
+            return Err(invalid("not a JSON object"));
+        };
+        let kind = v
+            .get("ev")
+            .and_then(Json::as_str)
+            .ok_or_else(|| invalid("missing string field \"ev\""))?;
+        let mut f = Fields {
+            kind,
+            obj: &v,
+            read: Vec::new(),
+        };
+        let event = match kind {
+            "run_start" => TelemetryEvent::RunStart {
+                algorithm: f.get("algorithm", string)?,
+                rounds: f.get("rounds", index)?,
+                n_edges: f.get("n_edges", index)?,
+                num_params: f.get("num_params", index)?,
+                seed: f.get("seed", uint)?,
+            },
+            "round_start" => TelemetryEvent::RoundStart {
+                round: f.get("round", index)?,
+            },
+            "phase1" => TelemetryEvent::Phase1Sampled {
+                round: f.get("round", index)?,
+                edges: f.get("edges", indices)?,
+                checkpoint: match (f.get("c1", opt_index)?, f.get("c2", opt_index)?) {
+                    (Some(c1), Some(c2)) => Some((c1, c2)),
+                    (None, None) => None,
+                    _ => {
+                        return Err(invalid(format!(
+                            "{kind}: c1 and c2 must be both null or both integers"
+                        )))
+                    }
+                },
+            },
+            "block_agg" => TelemetryEvent::BlockAggregated {
+                round: f.get("round", index)?,
+                edge: f.get("edge", index)?,
+                t2: f.get("t2", index)?,
+                clients: f.get("clients", indices)?,
+            },
+            "phase1_done" => TelemetryEvent::Phase1Done {
+                round: f.get("round", index)?,
+                w_digest: f.get("w_digest", hex64)?,
+                nonfinite: f.get("nonfinite", index)?,
+                elapsed_s: f.get("elapsed_s", num)?,
+            },
+            "dual_update" => TelemetryEvent::DualUpdate {
+                round: f.get("round", index)?,
+                edges: f.get("edges", indices)?,
+                losses: f.get("losses", nums)?,
+                p: f.get("p", nums)?.into_iter().map(|x| x as f32).collect(),
+                elapsed_s: f.get("elapsed_s", num)?,
+            },
+            "eval" => TelemetryEvent::Eval {
+                round: f.get("round", index)?,
+                average: f.get("average", num)?,
+                worst: f.get("worst", num)?,
+                variance_pp: f.get("variance_pp", num)?,
+                per_edge_accuracy: f.get("per_edge_accuracy", nums)?,
+            },
+            "fault" => TelemetryEvent::Fault {
+                round: f.get("round", index)?,
+                kind: f.get("kind", string)?,
+                level: f.get("level", index)?,
+                edge: f.get("edge", index)?,
+                attempts: f.get("attempts", index)?,
+            },
+            "fault_summary" => TelemetryEvent::FaultSummary {
+                round: f.get("round", index)?,
+                crashes: f.get("crashes", uint)?,
+                outages: f.get("outages", uint)?,
+                retries: f.get("retries", uint)?,
+                gave_up: f.get("gave_up", uint)?,
+                deadline_missed: f.get("deadline_missed", uint)?,
+                backoff_s: f.get("backoff_s", num)?,
+                straggler_slots: f.get("straggler_slots", num)?,
+            },
+            "checkpoint" => TelemetryEvent::Checkpoint {
+                round: f.get("round", index)?,
+                seq: f.get("seq", uint)?,
+            },
+            "run_resume" => TelemetryEvent::RunResume {
+                algorithm: f.get("algorithm", string)?,
+                rounds: f.get("rounds", index)?,
+                next_round: f.get("next_round", index)?,
+                seed: f.get("seed", uint)?,
+                seq: f.get("seq", uint)?,
+            },
+            "span" => TelemetryEvent::Span {
+                phase: f.get("phase", string)?,
+                round: f.get("round", opt_index)?,
+                entity: f.get("entity", opt_index)?,
+                elapsed_s: f.get("elapsed_s", num)?,
+            },
+            "profile_summary" => TelemetryEvent::ProfileSummary {
+                phases: f.get("phases", phases)?,
+            },
+            "adversary" => TelemetryEvent::Adversary {
+                round: f.get("round", index)?,
+                corrupted: f.get("corrupted", uint)?,
+                attack: f.get("attack", string)?,
+            },
+            "quarantine" => TelemetryEvent::Quarantine {
+                round: f.get("round", index)?,
+                client: f.get("client", index)?,
+                until: f.get("until", index)?,
+            },
+            "churn" => TelemetryEvent::Churn {
+                round: f.get("round", index)?,
+                joined: f.get("joined", pairs)?,
+                left: f.get("left", indices)?,
+                failed_edges: f.get("failed_edges", indices)?,
+                rehomed: f.get("rehomed", uint)?,
+            },
+            "rehome" => TelemetryEvent::Rehome {
+                round: f.get("round", index)?,
+                client: f.get("client", index)?,
+                from_edge: f.get("from_edge", index)?,
+                to_edge: f.get("to_edge", index)?,
+            },
+            "aggregator_summary" => TelemetryEvent::AggregatorSummary {
+                aggregator: f.get("aggregator", string)?,
+                param: f.get("param", num)?,
+            },
+            "round_end" => TelemetryEvent::RoundEnd {
+                round: f.get("round", index)?,
+                slots: f.get("slots", index)?,
+                comm_delta: f.get("comm_delta", comm)?,
+                comm_total: f.get("comm_total", comm)?,
+                sim_s: f.get("sim_s", num)?,
+                elapsed_s: f.get("elapsed_s", num)?,
+            },
+            "run_end" => TelemetryEvent::RunEnd {
+                rounds: f.get("rounds", index)?,
+                slots: f.get("slots", index)?,
+                comm_total: f.get("comm_total", comm)?,
+                sim_s: f.get("sim_s", num)?,
+                elapsed_s: f.get("elapsed_s", num)?,
+            },
+            _ => return Err(DecodeError::UnknownKind(kind.to_string())),
+        };
+        // "ev" plus the fields read, nothing else.
+        if keys.len() != f.read.len() + 1 {
+            let extra: Vec<&String> = keys
+                .iter()
+                .map(|(k, _)| k)
+                .filter(|k| k.as_str() != "ev" && !f.read.contains(&k.as_str()))
+                .collect();
+            return Err(invalid(format!("{kind}: unknown fields {extra:?}")));
+        }
+        Ok(event)
+    }
+}
+
+/// Why a line did not decode into a [`TelemetryEvent`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DecodeError {
+    /// A well-formed object whose `"ev"` kind this build does not know.
+    UnknownKind(String),
+    /// Anything else: not JSON, not an object, no string `"ev"`, or a
+    /// missing, mistyped or unknown field. Holds the message.
+    Invalid(String),
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::UnknownKind(kind) => write!(f, "unknown event kind {kind:?}"),
+            DecodeError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+fn invalid(msg: impl Into<String>) -> DecodeError {
+    DecodeError::Invalid(msg.into())
+}
+
+/// The fields of one event object, read by name; remembers what was read
+/// so the leftovers can be named.
+struct Fields<'a> {
+    kind: &'a str,
+    obj: &'a Json,
+    read: Vec<&'static str>,
+}
+
+impl Fields<'_> {
+    fn get<T>(
+        &mut self,
+        name: &'static str,
+        decode: fn(&Json) -> Wire<T>,
+    ) -> Result<T, DecodeError> {
+        self.read.push(name);
+        let kind = self.kind;
+        let v = self
+            .obj
+            .get(name)
+            .ok_or_else(|| invalid(format!("{kind}: missing field {name:?}")))?;
+        decode(v).map_err(|e| invalid(format!("{kind}: field {name:?}: {e}")))
+    }
+}
+
+/// A decoded field value, or what is wrong with it.
+type Wire<T> = Result<T, String>;
+
+/// `got`, or a failure naming what `v` should have been.
+fn want<T>(got: Option<T>, what: &str, v: &Json) -> Wire<T> {
+    got.ok_or_else(|| format!("expected {what}, got {v:?}"))
+}
+
+fn as_index(v: &Json) -> Option<usize> {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+fn as_num(v: &Json) -> Option<f64> {
+    if v.is_null() {
+        Some(f64::NAN)
+    } else {
+        v.as_f64()
+    }
+}
+
+/// Every item of array `v` through `item`.
+fn items<T>(v: &Json, item: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+    v.as_arr()?.iter().map(item).collect()
+}
+
+fn uint(v: &Json) -> Wire<u64> {
+    want(v.as_u64(), "a non-negative integer", v)
+}
+
+fn index(v: &Json) -> Wire<usize> {
+    want(as_index(v), "a non-negative integer", v)
+}
+
+fn opt_index(v: &Json) -> Wire<Option<usize>> {
+    let got = if v.is_null() {
+        Some(None)
+    } else {
+        as_index(v).map(Some)
+    };
+    want(got, "a non-negative integer or null", v)
+}
+
+fn num(v: &Json) -> Wire<f64> {
+    want(as_num(v), "a number or null", v)
+}
+
+fn string(v: &Json) -> Wire<String> {
+    want(v.as_str().map(String::from), "a string", v)
+}
+
+fn indices(v: &Json) -> Wire<Vec<usize>> {
+    want(items(v, as_index), "an array of non-negative integers", v)
+}
+
+fn nums(v: &Json) -> Wire<Vec<f64>> {
+    want(items(v, as_num), "an array of numbers", v)
+}
+
+fn pairs(v: &Json) -> Wire<Vec<(usize, usize)>> {
+    let pair = |x: &Json| match items(x, as_index)?.as_slice() {
+        &[a, b] => Some((a, b)),
+        _ => None,
+    };
+    want(items(v, pair), "an array of [integer, integer] pairs", v)
+}
+
+fn hex64(v: &Json) -> Wire<u64> {
+    let hex = v
+        .as_str()
+        .filter(|s| s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')));
+    want(
+        hex.and_then(|s| u64::from_str_radix(s, 16).ok()),
+        "16 lowercase hex digits",
+        v,
+    )
+}
+
+/// The keys of a comm object, in [`CommStats::parts`] order; each holds
+/// one count per link, in `hm_simnet::Link::all` order
+/// (`[client_edge, edge_cloud, client_cloud]`).
+const COMM_KEYS: [&str; 5] = ["up_floats", "down_floats", "up_msgs", "down_msgs", "rounds"];
+
+fn comm_to_json(s: &CommStats) -> String {
+    let mut w = ObjWriter::new();
+    for (key, row) in COMM_KEYS.into_iter().zip(s.parts()) {
+        w.arr_u64(key, &row);
+    }
+    w.finish()
+}
+
+fn comm(v: &Json) -> Wire<CommStats> {
+    let Json::Obj(keys) = v else {
+        return want(None, "a comm object", v);
+    };
+    let mut parts = [[0; 3]; 5];
+    for (key, row) in COMM_KEYS.into_iter().zip(&mut parts) {
+        let counts = v
+            .get(key)
+            .filter(|c| c.as_arr().is_some())
+            .ok_or_else(|| format!("comm key {key:?} missing"))?;
+        *row = items(counts, Json::as_u64)
+            .and_then(|c| c.try_into().ok())
+            .ok_or_else(|| format!("comm key {key:?} must be 3 non-negative integers"))?;
+    }
+    if keys.len() != COMM_KEYS.len() {
+        return Err("unknown comm keys".into());
+    }
+    Ok(CommStats::from_parts(parts))
+}
+
+/// A `profile_summary` phase list, as [`phases_to_json`] writes it: one
+/// object per aggregate, fixed keys.
+fn phases(v: &Json) -> Wire<Vec<PhaseAgg>> {
+    let list = want(v.as_arr(), "an array of phase aggregates", v)?;
+    list.iter()
+        .map(|item| {
+            let Json::Obj(keys) = item else {
+                return want(None, "an array of phase aggregate objects", v);
+            };
+            let agg = PhaseAgg {
+                phase: phase_key(item, "phase", string)?,
+                count: phase_key(item, "count", uint)?,
+                total_s: phase_key(item, "total_s", num)?,
+                min_s: phase_key(item, "min_s", num)?,
+                max_s: phase_key(item, "max_s", num)?,
+                p50_s: phase_key(item, "p50_s", num)?,
+                p90_s: phase_key(item, "p90_s", num)?,
+                p99_s: phase_key(item, "p99_s", num)?,
+            };
+            if keys.len() != 8 {
+                return Err("unknown phase keys".into());
+            }
+            Ok(agg)
+        })
+        .collect()
+}
+
+fn phase_key<T>(item: &Json, key: &str, decode: fn(&Json) -> Wire<T>) -> Wire<T> {
+    let v = item
+        .get(key)
+        .ok_or_else(|| format!("phase key {key:?} missing"))?;
+    decode(v).map_err(|e| format!("field {key:?}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
-    use hm_simnet::CommMeter;
+    use hm_simnet::{CommMeter, Link};
+    use std::collections::BTreeSet;
 
+    /// Distinct counts on all three links, so a swapped link shows.
     fn sample_stats() -> CommStats {
         let m = CommMeter::new();
         m.record_gather(Link::ClientEdge, 10, 4);
         m.record_broadcast(Link::EdgeCloud, 100, 2);
         m.record_round(Link::EdgeCloud);
+        m.record_gather(Link::ClientCloud, 3, 5);
         m.snapshot()
     }
 
-    #[test]
-    fn comm_json_matches_getters() {
+    /// One event of every kind, plus a flat method's `phase1` with no
+    /// checkpoint.
+    fn every_kind() -> Vec<TelemetryEvent> {
         let s = sample_stats();
-        let v = parse(&comm_to_json(&s)).unwrap();
-        for (i, link) in Link::all().into_iter().enumerate() {
-            let at = |key: &str| v.get(key).unwrap().as_arr().unwrap()[i].as_u64().unwrap();
-            assert_eq!(at("up_floats"), s.uplink_floats(link));
-            assert_eq!(at("down_floats"), s.downlink_floats(link));
-            assert_eq!(at("up_msgs"), s.uplink_msgs(link));
-            assert_eq!(at("down_msgs"), s.downlink_msgs(link));
-            assert_eq!(at("rounds"), s.rounds(link));
-        }
-    }
-
-    #[test]
-    fn every_kind_serializes_with_its_tag() {
-        let s = sample_stats();
-        let events = [
+        vec![
             TelemetryEvent::RunStart {
                 algorithm: "HierMinimax".into(),
                 rounds: 5,
@@ -626,6 +968,11 @@ mod tests {
                 round: 0,
                 edges: vec![2, 0, 2],
                 checkpoint: Some((1, 0)),
+            },
+            TelemetryEvent::Phase1Sampled {
+                round: 3,
+                edges: vec![0, 1],
+                checkpoint: None,
             },
             TelemetryEvent::BlockAggregated {
                 round: 0,
@@ -643,7 +990,7 @@ mod tests {
                 round: 0,
                 edges: vec![1],
                 losses: vec![0.7],
-                p: vec![0.5, 0.25, 0.25],
+                p: vec![0.1, 0.333_333_34, 1.0 / 7.0],
                 elapsed_s: 0.002,
             },
             TelemetryEvent::Eval {
@@ -738,24 +1085,43 @@ mod tests {
                 sim_s: 0.4,
                 elapsed_s: 0.02,
             },
-        ];
-        for e in &events {
-            let line = e.to_json();
-            let v = parse(&line).unwrap();
-            assert_eq!(v.get("ev").unwrap().as_str(), Some(e.kind()), "{line}");
-        }
+        ]
     }
 
+    /// Every kind decodes back to the event it was encoded from, and that
+    /// event re-encodes to the same line: the null checkpoint comes back
+    /// as `None`, the bits of `p` survive the f32 narrowing, and the comm
+    /// arrays come back as the same `CommStats`.
     #[test]
-    fn flat_method_checkpoint_serializes_null() {
-        let e = TelemetryEvent::Phase1Sampled {
-            round: 3,
-            edges: vec![0, 1],
-            checkpoint: None,
-        };
-        let v = parse(&e.to_json()).unwrap();
-        assert!(v.get("c1").unwrap().is_null());
-        assert!(v.get("c2").unwrap().is_null());
+    fn every_kind_round_trips() {
+        let events = every_kind();
+        let kinds: BTreeSet<&str> = events.iter().map(TelemetryEvent::kind).collect();
+        assert_eq!(kinds.len(), 20);
+        for e in &events {
+            let line = e.to_json();
+            let back =
+                TelemetryEvent::from_json(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
+            assert_eq!(&back, e, "{line}");
+            assert_eq!(back.to_json(), line);
+        }
+        // The comm arrays are per link, in `Link::all` order.
+        let end = events.last().unwrap().to_json();
+        assert!(
+            end.contains(
+                r#""comm_total":{"up_floats":[40,0,15],"down_floats":[0,200,0],"up_msgs":[4,0,5],"down_msgs":[0,2,0],"rounds":[0,1,0]}"#
+            ),
+            "{end}"
+        );
+    }
+
+    /// Non-finite numbers travel as `null`, decode to NaN and re-encode to
+    /// the same line.
+    #[test]
+    fn null_numbers_decode_to_nan() {
+        let line = r#"{"ev":"aggregator_summary","aggregator":"norm-clip","param":null}"#;
+        let back = TelemetryEvent::from_json(line).unwrap();
+        assert!(matches!(back, TelemetryEvent::AggregatorSummary { param, .. } if param.is_nan()));
+        assert_eq!(back.to_json(), line);
     }
 
     /// Thirteen entries cover all four lanes and a one-entry remainder.
@@ -799,27 +1165,5 @@ mod tests {
             v.get("w_digest").unwrap().as_str(),
             Some("00000000000000ab")
         );
-    }
-
-    #[test]
-    fn dual_update_p_round_trips_to_f32() {
-        let p = vec![0.1f32, 0.333_333_34, 1.0 / 7.0];
-        let e = TelemetryEvent::DualUpdate {
-            round: 0,
-            edges: vec![],
-            losses: vec![],
-            p: p.clone(),
-            elapsed_s: 0.0,
-        };
-        let v = parse(&e.to_json()).unwrap();
-        let back: Vec<f32> = v
-            .get("p")
-            .unwrap()
-            .as_arr()
-            .unwrap()
-            .iter()
-            .map(|x| x.as_f64().unwrap() as f32)
-            .collect();
-        assert_eq!(back, p);
     }
 }

@@ -1,10 +1,10 @@
 //! Minimal JSON support: a writer for the fixed event grammar and a
-//! recursive-descent parser for validating emitted streams.
+//! recursive-descent parser that feeds the event decoder.
 //!
 //! Hand-rolled on purpose — the workspace is dependency-hermetic (no
-//! serde), the grammar the events need is tiny, and the parser doubles as
-//! the schema validator's front end, so both directions live here where
-//! they can be round-trip-tested against each other.
+//! serde) and the grammar the events need is tiny. The parser is the
+//! front end of [`crate::TelemetryEvent::from_json`]; both directions
+//! live here where they can be round-trip-tested against each other.
 
 use std::fmt::Write as _;
 
@@ -27,12 +27,17 @@ pub fn escape_str(s: &str, out: &mut String) {
     }
 }
 
+/// Append `v`'s `Display` form to `out`.
+fn display(v: impl std::fmt::Display, out: &mut String) {
+    let _ = write!(out, "{v}");
+}
+
 /// Format a float as a JSON value. Rust's shortest-roundtrip `{}` output is
 /// valid JSON for finite values; non-finite values (which JSON cannot
 /// express) become `null`.
 pub fn fmt_f64(v: f64, out: &mut String) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        display(v, out);
     } else {
         out.push_str("null");
     }
@@ -83,7 +88,7 @@ impl ObjWriter {
     /// Unsigned integer field.
     pub fn u64(&mut self, k: &str, v: u64) -> &mut Self {
         self.key(k);
-        let _ = write!(self.buf, "{v}");
+        display(v, &mut self.buf);
         self
     }
 
@@ -106,6 +111,14 @@ impl ObjWriter {
         self
     }
 
+    /// `usize` field, or `null` when absent.
+    pub fn opt_usize(&mut self, k: &str, v: Option<usize>) -> &mut Self {
+        match v {
+            Some(v) => self.usize(k, v),
+            None => self.null(k),
+        }
+    }
+
     /// Pre-serialized JSON value field (for nested objects).
     pub fn raw(&mut self, k: &str, json: &str) -> &mut Self {
         self.key(k);
@@ -113,78 +126,50 @@ impl ObjWriter {
         self
     }
 
-    /// Array of `usize`.
-    pub fn arr_usize(&mut self, k: &str, v: &[usize]) -> &mut Self {
+    /// Array field, each element written by `item`.
+    fn arr<T: Copy>(&mut self, k: &str, v: &[T], item: fn(T, &mut String)) -> &mut Self {
         self.key(k);
         self.buf.push('[');
-        for (i, x) in v.iter().enumerate() {
+        for (i, &x) in v.iter().enumerate() {
             if i > 0 {
                 self.buf.push(',');
             }
-            let _ = write!(self.buf, "{x}");
+            item(x, &mut self.buf);
         }
         self.buf.push(']');
         self
+    }
+
+    /// Array of `usize`.
+    pub fn arr_usize(&mut self, k: &str, v: &[usize]) -> &mut Self {
+        self.arr(k, v, display)
     }
 
     /// Array of `u64`.
     pub fn arr_u64(&mut self, k: &str, v: &[u64]) -> &mut Self {
-        self.key(k);
-        self.buf.push('[');
-        for (i, x) in v.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "{x}");
-        }
-        self.buf.push(']');
-        self
+        self.arr(k, v, display)
     }
 
     /// Array of `[a, b]` pairs of `usize`.
     pub fn arr_pairs(&mut self, k: &str, v: &[(usize, usize)]) -> &mut Self {
-        self.key(k);
-        self.buf.push('[');
-        for (i, (a, b)) in v.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "[{a},{b}]");
-        }
-        self.buf.push(']');
-        self
+        self.arr(k, v, |(a, b), out| display(format_args!("[{a},{b}]"), out))
     }
 
     /// Array of `f64` (non-finite entries become `null`).
     pub fn arr_f64(&mut self, k: &str, v: &[f64]) -> &mut Self {
-        self.key(k);
-        self.buf.push('[');
-        for (i, &x) in v.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            fmt_f64(x, &mut self.buf);
-        }
-        self.buf.push(']');
-        self
+        self.arr(k, v, fmt_f64)
     }
 
-    /// Array of `f32`, widened so the printed value round-trips exactly.
+    /// Array of `f32`, each in the shortest form that reads back to the
+    /// same `f32` (non-finite entries become `null`).
     pub fn arr_f32(&mut self, k: &str, v: &[f32]) -> &mut Self {
-        self.key(k);
-        self.buf.push('[');
-        for (i, &x) in v.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
+        self.arr(k, v, |x, out| {
             if x.is_finite() {
-                let _ = write!(self.buf, "{x}");
+                display(x, out);
             } else {
-                self.buf.push_str("null");
+                out.push_str("null");
             }
-        }
-        self.buf.push(']');
-        self
+        })
     }
 
     /// Close the object and return the serialized text.

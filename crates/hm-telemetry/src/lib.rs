@@ -17,16 +17,19 @@
 //!    disabled handle never call `Instant::now`. The training hot path
 //!    (`local_sgd`) is not instrumented at all — telemetry observes round
 //!    boundaries, where the run already synchronises.
-//! 2. **No new dependencies.** The JSONL writer and the validating parser
-//!    in [`json`]/[`schema`] are hand-rolled; the event grammar is small
-//!    and fixed, so a serde dependency would buy nothing.
+//! 2. **No new dependencies.** The JSON writer and parser in [`json`] are
+//!    hand-rolled; the event grammar is small and fixed, so a serde
+//!    dependency would buy nothing. [`TelemetryEvent::to_json`] and its
+//!    inverse [`TelemetryEvent::from_json`] state that grammar once.
 //! 3. **Deterministic payloads.** Everything except the `elapsed_s` wall
 //!    -clock fields is a pure function of the run; enabling telemetry must
 //!    not (and does not — asserted by the workspace determinism tests)
 //!    change a single trained bit.
 //!
-//! The event schema is documented in `DESIGN.md` §10 and enforced by
-//! [`schema::validate_stream`], which CI runs on every smoke-test stream.
+//! The event schema is documented in `DESIGN.md` §10. A line is valid
+//! when it decodes; [`schema::validate_stream`] adds the stream grammar on
+//! the decoded events, and CI runs its strict form on every smoke-test
+//! stream.
 //! The stream is a run's one event log: it carries every protocol fact
 //! the conformance replay in `hm-testkit` checks against Algorithm 1
 //! (DESIGN.md §9).
@@ -40,9 +43,9 @@ pub mod profile;
 pub mod schema;
 pub mod sink;
 
-pub use event::{comm_to_json, model_digest, TelemetryEvent};
+pub use event::{model_digest, DecodeError, TelemetryEvent};
 pub use profile::{Phase, PhaseAgg, Profiler, SpanAggregator, SpanTimer};
 pub use schema::{
-    validate_line, validate_stream, validate_stream_strict, SchemaError, StreamSummary,
+    validate_stream, validate_stream_strict, validate_stream_with, SchemaError, StreamSummary,
 };
-pub use sink::{JsonlSink, MemorySink, NoopSink, PhaseTimer, Sink, Telemetry};
+pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, Telemetry};

@@ -289,7 +289,7 @@ impl Profiler {
     /// touched the clock.
     #[inline]
     pub fn start(&self) -> SpanTimer {
-        SpanTimer(self.inner.as_ref().map(|_| Instant::now()))
+        SpanTimer::start(self.inner.is_some())
     }
 
     /// Close `timer` and record it under `phase`, emitting an unsequenced
@@ -320,7 +320,7 @@ impl Profiler {
     ) {
         if let Some(inner) = &self.inner {
             inner.lock().add(phase.as_str(), elapsed_s);
-            tel.record_unsequenced(|| TelemetryEvent::Span {
+            tel.record(|| TelemetryEvent::Span {
                 phase: phase.as_str().to_string(),
                 round,
                 entity,
@@ -343,17 +343,23 @@ impl Profiler {
         if let Some(inner) = &self.inner {
             let phases = inner.lock().summary();
             if !phases.is_empty() {
-                tel.record_unsequenced(|| TelemetryEvent::ProfileSummary { phases });
+                tel.record(|| TelemetryEvent::ProfileSummary { phases });
             }
         }
     }
 }
 
-/// Scoped monotonic timer handed out by [`Profiler::start`].
+/// Scoped monotonic timer handed out by [`Profiler::start`] and
+/// [`Telemetry::timer`].
 #[derive(Debug, Clone, Copy)]
 pub struct SpanTimer(Option<Instant>);
 
 impl SpanTimer {
+    /// A timer that reads the clock only when `on`.
+    pub(crate) fn start(on: bool) -> Self {
+        SpanTimer(on.then(Instant::now))
+    }
+
     /// Seconds since the timer was started; `0.0` if started disabled.
     pub fn elapsed_s(&self) -> f64 {
         match self.0 {

@@ -1,160 +1,16 @@
 //! Schema validation for telemetry streams.
 //!
-//! [`validate_line`] checks one JSONL line against the fixed event grammar
-//! (DESIGN.md §10): known `"ev"` tag, every required field present with the
-//! right type, no unknown fields. [`validate_stream`] additionally enforces
-//! stream-level invariants — a `run_start` preamble, `round_end` indices
-//! consecutive from 0, a closing `run_end` whose round count matches —
-//! while tolerating unknown (future) event kinds as unsequenced lines;
-//! [`validate_stream_strict`] rejects them. CI's telemetry smoke job runs
-//! the strict form over every emitted stream.
+//! A line is valid when it decodes: [`TelemetryEvent::from_json`] holds the
+//! one statement of the event grammar (DESIGN.md §10). [`validate_stream`]
+//! checks the stream grammar on the decoded events — run segments opened
+//! by `run_start` and closed by `run_end`, `round_end` indices consecutive
+//! from the segment's first round, and `seq` continuity across
+//! `checkpoint` events and resume splices — while tolerating unknown
+//! (future) event kinds as unsequenced lines; [`validate_stream_strict`]
+//! rejects them. CI validates its own streams in the strict form.
 
-use crate::json::{parse, Json};
+use crate::event::{DecodeError, TelemetryEvent};
 use std::collections::BTreeMap;
-
-/// Field type expected by the schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ty {
-    /// JSON string.
-    Str,
-    /// Non-negative integer.
-    UInt,
-    /// Any number, or `null` (non-finite floats serialize as `null`).
-    Num,
-    /// Array of non-negative integers.
-    ArrUInt,
-    /// Array of `[a, b]` pairs of non-negative integers.
-    ArrPairUInt,
-    /// A 64-bit digest: a string of 16 lowercase hex digits.
-    Hex64,
-    /// Array of numbers/nulls.
-    ArrNum,
-    /// Non-negative integer or `null` (checkpoint coordinates).
-    NullableUInt,
-    /// A `CommStats` object: five length-3 arrays of non-negative integers.
-    Comm,
-    /// A `profile_summary` phase list: array of per-phase aggregate
-    /// objects (see `crate::profile::PhaseAgg`).
-    Phases,
-}
-
-/// Required fields (besides `"ev"`) for each event kind.
-fn fields_for(kind: &str) -> Option<&'static [(&'static str, Ty)]> {
-    Some(match kind {
-        "run_start" => &[
-            ("algorithm", Ty::Str),
-            ("rounds", Ty::UInt),
-            ("n_edges", Ty::UInt),
-            ("num_params", Ty::UInt),
-            ("seed", Ty::UInt),
-        ],
-        "round_start" => &[("round", Ty::UInt)],
-        "phase1" => &[
-            ("round", Ty::UInt),
-            ("edges", Ty::ArrUInt),
-            ("c1", Ty::NullableUInt),
-            ("c2", Ty::NullableUInt),
-        ],
-        "block_agg" => &[
-            ("round", Ty::UInt),
-            ("edge", Ty::UInt),
-            ("t2", Ty::UInt),
-            ("clients", Ty::ArrUInt),
-        ],
-        "phase1_done" => &[
-            ("round", Ty::UInt),
-            ("w_digest", Ty::Hex64),
-            ("nonfinite", Ty::UInt),
-            ("elapsed_s", Ty::Num),
-        ],
-        "dual_update" => &[
-            ("round", Ty::UInt),
-            ("edges", Ty::ArrUInt),
-            ("losses", Ty::ArrNum),
-            ("p", Ty::ArrNum),
-            ("elapsed_s", Ty::Num),
-        ],
-        "eval" => &[
-            ("round", Ty::UInt),
-            ("average", Ty::Num),
-            ("worst", Ty::Num),
-            ("variance_pp", Ty::Num),
-            ("per_edge_accuracy", Ty::ArrNum),
-        ],
-        "fault" => &[
-            ("round", Ty::UInt),
-            ("kind", Ty::Str),
-            ("level", Ty::UInt),
-            ("edge", Ty::UInt),
-            ("attempts", Ty::UInt),
-        ],
-        "fault_summary" => &[
-            ("round", Ty::UInt),
-            ("crashes", Ty::UInt),
-            ("outages", Ty::UInt),
-            ("retries", Ty::UInt),
-            ("gave_up", Ty::UInt),
-            ("deadline_missed", Ty::UInt),
-            ("backoff_s", Ty::Num),
-            ("straggler_slots", Ty::Num),
-        ],
-        "checkpoint" => &[("round", Ty::UInt), ("seq", Ty::UInt)],
-        "span" => &[
-            ("phase", Ty::Str),
-            ("round", Ty::NullableUInt),
-            ("entity", Ty::NullableUInt),
-            ("elapsed_s", Ty::Num),
-        ],
-        "profile_summary" => &[("phases", Ty::Phases)],
-        "adversary" => &[
-            ("round", Ty::UInt),
-            ("corrupted", Ty::UInt),
-            ("attack", Ty::Str),
-        ],
-        "quarantine" => &[
-            ("round", Ty::UInt),
-            ("client", Ty::UInt),
-            ("until", Ty::UInt),
-        ],
-        "churn" => &[
-            ("round", Ty::UInt),
-            ("joined", Ty::ArrPairUInt),
-            ("left", Ty::ArrUInt),
-            ("failed_edges", Ty::ArrUInt),
-            ("rehomed", Ty::UInt),
-        ],
-        "rehome" => &[
-            ("round", Ty::UInt),
-            ("client", Ty::UInt),
-            ("from_edge", Ty::UInt),
-            ("to_edge", Ty::UInt),
-        ],
-        "aggregator_summary" => &[("aggregator", Ty::Str), ("param", Ty::Num)],
-        "run_resume" => &[
-            ("algorithm", Ty::Str),
-            ("rounds", Ty::UInt),
-            ("next_round", Ty::UInt),
-            ("seed", Ty::UInt),
-            ("seq", Ty::UInt),
-        ],
-        "round_end" => &[
-            ("round", Ty::UInt),
-            ("slots", Ty::UInt),
-            ("comm_delta", Ty::Comm),
-            ("comm_total", Ty::Comm),
-            ("sim_s", Ty::Num),
-            ("elapsed_s", Ty::Num),
-        ],
-        "run_end" => &[
-            ("rounds", Ty::UInt),
-            ("slots", Ty::UInt),
-            ("comm_total", Ty::Comm),
-            ("sim_s", Ty::Num),
-            ("elapsed_s", Ty::Num),
-        ],
-        _ => return None,
-    })
-}
 
 /// Why a line or stream failed validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,156 +33,6 @@ impl std::fmt::Display for SchemaError {
 
 impl std::error::Error for SchemaError {}
 
-fn err(msg: impl Into<String>) -> SchemaError {
-    SchemaError {
-        line: 0,
-        msg: msg.into(),
-    }
-}
-
-fn check_ty(value: &Json, ty: Ty, field: &str) -> Result<(), SchemaError> {
-    let fail = |want: &str| {
-        Err(err(format!(
-            "field {field:?}: expected {want}, got {value:?}"
-        )))
-    };
-    match ty {
-        Ty::Str => match value {
-            Json::Str(_) => Ok(()),
-            _ => fail("a string"),
-        },
-        Ty::UInt => match value.as_u64() {
-            Some(_) => Ok(()),
-            None => fail("a non-negative integer"),
-        },
-        Ty::Num => match value {
-            Json::Num(_) | Json::Null => Ok(()),
-            _ => fail("a number or null"),
-        },
-        Ty::NullableUInt => match value {
-            Json::Null => Ok(()),
-            _ if value.as_u64().is_some() => Ok(()),
-            _ => fail("a non-negative integer or null"),
-        },
-        Ty::ArrUInt => match value.as_arr() {
-            Some(items) if items.iter().all(|x| x.as_u64().is_some()) => Ok(()),
-            _ => fail("an array of non-negative integers"),
-        },
-        Ty::ArrPairUInt => match value.as_arr() {
-            Some(items)
-                if items.iter().all(|x| {
-                    x.as_arr().is_some_and(|pair| {
-                        pair.len() == 2 && pair.iter().all(|v| v.as_u64().is_some())
-                    })
-                }) =>
-            {
-                Ok(())
-            }
-            _ => fail("an array of [integer, integer] pairs"),
-        },
-        Ty::Hex64 => match value.as_str() {
-            Some(s)
-                if s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) =>
-            {
-                Ok(())
-            }
-            _ => fail("16 lowercase hex digits"),
-        },
-        Ty::ArrNum => match value.as_arr() {
-            Some(items) if items.iter().all(|x| matches!(x, Json::Num(_) | Json::Null)) => Ok(()),
-            _ => fail("an array of numbers"),
-        },
-        Ty::Comm => {
-            let obj = match value {
-                Json::Obj(_) => value,
-                _ => return fail("a comm object"),
-            };
-            const KEYS: [&str; 5] = ["up_floats", "down_floats", "up_msgs", "down_msgs", "rounds"];
-            for key in KEYS {
-                let arr = obj
-                    .get(key)
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| err(format!("field {field:?}: comm key {key:?} missing")))?;
-                if arr.len() != 3 || arr.iter().any(|x| x.as_u64().is_none()) {
-                    return Err(err(format!(
-                        "field {field:?}: comm key {key:?} must be 3 non-negative integers"
-                    )));
-                }
-            }
-            if let Json::Obj(fields) = obj {
-                if fields.len() != KEYS.len() {
-                    return Err(err(format!("field {field:?}: unknown comm keys")));
-                }
-            }
-            Ok(())
-        }
-        Ty::Phases => {
-            let items = match value.as_arr() {
-                Some(items) => items,
-                None => return fail("an array of phase aggregates"),
-            };
-            const KEYS: [(&str, Ty); 8] = [
-                ("phase", Ty::Str),
-                ("count", Ty::UInt),
-                ("total_s", Ty::Num),
-                ("min_s", Ty::Num),
-                ("max_s", Ty::Num),
-                ("p50_s", Ty::Num),
-                ("p90_s", Ty::Num),
-                ("p99_s", Ty::Num),
-            ];
-            for item in items {
-                let fields = match item {
-                    Json::Obj(fields) => fields,
-                    _ => return fail("an array of phase aggregate objects"),
-                };
-                for (key, ty) in KEYS {
-                    let v = item.get(key).ok_or_else(|| {
-                        err(format!("field {field:?}: phase key {key:?} missing"))
-                    })?;
-                    check_ty(v, ty, key).map_err(|e| err(format!("field {field:?}: {}", e.msg)))?;
-                }
-                if fields.len() != KEYS.len() {
-                    return Err(err(format!("field {field:?}: unknown phase keys")));
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Validate one JSONL line. Returns the event kind on success.
-pub fn validate_line(line: &str) -> Result<String, SchemaError> {
-    let v = parse(line).map_err(|e| err(format!("not valid JSON: {e}")))?;
-    let fields = match &v {
-        Json::Obj(fields) => fields,
-        _ => return Err(err("not a JSON object")),
-    };
-    let kind = v
-        .get("ev")
-        .and_then(Json::as_str)
-        .ok_or_else(|| err("missing string field \"ev\""))?
-        .to_string();
-    let spec = fields_for(&kind).ok_or_else(|| err(format!("unknown event kind {kind:?}")))?;
-    for (name, ty) in spec {
-        let value = v
-            .get(name)
-            .ok_or_else(|| err(format!("{kind}: missing field {name:?}")))?;
-        check_ty(value, *ty, name).map_err(|e| err(format!("{kind}: {}", e.msg)))?;
-    }
-    // "ev" plus the spec'd fields — nothing else.
-    if fields.len() != spec.len() + 1 {
-        let known: Vec<&str> = spec.iter().map(|(n, _)| *n).collect();
-        let extra: Vec<&String> = fields
-            .iter()
-            .map(|(k, _)| k)
-            .filter(|k| k.as_str() != "ev" && !known.contains(&k.as_str()))
-            .collect();
-        return Err(err(format!("{kind}: unknown fields {extra:?}")));
-    }
-    Ok(kind)
-}
-
 /// Summary of a validated stream.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct StreamSummary {
@@ -340,17 +46,19 @@ pub struct StreamSummary {
 
 /// Validate a whole JSONL stream (possibly several concatenated runs).
 ///
-/// Every non-empty line must pass [`validate_line`]; additionally each run
-/// segment must open with `run_start` (or `run_resume`, see below), close
-/// with `run_end`, and have `round_end` indices consecutive from the
-/// segment's starting round with a matching final count.
+/// Every non-empty line must decode ([`TelemetryEvent::from_json`]);
+/// additionally each run segment must open with `run_start` (or
+/// `run_resume`, see below), close with `run_end`, and have `round_end`
+/// indices consecutive from the segment's starting round with a matching
+/// final count.
 ///
 /// Crash/resume support: a `run_resume` line either *opens* a segment (a
 /// resumed run's own stream, validated standalone) or *continues* an open
 /// one (a spliced stream: pre-crash prefix cut at its last `checkpoint`
 /// event, then the resumed suffix). In both cases continuity is enforced —
 /// `next_round` must equal the rounds completed so far and `seq` must
-/// equal the running event count, so a forged splice that skips or
+/// equal the running count of sequenced events
+/// ([`TelemetryEvent::is_sequenced`]), so a forged splice that skips or
 /// repeats a round is rejected. `checkpoint` events themselves must carry
 /// a `seq` matching the running count and cover the round that just
 /// ended.
@@ -361,36 +69,37 @@ pub struct StreamSummary {
 /// do not advance the running event count, so sequence continuity checks
 /// still hold across them. This makes new event kinds a non-breaking
 /// schema change, with one emitter-side obligation: new kinds must be
-/// emitted unsequenced (as `run_resume`, `span`, and `profile_summary`
-/// are), otherwise older validators would flag a seq gap at the next
+/// unsequenced (as `run_resume`, `span`, and `profile_summary` are),
+/// otherwise older validators would flag a seq gap at the next
 /// checkpoint. Use [`validate_stream_strict`] to reject unknown kinds.
 pub fn validate_stream(text: &str) -> Result<StreamSummary, SchemaError> {
-    validate_stream_impl(text, false)
+    validate(text, false, |_| {})
 }
 
-/// [`validate_stream`] in strict mode: every line must additionally pass
-/// [`validate_line`] — unknown event kinds are rejected instead of being
-/// skipped as unsequenced. Use this to pin a stream to exactly the event
-/// grammar this build knows about (CI does, via
+/// [`validate_stream`] in strict mode: unknown event kinds are rejected
+/// instead of being skipped as unsequenced. Use this to pin a stream to
+/// exactly the event grammar this build knows about (CI does, via
 /// `validate-telemetry --strict`).
 pub fn validate_stream_strict(text: &str) -> Result<StreamSummary, SchemaError> {
-    validate_stream_impl(text, true)
+    validate(text, true, |_| {})
 }
 
-/// Accept `raw` as a tolerated unknown-kind line: a well-formed JSON
-/// object whose `"ev"` is a string *not* in the known-kind table. Known
-/// kinds return `None` (their field errors must surface).
-fn tolerated_unknown_kind(raw: &str) -> Option<String> {
-    let v = parse(raw).ok()?;
-    let kind = v.get("ev")?.as_str()?.to_string();
-    if fields_for(&kind).is_none() {
-        Some(kind)
-    } else {
-        None
-    }
+/// [`validate_stream`], handing each decoded event to `visit` in stream
+/// order, so a reader decodes the stream once; lines of unknown kinds have
+/// no event. If the stream turns out invalid, the events already visited
+/// are a prefix of it.
+pub fn validate_stream_with(
+    text: &str,
+    visit: impl FnMut(TelemetryEvent),
+) -> Result<StreamSummary, SchemaError> {
+    validate(text, false, visit)
 }
 
-fn validate_stream_impl(text: &str, strict: bool) -> Result<StreamSummary, SchemaError> {
+fn validate(
+    text: &str,
+    strict: bool,
+    mut visit: impl FnMut(TelemetryEvent),
+) -> Result<StreamSummary, SchemaError> {
     let mut summary = StreamSummary::default();
     let mut in_run = false;
     let mut rounds_seen = 0usize;
@@ -405,37 +114,32 @@ fn validate_stream_impl(text: &str, strict: bool) -> Result<StreamSummary, Schem
         if raw.trim().is_empty() {
             continue;
         }
-        let (kind, known) = match validate_line(raw) {
-            Ok(kind) => (kind, true),
-            Err(e) if !strict => match tolerated_unknown_kind(raw) {
-                Some(kind) => (kind, false),
-                None => return Err(at(line_no, e.msg)),
-            },
-            Err(e) => return Err(at(line_no, e.msg)),
+        let event = match TelemetryEvent::from_json(raw) {
+            Ok(event) => event,
+            Err(DecodeError::UnknownKind(kind)) if !strict => {
+                // Forward-compat: unknown kinds are unsequenced observers.
+                summary.lines += 1;
+                *summary.events_by_kind.entry(kind).or_insert(0) += 1;
+                continue;
+            }
+            Err(e) => return Err(at(line_no, e.to_string())),
         };
+        let kind = event.kind();
         summary.lines += 1;
-        *summary.events_by_kind.entry(kind.clone()).or_insert(0) += 1;
-        if !known {
-            // Forward-compat: unknown kinds are unsequenced observers.
-            continue;
-        }
+        *summary.events_by_kind.entry(kind.to_string()).or_insert(0) += 1;
 
-        match kind.as_str() {
-            "run_start" => {
+        match event {
+            TelemetryEvent::RunStart { .. } => {
                 if in_run {
                     return Err(at(line_no, "run_start inside an open run".into()));
                 }
                 in_run = true;
                 rounds_seen = 0;
-                seq_count = 1; // run_start counts itself
+                seq_count = 0;
             }
-            "run_resume" => {
-                let v = parse(raw).expect("validated above");
-                let next_round = v
-                    .get("next_round")
-                    .and_then(Json::as_u64)
-                    .expect("validated") as usize;
-                let seq = v.get("seq").and_then(Json::as_u64).expect("validated");
+            TelemetryEvent::RunResume {
+                next_round, seq, ..
+            } => {
                 if in_run {
                     // Splice point: the prefix must end exactly at the
                     // checkpoint this resume was loaded from.
@@ -463,16 +167,18 @@ fn validate_stream_impl(text: &str, strict: bool) -> Result<StreamSummary, Schem
                     rounds_seen = next_round;
                     seq_count = seq;
                 }
-                // Unsequenced either way: seq_count unchanged.
             }
-            "checkpoint" => {
-                if !in_run {
-                    return Err(at(line_no, "checkpoint outside a run".into()));
-                }
-                seq_count += 1;
-                let v = parse(raw).expect("validated above");
-                let round = v.get("round").and_then(Json::as_u64).expect("validated") as usize;
-                let seq = v.get("seq").and_then(Json::as_u64).expect("validated");
+            TelemetryEvent::RunEnd { .. } if !in_run => {
+                return Err(at(line_no, "run_end without run_start".into()));
+            }
+            _ if !in_run => return Err(at(line_no, format!("{kind} outside a run"))),
+            _ => {}
+        }
+        if event.is_sequenced() {
+            seq_count += 1;
+        }
+        match event {
+            TelemetryEvent::Checkpoint { round, seq } => {
                 if rounds_seen == 0 || round != rounds_seen - 1 {
                     return Err(at(
                         line_no,
@@ -488,29 +194,7 @@ fn validate_stream_impl(text: &str, strict: bool) -> Result<StreamSummary, Schem
                     ));
                 }
             }
-            "run_end" => {
-                if !in_run {
-                    return Err(at(line_no, "run_end without run_start".into()));
-                }
-                seq_count += 1;
-                let v = parse(raw).expect("validated above");
-                let declared = v.get("rounds").and_then(Json::as_u64).expect("validated") as usize;
-                if declared != rounds_seen {
-                    return Err(at(
-                        line_no,
-                        format!("run_end declares {declared} rounds but {rounds_seen} round_end events were seen"),
-                    ));
-                }
-                in_run = false;
-                summary.runs += 1;
-            }
-            "round_end" => {
-                if !in_run {
-                    return Err(at(line_no, "round_end outside a run".into()));
-                }
-                seq_count += 1;
-                let v = parse(raw).expect("validated above");
-                let round = v.get("round").and_then(Json::as_u64).expect("validated") as usize;
+            TelemetryEvent::RoundEnd { round, .. } => {
                 if round != rounds_seen {
                     return Err(at(
                         line_no,
@@ -519,23 +203,25 @@ fn validate_stream_impl(text: &str, strict: bool) -> Result<StreamSummary, Schem
                 }
                 rounds_seen += 1;
             }
-            "span" | "profile_summary" | "adversary" | "quarantine" | "aggregator_summary"
-            | "churn" | "rehome" => {
-                if !in_run {
-                    return Err(at(line_no, format!("{kind} outside a run")));
+            TelemetryEvent::RunEnd { rounds, .. } => {
+                if rounds != rounds_seen {
+                    return Err(at(
+                        line_no,
+                        format!("run_end declares {rounds} rounds but {rounds_seen} round_end events were seen"),
+                    ));
                 }
-                // Unsequenced, like run_resume: seq_count unchanged.
+                in_run = false;
+                summary.runs += 1;
             }
-            _ => {
-                if !in_run {
-                    return Err(at(line_no, format!("{kind} outside a run")));
-                }
-                seq_count += 1;
-            }
+            _ => {}
         }
+        visit(event);
     }
     if in_run {
-        return Err(err("stream ends inside an open run (no run_end)"));
+        return Err(SchemaError {
+            line: 0,
+            msg: "stream ends inside an open run (no run_end)".into(),
+        });
     }
     Ok(summary)
 }
@@ -545,6 +231,11 @@ mod tests {
     use super::*;
     use crate::event::TelemetryEvent;
     use hm_simnet::CommMeter;
+
+    /// The decoder's verdict on one line, with its message on failure.
+    fn decode(line: &str) -> Result<TelemetryEvent, String> {
+        TelemetryEvent::from_json(line).map_err(|e| e.to_string())
+    }
 
     fn stats() -> hm_simnet::CommStats {
         CommMeter::new().snapshot()
@@ -643,7 +334,7 @@ mod tests {
     #[test]
     fn every_emitted_event_validates() {
         for line in tiny_stream().lines() {
-            validate_line(line).unwrap();
+            decode(line).unwrap();
         }
     }
 
@@ -674,8 +365,8 @@ mod tests {
 
     #[test]
     fn rejects_unknown_kind() {
-        let e = validate_line(r#"{"ev":"mystery","round":0}"#).unwrap_err();
-        assert!(e.msg.contains("unknown event kind"));
+        let e = decode(r#"{"ev":"mystery","round":0}"#).unwrap_err();
+        assert!(e.contains("unknown event kind"));
     }
 
     #[test]
@@ -841,25 +532,25 @@ mod tests {
     #[test]
     fn rejects_malformed_phase_aggregates() {
         let missing = r#"{"ev":"profile_summary","phases":[{"phase":"round"}]}"#;
-        let e = validate_line(missing).unwrap_err();
-        assert!(e.msg.contains("phase key"), "{}", e.msg);
+        let e = decode(missing).unwrap_err();
+        assert!(e.contains("phase key"), "{e}");
         let extra = r#"{"ev":"profile_summary","phases":[{"phase":"round","count":1,"total_s":1,"min_s":1,"max_s":1,"p50_s":1,"p90_s":1,"p99_s":1,"zz":0}]}"#;
-        let e = validate_line(extra).unwrap_err();
-        assert!(e.msg.contains("unknown phase keys"), "{}", e.msg);
+        let e = decode(extra).unwrap_err();
+        assert!(e.contains("unknown phase keys"), "{e}");
         let not_obj = r#"{"ev":"profile_summary","phases":[3]}"#;
-        assert!(validate_line(not_obj).is_err());
+        assert!(decode(not_obj).is_err());
     }
 
     #[test]
     fn rejects_missing_field() {
-        let e = validate_line(r#"{"ev":"round_start"}"#).unwrap_err();
-        assert!(e.msg.contains("missing field"));
+        let e = decode(r#"{"ev":"round_start"}"#).unwrap_err();
+        assert!(e.contains("missing field"));
     }
 
     #[test]
     fn rejects_wrong_type() {
-        let e = validate_line(r#"{"ev":"round_start","round":"zero"}"#).unwrap_err();
-        assert!(e.msg.contains("expected a non-negative integer"));
+        let e = decode(r#"{"ev":"round_start","round":"zero"}"#).unwrap_err();
+        assert!(e.contains("expected a non-negative integer"));
     }
 
     #[test]
@@ -869,40 +560,53 @@ mod tests {
                 r#"{{"ev":"phase1_done","round":0,"w_digest":{digest},"nonfinite":0,"elapsed_s":0}}"#
             )
         };
-        validate_line(&done(r#""00000000000000ab""#)).unwrap();
+        decode(&done(r#""00000000000000ab""#)).unwrap();
         for bad in [r#""ab""#, r#""00000000000000AB""#, "171"] {
-            let e = validate_line(&done(bad)).unwrap_err();
-            assert!(e.msg.contains("16 lowercase hex digits"), "{bad}: {e}");
+            let e = decode(&done(bad)).unwrap_err();
+            assert!(e.contains("16 lowercase hex digits"), "{bad}: {e}");
         }
         let churn = |joined: &str| {
             format!(
                 r#"{{"ev":"churn","round":0,"joined":{joined},"left":[],"failed_edges":[],"rehomed":0}}"#
             )
         };
-        validate_line(&churn("[[6,0],[7,1]]")).unwrap();
+        decode(&churn("[[6,0],[7,1]]")).unwrap();
         for bad in ["[6,0]", "[[6]]", "[[6,0,1]]", r#"[["6",0]]"#] {
-            let e = validate_line(&churn(bad)).unwrap_err();
-            assert!(e.msg.contains("pairs"), "{bad}: {e}");
+            let e = decode(&churn(bad)).unwrap_err();
+            assert!(e.contains("pairs"), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_mixed_checkpoint_pair() {
+        let phase1 = |c1: &str, c2: &str| {
+            format!(r#"{{"ev":"phase1","round":0,"edges":[1],"c1":{c1},"c2":{c2}}}"#)
+        };
+        decode(&phase1("1", "0")).unwrap();
+        decode(&phase1("null", "null")).unwrap();
+        for (c1, c2) in [("null", "0"), ("1", "null")] {
+            let e = decode(&phase1(c1, c2)).unwrap_err();
+            assert!(e.contains("both null or both integers"), "{e}");
         }
     }
 
     #[test]
     fn rejects_unknown_field() {
-        let e = validate_line(r#"{"ev":"round_start","round":0,"extra":1}"#).unwrap_err();
-        assert!(e.msg.contains("unknown fields"));
+        let e = decode(r#"{"ev":"round_start","round":0,"extra":1}"#).unwrap_err();
+        assert!(e.contains("unknown fields"));
     }
 
     #[test]
     fn rejects_negative_round() {
-        let e = validate_line(r#"{"ev":"round_start","round":-1}"#).unwrap_err();
-        assert!(e.msg.contains("non-negative"));
+        let e = decode(r#"{"ev":"round_start","round":-1}"#).unwrap_err();
+        assert!(e.contains("non-negative"));
     }
 
     #[test]
     fn rejects_malformed_comm_object() {
         let line = r#"{"ev":"run_end","rounds":0,"slots":0,"comm_total":{"up_floats":[0,0]},"sim_s":0,"elapsed_s":0}"#;
-        let e = validate_line(line).unwrap_err();
-        assert!(e.msg.contains("comm key"), "{}", e.msg);
+        let e = decode(line).unwrap_err();
+        assert!(e.contains("comm key"), "{e}");
     }
 
     #[test]

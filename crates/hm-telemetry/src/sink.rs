@@ -7,13 +7,14 @@
 //! attached, and only at round boundaries.
 
 use crate::event::TelemetryEvent;
+use crate::profile::SpanTimer;
 use hm_simnet::{CommStats, LatencyModel};
 use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Destination for telemetry events.
 ///
@@ -81,7 +82,7 @@ impl Sink for MemorySink {
 pub struct JsonlSink {
     path: PathBuf,
     file: Mutex<BufWriter<File>>,
-    errored: std::sync::atomic::AtomicBool,
+    errored: AtomicBool,
 }
 
 impl JsonlSink {
@@ -92,7 +93,7 @@ impl JsonlSink {
         Ok(Self {
             path,
             file: Mutex::new(BufWriter::new(file)),
-            errored: std::sync::atomic::AtomicBool::new(false),
+            errored: AtomicBool::new(false),
         })
     }
 
@@ -103,7 +104,7 @@ impl JsonlSink {
 
     /// `true` if any write or flush failed since creation.
     pub fn had_errors(&self) -> bool {
-        self.errored.load(std::sync::atomic::Ordering::Relaxed)
+        self.errored.load(Relaxed)
     }
 }
 
@@ -111,15 +112,13 @@ impl Sink for JsonlSink {
     fn emit(&self, event: &TelemetryEvent) {
         let mut f = self.file.lock();
         if writeln!(f, "{}", event.to_json()).is_err() {
-            self.errored
-                .store(true, std::sync::atomic::Ordering::Relaxed);
+            self.errored.store(true, Relaxed);
         }
     }
 
     fn flush(&self) {
         if self.file.lock().flush().is_err() {
-            self.errored
-                .store(true, std::sync::atomic::Ordering::Relaxed);
+            self.errored.store(true, Relaxed);
         }
     }
 }
@@ -134,9 +133,10 @@ impl Drop for JsonlSink {
 struct Inner {
     sink: Arc<dyn Sink>,
     latency: LatencyModel,
-    /// Events emitted through this handle (and its clones). Checkpoint
-    /// snapshots store it so a resumed run can continue the sequence.
-    seq: std::sync::atomic::AtomicU64,
+    /// Sequenced events emitted through this handle (and its clones).
+    /// Checkpoint snapshots store it so a resumed run can continue the
+    /// sequence.
+    seq: AtomicU64,
 }
 
 /// Cheap, cloneable telemetry handle carried in `RunOpts`.
@@ -161,7 +161,7 @@ impl Telemetry {
             inner: Some(Arc::new(Inner {
                 sink,
                 latency: LatencyModel::mobile_edge(),
-                seq: std::sync::atomic::AtomicU64::new(0),
+                seq: AtomicU64::new(0),
             })),
         }
     }
@@ -173,9 +173,7 @@ impl Telemetry {
                 Arc::new(Inner {
                     sink: Arc::clone(&inner.sink),
                     latency,
-                    seq: std::sync::atomic::AtomicU64::new(
-                        inner.seq.load(std::sync::atomic::Ordering::Relaxed),
-                    ),
+                    seq: AtomicU64::new(inner.seq.load(Relaxed)),
                 })
             }),
         }
@@ -191,33 +189,25 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Emit an event and advance the sequence counter. The closure runs
-    /// only when enabled, so payload clones cost nothing on the disabled
-    /// path.
+    /// Emit an event, advancing the sequence counter when the event
+    /// [is sequenced](TelemetryEvent::is_sequenced). The closure runs only
+    /// when enabled, so payload clones cost nothing on the disabled path.
     #[inline]
     pub fn record(&self, make: impl FnOnce() -> TelemetryEvent) {
         if let Some(inner) = &self.inner {
-            inner.sink.emit(&make());
-            inner.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let event = make();
+            inner.sink.emit(&event);
+            if event.is_sequenced() {
+                inner.seq.fetch_add(1, Relaxed);
+            }
         }
     }
 
-    /// Emit an event *without* advancing the sequence counter. Used for
-    /// the `run_resume` preamble: the resumed run must produce later
-    /// `checkpoint` events with the same seq values as the uninterrupted
-    /// run, so the preamble itself stays outside the count.
-    #[inline]
-    pub fn record_unsequenced(&self, make: impl FnOnce() -> TelemetryEvent) {
-        if let Some(inner) = &self.inner {
-            inner.sink.emit(&make());
-        }
-    }
-
-    /// Events emitted so far through this handle and its clones (`0` when
-    /// disabled).
+    /// Sequenced events emitted so far through this handle and its clones
+    /// (`0` when disabled).
     pub fn seq(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.seq.load(std::sync::atomic::Ordering::Relaxed),
+            Some(inner) => inner.seq.load(Relaxed),
             None => 0,
         }
     }
@@ -226,15 +216,15 @@ impl Telemetry {
     /// on resume. No-op when disabled.
     pub fn set_seq(&self, seq: u64) {
         if let Some(inner) = &self.inner {
-            inner.seq.store(seq, std::sync::atomic::Ordering::Relaxed);
+            inner.seq.store(seq, Relaxed);
         }
     }
 
     /// Start a phase timer. Disabled handles return a timer that never
     /// touched the clock and reports `0.0`.
     #[inline]
-    pub fn timer(&self) -> PhaseTimer {
-        PhaseTimer(self.inner.as_ref().map(|_| Instant::now()))
+    pub fn timer(&self) -> SpanTimer {
+        SpanTimer::start(self.inner.is_some())
     }
 
     /// Simulated deployment seconds for a run prefix under this handle's
@@ -269,20 +259,6 @@ impl Telemetry {
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
             inner.sink.flush();
-        }
-    }
-}
-
-/// Scoped monotonic timer handed out by [`Telemetry::timer`].
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseTimer(Option<Instant>);
-
-impl PhaseTimer {
-    /// Seconds since the timer was started; `0.0` if started disabled.
-    pub fn elapsed_s(&self) -> f64 {
-        match self.0 {
-            Some(t0) => t0.elapsed().as_secs_f64(),
-            None => 0.0,
         }
     }
 }
@@ -391,7 +367,7 @@ mod tests {
         t.record(|| ev(0));
         t.record(|| ev(1));
         assert_eq!(t.seq(), 2);
-        t.record_unsequenced(|| ev(2));
+        t.record(|| TelemetryEvent::ProfileSummary { phases: vec![] });
         assert_eq!(t.seq(), 2, "unsequenced emission must not count");
         assert_eq!(sink.len(), 3, "but it still reaches the sink");
         t.set_seq(50);

@@ -10,22 +10,28 @@
 //!   trajectory from history;
 //! - enabling telemetry cannot perturb a run (bit-identical iterates);
 //! - every algorithm emits a well-formed `run_start` … `run_end` stream
-//!   with one `round_end` per training round.
+//!   with one `round_end` per training round;
+//! - every line the nine algorithms write decodes back to an event that
+//!   re-encodes to the same line, and a decoded JSONL file is the run's
+//!   in-memory stream and replays through the conformance automaton.
 
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::Arc;
 
+use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
     HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax,
     OverselectConfig, OverselectMinimax, QFedAvg, QfflConfig, RunOpts, StochasticAfl, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
+use hierminimax::core::CheckpointOpts;
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{CommStats, Parallelism, Quantizer};
-use hierminimax::telemetry::{
-    comm_to_json, json, validate_stream, MemorySink, Telemetry, TelemetryEvent,
-};
-use hm_testkit::check_stream;
+use hierminimax::simnet::{AttackModel, ChurnPlan, CommStats, FaultPlan, Parallelism, Quantizer};
+use hierminimax::telemetry::{validate_stream, MemorySink, Profiler, Telemetry, TelemetryEvent};
+use hierminimax::tensor::Aggregator;
+use hm_testkit::{check_stream, scrub};
 
 fn opts_with(telemetry: Telemetry) -> RunOpts {
     RunOpts {
@@ -71,6 +77,137 @@ fn overselect(fp: &FederatedProblem, rounds: usize, opts: RunOpts) -> Overselect
         dropout: 0.0,
         opts,
     })
+}
+
+/// Builds an algorithm for a problem from its run options.
+type Factory = Box<dyn Fn(&FederatedProblem, RunOpts) -> Box<dyn Algorithm>>;
+
+/// The nine algorithms under the names their streams carry, each running
+/// `rounds` rounds; HierMinimax and HierFAVG upload through `quantizer`.
+fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory)> {
+    vec![
+        (
+            "HierMinimax",
+            Box::new(move |_, opts| {
+                Box::new(HierMinimax::new(HierMinimaxConfig {
+                    quantizer,
+                    ..hm_cfg(rounds, opts)
+                }))
+            }),
+        ),
+        (
+            "HierFAVG",
+            Box::new(move |_, opts| {
+                Box::new(HierFavg::new(HierFavgConfig {
+                    rounds,
+                    tau1: 2,
+                    tau2: 2,
+                    m_edges: 2,
+                    eta_w: 0.1,
+                    batch_size: 2,
+                    quantizer,
+                    dropout: 0.0,
+                    opts,
+                }))
+            }),
+        ),
+        (
+            "FedAvg",
+            Box::new(move |_, opts| {
+                Box::new(FedAvg::new(FedAvgConfig {
+                    rounds,
+                    tau1: 2,
+                    m_clients: 4,
+                    eta_w: 0.1,
+                    batch_size: 2,
+                    opts,
+                }))
+            }),
+        ),
+        (
+            "FedProx",
+            Box::new(move |_, opts| {
+                Box::new(FedProx::new(FedProxConfig {
+                    rounds,
+                    tau1: 2,
+                    m_clients: 4,
+                    mu: 0.1,
+                    eta_w: 0.1,
+                    batch_size: 2,
+                    opts,
+                }))
+            }),
+        ),
+        (
+            "q-FedAvg",
+            Box::new(move |_, opts| {
+                Box::new(QFedAvg::new(QfflConfig {
+                    rounds,
+                    tau1: 2,
+                    m_clients: 4,
+                    q: 1.0,
+                    eta_w: 0.1,
+                    batch_size: 2,
+                    loss_batch: 4,
+                    opts,
+                }))
+            }),
+        ),
+        (
+            "DRFA",
+            Box::new(move |_, opts| {
+                Box::new(Drfa::new(DrfaConfig {
+                    rounds,
+                    tau1: 2,
+                    m_clients: 4,
+                    eta_w: 0.1,
+                    eta_q: 0.1,
+                    batch_size: 2,
+                    loss_batch: 4,
+                    opts,
+                }))
+            }),
+        ),
+        (
+            "Stochastic-AFL",
+            Box::new(move |_, opts| {
+                Box::new(StochasticAfl::new(AflConfig {
+                    rounds,
+                    m_clients: 4,
+                    eta_w: 0.1,
+                    eta_q: 0.1,
+                    batch_size: 2,
+                    loss_batch: 4,
+                    opts,
+                }))
+            }),
+        ),
+        (
+            "MultiLevelMinimax",
+            Box::new(move |_, opts| {
+                Box::new(MultiLevelMinimax::new(MultiLevelConfig {
+                    rounds,
+                    tau1: 2,
+                    tau2: 2,
+                    upper: vec![UpperLevel {
+                        group_size: 2,
+                        tau: 2,
+                    }],
+                    m_groups: 2,
+                    eta_w: 0.1,
+                    eta_p: 0.01,
+                    batch_size: 2,
+                    loss_batch: 4,
+                    dropout: 0.0,
+                    opts,
+                }))
+            }),
+        ),
+        (
+            "Overselect",
+            Box::new(move |fp, opts| Box::new(overselect(fp, rounds, opts))),
+        ),
+    ]
 }
 
 fn round_ends(events: &[TelemetryEvent]) -> Vec<&TelemetryEvent> {
@@ -126,18 +263,14 @@ fn round_comm_deltas_match_trace_and_conformance_automaton() {
             unreachable!()
         };
         assert_eq!(*round, k);
-        assert_eq!(
-            comm_to_json(comm_delta),
-            comm_to_json(history_delta),
-            "round {k} delta"
-        );
+        assert_eq!(comm_delta, history_delta, "round {k} delta");
         // Cumulative totals never decrease, so simulated time is monotone.
         assert!(*sim_s >= last_sim, "round {k}: sim_s went backwards");
         last_sim = *sim_s;
         // The deltas telescope: total through round k == sum of deltas,
         // which the `since` contract guarantees; spot-check the endpoint.
         if k + 1 == ends.len() {
-            assert_eq!(comm_to_json(comm_total), comm_to_json(&r.comm));
+            assert_eq!(comm_total, &r.comm);
         }
     }
 
@@ -148,7 +281,7 @@ fn round_comm_deltas_match_trace_and_conformance_automaton() {
         panic!("stream must end with run_end, got {:?}", events.last());
     };
     assert_eq!(*rounds, cfg.rounds);
-    assert_eq!(comm_to_json(comm_total), comm_to_json(&r.comm));
+    assert_eq!(comm_total, &r.comm);
 }
 
 /// A JSONL file written by a run validates against the schema and its
@@ -161,17 +294,14 @@ fn jsonl_stream_validates_and_p_trajectory_matches_history() {
     let sc = tiny_problem(3, 2, 22);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let rounds = 4;
-    type Factory = fn(&FederatedProblem, usize, RunOpts) -> Box<dyn Algorithm>;
-    let algorithms: [(&str, Factory); 2] = [
-        ("hierminimax", |_, r, o| {
-            Box::new(HierMinimax::new(hm_cfg(r, o)))
-        }),
-        ("overselect", |fp, r, o| Box::new(overselect(fp, r, o))),
-    ];
-    for (name, factory) in algorithms {
+    let wanted = ["HierMinimax", "Overselect"];
+    for (name, make) in algorithms(rounds, Quantizer::Exact) {
+        if !wanted.contains(&name) {
+            continue;
+        }
         let path = dir.join(format!("{name}.jsonl"));
         let tel = Telemetry::jsonl(&path).unwrap();
-        let r = factory(&fp, rounds, opts_with(tel)).run(&fp, 5);
+        let r = make(&fp, opts_with(tel)).run(&fp, 5);
 
         let body = std::fs::read_to_string(&path).unwrap();
         let summary = validate_stream(&body).unwrap_or_else(|e| panic!("{name}: {e}\n{body}"));
@@ -189,20 +319,9 @@ fn jsonl_stream_validates_and_p_trajectory_matches_history() {
 
         let p_lines: Vec<Vec<f32>> = body
             .lines()
-            .filter_map(|line| {
-                let v = json::parse(line).unwrap();
-                if v.get("ev").unwrap().as_str() != Some("dual_update") {
-                    return None;
-                }
-                Some(
-                    v.get("p")
-                        .unwrap()
-                        .as_arr()
-                        .unwrap()
-                        .iter()
-                        .map(|x| x.as_f64().unwrap() as f32)
-                        .collect(),
-                )
+            .filter_map(|line| match TelemetryEvent::from_json(line).unwrap() {
+                TelemetryEvent::DualUpdate { p, .. } => Some(p),
+                _ => None,
             })
             .collect();
         assert_eq!(p_lines.len(), r.history.rounds.len(), "{name}");
@@ -238,9 +357,9 @@ fn all_algorithms_emit_consistent_streams() {
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let rounds = 3;
 
-    let run_with = |name: &str, f: &dyn Fn(RunOpts) -> hierminimax::core::RunResult| {
+    for (name, make) in algorithms(rounds, Quantizer::Exact) {
         let sink = Arc::new(MemorySink::new());
-        let r = f(opts_with(Telemetry::with_sink(sink.clone())));
+        let r = make(&fp, opts_with(Telemetry::with_sink(sink.clone()))).run(&fp, 7);
         let events = sink.events();
         let Some(TelemetryEvent::RunStart {
             algorithm,
@@ -269,111 +388,154 @@ fn all_algorithms_emit_consistent_streams() {
             panic!("{name}: last event {:?}", events.last());
         };
         assert_eq!(*done, rounds, "{name}");
-        assert_eq!(
-            comm_to_json(comm_total),
-            comm_to_json(&r.comm),
-            "{name}: run_end totals"
-        );
+        assert_eq!(comm_total, &r.comm, "{name}: run_end totals");
+    }
+}
+
+/// Run `make` on `fp` under `opts` with a memory sink, a fresh profiler
+/// and a snapshot after every round into `dir`, resuming from the
+/// round-`from` snapshot of `name` there when given; returns the stream.
+fn profiled_stream(
+    name: &str,
+    make: &Factory,
+    opts: &RunOpts,
+    fp: &FederatedProblem,
+    dir: &Path,
+    from: Option<usize>,
+) -> Vec<TelemetryEvent> {
+    let sink = Arc::new(MemorySink::new());
+    let mut opts = opts.clone();
+    opts.telemetry = Telemetry::with_sink(sink.clone());
+    opts.profile = Profiler::enabled();
+    opts.checkpoint = CheckpointOpts::writing(dir, 1);
+    if let Some(round) = from {
+        let snap = read_snapshot(&snapshot_path(dir, name, round)).unwrap();
+        opts.checkpoint.resume = Some(Arc::new(snap));
+    }
+    make(fp, opts).run(fp, 3);
+    sink.events()
+}
+
+/// The nine algorithms, each with the options it honours on top of
+/// profiling and checkpoints, write every event kind between them, and a
+/// resumed run of each adds its `run_resume`. Every line decodes back to
+/// an event that re-encodes to the same line.
+#[test]
+fn every_emitted_line_round_trips_through_the_decoder() {
+    let fp = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 25));
+    let rounds = 6;
+    let flat = RunOpts {
+        eval_every: 1,
+        parallelism: Parallelism::Sequential,
+        ..Default::default()
+    };
+    let tree = RunOpts {
+        fault: FaultPlan {
+            corrupt_rate: 0.2,
+            attack: AttackModel::SignFlip,
+            ..FaultPlan::preset("chaos").unwrap()
+        },
+        aggregator: Aggregator::TrimmedMean { beta: 0.2 },
+        max_stale_rounds: rounds,
+        ..flat.clone()
+    };
+    let edges = RunOpts {
+        quarantine_z: 1.0,
+        ..tree.clone()
+    };
+    let hier = RunOpts {
+        churn: ChurnPlan::preset("chaos-churn").unwrap(),
+        ..edges.clone()
+    };
+    let opts_for = |name: &str| match name {
+        "HierMinimax" | "HierFAVG" => &hier,
+        "MultiLevelMinimax" => &tree,
+        "Overselect" => &edges,
+        _ => &flat,
     };
 
-    run_with("HierMinimax", &|opts| {
-        HierMinimax::new(hm_cfg(rounds, opts)).run(&fp, 7)
-    });
-    run_with("HierFAVG", &|opts| {
-        HierFavg::new(HierFavgConfig {
-            rounds,
-            tau1: 2,
-            tau2: 2,
-            m_edges: 2,
-            eta_w: 0.1,
-            batch_size: 2,
-            quantizer: Quantizer::Exact,
-            dropout: 0.0,
-            opts,
-        })
-        .run(&fp, 7)
-    });
-    run_with("FedAvg", &|opts| {
-        FedAvg::new(FedAvgConfig {
-            rounds,
-            tau1: 2,
-            m_clients: 4,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts,
-        })
-        .run(&fp, 7)
-    });
-    run_with("FedProx", &|opts| {
-        FedProx::new(FedProxConfig {
-            rounds,
-            tau1: 2,
-            m_clients: 4,
-            mu: 0.1,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts,
-        })
-        .run(&fp, 7)
-    });
-    run_with("q-FedAvg", &|opts| {
-        QFedAvg::new(QfflConfig {
-            rounds,
-            tau1: 2,
-            m_clients: 4,
-            q: 1.0,
-            eta_w: 0.1,
-            batch_size: 2,
-            loss_batch: 4,
-            opts,
-        })
-        .run(&fp, 7)
-    });
-    run_with("DRFA", &|opts| {
-        Drfa::new(DrfaConfig {
-            rounds,
-            tau1: 2,
-            m_clients: 4,
-            eta_w: 0.1,
-            eta_q: 0.1,
-            batch_size: 2,
-            loss_batch: 4,
-            opts,
-        })
-        .run(&fp, 7)
-    });
-    run_with("Stochastic-AFL", &|opts| {
-        StochasticAfl::new(AflConfig {
-            rounds,
-            m_clients: 4,
-            eta_w: 0.1,
-            eta_q: 0.1,
-            batch_size: 2,
-            loss_batch: 4,
-            opts,
-        })
-        .run(&fp, 7)
-    });
-    run_with("MultiLevelMinimax", &|opts| {
-        MultiLevelMinimax::new(MultiLevelConfig {
-            rounds,
-            tau1: 2,
-            tau2: 2,
-            upper: vec![UpperLevel {
-                group_size: 2,
-                tau: 2,
-            }],
-            m_groups: 2,
-            eta_w: 0.1,
-            eta_p: 0.01,
-            batch_size: 2,
-            loss_batch: 4,
-            dropout: 0.0,
-            opts,
-        })
-        .run(&fp, 7)
-    });
-    run_with("Overselect", &|opts| {
-        overselect(&fp, rounds, opts).run(&fp, 7)
-    });
+    let dir = std::env::temp_dir().join(format!("hm-telemetry-rt-{}", std::process::id()));
+    let mut kinds = BTreeSet::new();
+    for (name, make) in algorithms(rounds, Quantizer::Stochastic { bits: 8 }) {
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = opts_for(name);
+        let written = profiled_stream(name, &make, opts, &fp, &dir, None);
+        let resumed = profiled_stream(name, &make, opts, &fp, &dir, Some(rounds / 2));
+        for event in written.iter().chain(&resumed) {
+            let line = event.to_json();
+            let back =
+                TelemetryEvent::from_json(&line).unwrap_or_else(|e| panic!("{name}: {e}: {line}"));
+            assert_eq!(back.to_json(), line, "{name}");
+            kinds.insert(event.kind());
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    let all = [
+        "run_start",
+        "round_start",
+        "phase1",
+        "block_agg",
+        "phase1_done",
+        "dual_update",
+        "eval",
+        "fault",
+        "fault_summary",
+        "checkpoint",
+        "run_resume",
+        "span",
+        "profile_summary",
+        "adversary",
+        "quarantine",
+        "churn",
+        "rehome",
+        "aggregator_summary",
+        "round_end",
+        "run_end",
+    ];
+    assert_eq!(kinds, BTreeSet::from(all));
+}
+
+/// A JSONL file a HierMinimax run writes under chaos faults and mild
+/// churn decodes to exactly the run's in-memory stream (wall-clock fields
+/// scrubbed), which replays through the conformance automaton, on both
+/// executors.
+#[test]
+fn decoded_jsonl_file_is_the_run_stream_and_conforms() {
+    let dir = std::env::temp_dir().join(format!("hm-telemetry-file-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fp = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 3, 26));
+    let seed = 8;
+    for parallelism in [Parallelism::Sequential, Parallelism::Rayon] {
+        let opts = RunOpts {
+            eval_every: 2,
+            parallelism,
+            fault: FaultPlan::preset("chaos").unwrap(),
+            churn: ChurnPlan::preset("mild").unwrap(),
+            ..Default::default()
+        };
+        let path = dir.join(format!("{parallelism:?}.jsonl"));
+        let mut cfg = hm_cfg(8, opts);
+        cfg.opts.telemetry = Telemetry::jsonl(&path).unwrap();
+        HierMinimax::new(cfg.clone()).run(&fp, seed);
+        let sink = Arc::new(MemorySink::new());
+        cfg.opts.telemetry = Telemetry::with_sink(sink.clone());
+        HierMinimax::new(cfg.clone()).run(&fp, seed);
+
+        let body = std::fs::read_to_string(&path).unwrap();
+        let decoded: Vec<TelemetryEvent> = body
+            .lines()
+            .map(|line| TelemetryEvent::from_json(line).unwrap())
+            .collect();
+        let scrubbed = |events: &[TelemetryEvent]| -> Vec<TelemetryEvent> {
+            events.iter().cloned().map(scrub).collect()
+        };
+        assert_eq!(
+            scrubbed(&decoded),
+            scrubbed(&sink.events()),
+            "{parallelism:?}"
+        );
+        check_stream(&fp, &cfg, seed, &decoded)
+            .unwrap_or_else(|e| panic!("{parallelism:?}: conformance: {e}"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
