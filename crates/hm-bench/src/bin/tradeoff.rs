@@ -65,7 +65,6 @@ fn main() {
             loss_batch: 16,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            dropout: 0.0,
             tau2_per_edge: None,
             opts: RunOpts {
                 eval_every: 0,
@@ -119,7 +118,6 @@ fn main() {
                 loss_batch: 16,
                 weight_update_model: Default::default(),
                 quantizer: Default::default(),
-                dropout: 0.0,
                 tau2_per_edge: None,
                 opts: RunOpts {
                     eval_every: 0,
@@ -175,7 +173,6 @@ fn main() {
                 loss_batch: 16,
                 weight_update_model: Default::default(),
                 quantizer: Default::default(),
-                dropout: 0.0,
                 tau2_per_edge: None,
                 opts: RunOpts {
                     eval_every: 0,

@@ -178,7 +178,6 @@ pub fn run_method(
             eta_w: sp.eta_w,
             batch_size: sp.batch_size,
             quantizer: Default::default(),
-            dropout: 0.0,
             opts,
         })
         .run(problem, seed),
@@ -193,7 +192,6 @@ pub fn run_method(
             loss_batch: sp.loss_batch,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            dropout: 0.0,
             tau2_per_edge: None,
             opts,
         })

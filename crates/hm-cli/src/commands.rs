@@ -81,11 +81,10 @@ ALGORITHM FLAGS (run):
   --mu F                (fedprox) proximal coefficient
   --group-size N --tau3 N   (multilevel) region grouping and period
   --quant-bits N        quantize uplinks at N bits (0 = exact)
-  --dropout F           per-block client dropout probability (hier. methods)
 
 FAULT-INJECTION FLAGS (run, compare; deterministic per seed):
   --fault-plan NAME     none|flaky-clients|edge-outages|lossy-wan|stragglers|chaos|byzantine
-                        (default none; presets override --dropout)
+                        (default none)
   --client-crash F --edge-outage F --msg-loss F
                         per-block/round/attempt probabilities overriding the preset
   --max-retries N --backoff-base F
@@ -455,7 +454,6 @@ fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
             loss_batch,
             weight_update_model: Default::default(),
             quantizer: quant,
-            dropout: args.num_or("dropout", 0.0)?,
             tau2_per_edge: None,
             opts,
         })),
@@ -467,7 +465,6 @@ fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
             eta_w,
             batch_size,
             quantizer: quant,
-            dropout: args.num_or("dropout", 0.0)?,
             opts,
         })),
         "fedavg" => Box::new(FedAvg::new(FedAvgConfig {
@@ -529,7 +526,6 @@ fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
             eta_p,
             batch_size,
             loss_batch,
-            dropout: args.num_or("dropout", 0.0)?,
             opts,
         })),
         other => {
@@ -952,7 +948,6 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             eta_w,
             batch_size,
             quantizer: Quantizer::Exact,
-            dropout: 0.0,
             opts: opts.clone(),
         })),
         Box::new(HierMinimax::new(HierMinimaxConfig {
@@ -966,7 +961,6 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             loss_batch,
             weight_update_model: Default::default(),
             quantizer: Quantizer::Exact,
-            dropout: 0.0,
             tau2_per_edge: None,
             opts: opts.clone(),
         })),
@@ -1005,7 +999,6 @@ fn compare(args: &Args) -> Result<(), ArgError> {
                 eta_p,
                 batch_size,
                 loss_batch,
-                dropout: 0.0,
                 opts: opts.clone(),
             })));
         }

@@ -868,6 +868,35 @@ fn options_a_method_ignores_are_refused() {
 }
 
 #[test]
+fn zero_loss_batch_is_refused_before_round_zero() {
+    // Every method that estimates losses names the parameter, and no
+    // round runs.
+    for method in ["hierminimax", "multilevel", "afl", "drfa", "qffl"] {
+        let out = bin()
+            .args([
+                "run",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "2", "--method", method, "--loss-batch", "0"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{method}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("loss_batch must be positive"),
+            "{method}: {err}"
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(!text.contains("cloud rounds"), "{method}: {text}");
+    }
+}
+
+#[test]
 fn flat_baselines_write_valid_streams() {
     // FedProx and q-FedAvg run on the flat round driver, so their streams
     // pass the strict validator and render in `report`.

@@ -1,25 +1,27 @@
-//! Per-run membership-churn controller for the hierarchical round driver.
+//! Per-run membership controller for the hierarchical round driver.
 //!
 //! Wraps the simulator's [`ActiveTopology`] (the membership state machine,
-//! `hm_simnet::churn`) together with the run-side consequences the ISSUE's
+//! `hm_simnet::churn`) together with the run-side consequences the
 //! re-homing policy demands: minting deterministic data shards for clients
-//! that join mid-run, keeping the [`ClientRoster`] the block phase
-//! enumerates in sync with the membership, re-projecting the fairness
-//! weights `p` onto the simplex over surviving edges after a permanent
-//! edge failure, and emitting the unsequenced `churn`/`rehome` telemetry
-//! records the conformance replay and report tooling consume.
+//! that join mid-run, re-projecting the fairness weights `p` onto the
+//! simplex over surviving edges after a permanent edge failure, and
+//! emitting the unsequenced `churn`/`rehome` telemetry records the
+//! conformance replay and report tooling consume.
 //!
-//! An inert plan ([`ChurnPlan::is_none`]) makes the controller a zero-cost
-//! no-op: no RNG draws, no events, `roster()` returns `None` so the
-//! block phase takes the frozen legacy enumeration — bit-identical to
-//! pre-churn builds.
+//! It is the run's one membership view, with churn on or off: the block
+//! phase, the quarantine pass, HierFAVG's volume weights, the uniform
+//! draws and Phase 2 all enumerate clients through it. An inert plan
+//! ([`ChurnPlan::is_none`]) leaves the view all-up with every edge serving
+//! its original clients `edge·n₀ + idx`, in order, and makes the
+//! controller a no-op: no RNG draws, no events, no re-projection.
 
-use super::hier_common::{ClientRoster, QuarantineCtl};
+use super::hier_common::QuarantineCtl;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_simnet::{ActiveTopology, ChurnPlan, ChurnStats, RoundChurn};
 use hm_telemetry::{Telemetry, TelemetryEvent};
+use std::collections::HashMap;
 
 /// Mint the data shard of a client that joins mid-run: a bootstrap
 /// resample (with replacement) of its home edge's training pool, the same
@@ -35,12 +37,13 @@ fn mint_shard(problem: &FederatedProblem, seed: u64, gid: usize, edge: usize) ->
     pool.subset(&idx)
 }
 
-/// Membership-churn state of one hierarchical run.
+/// Membership state of one hierarchical run.
 pub(crate) struct ChurnCtl {
     plan: ChurnPlan,
     seed: u64,
     topo: ActiveTopology,
-    roster: ClientRoster,
+    /// Data shards of clients that joined mid-run, keyed by global id.
+    joined: HashMap<usize, Dataset>,
     stats: ChurnStats,
     /// `(gid, home_edge_at_join)` per joiner, in id order — enough to
     /// re-mint every joiner shard bit-identically on resume.
@@ -53,30 +56,20 @@ impl ChurnCtl {
     pub(crate) fn new(problem: &FederatedProblem, plan: &ChurnPlan, seed: u64) -> Self {
         plan.validate()
             .unwrap_or_else(|e| panic!("invalid churn plan: {e}"));
-        let topo = ActiveTopology::new(&problem.topology());
-        let members = (0..topo.num_edges())
-            .map(|e| topo.members_of(e).to_vec())
-            .collect();
         Self {
             plan: *plan,
             seed,
-            topo,
-            roster: ClientRoster::new(members),
+            topo: ActiveTopology::new(&problem.topology()),
+            joined: HashMap::new(),
             stats: ChurnStats::default(),
             joined_src: Vec::new(),
         }
     }
 
-    /// Whether the plan has any non-zero rate. Inactive controllers do
-    /// nothing and route the block phase onto the legacy layout.
+    /// Whether the plan has any non-zero rate. An inactive controller
+    /// never changes the membership.
     pub(crate) fn active(&self) -> bool {
         !self.plan.is_none()
-    }
-
-    /// The roster the block phase should enumerate: `Some` only
-    /// when churn is active, so churn-off runs stay on the frozen path.
-    pub(crate) fn roster(&self) -> Option<&ClientRoster> {
-        self.active().then_some(&self.roster)
     }
 
     /// Cumulative transition counters.
@@ -84,7 +77,13 @@ impl ChurnCtl {
         self.stats
     }
 
+    /// Whether `edge` is still up.
+    pub(crate) fn is_up(&self, edge: usize) -> bool {
+        self.topo.is_up(edge)
+    }
+
     /// Surviving (up) edges, ascending.
+    #[cfg(test)]
     pub(crate) fn up_edges(&self) -> Vec<usize> {
         self.topo.up_edges()
     }
@@ -95,15 +94,17 @@ impl ChurnCtl {
         self.topo.id_bound()
     }
 
-    /// Active members of `edge` (empty for a failed, drained edge).
+    /// Active members of `edge`, in deterministic order (originals first,
+    /// then arrivals in assignment order; empty for a failed, drained
+    /// edge).
     pub(crate) fn members_of(&self, edge: usize) -> &[usize] {
-        self.roster.members_of(edge)
+        self.topo.members_of(edge)
     }
 
     /// Apply one round of churn at the round boundary (before Phase-1
-    /// sampling): membership transitions, joiner shard minting, roster
-    /// sync, quarantine-table growth, `p` re-projection, and event
-    /// emission — all gated on an active plan.
+    /// sampling): membership transitions, joiner shard minting,
+    /// quarantine-table growth, `p` re-projection, and event emission —
+    /// all gated on an active plan.
     pub(crate) fn begin_round(
         &mut self,
         problem: &FederatedProblem,
@@ -118,12 +119,10 @@ impl ChurnCtl {
         let rc = self.topo.apply_round(&self.plan, self.seed, round);
         self.stats.absorb(&rc);
         for &(gid, home) in &rc.joined {
-            self.roster
-                .insert_joined(gid, mint_shard(problem, self.seed, gid, home));
+            self.joined
+                .insert(gid, mint_shard(problem, self.seed, gid, home));
             self.joined_src.push((gid, home));
         }
-        let (_, _, members, _) = self.topo.parts();
-        self.roster.sync_members(members);
         quarantine.ensure_clients(self.topo.id_bound());
         tel.record(|| TelemetryEvent::Churn {
             round,
@@ -158,10 +157,18 @@ impl ChurnCtl {
         }
     }
 
-    /// Training data of an active client by global id (original shard or
-    /// minted joiner shard).
+    /// Training shard of a client by global id: an original client
+    /// (`gid < base_total`) decomposes into `(edge, idx)` against the
+    /// problem; a joiner's shard is the one minted when it joined.
     pub(crate) fn data<'a>(&'a self, problem: &'a FederatedProblem, gid: usize) -> &'a Dataset {
-        self.roster.data(problem, gid)
+        if gid < self.topo.base_total() {
+            let n0 = problem.clients_per_edge();
+            problem.client_data(gid / n0, gid % n0)
+        } else {
+            self.joined
+                .get(&gid)
+                .unwrap_or_else(|| panic!("no data shard for joined client {gid}"))
+        }
     }
 
     /// Serialise the controller state (plus the run loop's consecutive
@@ -192,12 +199,10 @@ impl ChurnCtl {
             snap.next_join_id,
         );
         for &(gid, home) in &snap.joined_src {
-            self.roster
-                .insert_joined(gid, mint_shard(problem, self.seed, gid, home));
+            self.joined
+                .insert(gid, mint_shard(problem, self.seed, gid, home));
         }
         self.joined_src = snap.joined_src;
-        let (_, _, members, _) = self.topo.parts();
-        self.roster.sync_members(members);
         self.stats = snap.stats;
         snap.stale_rounds
     }
@@ -218,13 +223,22 @@ mod tests {
         let fp = problem();
         let mut ctl = ChurnCtl::new(&fp, &NO_CHURN, 7);
         assert!(!ctl.active());
-        assert!(ctl.roster().is_none());
         let mut p = vec![0.5, 0.25, 0.25];
         let mut q = QuarantineCtl::new(0.0, 0, 6);
         let rc = ctl.begin_round(&fp, 0, &mut p, &mut q, &Telemetry::disabled());
         assert!(rc.is_empty());
         assert_eq!(p, vec![0.5, 0.25, 0.25]);
         assert_eq!(ctl.stats(), ChurnStats::default());
+        // The inert view is the static layout: every edge up, serving its
+        // original clients in order, each on its own shard.
+        let topo = fp.topology();
+        for e in 0..fp.num_edges() {
+            assert!(ctl.is_up(e));
+            assert_eq!(ctl.members_of(e), topo.clients_of(e).collect::<Vec<_>>());
+            for (idx, gid) in topo.clients_of(e).enumerate() {
+                assert!(std::ptr::eq(ctl.data(&fp, gid), fp.client_data(e, idx)));
+            }
+        }
     }
 
     #[test]

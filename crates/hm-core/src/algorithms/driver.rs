@@ -167,9 +167,6 @@ pub(crate) struct RoundSpec<'a> {
     /// Upload codec, applied client → edge inside the blocks and edge →
     /// cloud here.
     pub quantizer: Quantizer,
-    /// Per-block client dropout, folded into the fault plan's
-    /// `client_crash`.
-    pub dropout: f32,
     pub opts: &'a RunOpts,
     pub sampler: Sampler<'a>,
     pub blocks: Blocks<'a>,
@@ -198,8 +195,6 @@ struct Driver<'a> {
     prof: &'a Profiler,
     /// Model dimension.
     d: usize,
-    /// Clients per edge.
-    n0: usize,
     /// Edges under one sampled unit: 1, or a top-level group's edges.
     per_unit: usize,
     /// Units the cloud samples and `p` weighs: edges or top-level groups.
@@ -213,25 +208,6 @@ fn pick(v: &[usize], idx: &[usize]) -> Vec<usize> {
     idx.iter().map(|&i| v[i]).collect()
 }
 
-/// `m` distinct edges uniform over the `n` edges, or over the surviving
-/// ones under churn (`m` clamped to their count): a dead edge can never
-/// report. Returns the pool size, the clamped `m` and the draw.
-fn sample_up(
-    churn: &ChurnCtl,
-    n: usize,
-    m: usize,
-    rng: &mut StreamRng,
-) -> (usize, usize, Vec<usize>) {
-    if churn.active() {
-        let up = churn.up_edges();
-        let m = m.min(up.len());
-        let idx = sample_edges_uniform(up.len(), m, rng);
-        (up.len(), m, idx.into_iter().map(|i| up[i]).collect())
-    } else {
-        (n, m, sample_edges_uniform(n, m, rng))
-    }
-}
-
 /// Run `spec` on `problem`: the round lifecycle of the module docs, from
 /// a fresh start or from `spec.opts.checkpoint.resume`. Returns the run's
 /// result and its [`StragglerClock`], or the typed abort.
@@ -241,18 +217,19 @@ pub(crate) fn run(
     spec: RoundSpec<'_>,
 ) -> Result<(RunResult, StragglerClock), RunError> {
     let opts = spec.opts;
+    if let Some(dual) = spec.dual {
+        assert!(dual.loss_batch > 0, "loss_batch must be positive");
+    }
     let per_unit = spec.blocks.edges_per_unit();
     let dv = Driver {
         problem,
         seed,
-        // The legacy `dropout` knob folds into `client_crash`; an all-zero
-        // plan makes no RNG draws.
-        fault: FaultInjector::new(seed, opts.fault.clone().with_dropout(spec.dropout)),
+        // An all-zero plan makes no RNG draws.
+        fault: FaultInjector::new(seed, opts.fault.clone()),
         meter: CommMeter::new(),
         tel: &opts.telemetry,
         prof: &opts.profile,
         d: problem.num_params(),
-        n0: problem.clients_per_edge(),
         per_unit,
         n_units: problem.num_edges() / per_unit,
         slots: spec.tau1 * spec.blocks.blocks_per_round(),
@@ -290,7 +267,7 @@ pub(crate) fn run(
         opts.quarantine_window,
         problem.topology().total_clients(),
     );
-    // Membership churn; an all-zero plan skips every churn branch.
+    // The run's membership view; an all-zero plan never changes it.
     let mut churn = ChurnCtl::new(problem, &opts.churn, seed);
     // Consecutive rounds in which no report arrived.
     let mut stale: u64 = 0;
@@ -379,7 +356,7 @@ pub(crate) fn run(
         };
         quarantine.begin_round();
         let mut outputs = dv.block_phase(k, &w, &participants, cp.as_deref(), &quarantine, &churn);
-        quarantine.observe(problem, churn.roster(), &outputs);
+        quarantine.observe(&churn, &outputs);
         let reported = dv.upload(k, &w, &mut outputs, cp.is_some());
         // A round in which no report arrived leaves the model untouched;
         // `max_stale_rounds` caps the tolerated streak.
@@ -543,6 +520,30 @@ pub(crate) fn run(
 }
 
 impl Driver<'_> {
+    /// The edges under unit `g`: the edge itself, or a top-level group's
+    /// `per_unit` contiguous edges.
+    fn edges_of(&self, g: usize) -> std::ops::Range<usize> {
+        g * self.per_unit..(g + 1) * self.per_unit
+    }
+
+    /// `m` distinct units, uniform over those still up (`m` clamped to
+    /// their count): a unit is up when all its edges are, since a dead
+    /// edge can never report. Returns the pool size, the clamped `m` and
+    /// the draw.
+    fn sample_up(
+        &self,
+        churn: &ChurnCtl,
+        m: usize,
+        rng: &mut StreamRng,
+    ) -> (usize, usize, Vec<usize>) {
+        let up: Vec<usize> = (0..self.n_units)
+            .filter(|&g| self.edges_of(g).all(|e| churn.is_up(e)))
+            .collect();
+        let m = m.min(up.len());
+        let idx = sample_edges_uniform(up.len(), m, rng);
+        (up.len(), m, pick(&up, &idx))
+    }
+
     /// Record one edge-level fault in the telemetry stream.
     fn record_fault(&self, round: usize, edge: usize, kind: FaultKind, attempts: usize) {
         self.tel.record(|| TelemetryEvent::Fault {
@@ -625,7 +626,7 @@ impl Driver<'_> {
         let mut round_secs = 0.0_f64;
         let sampled = match self.spec.sampler {
             Sampler::Weighted(m) => by_p(m),
-            Sampler::Uniform(m) => sample_up(churn, self.n_units, m, &mut rng).2,
+            Sampler::Uniform(m) => self.sample_up(churn, m, &mut rng).2,
             Sampler::Fastest {
                 m,
                 m_over,
@@ -725,7 +726,7 @@ impl Driver<'_> {
             aggregator: self.spec.opts.aggregator,
             quarantined: quarantine.exclusions(),
             track_norms: quarantine.active(),
-            roster: churn.roster(),
+            churn,
         };
         let outputs: Vec<EdgeBlockOutput> = match self.spec.blocks {
             Blocks::Edges { rates: None, .. } => run_edge_blocks(leaf),
@@ -765,11 +766,10 @@ impl Driver<'_> {
             }
             Blocks::Tree { upper, .. } => {
                 let cp = cp.expect("the tree runs with a checkpoint");
-                let per = self.per_unit;
                 participants
                     .iter()
                     .map(|&g| {
-                        let edges: Vec<usize> = (g * per..(g + 1) * per).collect();
+                        let edges: Vec<usize> = self.edges_of(g).collect();
                         let (w_final, checkpoint) =
                             subtree_update(&leaf, upper, w, &edges, 0, cp, k * self.n_units + g);
                         EdgeBlockOutput {
@@ -848,25 +848,16 @@ impl Driver<'_> {
         let agg_span = self.prof.start();
         let weights: Option<Vec<f64>> = match self.spec.sampler {
             Sampler::Uniform(_) => {
-                // Under churn an edge's volume is its current members'
-                // shards, so re-homed data keeps its pull.
+                // An edge's volume is its current members' shards, so
+                // re-homed data keeps its pull under churn.
                 let sizes: Vec<f64> = reported
                     .iter()
                     .map(|&i| {
-                        let e = outputs[i].edge;
-                        if churn.active() {
-                            churn
-                                .members_of(e)
-                                .iter()
-                                .map(|&gid| churn.data(self.problem, gid).len())
-                                .sum::<usize>() as f64
-                        } else {
-                            self.problem.scenario.edges[e]
-                                .client_train
-                                .iter()
-                                .map(|d| d.len())
-                                .sum::<usize>() as f64
-                        }
+                        churn
+                            .members_of(outputs[i].edge)
+                            .iter()
+                            .map(|&gid| churn.data(self.problem, gid).len())
+                            .sum::<usize>() as f64
                     })
                     .collect();
                 let total: f64 = sizes.iter().sum();
@@ -931,7 +922,7 @@ impl Driver<'_> {
     /// live unit's loss on `w_eval`, and take the projected ascent step
     /// on `p` with the unbiased estimate `v_g = (pool/m)·f_g`.
     fn phase2(&self, k: usize, dual: Dual, w_eval: &[f32], churn: &ChurnCtl, p: &mut [f32]) {
-        let (problem, d, n0, per) = (self.problem, self.d, self.n0, self.per_unit);
+        let (problem, d) = (self.problem, self.d);
         let phase2_timer = self.tel.timer();
         let dual_span = self.prof.start();
         let mut u_rng = StreamRng::for_key(StreamKey::new(
@@ -940,7 +931,7 @@ impl Driver<'_> {
             k as u64,
             u64::MAX,
         ));
-        let (pool, m, u_set) = sample_up(churn, self.n_units, self.spec.sampler.m(), &mut u_rng);
+        let (pool, m, u_set) = self.sample_up(churn, self.spec.sampler.m(), &mut u_rng);
         // Cloud → U^(k): the evaluation model, relayed to the clients. A
         // unit that is out, or whose downlink is lost after retries,
         // contributes v = 0: the estimate shrinks toward zero instead of
@@ -952,16 +943,15 @@ impl Driver<'_> {
             &live,
             &self.delivered(k, MsgChannel::Phase2Down, &live, d as u64),
         );
-        // Under churn the estimating population is each edge's current
-        // member list, so the meter and the estimate see the same set.
-        let est_clients: u64 = if churn.active() {
-            est.iter().map(|&e| churn.members_of(e).len() as u64).sum()
-        } else {
-            (est.len() * per * n0) as u64
-        };
+        // The estimating population is each unit's current members, so
+        // the meter and the estimate see the same set.
+        let est_clients: u64 = est
+            .iter()
+            .flat_map(|&g| self.edges_of(g))
+            .map(|e| churn.members_of(e).len() as u64)
+            .sum();
         self.meter
             .record_broadcast(Link::ClientEdge, d as u64, est_clients);
-        let topo = problem.topology();
         let loss = |client: usize, data: &Dataset| {
             let mut rng = StreamRng::for_key(StreamKey::new(
                 self.seed,
@@ -971,26 +961,20 @@ impl Driver<'_> {
             ));
             estimate_loss(&*problem.model, data, w_eval, dual.loss_batch, &mut rng)
         };
-        // f_g = the mean of f_n(w_eval; ξ_n) over the unit's clients.
+        // f_g = the mean of f_n(w_eval; ξ_n) over the unit's clients, in
+        // edge order; 0 for a unit with none.
         let losses: Vec<f64> = self.spec.opts.parallelism.map_ref(&est, |&g| {
-            let mut total = 0.0_f64;
-            if churn.active() {
-                let members = churn.members_of(g);
-                for &client in members {
+            let (mut total, mut n) = (0.0_f64, 0_usize);
+            for e in self.edges_of(g) {
+                for &client in churn.members_of(e) {
                     total += loss(client, churn.data(problem, client));
+                    n += 1;
                 }
-                if members.is_empty() {
-                    0.0
-                } else {
-                    total / members.len() as f64
-                }
+            }
+            if n == 0 {
+                0.0
             } else {
-                for e in g * per..(g + 1) * per {
-                    for c in 0..n0 {
-                        total += loss(topo.client_id(e, c), problem.client_data(e, c));
-                    }
-                }
-                total / (per * n0) as f64
+                total / n as f64
             }
         });
         // Scalar losses ride the reliable control channel, so every

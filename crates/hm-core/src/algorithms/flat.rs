@@ -118,6 +118,9 @@ pub(crate) fn run(problem: &FederatedProblem, seed: u64, spec: FlatSpec<'_>) -> 
         Update::Minimax(dual) => Some(dual),
         _ => None,
     };
+    if let Update::Qffl { loss_batch, .. } | Update::Minimax(Dual { loss_batch, .. }) = update {
+        assert!(loss_batch > 0, "loss_batch must be positive");
+    }
     let key = |purpose, k: usize, id: u64| {
         StreamRng::for_key(StreamKey::new(seed, purpose, k as u64, id))
     };

@@ -4,6 +4,10 @@
 //! with optional checkpoint capture, plus the cloud-side reductions and
 //! the quarantine controller the driver uses.
 //!
+//! Every participating edge's clients are its current members in the
+//! run's one membership view, [`ChurnCtl`]: with churn off, that is the
+//! original clients `edge·n₀ + idx`, in order.
+//!
 //! A round's block phase runs in three steps (DESIGN.md §7):
 //!
 //! 1. A sequential prepass draws every crash, straggler, quarantine and
@@ -25,77 +29,19 @@
 //! purpose, block, client)` rather than execution order, and the prepass
 //! feeds the straggler-slot accumulator per block in `t2` order.
 
+use super::churnctl::ChurnCtl;
 use crate::localsgd::local_sgd_into;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
-use hm_data::Dataset;
 use hm_simnet::{CommMeter, FaultInjector, Link, Parallelism, Quantizer, StragglerFate};
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::{vecops, Aggregator};
-use std::collections::HashMap;
-
-/// Live client membership for churn-enabled runs: which global client ids
-/// each edge currently serves, plus the data shards minted for mid-run
-/// joiners. `None` in [`EdgeBlockParams::roster`] means the frozen
-/// topology enumeration (`gid = edge·n₀ + idx`) — the bit-exact legacy
-/// layout every churn-off run takes.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ClientRoster {
-    /// `members[edge]` — active global client ids, in deterministic
-    /// order (originals first, then re-homed/joined arrivals in
-    /// assignment order). Mirrors `ActiveTopology::members_of`.
-    members: Vec<Vec<usize>>,
-    /// Data shards of clients that joined mid-run, keyed by global id.
-    /// Original clients (`gid < N`) resolve through the problem scenario.
-    joined: HashMap<usize, Dataset>,
-}
-
-impl ClientRoster {
-    pub(crate) fn new(members: Vec<Vec<usize>>) -> Self {
-        Self {
-            members,
-            joined: HashMap::new(),
-        }
-    }
-
-    /// Replace the per-edge member lists (called once per round after the
-    /// churn transitions are applied).
-    pub(crate) fn sync_members(&mut self, members: &[Vec<usize>]) {
-        self.members.clear();
-        self.members.extend_from_slice(members);
-    }
-
-    /// Register the data shard of a freshly joined client.
-    pub(crate) fn insert_joined(&mut self, gid: usize, data: Dataset) {
-        self.joined.insert(gid, data);
-    }
-
-    /// Active global client ids currently homed at `edge`.
-    pub(crate) fn members_of(&self, edge: usize) -> &[usize] {
-        &self.members[edge]
-    }
-
-    /// Resolve a global client id to its training shard: original clients
-    /// decompose into `(edge, idx)` against the frozen topology; joiner
-    /// ids look up the shard minted at join time.
-    pub(crate) fn data<'a>(&'a self, problem: &'a FederatedProblem, gid: usize) -> &'a Dataset {
-        let n0 = problem.clients_per_edge();
-        if gid < problem.topology().total_clients() {
-            problem.client_data(gid / n0, gid % n0)
-        } else {
-            self.joined
-                .get(&gid)
-                .unwrap_or_else(|| panic!("no data shard for joined client {gid}"))
-        }
-    }
-}
 
 /// Flattened client-slot layout of one round: for each participating edge
 /// `ei`, the global ids of its current members, contiguous in `gids` at
-/// `offsets[ei]..offsets[ei+1]`. With no roster this is exactly the legacy
-/// uniform layout (`offsets[ei] = ei·n₀`, `gids[slot] = client_id(edge,
-/// slot % n₀)`), so every index computed from it — and therefore every
-/// draw, fold, and meter total — is bit-identical to pre-churn builds.
+/// `offsets[ei]..offsets[ei+1]`. With churn off every edge serves its
+/// original clients, so `offsets[ei] = ei·n₀` and `gids[slot] =
+/// client_id(edge, slot % n₀)`.
 struct SlotMap {
     gids: Vec<usize>,
     offsets: Vec<usize>,
@@ -103,15 +49,11 @@ struct SlotMap {
 
 impl SlotMap {
     fn build(p: &EdgeBlockParams<'_>) -> Self {
-        let topo = p.problem.topology();
         let mut gids = Vec::new();
         let mut offsets = Vec::with_capacity(p.edges.len() + 1);
         offsets.push(0);
         for &e in p.edges {
-            match p.roster {
-                Some(r) => gids.extend_from_slice(r.members_of(e)),
-                None => gids.extend(topo.clients_of(e)),
-            }
+            gids.extend_from_slice(p.churn.members_of(e));
             offsets.push(gids.len());
         }
         Self { gids, offsets }
@@ -130,17 +72,6 @@ impl SlotMap {
     /// Member count of participating edge `ei`.
     fn len_of(&self, ei: usize) -> usize {
         self.offsets[ei + 1] - self.offsets[ei]
-    }
-}
-
-/// Training shard of the client in a slot (see [`ClientRoster::data`]).
-fn data_of<'a>(p: &EdgeBlockParams<'a>, gid: usize) -> &'a Dataset {
-    match p.roster {
-        Some(r) => r.data(p.problem, gid),
-        None => {
-            let n0 = p.problem.clients_per_edge();
-            p.problem.client_data(gid / n0, gid % n0)
-        }
     }
 }
 
@@ -186,9 +117,9 @@ pub(crate) struct EdgeBlockParams<'a> {
     /// an edge whose clients all dropped keeps its block-start model.
     pub fault: &'a FaultInjector,
     /// Hierarchy level of these clients' subtree (0 = the three-layer
-    /// client-edge-cloud case, preserving the legacy dropout streams;
-    /// deeper multi-level trees pass their depth so equal block indices at
-    /// different levels draw independent fault bits).
+    /// client-edge-cloud case, whose fault streams are keyed by the plain
+    /// client id; deeper multi-level trees pass their depth so equal block
+    /// indices at different levels draw independent fault bits).
     pub level: usize,
     /// Whether this call records `ClientEdge` synchronisation rounds.
     /// Callers that invoke `run_edge_blocks` once per edge (the
@@ -222,9 +153,8 @@ pub(crate) struct EdgeBlockParams<'a> {
     /// Off by default — norm tracking costs one `dist2_sq` per surviving
     /// upload but never perturbs the trained bits.
     pub track_norms: bool,
-    /// Live membership for churn-enabled runs. `None` (every churn-off
-    /// run) enumerates the frozen topology — the bit-exact legacy layout.
-    pub roster: Option<&'a ClientRoster>,
+    /// The run's membership view: each edge's clients and their shards.
+    pub churn: &'a ChurnCtl,
 }
 
 /// Per-round fault and survivor schedule, computed before any client work.
@@ -237,8 +167,7 @@ pub(crate) struct EdgeBlockParams<'a> {
 /// `(t2, slot)` order, so fault statistics do not depend on the executor.
 struct RoundSchedule {
     /// `alive[t2 * n_slots + slot]` — does that slot's upload survive
-    /// block `t2`? (With no roster, `slot = ei·n₀ + c`, the legacy flat
-    /// layout.)
+    /// block `t2`? (Slots as in [`SlotMap`].)
     alive: Vec<bool>,
     /// `corrupt[t2 * n_slots + slot]` — is that surviving upload
     /// Byzantine-corrupted? (Same indexing; always `false` for dead
@@ -429,7 +358,7 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                         ));
                         let mut cp_out = local_sgd_into(
                             &*p.problem.model,
-                            data_of(p, client),
+                            p.churn.data(p.problem, client),
                             &model,
                             &mut client_w[c],
                             p.tau1,
@@ -674,25 +603,16 @@ impl QuarantineCtl {
     }
 
     /// Fold one `run_edge_blocks` output batch into this round's
-    /// observations. With a roster (churn active), per-edge norm slots map
-    /// to the edge's current members; otherwise to the frozen topology.
-    pub(crate) fn observe(
-        &mut self,
-        problem: &FederatedProblem,
-        roster: Option<&ClientRoster>,
-        outputs: &[EdgeBlockOutput],
-    ) {
+    /// observations: per-edge norm slot `c` is the edge's `c`-th member in
+    /// `churn`, the view the block phase enumerated.
+    pub(crate) fn observe(&mut self, churn: &ChurnCtl, outputs: &[EdgeBlockOutput]) {
         if !self.active() {
             return;
         }
-        let topo = problem.topology();
         for o in outputs {
             for (c, &(norm, blocks)) in o.client_norms.iter().enumerate() {
                 if blocks > 0 {
-                    let id = match roster {
-                        Some(r) => r.members_of(o.edge)[c],
-                        None => topo.client_id(o.edge, c),
-                    };
+                    let id = churn.members_of(o.edge)[c];
                     self.ensure_clients(id + 1);
                     self.sums[id] += norm;
                     self.blocks[id] += blocks;
@@ -796,7 +716,7 @@ pub(crate) fn multiplicities(sampled: &[usize]) -> (Vec<usize>, Vec<usize>) {
 mod tests {
     use super::*;
     use hm_data::scenarios::tiny_problem;
-    use hm_simnet::FaultPlan;
+    use hm_simnet::{FaultPlan, NO_CHURN};
     use hm_telemetry::MemorySink;
     use std::sync::Arc;
 
@@ -844,7 +764,7 @@ mod tests {
             aggregator: Aggregator::Mean,
             quarantined: &[],
             track_norms: false,
-            roster: None,
+            churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
         });
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].edge, 0);
@@ -915,7 +835,7 @@ mod tests {
             aggregator: Aggregator::Mean,
             quarantined: &[],
             track_norms: false,
-            roster: None,
+            churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
         });
         assert_eq!(out[0].checkpoint.as_deref(), Some(w0.as_slice()));
     }
@@ -958,7 +878,7 @@ mod tests {
             aggregator,
             quarantined: &[],
             track_norms: true,
-            roster: None,
+            churn: &ChurnCtl::new(fp, &NO_CHURN, 0),
         });
         (out, meter.snapshot(), sink.events())
     }
@@ -1055,7 +975,7 @@ mod tests {
             aggregator: Aggregator::Mean,
             quarantined: &until,
             track_norms: true,
-            roster: None,
+            churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
         });
         // The benched client was never aggregated and was counted once per
         // block.
@@ -1091,7 +1011,7 @@ mod tests {
             mk(1, vec![(0.9, 1), (50.0, 1)]),
             mk(2, vec![(1.0, 1), (1.05, 1)]),
         ];
-        ctl.observe(&fp, None, &outputs);
+        ctl.observe(&ChurnCtl::new(&fp, &NO_CHURN, 0), &outputs);
         let fi = FaultInjector::none(1);
         let newly = ctl.end_round(7, &fi, &Telemetry::disabled());
         assert_eq!(newly, 1);

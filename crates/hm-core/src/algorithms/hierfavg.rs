@@ -30,9 +30,6 @@ pub struct HierFavgConfig {
     /// Uplink codec for model uploads (`Quantizer::Exact` = the original
     /// HierFAVG; a stochastic codec gives Hier-Local-QSGD).
     pub quantizer: Quantizer,
-    /// Per-block client dropout probability (crash/straggler simulation;
-    /// `0.0` = the paper's failure-free protocol).
-    pub dropout: f32,
     /// Shared runner options.
     pub opts: RunOpts,
 }
@@ -47,7 +44,6 @@ impl Default for HierFavgConfig {
             eta_w: 0.05,
             batch_size: 4,
             quantizer: Quantizer::Exact,
-            dropout: 0.0,
             opts: RunOpts::default(),
         }
     }
@@ -94,7 +90,6 @@ impl Algorithm for HierFavg {
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
             quantizer: cfg.quantizer,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Uniform(cfg.m_edges),
             blocks: Blocks::Edges {
@@ -122,7 +117,6 @@ mod tests {
             eta_w: 0.1,
             batch_size: 2,
             quantizer: hm_simnet::Quantizer::Exact,
-            dropout: 0.0,
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,

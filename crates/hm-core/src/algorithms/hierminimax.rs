@@ -66,9 +66,6 @@ pub struct HierMinimaxConfig {
     /// Uplink codec for model uploads (the Hier-Local-QSGD extension;
     /// `Quantizer::Exact` reproduces the paper's algorithm).
     pub quantizer: Quantizer,
-    /// Per-block client dropout probability (crash/straggler simulation;
-    /// `0.0` = the paper's failure-free protocol).
-    pub dropout: f32,
     /// Heterogeneous operating rates (the "flexible communication
     /// frequencies" the paper highlights, cf. Castiglia et al. \[5\]):
     /// when set, edge `e` performs `tau2_per_edge[e]` client-edge
@@ -93,7 +90,6 @@ impl Default for HierMinimaxConfig {
             loss_batch: 16,
             weight_update_model: WeightUpdateModel::default(),
             quantizer: Quantizer::Exact,
-            dropout: 0.0,
             tau2_per_edge: None,
             opts: RunOpts::default(),
         }
@@ -151,7 +147,6 @@ impl Algorithm for HierMinimax {
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
             quantizer: cfg.quantizer,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Weighted(cfg.m_edges),
             blocks: Blocks::Edges {
@@ -186,7 +181,6 @@ mod tests {
             loss_batch: 4,
             weight_update_model: WeightUpdateModel::default(),
             quantizer: Quantizer::Exact,
-            dropout: 0.0,
             tau2_per_edge: None,
             opts: RunOpts {
                 eval_every: 1,

@@ -87,8 +87,7 @@ pub struct RunOpts {
     /// Deterministic fault injection (see `hm_simnet::fault` and
     /// DESIGN.md §11). The default all-zero plan makes no RNG draws, so a
     /// fault-capable run with zero rates is bit-identical to a fault-free
-    /// one. Hierarchical configs fold their legacy `dropout` knob into the
-    /// plan's `client_crash` (the plan wins when both are set); flat
+    /// one. Per-block client dropout is the plan's `client_crash`; flat
     /// two-layer baselines ignore the plan.
     pub fault: FaultPlan,
     /// Crash-consistent checkpointing: where/how often to write snapshots
@@ -119,8 +118,8 @@ pub struct RunOpts {
     /// Deterministic membership churn (see `hm_simnet::churn` and
     /// DESIGN.md §15): clients leave/join mid-run and edge servers fail
     /// permanently with their clients re-homed onto survivors. The
-    /// default zero-rate plan makes no RNG draws and takes the frozen
-    /// legacy paths everywhere, so churn-capable runs with churn off are
+    /// default zero-rate plan makes no RNG draws and leaves every edge up
+    /// with its original clients, so churn-capable runs with churn off are
     /// bit-identical to pre-churn builds. HierMinimax and HierFAVG honour
     /// it; MultiLevel and Overselect reject an active plan, and the flat
     /// baselines ignore it.

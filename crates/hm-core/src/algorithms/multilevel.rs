@@ -57,9 +57,6 @@ pub struct MultiLevelConfig {
     pub batch_size: usize,
     /// Mini-batch size for loss estimation.
     pub loss_batch: usize,
-    /// Per-block client dropout probability (folded into the fault plan's
-    /// `client_crash`; `0.0` = the paper's failure-free protocol).
-    pub dropout: f32,
     /// Shared runner options.
     pub opts: RunOpts,
 }
@@ -79,7 +76,6 @@ impl Default for MultiLevelConfig {
             eta_p: 0.01,
             batch_size: 4,
             loss_batch: 16,
-            dropout: 0.0,
             opts: RunOpts::default(),
         }
     }
@@ -110,7 +106,7 @@ impl MultiLevelMinimax {
     /// Panics on degenerate configs (zero rounds/taus/groups).
     pub fn new(cfg: MultiLevelConfig) -> Self {
         assert!(cfg.rounds > 0 && cfg.tau1 > 0 && cfg.tau2 > 0);
-        assert!(cfg.m_groups > 0 && cfg.batch_size > 0 && cfg.loss_batch > 0);
+        assert!(cfg.m_groups > 0 && cfg.batch_size > 0);
         assert!(cfg.upper.iter().all(|u| u.group_size > 0 && u.tau > 0));
         Self { cfg }
     }
@@ -263,7 +259,6 @@ impl Algorithm for MultiLevelMinimax {
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
             quantizer: Quantizer::Exact,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Weighted(cfg.m_groups),
             blocks: Blocks::Tree {
@@ -297,7 +292,6 @@ mod tests {
             eta_p: 0.01,
             batch_size: 2,
             loss_batch: 4,
-            dropout: 0.0,
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,

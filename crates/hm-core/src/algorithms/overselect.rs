@@ -46,9 +46,6 @@ pub struct OverselectConfig {
     pub batch_size: usize,
     /// Mini-batch size for loss estimation.
     pub loss_batch: usize,
-    /// Per-block client dropout probability (folded into the fault plan's
-    /// `client_crash`; `0.0` = the paper's failure-free protocol).
-    pub dropout: f32,
     /// Shared runner options.
     pub opts: RunOpts,
 }
@@ -117,7 +114,6 @@ impl OverselectMinimax {
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
             quantizer: Quantizer::Exact,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Fastest {
                 m: cfg.m_edges,
@@ -181,7 +177,6 @@ mod tests {
             eta_p: 0.005,
             batch_size: 2,
             loss_batch: 8,
-            dropout: 0.0,
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,

@@ -28,8 +28,9 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mix a hierarchy level into a stream-entity id. Level 0 leaves the id
-/// unchanged, so three-layer runs keep the exact streams of the legacy
-/// `dropout` field (the pinned regression corpus depends on this).
+/// unchanged, so three-layer client crashes draw the `Purpose::Dropout`
+/// stream at the plain client id (the pinned regression corpus depends on
+/// this).
 #[inline]
 fn entity(level: usize, id: usize) -> u64 {
     ((level as u64) << 32) | id as u64
@@ -159,7 +160,7 @@ pub struct Delivery {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Per-block probability that a client crashes (neither computes nor
-    /// uploads for that block). Generalises the legacy `dropout` field.
+    /// uploads for that block).
     pub client_crash: f32,
     /// Per-round probability that a sampled edge server is out for the
     /// whole round (never receives or reports anything, both phases).
@@ -345,16 +346,6 @@ impl FaultPlan {
         }
     }
 
-    /// The legacy per-config `dropout` knob folded in: when the plan's
-    /// `client_crash` is zero, `dropout` takes its place (the plan wins if
-    /// both are set, so `--fault-plan` presets override `--dropout`).
-    pub fn with_dropout(mut self, dropout: f32) -> FaultPlan {
-        if self.client_crash == 0.0 {
-            self.client_crash = dropout;
-        }
-        self
-    }
-
     // --- Pure decision functions -------------------------------------
     //
     // Everything below is a pure function of (plan, seed, indices): the
@@ -362,8 +353,8 @@ impl FaultPlan {
     // what makes the degraded-round protocol checkable.
 
     /// Whether a client crashed for the block keyed by `block_tag`
-    /// (`round·τ2 + t2`). At `level == 0` this draws the exact stream of
-    /// the legacy `dropout` field.
+    /// (`round·τ2 + t2`), drawn from the `Purpose::Dropout` stream; at
+    /// `level == 0` the stream entity is the plain client id.
     pub fn client_crashed(&self, seed: u64, block_tag: u64, level: usize, client: usize) -> bool {
         if self.client_crash == 0.0 {
             return false;
@@ -1024,16 +1015,6 @@ mod tests {
         // Deltas telescope.
         let d2 = fi.stats().since(&s);
         assert_eq!(d2, FaultStats::default());
-    }
-
-    #[test]
-    fn with_dropout_fills_only_unset_crash_rate() {
-        assert_eq!(NO_FAULTS.with_dropout(0.3).client_crash, 0.3);
-        let plan = FaultPlan {
-            client_crash: 0.2,
-            ..NO_FAULTS
-        };
-        assert_eq!(plan.with_dropout(0.3).client_crash, 0.2);
     }
 
     #[test]

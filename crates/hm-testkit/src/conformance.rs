@@ -349,8 +349,6 @@ pub struct Protocol<'a> {
     /// Client-edge blocks per edge-level aggregation.
     tau2: usize,
     quantizer: Quantizer,
-    /// Legacy per-block dropout, folded into the plan's `client_crash`.
-    dropout: f32,
     /// The run's options (fault plan, churn plan, quarantine).
     opts: &'a RunOpts,
     sampler: Sampler<'a>,
@@ -372,7 +370,6 @@ impl<'a> From<&'a HierMinimaxConfig> for Protocol<'a> {
             tau1: cfg.tau1,
             tau2: cfg.tau2,
             quantizer: cfg.quantizer,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Weighted(cfg.m_edges),
             blocks: Blocks::Edges,
@@ -388,7 +385,6 @@ impl<'a> From<&'a HierFavgConfig> for Protocol<'a> {
             tau1: cfg.tau1,
             tau2: cfg.tau2,
             quantizer: cfg.quantizer,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Uniform(cfg.m_edges),
             blocks: Blocks::Edges,
@@ -404,7 +400,6 @@ impl<'a> From<&'a MultiLevelConfig> for Protocol<'a> {
             tau1: cfg.tau1,
             tau2: cfg.tau2,
             quantizer: Quantizer::Exact,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Weighted(cfg.m_groups),
             blocks: Blocks::Tree(&cfg.upper),
@@ -420,7 +415,6 @@ impl<'a> From<&'a OverselectConfig> for Protocol<'a> {
             tau1: cfg.tau1,
             tau2: cfg.tau2,
             quantizer: Quantizer::Exact,
-            dropout: cfg.dropout,
             opts: &cfg.opts,
             sampler: Sampler::Fastest {
                 m: cfg.m_edges,
@@ -619,15 +613,17 @@ struct Replay<'a, 'e> {
     problem: &'a FederatedProblem,
     pr: Protocol<'a>,
     seed: u64,
-    /// The effective plan: the run folds `dropout` into `client_crash`.
-    plan: FaultPlan,
+    plan: &'a FaultPlan,
+    /// Whether the churn plan is active: the stream then carries `churn`
+    /// events, and `p` may sit on the simplex over surviving edges.
     churn_on: bool,
+    /// The run's membership view, all-up while churn is off.
     mirror: ActiveTopology,
     cur: Cursor<'e>,
     report: ConformanceReport,
     /// Model dimension.
     d: u64,
-    /// Clients per edge in the static layout.
+    /// Clients per edge of the topology (the tree's closed-form cost).
     n0: u64,
     /// Edges under one sampled unit.
     per_unit: usize,
@@ -653,7 +649,7 @@ pub fn check_stream<'a>(
     events: &[TelemetryEvent],
 ) -> Result<ConformanceReport, ConformanceError> {
     let pr = protocol.into();
-    let plan = pr.opts.fault.clone().with_dropout(pr.dropout);
+    let plan = &pr.opts.fault;
     let tree = matches!(pr.blocks, Blocks::Tree(_));
     if tree {
         // Client crashes and stragglers inside subtrees key their streams
@@ -838,19 +834,22 @@ impl Replay<'_, '_> {
         Ok(rc)
     }
 
-    /// `m` distinct units uniform over all of them, or over the up edges
-    /// under churn (`m` clamped to their count).
+    /// The edges under unit `g`.
+    fn edges_of(&self, g: usize) -> std::ops::Range<usize> {
+        g * self.per_unit..(g + 1) * self.per_unit
+    }
+
+    /// `m` distinct units uniform over those whose edges are all up (`m`
+    /// clamped to their count).
     fn sample_up(&self, m: usize, rng: &mut StreamRng) -> Vec<usize> {
-        if self.churn_on {
-            let up = self.mirror.up_edges();
-            let m = m.min(up.len());
-            sample_edges_uniform(up.len(), m, rng)
-                .into_iter()
-                .map(|i| up[i])
-                .collect()
-        } else {
-            sample_edges_uniform(self.n_units, m, rng)
-        }
+        let up: Vec<usize> = (0..self.n_units)
+            .filter(|&g| self.edges_of(g).all(|e| self.mirror.is_up(e)))
+            .collect();
+        let m = m.min(up.len());
+        sample_edges_uniform(up.len(), m, rng)
+            .into_iter()
+            .map(|i| up[i])
+            .collect()
     }
 
     /// Match the `phase1` event against the sampler and checkpoint
@@ -1012,16 +1011,6 @@ impl Replay<'_, '_> {
         Ok((delivered, extra))
     }
 
-    /// Client ids `edge` enumerates: the churn mirror's roster, or the
-    /// static layout.
-    fn members_of(&self, edge: usize) -> Vec<usize> {
-        if self.churn_on {
-            self.mirror.members_of(edge).to_vec()
-        } else {
-            self.problem.topology().clients_of(edge).collect()
-        }
-    }
-
     /// Replay the `τ2` blocks on the participating edges: per block, per
     /// edge with a survivor, one `block_agg` listing the clients that
     /// survived the crash and straggler streams, in slot order.
@@ -1038,7 +1027,10 @@ impl Replay<'_, '_> {
                 corrupted: None,
             });
         }
-        let members: Vec<Vec<usize>> = participants.iter().map(|&e| self.members_of(e)).collect();
+        let members: Vec<Vec<usize>> = participants
+            .iter()
+            .map(|&e| self.mirror.members_of(e).to_vec())
+            .collect();
         let tau2 = self.pr.tau2;
         let mut survivors = Vec::with_capacity(tau2);
         let mut corrupted = 0_u64;
@@ -1283,21 +1275,19 @@ impl Replay<'_, '_> {
             },
         )?;
         // Loss estimation touches every member of every estimating unit.
-        let est_clients: u64 = if self.churn_on {
-            r.est
-                .iter()
-                .map(|&e| self.mirror.members_of(e).len() as u64)
-                .sum()
-        } else {
-            est * self.per_unit as u64 * n0
-        };
+        let est_clients: u64 = r
+            .est
+            .iter()
+            .flat_map(|&g| self.edges_of(g))
+            .map(|e| self.mirror.members_of(e).len() as u64)
+            .sum();
         let tau2 = self.pr.tau2 as u64;
         let blocks = match self.pr.blocks {
             Blocks::Edges => {
                 let prt_clients: u64 = r
                     .participants
                     .iter()
-                    .map(|&e| self.members_of(e).len() as u64)
+                    .map(|&e| self.mirror.members_of(e).len() as u64)
                     .sum();
                 let mut up_floats = 0;
                 for (t2, &s) in r.survivors.iter().enumerate() {
@@ -1486,7 +1476,6 @@ mod tests {
             eta_p: 0.05,
             batch_size: 2,
             loss_batch: 4,
-            dropout: 0.0,
             opts: case_opts(),
         };
         let sink = record(&mut cfg.opts);
@@ -1533,9 +1522,9 @@ mod tests {
         let fp = problem(3, 2, 5);
         let mut cfg = HierFavgConfig {
             rounds: 5,
-            dropout: 0.25,
             opts: RunOpts {
                 fault: FaultPlan {
+                    client_crash: 0.25,
                     edge_outage: 0.4,
                     msg_loss: 0.3,
                     max_retries: 0,

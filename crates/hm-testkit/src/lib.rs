@@ -19,7 +19,7 @@
 //!   every aggregation rule, which makes it the reference for the
 //!   client-edge block phase.
 //! - [`strategies`] — proptest generators for whole scenarios (topology,
-//!   `τ1`/`τ2`, participation, dropout, quantizers, constrained `P` sets)
+//!   `τ1`/`τ2`, participation, fault plans, quantizers, constrained `P` sets)
 //!   driving both the checker and the oracle across hundreds of cases.
 //!
 //! The crate is a regular dependency of the workspace's integration tests

@@ -195,8 +195,8 @@ fn robust_reduce(agg: &Aggregator, sources: &[&[f32]], base: &[f32]) -> Vec<f32>
 /// One full HierMinimax round (Algorithm 1, Phases 1 and 2), transcribed
 /// naively. `w`/`p` are the round-start iterates `w^(k)` / `p^(k)`.
 ///
-/// Client crashes (the legacy `dropout` knob included), straggler
-/// deadline misses and Byzantine corruption follow `cfg.opts.fault`;
+/// Client crashes, straggler deadline misses and Byzantine corruption
+/// follow `cfg.opts.fault`;
 /// client→edge and edge→cloud reductions follow `cfg.opts.aggregator`.
 ///
 /// # Panics
@@ -215,7 +215,7 @@ pub fn reference_hierminimax_round(
         cfg.tau2_per_edge.is_none(),
         "reference round models homogeneous rates only"
     );
-    let plan = cfg.opts.fault.clone().with_dropout(cfg.dropout);
+    let plan = &cfg.opts.fault;
     assert!(
         plan.edge_outage == 0.0 && plan.msg_loss == 0.0,
         "reference round models client-level faults only"
@@ -253,7 +253,7 @@ pub fn reference_hierminimax_round(
             let mut outs: Vec<Option<ClientIterates>> = Vec::new();
             for c in 0..n0 {
                 let client = topo.client_id(e, c);
-                if !uploads(&plan, seed, block_tag, client) {
+                if !uploads(plan, seed, block_tag, client) {
                     outs.push(None);
                     continue;
                 }

@@ -1,7 +1,7 @@
 //! Property-based scenario generation.
 //!
 //! A [`ScenarioSpec`] is a plain, `Debug`-printable description of one
-//! end-to-end test case — topology, periods, participation, dropout,
+//! end-to-end test case — topology, periods, participation, fault plan,
 //! quantizer, constrained `P` set, and both seeds — from which the problem
 //! and every algorithm config can be built. Keeping the spec a value type
 //! (rather than generating problems directly) is what makes proptest's
@@ -72,10 +72,9 @@ pub struct ScenarioSpec {
     pub tau2: usize,
     /// Participating edges per phase `m_E`.
     pub m_edges: usize,
-    /// Per-block client dropout probability.
-    pub dropout: f32,
-    /// Injected-fault plan (outages, message loss, stragglers); the
-    /// conformance automaton replays its keyed streams alongside the run.
+    /// Injected-fault plan (client crashes, outages, message loss,
+    /// stragglers); the conformance automaton replays its keyed streams
+    /// alongside the run.
     pub fault: FaultPlan,
     /// Uplink codec.
     pub quantizer: Quantizer,
@@ -126,7 +125,6 @@ impl ScenarioSpec {
             loss_batch: 3,
             weight_update_model: self.weight_update_model,
             quantizer: self.quantizer,
-            dropout: self.dropout,
             tau2_per_edge: None,
             opts: RunOpts {
                 fault: self.fault.clone(),
@@ -146,7 +144,6 @@ impl ScenarioSpec {
             eta_w: 0.1,
             batch_size: 2,
             quantizer: self.quantizer,
-            dropout: self.dropout,
             opts: RunOpts {
                 fault: self.fault.clone(),
                 ..case_opts()
@@ -170,7 +167,6 @@ impl ScenarioSpec {
             eta_p: 0.05,
             batch_size: 2,
             loss_batch: 3,
-            dropout: self.dropout,
             opts: RunOpts {
                 fault: self.fault.clone(),
                 ..case_opts()
@@ -254,7 +250,6 @@ impl MultiLevelSpec {
             eta_p: 0.02,
             batch_size: 2,
             loss_batch: 3,
-            dropout: 0.0,
             opts: RunOpts {
                 fault: self.fault.clone(),
                 ..case_opts()
@@ -263,10 +258,10 @@ impl MultiLevelSpec {
     }
 }
 
-/// Strategy over dropout rates: mostly failure-free, sometimes partial
-/// (rounded to two decimals so cases print cleanly), occasionally the
-/// total-blackout corner (`1.0`).
-pub fn arb_dropout() -> impl Strategy<Value = f32> {
+/// Strategy over per-block client crash rates: mostly failure-free,
+/// sometimes partial (rounded to two decimals so cases print cleanly),
+/// occasionally the total-blackout corner (`1.0`).
+pub fn arb_client_crash() -> impl Strategy<Value = f32> {
     let partial = || (0.05_f32..0.6).prop_map(|x| (x * 100.0).round() / 100.0);
     prop_oneof![
         Just(0.0_f32),
@@ -440,7 +435,7 @@ pub fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
             0usize..64,
         ),
         (1usize..=3, 1usize..=3, 1usize..=3),
-        arb_dropout(),
+        arb_client_crash(),
         (arb_fault_plan(), arb_quantizer()),
         (arb_p_domain(), arb_weight_update_model()),
     )
@@ -448,7 +443,7 @@ pub fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
             |(
                 (n_edges, clients_per_edge, data_seed, run_seed, m_raw),
                 (rounds, tau1, tau2),
-                dropout,
+                client_crash,
                 (fault, quantizer),
                 (p_domain, weight_update_model),
             )| {
@@ -461,8 +456,10 @@ pub fn arb_scenario() -> impl Strategy<Value = ScenarioSpec> {
                     tau1,
                     tau2,
                     m_edges: 1 + m_raw % n_edges,
-                    dropout,
-                    fault,
+                    fault: FaultPlan {
+                        client_crash,
+                        ..fault
+                    },
                     quantizer,
                     p_domain,
                     weight_update_model,
@@ -516,7 +513,7 @@ mod tests {
         #[test]
         fn generated_specs_are_well_formed(spec in arb_scenario()) {
             prop_assert!(spec.m_edges >= 1 && spec.m_edges <= spec.n_edges);
-            prop_assert!((0.0..=1.0).contains(&spec.dropout));
+            prop_assert!((0.0..=1.0).contains(&spec.fault.client_crash));
             prop_assert!(spec.fault.validate().is_ok());
             let fp = spec.problem();
             prop_assert_eq!(fp.num_edges(), spec.n_edges);

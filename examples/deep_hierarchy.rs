@@ -68,7 +68,6 @@ fn main() {
             eta_p: 0.002,
             batch_size: 1,
             loss_batch: 16,
-            dropout: 0.0,
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,

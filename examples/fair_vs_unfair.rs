@@ -37,7 +37,6 @@ fn main() {
         eta_w: 0.05,
         batch_size: 2,
         quantizer: Default::default(),
-        dropout: 0.0,
         opts: opts.clone(),
     })
     .run(&problem, 1);
@@ -54,7 +53,6 @@ fn main() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts,
     })

@@ -40,7 +40,6 @@ fn main() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 25,

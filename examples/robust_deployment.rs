@@ -1,8 +1,8 @@
 //! A deployment-flavoured run: everything at once.
 //!
 //! Combines the robustness and efficiency extensions on one problem —
-//! 8-bit quantized uplinks, 10% client dropout, straggler-aware
-//! over-selection — and compares fairness, uplink volume, and simulated
+//! 8-bit quantized uplinks, a 10% per-block client crash rate,
+//! straggler-aware over-selection — and compares fairness, uplink volume, and simulated
 //! wall-clock against the vanilla algorithm.
 //!
 //! ```bash
@@ -16,7 +16,7 @@ use hierminimax::core::metrics::evaluate;
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::generators::synthetic_images::ImageConfig;
 use hierminimax::data::scenarios::{linear_sizes, one_class_per_edge_sized};
-use hierminimax::simnet::{Link, Parallelism, Quantizer};
+use hierminimax::simnet::{FaultPlan, Link, Parallelism, Quantizer};
 
 fn main() {
     let cfg = ImageConfig::emnist_digits_like();
@@ -42,13 +42,12 @@ fn main() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Quantizer::Exact,
-        dropout: 0.0,
         tau2_per_edge: None,
         opts: opts.clone(),
     })
     .run(&problem, 3);
 
-    // Hardened variant: quantized + dropout-tolerant.
+    // Hardened variant: quantized, with clients crashing in 10% of blocks.
     let hardened = HierMinimax::new(HierMinimaxConfig {
         rounds,
         tau1: 2,
@@ -60,9 +59,14 @@ fn main() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Quantizer::Stochastic { bits: 8 },
-        dropout: 0.1,
         tau2_per_edge: None,
-        opts: opts.clone(),
+        opts: RunOpts {
+            fault: FaultPlan {
+                client_crash: 0.1,
+                ..FaultPlan::default()
+            },
+            ..opts.clone()
+        },
     })
     .run(&problem, 3);
 
@@ -81,7 +85,6 @@ fn main() {
         eta_p: 0.005,
         batch_size: 1,
         loss_batch: 16,
-        dropout: 0.0,
         opts,
     })
     .run_timed(&problem, 3);
@@ -92,7 +95,7 @@ fn main() {
     );
     for (label, r) in [
         ("vanilla", &vanilla),
-        ("8-bit + 10% dropout", &hardened),
+        ("8-bit + 10% crashes", &hardened),
         ("over-selection (5 of 8)", &over.run),
     ] {
         let e = evaluate(&problem, &r.final_w, Parallelism::Rayon);

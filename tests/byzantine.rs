@@ -69,7 +69,6 @@ fn hierminimax(rounds: usize, opts: RunOpts) -> HierMinimax {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts,
     })
@@ -192,7 +191,6 @@ fn resume_carries_quarantine_state_bit_identically() {
                     eta_w: 0.1,
                     batch_size: 2,
                     quantizer: Default::default(),
-                    dropout: 0.0,
                     opts: o,
                 })) as Box<dyn Algorithm>
             }),
@@ -259,7 +257,6 @@ fn attack_drift(fp: &FederatedProblem, agg: Aggregator, plan: FaultPlan) -> f64 
             loss_batch: 4,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            dropout: 0.0,
             tau2_per_edge: None,
             opts: opts(Parallelism::Sequential, plan, agg),
         })

@@ -299,7 +299,6 @@ fn multilevel_and_overselect_abort_on_stale_rounds() {
         eta_p: 0.05,
         batch_size: 2,
         loss_batch: 4,
-        dropout: 0.0,
         opts: all_out_opts(2),
     });
     assert_eq!(ov.try_run(&fp, SEED).err(), Some(want));

@@ -81,7 +81,6 @@ fn three_layer_algorithms() -> Vec<Box<dyn Algorithm>> {
             eta_w: 0.1,
             batch_size: 2,
             quantizer: Default::default(),
-            dropout: 0.0,
             opts: opts(),
         })),
         Box::new(HierMinimax::new(HierMinimaxConfig {
@@ -95,7 +94,6 @@ fn three_layer_algorithms() -> Vec<Box<dyn Algorithm>> {
             loss_batch: 4,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            dropout: 0.0,
             tau2_per_edge: None,
             opts: opts(),
         })),

@@ -3,7 +3,8 @@
 //! streams must be rejected with the right error.
 //!
 //! The property tests sweep generated scenarios (topology, periods,
-//! participation, dropout, fault plans, quantizers, constrained `P` sets)
+//! participation, client crash rates, fault plans, quantizers, constrained
+//! `P` sets)
 //! for HierMinimax, HierFAVG, MultiLevel and Overselect;
 //! the pinned corpus below re-checks specs that exercised tricky corners
 //! when first generated (total blackout, capped simplex, quantized
@@ -105,7 +106,6 @@ fn overselect_under_chaos_conforms() {
         tau1: 2,
         tau2: 2,
         m_edges: 2,
-        dropout: 0.0,
         quantizer: Quantizer::Exact,
         p_domain: PDomainSpec::Simplex,
         weight_update_model: WeightUpdateModel::RandomCheckpoint,
@@ -123,6 +123,14 @@ fn overselect_under_chaos_conforms() {
     assert!(report.faults > 0);
 }
 
+/// A plan whose only fault is a per-block client crash `rate`.
+fn crashes(rate: f32) -> FaultPlan {
+    FaultPlan {
+        client_crash: rate,
+        ..FaultPlan::default()
+    }
+}
+
 /// Pinned regression corpus: specs covering corners the generator only
 /// hits occasionally. Kept as literal values so a change in the generator
 /// (or its seeding) never silently drops them.
@@ -136,7 +144,6 @@ fn regression_corpus() -> Vec<ScenarioSpec> {
         tau1: 2,
         tau2: 2,
         m_edges: 2,
-        dropout: 0.0,
         quantizer: Quantizer::Exact,
         p_domain: PDomainSpec::Simplex,
         weight_update_model: WeightUpdateModel::RandomCheckpoint,
@@ -145,12 +152,12 @@ fn regression_corpus() -> Vec<ScenarioSpec> {
     vec![
         // Total blackout: every client drops every block.
         ScenarioSpec {
-            dropout: 1.0,
+            fault: crashes(1.0),
             ..base.clone()
         },
         // Heavy partial dropout with a quantized uplink.
         ScenarioSpec {
-            dropout: 0.55,
+            fault: crashes(0.55),
             quantizer: Quantizer::Stochastic { bits: 2 },
             run_seed: 4242,
             ..base.clone()
@@ -211,14 +218,13 @@ fn regression_corpus() -> Vec<ScenarioSpec> {
             },
             ..base.clone()
         },
-        // Faults stacked on quantized uplinks and legacy dropout: the plan
-        // absorbs `dropout` into its crash rate, which the replay must
-        // mirror.
+        // Cloud-link faults stacked on quantized uplinks and client
+        // crashes.
         ScenarioSpec {
             run_seed: 1717,
-            dropout: 0.4,
             quantizer: Quantizer::Stochastic { bits: 3 },
             fault: FaultPlan {
+                client_crash: 0.4,
                 edge_outage: 0.3,
                 msg_loss: 0.2,
                 max_retries: 1,
@@ -263,7 +269,6 @@ fn valid_run() -> (
         tau1: 2,
         tau2: 2,
         m_edges: 2,
-        dropout: 0.0,
         quantizer: Quantizer::Exact,
         p_domain: PDomainSpec::Simplex,
         weight_update_model: WeightUpdateModel::RandomCheckpoint,
@@ -446,7 +451,6 @@ fn splice_spec() -> ScenarioSpec {
         tau1: 2,
         tau2: 2,
         m_edges: 2,
-        dropout: 0.0,
         quantizer: Quantizer::Exact,
         p_domain: PDomainSpec::Simplex,
         weight_update_model: WeightUpdateModel::RandomCheckpoint,
@@ -523,7 +527,7 @@ fn forged_splice_repeating_a_round_is_rejected() {
 /// Pinned resumed-run corpus: scenario + kill-round pairs whose spliced
 /// streams must keep replaying cleanly. One entry stresses the fault
 /// machinery across the resume boundary (lossy links with retries), the
-/// other stresses quantized uplinks plus legacy dropout.
+/// other stresses quantized uplinks plus client crashes.
 fn resumed_regression_corpus() -> Vec<(ScenarioSpec, usize)> {
     vec![
         (
@@ -543,7 +547,7 @@ fn resumed_regression_corpus() -> Vec<(ScenarioSpec, usize)> {
             ScenarioSpec {
                 run_seed: 1717,
                 rounds: 3,
-                dropout: 0.4,
+                fault: crashes(0.4),
                 quantizer: Quantizer::Stochastic { bits: 3 },
                 ..splice_spec()
             },

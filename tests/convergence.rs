@@ -24,7 +24,6 @@ fn hm_cfg(rounds: usize) -> HierMinimaxConfig {
         loss_batch: 8,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
@@ -90,7 +89,6 @@ fn minimax_beats_minimization_on_worst_edge() {
         eta_w: 0.02,
         batch_size: 1,
         quantizer: Default::default(),
-        dropout: 0.0,
         opts: opts.clone(),
     })
     .run(&fp, 3);
@@ -105,7 +103,6 @@ fn minimax_beats_minimization_on_worst_edge() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts,
     })
@@ -155,7 +152,6 @@ fn frozen_model_weights_climb_to_max_loss_vertex() {
         loss_batch: 64,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,

@@ -40,7 +40,6 @@ fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
                 loss_batch: 4,
                 weight_update_model: Default::default(),
                 quantizer: Default::default(),
-                dropout: 0.0,
                 tau2_per_edge: None,
                 opts: opts(par),
             })),
@@ -55,7 +54,6 @@ fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
                 eta_w: 0.1,
                 batch_size: 2,
                 quantizer: Default::default(),
-                dropout: 0.0,
                 opts: opts(par),
             })),
         ),
@@ -159,7 +157,6 @@ fn parallel_matches_sequential_for_mlp() {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts: opts(par),
     };
@@ -251,7 +248,6 @@ fn hierarchical_algorithms(
                 loss_batch: 4,
                 weight_update_model: Default::default(),
                 quantizer: Default::default(),
-                dropout: 0.0,
                 tau2_per_edge: None,
                 opts: opts.clone(),
             })),
@@ -266,7 +262,6 @@ fn hierarchical_algorithms(
                 eta_w: 0.1,
                 batch_size: 2,
                 quantizer: Default::default(),
-                dropout: 0.0,
                 opts: opts.clone(),
             })),
         ),
@@ -282,7 +277,6 @@ fn hierarchical_algorithms(
                 eta_p: 0.02,
                 batch_size: 2,
                 loss_batch: 4,
-                dropout: 0.0,
                 opts: opts.clone(),
             })),
         ),
@@ -299,7 +293,6 @@ fn hierarchical_algorithms(
                 eta_p: 0.05,
                 batch_size: 2,
                 loss_batch: 4,
-                dropout: 0.0,
                 opts,
             })),
         ),

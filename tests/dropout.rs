@@ -5,8 +5,10 @@ use hierminimax::core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, R
 use hierminimax::core::metrics::evaluate;
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{Link, Parallelism};
+use hierminimax::simnet::{FaultPlan, Link, Parallelism};
 
+/// A HierMinimax config whose clients crash in a `dropout` share of
+/// blocks.
 fn cfg(dropout: f32, rounds: usize) -> HierMinimaxConfig {
     HierMinimaxConfig {
         rounds,
@@ -19,9 +21,12 @@ fn cfg(dropout: f32, rounds: usize) -> HierMinimaxConfig {
         loss_batch: 8,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout,
         tau2_per_edge: None,
         opts: RunOpts {
+            fault: FaultPlan {
+                client_crash: dropout,
+                ..FaultPlan::default()
+            },
             eval_every: 0,
             parallelism: Parallelism::Rayon,
             ..Default::default()

@@ -34,7 +34,6 @@ fn cfg(fault: FaultPlan, rounds: usize) -> HierMinimaxConfig {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts: opts(fault, Parallelism::Sequential),
     }
@@ -211,7 +210,6 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         eta_w: 0.1,
         batch_size: 2,
         quantizer: Default::default(),
-        dropout: 0.1,
         opts: opts(chaos.clone(), Parallelism::Rayon),
     })
     .run(&fp, 29);
@@ -219,8 +217,9 @@ fn all_hierarchical_paths_survive_heavy_faults() {
     let hf_hits = hf.faults.crashes + hf.faults.outages + hf.faults.gave_up;
     assert!(hf_hits > 0, "chaos preset must hit HierFAVG");
 
-    // Multi-level: cloud-link faults plus legacy dropout inside subtrees.
+    // Multi-level: cloud-link faults plus client crashes inside subtrees.
     let cloud_faults = FaultPlan {
+        client_crash: 0.2,
         edge_outage: 0.3,
         msg_loss: 0.3,
         max_retries: 1,
@@ -239,7 +238,6 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         eta_p: 0.01,
         batch_size: 2,
         loss_batch: 4,
-        dropout: 0.2,
         opts: opts(cloud_faults, Parallelism::Sequential),
     })
     .run(&fp, 31);
@@ -259,7 +257,6 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         eta_p: 0.01,
         batch_size: 2,
         loss_batch: 4,
-        dropout: 0.0,
         opts: opts(chaos, Parallelism::Sequential),
     })
     .run_timed(&fp, 37);

@@ -37,7 +37,6 @@ fn cfg(upper: Vec<UpperLevel>, rounds: usize) -> MultiLevelConfig {
         eta_p: 0.005,
         batch_size: 2,
         loss_batch: 8,
-        dropout: 0.0,
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,

@@ -53,7 +53,7 @@ proptest! {
 
     /// HierMinimax's per-round global model and edge weights match the
     /// naive reference round-for-round, bit-for-bit, under client-level
-    /// faults (crashes, legacy dropout, stragglers, Byzantine corruption)
+    /// faults (crashes, stragglers, Byzantine corruption)
     /// and every aggregation rule. Cloud-link faults, which the oracle
     /// does not model, are covered by the conformance replay, the fault
     /// suite and the pinned-bits cases.
@@ -63,7 +63,19 @@ proptest! {
         fault in arb_client_fault_plan(),
         aggregator in arb_aggregator(),
     ) {
-        let spec = hm_testkit::ScenarioSpec { fault, ..spec };
+        // The scenario's crash rate applies where the client plan has none.
+        let client_crash = if fault.client_crash == 0.0 {
+            spec.fault.client_crash
+        } else {
+            fault.client_crash
+        };
+        let spec = hm_testkit::ScenarioSpec {
+            fault: FaultPlan {
+                client_crash,
+                ..fault
+            },
+            ..spec
+        };
         let fp = spec.problem();
         let mut cfg = spec.hierminimax_config();
         cfg.opts.aggregator = aggregator;
@@ -199,7 +211,7 @@ fn assert_same_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On edges of one client, with no faults, dropout or codec and the
+    /// On edges of one client, with no faults or codec and the
     /// simplex `P`: FedAvg is HierFAVG with `τ2 = 1`, DRFA is HierMinimax
     /// with `τ2 = 1`, and Stochastic-AFL is HierMinimax with `τ1 = τ2 = 1`
     /// estimating its losses on the round-start model. Every round is
@@ -209,7 +221,6 @@ proptest! {
         let spec = ScenarioSpec {
             clients_per_edge: 1,
             tau2: 1,
-            dropout: 0.0,
             fault: FaultPlan::default(),
             quantizer: Quantizer::Exact,
             p_domain: PDomainSpec::Simplex,
@@ -291,7 +302,6 @@ fn reference_is_seed_sensitive() {
         tau1: 2,
         tau2: 2,
         m_edges: 2,
-        dropout: 0.0,
         quantizer: hierminimax::simnet::Quantizer::Exact,
         p_domain: hm_testkit::PDomainSpec::Simplex,
         weight_update_model: hierminimax::core::algorithms::WeightUpdateModel::RandomCheckpoint,

@@ -22,7 +22,13 @@
 //! The stream constants were re-recorded when `block_agg` gained its
 //! client ids, `phase1_done` its model digest and `churn` its id lists;
 //! mapping those fields back to the old counts reproduced the previous
-//! constants on both executors.
+//! constants on both executors. One case of the group,
+//! `hierfavg_crashes_on_unequal_volumes_bits_are_pinned`, runs HierFAVG
+//! with client crashes on edges of unequal data volume, so its cloud
+//! weights by volume are far from uniform; every other case gives each
+//! client the same number of samples. Its constants were recorded while
+//! the crash rate was still a per-config `dropout` knob and a churn-off
+//! run still enumerated clients through a static layout of its own.
 //!
 //! A third group pins the five flat two-layer baselines — FedAvg,
 //! FedProx, q-FedAvg, Stochastic-AFL and DRFA — on the tiny logistic
@@ -359,6 +365,45 @@ fn hierfavg_churn_under_chaos_bits_are_pinned() {
 }
 
 #[test]
+fn hierfavg_crashes_on_unequal_volumes_bits_are_pinned() {
+    // Edges hold 12 down to 3 samples per client, so HierFAVG's cloud
+    // weights by data volume are far from uniform.
+    let sc = one_class_per_edge_sized(
+        ImageConfig::emnist_digits_like(),
+        10,
+        2,
+        &linear_sizes(12, 0.25, 10),
+        8,
+        37,
+    );
+    let fp = FederatedProblem::logistic_from_scenario(&sc);
+    check_executors(
+        "hierfavg+volumes+crashes",
+        0x7e76_9ece_4cb0_8722,
+        0x80aa_4d31_64d2_33a8,
+        |opts| {
+            let cfg = HierFavgConfig {
+                rounds: 6,
+                m_edges: 4,
+                eta_w: 0.05,
+                batch_size: 2,
+                opts: RunOpts {
+                    fault: FaultPlan {
+                        client_crash: 0.3,
+                        ..FaultPlan::default()
+                    },
+                    ..opts
+                },
+                ..Default::default()
+            };
+            let r = HierFavg::new(cfg).run(&fp, 47);
+            assert!(r.faults.crashes > 0, "no client crashed");
+            r
+        },
+    );
+}
+
+#[test]
 fn multilevel_under_chaos_bits_are_pinned() {
     let fp = tiny(4, 2, 35);
     check_executors(
@@ -406,7 +451,6 @@ fn overselect_under_chaos_bits_are_pinned() {
                 eta_p: 0.05,
                 batch_size: 2,
                 loss_batch: 4,
-                dropout: 0.0,
                 opts: faulty(base, "chaos"),
             };
             OverselectMinimax::new(cfg).run(&fp, 46)

@@ -53,7 +53,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     loss_batch: 4,
                     weight_update_model: Default::default(),
                     quantizer: Default::default(),
-                    dropout: 0.0,
                     tau2_per_edge: None,
                     opts,
                 })) as Box<dyn Algorithm>
@@ -70,7 +69,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     eta_w: 0.1,
                     batch_size: 2,
                     quantizer: Default::default(),
-                    dropout: 0.0,
                     opts,
                 })) as Box<dyn Algorithm>
             }),
@@ -88,7 +86,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     eta_p: 0.02,
                     batch_size: 2,
                     loss_batch: 4,
-                    dropout: 0.0,
                     opts,
                 })) as Box<dyn Algorithm>
             }),
@@ -107,7 +104,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     eta_p: 0.05,
                     batch_size: 2,
                     loss_batch: 4,
-                    dropout: 0.0,
                     opts,
                 })) as Box<dyn Algorithm>
             }),

@@ -35,7 +35,6 @@ fn recorded_run(
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
@@ -237,7 +236,6 @@ fn heterogeneous_rates_still_learn_and_account_slots() {
         loss_batch: 8,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        dropout: 0.0,
         tau2_per_edge: Some(vec![1, 2, 3, 4]),
         opts: RunOpts {
             eval_every: 0,

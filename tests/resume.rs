@@ -66,7 +66,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     loss_batch: 4,
                     weight_update_model: Default::default(),
                     quantizer: Default::default(),
-                    dropout: 0.0,
                     tau2_per_edge: None,
                     opts,
                 })) as Box<dyn Algorithm>
@@ -83,7 +82,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     eta_w: 0.1,
                     batch_size: 2,
                     quantizer: Default::default(),
-                    dropout: 0.0,
                     opts,
                 })) as Box<dyn Algorithm>
             }),
@@ -101,7 +99,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     eta_p: 0.02,
                     batch_size: 2,
                     loss_batch: 4,
-                    dropout: 0.0,
                     opts,
                 })) as Box<dyn Algorithm>
             }),
@@ -120,7 +117,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     eta_p: 0.05,
                     batch_size: 2,
                     loss_batch: 4,
-                    dropout: 0.0,
                     opts,
                 })) as Box<dyn Algorithm>
             }),

@@ -54,7 +54,6 @@ fn hm_cfg(rounds: usize, opts: RunOpts) -> HierMinimaxConfig {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Quantizer::Exact,
-        dropout: 0.0,
         tau2_per_edge: None,
         opts,
     }
@@ -74,7 +73,6 @@ fn overselect(fp: &FederatedProblem, rounds: usize, opts: RunOpts) -> Overselect
         eta_p: 0.05,
         batch_size: 2,
         loss_batch: 4,
-        dropout: 0.0,
         opts,
     })
 }
@@ -106,7 +104,6 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
                     eta_w: 0.1,
                     batch_size: 2,
                     quantizer,
-                    dropout: 0.0,
                     opts,
                 }))
             }),
@@ -198,7 +195,6 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
                     eta_p: 0.01,
                     batch_size: 2,
                     loss_batch: 4,
-                    dropout: 0.0,
                     opts,
                 }))
             }),
