@@ -89,8 +89,8 @@ pub struct SuiteParams {
     /// When set, each method writes structured run telemetry to
     /// `<dir>/telemetry_<method>.jsonl` (see DESIGN.md §10).
     pub telemetry_dir: Option<std::path::PathBuf>,
-    /// Deterministic fault plan applied to the hierarchical methods (the
-    /// flat baselines ignore it; see `hm_simnet::fault`).
+    /// Deterministic fault plan applied to every method (see
+    /// `hm_simnet::fault`).
     pub fault: FaultPlan,
 }
 

@@ -93,11 +93,6 @@ impl Args {
         }
     }
 
-    /// Whether `--name` was given, without consuming it.
-    pub fn has(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
-    }
-
     /// Boolean switch: present (with no value or `true`) = true.
     pub fn switch(&self, name: &str) -> bool {
         matches!(self.take(name).map(String::as_str), Some("") | Some("true"))

@@ -371,44 +371,26 @@ fn quantizer(args: &Args) -> Result<Quantizer, ArgError> {
     })
 }
 
-/// The per-class fault flags, which override the `--fault-plan` preset.
-const FAULT_FLAGS: [&str; 12] = [
-    "client-crash",
-    "edge-outage",
-    "msg-loss",
-    "max-retries",
-    "backoff-base",
-    "backoff-jitter",
-    "straggler-rate",
-    "straggler-slowdown",
-    "deadline-factor",
-    "corrupt-rate",
-    "attack",
-    "attack-scale",
-];
-
 /// Refuse an option that `method` would silently ignore, naming the flag
-/// and the methods that honour it. The flat baselines honour none of
-/// these; MultiLevel honours faults, the aggregator and the stale-round
-/// cap, but not an upload codec, quarantine or churn.
-fn refuse_ignored(
-    args: &Args,
-    method: &str,
-    opts: &RunOpts,
-    quant: Quantizer,
-) -> Result<(), ArgError> {
-    let faults = "hierminimax|hierfavg|multilevel";
+/// and the methods that honour it. Every method honours the fault plan,
+/// the adversary and the stale-round cap. q-FedAvg's server step is not
+/// an average, so it takes no aggregation rule; only HierMinimax and
+/// HierFAVG have an upload codec and membership churn; MultiLevel's tree
+/// reports no per-client norms to quarantine.
+fn refuse_ignored(method: &str, opts: &RunOpts, quant: Quantizer) -> Result<(), ArgError> {
     let hier = "hierminimax|hierfavg";
-    let fault_flag = FAULT_FLAGS
-        .into_iter()
-        .find(|f| args.has(f))
-        .unwrap_or("fault-plan");
     let cases = [
-        (opts.fault != FaultPlan::default(), fault_flag, faults),
-        (opts.aggregator != Aggregator::Mean, "aggregator", faults),
-        (opts.max_stale_rounds > 0, "max-stale-rounds", faults),
+        (
+            opts.aggregator != Aggregator::Mean,
+            "aggregator",
+            "hierminimax|hierfavg|fedavg|fedprox|afl|drfa|multilevel",
+        ),
         (quant != Quantizer::Exact, "quant-bits", hier),
-        (opts.quarantine_z > 0.0, "quarantine-z", hier),
+        (
+            opts.quarantine_z > 0.0,
+            "quarantine-z",
+            "hierminimax|hierfavg|fedavg|fedprox|afl|drfa|qffl",
+        ),
         (!opts.churn.is_none(), "churn-plan", hier),
     ];
     let ignored = cases
@@ -534,7 +516,7 @@ fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
             )))
         }
     };
-    refuse_ignored(args, &method, &handles, quant)?;
+    refuse_ignored(&method, &handles, quant)?;
     Ok((alg, handles, jsonl))
 }
 
@@ -906,13 +888,11 @@ fn compare(args: &Args) -> Result<(), ArgError> {
 
     let slots = rounds * tau1 * tau2;
     let n0 = problem.clients_per_edge();
-    println!(
-        "comparing {} methods on {} with a budget of {} slots",
-        if extended { 8 } else { 5 },
-        problem.scenario.name,
-        slots
-    );
-    let mut algs: Vec<Box<dyn Algorithm>> = vec![
+    // Each method under its `--method` name, for the option check.
+    let mut algs: Vec<(&str, Box<dyn Algorithm>)> = Vec::new();
+    let mut add = |method, alg: Box<dyn Algorithm>| algs.push((method, alg));
+    add(
+        "fedavg",
         Box::new(FedAvg::new(FedAvgConfig {
             rounds: slots / tau1,
             tau1,
@@ -921,6 +901,9 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             batch_size,
             opts: opts.clone(),
         })),
+    );
+    add(
+        "afl",
         Box::new(StochasticAfl::new(AflConfig {
             rounds: slots,
             m_clients: m * n0,
@@ -930,6 +913,9 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             loss_batch,
             opts: opts.clone(),
         })),
+    );
+    add(
+        "drfa",
         Box::new(Drfa::new(DrfaConfig {
             rounds: slots / tau1,
             tau1,
@@ -940,6 +926,9 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             loss_batch,
             opts: opts.clone(),
         })),
+    );
+    add(
+        "hierfavg",
         Box::new(HierFavg::new(HierFavgConfig {
             rounds,
             tau1,
@@ -950,6 +939,9 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             quantizer: Quantizer::Exact,
             opts: opts.clone(),
         })),
+    );
+    add(
+        "hierminimax",
         Box::new(HierMinimax::new(HierMinimaxConfig {
             rounds,
             tau1,
@@ -964,50 +956,70 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             tau2_per_edge: None,
             opts: opts.clone(),
         })),
-    ];
+    );
     if extended {
-        algs.push(Box::new(FedProx::new(FedProxConfig {
-            rounds: slots / tau1,
-            tau1,
-            m_clients: m * n0,
-            mu: 0.1,
-            eta_w,
-            batch_size,
-            opts: opts.clone(),
-        })));
-        algs.push(Box::new(QFedAvg::new(QfflConfig {
-            rounds: slots / tau1,
-            tau1,
-            m_clients: m * n0,
-            q: 1.0,
-            eta_w,
-            batch_size,
-            loss_batch,
-            opts: opts.clone(),
-        })));
-        if problem.num_edges() % 2 == 0 {
-            algs.push(Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-                rounds: (slots / (tau1 * tau2 * 2)).max(1),
+        add(
+            "fedprox",
+            Box::new(FedProx::new(FedProxConfig {
+                rounds: slots / tau1,
                 tau1,
-                tau2,
-                upper: vec![UpperLevel {
-                    group_size: 2,
-                    tau: 2,
-                }],
-                m_groups: (m / 2).max(1).min(problem.num_edges() / 2),
+                m_clients: m * n0,
+                mu: 0.1,
                 eta_w,
-                eta_p,
+                batch_size,
+                opts: opts.clone(),
+            })),
+        );
+        add(
+            "qffl",
+            Box::new(QFedAvg::new(QfflConfig {
+                rounds: slots / tau1,
+                tau1,
+                m_clients: m * n0,
+                q: 1.0,
+                eta_w,
                 batch_size,
                 loss_batch,
                 opts: opts.clone(),
-            })));
+            })),
+        );
+        if problem.num_edges() % 2 == 0 {
+            add(
+                "multilevel",
+                Box::new(MultiLevelMinimax::new(MultiLevelConfig {
+                    rounds: (slots / (tau1 * tau2 * 2)).max(1),
+                    tau1,
+                    tau2,
+                    upper: vec![UpperLevel {
+                        group_size: 2,
+                        tau: 2,
+                    }],
+                    m_groups: (m / 2).max(1).min(problem.num_edges() / 2),
+                    eta_w,
+                    eta_p,
+                    batch_size,
+                    loss_batch,
+                    opts: opts.clone(),
+                })),
+            );
         }
     }
+    // Check every method before the first run, so no row of the table
+    // is trained without an option it would ignore.
+    for (method, _) in &algs {
+        refuse_ignored(method, &opts, Quantizer::Exact)?;
+    }
+    println!(
+        "comparing {} methods on {} with a budget of {} slots",
+        algs.len(),
+        problem.scenario.name,
+        slots
+    );
     println!(
         "{:<24}{:>10}{:>10}{:>12}{:>14}",
         "method", "avg", "worst", "var(pp^2)", "cloud rounds"
     );
-    for alg in algs {
+    for (_, alg) in algs {
         let r = alg.run(&problem, seed);
         let e = evaluate(&problem, &r.final_w, Parallelism::Rayon);
         println!(

@@ -831,18 +831,15 @@ fn unknown_churn_plan_is_rejected() {
 #[test]
 fn options_a_method_ignores_are_refused() {
     // Each option is refused, by name, for a method that would ignore it.
-    let faults = "hierminimax|hierfavg|multilevel";
     let hier = "hierminimax|hierfavg";
-    let cases: [(&str, [&str; 2], &str); 10] = [
-        ("fedavg", ["--fault-plan", "chaos"], faults),
-        ("afl", ["--client-crash", "0.2"], faults),
-        ("drfa", ["--aggregator", "trimmed-mean"], faults),
-        ("qffl", ["--max-stale-rounds", "5"], faults),
+    let quarantine = "hierminimax|hierfavg|fedavg|fedprox|afl|drfa|qffl";
+    let aggregator = "hierminimax|hierfavg|fedavg|fedprox|afl|drfa|multilevel";
+    let cases: [(&str, [&str; 2], &str); 6] = [
+        ("qffl", ["--aggregator", "trimmed-mean"], aggregator),
         ("fedprox", ["--quant-bits", "4"], hier),
-        ("fedavg", ["--quarantine-z", "2.0"], hier),
         ("fedavg", ["--churn-plan", "mild"], hier),
         ("multilevel", ["--quant-bits", "4"], hier),
-        ("multilevel", ["--quarantine-z", "2.0"], hier),
+        ("multilevel", ["--quarantine-z", "2.0"], quarantine),
         ("multilevel", ["--churn-plan", "mild"], hier),
     ];
     for (method, flag, methods) in cases {
@@ -864,6 +861,71 @@ fn options_a_method_ignores_are_refused() {
         let err = String::from_utf8_lossy(&out.stderr);
         let want = format!("{} requires --method {methods}", flag[0]);
         assert!(err.contains(&want), "{method} {flag:?}: {err}");
+    }
+}
+
+#[test]
+fn flat_baselines_honour_the_fault_plan() {
+    // The two-layer baselines run on the shared round driver, so the
+    // fault plan reaches them and the report counts what it injected.
+    for method in ["fedavg", "afl", "drfa"] {
+        let out = bin()
+            .args([
+                "run",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "10", "--m", "2", "--method", method])
+            .args(["--fault-plan", "chaos"])
+            .output()
+            .expect("spawn");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{method}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("injected faults:"), "{method}: {text}");
+    }
+}
+
+#[test]
+fn compare_refuses_an_ignored_option_before_the_first_run() {
+    // `compare` checks every method it will run, the `--extended` ones
+    // included, before it trains any of them.
+    for (extra, flag, method) in [
+        (None, "--churn-plan", "fedavg"),
+        (Some("--extended"), "--quarantine-z", "multilevel"),
+    ] {
+        let value = if flag == "--churn-plan" { "mild" } else { "2" };
+        let out = bin()
+            .args([
+                "compare",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "2", flag, value])
+            .args(extra)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag} requires --method"))
+                && err.contains(&format!("(got {method:?})")),
+            "{flag}: {err}"
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(!text.contains("cloud rounds"), "{flag}: {text}");
     }
 }
 
@@ -898,7 +960,7 @@ fn zero_loss_batch_is_refused_before_round_zero() {
 
 #[test]
 fn flat_baselines_write_valid_streams() {
-    // FedProx and q-FedAvg run on the flat round driver, so their streams
+    // FedProx and q-FedAvg run on the shared round driver, so their streams
     // pass the strict validator and render in `report`.
     let dir = std::env::temp_dir().join(format!("hm-cli-flat-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -14,16 +14,16 @@
 //! same mixtures as the paper's edge-level `p` (history records `q` summed
 //! per edge).
 //!
-//! On the flat round driver this is DRFA with `τ1 = 1`, estimating the
-//! losses on the round-start model that the sampled clients already hold
-//! (DESIGN.md §7d); with edges of one client it is HierMinimax with
-//! `τ1 = τ2 = 1` and [`WeightUpdateModel::RoundStart`], bit for bit
-//! (`tests/oracle_diff.rs`).
+//! On the round driver's client units this is DRFA with `τ1 = 1`,
+//! estimating the losses on the round-start model that the sampled
+//! clients already hold (DESIGN.md §7c); with edges of one client it is
+//! HierMinimax with `τ1 = τ2 = 1` and [`WeightUpdateModel::RoundStart`],
+//! bit for bit while no client drops (`tests/oracle_diff.rs`).
 
-use super::driver::Dual;
-use super::flat::{self, FlatSpec, Update};
-use super::{Algorithm, RunOpts, RunResult, WeightUpdateModel};
+use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
+use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
+use hm_simnet::Quantizer;
 
 /// Configuration of a Stochastic-AFL run.
 #[derive(Debug, Clone)]
@@ -78,23 +78,26 @@ impl Algorithm for StochasticAfl {
         "Stochastic-AFL"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
+    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
-        let spec = FlatSpec {
+        let spec = RoundSpec {
             name: self.name(),
             rounds: cfg.rounds,
             tau1: 1,
-            m: cfg.m_clients,
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
+            quantizer: Quantizer::Exact,
             opts: &cfg.opts,
-            update: Update::Minimax(Dual {
+            sampler: Sampler::Weighted(cfg.m_clients),
+            blocks: Blocks::Clients { mu: 0.0 },
+            fold: Fold::Multiplicity,
+            dual: Some(Dual {
                 eta_p: cfg.eta_q,
                 loss_batch: cfg.loss_batch,
                 model: WeightUpdateModel::RoundStart,
             }),
         };
-        flat::run(problem, seed, spec)
+        driver::run(problem, seed, spec).map(|(r, _)| r)
     }
 }
 

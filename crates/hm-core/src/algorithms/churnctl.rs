@@ -1,4 +1,4 @@
-//! Per-run membership controller for the hierarchical round driver.
+//! Per-run membership controller for the round driver.
 //!
 //! Wraps the simulator's [`ActiveTopology`] (the membership state machine,
 //! `hm_simnet::churn`) together with the run-side consequences the
@@ -9,17 +9,19 @@
 //! conformance replay and report tooling consume.
 //!
 //! It is the run's one membership view, with churn on or off: the block
-//! phase, the quarantine pass, HierFAVG's volume weights, the uniform
-//! draws and Phase 2 all enumerate clients through it. An inert plan
+//! phase, the quarantine pass, the volume weights, the uniform draws and
+//! Phase 2 all enumerate clients through it. An inert plan
 //! ([`ChurnPlan::is_none`]) leaves the view all-up with every edge serving
 //! its original clients `edge·n₀ + idx`, in order, and makes the
-//! controller a no-op: no RNG draws, no events, no re-projection.
+//! controller a no-op: no RNG draws, no events, no re-projection. The
+//! two-layer baselines use [`ChurnCtl::clients`], the same view with
+//! every client a unit of its own.
 
 use super::hier_common::QuarantineCtl;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
-use hm_simnet::{ActiveTopology, ChurnPlan, ChurnStats, RoundChurn};
+use hm_simnet::{ActiveTopology, ChurnPlan, ChurnStats, RoundChurn, Topology, NO_CHURN};
 use hm_telemetry::{Telemetry, TelemetryEvent};
 use std::collections::HashMap;
 
@@ -63,6 +65,17 @@ impl ChurnCtl {
             joined: HashMap::new(),
             stats: ChurnStats::default(),
             joined_src: Vec::new(),
+        }
+    }
+
+    /// The view of a run whose units are single clients that talk to the
+    /// cloud directly: an all-up topology of `N` one-client edges, so unit
+    /// `c` has the one member `c` and its own shard. Churn is off.
+    pub(crate) fn clients(problem: &FederatedProblem) -> Self {
+        let n = problem.topology().total_clients();
+        Self {
+            topo: ActiveTopology::new(&Topology::new(n, 1)),
+            ..Self::new(problem, &NO_CHURN, 0)
         }
     }
 
@@ -212,7 +225,6 @@ impl ChurnCtl {
 mod tests {
     use super::*;
     use hm_data::scenarios::tiny_problem;
-    use hm_simnet::NO_CHURN;
 
     fn problem() -> FederatedProblem {
         FederatedProblem::logistic_from_scenario(&tiny_problem(3, 2, 1))
@@ -238,6 +250,20 @@ mod tests {
             for (idx, gid) in topo.clients_of(e).enumerate() {
                 assert!(std::ptr::eq(ctl.data(&fp, gid), fp.client_data(e, idx)));
             }
+        }
+    }
+
+    #[test]
+    fn client_view_makes_every_client_a_unit() {
+        let fp = problem();
+        let ctl = ChurnCtl::clients(&fp);
+        assert!(!ctl.active());
+        let topo = fp.topology();
+        for c in 0..topo.total_clients() {
+            assert!(ctl.is_up(c));
+            assert_eq!(ctl.members_of(c), [c]);
+            let (e, idx) = (topo.edge_of(c), c % topo.clients_per_edge());
+            assert!(std::ptr::eq(ctl.data(&fp, c), fp.client_data(e, idx)));
         }
     }
 

@@ -14,14 +14,14 @@
 //! comparison (Table 1).
 //!
 //! HierMinimax with `τ2 = 1` and edges of one client degenerates to exactly
-//! this method, bit for bit — asserted by
+//! this method, bit for bit while no client drops — asserted by
 //! `flat_baselines_match_hierarchical_on_one_client_edges` in
 //! `tests/oracle_diff.rs`.
 
-use super::driver::Dual;
-use super::flat::{self, FlatSpec, Update};
-use super::{Algorithm, RunOpts, RunResult, WeightUpdateModel};
+use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
+use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
+use hm_simnet::Quantizer;
 
 /// Configuration of a DRFA run.
 #[derive(Debug, Clone)]
@@ -79,23 +79,26 @@ impl Algorithm for Drfa {
         "DRFA"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
+    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
-        let spec = FlatSpec {
+        let spec = RoundSpec {
             name: self.name(),
             rounds: cfg.rounds,
             tau1: cfg.tau1,
-            m: cfg.m_clients,
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
+            quantizer: Quantizer::Exact,
             opts: &cfg.opts,
-            update: Update::Minimax(Dual {
+            sampler: Sampler::Weighted(cfg.m_clients),
+            blocks: Blocks::Clients { mu: 0.0 },
+            fold: Fold::Multiplicity,
+            dual: Some(Dual {
                 eta_p: cfg.eta_q,
                 loss_batch: cfg.loss_batch,
                 model: WeightUpdateModel::RandomCheckpoint,
             }),
         };
-        flat::run(problem, seed, spec)
+        driver::run(problem, seed, spec).map(|(r, _)| r)
     }
 }
 

@@ -1,27 +1,32 @@
-//! The hierarchical round driver: Algorithm 1's round, run once for
-//! HierMinimax, HierFAVG, MultiLevel and Overselect.
+//! The round driver: Algorithm 1's round, run once for all nine
+//! algorithms.
 //!
-//! Every hierarchical algorithm runs the same lifecycle per cloud round
-//! `k`, in this order:
+//! The cloud samples *units* and weighs them with `p`. A unit is an edge
+//! (HierMinimax, HierFAVG, Overselect), a MultiLevel group of edges, or a
+//! single client that talks to the cloud directly (the two-layer
+//! baselines FedAvg, FedProx, q-FedAvg, Stochastic-AFL and DRFA, run with
+//! `τ2 = 1` and no edge hop). Every algorithm runs the same lifecycle per
+//! cloud round `k`, in this order:
 //!
 //! 1. **Churn** — membership transitions at the round boundary.
-//! 2. **Phase-1 draw** — the sampled edges (or top-level groups) and, for
-//!    the minimax methods, the checkpoint index.
+//! 2. **Phase-1 draw** — the sampled units and, for the minimax methods,
+//!    the checkpoint index.
 //! 3. **Cloud-link faults** — outage filter, broadcast, downlink retries.
 //! 4. **Block phase** — `τ2` client-edge blocks on every participating
-//!    edge, or MultiLevel's recursive tree of them.
-//! 5. **Uplink** — upload retries; the reports that arrive are averaged.
+//!    edge, MultiLevel's recursive tree of them, or `τ1` local steps on
+//!    every participating client.
+//! 5. **Uplink** — upload retries; the reports that arrive are folded.
 //! 6. **Stale-round check** — the `max_stale_rounds` abort.
-//! 7. **Aggregation** — eqs. 5–6.
+//! 7. **Aggregation** — eqs. 5–6, or the baseline's own fold.
 //! 8. **Phase 2** — the projected ascent step on `p` (eq. 7), when the
 //!    algorithm has one.
 //! 9. **Accounting** — fault, adversary and quarantine deltas, `round_end`.
 //! 10. **Evaluation**, then the **checkpoint**.
 //!
-//! Three closed policies carry every difference between the algorithms:
-//! the Phase-1 [`Sampler`], the [`Blocks`] phase and an optional [`Dual`]
-//! step. Each algorithm's run method translates its config into a
-//! [`RoundSpec`] and calls [`run`].
+//! Four closed policies carry every difference between the algorithms:
+//! the Phase-1 [`Sampler`], the [`Blocks`] phase, the cloud's [`Fold`]
+//! and an optional [`Dual`] step. Each algorithm's run method translates
+//! its config into a [`RoundSpec`] and calls [`run`].
 
 use super::churnctl::ChurnCtl;
 use super::hier_common::{
@@ -29,7 +34,7 @@ use super::hier_common::{
     EdgeBlockParams, QuarantineCtl,
 };
 use super::multilevel::{subtree_update, UpperLevel};
-use super::{finish_round, IterateAverage, RunError, RunOpts, RunResult, WeightUpdateModel};
+use super::{finish_round, qffl, IterateAverage, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::checkpoint::{
     decode_quarantine, emit_preamble, encode_quarantine, CheckpointCtx, ResumedRun, CHURN_SECTION,
     QUARANTINE_SECTION,
@@ -41,6 +46,7 @@ use hm_checkpoint::format::{ByteReader, ByteWriter};
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_optim::sgd::projected_ascent_step;
+use hm_optim::ProjectionOp;
 use hm_simnet::sampling::{sample_checkpoint, sample_edges_uniform, sample_edges_weighted};
 use hm_simnet::{
     CommMeter, FaultInjector, FaultKind, FaultStats, Link, MsgChannel, Quantizer, QuarantineStats,
@@ -55,19 +61,16 @@ const STALE_SECTION: &str = "stale_rounds";
 /// Snapshot extras section holding [`StragglerClock`].
 const OVERSELECT_SECTION: &str = "overselect";
 
-/// How the cloud picks the round's Phase-1 participants and weighs their
-/// reports.
+/// How the cloud picks the round's Phase-1 participants.
 pub(crate) enum Sampler<'a> {
-    /// `m` draws ∝ `p` with replacement; the cloud average weights each
-    /// report by its multiplicity (HierMinimax, and MultiLevel over
-    /// groups).
+    /// `m` draws ∝ `p` with replacement (HierMinimax, MultiLevel over
+    /// groups, Stochastic-AFL and DRFA over clients).
     Weighted(usize),
-    /// `m` distinct edges, uniform over those still up; the cloud average
-    /// weights each report by its edge's training-data volume (HierFAVG).
+    /// `m` distinct units, uniform over those still up (HierFAVG, FedAvg,
+    /// FedProx, q-FedAvg).
     Uniform(usize),
     /// `m_over` draws ∝ `p`, of which the `m` on the fastest edges are
-    /// kept and weighted as in [`Sampler::Weighted`] (Overselect). The
-    /// run keeps a [`StragglerClock`].
+    /// kept (Overselect). The run keeps a [`StragglerClock`].
     Fastest {
         m: usize,
         m_over: usize,
@@ -98,6 +101,11 @@ pub(crate) enum Blocks<'a> {
         tau2: usize,
         upper: &'a [UpperLevel],
     },
+    /// The two-layer baselines: each unit is one client that runs `τ1`
+    /// local steps with proximal coefficient `mu` and uploads to the
+    /// cloud directly — one block, no edge hop, every exchange on the
+    /// client-cloud link.
+    Clients { mu: f32 },
 }
 
 impl Blocks<'_> {
@@ -105,15 +113,21 @@ impl Blocks<'_> {
     fn tau2(&self) -> usize {
         match *self {
             Blocks::Edges { tau2, .. } | Blocks::Tree { tau2, .. } => tau2,
+            Blocks::Clients { .. } => 1,
         }
     }
 
     /// The intermediate levels above the edges, top first.
     fn upper(&self) -> &[UpperLevel] {
         match *self {
-            Blocks::Edges { .. } => &[],
+            Blocks::Edges { .. } | Blocks::Clients { .. } => &[],
             Blocks::Tree { upper, .. } => upper,
         }
+    }
+
+    /// Whether the units are single clients.
+    fn clients(&self) -> bool {
+        matches!(self, Blocks::Clients { .. })
     }
 
     /// Edges under one sampled unit: 1, or `Π group_size` for a group.
@@ -135,17 +149,42 @@ impl Blocks<'_> {
 
     /// The checkpoint index: one coordinate per upper level, then
     /// `(c1, c2)`, drawn in that order from the round's checkpoint stream.
+    /// A client unit has no block to index: its checkpoint is `[c1]`.
     fn draw_checkpoint(&self, seed: u64, k: usize, tau1: usize) -> Vec<usize> {
         let mut rng = StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
         let mut cp: Vec<usize> = self.upper().iter().map(|u| rng.below(u.tau)).collect();
         let (c1, c2) = sample_checkpoint(tau1, self.tau2(), &mut rng);
-        cp.extend([c1, c2]);
+        if self.clients() {
+            cp.push(c1);
+        } else {
+            cp.extend([c1, c2]);
+        }
         cp
     }
 }
 
-/// Phase 2: the weight update on `p` (eq. 7), or on the flat minimax
-/// baselines' client weights `q` (`flat::Update::Minimax`).
+/// How the cloud folds the reports that arrived into `w`. The weighted
+/// folds renormalize over the arrivals; under the default
+/// [`hm_tensor::Aggregator::Mean`] they are the plain weighted averages,
+/// and a robust rule replaces them (unweighted, by construction).
+#[derive(Clone, Copy)]
+pub(crate) enum Fold {
+    /// Weighted by multiplicity in the draw (the minimax methods and
+    /// Overselect; fault-free, the denominator is exactly `m`).
+    Multiplicity,
+    /// Weighted by the unit's training-data volume, its current members'
+    /// shards (HierFAVG over edges, FedAvg's `|D_n|` over clients).
+    Volume,
+    /// The plain average (FedProx).
+    Plain,
+    /// The q-FFL server step over the reporters' models and their losses
+    /// at the broadcast model on a `loss_batch` mini-batch (q-FedAvg).
+    /// Not an average, so it takes no aggregation rule.
+    Qffl { q: f64, loss_batch: usize },
+}
+
+/// Phase 2: the projected ascent step on the unit weights `p` (eq. 7);
+/// over clients this is the two-layer minimax baselines' `q`.
 #[derive(Clone, Copy)]
 pub(crate) struct Dual {
     pub eta_p: f32,
@@ -155,8 +194,7 @@ pub(crate) struct Dual {
     pub model: WeightUpdateModel,
 }
 
-/// One hierarchical run: the shared hyper-parameters and the three
-/// policies.
+/// One run: the shared hyper-parameters and the four policies.
 pub(crate) struct RoundSpec<'a> {
     /// Snapshot identity and `run_start` name.
     pub name: &'static str,
@@ -165,11 +203,12 @@ pub(crate) struct RoundSpec<'a> {
     pub eta_w: f32,
     pub batch_size: usize,
     /// Upload codec, applied client → edge inside the blocks and edge →
-    /// cloud here.
+    /// cloud here. The two-layer baselines have none (`Exact`).
     pub quantizer: Quantizer,
     pub opts: &'a RunOpts,
     pub sampler: Sampler<'a>,
     pub blocks: Blocks<'a>,
+    pub fold: Fold,
     pub dual: Option<Dual>,
 }
 
@@ -197,10 +236,14 @@ struct Driver<'a> {
     d: usize,
     /// Edges under one sampled unit: 1, or a top-level group's edges.
     per_unit: usize,
-    /// Units the cloud samples and `p` weighs: edges or top-level groups.
+    /// Units the cloud samples and `p` weighs: edges, top-level groups or
+    /// clients.
     n_units: usize,
     /// Time slots per round.
     slots: usize,
+    /// The link between a unit and the cloud: edge-cloud, or client-cloud
+    /// for client units.
+    link: Link,
 }
 
 /// `v[i]` for each index `i` in `idx`.
@@ -217,10 +260,30 @@ pub(crate) fn run(
     spec: RoundSpec<'_>,
 ) -> Result<(RunResult, StragglerClock), RunError> {
     let opts = spec.opts;
-    if let Some(dual) = spec.dual {
-        assert!(dual.loss_batch > 0, "loss_batch must be positive");
+    // An empty loss mini-batch fails before round 0, in Phase 2 and in
+    // q-FedAvg's loss report alike.
+    if let Some(Dual { loss_batch, .. }) = spec.dual {
+        assert!(loss_batch > 0, "loss_batch must be positive");
     }
+    if let Fold::Qffl { loss_batch, .. } = spec.fold {
+        assert!(loss_batch > 0, "loss_batch must be positive");
+    }
+    let clients = spec.blocks.clients();
     let per_unit = spec.blocks.edges_per_unit();
+    let n_units = if clients {
+        problem.topology().total_clients()
+    } else {
+        problem.num_edges() / per_unit
+    };
+    if clients {
+        let m = spec.sampler.m();
+        assert!(m <= n_units, "m_clients {m} exceeds {n_units} clients");
+        assert!(
+            opts.churn.is_none(),
+            "{} does not support membership churn; use HierMinimax",
+            spec.name
+        );
+    }
     let dv = Driver {
         problem,
         seed,
@@ -231,11 +294,16 @@ pub(crate) fn run(
         prof: &opts.profile,
         d: problem.num_params(),
         per_unit,
-        n_units: problem.num_edges() / per_unit,
+        n_units,
         slots: spec.tau1 * spec.blocks.blocks_per_round(),
+        link: if clients {
+            Link::ClientCloud
+        } else {
+            Link::EdgeCloud
+        },
         spec,
     };
-    let (d, n_units, slots, tel, prof) = (dv.d, dv.n_units, dv.slots, dv.tel, dv.prof);
+    let (d, slots, tel, prof) = (dv.d, dv.slots, dv.tel, dv.prof);
     let spec = &dv.spec;
     // Client-edge traffic spreads over every edge area the sampled units
     // span; simulated time divides it among them.
@@ -251,15 +319,18 @@ pub(crate) fn run(
             0,
         )));
     let mut p = vec![1.0 / n_units as f32; n_units];
+    // Without a dual step, the history and the snapshot carry the uniform
+    // edge weights.
+    let uniform_p = problem.initial_p();
     let mut avg_w = IterateAverage::new(d);
-    let mut avg_p = IterateAverage::new(n_units);
+    let mut avg_p = IterateAverage::new(dv.n_areas());
     let mut history = History::default();
     let mut faults_prev = FaultStats::default();
     let mut adv_prev = QuarantineStats::default();
     // Update-norm quarantine (inert at z = 0). The tree reports no
     // per-client norms, so MultiLevel runs without it.
     let z = match spec.blocks {
-        Blocks::Edges { .. } => opts.quarantine_z,
+        Blocks::Edges { .. } | Blocks::Clients { .. } => opts.quarantine_z,
         Blocks::Tree { .. } => 0.0,
     };
     let mut quarantine = QuarantineCtl::new(
@@ -268,7 +339,11 @@ pub(crate) fn run(
         problem.topology().total_clients(),
     );
     // The run's membership view; an all-zero plan never changes it.
-    let mut churn = ChurnCtl::new(problem, &opts.churn, seed);
+    let mut churn = if clients {
+        ChurnCtl::clients(problem)
+    } else {
+        ChurnCtl::new(problem, &opts.churn, seed)
+    };
     // Consecutive rounds in which no report arrived.
     let mut stale: u64 = 0;
     let mut clock = StragglerClock::default();
@@ -280,7 +355,9 @@ pub(crate) fn run(
     let start = match &resumed {
         Some(rr) => {
             w.clone_from(&rr.w);
-            p.clone_from(&rr.p);
+            if spec.dual.is_some() {
+                p.clone_from(&rr.p);
+            }
             avg_w = rr.avg_w.clone();
             avg_p = rr.avg_p.clone();
             history = rr.history.clone();
@@ -325,7 +402,7 @@ pub(crate) fn run(
         resumed.as_ref(),
         spec.name,
         spec.rounds,
-        n_units,
+        dv.n_areas(),
         d,
         seed,
     );
@@ -345,7 +422,7 @@ pub(crate) fn run(
 
         // ---- Phase 1: model update ---------------------------------------
         let (sampled, cp, round_secs) = dv.draw(k, &p, &churn, &mut clock);
-        let (participants, counts) = dv.broadcast(k, &sampled, cp.as_deref());
+        let (participants, counts) = dv.broadcast(k, &sampled, cp.as_deref(), &quarantine);
         // Round-start model, kept for the `RoundStart` ablation.
         let w_start = match spec.dual {
             Some(Dual {
@@ -392,14 +469,14 @@ pub(crate) fn run(
             }
         });
 
-        // ---- Phase 2: edge weight update ---------------------------------
+        // ---- Phase 2: unit weight update ---------------------------------
         if let Some(dual) = spec.dual {
             let w_eval: &[f32] = match dual.model {
                 WeightUpdateModel::RandomCheckpoint => &w_checkpoint,
                 WeightUpdateModel::FinalModel => &w,
                 WeightUpdateModel::RoundStart => &w_start,
             };
-            dv.phase2(k, dual, w_eval, &churn, &mut p);
+            dv.phase2(k, dual, w_eval, &participants, &churn, &mut p);
         }
 
         // ---- Accounting --------------------------------------------------
@@ -451,6 +528,12 @@ pub(crate) fn run(
         prof.record(tel, Phase::Round, Some(k), None, round_span);
 
         // ---- Evaluation and checkpoint -----------------------------------
+        // The snapshot keeps the unit weights `p`; the history and the
+        // averages see them per edge area.
+        let (p_snap, p_areas) = match spec.dual {
+            Some(_) => (&p, dv.areas(&p)),
+            None => (&uniform_p, uniform_p.clone()),
+        };
         finish_round(
             problem,
             opts,
@@ -462,9 +545,9 @@ pub(crate) fn run(
             slots,
             comm_now,
             &w,
-            p.clone(),
+            p_areas,
         );
-        ckpt.after_round(k, &w, &p, &avg_w, &avg_p, &history, comm_now, fstats, {
+        ckpt.after_round(k, &w, p_snap, &avg_w, &avg_p, &history, comm_now, fstats, {
             let mut extra = Vec::new();
             if quarantine.active() || dv.fault.has_adversary() {
                 // Read the counters fresh: `end_round` has added this
@@ -508,7 +591,7 @@ pub(crate) fn run(
     let result = RunResult {
         final_w: w,
         avg_w: avg_w.mean(),
-        final_p: p,
+        final_p: dv.areas(&p),
         avg_p: avg_p.mean(),
         history,
         comm: comm_final,
@@ -524,6 +607,42 @@ impl Driver<'_> {
     /// `per_unit` contiguous edges.
     fn edges_of(&self, g: usize) -> std::ops::Range<usize> {
         g * self.per_unit..(g + 1) * self.per_unit
+    }
+
+    /// Areas the run reports weights and accuracy for: the edge areas of
+    /// client units, the units themselves otherwise.
+    fn n_areas(&self) -> usize {
+        if self.spec.blocks.clients() {
+            self.problem.num_edges()
+        } else {
+            self.n_units
+        }
+    }
+
+    /// The unit weights `p` per area: a client unit's weight is summed
+    /// into its edge area's, in client order.
+    fn areas(&self, p: &[f32]) -> Vec<f32> {
+        if !self.spec.blocks.clients() {
+            return p.to_vec();
+        }
+        let topo = self.problem.topology();
+        let mut areas = vec![0.0_f32; topo.num_edges()];
+        for (c, &q) in p.iter().enumerate() {
+            areas[topo.edge_of(c)] += q;
+        }
+        areas
+    }
+
+    /// Client `client`'s loss `f_n(w; ξ_n)` on a `batch` mini-batch drawn
+    /// from its round-`k` loss-estimation stream.
+    fn client_loss(&self, k: usize, client: usize, data: &Dataset, w: &[f32], batch: usize) -> f64 {
+        let mut rng = StreamRng::for_key(StreamKey::new(
+            self.seed,
+            Purpose::LossEstSampling,
+            k as u64,
+            client as u64,
+        ));
+        estimate_loss(&*self.problem.model, data, w, batch, &mut rng)
     }
 
     /// `m` distinct units, uniform over those still up (`m` clamped to
@@ -569,15 +688,27 @@ impl Driver<'_> {
             .collect()
     }
 
-    /// Indices of the `units` whose message on `channel` arrives within
-    /// the retry budget. Every attempt transmits `floats`; first attempts
-    /// are the caller's to meter, retries are metered here (broadcasts
-    /// downlink, gathers uplink).
-    fn delivered(&self, k: usize, channel: MsgChannel, units: &[usize], floats: u64) -> Vec<usize> {
-        let mut kept = Vec::with_capacity(units.len());
+    /// The indices `i` of the `(i, unit)` pairs whose message on `channel`
+    /// arrives within the retry budget; a unit in `held` already holds it
+    /// and is kept without a transmission. Every attempt transmits
+    /// `floats`; first attempts are the caller's to meter, retries are
+    /// metered here (broadcasts downlink, gathers uplink).
+    fn delivered(
+        &self,
+        k: usize,
+        channel: MsgChannel,
+        units: impl Iterator<Item = (usize, usize)>,
+        held: &[usize],
+        floats: u64,
+    ) -> Vec<usize> {
+        let mut kept = Vec::with_capacity(units.size_hint().1.unwrap_or(0));
         let mut retries = 0u64;
         let retry_span = self.prof.start();
-        for (i, &e) in units.iter().enumerate() {
+        for (i, e) in units {
+            if held.contains(&e) {
+                kept.push(i);
+                continue;
+            }
             let dv = self.fault.deliver(k as u64, 0, channel, e);
             retries += u64::from(dv.attempts - 1);
             if !dv.delivered {
@@ -591,10 +722,9 @@ impl Driver<'_> {
         }
         if retries > 0 {
             if channel == MsgChannel::Phase1Up {
-                self.meter.record_gather(Link::EdgeCloud, floats, retries);
+                self.meter.record_gather(self.link, floats, retries);
             } else {
-                self.meter
-                    .record_broadcast(Link::EdgeCloud, floats, retries);
+                self.meter.record_broadcast(self.link, floats, retries);
             }
             self.prof
                 .record(self.tel, Phase::FaultRetry, Some(k), None, retry_span);
@@ -650,12 +780,19 @@ impl Driver<'_> {
             }
         };
         // Only its base coordinates `(c1, c2)` are reported; under
-        // heterogeneous rates each edge redraws its own block.
-        let cp = self.spec.dual.map(|_| {
-            self.spec
-                .blocks
-                .draw_checkpoint(self.seed, k, self.spec.tau1)
-        });
+        // heterogeneous rates each edge redraws its own block. A client
+        // unit captures a checkpoint only when Phase 2 evaluates it.
+        let cp = self
+            .spec
+            .dual
+            .filter(|dual| {
+                !self.spec.blocks.clients() || dual.model == WeightUpdateModel::RandomCheckpoint
+            })
+            .map(|_| {
+                self.spec
+                    .blocks
+                    .draw_checkpoint(self.seed, k, self.spec.tau1)
+            });
         let c1c2 = cp.as_deref().map(base_checkpoint);
         self.tel.record(|| TelemetryEvent::Phase1Sampled {
             round: k,
@@ -681,14 +818,27 @@ impl Driver<'_> {
         k: usize,
         sampled: &[usize],
         cp: Option<&[usize]>,
+        quarantine: &QuarantineCtl,
     ) -> (Vec<usize>, Vec<usize>) {
-        let (distinct, counts) = multiplicities(sampled);
+        let (mut distinct, mut counts) = multiplicities(sampled);
+        if self.spec.blocks.clients() && quarantine.active() {
+            // A benched client unit is sent nothing: like a client that
+            // was never sampled, it draws no fault stream. Its skipped
+            // upload is counted.
+            let free: Vec<usize> = (0..distinct.len())
+                .filter(|&i| !quarantine.benches(distinct[i], k))
+                .collect();
+            self.fault
+                .add_excluded((distinct.len() - free.len()) as u64);
+            (distinct, counts) = (pick(&distinct, &free), pick(&counts, &free));
+        }
         let payload = self.d as u64 + cp.map_or(0, |c| c.len() as u64);
         let up = self.up(k, &distinct);
         let (active, active_counts) = (pick(&distinct, &up), pick(&counts, &up));
         self.meter
-            .record_broadcast(Link::EdgeCloud, payload, active.len() as u64);
-        let got = self.delivered(k, MsgChannel::Phase1Down, &active, payload);
+            .record_broadcast(self.link, payload, active.len() as u64);
+        let pairs = active.iter().copied().enumerate();
+        let got = self.delivered(k, MsgChannel::Phase1Down, pairs, &[], payload);
         (pick(&active, &got), pick(&active_counts, &got))
     }
 
@@ -712,6 +862,10 @@ impl Driver<'_> {
             tau2: self.spec.blocks.tau2(),
             eta_w: self.spec.eta_w,
             batch_size: self.spec.batch_size,
+            mu: match self.spec.blocks {
+                Blocks::Clients { mu } => mu,
+                _ => 0.0,
+            },
             checkpoint: c1c2,
             quantizer: self.spec.quantizer,
             fault: &self.fault,
@@ -727,9 +881,10 @@ impl Driver<'_> {
             quarantined: quarantine.exclusions(),
             track_norms: quarantine.active(),
             churn,
+            edge_hop: !self.spec.blocks.clients(),
         };
         let outputs: Vec<EdgeBlockOutput> = match self.spec.blocks {
-            Blocks::Edges { rates: None, .. } => run_edge_blocks(leaf),
+            Blocks::Edges { rates: None, .. } | Blocks::Clients { .. } => run_edge_blocks(leaf),
             Blocks::Edges {
                 rates: Some(rates), ..
             } => {
@@ -777,6 +932,7 @@ impl Driver<'_> {
                             w_final,
                             checkpoint,
                             client_norms: Vec::new(),
+                            uploads: true,
                         }
                     })
                     .collect()
@@ -792,8 +948,10 @@ impl Driver<'_> {
     /// Units → cloud: the final model, and the checkpoint model when
     /// `with_cp`, encoded by the upload codec as deltas against the
     /// broadcast model `w` the cloud already holds. Every attempt
-    /// transmits the full payload. Returns the indices of the outputs
-    /// that arrived.
+    /// transmits the full payload. A unit with nothing to upload (a
+    /// client unit whose client crashed or missed the deadline) sends
+    /// nothing and draws no uplink stream. Returns the indices of the
+    /// outputs that arrived.
     fn upload(
         &self,
         k: usize,
@@ -816,24 +974,30 @@ impl Driver<'_> {
                 }
             }
         }
-        let wire = (1 + u64::from(with_cp)) * q.wire_floats(self.d);
-        let units: Vec<usize> = outputs.iter().map(|o| o.edge).collect();
-        let reported = self.delivered(k, MsgChannel::Phase1Up, &units, wire);
+        // q-FedAvg's clients send their loss at `w` along with the model.
+        let loss = u64::from(matches!(self.spec.fold, Fold::Qffl { .. }));
+        let wire = (1 + u64::from(with_cp)) * q.wire_floats(self.d) + loss;
+        let sent = || {
+            outputs
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.uploads)
+                .map(|(i, o)| (i, o.edge))
+        };
+        let reported = self.delivered(k, MsgChannel::Phase1Up, sent(), &[], wire);
         self.meter
-            .record_gather(Link::EdgeCloud, wire, outputs.len() as u64);
-        self.meter.record_round(Link::EdgeCloud);
+            .record_gather(self.link, wire, sent().count() as u64);
+        self.meter.record_round(self.link);
         reported
     }
 
-    /// Cloud aggregation (eqs. 5–6) of the reported final models into `w`;
-    /// returns the aggregated checkpoint model when `with_cp` (empty
-    /// otherwise).
+    /// Cloud aggregation (eqs. 5–6) of the reported final models into `w`
+    /// under the spec's [`Fold`]; returns the aggregated checkpoint model
+    /// when `with_cp` (empty otherwise).
     ///
-    /// The weights renormalize over the reports that arrived: by
-    /// multiplicity in a with-replacement draw (fault-free, the
-    /// denominator is exactly `m`), by training-data volume in the uniform
-    /// draw. A stale round keeps `w^(k)` bit for bit, and its checkpoint
-    /// model is `w^(k)`.
+    /// A round with nothing to fold (no report arrived, or only units with
+    /// no members and so no data volume) keeps `w^(k)` bit for bit, and
+    /// its checkpoint model is `w^(k)`.
     #[allow(clippy::too_many_arguments)]
     fn aggregate(
         &self,
@@ -846,11 +1010,13 @@ impl Driver<'_> {
         with_cp: bool,
     ) -> Vec<f32> {
         let agg_span = self.prof.start();
-        let weights: Option<Vec<f64>> = match self.spec.sampler {
-            Sampler::Uniform(_) => {
-                // An edge's volume is its current members' shards, so
-                // re-homed data keeps its pull under churn.
-                let sizes: Vec<f64> = reported
+        // Each report's pull on a weighted fold, normalized below: its
+        // multiplicity in the draw, or its unit's current members' shards,
+        // so re-homed data keeps its pull under churn.
+        let mut weights: Option<Vec<f64>> = match self.spec.fold {
+            Fold::Multiplicity => Some(reported.iter().map(|&i| counts[i] as f64).collect()),
+            Fold::Volume => Some(
+                reported
                     .iter()
                     .map(|&i| {
                         churn
@@ -859,58 +1025,69 @@ impl Driver<'_> {
                             .map(|&gid| churn.data(self.problem, gid).len())
                             .sum::<usize>() as f64
                     })
-                    .collect();
-                let total: f64 = sizes.iter().sum();
-                (!reported.is_empty() && total > 0.0)
-                    .then(|| sizes.iter().map(|s| s / total).collect())
-            }
-            _ => {
-                let m_reported: usize = reported.iter().map(|&i| counts[i]).sum();
-                (!reported.is_empty()).then(|| {
-                    reported
-                        .iter()
-                        .map(|&i| counts[i] as f64 / m_reported as f64)
-                        .collect()
-                })
-            }
+                    .collect(),
+            ),
+            Fold::Plain | Fold::Qffl { .. } => None,
         };
+        let total: Option<f64> = weights.as_ref().map(|pull| pull.iter().sum());
+        if let (Some(weights), Some(total)) = (weights.as_mut(), total) {
+            weights.iter_mut().for_each(|x| *x /= total);
+        }
+        let finals: Vec<&[f32]> = reported
+            .iter()
+            .map(|&i| outputs[i].w_final.as_slice())
+            .collect();
         let mut w_checkpoint = Vec::new();
-        match &weights {
-            None if with_cp => w_checkpoint = w.to_vec(),
-            None => {}
-            Some(weights) => {
-                let agg = &self.spec.opts.aggregator;
-                let base_w = if agg.needs_base() {
-                    w.to_vec()
-                } else {
-                    Vec::new()
-                };
-                let mut agg_scratch: Vec<f32> = Vec::new();
-                let finals: Vec<&[f32]> = reported
+        if reported.is_empty() || total.is_some_and(|t| t <= 0.0) {
+            if with_cp {
+                w_checkpoint = w.to_vec();
+            }
+        } else if let Fold::Qffl { q, loss_batch } = self.spec.fold {
+            // Each reporter's loss F_k at the broadcast model; the floor
+            // keeps F_k^(q−1) finite for q < 1.
+            let w_now: &[f32] = w;
+            let losses: Vec<f64> = self.spec.opts.parallelism.map_ref(reported, |&i| {
+                let client = outputs[i].edge;
+                let data = churn.data(self.problem, client);
+                self.client_loss(k, client, data, w_now, loss_batch)
+                    .max(1e-10)
+            });
+            qffl::server_step(self.problem, w, &finals, &losses, q, self.spec.eta_w);
+        } else {
+            let agg = &self.spec.opts.aggregator;
+            let base_w = if agg.needs_base() {
+                w.to_vec()
+            } else {
+                Vec::new()
+            };
+            let mut agg_scratch: Vec<f32> = Vec::new();
+            robust_reduce_into(
+                agg,
+                &finals,
+                weights.as_deref(),
+                &base_w,
+                &mut agg_scratch,
+                w,
+            );
+            if with_cp {
+                let cps: Vec<&[f32]> = reported
                     .iter()
-                    .map(|&i| outputs[i].w_final.as_slice())
+                    .map(|&i| {
+                        outputs[i]
+                            .checkpoint
+                            .as_deref()
+                            .expect("checkpoints captured")
+                    })
                     .collect();
-                robust_reduce_into(agg, &finals, Some(weights), &base_w, &mut agg_scratch, w);
-                if with_cp {
-                    let cps: Vec<&[f32]> = reported
-                        .iter()
-                        .map(|&i| {
-                            outputs[i]
-                                .checkpoint
-                                .as_deref()
-                                .expect("checkpoints captured")
-                        })
-                        .collect();
-                    w_checkpoint = vec![0.0_f32; self.d];
-                    robust_reduce_into(
-                        agg,
-                        &cps,
-                        Some(weights),
-                        &base_w,
-                        &mut agg_scratch,
-                        &mut w_checkpoint,
-                    );
-                }
+                w_checkpoint = vec![0.0_f32; self.d];
+                robust_reduce_into(
+                    agg,
+                    &cps,
+                    weights.as_deref(),
+                    &base_w,
+                    &mut agg_scratch,
+                    &mut w_checkpoint,
+                );
             }
         }
         self.prof
@@ -921,7 +1098,15 @@ impl Driver<'_> {
     /// Phase 2 (eq. 7): sample a uniform unit set `U^(k)`, estimate each
     /// live unit's loss on `w_eval`, and take the projected ascent step
     /// on `p` with the unbiased estimate `v_g = (pool/m)·f_g`.
-    fn phase2(&self, k: usize, dual: Dual, w_eval: &[f32], churn: &ChurnCtl, p: &mut [f32]) {
+    fn phase2(
+        &self,
+        k: usize,
+        dual: Dual,
+        w_eval: &[f32],
+        participants: &[usize],
+        churn: &ChurnCtl,
+        p: &mut [f32],
+    ) {
         let (problem, d) = (self.problem, self.d);
         let phase2_timer = self.tel.timer();
         let dual_span = self.prof.start();
@@ -932,42 +1117,44 @@ impl Driver<'_> {
             u64::MAX,
         ));
         let (pool, m, u_set) = self.sample_up(churn, self.spec.sampler.m(), &mut u_rng);
-        // Cloud → U^(k): the evaluation model, relayed to the clients. A
-        // unit that is out, or whose downlink is lost after retries,
-        // contributes v = 0: the estimate shrinks toward zero instead of
-        // aborting the update.
-        let live = pick(&u_set, &self.up(k, &u_set));
-        self.meter
-            .record_broadcast(Link::EdgeCloud, d as u64, live.len() as u64);
-        let est = pick(
-            &live,
-            &self.delivered(k, MsgChannel::Phase2Down, &live, d as u64),
-        );
-        // The estimating population is each unit's current members, so
-        // the meter and the estimate see the same set.
-        let est_clients: u64 = est
-            .iter()
-            .flat_map(|&g| self.edges_of(g))
-            .map(|e| churn.members_of(e).len() as u64)
-            .sum();
-        self.meter
-            .record_broadcast(Link::ClientEdge, d as u64, est_clients);
-        let loss = |client: usize, data: &Dataset| {
-            let mut rng = StreamRng::for_key(StreamKey::new(
-                self.seed,
-                Purpose::LossEstSampling,
-                k as u64,
-                client as u64,
-            ));
-            estimate_loss(&*problem.model, data, w_eval, dual.loss_batch, &mut rng)
+        // Cloud → U^(k): the evaluation model. A unit that is out, or
+        // whose downlink is lost after retries, contributes v = 0: the
+        // estimate shrinks toward zero instead of aborting the update.
+        // Under `RoundStart`, a client unit that took part in Phase 1
+        // already holds the evaluation model and is not sent it again.
+        let holders = match (&self.spec.blocks, dual.model) {
+            (Blocks::Clients { .. }, WeightUpdateModel::RoundStart) => participants,
+            _ => &[],
         };
+        let live = pick(&u_set, &self.up(k, &u_set));
+        let fresh = live.iter().filter(|g| !holders.contains(g)).count();
+        self.meter
+            .record_broadcast(self.link, d as u64, fresh as u64);
+        let pairs = live.iter().copied().enumerate();
+        let got = self.delivered(k, MsgChannel::Phase2Down, pairs, holders, d as u64);
+        let est = pick(&live, &got);
+        if !self.spec.blocks.clients() {
+            // Each estimating edge relays the model to its current members
+            // and their losses back, so the meter and the estimate see the
+            // same population.
+            let est_clients: u64 = est
+                .iter()
+                .flat_map(|&g| self.edges_of(g))
+                .map(|e| churn.members_of(e).len() as u64)
+                .sum();
+            self.meter
+                .record_broadcast(Link::ClientEdge, d as u64, est_clients);
+            self.meter.record_gather(Link::ClientEdge, 1, est_clients);
+            self.meter.record_round(Link::ClientEdge);
+        }
         // f_g = the mean of f_n(w_eval; ξ_n) over the unit's clients, in
         // edge order; 0 for a unit with none.
         let losses: Vec<f64> = self.spec.opts.parallelism.map_ref(&est, |&g| {
             let (mut total, mut n) = (0.0_f64, 0_usize);
             for e in self.edges_of(g) {
                 for &client in churn.members_of(e) {
-                    total += loss(client, churn.data(problem, client));
+                    let data = churn.data(problem, client);
+                    total += self.client_loss(k, client, data, w_eval, dual.loss_batch);
                     n += 1;
                 }
             }
@@ -980,18 +1167,21 @@ impl Driver<'_> {
         // Scalar losses ride the reliable control channel, so every
         // estimating unit reports. Phase 2 shares the round's cloud
         // exchange window: metered, but not a separate cloud round.
-        self.meter.record_gather(Link::ClientEdge, 1, est_clients);
-        self.meter.record_round(Link::ClientEdge);
-        self.meter
-            .record_gather(Link::EdgeCloud, 1, est.len() as u64);
+        self.meter.record_gather(self.link, 1, est.len() as u64);
 
         let mut v = vec![0.0_f32; self.n_units];
         let scale = pool as f64 / m as f64;
         for (&g, &f) in est.iter().zip(&losses) {
             v[g] = (scale * f) as f32;
         }
-        // Theorem 1's step applies η_p × (slots per round).
-        projected_ascent_step(p, &v, dual.eta_p * self.slots as f32, &problem.p_domain);
+        // Theorem 1's step applies η_p × (slots per round). The two-layer
+        // baselines' `q` lives on the simplex over clients.
+        let domain = if self.spec.blocks.clients() {
+            &ProjectionOp::Simplex
+        } else {
+            &problem.p_domain
+        };
+        projected_ascent_step(p, &v, dual.eta_p * self.slots as f32, domain);
         // The projection may hand mass back to a dead edge.
         churn.reproject_weights(p);
         self.prof
@@ -1000,13 +1190,18 @@ impl Driver<'_> {
             round: k,
             edges: est.clone(),
             losses: losses.clone(),
-            p: p.to_vec(),
+            p: self.areas(p),
             elapsed_s: phase2_timer.elapsed_s(),
         });
     }
 }
 
-/// The base coordinates `(c1, c2)` of a checkpoint index.
+/// The base coordinates `(c1, c2)` of a checkpoint index; a client
+/// unit's `[c1]` is `(c1, 0)`, its one block.
 fn base_checkpoint(cp: &[usize]) -> (usize, usize) {
-    (cp[cp.len() - 2], cp[cp.len() - 1])
+    match *cp {
+        [.., c1, c2] => (c1, c2),
+        [c1] => (c1, 0),
+        [] => unreachable!("a checkpoint index has at least one coordinate"),
+    }
 }

@@ -5,11 +5,12 @@
 //! the paper's eq. (1), which is exactly what makes minimization
 //! under-serve data-poor clients. No edge servers, no fairness weights.
 //! With edges of one client this is HierFAVG with `τ2 = 1`, bit for bit
-//! (`tests/oracle_diff.rs`).
+//! while no client drops (`tests/oracle_diff.rs`, DESIGN.md §7c).
 
-use super::flat::{self, FlatSpec, Update};
-use super::{Algorithm, RunOpts, RunResult};
+use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
+use super::{Algorithm, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
+use hm_simnet::Quantizer;
 
 /// Configuration of a FedAvg run.
 #[derive(Debug, Clone)]
@@ -61,19 +62,22 @@ impl Algorithm for FedAvg {
         "FedAvg"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
+    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
-        let spec = FlatSpec {
+        let spec = RoundSpec {
             name: self.name(),
             rounds: cfg.rounds,
             tau1: cfg.tau1,
-            m: cfg.m_clients,
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
+            quantizer: Quantizer::Exact,
             opts: &cfg.opts,
-            update: Update::DataWeighted,
+            sampler: Sampler::Uniform(cfg.m_clients),
+            blocks: Blocks::Clients { mu: 0.0 },
+            fold: Fold::Volume,
+            dual: None,
         };
-        flat::run(problem, seed, spec)
+        driver::run(problem, seed, spec).map(|(r, _)| r)
     }
 }
 

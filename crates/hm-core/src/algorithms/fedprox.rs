@@ -6,9 +6,10 @@
 //! comparison triangle complete: drift control (FedProx) vs fairness soft
 //! reweighting (q-FedAvg) vs minimax (HierMinimax).
 
-use super::flat::{self, FlatSpec, Update};
-use super::{Algorithm, RunOpts, RunResult};
+use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
+use super::{Algorithm, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
+use hm_simnet::Quantizer;
 
 /// Configuration of a FedProx run.
 #[derive(Debug, Clone)]
@@ -54,10 +55,13 @@ impl FedProx {
     /// Build a runner from a config.
     ///
     /// # Panics
-    /// Panics on degenerate configs or negative `μ`.
+    /// Panics on degenerate configs or a negative or non-finite `μ`.
     pub fn new(cfg: FedProxConfig) -> Self {
         assert!(cfg.rounds > 0 && cfg.tau1 > 0 && cfg.m_clients > 0 && cfg.batch_size > 0);
-        assert!(cfg.mu >= 0.0, "mu must be non-negative");
+        assert!(
+            cfg.mu >= 0.0 && cfg.mu.is_finite(),
+            "mu must be non-negative"
+        );
         Self { cfg }
     }
 }
@@ -67,19 +71,22 @@ impl Algorithm for FedProx {
         "FedProx"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
+    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
-        let spec = FlatSpec {
+        let spec = RoundSpec {
             name: self.name(),
             rounds: cfg.rounds,
             tau1: cfg.tau1,
-            m: cfg.m_clients,
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
+            quantizer: Quantizer::Exact,
             opts: &cfg.opts,
-            update: Update::Proximal { mu: cfg.mu },
+            sampler: Sampler::Uniform(cfg.m_clients),
+            blocks: Blocks::Clients { mu: cfg.mu },
+            fold: Fold::Plain,
+            dual: None,
         };
-        flat::run(problem, seed, spec)
+        driver::run(problem, seed, spec).map(|(r, _)| r)
     }
 }
 

@@ -1,12 +1,16 @@
-//! The block phase of the hierarchical round driver (HierMinimax,
-//! HierFAVG, MultiLevel and Overselect): the `ModelUpdate` procedure —
+//! The block phase of the round driver: the `ModelUpdate` procedure —
 //! `τ2` client-edge aggregation blocks of `τ1` local SGD steps each —
 //! with optional checkpoint capture, plus the cloud-side reductions and
 //! the quarantine controller the driver uses.
 //!
 //! Every participating edge's clients are its current members in the
 //! run's one membership view, [`ChurnCtl`]: with churn off, that is the
-//! original clients `edge·n₀ + idx`, in order.
+//! original clients `edge·n₀ + idx`, in order. The two-layer baselines
+//! run the same procedure on units of one client with `τ2 = 1` and no
+//! edge hop ([`EdgeBlockParams::edge_hop`]): a one-member aggregation
+//! returns its input, so the unit's output is the client's upload, and a
+//! unit whose client dropped has nothing to send
+//! ([`EdgeBlockOutput::uploads`]).
 //!
 //! A round's block phase runs in three steps (DESIGN.md §7):
 //!
@@ -91,6 +95,10 @@ pub(crate) struct EdgeBlockOutput {
     /// quarantine pass z-scores. Empty unless
     /// [`EdgeBlockParams::track_norms`] is set.
     pub client_norms: Vec<(f64, u32)>,
+    /// Whether the unit has a model to send the cloud. An edge always
+    /// has: with every client dropped it forwards its block-start model.
+    /// A unit without an edge hop has one only when its client survived.
+    pub uploads: bool,
 }
 
 /// Parameters of one round's `ModelUpdate` across the participating edges.
@@ -104,6 +112,9 @@ pub(crate) struct EdgeBlockParams<'a> {
     pub tau2: usize,
     pub eta_w: f32,
     pub batch_size: usize,
+    /// Proximal coefficient of every local step (FedProx; `0` for plain
+    /// SGD).
+    pub mu: f32,
     /// Checkpoint index `(c1, c2)`, or `None` for minimization methods.
     pub checkpoint: Option<(usize, usize)>,
     /// Codec applied to client model uploads (the Hier-Local-QSGD
@@ -155,6 +166,11 @@ pub(crate) struct EdgeBlockParams<'a> {
     pub track_norms: bool,
     /// The run's membership view: each edge's clients and their shards.
     pub churn: &'a ChurnCtl,
+    /// Whether the clients talk to an edge server. Without one (the
+    /// two-layer baselines' one-client units) there is no client-edge
+    /// traffic to meter, no `block_agg` event to emit and no edge to
+    /// forward the block-start model of a unit whose client dropped.
+    pub edge_hop: bool,
 }
 
 /// Per-round fault and survivor schedule, computed before any client work.
@@ -291,18 +307,20 @@ fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSched
 ///
 /// Blocks of one edge are sequential, as the protocol requires; edges do
 /// not synchronise until the end of the round (see module docs).
-/// Communication is metered on the `ClientEdge` link: one broadcast + one
-/// gather + one round per block, with the checkpoint model piggybacked on
-/// the gather of block `c2` (doubling that block's uplink payload, as in
-/// the paper where clients "send along" the checkpoint).
+/// With an edge hop, communication is metered on the `ClientEdge` link:
+/// one broadcast + one gather + one round per block, with the checkpoint
+/// model piggybacked on the gather of block `c2` (doubling that block's
+/// uplink payload, as in the paper where clients "send along" the
+/// checkpoint).
 pub(crate) fn run_edge_blocks(p: EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
     run_edge_blocks_chained(&p)
 }
 
 /// Per-edge chain result: final edge model, checkpoint model, per-client
 /// `(summed update norm, block count)` samples for the quarantine pass,
-/// and the chain's wall-clock seconds for the profiler.
-type ChainOutput = (Vec<f32>, Option<Vec<f32>>, Vec<(f64, u32)>, f64);
+/// whether any block had a survivor, and the chain's wall-clock seconds
+/// for the profiler.
+type ChainOutput = (Vec<f32>, Option<Vec<f32>>, Vec<(f64, u32)>, bool, f64);
 
 /// The chained engine: fault schedule and metering up front, then one
 /// task per edge running all `τ2` blocks back to back, then event replay.
@@ -310,7 +328,9 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
     let ne = p.edges.len();
     let slots = SlotMap::build(p);
     let schedule = compute_schedule(p, &slots);
-    meter_round(p, &slots, &schedule);
+    if p.edge_hop {
+        meter_round(p, &slots, &schedule);
+    }
 
     let outputs: Vec<ChainOutput> = {
         let schedule = &schedule;
@@ -339,6 +359,7 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                 } else {
                     Vec::new()
                 };
+                let mut aggregated = false;
                 for t2 in 0..p.tau2 {
                     let is_cp_block = p.checkpoint.map(|(_, c2)| c2 == t2).unwrap_or(false);
                     let cp_after = p.checkpoint.and_then(|(c1, c2)| (c2 == t2).then_some(c1));
@@ -364,6 +385,7 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                             p.tau1,
                             p.eta_w,
                             p.batch_size,
+                            p.mu,
                             &p.problem.w_domain,
                             &mut rng,
                             cp_after,
@@ -430,6 +452,7 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                     if survivors == 0 {
                         continue;
                     }
+                    aggregated = true;
                     if is_cp_block {
                         let mut cp = vec![0.0_f32; model.len()];
                         let got = p.aggregator.aggregate_present_into(
@@ -443,13 +466,21 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                         checkpoint = Some(cp);
                     }
                 }
-                (model, checkpoint, norms, chain_timer.elapsed_s())
+                (
+                    model,
+                    checkpoint,
+                    norms,
+                    aggregated,
+                    chain_timer.elapsed_s(),
+                )
             })
         })
     };
 
-    replay_events(p, &slots, &schedule);
-    for (ei, (_, _, _, chain_s)) in outputs.iter().enumerate() {
+    if p.edge_hop {
+        replay_events(p, &slots, &schedule);
+    }
+    for (ei, (_, _, _, _, chain_s)) in outputs.iter().enumerate() {
         p.profile.record_secs(
             p.telemetry,
             Phase::LocalSgdChain,
@@ -462,22 +493,19 @@ fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
     p.edges
         .iter()
         .zip(outputs)
-        .map(|(&edge, (w_final, checkpoint, client_norms, _))| {
-            finish_edge(p, edge, w_final, checkpoint, client_norms)
-        })
+        .map(|(&edge, chain)| finish_edge(p, edge, chain))
         .collect()
 }
 
-/// Checkpoint fallback: if every client of an edge dropped during the
-/// checkpoint block, fall back to the edge's final model so Phase 2 still
-/// has an estimate to evaluate (slightly biased, but only in a failure
-/// corner the paper's protocol does not define).
+/// The unit's output from its chain. Checkpoint fallback: if every client
+/// of an edge dropped during the checkpoint block, fall back to the edge's
+/// final model so Phase 2 still has an estimate to evaluate (slightly
+/// biased, but only in a failure corner the paper's protocol does not
+/// define).
 fn finish_edge(
     p: &EdgeBlockParams<'_>,
     edge: usize,
-    w_final: Vec<f32>,
-    checkpoint: Option<Vec<f32>>,
-    client_norms: Vec<(f64, u32)>,
+    (w_final, checkpoint, client_norms, aggregated, _): ChainOutput,
 ) -> EdgeBlockOutput {
     let checkpoint = match (checkpoint, p.checkpoint) {
         (None, Some(_)) => Some(w_final.clone()),
@@ -488,6 +516,7 @@ fn finish_edge(
         w_final,
         checkpoint,
         client_norms,
+        uploads: p.edge_hop || aggregated,
     }
 }
 
@@ -583,6 +612,11 @@ impl QuarantineCtl {
     /// (empty when disabled, which turns the per-slot check off).
     pub(crate) fn exclusions(&self) -> &[u64] {
         &self.until
+    }
+
+    /// Whether `client` sits out `round`.
+    pub(crate) fn benches(&self, client: usize, round: usize) -> bool {
+        quarantine_excludes(&self.until, client, round)
     }
 
     pub(crate) fn begin_round(&mut self) {
@@ -750,6 +784,7 @@ mod tests {
             tau2: 3,
             eta_w: 0.1,
             batch_size: 2,
+            mu: 0.0,
             checkpoint: Some((1, 1)),
             quantizer: Quantizer::Exact,
             fault: &fi,
@@ -765,6 +800,7 @@ mod tests {
             quarantined: &[],
             track_norms: false,
             churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
+            edge_hop: true,
         });
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].edge, 0);
@@ -821,6 +857,7 @@ mod tests {
             tau2: 2,
             eta_w: 0.05,
             batch_size: 2,
+            mu: 0.0,
             checkpoint: Some((0, 0)),
             quantizer: Quantizer::Exact,
             fault: &fi,
@@ -836,6 +873,7 @@ mod tests {
             quarantined: &[],
             track_norms: false,
             churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
+            edge_hop: true,
         });
         assert_eq!(out[0].checkpoint.as_deref(), Some(w0.as_slice()));
     }
@@ -864,6 +902,7 @@ mod tests {
             tau2: 3,
             eta_w: 0.1,
             batch_size: 2,
+            mu: 0.0,
             checkpoint: Some((1, 1)),
             quantizer,
             fault: &fi,
@@ -879,6 +918,7 @@ mod tests {
             quarantined: &[],
             track_norms: true,
             churn: &ChurnCtl::new(fp, &NO_CHURN, 0),
+            edge_hop: true,
         });
         (out, meter.snapshot(), sink.events())
     }
@@ -961,6 +1001,7 @@ mod tests {
             tau2: 2,
             eta_w: 0.1,
             batch_size: 2,
+            mu: 0.0,
             checkpoint: None,
             quantizer: Quantizer::Exact,
             fault: &fi,
@@ -976,6 +1017,7 @@ mod tests {
             quarantined: &until,
             track_norms: true,
             churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
+            edge_hop: true,
         });
         // The benched client was never aggregated and was counted once per
         // block.
@@ -1005,6 +1047,7 @@ mod tests {
             w_final: vec![0.0],
             checkpoint: None,
             client_norms: norms,
+            uploads: true,
         };
         let outputs = vec![
             mk(0, vec![(1.0, 1), (1.1, 1)]),
@@ -1017,8 +1060,8 @@ mod tests {
         assert_eq!(newly, 1);
         let outlier = fp.topology().client_id(1, 1);
         assert_eq!(ctl.exclusions()[outlier], 7 + 1 + 4);
-        assert!(quarantine_excludes(ctl.exclusions(), outlier, 9));
-        assert!(!quarantine_excludes(ctl.exclusions(), outlier, 12));
+        assert!(ctl.benches(outlier, 9));
+        assert!(!ctl.benches(outlier, 12));
         assert_eq!(fi.adversary_stats().quarantined_clients, 1);
         // Round-trip through the checkpoint state.
         let saved = ctl.state().to_vec();

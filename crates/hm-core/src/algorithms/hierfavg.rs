@@ -7,7 +7,7 @@
 //! shards within an edge are equal-sized in every scenario here, so the
 //! client-edge aggregation remains a plain average.
 
-use super::driver::{self, Blocks, RoundSpec, Sampler};
+use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
 use super::{Algorithm, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
@@ -69,11 +69,6 @@ impl Algorithm for HierFavg {
         "HierFAVG"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.try_run(problem, seed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
         let n_edges = problem.num_edges();
@@ -96,6 +91,7 @@ impl Algorithm for HierFavg {
                 tau2: cfg.tau2,
                 rates: None,
             },
+            fold: Fold::Volume,
             dual: None,
         };
         driver::run(problem, seed, spec).map(|(r, _)| r)

@@ -17,7 +17,7 @@
 //! unbiased for `∇_p F(w^{(k,c2,c1)}, ·)` — and updates
 //! `p^{(k+1)} = Π_P(p^(k) + η_p τ1 τ2 v)` (eq. 7).
 
-use super::driver::{self, Blocks, Dual, RoundSpec, Sampler};
+use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
 use super::{Algorithm, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
@@ -122,11 +122,6 @@ impl Algorithm for HierMinimax {
         "HierMinimax"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.try_run(problem, seed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
         let n_edges = problem.num_edges();
@@ -153,6 +148,7 @@ impl Algorithm for HierMinimax {
                 tau2: cfg.tau2,
                 rates: cfg.tau2_per_edge.as_deref(),
             },
+            fold: Fold::Multiplicity,
             dual: Some(Dual {
                 eta_p: cfg.eta_p,
                 loss_batch: cfg.loss_batch,

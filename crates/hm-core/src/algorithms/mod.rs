@@ -13,12 +13,11 @@
 //!   multi-step), and [`HierFavg`] (three-layer minimization); plus the
 //!   two-layer extension baselines [`FedProx`] and [`QFedAvg`].
 //!
-//! Two round drivers run them all:
-//!
-//! - `driver` (DESIGN.md §7c) — the hierarchical round, for HierMinimax,
-//!   HierFAVG, MultiLevel and Overselect;
-//! - `flat` (DESIGN.md §7d) — the two-layer round, for FedAvg, FedProx,
-//!   q-FedAvg, Stochastic-AFL and DRFA.
+//! One round driver, `driver` (DESIGN.md §7c), runs them all. Its units
+//! are edges (HierMinimax, HierFAVG, Overselect), groups of edges
+//! (MultiLevel), or single clients that talk to the cloud directly (the
+//! two-layer baselines FedAvg, FedProx, q-FedAvg, Stochastic-AFL and
+//! DRFA).
 //!
 //! ## Communication-round convention
 //!
@@ -38,7 +37,6 @@ mod drfa;
 mod driver;
 mod fedavg;
 mod fedprox;
-mod flat;
 mod hier_common;
 mod hierfavg;
 mod hierminimax;
@@ -87,8 +85,10 @@ pub struct RunOpts {
     /// Deterministic fault injection (see `hm_simnet::fault` and
     /// DESIGN.md §11). The default all-zero plan makes no RNG draws, so a
     /// fault-capable run with zero rates is bit-identical to a fault-free
-    /// one. Per-block client dropout is the plan's `client_crash`; flat
-    /// two-layer baselines ignore the plan.
+    /// one. Per-block client dropout is the plan's `client_crash`. Every
+    /// algorithm honours the plan; for the two-layer baselines the
+    /// cloud-link classes act on each client's link to the cloud, and a
+    /// client that crashes or misses the deadline uploads nothing.
     pub fault: FaultPlan,
     /// Crash-consistent checkpointing: where/how often to write snapshots
     /// and, optionally, a snapshot to resume from (see `hm-checkpoint` and
@@ -104,14 +104,15 @@ pub struct RunOpts {
     /// `hm_tensor::robust` and DESIGN.md §14). The default
     /// [`Aggregator::Mean`] is the frozen historical path, bit-identical
     /// to pre-robust builds; the robust rules bound the influence of
-    /// Byzantine uploads. Flat two-layer baselines ignore this.
+    /// Byzantine uploads. q-FedAvg's server step is not an average, so
+    /// its cloud fold does not use the rule.
     pub aggregator: Aggregator,
     /// Update-norm quarantine trigger threshold in standard deviations
-    /// (`0.0` = disabled, the default). When positive, HierMinimax,
-    /// HierFAVG and Overselect z-score each reporting client's mean
-    /// per-block upload norm every round and bench outliers for
-    /// [`RunOpts::quarantine_window`] rounds; MultiLevel and the flat
-    /// baselines ignore it.
+    /// (`0.0` = disabled, the default). When positive, every algorithm
+    /// but MultiLevel z-scores each reporting client's mean per-block
+    /// upload norm every round and benches outliers for
+    /// [`RunOpts::quarantine_window`] rounds; MultiLevel's tree reports
+    /// no per-client norms and ignores it.
     pub quarantine_z: f64,
     /// Rounds a quarantined client sits out after being flagged.
     pub quarantine_window: usize,
@@ -121,17 +122,14 @@ pub struct RunOpts {
     /// default zero-rate plan makes no RNG draws and leaves every edge up
     /// with its original clients, so churn-capable runs with churn off are
     /// bit-identical to pre-churn builds. HierMinimax and HierFAVG honour
-    /// it; MultiLevel and Overselect reject an active plan, and the flat
-    /// baselines ignore it.
+    /// it; every other algorithm rejects an active plan.
     pub churn: ChurnPlan,
     /// Abort cap on consecutive stale rounds (rounds in which every
-    /// sampled edge failed to report, leaving the global model untouched).
+    /// sampled unit failed to report, leaving the global model untouched).
     /// `0` (the default) preserves the legacy behaviour of looping on the
-    /// stale model forever; a positive cap makes
-    /// [`Algorithm::try_run`] of HierMinimax, HierFAVG, MultiLevel and
-    /// Overselect return [`RunError::StaleRoundsExceeded`] once more than
-    /// that many stale rounds occur back to back, counting across a
-    /// resume. The flat baselines never abort.
+    /// stale model forever; a positive cap makes [`Algorithm::try_run`]
+    /// return [`RunError::StaleRoundsExceeded`] once more than that many
+    /// stale rounds occur back to back, counting across a resume.
     pub max_stale_rounds: usize,
 }
 
@@ -193,7 +191,7 @@ pub struct RunResult {
     /// Final cumulative communication counters.
     pub comm: CommStats,
     /// Cumulative injected-fault bookkeeping (all zeros for fault-free
-    /// runs and for the flat baselines, which ignore the fault plan).
+    /// runs).
     pub faults: FaultStats,
     /// Cumulative Byzantine-adversary bookkeeping: corrupted uploads,
     /// quarantined clients, and quarantine-excluded upload slots (all
@@ -201,16 +199,17 @@ pub struct RunResult {
     pub quarantine: QuarantineStats,
     /// Cumulative membership-churn bookkeeping: joins, leaves, permanent
     /// edge failures, re-homed and stranded clients (all zeros when the
-    /// churn plan is inert or the runner does not support churn).
+    /// churn plan is inert).
     pub churn: ChurnStats,
 }
 
-/// A typed abort from a run loop (see [`Algorithm::try_run`]).
+/// A typed abort from the round driver (see [`Algorithm::try_run`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunError {
     /// The run exceeded [`RunOpts::max_stale_rounds`] consecutive rounds
-    /// in which no sampled edge reported, so the global model was stuck
-    /// on its stale value with no progress possible.
+    /// in which no sampled unit (edge, group or client) reported, so the
+    /// global model was stuck on its stale value with no progress
+    /// possible.
     StaleRoundsExceeded {
         /// The round (0-based) at which the cap was breached.
         round: usize,
@@ -231,7 +230,8 @@ impl std::fmt::Display for RunError {
             } => write!(
                 f,
                 "aborted at round {round}: {consecutive} consecutive stale rounds \
-                 (no sampled edge reported) exceeded the max_stale_rounds cap of {limit}"
+                 (no sampled edge, group or client reported) exceeded the max_stale_rounds \
+                 cap of {limit}"
             ),
         }
     }
@@ -244,19 +244,17 @@ pub trait Algorithm {
     /// Short name used in experiment tables ("HierMinimax", "DRFA", …).
     fn name(&self) -> &'static str;
 
-    /// Run the algorithm on a problem with a master seed.
+    /// Run the algorithm on a problem with a master seed, or return the
+    /// typed abort (the [`RunOpts::max_stale_rounds`] cap).
+    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError>;
+
+    /// [`Algorithm::try_run`] for runs that are not expected to abort.
     ///
     /// # Panics
-    /// Panics if the run hits a typed abort condition (see
-    /// [`Algorithm::try_run`] for the non-panicking form).
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult;
-
-    /// Fallible form of [`Algorithm::run`]: runners with abort conditions
-    /// (the hierarchical algorithms' `max_stale_rounds` cap) return a typed
-    /// [`RunError`] instead of panicking. The default forwards to `run`,
-    /// which never aborts for the other algorithms.
-    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
-        Ok(self.run(problem, seed))
+    /// Panics with the error's text if the run hits a typed abort.
+    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
+        self.try_run(problem, seed)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

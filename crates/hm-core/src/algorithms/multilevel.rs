@@ -19,7 +19,7 @@
 //! exchange with the cloud on `EdgeCloud` (WAN class), consistent with the
 //! cost model where everything below the cloud is site-local.
 
-use super::driver::{self, Blocks, Dual, RoundSpec, Sampler};
+use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
 use super::hier_common::{robust_reduce_into, run_edge_blocks, EdgeBlockParams};
 use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
@@ -230,11 +230,6 @@ impl Algorithm for MultiLevelMinimax {
         "MultiLevelMinimax"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.try_run(problem, seed)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
         assert!(
@@ -265,6 +260,7 @@ impl Algorithm for MultiLevelMinimax {
                 tau2: cfg.tau2,
                 upper: &cfg.upper,
             },
+            fold: Fold::Multiplicity,
             dual: Some(Dual {
                 eta_p: cfg.eta_p,
                 loss_batch: cfg.loss_batch,

@@ -16,7 +16,7 @@
 //! [`OverselectResult::simulated_seconds`], alongside the usual
 //! [`RunResult`].
 
-use super::driver::{self, Blocks, Dual, RoundSpec, Sampler};
+use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
 use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
@@ -124,6 +124,7 @@ impl OverselectMinimax {
                 tau2: cfg.tau2,
                 rates: None,
             },
+            fold: Fold::Multiplicity,
             // Phase 2 is HierMinimax's: scalar losses are cheap, so it does
             // not over-select.
             dual: Some(Dual {
@@ -144,10 +145,6 @@ impl OverselectMinimax {
 impl Algorithm for OverselectMinimax {
     fn name(&self) -> &'static str {
         "HierMinimax+overselect"
-    }
-
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
-        self.run_timed(problem, seed).run
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

@@ -20,10 +20,11 @@
 //!
 //! with `L = 1/η_w` — the Lipschitz surrogate the authors recommend.
 
-use super::flat::{self, FlatSpec, Update};
-use super::{Algorithm, RunOpts, RunResult};
+use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
+use super::{Algorithm, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_optim::projection::Projection;
+use hm_simnet::Quantizer;
 use hm_tensor::vecops;
 
 /// Configuration of a q-FedAvg run.
@@ -86,22 +87,25 @@ impl Algorithm for QFedAvg {
         "q-FedAvg"
     }
 
-    fn run(&self, problem: &FederatedProblem, seed: u64) -> RunResult {
+    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
         let cfg = &self.cfg;
-        let spec = FlatSpec {
+        let spec = RoundSpec {
             name: self.name(),
             rounds: cfg.rounds,
             tau1: cfg.tau1,
-            m: cfg.m_clients,
             eta_w: cfg.eta_w,
             batch_size: cfg.batch_size,
+            quantizer: Quantizer::Exact,
             opts: &cfg.opts,
-            update: Update::Qffl {
+            sampler: Sampler::Uniform(cfg.m_clients),
+            blocks: Blocks::Clients { mu: 0.0 },
+            fold: Fold::Qffl {
                 q: cfg.q,
                 loss_batch: cfg.loss_batch,
             },
+            dual: None,
         };
-        flat::run(problem, seed, spec)
+        driver::run(problem, seed, spec).map(|(r, _)| r)
     }
 }
 

@@ -307,7 +307,8 @@ pub(crate) struct ResumedRun {
     pub start_round: usize,
     /// Global model at the boundary.
     pub w: Vec<f32>,
-    /// Dual weights (or per-client `q` for the flat fair baselines).
+    /// The unit weights `p` (per-client `q` for the two-layer minimax
+    /// baselines; the uniform edge weights for a run with no dual step).
     pub p: Vec<f32>,
     /// Restored iterate-average accumulators.
     pub avg_w: IterateAverage,

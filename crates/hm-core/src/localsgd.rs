@@ -1,4 +1,5 @@
-//! Client-side local SGD (eq. 4) with optional checkpoint snapshot.
+//! Client-side local SGD (eq. 4), with an optional checkpoint snapshot and
+//! FedProx's proximal term.
 //!
 //! All scratch memory (gradient buffer, mini-batch gather, model workspace)
 //! comes from the thread-local [`hm_nn::pool`] or a caller-owned
@@ -12,41 +13,6 @@ use hm_data::{Dataset, StreamRng};
 use hm_nn::{with_scratch, Model, TrainScratch};
 use hm_optim::sgd::projected_sgd_step;
 use hm_optim::ProjectionOp;
-
-/// The step loop shared by every entry point: `w` arrives holding the start
-/// iterate and leaves holding the final one; scratch buffers are resized in
-/// place. Returns the checkpoint copy, if one was requested.
-#[allow(clippy::too_many_arguments)]
-fn local_sgd_core(
-    model: &dyn Model,
-    data: &Dataset,
-    w: &mut [f32],
-    steps: usize,
-    lr: f32,
-    batch_size: usize,
-    proj: &ProjectionOp,
-    rng: &mut StreamRng,
-    checkpoint_after: Option<usize>,
-    scratch: &mut TrainScratch,
-) -> Option<Vec<f32>> {
-    if let Some(c) = checkpoint_after {
-        assert!(c <= steps, "checkpoint step {c} beyond {steps} steps");
-    }
-    scratch.grad.resize(model.num_params(), 0.0);
-    let mut checkpoint = match checkpoint_after {
-        Some(0) => Some(w.to_vec()),
-        _ => None,
-    };
-    for step in 0..steps {
-        sample_batch_into(data, batch_size, rng, &mut scratch.batch);
-        model.loss_grad_ws(w, &scratch.batch.batch, &mut scratch.grad, &mut scratch.ws);
-        projected_sgd_step(w, &scratch.grad, lr, proj);
-        if checkpoint_after == Some(step + 1) {
-            checkpoint = Some(w.to_vec());
-        }
-    }
-    checkpoint
-}
 
 /// Run `steps` projected-SGD steps from `w0` on a client's local data,
 /// drawing one mini-batch per step from `rng`. Scratch comes from the
@@ -72,14 +38,16 @@ pub fn local_sgd(
     checkpoint_after: Option<usize>,
 ) -> (Vec<f32>, Option<Vec<f32>>) {
     with_scratch(|scratch| {
-        let mut w = w0.to_vec();
-        let cp = local_sgd_core(
+        let mut w = Vec::with_capacity(w0.len());
+        let cp = local_sgd_into(
             model,
             data,
+            w0,
             &mut w,
             steps,
             lr,
             batch_size,
+            0.0,
             proj,
             rng,
             checkpoint_after,
@@ -91,8 +59,12 @@ pub fn local_sgd(
 
 /// [`local_sgd`] writing the final iterate into a caller-owned buffer with
 /// caller-owned scratch — the block phase's slot-reuse entry point: one
-/// `w` buffer per client slot and one [`TrainScratch`] per edge chain
+/// `w` buffer per client slot and one [`TrainScratch`] per unit chain
 /// serve every block of the round with zero allocation.
+///
+/// With `mu > 0` each step adds FedProx's proximal gradient `μ (w − w0)`
+/// (Li et al., MLSys 2020), which pulls the iterate toward the start
+/// model and bounds client drift; `mu = 0` skips the term.
 #[allow(clippy::too_many_arguments)]
 pub fn local_sgd_into(
     model: &dyn Model,
@@ -102,59 +74,36 @@ pub fn local_sgd_into(
     steps: usize,
     lr: f32,
     batch_size: usize,
+    mu: f32,
     proj: &ProjectionOp,
     rng: &mut StreamRng,
     checkpoint_after: Option<usize>,
     scratch: &mut TrainScratch,
 ) -> Option<Vec<f32>> {
+    if let Some(c) = checkpoint_after {
+        assert!(c <= steps, "checkpoint step {c} beyond {steps} steps");
+    }
     w.clear();
     w.extend_from_slice(w0);
-    local_sgd_core(
-        model,
-        data,
-        w,
-        steps,
-        lr,
-        batch_size,
-        proj,
-        rng,
-        checkpoint_after,
-        scratch,
-    )
-}
-
-/// Proximal local SGD (FedProx, Li et al., MLSys 2020): each step adds the
-/// proximal gradient `μ (w − w_anchor)` pulling the iterate toward the
-/// round's broadcast model, which bounds client drift under heterogeneity.
-/// With `mu = 0` this is exactly [`local_sgd`] without checkpointing.
-#[allow(clippy::too_many_arguments)]
-pub fn local_sgd_prox(
-    model: &dyn Model,
-    data: &Dataset,
-    w0: &[f32],
-    steps: usize,
-    lr: f32,
-    batch_size: usize,
-    mu: f32,
-    proj: &ProjectionOp,
-    rng: &mut StreamRng,
-) -> Vec<f32> {
-    assert!(mu >= 0.0 && mu.is_finite(), "mu must be non-negative");
-    with_scratch(|scratch| {
-        let mut w = w0.to_vec();
-        scratch.grad.resize(model.num_params(), 0.0);
-        for _ in 0..steps {
-            sample_batch_into(data, batch_size, rng, &mut scratch.batch);
-            model.loss_grad_ws(&w, &scratch.batch.batch, &mut scratch.grad, &mut scratch.ws);
-            if mu > 0.0 {
-                for ((g, &wi), &ai) in scratch.grad.iter_mut().zip(&w).zip(w0) {
-                    *g += mu * (wi - ai);
-                }
+    scratch.grad.resize(model.num_params(), 0.0);
+    let mut checkpoint = match checkpoint_after {
+        Some(0) => Some(w.to_vec()),
+        _ => None,
+    };
+    for step in 0..steps {
+        sample_batch_into(data, batch_size, rng, &mut scratch.batch);
+        model.loss_grad_ws(w, &scratch.batch.batch, &mut scratch.grad, &mut scratch.ws);
+        if mu > 0.0 {
+            for ((g, &wi), &ai) in scratch.grad.iter_mut().zip(w.iter()).zip(w0) {
+                *g += mu * (wi - ai);
             }
-            projected_sgd_step(&mut w, &scratch.grad, lr, proj);
         }
-        w
-    })
+        projected_sgd_step(w, &scratch.grad, lr, proj);
+        if checkpoint_after == Some(step + 1) {
+            checkpoint = Some(w.to_vec());
+        }
+    }
+    checkpoint
 }
 
 /// Estimate a client's local loss `f_n(w; ξ)` on one mini-batch — the
@@ -295,23 +244,35 @@ mod tests {
         assert!(hm_tensor::vecops::norm2(&w) <= 0.05 + 1e-5);
     }
 
+    /// `steps` batch-2 steps of `local_sgd_into` from `w0` with learning
+    /// rate `lr` and proximal coefficient `mu`, on fresh scratch.
+    fn prox(w0: &[f32], steps: usize, lr: f32, mu: f32, rng: &mut StreamRng) -> Vec<f32> {
+        let (model, data) = toy();
+        let mut w = Vec::new();
+        local_sgd_into(
+            &model,
+            &data,
+            w0,
+            &mut w,
+            steps,
+            lr,
+            2,
+            mu,
+            &ProjectionOp::Unconstrained,
+            rng,
+            None,
+            &mut hm_nn::TrainScratch::default(),
+        );
+        w
+    }
+
     #[test]
     fn prox_zero_mu_matches_plain_sgd() {
         let (model, data) = toy();
         let w0 = vec![0.1; model.num_params()];
         let mut r1 = StreamRng::new(4, Purpose::Batch, 0, 0);
         let mut r2 = StreamRng::new(4, Purpose::Batch, 0, 0);
-        let a = local_sgd_prox(
-            &model,
-            &data,
-            &w0,
-            6,
-            0.2,
-            2,
-            0.0,
-            &ProjectionOp::Unconstrained,
-            &mut r1,
-        );
+        let a = prox(&w0, 6, 0.2, 0.0, &mut r1);
         let (b, _) = local_sgd(
             &model,
             &data,
@@ -328,21 +289,11 @@ mod tests {
 
     #[test]
     fn prox_term_limits_drift() {
-        let (model, data) = toy();
+        let (model, _) = toy();
         let w0 = vec![0.0; model.num_params()];
         let drift = |mu: f32| -> f64 {
             let mut rng = StreamRng::new(5, Purpose::Batch, 0, 0);
-            let w = local_sgd_prox(
-                &model,
-                &data,
-                &w0,
-                60,
-                0.3,
-                2,
-                mu,
-                &ProjectionOp::Unconstrained,
-                &mut rng,
-            );
+            let w = prox(&w0, 60, 0.3, mu, &mut rng);
             hm_tensor::vecops::dist2_sq(&w, &w0).sqrt()
         };
         let free = drift(0.0);
@@ -392,6 +343,7 @@ mod tests {
             7,
             0.3,
             3,
+            0.0,
             &ProjectionOp::Unconstrained,
             &mut rng,
             Some(4),

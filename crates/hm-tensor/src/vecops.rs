@@ -172,7 +172,9 @@ pub fn weighted_average_into(sources: &[&[f32]], weights: &[f64], out: &mut [f32
 /// [`average_into`] — so the two are bit-identical.
 ///
 /// `out` is untouched (and the count is 0) when no entry is present;
-/// callers keep the previous model in that case.
+/// callers keep the previous model in that case. The mean of one entry
+/// (an edge with one survivor, a client unit) skips the f64 fold: the
+/// fold of one value is `x + 0.0`, which only turns −0.0 into +0.0.
 pub fn average_present_into<S>(
     slots: &[S],
     get: impl Fn(&S) -> Option<&[f32]>,
@@ -181,6 +183,14 @@ pub fn average_present_into<S>(
     let count = slots.iter().filter(|s| get(s).is_some()).count();
     if count == 0 {
         return 0;
+    }
+    if count == 1 {
+        let v = slots.iter().find_map(&get).expect("one present entry");
+        assert_eq!(v.len(), out.len(), "average length mismatch");
+        for (o, &x) in out.iter_mut().zip(v) {
+            *o = x + 0.0;
+        }
+        return 1;
     }
     let n = count as f64;
     let mut acc = [0.0_f64; AVG_CHUNK];
@@ -430,9 +440,19 @@ mod tests {
     #[test]
     fn average_present_matches_compacted_average() {
         // Slot array with holes: the fused path over Option slots must equal
-        // compact-then-average bit for bit, for any hole pattern.
+        // compact-then-average bit for bit, for any hole pattern — the
+        // one-entry copy too, on signed zeros, subnormals, infinities and
+        // NaN payloads.
         let n = AVG_CHUNK + 37;
-        let vecs: Vec<Vec<f32>> = (0..5).map(|s| arb_vec(n, 10 + s as u64)).collect();
+        let mut vecs: Vec<Vec<f32>> = (0..5).map(|s| arb_vec(n, 10 + s as u64)).collect();
+        let specials = [-0.0, 0.0, f32::from_bits(1), -f32::from_bits(0x0040_0000)]
+            .into_iter()
+            .chain([f32::INFINITY, f32::NEG_INFINITY, f32::MAX, 1.5, -3.25e-30])
+            .chain([f32::from_bits(0x7fc0_1234), f32::from_bits(0xffc0_0001)]);
+        for (x, v) in vecs[0].iter_mut().zip(specials) {
+            *x = v;
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         for mask in 1u32..32 {
             let slots: Vec<Option<Vec<f32>>> = vecs
                 .iter()
@@ -451,7 +471,7 @@ mod tests {
             let compact: Vec<&[f32]> = slots.iter().filter_map(|s| s.as_deref()).collect();
             let mut want = vec![0.0_f32; n];
             average_into(&compact, &mut want);
-            assert_eq!(fused, want, "mask {mask:05b}");
+            assert_eq!(bits(&fused), bits(&want), "mask {mask:05b}");
         }
     }
 

@@ -573,7 +573,7 @@ pub fn reference_drfa_round(
     ProjectionOp::Simplex.project(&mut q_next);
 
     // Per-edge collapse, f32 accumulation in client order (the recording
-    // convention of `flat::q_to_edge_p`).
+    // convention of the round driver's client units).
     let mut p_edge = vec![0.0_f32; problem.num_edges()];
     for (client, &qc) in q_next.iter().enumerate() {
         p_edge[topo.edge_of(client)] += qc;

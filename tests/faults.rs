@@ -1,11 +1,13 @@
-//! Fault-injection semantics across every hierarchical path: graceful
-//! degradation (stale models, survivor renormalization), retry/timeout
+//! Fault-injection semantics across the round driver's paths: graceful
+//! degradation (stale models, survivor renormalization, two-layer
+//! clients that drop or are benched sending nothing), retry/timeout
 //! accounting against the closed form, and strict determinism — the same
 //! seeded plan produces bit-identical runs across execution modes.
 
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig,
-    MultiLevelMinimax, OverselectConfig, OverselectMinimax, RunOpts, UpperLevel,
+    Algorithm, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig,
+    MultiLevelConfig, MultiLevelMinimax, OverselectConfig, OverselectMinimax, RunError, RunOpts,
+    UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
@@ -117,6 +119,93 @@ fn survivor_renormalization_sums_to_one() {
         drift < 1e-5,
         "renormalized survivor weights must sum to 1 (drift {drift})"
     );
+}
+
+/// A two-layer baseline's client talks to the cloud directly, so a client
+/// that crashes uploads nothing — no edge forwards a model for it. Every
+/// surviving participant is billed one `ClientCloud` upload, and with
+/// every client down no report arrives: the model never moves and each
+/// round counts toward the `max_stale_rounds` cap.
+#[test]
+fn crashed_baseline_clients_upload_nothing() {
+    let sc = tiny_problem(3, 2, 47);
+    let fp = FederatedProblem::logistic_from_scenario(&sc);
+    let (rounds, m) = (6, 4);
+    let fedavg = |client_crash: f32, max_stale_rounds: usize| {
+        let fault = FaultPlan {
+            client_crash,
+            ..FaultPlan::default()
+        };
+        FedAvg::new(FedAvgConfig {
+            rounds,
+            tau1: 2,
+            m_clients: m,
+            eta_w: 0.1,
+            batch_size: 2,
+            opts: RunOpts {
+                max_stale_rounds,
+                ..opts(fault, Parallelism::Sequential)
+            },
+        })
+    };
+    let sent = (rounds * m) as u64;
+
+    let r = fedavg(0.4, 0).run(&fp, 5);
+    assert!(r.faults.crashes > 0 && r.faults.crashes < sent);
+    assert_eq!(r.comm.downlink_msgs(Link::ClientCloud), sent);
+    assert_eq!(
+        r.comm.uplink_msgs(Link::ClientCloud),
+        sent - r.faults.crashes,
+        "one upload per surviving client"
+    );
+
+    let r = fedavg(1.0, 0).run(&fp, 5);
+    assert_eq!(r.faults.crashes, sent);
+    assert_eq!(r.comm.uplink_msgs(Link::ClientCloud), 0);
+    assert_eq!(r.comm.uplink_floats(Link::ClientCloud), 0);
+    assert_eq!(r.final_w, reference_init_w(&fp, 5));
+
+    let err = fedavg(1.0, 2)
+        .try_run(&fp, 5)
+        .expect_err("three stale rounds exceed a cap of two");
+    assert_eq!(
+        err,
+        RunError::StaleRoundsExceeded {
+            round: 2,
+            consecutive: 3,
+            limit: 2,
+        }
+    );
+}
+
+/// The cloud sends a benched two-layer client nothing: like a client
+/// that was never sampled it draws no fault stream, so every sampled
+/// client that is not benched is billed one broadcast and one upload, and
+/// each benched one counts one excluded upload.
+#[test]
+fn benched_baseline_clients_are_sent_nothing() {
+    let sc = tiny_problem(4, 2, 48);
+    let fp = FederatedProblem::logistic_from_scenario(&sc);
+    let (rounds, m) = (8, 6);
+    let byzantine = FaultPlan::preset("byzantine").expect("byzantine preset exists");
+    let r = FedAvg::new(FedAvgConfig {
+        rounds,
+        tau1: 2,
+        m_clients: m,
+        eta_w: 0.1,
+        batch_size: 2,
+        opts: RunOpts {
+            quarantine_z: 1.0,
+            quarantine_window: 2,
+            ..opts(byzantine, Parallelism::Sequential)
+        },
+    })
+    .run(&fp, 9);
+    let benched = r.quarantine.excluded_uploads;
+    assert!(benched > 0, "no sampled client was benched");
+    let sent = (rounds * m) as u64 - benched;
+    assert_eq!(r.comm.downlink_msgs(Link::ClientCloud), sent);
+    assert_eq!(r.comm.uplink_msgs(Link::ClientCloud), sent);
 }
 
 /// Retry-exhausted rounds match the closed-form meter deltas: on a

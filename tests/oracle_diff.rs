@@ -11,7 +11,7 @@
 //! A second reference for the flat two-layer baselines is the hierarchical
 //! round driver itself: on edges of one client, FedAvg, DRFA and
 //! Stochastic-AFL are special cases of HierFAVG and HierMinimax, and the
-//! two implementations must agree bit for bit.
+//! two implementations must agree bit for bit while no client drops.
 
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierMinimax,
@@ -166,8 +166,9 @@ proptest! {
     }
 }
 
-/// `final_w`, `avg_w`, `final_p`, `avg_p`, and each round's recorded `p`
-/// and per-edge accuracy of `flat` and `hier`, bit for bit.
+/// `final_w`, `avg_w`, `final_p`, `avg_p`, each round's recorded `p`
+/// and per-edge accuracy, and the fault and quarantine counters of `flat`
+/// and `hier`, bit for bit.
 fn assert_same_run(
     what: &str,
     flat: &RunResult,
@@ -190,6 +191,14 @@ fn assert_same_run(
         spec
     );
     prop_assert_eq!(&flat.avg_p, &hier.avg_p, "{}: avg_p ({:?})", what, spec);
+    prop_assert_eq!(&flat.faults, &hier.faults, "{}: faults ({:?})", what, spec);
+    prop_assert_eq!(
+        &flat.quarantine,
+        &hier.quarantine,
+        "{}: quarantine ({:?})",
+        what,
+        spec
+    );
     prop_assert_eq!(flat.history.rounds.len(), hier.history.rounds.len());
     for (a, b) in flat.history.rounds.iter().zip(&hier.history.rounds) {
         prop_assert_eq!(&a.p, &b.p, "{}: p at round {} ({:?})", what, a.round, spec);
@@ -211,17 +220,39 @@ fn assert_same_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On edges of one client, with no faults or codec and the
-    /// simplex `P`: FedAvg is HierFAVG with `τ2 = 1`, DRFA is HierMinimax
-    /// with `τ2 = 1`, and Stochastic-AFL is HierMinimax with `τ1 = τ2 = 1`
-    /// estimating its losses on the round-start model. Every round is
-    /// evaluated, and the executor alternates with the run seed.
+    /// On edges of one client, with the simplex `P`: FedAvg is HierFAVG
+    /// with `τ2 = 1`, DRFA is HierMinimax with `τ2 = 1`, and
+    /// Stochastic-AFL is HierMinimax with `τ1 = τ2 = 1` estimating its
+    /// losses on the round-start model — under the scenario's cloud-link
+    /// faults, drawn Byzantine uploads and every aggregation rule. Every
+    /// round is evaluated, and the executor alternates with the run seed.
+    /// Left out are what a one-client edge does differently by design:
+    /// crashes, missed deadlines and quarantine (a client unit whose
+    /// client drops uploads nothing, where the edge forwards its
+    /// block-start model; `tests/faults.rs` checks the client-unit rule),
+    /// and the codec (a client unit has none, while an edge of one client
+    /// would apply it twice).
     #[test]
-    fn flat_baselines_match_hierarchical_on_one_client_edges(spec in arb_scenario()) {
+    fn flat_baselines_match_hierarchical_on_one_client_edges(
+        spec in arb_scenario(),
+        adversary in arb_client_fault_plan(),
+        aggregator in arb_aggregator(),
+    ) {
+        let fault = FaultPlan {
+            edge_outage: spec.fault.edge_outage,
+            msg_loss: spec.fault.msg_loss,
+            max_retries: spec.fault.max_retries,
+            backoff_base_s: spec.fault.backoff_base_s,
+            backoff_jitter: spec.fault.backoff_jitter,
+            corrupt_rate: adversary.corrupt_rate,
+            attack: adversary.attack,
+            attack_scale: adversary.attack_scale,
+            ..FaultPlan::default()
+        };
         let spec = ScenarioSpec {
             clients_per_edge: 1,
             tau2: 1,
-            fault: FaultPlan::default(),
+            fault: fault.clone(),
             quantizer: Quantizer::Exact,
             p_domain: PDomainSpec::Simplex,
             ..spec
@@ -234,6 +265,8 @@ proptest! {
             } else {
                 Parallelism::Rayon
             },
+            fault,
+            aggregator,
             ..case_opts()
         };
         let hmx = |tau1: usize, model: WeightUpdateModel| {
@@ -274,6 +307,16 @@ proptest! {
         let hier = hmx(spec.tau1, WeightUpdateModel::RandomCheckpoint);
         assert_same_run("DRFA vs HierMinimax", &drfa, &hier, &spec)?;
 
+        // A Stochastic-AFL client that took part in Phase 1 already holds
+        // the round-start model and is sent nothing in Phase 2, where the
+        // edge of one client gets it again: message loss would part them.
+        let opts = RunOpts {
+            fault: FaultPlan {
+                msg_loss: 0.0,
+                ..opts.fault.clone()
+            },
+            ..opts
+        };
         let afl = StochasticAfl::new(AflConfig {
             rounds: spec.rounds,
             m_clients: m,
@@ -284,7 +327,13 @@ proptest! {
             opts: opts.clone(),
         })
         .run(&fp, seed);
-        let hier = hmx(1, WeightUpdateModel::RoundStart);
+        let hier = HierMinimax::new(HierMinimaxConfig {
+            tau1: 1,
+            weight_update_model: WeightUpdateModel::RoundStart,
+            opts,
+            ..spec.hierminimax_config()
+        })
+        .run(&fp, seed);
         assert_same_run("Stochastic-AFL vs HierMinimax", &afl, &hier, &spec)?;
     }
 }

@@ -41,6 +41,14 @@
 //! q-FedAvg stream constants were re-recorded, since those two gained
 //! the standard stream there.
 //!
+//! Two more flat cases pin what the baselines gained when they moved onto
+//! the shared round driver as units of one client:
+//! `drfa_under_chaos_bits_are_pinned` (the chaos fault plan) and
+//! `fedavg_byzantine_trimmed_mean_quarantine_bits_are_pinned` (Byzantine
+//! uploads under the trimmed mean, with the quarantine pass). The flat
+//! loop they replaced ignored all of these options, so it could not run
+//! them; their constants were recorded after the move.
+//!
 //! The losses go through `f64::exp`/`ln`, whose last bit is the platform
 //! libm's, so the constants are pinned on x86_64 Linux only.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -573,6 +581,64 @@ fn drfa_bits_are_pinned() {
                 opts,
             };
             Drfa::new(cfg).run(&fp, 51)
+        },
+    );
+}
+
+#[test]
+fn drfa_under_chaos_bits_are_pinned() {
+    let fp = tiny(3, 2, 42);
+    check_executors_by(
+        flat_digest,
+        "drfa+chaos",
+        0x9766_ebae_016b_3298,
+        0x89c5_36c0_2d4a_cb10,
+        |base| {
+            let cfg = DrfaConfig {
+                rounds: 6,
+                tau1: 3,
+                m_clients: 4,
+                eta_w: 0.1,
+                eta_q: 0.05,
+                batch_size: 2,
+                loss_batch: 4,
+                opts: faulty(base, "chaos"),
+            };
+            let r = Drfa::new(cfg).run(&fp, 52);
+            assert!(r.faults.total() > 0, "no fault was injected");
+            r
+        },
+    );
+}
+
+#[test]
+fn fedavg_byzantine_trimmed_mean_quarantine_bits_are_pinned() {
+    let fp = tiny(4, 2, 43);
+    check_executors_by(
+        flat_digest,
+        "fedavg+byzantine+trimmed-mean+quarantine",
+        0x0a40_0a76_adb5_a464,
+        0x0b6e_83e2_30b5_3888,
+        |base| {
+            let cfg = FedAvgConfig {
+                rounds: 8,
+                tau1: 2,
+                m_clients: 6,
+                eta_w: 0.1,
+                batch_size: 2,
+                opts: RunOpts {
+                    aggregator: Aggregator::TrimmedMean { beta: 0.25 },
+                    quarantine_z: 1.0,
+                    quarantine_window: 2,
+                    ..faulty(base, "byzantine")
+                },
+            };
+            let r = FedAvg::new(cfg).run(&fp, 53);
+            assert!(
+                r.quarantine.corrupted_updates > 0,
+                "no upload was corrupted"
+            );
+            r
         },
     );
 }

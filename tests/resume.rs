@@ -9,10 +9,9 @@
 //!
 //! HierMinimax runs the full `{Sequential, Rayon} × {none, chaos}` grid
 //! with a kill at every checkpointed round; the other eight algorithms run
-//! the kill-at-every-round sweep on the reduced grid (the flat baselines
-//! ignore the fault plan by design), with a chaos × Rayon spot-check for
-//! the remaining hierarchical ones and a Byzantine cell, with a quarantine
-//! pass that benches clients, for all four hierarchical algorithms.
+//! the kill-at-every-round sweep on the reduced grid, with a chaos × Rayon
+//! spot-check, and all nine run a Byzantine cell with a quarantine pass
+//! that benches clients.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path, Snapshot};
 use hierminimax::core::algorithms::{
@@ -308,7 +307,7 @@ fn hierminimax_resume_matrix_full_grid() {
 #[test]
 fn every_algorithm_resumes_bit_identically() {
     // Reduced grid: the default executor cell, kill at every round, for
-    // all nine algorithms (flat baselines ignore the fault plan).
+    // all nine algorithms.
     let none = FaultPlan::preset("none").unwrap();
     for (name, factory) in all_algorithms() {
         let tag = format!("all-{}", name.to_lowercase().replace('-', "_"));
@@ -318,15 +317,12 @@ fn every_algorithm_resumes_bit_identically() {
 
 #[test]
 fn hierarchical_algorithms_resume_under_chaos_on_rayon() {
-    // Chaos spot-check for the hierarchical algorithms beyond HierMinimax
-    // (which already runs the full grid): faults must restore across the
-    // resume boundary on the rayon executor.
+    // Chaos spot-check for every algorithm, the two-layer baselines
+    // included: faults must restore across the resume boundary on the
+    // rayon executor.
     let chaos = FaultPlan::preset("chaos").unwrap();
     for (name, factory) in all_algorithms() {
-        if !matches!(name, "HierFAVG" | "MultiLevelMinimax" | "Overselect") {
-            continue;
-        }
-        let tag = format!("chaos-{}", name.to_lowercase());
+        let tag = format!("chaos-{}", name.to_lowercase().replace('-', "_"));
         assert_resume_bit_identity(&tag, name, &factory, &opts(Parallelism::Rayon, &chaos));
     }
 }
@@ -345,13 +341,7 @@ fn hierarchical_algorithms_resume_under_byzantine_quarantine() {
         )
     };
     for (name, factory) in all_algorithms() {
-        if !matches!(
-            name,
-            "HierMinimax" | "HierFAVG" | "MultiLevelMinimax" | "Overselect"
-        ) {
-            continue;
-        }
-        let tag = format!("byz-{}", name.to_lowercase());
+        let tag = format!("byz-{}", name.to_lowercase().replace('-', "_"));
         let full = assert_resume_bit_identity(&tag, name, &factory, &byzantine);
         assert!(
             full.quarantine.corrupted_updates > 0,

@@ -420,12 +420,9 @@ fn profiled_stream(
 fn every_emitted_line_round_trips_through_the_decoder() {
     let fp = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 25));
     let rounds = 6;
-    let flat = RunOpts {
+    let tree = RunOpts {
         eval_every: 1,
         parallelism: Parallelism::Sequential,
-        ..Default::default()
-    };
-    let tree = RunOpts {
         fault: FaultPlan {
             corrupt_rate: 0.2,
             attack: AttackModel::SignFlip,
@@ -433,7 +430,7 @@ fn every_emitted_line_round_trips_through_the_decoder() {
         },
         aggregator: Aggregator::TrimmedMean { beta: 0.2 },
         max_stale_rounds: rounds,
-        ..flat.clone()
+        ..Default::default()
     };
     let edges = RunOpts {
         quarantine_z: 1.0,
@@ -443,11 +440,15 @@ fn every_emitted_line_round_trips_through_the_decoder() {
         churn: ChurnPlan::preset("chaos-churn").unwrap(),
         ..edges.clone()
     };
+    let qffl = RunOpts {
+        aggregator: Aggregator::Mean,
+        ..edges.clone()
+    };
     let opts_for = |name: &str| match name {
         "HierMinimax" | "HierFAVG" => &hier,
         "MultiLevelMinimax" => &tree,
-        "Overselect" => &edges,
-        _ => &flat,
+        "q-FedAvg" => &qffl,
+        _ => &edges,
     };
 
     let dir = std::env::temp_dir().join(format!("hm-telemetry-rt-{}", std::process::id()));
