@@ -1,34 +1,41 @@
-//! Round-level training throughput: full HierMinimax rounds/sec on seven
-//! shapes, with each round's per-phase breakdown, written as
-//! machine-readable `results/BENCH_roundtime.json`.
+//! Single-thread training throughput at two layers, written as
+//! machine-readable `results/BENCH_roundtime.json`:
+//! - the model layer: local-SGD steps/sec of the three model families on
+//!   one client's data (multinomial logistic 256→10 at batch 16, the fig4
+//!   MLP 256-100-50-10 at batch 8, the CNN at batch 8), the step loop of
+//!   every chain;
+//! - the round layer: full HierMinimax rounds/sec on seven shapes, with
+//!   each round's per-phase breakdown.
 //!
 //! Every run is single-threaded (`Parallelism::Sequential`). Rates on the
 //! rayon pool move with the host's core count, its other load and the OS
-//! scheduler; single-thread rates move with the round's work. The phase
-//! breakdown is a breakdown of that single-thread work: per-edge
-//! `local_sgd_chain` spans never overlap, so the shares add up to at most
-//! the round.
+//! scheduler; single-thread rates move with the work. The phase breakdown
+//! is a breakdown of that single-thread work: per-edge `local_sgd_chain`
+//! spans never overlap, so the shares add up to at most the round.
 //!
-//! Shapes cover three regimes: `balanced` (few edges, several clients
-//! each, chunky per-block work), `wide` (many edges, one client each,
-//! high `τ2`), and `deep` (high `τ2`, single local step, tiny model —
+//! Round shapes cover three regimes: `balanced` (few edges, several
+//! clients each, chunky per-block work), `wide` (many edges, one client
+//! each, high `τ2`), and `deep` (high `τ2`, single local step, tiny model —
 //! per-round cost is mostly per-block overhead).
 //!
 //! Flags:
-//! - `--quick`: CI-scale round counts.
-//! - `--check`: measure, then divide each shape's rounds/sec by the one in
-//!   the committed `results/BENCH_roundtime.json` and exit non-zero when
-//!   the geometric mean of those ratios falls below 0.9 (the file is left
-//!   untouched). The aggregate is the gate — per-shape numbers on a shared
-//!   CI box are too noisy to gate on — but per-shape ratios are still
-//!   printed for diagnosis.
+//! - `--quick`: CI-scale step and round counts.
+//! - `--check`: measure, then divide each case's rate by the one in the
+//!   committed `results/BENCH_roundtime.json` and exit non-zero when the
+//!   geometric mean of those ratios, over both layers, falls below 0.9
+//!   (the file is left untouched). The aggregate is the gate — per-case
+//!   numbers on a shared CI box are too noisy to gate on — but per-case
+//!   ratios are still printed for diagnosis.
 
 use hm_bench::results::{number_at, parse_scale_flags, read_committed, write_result};
 use hm_core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, RunOpts};
+use hm_core::localsgd::local_sgd;
 use hm_core::problem::FederatedProblem;
 use hm_data::generators::synthetic_images::ImageConfig;
-use hm_data::scenarios::{dirichlet_split, tiny_problem, HierScenario};
-use hm_nn::SimpleCnn;
+use hm_data::rng::{Purpose, StreamRng};
+use hm_data::scenarios::{dirichlet_split, one_class_per_edge, tiny_problem, HierScenario};
+use hm_data::Dataset;
+use hm_nn::{Mlp, Model, MulticlassLogistic, SimpleCnn};
 use hm_optim::ProjectionOp;
 use hm_simnet::Parallelism;
 use hm_telemetry::{Profiler, Telemetry};
@@ -87,33 +94,54 @@ fn config(case: &Case, rounds: usize) -> HierMinimaxConfig {
     }
 }
 
-/// Rounds/sec of every case, best of `reps` timed runs each. The minimum
-/// elapsed time is the least-interference estimate of a round's cost (runs
-/// are deterministic, so the work is identical across repetitions), and
-/// the repetitions are interleaved across cases, so a host slowdown that
-/// lasts a few seconds costs one repetition of several cases rather than
-/// every repetition of one.
-fn rounds_per_sec(cases: &[Case], reps: usize) -> Vec<f64> {
-    let algs: Vec<HierMinimax> = cases
-        .iter()
-        .map(|case| {
-            // Warm-up run: page in data, size the pooled scratch.
-            black_box(HierMinimax::new(config(case, 1)).run(&case.problem, 11));
-            HierMinimax::new(config(case, case.rounds))
-        })
-        .collect();
-    let mut best = vec![f64::INFINITY; cases.len()];
+/// One model-layer case: `steps` local-SGD steps from a fixed
+/// initialization, on the same batch stream every run.
+struct StepCase<'a> {
+    name: &'static str,
+    model: &'a dyn Model,
+    data: &'a Dataset,
+    batch: usize,
+    steps: usize,
+}
+
+impl StepCase<'_> {
+    fn run(&self, w0: &[f32]) {
+        let mut rng = StreamRng::new(1, Purpose::Batch, 0, 0);
+        let proj = ProjectionOp::Unconstrained;
+        black_box(local_sgd(
+            self.model, self.data, w0, self.steps, 0.05, self.batch, &proj, &mut rng, None,
+        ));
+    }
+}
+
+/// One timed job: `run` does `count` steps or rounds.
+struct Timed<'a> {
+    count: usize,
+    run: Box<dyn Fn() + 'a>,
+}
+
+/// Steps or rounds per second of every job, best of `reps` timed runs
+/// each, after one untimed warm-up run (page in data, size the pooled
+/// scratch). The minimum elapsed time is the least-interference estimate
+/// of a job's cost (runs are deterministic, so the work is identical
+/// across repetitions), and the repetitions are interleaved across jobs,
+/// so a host slowdown that lasts a few seconds costs one repetition of
+/// several jobs rather than every repetition of one.
+fn best_rates(jobs: &[Timed], reps: usize) -> Vec<f64> {
+    for job in jobs {
+        (job.run)();
+    }
+    let mut best = vec![f64::INFINITY; jobs.len()];
     for _ in 0..reps {
-        for ((case, alg), best) in cases.iter().zip(&algs).zip(&mut best) {
+        for (job, best) in jobs.iter().zip(&mut best) {
             let start = Instant::now();
-            black_box(alg.run(&case.problem, 11));
+            (job.run)();
             *best = best.min(start.elapsed().as_secs_f64());
         }
     }
-    cases
-        .iter()
+    jobs.iter()
         .zip(best)
-        .map(|(case, secs)| case.rounds as f64 / secs)
+        .map(|(job, secs)| job.count as f64 / secs)
         .collect()
 }
 
@@ -217,7 +245,7 @@ fn main() {
         },
         Case {
             name: "cnn/wide",
-            problem: cnn_problem(&dirichlet_split(img, 16, 1, 16, 0.5, 0.25, 9)),
+            problem: cnn_problem(&dirichlet_split(img.clone(), 16, 1, 16, 0.5, 0.25, 9)),
             tau1: 1,
             tau2: 8,
             m_edges: 16,
@@ -227,36 +255,93 @@ fn main() {
     ];
 
     let committed = check.then(|| read_committed("BENCH_roundtime.json"));
-    let rates = rounds_per_sec(&cases, reps);
-    let mut entries = Vec::new();
+    let sc = one_class_per_edge(img, 10, 3, 40, 20, 7);
+    let data = &sc.edges[0].client_train[0];
+    let logistic = MulticlassLogistic::new(256, 10);
+    let mlp = Mlp::new(256, &[100, 50], 10);
+    let cnn = SimpleCnn::new(16, 3, 4, 8, 32, 10);
+    let steps = [
+        StepCase {
+            name: "logistic",
+            model: &logistic,
+            data,
+            batch: 16,
+            steps: 600 * scale,
+        },
+        StepCase {
+            name: "mlp",
+            model: &mlp,
+            data,
+            batch: 8,
+            steps: 200 * scale,
+        },
+        StepCase {
+            name: "cnn",
+            model: &cnn,
+            data,
+            batch: 8,
+            steps: 60 * scale,
+        },
+    ];
+    let inits: Vec<Vec<f32>> = steps
+        .iter()
+        .map(|case| {
+            let mut rng = StreamRng::new(2, Purpose::Init, 0, 0);
+            case.model.init_params(&mut rng)
+        })
+        .collect();
+    let algs: Vec<HierMinimax> = cases
+        .iter()
+        .map(|case| HierMinimax::new(config(case, case.rounds)))
+        .collect();
+    let mut jobs: Vec<Timed> = steps
+        .iter()
+        .zip(&inits)
+        .map(|(case, w0)| Timed {
+            count: case.steps,
+            run: Box::new(move || case.run(w0)),
+        })
+        .collect();
+    jobs.extend(cases.iter().zip(&algs).map(|(case, alg)| Timed {
+        count: case.rounds,
+        run: Box::new(move || {
+            black_box(alg.run(&case.problem, 11));
+        }),
+    }));
+    let rates = best_rates(&jobs, reps);
+    let (step_rates, round_rates) = rates.split_at(steps.len());
+
     let mut ratios = Vec::new();
-    for (case, &rate) in cases.iter().zip(&rates) {
+    let mut report = |section: &str, name: &str, unit: &str, rate: f64| match &committed {
+        Some(json) => {
+            let key = format!("{unit}_per_sec");
+            let base = number_at(json, &[section, name, &key])
+                .unwrap_or_else(|| panic!("no {section}.{name}.{key} in BENCH_roundtime.json"));
+            println!(
+                "{name:<20} {rate:>9.2} {unit}/sec   committed {base:>9.2}   ratio {:.3}",
+                rate / base
+            );
+            ratios.push(rate / base);
+        }
+        None => println!("{name:<20} {rate:>9.2} {unit}/sec"),
+    };
+    let mut model_entries = Vec::new();
+    for (case, &rate) in steps.iter().zip(step_rates) {
+        report("model", case.name, "steps", rate);
+        model_entries.push(format!(
+            "    \"{}\": {{ \"steps_per_sec\": {rate:.2} }}",
+            case.name
+        ));
+    }
+    let mut entries = Vec::new();
+    for (case, &rate) in cases.iter().zip(round_rates) {
+        report("cases", case.name, "rounds", rate);
         let phases = phase_breakdown(case);
         let phase_col = phases
             .iter()
             .map(|(tag, pct)| format!("{tag} {pct:.1}%"))
             .collect::<Vec<_>>()
             .join("  ");
-        match &committed {
-            Some(json) => {
-                let base =
-                    number_at(json, &["cases", case.name, "rounds_per_sec"]).unwrap_or_else(|| {
-                        panic!(
-                            "no rounds_per_sec for {} in BENCH_roundtime.json",
-                            case.name
-                        )
-                    });
-                println!(
-                    "{:<20} {:>9.2} rounds/sec   committed {:>9.2}   ratio {:.3}",
-                    case.name,
-                    rate,
-                    base,
-                    rate / base
-                );
-                ratios.push(rate / base);
-            }
-            None => println!("{:<20} {:>9.2} rounds/sec", case.name, rate),
-        }
         println!("{:<20} phases: {phase_col}", "");
         let phase_json = phases
             .iter()
@@ -272,16 +357,17 @@ fn main() {
     if check {
         let geomean = (ratios.iter().map(|r| r.ln()).sum::<f64>() / ratios.len() as f64).exp();
         if geomean < 0.9 {
-            eprintln!("REGRESSION: geomean measured/committed rounds/sec {geomean:.3} < 0.9");
+            eprintln!("REGRESSION: geomean measured/committed rate {geomean:.3} < 0.9");
             std::process::exit(1);
         }
-        println!("round-throughput check passed (geomean measured/committed {geomean:.3})");
+        println!("throughput check passed (geomean measured/committed {geomean:.3})");
         return;
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"roundtime\",\n  \"quick\": {},\n  \"parallelism\": \"sequential\",\n  \"cases\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"roundtime\",\n  \"quick\": {},\n  \"parallelism\": \"sequential\",\n  \"model\": {{\n{}\n  }},\n  \"cases\": {{\n{}\n  }}\n}}\n",
         quick,
+        model_entries.join(",\n"),
         entries.join(",\n")
     );
     let path = write_result("BENCH_roundtime.json", &json);

@@ -959,6 +959,32 @@ fn zero_loss_batch_is_refused_before_round_zero() {
 }
 
 #[test]
+fn zero_batch_is_refused_before_the_problem_line() {
+    // A method's constructor checks the batch size, so the run fails before
+    // it prints its problem line; fedavg is the control.
+    for method in ["fedavg", "qffl"] {
+        let out = bin()
+            .args([
+                "run",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "3", "--method", method, "--batch", "0"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{method}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("batch_size > 0"), "{method}: {err}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(!text.contains("problem:"), "{method}: {text}");
+    }
+}
+
+#[test]
 fn flat_baselines_write_valid_streams() {
     // FedProx and q-FedAvg run on the shared round driver, so their streams
     // pass the strict validator and render in `report`.

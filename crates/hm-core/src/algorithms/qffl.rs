@@ -75,7 +75,7 @@ impl QFedAvg {
     /// # Panics
     /// Panics on degenerate configs or negative `q`.
     pub fn new(cfg: QfflConfig) -> Self {
-        assert!(cfg.rounds > 0 && cfg.tau1 > 0 && cfg.m_clients > 0);
+        assert!(cfg.rounds > 0 && cfg.tau1 > 0 && cfg.m_clients > 0 && cfg.batch_size > 0);
         assert!(cfg.q >= 0.0, "q must be non-negative");
         assert!(cfg.eta_w > 0.0, "eta_w must be positive");
         Self { cfg }

@@ -2,8 +2,8 @@
 //!
 //! Every client-block needs the same bundle of scratch memory: a model
 //! [`Workspace`], a gradient buffer, and a [`BatchScratch`] for mini-batch
-//! gathers. Allocating these per call is the residual cost the hotpath
-//! bench attributes to logistic/CNN (small models amortise nothing), and
+//! gathers. Allocating these per call is a residual cost of every step
+//! on logistic/CNN (small models amortise nothing), and
 //! in the block phase one thread runs every client-block of its edge
 //! chains back to back — so scratch is pooled per *thread* and reused
 //! across blocks, rounds, and even algorithm runs, for as long as the

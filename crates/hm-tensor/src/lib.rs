@@ -13,12 +13,20 @@
 //!   paper) with `f64` accumulators in dot products and reductions.
 //! - Parallelism kicks in above [`ops::PAR_THRESHOLD`] scalar ops so tiny
 //!   matrices (common in unit tests) don't pay rayon overhead.
-//! - One `unsafe` block: the SSE2 loads of the forward kernel
-//!   ([`ops::matmul_transb_into`]), each kept inside its row.
+//! - The products of a fully connected layer and the SGD step run on the
+//!   host's widest vector unit (portable, SSE2, AVX2 or AVX-512F), detected
+//!   once at run time; every unit computes the same bits (`simd`). The
+//!   `unsafe` code is the vector loads of the forward kernel
+//!   ([`ops::matmul_transb_into`]), each kept inside its row, and the calls
+//!   into the AVX2 and AVX-512 paths, made only on a host that reported
+//!   them. Each block states why it is sound.
+
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 pub mod matrix;
 pub mod ops;
 pub mod robust;
+mod simd;
 pub mod vecops;
 pub mod view;
 

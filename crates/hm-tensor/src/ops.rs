@@ -6,14 +6,23 @@
 //! fork-join overhead. Per-element accumulation order inside each output
 //! element is fixed, so results are identical regardless of thread count.
 //!
-//! Every fully connected forward in `hm-nn` is one kernel,
-//! [`matmul_transb_into`] (`X · Wᵀ`). On x86_64 it computes a block of ten
-//! output columns per pass over an input row, each column's four partial
-//! sums in one SSE2 vector, and combines them in the order of the scalar
-//! four-lane dot product, so its bits are the dot product's. The backward
-//! kernels ([`matmul_into`], [`matmul_transa_slice`]) accumulate row
-//! updates and skip exact-zero coefficients.
+//! The three products of a fully connected layer run on the host's widest
+//! vector unit (`simd::host`: portable, SSE2, AVX2 or AVX-512F), and every
+//! unit computes the same bits (DESIGN.md §7b):
+//! - The forward, [`matmul_transb_into`] (`X · Wᵀ`), defines each output as
+//!   the scalar four-lane dot product `dot_f32`. On x86_64 it computes ten
+//!   output columns per pass over a group of input rows, one row (SSE2),
+//!   two (AVX) or four (AVX-512) per register, four lanes per row: each
+//!   lane sees `dot_f32`'s multiplies and adds in its order, whatever
+//!   register holds it.
+//! - The backward kernels, [`matmul_into`] (`Δ · W`) and
+//!   [`matmul_transa_slice`] (`Δᵀ · X`), accumulate scaled rows into each
+//!   output row in ascending order and skip exact-zero coefficients. Their
+//!   loops are element-wise, so the baseline and AVX2 copies of the same
+//!   loop give every element the same operations; an AVX-512 host runs
+//!   the AVX2 copy.
 
+use crate::simd::{self, elementwise, Isa, Level};
 use crate::{Matrix, MatrixView};
 use rayon::prelude::*;
 
@@ -62,46 +71,63 @@ pub fn matmul_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
         b.rows(),
         b.cols()
     );
+    matmul_at(simd::host(), a, b, out);
+}
+
+/// [`matmul_into`] on the loops compiled for `level`.
+pub(crate) fn matmul_at(level: Level, a: MatrixView, b: MatrixView, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
     out.resize(m, n);
     out.fill(0.0);
-    let work = m * k * n;
-    let body = |(r, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(r);
-        // ikj loop order: stream through B rows, accumulate into out_row.
-        for (i, &aik) in a_row.iter().enumerate() {
-            if aik == 0.0 {
-                continue;
-            }
-            let b_row = b.row(i);
-            for (o, &bij) in out_row.iter_mut().zip(b_row) {
-                *o += aik * bij;
+    let out = out.as_mut_slice();
+    if go_parallel(m * k * n, m) {
+        out.par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(r, out_row)| ikj_rows(level, a, r, b, out_row));
+    } else if (SCAN_MIN_COLS..=NZ_BUF).contains(&k) {
+        ikj_scan(level, a, b, out);
+    } else {
+        ikj_rows(level, a, 0, b, out);
+    }
+}
+
+elementwise! {
+    /// Rows `r0..` of `A · B` into `out` (whole rows, zeroed), in ikj
+    /// order: each output row takes `A[r, i] · B[i, :]` in ascending `i`,
+    /// skipping zero coefficients.
+    fn ikj_rows(level: Level, a: MatrixView, r0: usize, b: MatrixView, out: &mut [f32]) {
+        for (dr, out_row) in out.chunks_mut(b.cols()).enumerate() {
+            for (i, &aik) in a.row(r0 + dr).iter().enumerate() {
+                if aik == 0.0 {
+                    continue;
+                }
+                for (o, &bij) in out_row.iter_mut().zip(b.row(i)) {
+                    *o += aik * bij;
+                }
             }
         }
-    };
-    if go_parallel(work, m) {
-        out.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(body);
-    } else if (SCAN_MIN_COLS..=NZ_BUF).contains(&k) {
-        // Sequential wide-shape path: compact each row's nonzero positions
-        // branchlessly, then replay them unconditionally — same additions in
-        // the same ascending-i order as the branchy loop (bit-identical),
-        // but without a data-dependent branch per element. Training batches
-        // are resampled every step, so the zero pattern is fresh noise to
-        // the branch predictor (DESIGN.md §7b).
-        // Narrow inner dimensions keep the branchy skip: those operands
-        // (logits-layer deltas) are dense, so the branch predicts perfectly
-        // and the scan would be pure overhead.
+    }
+}
+
+elementwise! {
+    /// The sequential wide-shape path of [`matmul_into`]: compact each
+    /// row's nonzero positions branchlessly, then replay them
+    /// unconditionally — the additions of [`ikj_rows`] in its ascending-`i`
+    /// order (bit-identical), without a data-dependent branch per element.
+    /// Training batches are resampled every step, so the zero pattern is
+    /// fresh noise to the branch predictor (DESIGN.md §7b). Narrow inner
+    /// dimensions keep the branchy skip: those operands (logits-layer
+    /// deltas) are dense, so the branch predicts perfectly and the scan
+    /// would be pure overhead.
+    fn ikj_scan(level: Level, a: MatrixView, b: MatrixView, out: &mut [f32]) {
+        let (k, n) = b.shape();
         let a_flat = a.as_slice();
         let b_flat = b.as_slice();
-        let out_flat = out.as_mut_slice();
         let mut nz = [0u32; NZ_BUF];
-        for r in 0..m {
+        for r in 0..a.rows() {
             let a_row = &a_flat[r * k..(r + 1) * k];
-            let out_row = &mut out_flat[r * n..(r + 1) * n];
+            let out_row = &mut out[r * n..(r + 1) * n];
             let mut cnt = 0usize;
             for (i, &aik) in a_row.iter().enumerate() {
                 nz[cnt] = i as u32;
@@ -115,8 +141,6 @@ pub fn matmul_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
                 }
             }
         }
-    } else {
-        out.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
     }
 }
 
@@ -149,9 +173,11 @@ pub fn matmul_transb(a: &Matrix, b: &Matrix) -> Matrix {
 /// bit-identical to `dot_f32(A[r], B[j])`: four partial sums over the
 /// products with `i ≡ 0, 1, 2, 3 (mod 4)`, combined as
 /// `(l0 + l1) + (l2 + l3)`, then the `k % 4` tail products added in index
-/// order. On x86_64 a row is computed `TRANSB_BLOCK` (10) output columns at
-/// a time, each column's four partial sums held in one SSE2 vector (see
-/// `dot_block`); elsewhere each element is one `dot_f32` call.
+/// order. On x86_64 the rows are taken in groups of one (SSE2), two (AVX)
+/// or four (AVX-512), `TRANSB_BLOCK` (10) output columns at a time, each
+/// row's four partial sums of a column in one 128-bit lane (see
+/// `sse2_block`); rows left over by the last group go one level narrower.
+/// The portable level is one `dot_f32` call per element.
 ///
 /// # Panics
 /// Panics on inner-dimension mismatch.
@@ -165,73 +191,120 @@ pub fn matmul_transb_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
         b.rows(),
         b.cols()
     );
+    transb_at(simd::host(), a, b, out);
+}
+
+/// [`matmul_transb_into`] at `level`. The row-parallel split hands out
+/// whole row groups.
+pub(crate) fn transb_at(level: Level, a: MatrixView, b: MatrixView, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.rows();
     out.resize(m, n);
-    let work = m * k * n;
-    let b_flat = b.as_slice();
-    let body = |(r, out_row): (usize, &mut [f32])| transb_row(a.row(r), b_flat, out_row);
-    if go_parallel(work, m) {
-        out.as_mut_slice()
-            .par_chunks_mut(n)
+    let group = group_rows(level);
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let out = out.as_mut_slice();
+    if go_parallel(m * k * n, m) {
+        out.par_chunks_mut(group * n)
             .enumerate()
-            .for_each(body);
+            .for_each(|(g, out_rows)| {
+                let r0 = g * group;
+                let rows = out_rows.len() / n;
+                transb_rows(level, &a[r0 * k..(r0 + rows) * k], b, n, out_rows);
+            });
     } else {
-        out.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
+        transb_rows(level, a, b, n, out);
     }
 }
 
-/// Output columns [`matmul_transb_into`] computes per pass over an input
-/// row on x86_64: ten accumulator vectors plus the input vector and one
-/// product fit the sixteen SSE registers. The input row is loaded once per
+/// Input rows per register at `level`: four 4-lane rows fill a 512-bit
+/// register, two a 256-bit one.
+fn group_rows(level: Level) -> usize {
+    match level.isa() {
+        Isa::Avx512 => 4,
+        Isa::Avx => 2,
+        Isa::Sse2 | Isa::Portable => 1,
+    }
+}
+
+/// Output columns the x86_64 forward kernels compute per pass over a row
+/// group: ten accumulator vectors plus the input vector and one product
+/// fit the sixteen SSE and AVX registers. The inputs are loaded once per
 /// block instead of once per column.
 #[cfg(any(test, target_arch = "x86_64"))]
 const TRANSB_BLOCK: usize = 10;
 
-/// One output row of `A · Bᵀ`: `out_row[j] = dot_f32(a_row, B[j])`, with
-/// `B` row-major in `b` (`out_row.len()` rows of length `a_row.len()`).
-/// Full blocks of `TRANSB_BLOCK` columns, then the remaining columns one at
-/// a time, so no column is computed twice.
+/// `out = A · Bᵀ` for the rows of `a` and `B` (`n × k`, row-major in
+/// `b`), with `out` holding whole rows of `n > 0`: whole row groups at
+/// `level`, then the rows the last group leaves over one level narrower.
+fn transb_rows(level: Level, a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
+    let k = b.len() / n;
+    let rows = out.len() / n;
+    let full = rows - rows % group_rows(level);
+    let (a, a_rest) = a.split_at(full * k);
+    let (out, out_rest) = out.split_at_mut(full * n);
+    match level.isa() {
+        Isa::Portable => {
+            for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+                for (j, o) in out_row.iter_mut().enumerate() {
+                    *o = dot_f32(&a[r * k..(r + 1) * k], &b[j * k..(j + 1) * k]);
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Isa::Sse2 => sse2_rows(a, b, n, out),
+        // SAFETY: a `Level` of `Avx` exists only on a host that reported
+        // AVX2 (`simd::detect`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx => unsafe { avx_rows(a, b, n, out) },
+        // SAFETY: a `Level` of `Avx512` exists only on a host that reported
+        // AVX-512F (`simd::detect`).
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { avx512_rows(a, b, n, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("no vector level off x86_64"),
+    }
+    if full < rows {
+        transb_rows(level.narrower(), a_rest, b, n, out_rest);
+    }
+}
+
+/// Whole rows of `A · Bᵀ`, one input row per SSE2 register: full blocks of
+/// `TRANSB_BLOCK` columns, then the remaining columns one at a time, so no
+/// column is computed twice.
 #[cfg(target_arch = "x86_64")]
-fn transb_row(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let n = out_row.len();
+fn sse2_rows(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
+    let k = b.len() / n;
     let full = n - n % TRANSB_BLOCK;
-    for j0 in (0..full).step_by(TRANSB_BLOCK) {
-        dot_block::<TRANSB_BLOCK>(a_row, b, j0, out_row);
-    }
-    for j in full..n {
-        dot_block::<1>(a_row, b, j, out_row);
-    }
-}
-
-/// The portable form: one `dot_f32` per output element.
-#[cfg(not(target_arch = "x86_64"))]
-fn transb_row(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
-    let k = a_row.len();
-    for (j, o) in out_row.iter_mut().enumerate() {
-        *o = dot_f32(a_row, &b[j * k..(j + 1) * k]);
+    for (r, out) in out.chunks_exact_mut(n).enumerate() {
+        let rows = [&a[r * k..(r + 1) * k]];
+        for j0 in (0..full).step_by(TRANSB_BLOCK) {
+            sse2_block::<TRANSB_BLOCK>(rows, b, j0, out);
+        }
+        for j in full..n {
+            sse2_block::<1>(rows, b, j, out);
+        }
     }
 }
 
-/// `out_row[j0 + c] = dot_f32(a_row, B[j0 + c])` for `c < NB`, bit for bit.
+/// `out[j0 + c] = dot_f32(rows[0], B[j0 + c])` for `c < NB`, bit for bit.
 ///
 /// Column `c`'s four partial sums live in the SSE2 vector `acc[c]`: lane
 /// `l` takes the products with `i ≡ l (mod 4)` in increasing `i`, each
 /// rounded by a multiply and then added (`mulps`, `addps`; never a fused
 /// multiply-add, which rounds once and would differ from `dot_f32`). That
-/// is exactly `dot_f32`'s `lanes[l] += a[i] * b[i]`, so the lanes are then
-/// combined and the tail added in `dot_f32`'s order. Rust does not
-/// reassociate or contract floating-point operations, so the scalar and
-/// vector forms round identically.
+/// is exactly `dot_f32`'s `lanes[l] += a[i] * b[i]`, so [`finish_block`]
+/// then combines the lanes and adds the tail in `dot_f32`'s order. Rust
+/// does not reassociate or contract floating-point operations, so the
+/// scalar and vector forms round identically.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-fn dot_block<const NB: usize>(a_row: &[f32], b: &[f32], j0: usize, out_row: &mut [f32]) {
+fn sse2_block<const NB: usize>(rows: [&[f32]; 1], b: &[f32], j0: usize, out: &mut [f32]) {
     use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
-    let k = a_row.len();
+    let k = rows[0].len();
     let chunks = k / 4;
     let cols: [&[f32]; NB] = std::array::from_fn(|c| &b[(j0 + c) * k..(j0 + c + 1) * k]);
     let mut lanes = [[0.0_f32; 4]; NB];
-    // SAFETY: SSE2 is part of the x86_64 baseline. `a_row` and every
+    // SAFETY: SSE2 is part of the x86_64 baseline. `rows[0]` and every
     // `cols[c]` are slices of length `k`, and each load reads the four
     // floats at `4 * i` for `i < chunks = k / 4`, so `4 * i + 4 <= k`: every
     // load stays inside its row. The stores write the four floats of
@@ -239,7 +312,7 @@ fn dot_block<const NB: usize>(a_row: &[f32], b: &[f32], j0: usize, out_row: &mut
     unsafe {
         let mut acc = [_mm_setzero_ps(); NB];
         for i in 0..chunks {
-            let x = _mm_loadu_ps(a_row.as_ptr().add(4 * i));
+            let x = _mm_loadu_ps(rows[0].as_ptr().add(4 * i));
             for (acc_c, col) in acc.iter_mut().zip(&cols) {
                 let w = _mm_loadu_ps(col.as_ptr().add(4 * i));
                 *acc_c = _mm_add_ps(*acc_c, _mm_mul_ps(x, w));
@@ -249,12 +322,135 @@ fn dot_block<const NB: usize>(a_row: &[f32], b: &[f32], j0: usize, out_row: &mut
             _mm_storeu_ps(l.as_mut_ptr(), v);
         }
     }
-    for ((o, l), col) in out_row[j0..j0 + NB].iter_mut().zip(lanes).zip(cols) {
-        let mut s = (l[0] + l[1]) + (l[2] + l[3]);
-        for i in chunks * 4..k {
-            s += a_row[i] * col[i];
+    finish_block(&lanes, &rows, &cols, j0, out);
+}
+
+/// Whole row pairs of `A · Bᵀ`, two input rows per AVX register, column
+/// blocks as in [`sse2_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn avx_rows(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
+    let k = b.len() / n;
+    let full = n - n % TRANSB_BLOCK;
+    for (g, out) in out.chunks_exact_mut(2 * n).enumerate() {
+        let rows: [&[f32]; 2] = std::array::from_fn(|q| &a[(2 * g + q) * k..(2 * g + q + 1) * k]);
+        for j0 in (0..full).step_by(TRANSB_BLOCK) {
+            avx_block::<TRANSB_BLOCK>(rows, b, j0, out);
         }
-        *o = s;
+        for j in full..n {
+            avx_block::<1>(rows, b, j, out);
+        }
+    }
+}
+
+/// [`sse2_block`] for two rows at once: row `q`'s four lanes of column `c`
+/// are the 128-bit half `q` of `acc[c]`, and each column's four floats are
+/// broadcast into both halves, so every lane sees `dot_f32`'s sequence of
+/// multiplies and adds for its row.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn avx_block<const NB: usize>(rows: [&[f32]; 2], b: &[f32], j0: usize, out: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu2_m128, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    let k = rows[0].len();
+    let chunks = k / 4;
+    let cols: [&[f32]; NB] = std::array::from_fn(|c| &b[(j0 + c) * k..(j0 + c + 1) * k]);
+    let mut lanes = [[0.0_f32; 8]; NB];
+    // SAFETY: both rows and every `cols[c]` are slices of length `k`, and
+    // each load reads the four floats at `4 * i` for `i < chunks = k / 4`,
+    // so `4 * i + 4 <= k`: every load stays inside its row. The stores
+    // write the eight floats of `lanes[c]`.
+    unsafe {
+        let mut acc = [_mm256_setzero_ps(); NB];
+        for i in 0..chunks {
+            let x = _mm256_loadu2_m128(rows[1].as_ptr().add(4 * i), rows[0].as_ptr().add(4 * i));
+            for (acc_c, col) in acc.iter_mut().zip(&cols) {
+                let w = col.as_ptr().add(4 * i);
+                let w = _mm256_loadu2_m128(w, w);
+                *acc_c = _mm256_add_ps(*acc_c, _mm256_mul_ps(x, w));
+            }
+        }
+        for (l, v) in lanes.iter_mut().zip(acc) {
+            _mm256_storeu_ps(l.as_mut_ptr(), v);
+        }
+    }
+    finish_block(&lanes, &rows, &cols, j0, out);
+}
+
+/// Whole groups of four rows of `A · Bᵀ`, four input rows per AVX-512
+/// register, column blocks as in [`sse2_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512_rows(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
+    let k = b.len() / n;
+    let full = n - n % TRANSB_BLOCK;
+    for (g, out) in out.chunks_exact_mut(4 * n).enumerate() {
+        let rows: [&[f32]; 4] = std::array::from_fn(|q| &a[(4 * g + q) * k..(4 * g + q + 1) * k]);
+        for j0 in (0..full).step_by(TRANSB_BLOCK) {
+            avx512_block::<TRANSB_BLOCK>(rows, b, j0, out);
+        }
+        for j in full..n {
+            avx512_block::<1>(rows, b, j, out);
+        }
+    }
+}
+
+/// [`avx_block`] for four rows: row `q`'s lanes are the 128-bit quarter
+/// `q` of `acc[c]`, and each column's four floats are broadcast into all
+/// four quarters.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn avx512_block<const NB: usize>(rows: [&[f32]; 4], b: &[f32], j0: usize, out: &mut [f32]) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_broadcast_f32x4, _mm512_castps128_ps512, _mm512_insertf32x4,
+        _mm512_mul_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm_loadu_ps,
+    };
+    let k = rows[0].len();
+    let chunks = k / 4;
+    let cols: [&[f32]; NB] = std::array::from_fn(|c| &b[(j0 + c) * k..(j0 + c + 1) * k]);
+    let mut lanes = [[0.0_f32; 16]; NB];
+    // SAFETY: all four rows and every `cols[c]` are slices of length `k`,
+    // and each load reads the four floats at `4 * i` for
+    // `i < chunks = k / 4`, so `4 * i + 4 <= k`: every load stays inside its
+    // row. The stores write the sixteen floats of `lanes[c]`.
+    unsafe {
+        let mut acc = [_mm512_setzero_ps(); NB];
+        for i in 0..chunks {
+            let x = _mm512_castps128_ps512(_mm_loadu_ps(rows[0].as_ptr().add(4 * i)));
+            let x = _mm512_insertf32x4::<1>(x, _mm_loadu_ps(rows[1].as_ptr().add(4 * i)));
+            let x = _mm512_insertf32x4::<2>(x, _mm_loadu_ps(rows[2].as_ptr().add(4 * i)));
+            let x = _mm512_insertf32x4::<3>(x, _mm_loadu_ps(rows[3].as_ptr().add(4 * i)));
+            for (acc_c, col) in acc.iter_mut().zip(&cols) {
+                let w = _mm512_broadcast_f32x4(_mm_loadu_ps(col.as_ptr().add(4 * i)));
+                *acc_c = _mm512_add_ps(*acc_c, _mm512_mul_ps(x, w));
+            }
+        }
+        for (l, v) in lanes.iter_mut().zip(acc) {
+            _mm512_storeu_ps(l.as_mut_ptr(), v);
+        }
+    }
+    finish_block(&lanes, &rows, &cols, j0, out);
+}
+
+/// The outputs of one block, `out[q * n + j0 + c]` for row `q` and column
+/// `c`, from the four lane sums `4q..4q + 4` of column `c`'s accumulator.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn finish_block<const W: usize, const NB: usize>(
+    lanes: &[[f32; W]; NB],
+    rows: &[&[f32]],
+    cols: &[&[f32]; NB],
+    j0: usize,
+    out: &mut [f32],
+) {
+    let n = out.len() / rows.len();
+    for (c, (l, col)) in lanes.iter().zip(cols).enumerate() {
+        for (q, a_row) in rows.iter().enumerate() {
+            out[q * n + j0 + c] = finish(&l[4 * q..4 * q + 4], a_row, col);
+        }
     }
 }
 
@@ -294,35 +490,61 @@ pub fn matmul_transa_slice(a: MatrixView, b: MatrixView, out: &mut [f32]) {
         b.rows(),
         b.cols()
     );
-    let k = a.rows();
-    let m = a.cols();
+    assert_eq!(
+        out.len(),
+        a.cols() * b.cols(),
+        "matmul_transa: output length mismatch"
+    );
+    transa_at(simd::host(), a, b, out);
+}
+
+/// [`matmul_transa_slice`] on the loops compiled for `level`.
+pub(crate) fn transa_at(level: Level, a: MatrixView, b: MatrixView, out: &mut [f32]) {
+    let (k, m) = a.shape();
     let n = b.cols();
-    assert_eq!(out.len(), m * n, "matmul_transa: output length mismatch");
-    out.iter_mut().for_each(|x| *x = 0.0);
-    let work = m * k * n;
-    let body = |(r, out_row): (usize, &mut [f32])| {
-        // out[r, :] = sum_i A[i, r] * B[i, :]
-        for i in 0..k {
-            let air = a.at(i, r);
-            if air == 0.0 {
-                continue;
-            }
-            let b_row = b.row(i);
-            for (o, &bij) in out_row.iter_mut().zip(b_row) {
-                *o += air * bij;
+    out.fill(0.0);
+    if go_parallel(m * k * n, m) {
+        out.par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(r, out_row)| transa_rows(level, a, r, b, out_row));
+    } else if (SCAN_MIN_COLS..=NZ_BUF).contains(&m) {
+        transa_scan(level, a, b, out);
+    } else {
+        transa_rows(level, a, 0, b, out);
+    }
+}
+
+elementwise! {
+    /// Rows `r0..` of `Aᵀ · B` into `out` (whole rows, zeroed): output row
+    /// `r` takes `A[i, r] · B[i, :]` in ascending `i`, skipping zero
+    /// coefficients.
+    fn transa_rows(level: Level, a: MatrixView, r0: usize, b: MatrixView, out: &mut [f32]) {
+        for (dr, out_row) in out.chunks_mut(b.cols()).enumerate() {
+            for i in 0..a.rows() {
+                let air = a.at(i, r0 + dr);
+                if air == 0.0 {
+                    continue;
+                }
+                for (o, &bij) in out_row.iter_mut().zip(b.row(i)) {
+                    *o += air * bij;
+                }
             }
         }
-    };
-    if go_parallel(work, m) {
-        out.par_chunks_mut(n).enumerate().for_each(body);
-    } else if (SCAN_MIN_COLS..=NZ_BUF).contains(&m) {
-        // Sequential wide-shape path with the batch dimension outermost:
-        // each `A` row (a training delta) is scanned for nonzeros once,
-        // branchlessly, instead of being probed once per output row. Every
-        // output element still receives its addends in ascending batch-row
-        // order, so the result is bit-identical to the branchy loop. Narrow
-        // `A` (logits-layer deltas) stays on the branchy loop — dense, so
-        // the skip branch predicts perfectly and a scan is pure overhead.
+    }
+}
+
+elementwise! {
+    /// The sequential wide-shape path of [`matmul_transa_slice`], with the
+    /// batch dimension outermost: each `A` row (a training delta) is
+    /// scanned for nonzeros once, branchlessly, instead of being probed
+    /// once per output row. Every output element still receives its
+    /// addends in ascending batch-row order, so the result is
+    /// bit-identical to [`transa_rows`]. Narrow `A` (logits-layer deltas)
+    /// stays on the branchy loop — dense, so the skip branch predicts
+    /// perfectly and a scan is pure overhead.
+    fn transa_scan(level: Level, a: MatrixView, b: MatrixView, out: &mut [f32]) {
+        let (k, m) = a.shape();
+        let n = b.cols();
         let a_flat = a.as_slice();
         let b_flat = b.as_slice();
         let mut nz = [0u32; NZ_BUF];
@@ -343,8 +565,6 @@ pub fn matmul_transa_slice(a: MatrixView, b: MatrixView, out: &mut [f32]) {
                 }
             }
         }
-    } else {
-        out.chunks_mut(n).enumerate().for_each(body);
     }
 }
 
@@ -367,9 +587,8 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
 /// Dot product with four independent accumulator lanes (the lane pattern
 /// is a fixed function of the length, so results stay run-to-run
 /// deterministic). This defines the bits of every [`matmul_transb_into`]
-/// output: it is the forward path off x86_64, and the reference the
-/// blocked x86_64 kernel is tested against.
-#[cfg(any(test, not(target_arch = "x86_64")))]
+/// output: it is the portable level, and every x86_64 level keeps its
+/// per-lane recurrence.
 #[inline]
 fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -383,8 +602,16 @@ fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
         lanes[2] += ai[2] * bi[2];
         lanes[3] += ai[3] * bi[3];
     }
-    let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for i in chunks * 4..a.len() {
+    finish(&lanes, a, b)
+}
+
+/// The end of `dot_f32` from its four lane sums `l`: the lanes combined as
+/// `(l0 + l1) + (l2 + l3)`, then the `k % 4` tail products added in index
+/// order.
+#[inline(always)]
+fn finish(l: &[f32], a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = (l[0] + l[1]) + (l[2] + l[3]);
+    for i in a.len() / 4 * 4..a.len() {
         acc += a[i] * b[i];
     }
     acc
@@ -665,17 +892,35 @@ mod tests {
         assert!((frobenius_norm(&m) - 5.0).abs() < 1e-12);
     }
 
+    /// Asserts `got` and `want` hold the same bits, naming the level.
+    fn assert_same_bits(got: &[f32], want: &[f32], level: Level) -> Result<(), TestCaseError> {
+        prop_assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            prop_assert!(
+                g.to_bits() == w.to_bits(),
+                "{:?} element {}: {} vs portable {}",
+                level,
+                i,
+                g,
+                w
+            );
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// The forward kernel reproduces the scalar `dot_f32` bit for bit.
-        /// `k < 13` covers `k < 4` and every `k % 4`; `n` is 1, below, equal
-        /// to, above and between multiples of the block width; `m` is 1 or a
-        /// few rows. `wide` adds 4 rows, 256 inputs and 64 outputs, which
-        /// puts the product on the row-parallel path.
+        /// The forward kernel reproduces the scalar `dot_f32` bit for bit
+        /// at every level the host runs. `k < 13` covers `k < 4` and every
+        /// `k % 4`; `n` is 1, below, equal to, above and between multiples
+        /// of the block width; `m < 9` covers `m < 4` and every `m % 4`,
+        /// so every row group and every leftover count. `wide` adds 4
+        /// rows, 256 inputs and 64 outputs, which puts the product on the
+        /// row-parallel path.
         #[test]
         fn prop_transb_bit_identical_to_dot(
-            m in prop_oneof![Just(1usize), 2usize..6],
+            m in 1usize..9,
             k in 0usize..13,
             n in prop_oneof![
                 Just(1usize),
@@ -692,21 +937,83 @@ mod tests {
             let fill = if sparse { sparse_mat } else { mat };
             let a = fill(m, k, seed);
             let b = fill(n, k, seed + 7);
-            let mut got = Matrix::full(1, 3, f32::NAN);
-            matmul_transb_into(a.view(), b.view(), &mut got);
-            prop_assert_eq!(got.shape(), (m, n));
-            for r in 0..m {
-                for j in 0..n {
-                    let want = dot_f32(a.row(r), b.row(j));
-                    prop_assert!(
-                        got[(r, j)].to_bits() == want.to_bits(),
-                        "({}, {}): {} vs dot_f32 {}",
-                        r,
-                        j,
-                        got[(r, j)],
-                        want
-                    );
+            for level in simd::levels() {
+                let mut got = Matrix::full(1, 3, f32::NAN);
+                transb_at(level, a.view(), b.view(), &mut got);
+                prop_assert_eq!(got.shape(), (m, n));
+                for r in 0..m {
+                    for j in 0..n {
+                        let want = dot_f32(a.row(r), b.row(j));
+                        prop_assert!(
+                            got[(r, j)].to_bits() == want.to_bits(),
+                            "{:?} ({}, {}): {} vs dot_f32 {}",
+                            level,
+                            r,
+                            j,
+                            got[(r, j)],
+                            want
+                        );
+                    }
                 }
+            }
+        }
+
+        /// `Δ · W` at every level equals the portable loop bit for bit, on
+        /// the branchy narrow path (`k < SCAN_MIN_COLS`), the sequential
+        /// scan (`k` from `SCAN_MIN_COLS`) and the row-parallel path, with
+        /// `Δ` full of `±0.0` like a ReLU-masked delta.
+        #[test]
+        fn prop_matmul_bit_identical_at_every_level(
+            shape in 0usize..3,
+            m in 1usize..9,
+            k in 0usize..SCAN_MIN_COLS,
+            n in 1usize..70,
+            seed in 0u64..1000,
+        ) {
+            let (m, k, n) = match shape {
+                0 => (m, k, n),
+                1 => (m, k + SCAN_MIN_COLS, n),
+                _ => (m % 4 + 8, k + 64, n + 130),
+            };
+            prop_assert_eq!(go_parallel(m * k * n, m), shape == 2);
+            let a = sparse_mat(m, k, seed);
+            let b = sparse_mat(k, n, seed + 5);
+            let mut want = Matrix::zeros(0, 0);
+            matmul_at(Level::portable(), a.view(), b.view(), &mut want);
+            for level in simd::levels() {
+                let mut got = Matrix::full(2, 2, f32::NAN);
+                matmul_at(level, a.view(), b.view(), &mut got);
+                prop_assert_eq!(got.shape(), (m, n));
+                assert_same_bits(got.as_slice(), want.as_slice(), level)?;
+            }
+        }
+
+        /// `Δᵀ · X` at every level equals the portable loop bit for bit, on
+        /// the branchy narrow path (`m < SCAN_MIN_COLS` output rows), the
+        /// sequential scan and the row-parallel path, with sparse `±0.0`
+        /// operands.
+        #[test]
+        fn prop_transa_bit_identical_at_every_level(
+            shape in 0usize..3,
+            k in 1usize..12,
+            m in 1usize..SCAN_MIN_COLS,
+            n in 1usize..70,
+            seed in 0u64..1000,
+        ) {
+            let (k, m, n) = match shape {
+                0 => (k, m, n),
+                1 => (k, m + SCAN_MIN_COLS, n),
+                _ => (k + 64, m % 8 + 8, n + 130),
+            };
+            prop_assert_eq!(go_parallel(m * k * n, m), shape == 2);
+            let a = sparse_mat(k, m, seed);
+            let b = sparse_mat(k, n, seed + 9);
+            let mut want = vec![0.0_f32; m * n];
+            transa_at(Level::portable(), a.view(), b.view(), &mut want);
+            for level in simd::levels() {
+                let mut got = vec![f32::NAN; m * n];
+                transa_at(level, a.view(), b.view(), &mut got);
+                assert_same_bits(&got, &want, level)?;
             }
         }
     }

@@ -3,6 +3,17 @@
 //! Model parameters travel through the system as flat vectors (the algorithms
 //! average, difference, and project them), so these kernels are used on every
 //! SGD step, aggregation, and projection.
+//!
+//! The ones that run on every step and every aggregation, [`axpy`] (the
+//! SGD update) and the f64 folds of [`average_present_into`] (every edge
+//! aggregation) and [`average_into`], run on the host's widest vector
+//! unit: their loops are element-wise, so the baseline and AVX2 copies of
+//! each loop give every element the same operations and the same bits
+//! (DESIGN.md §7b).
+//! The reductions (`dot`, `norm2`, `sum`) keep one loop: their order is
+//! part of their bits.
+
+use crate::simd::{self, elementwise, Level};
 
 /// `y += alpha * x`.
 ///
@@ -10,11 +21,18 @@
 /// Panics if the slices have different lengths.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    // Plain zip loop: elements are independent, so LLVM unrolls and
-    // vectorises this freely (a manual 4-wide unroll measured ~5x slower —
-    // it defeated the autovectoriser).
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
+    axpy_at(simd::host(), alpha, x, y);
+}
+
+elementwise! {
+    /// [`axpy`] on the loop compiled for `level`. A plain zip loop:
+    /// elements are independent, so LLVM unrolls and vectorises it freely
+    /// (a manual 4-wide unroll measured ~5x slower — it defeated the
+    /// autovectoriser).
+    pub(crate) fn axpy_at(level: Level, alpha: f32, x: &[f32], y: &mut [f32]) {
+        for (yi, &xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
     }
 }
 
@@ -115,19 +133,16 @@ pub fn average_into(sources: &[&[f32]], out: &mut [f32]) {
     for s in sources {
         assert_eq!(s.len(), out.len(), "average length mismatch");
     }
+    let level = simd::host();
     let mut acc = [0.0_f64; AVG_CHUNK];
     let mut start = 0;
     while start < out.len() {
         let len = AVG_CHUNK.min(out.len() - start);
         acc[..len].fill(0.0);
         for s in sources {
-            for (a, &v) in acc[..len].iter_mut().zip(&s[start..start + len]) {
-                *a += f64::from(v);
-            }
+            add_f64(level, &mut acc[..len], &s[start..start + len]);
         }
-        for (o, &a) in out[start..start + len].iter_mut().zip(&acc[..len]) {
-            *o = (a / n) as f32;
-        }
+        mean_f32(level, &acc[..len], n, &mut out[start..start + len]);
         start += len;
     }
 }
@@ -180,6 +195,17 @@ pub fn average_present_into<S>(
     get: impl Fn(&S) -> Option<&[f32]>,
     out: &mut [f32],
 ) -> usize {
+    average_present_at(simd::host(), slots, get, out)
+}
+
+/// [`average_present_into`] with its multi-slot fold on the loops compiled
+/// for `level`.
+pub(crate) fn average_present_at<S>(
+    level: Level,
+    slots: &[S],
+    get: impl Fn(&S) -> Option<&[f32]>,
+    out: &mut [f32],
+) -> usize {
     let count = slots.iter().filter(|s| get(s).is_some()).count();
     if count == 0 {
         return 0;
@@ -201,17 +227,31 @@ pub fn average_present_into<S>(
         for s in slots {
             if let Some(v) = get(s) {
                 assert_eq!(v.len(), out.len(), "average length mismatch");
-                for (a, &x) in acc[..len].iter_mut().zip(&v[start..start + len]) {
-                    *a += f64::from(x);
-                }
+                add_f64(level, &mut acc[..len], &v[start..start + len]);
             }
         }
-        for (o, &a) in out[start..start + len].iter_mut().zip(&acc[..len]) {
-            *o = (a / n) as f32;
-        }
+        mean_f32(level, &acc[..len], n, &mut out[start..start + len]);
         start += len;
     }
     count
+}
+
+elementwise! {
+    /// `acc[i] += x[i]` in f64: one source's pass of the averaging fold.
+    fn add_f64(level: Level, acc: &mut [f64], x: &[f32]) {
+        for (a, &v) in acc.iter_mut().zip(x) {
+            *a += f64::from(v);
+        }
+    }
+}
+
+elementwise! {
+    /// `out[i] = acc[i] / n`, rounded to f32: the end of the averaging fold.
+    fn mean_f32(level: Level, acc: &[f64], n: f64, out: &mut [f32]) {
+        for (o, &a) in out.iter_mut().zip(acc) {
+            *o = (a / n) as f32;
+        }
+    }
 }
 
 /// Largest absolute element (0 for an empty slice).
@@ -234,6 +274,88 @@ mod tests {
                 (s >> 40) as f32 / (1u64 << 24) as f32 - 0.5
             })
             .collect()
+    }
+
+    /// `arb_vec` with about 40 % of entries set to `+0.0` and 20 % to
+    /// `-0.0`, like ReLU-masked gradients.
+    fn sparse_vec(n: usize, seed: u64) -> Vec<f32> {
+        let mut v = arb_vec(n, seed);
+        let mut s = seed.wrapping_mul(0xD1B54A32D192ED03).wrapping_add(3);
+        for x in &mut v {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            match s % 5 {
+                0 | 1 => *x = 0.0,
+                2 => *x = -0.0,
+                _ => {}
+            }
+        }
+        v
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// `axpy` at every level the host runs equals the portable loop bit
+        /// for bit, on lengths below, across and past every vector width,
+        /// sparse `±0.0` operands and a step that may be `±0.0`.
+        #[test]
+        fn prop_axpy_bit_identical_at_every_level(
+            n in 0usize..300,
+            seed in 0u64..500,
+            alpha in prop_oneof![Just(0.0f32), Just(-0.0f32), -4.0f32..4.0],
+        ) {
+            let x = sparse_vec(n, seed);
+            let y0 = sparse_vec(n, seed.wrapping_add(1));
+            let mut want = y0.clone();
+            axpy_at(Level::portable(), alpha, &x, &mut want);
+            for level in simd::levels() {
+                let mut y = y0.clone();
+                axpy_at(level, alpha, &x, &mut y);
+                prop_assert!(bits(&y) == bits(&want), "{:?}", level);
+            }
+        }
+
+        /// The multi-slot fold of `average_present_into` at every level
+        /// equals the portable loop bit for bit, for any hole pattern of up
+        /// to six slots and lengths across the `AVG_CHUNK` boundary. The
+        /// magnitudes span 2^-60..2^60 and every third entry of a slot
+        /// cancels the slot before it, so the f64 sums round and their
+        /// order shows in the bits.
+        #[test]
+        fn prop_average_present_bit_identical_at_every_level(
+            n in 1usize..(2 * AVG_CHUNK + 40),
+            mask in 0u32..64,
+            seed in 0u64..500,
+        ) {
+            let mut vecs: Vec<Vec<f32>> = (0..6).map(|j| sparse_vec(n, seed + j)).collect();
+            for (j, v) in vecs.iter_mut().enumerate() {
+                for (i, x) in v.iter_mut().enumerate() {
+                    *x *= 2f32.powi(30 * ((i + j) % 5) as i32 - 60);
+                }
+            }
+            for j in 1..6 {
+                for i in (j % 3..n).step_by(3) {
+                    vecs[j][i] = -vecs[j - 1][i];
+                }
+            }
+            let slots: Vec<Option<Vec<f32>>> = vecs
+                .into_iter()
+                .enumerate()
+                .map(|(j, v)| ((mask >> j) & 1 == 1).then_some(v))
+                .collect();
+            let mut want = vec![7.0_f32; n];
+            let count = average_present_at(Level::portable(), &slots, |s| s.as_deref(), &mut want);
+            prop_assert_eq!(count as u32, mask.count_ones());
+            for level in simd::levels() {
+                let mut got = vec![7.0_f32; n];
+                average_present_at(level, &slots, |s| s.as_deref(), &mut got);
+                prop_assert!(bits(&got) == bits(&want), "{:?}", level);
+            }
+        }
     }
 
     proptest! {
