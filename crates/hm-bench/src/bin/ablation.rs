@@ -36,7 +36,6 @@ fn main() {
         loss_batch: 16,
         weight_update_model: WeightUpdateModel::RandomCheckpoint,
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,

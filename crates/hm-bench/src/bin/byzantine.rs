@@ -60,7 +60,6 @@ fn config(rounds: usize, plan: FaultPlan, agg: Aggregator) -> HierMinimaxConfig 
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
             parallelism: Default::default(),

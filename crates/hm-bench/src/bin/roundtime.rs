@@ -77,7 +77,6 @@ fn config(case: &Case, rounds: usize) -> HierMinimaxConfig {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0, // only the final round is evaluated
             parallelism: Parallelism::Sequential,

@@ -65,7 +65,6 @@ fn main() {
             loss_batch: 16,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            tau2_per_edge: None,
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,
@@ -118,7 +117,6 @@ fn main() {
                 loss_batch: 16,
                 weight_update_model: Default::default(),
                 quantizer: Default::default(),
-                tau2_per_edge: None,
                 opts: RunOpts {
                     eval_every: 0,
                     parallelism: Parallelism::Rayon,
@@ -173,7 +171,6 @@ fn main() {
                 loss_batch: 16,
                 weight_update_model: Default::default(),
                 quantizer: Default::default(),
-                tau2_per_edge: None,
                 opts: RunOpts {
                     eval_every: 0,
                     parallelism: Parallelism::Rayon,

@@ -192,7 +192,6 @@ pub fn run_method(
             loss_batch: sp.loss_batch,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            tau2_per_edge: None,
             opts,
         })
         .run(problem, seed),

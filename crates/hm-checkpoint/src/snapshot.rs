@@ -55,9 +55,9 @@ pub fn rng_cursors_for(seed: u64, next_round: u64) -> Vec<RngCursor> {
 /// starts).
 ///
 /// The flat fair baselines (DRFA, Stochastic-AFL) store their per-client
-/// weight vector `q` in [`Snapshot::p`]; algorithm-specific scalars that
-/// do not fit the common shape (e.g. over-selection's simulated clock)
-/// ride in [`Snapshot::extras`] as named opaque sections encoded with the
+/// weight vector `q` in [`Snapshot::p`]; run state that does not fit the
+/// common shape (e.g. the stale-round streak or the churn topology) rides
+/// in [`Snapshot::extras`] as named opaque sections encoded with the
 /// [`crate::format`] primitives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {

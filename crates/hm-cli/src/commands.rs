@@ -46,7 +46,7 @@ pub fn usage() -> &'static str {
     "hierminimax — distributed minimax fair optimization over hierarchical networks
 
 USAGE:
-  hierminimax <run|compare|gap|data|eval|report|help> [flags]
+  hierminimax <run|compare|gap|data|eval|validate-telemetry|report|help> [flags]
 
 SUBCOMMANDS:
   run       run one algorithm and report fairness + communication
@@ -93,6 +93,9 @@ FAULT-INJECTION FLAGS (run, compare; deterministic per seed):
   --backoff-jitter F    keyed multiplicative jitter on retry backoff (0 = off)
   --straggler-rate F --straggler-slowdown F --deadline-factor F
                         compute stragglers; slower than the deadline is cut
+  --max-stale-rounds N  abort with an error after N+1 consecutive rounds
+                        in which no sampled edge, group or client reported
+                        (0 = never)
 
 MEMBERSHIP-CHURN FLAGS (run; hierminimax and hierfavg only):
   --churn-plan NAME     none|mild|flash-crowd|edge-failover|chaos-churn
@@ -101,8 +104,6 @@ MEMBERSHIP-CHURN FLAGS (run; hierminimax and hierfavg only):
                         per-round probabilities overriding the preset
   --no-rehome           strand a failed edge's clients instead of
                         re-homing them onto surviving edges
-  --max-stale-rounds N  abort with an error after N+1 consecutive rounds
-                        in which no sampled edge reported (0 = never)
 
 BYZANTINE-ADVERSARY FLAGS (run, compare; deterministic per seed):
   --corrupt-rate F      per-client per-block corruption probability
@@ -436,7 +437,6 @@ fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
             loss_batch,
             weight_update_model: Default::default(),
             quantizer: quant,
-            tau2_per_edge: None,
             opts,
         })),
         "hierfavg" => Box::new(HierFavg::new(HierFavgConfig {
@@ -953,7 +953,6 @@ fn compare(args: &Args) -> Result<(), ArgError> {
             loss_batch,
             weight_update_model: Default::default(),
             quantizer: Quantizer::Exact,
-            tau2_per_edge: None,
             opts: opts.clone(),
         })),
     );

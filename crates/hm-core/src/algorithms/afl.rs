@@ -97,7 +97,7 @@ impl Algorithm for StochasticAfl {
                 model: WeightUpdateModel::RoundStart,
             }),
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 

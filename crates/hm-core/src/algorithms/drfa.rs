@@ -98,7 +98,7 @@ impl Algorithm for Drfa {
                 model: WeightUpdateModel::RandomCheckpoint,
             }),
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 

@@ -1,8 +1,8 @@
-//! The round driver: Algorithm 1's round, run once for all nine
+//! The round driver: Algorithm 1's round, run once for all eight
 //! algorithms.
 //!
 //! The cloud samples *units* and weighs them with `p`. A unit is an edge
-//! (HierMinimax, HierFAVG, Overselect), a MultiLevel group of edges, or a
+//! (HierMinimax, HierFAVG), a MultiLevel group of edges, or a
 //! single client that talks to the cloud directly (the two-layer
 //! baselines FedAvg, FedProx, q-FedAvg, Stochastic-AFL and DRFA, run with
 //! `τ2 = 1` and no edge hop). Every algorithm runs the same lifecycle per
@@ -58,43 +58,29 @@ use hm_telemetry::{model_digest, Phase, Profiler, Telemetry, TelemetryEvent};
 /// otherwise). Uncapped runs do not write it.
 const STALE_SECTION: &str = "stale_rounds";
 
-/// Snapshot extras section holding [`StragglerClock`].
-const OVERSELECT_SECTION: &str = "overselect";
-
 /// How the cloud picks the round's Phase-1 participants.
-pub(crate) enum Sampler<'a> {
+pub(crate) enum Sampler {
     /// `m` draws ∝ `p` with replacement (HierMinimax, MultiLevel over
     /// groups, Stochastic-AFL and DRFA over clients).
     Weighted(usize),
     /// `m` distinct units, uniform over those still up (HierFAVG, FedAvg,
     /// FedProx, q-FedAvg).
     Uniform(usize),
-    /// `m_over` draws ∝ `p`, of which the `m` on the fastest edges are
-    /// kept (Overselect). The run keeps a [`StragglerClock`].
-    Fastest {
-        m: usize,
-        m_over: usize,
-        seconds_per_slot: &'a [f64],
-    },
 }
 
-impl Sampler<'_> {
+impl Sampler {
     /// Reports the cloud uses per round; Phase 2 samples as many.
     fn m(&self) -> usize {
         match *self {
-            Sampler::Weighted(m) | Sampler::Uniform(m) | Sampler::Fastest { m, .. } => m,
+            Sampler::Weighted(m) | Sampler::Uniform(m) => m,
         }
     }
 }
 
 /// What a participant runs between the broadcast and its upload.
 pub(crate) enum Blocks<'a> {
-    /// `τ2` client-edge blocks per edge; with `rates`, edge `e` runs
-    /// `rates[e]` blocks and draws its own checkpoint block.
-    Edges {
-        tau2: usize,
-        rates: Option<&'a [usize]>,
-    },
+    /// `τ2` client-edge blocks per edge.
+    Edges { tau2: usize },
     /// MultiLevel's tree: each sampled group runs [`subtree_update`] over
     /// the `upper` levels (top first) down to `τ2` edge blocks.
     Tree {
@@ -135,16 +121,10 @@ impl Blocks<'_> {
         self.upper().iter().map(|u| u.group_size).product()
     }
 
-    /// Client-edge blocks on a round's longest path: `τ2` (the largest
-    /// rate under heterogeneous rates), times `Π τ_l` up the tree.
+    /// Client-edge blocks on a round's longest path: `τ2` times `Π τ_l`
+    /// up the tree.
     fn blocks_per_round(&self) -> usize {
-        let edge_blocks = match *self {
-            Blocks::Edges {
-                rates: Some(rates), ..
-            } => rates.iter().copied().max().expect("one rate per edge"),
-            _ => self.tau2(),
-        };
-        edge_blocks * self.upper().iter().map(|u| u.tau).product::<usize>()
+        self.tau2() * self.upper().iter().map(|u| u.tau).product::<usize>()
     }
 
     /// The checkpoint index: one coordinate per upper level, then
@@ -169,8 +149,8 @@ impl Blocks<'_> {
 /// and a robust rule replaces them (unweighted, by construction).
 #[derive(Clone, Copy)]
 pub(crate) enum Fold {
-    /// Weighted by multiplicity in the draw (the minimax methods and
-    /// Overselect; fault-free, the denominator is exactly `m`).
+    /// Weighted by multiplicity in the draw (the minimax methods;
+    /// fault-free, the denominator is exactly `m`).
     Multiplicity,
     /// Weighted by the unit's training-data volume, its current members'
     /// shards (HierFAVG over edges, FedAvg's `|D_n|` over clients).
@@ -206,18 +186,10 @@ pub(crate) struct RoundSpec<'a> {
     /// cloud here. The two-layer baselines have none (`Exact`).
     pub quantizer: Quantizer,
     pub opts: &'a RunOpts,
-    pub sampler: Sampler<'a>,
+    pub sampler: Sampler,
     pub blocks: Blocks<'a>,
     pub fold: Fold,
     pub dual: Option<Dual>,
-}
-
-/// Over-selection's account: simulated seconds on the kept edges'
-/// critical path, and the discarded draws. Zero for the other samplers.
-#[derive(Default)]
-pub(crate) struct StragglerClock {
-    pub seconds: f64,
-    pub discarded: usize,
 }
 
 /// One run in progress: the problem, the spec, the cloud's view of the
@@ -253,12 +225,12 @@ fn pick(v: &[usize], idx: &[usize]) -> Vec<usize> {
 
 /// Run `spec` on `problem`: the round lifecycle of the module docs, from
 /// a fresh start or from `spec.opts.checkpoint.resume`. Returns the run's
-/// result and its [`StragglerClock`], or the typed abort.
+/// result, or the typed abort.
 pub(crate) fn run(
     problem: &FederatedProblem,
     seed: u64,
     spec: RoundSpec<'_>,
-) -> Result<(RunResult, StragglerClock), RunError> {
+) -> Result<RunResult, RunError> {
     let opts = spec.opts;
     // An empty loss mini-batch fails before round 0, in Phase 2 and in
     // q-FedAvg's loss report alike.
@@ -346,7 +318,6 @@ pub(crate) fn run(
     };
     // Consecutive rounds in which no report arrived.
     let mut stale: u64 = 0;
-    let mut clock = StragglerClock::default();
 
     // Resuming restores every piece of round-boundary state; all
     // randomness is keyed by (seed, round), so re-entering the loop at
@@ -381,15 +352,6 @@ pub(crate) fn run(
                     .get_u64()
                     .expect("stale-round streak");
             }
-            if let Sampler::Fastest { .. } = spec.sampler {
-                let bytes = rr
-                    .snap
-                    .extra(OVERSELECT_SECTION)
-                    .expect("overselect snapshot carries its clock section");
-                let mut r = ByteReader::new(bytes);
-                clock.seconds = r.get_f64().expect("clock");
-                clock.discarded = r.get_u64().expect("discard count") as usize;
-            }
             rr.start_round
         }
         None => 0,
@@ -421,7 +383,7 @@ pub(crate) fn run(
         churn.begin_round(problem, k, fair, &mut quarantine, tel);
 
         // ---- Phase 1: model update ---------------------------------------
-        let (sampled, cp, round_secs) = dv.draw(k, &p, &churn, &mut clock);
+        let (sampled, cp) = dv.draw(k, &p, &churn);
         let (participants, counts) = dv.broadcast(k, &sampled, cp.as_deref(), &quarantine);
         // Round-start model, kept for the `RoundStart` ablation.
         let w_start = match spec.dual {
@@ -485,11 +447,6 @@ pub(crate) fn run(
         let fstats = dv.fault.stats();
         if dv.fault.is_active() {
             let fd = fstats.since(&faults_prev);
-            if let Sampler::Fastest { .. } = spec.sampler {
-                // Retry backoff extends the round directly; straggler
-                // slots are priced at the critical path's rate.
-                clock.seconds += fd.backoff_s + fd.straggler_slots * round_secs / slots as f64;
-            }
             tel.record(|| TelemetryEvent::FaultSummary {
                 round: k,
                 crashes: fd.crashes,
@@ -564,12 +521,6 @@ pub(crate) fn run(
                 section.put_u64(stale);
                 extra.push((STALE_SECTION.to_string(), section.into_bytes()));
             }
-            if let Sampler::Fastest { .. } = spec.sampler {
-                let mut section = ByteWriter::new();
-                section.put_f64(clock.seconds);
-                section.put_u64(clock.discarded as u64);
-                extra.push((OVERSELECT_SECTION.to_string(), section.into_bytes()));
-            }
             extra
         });
     }
@@ -599,7 +550,7 @@ pub(crate) fn run(
         faults: faults_final,
         churn: churn.stats(),
     };
-    Ok((result, clock))
+    Ok(result)
 }
 
 impl Driver<'_> {
@@ -733,15 +684,8 @@ impl Driver<'_> {
     }
 
     /// The Phase-1 draw: the sampled units and, for the minimax methods,
-    /// the checkpoint index. Returns them with the kept edges' critical
-    /// path in seconds (over-selection only; 0 otherwise).
-    fn draw(
-        &self,
-        k: usize,
-        p: &[f32],
-        churn: &ChurnCtl,
-        clock: &mut StragglerClock,
-    ) -> (Vec<usize>, Option<Vec<usize>>, f64) {
+    /// the checkpoint index.
+    fn draw(&self, k: usize, p: &[f32], churn: &ChurnCtl) -> (Vec<usize>, Option<Vec<usize>>) {
         let sampling_span = self.prof.start();
         let mut rng = StreamRng::for_key(StreamKey::new(
             self.seed,
@@ -749,38 +693,14 @@ impl Driver<'_> {
             k as u64,
             0,
         ));
-        let mut by_p = |m: usize| {
-            let p64: Vec<f64> = p.iter().map(|&x| f64::from(x).max(0.0)).collect();
-            sample_edges_weighted(&p64, m, &mut rng)
-        };
-        let mut round_secs = 0.0_f64;
         let sampled = match self.spec.sampler {
-            Sampler::Weighted(m) => by_p(m),
-            Sampler::Uniform(m) => self.sample_up(churn, m, &mut rng).2,
-            Sampler::Fastest {
-                m,
-                m_over,
-                seconds_per_slot,
-            } => {
-                let mut sampled = by_p(m_over);
-                sampled.sort_by(|&a, &b| {
-                    seconds_per_slot[a]
-                        .partial_cmp(&seconds_per_slot[b])
-                        .expect("finite speeds")
-                });
-                clock.discarded += sampled.len() - m;
-                sampled.truncate(m);
-                // The round lasts as long as the slowest kept edge.
-                round_secs = sampled
-                    .iter()
-                    .map(|&e| seconds_per_slot[e] * self.slots as f64)
-                    .fold(0.0_f64, f64::max);
-                clock.seconds += round_secs;
-                sampled
+            Sampler::Weighted(m) => {
+                let p64: Vec<f64> = p.iter().map(|&x| f64::from(x).max(0.0)).collect();
+                sample_edges_weighted(&p64, m, &mut rng)
             }
+            Sampler::Uniform(m) => self.sample_up(churn, m, &mut rng).2,
         };
-        // Only its base coordinates `(c1, c2)` are reported; under
-        // heterogeneous rates each edge redraws its own block. A client
+        // Only its base coordinates `(c1, c2)` are reported. A client
         // unit captures a checkpoint only when Phase 2 evaluates it.
         let cp = self
             .spec
@@ -806,7 +726,7 @@ impl Driver<'_> {
             None,
             sampling_span,
         );
-        (sampled, cp, round_secs)
+        (sampled, cp)
     }
 
     /// Cloud → sampled units: the model and the checkpoint index, once per
@@ -870,7 +790,6 @@ impl Driver<'_> {
             quantizer: self.spec.quantizer,
             fault: &self.fault,
             level: 0,
-            record_rounds: true,
             round: k,
             seed: self.seed,
             meter: &self.meter,
@@ -884,41 +803,7 @@ impl Driver<'_> {
             edge_hop: !self.spec.blocks.clients(),
         };
         let outputs: Vec<EdgeBlockOutput> = match self.spec.blocks {
-            Blocks::Edges { rates: None, .. } | Blocks::Clients { .. } => run_edge_blocks(leaf),
-            Blocks::Edges {
-                rates: Some(rates), ..
-            } => {
-                // Each edge runs its own block count and draws its own
-                // uniform checkpoint block (clamping a shared index would
-                // bias slow edges toward late blocks). Concurrent edges
-                // share sync windows, so the round's client-edge rounds
-                // are the slowest participant's block count.
-                let outs = participants
-                    .iter()
-                    .map(|&e| {
-                        let tau2 = rates[e];
-                        let c2 = StreamRng::for_key(StreamKey::new(
-                            self.seed,
-                            Purpose::Checkpoint,
-                            k as u64,
-                            1 + e as u64,
-                        ))
-                        .below(tau2);
-                        run_edge_blocks(EdgeBlockParams {
-                            edges: std::slice::from_ref(&e),
-                            tau2,
-                            checkpoint: c1c2.map(|(c1, _)| (c1, c2)),
-                            record_rounds: false,
-                            ..leaf
-                        })
-                        .pop()
-                        .expect("one edge per call")
-                    })
-                    .collect();
-                let slowest = participants.iter().map(|&e| rates[e]).max().unwrap_or(0);
-                self.meter.record_rounds(Link::ClientEdge, slowest as u64);
-                outs
-            }
+            Blocks::Edges { .. } | Blocks::Clients { .. } => run_edge_blocks(&leaf),
             Blocks::Tree { upper, .. } => {
                 let cp = cp.expect("the tree runs with a checkpoint");
                 participants

@@ -77,7 +77,7 @@ impl Algorithm for FedAvg {
             fold: Fold::Volume,
             dual: None,
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 

@@ -86,7 +86,7 @@ impl Algorithm for FedProx {
             fold: Fold::Plain,
             dual: None,
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 

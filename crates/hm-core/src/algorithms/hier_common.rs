@@ -132,13 +132,6 @@ pub(crate) struct EdgeBlockParams<'a> {
     /// client id; deeper multi-level trees pass their depth so equal block
     /// indices at different levels draw independent fault bits).
     pub level: usize,
-    /// Whether this call records `ClientEdge` synchronisation rounds.
-    /// Callers that invoke `run_edge_blocks` once per edge (the
-    /// heterogeneous-rate path) set this false and record the round count
-    /// themselves, because concurrent edges share sync windows: metering
-    /// each edge's blocks separately would count the same wall-clock
-    /// window once per edge.
-    pub record_rounds: bool,
     /// Training round `k` (keys the RNG streams).
     pub round: usize,
     pub seed: u64,
@@ -273,9 +266,7 @@ fn meter_round(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedul
     }
     p.meter
         .record_gather(Link::ClientEdge, unit, plain_survivors);
-    if p.record_rounds {
-        p.meter.record_rounds(Link::ClientEdge, p.tau2 as u64);
-    }
+    p.meter.record_rounds(Link::ClientEdge, p.tau2 as u64);
 }
 
 /// Replay the round's `block_agg` events after the parallel join, in
@@ -303,7 +294,15 @@ fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSched
     }
 }
 
-/// Run `τ2` client-edge aggregation blocks on each participating edge.
+/// Per-edge chain result: final edge model, checkpoint model, per-client
+/// `(summed update norm, block count)` samples for the quarantine pass,
+/// whether any block had a survivor, and the chain's wall-clock seconds
+/// for the profiler.
+type ChainOutput = (Vec<f32>, Option<Vec<f32>>, Vec<(f64, u32)>, bool, f64);
+
+/// Run `τ2` client-edge aggregation blocks on each participating edge:
+/// the fault schedule and the metering up front, then one chain per edge
+/// running all `τ2` blocks back to back, then the event replay.
 ///
 /// Blocks of one edge are sequential, as the protocol requires; edges do
 /// not synchronise until the end of the round (see module docs).
@@ -312,19 +311,7 @@ fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSched
 /// model piggybacked on the gather of block `c2` (doubling that block's
 /// uplink payload, as in the paper where clients "send along" the
 /// checkpoint).
-pub(crate) fn run_edge_blocks(p: EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
-    run_edge_blocks_chained(&p)
-}
-
-/// Per-edge chain result: final edge model, checkpoint model, per-client
-/// `(summed update norm, block count)` samples for the quarantine pass,
-/// whether any block had a survivor, and the chain's wall-clock seconds
-/// for the profiler.
-type ChainOutput = (Vec<f32>, Option<Vec<f32>>, Vec<(f64, u32)>, bool, f64);
-
-/// The chained engine: fault schedule and metering up front, then one
-/// task per edge running all `τ2` blocks back to back, then event replay.
-fn run_edge_blocks_chained(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
+pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
     let ne = p.edges.len();
     let slots = SlotMap::build(p);
     let schedule = compute_schedule(p, &slots);
@@ -776,7 +763,7 @@ mod tests {
         let (tel, sink) = recorder();
         let fi = FaultInjector::none(42);
         let w0 = vec![0.0; fp.num_params()];
-        let out = run_edge_blocks(EdgeBlockParams {
+        let out = run_edge_blocks(&EdgeBlockParams {
             problem: &fp,
             w_start: &w0,
             edges: &[0, 2],
@@ -789,7 +776,6 @@ mod tests {
             quantizer: Quantizer::Exact,
             fault: &fi,
             level: 0,
-            record_rounds: true,
             round: 0,
             seed: 42,
             meter: &meter,
@@ -849,7 +835,7 @@ mod tests {
         let meter = CommMeter::new();
         let fi = FaultInjector::none(7);
         let w0 = vec![0.25; fp.num_params()];
-        let out = run_edge_blocks(EdgeBlockParams {
+        let out = run_edge_blocks(&EdgeBlockParams {
             problem: &fp,
             w_start: &w0,
             edges: &[1],
@@ -862,7 +848,6 @@ mod tests {
             quantizer: Quantizer::Exact,
             fault: &fi,
             level: 0,
-            record_rounds: true,
             round: 0,
             seed: 7,
             meter: &meter,
@@ -894,7 +879,7 @@ mod tests {
         let meter = CommMeter::new();
         let (tel, sink) = recorder();
         let fi = FaultInjector::new(11, fault);
-        let out = run_edge_blocks(EdgeBlockParams {
+        let out = run_edge_blocks(&EdgeBlockParams {
             problem: fp,
             w_start: &vec![0.0; fp.num_params()],
             edges: &[0, 1, 2],
@@ -907,7 +892,6 @@ mod tests {
             quantizer,
             fault: &fi,
             level: 0,
-            record_rounds: true,
             round: 3,
             seed: 11,
             meter: &meter,
@@ -993,7 +977,7 @@ mod tests {
         let meter = CommMeter::new();
         let (tel, sink) = recorder();
         let fi = FaultInjector::none(5);
-        let out = run_edge_blocks(EdgeBlockParams {
+        let out = run_edge_blocks(&EdgeBlockParams {
             problem: &fp,
             w_start: &vec![0.0; fp.num_params()],
             edges: &[0, 1],
@@ -1006,7 +990,6 @@ mod tests {
             quantizer: Quantizer::Exact,
             fault: &fi,
             level: 0,
-            record_rounds: true,
             round: 3,
             seed: 5,
             meter: &meter,

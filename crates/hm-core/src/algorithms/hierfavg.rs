@@ -87,14 +87,11 @@ impl Algorithm for HierFavg {
             quantizer: cfg.quantizer,
             opts: &cfg.opts,
             sampler: Sampler::Uniform(cfg.m_edges),
-            blocks: Blocks::Edges {
-                tau2: cfg.tau2,
-                rates: None,
-            },
+            blocks: Blocks::Edges { tau2: cfg.tau2 },
             fold: Fold::Volume,
             dual: None,
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 

@@ -66,13 +66,6 @@ pub struct HierMinimaxConfig {
     /// Uplink codec for model uploads (the Hier-Local-QSGD extension;
     /// `Quantizer::Exact` reproduces the paper's algorithm).
     pub quantizer: Quantizer,
-    /// Heterogeneous operating rates (the "flexible communication
-    /// frequencies" the paper highlights, cf. Castiglia et al. \[5\]):
-    /// when set, edge `e` performs `tau2_per_edge[e]` client-edge
-    /// aggregations per round instead of the uniform `tau2`. Slot
-    /// accounting uses the maximum (the synchronous round ends when the
-    /// slowest edge finishes).
-    pub tau2_per_edge: Option<Vec<usize>>,
     /// Shared runner options.
     pub opts: RunOpts,
 }
@@ -90,7 +83,6 @@ impl Default for HierMinimaxConfig {
             loss_batch: 16,
             weight_update_model: WeightUpdateModel::default(),
             quantizer: Quantizer::Exact,
-            tau2_per_edge: None,
             opts: RunOpts::default(),
         }
     }
@@ -131,10 +123,6 @@ impl Algorithm for HierMinimax {
             cfg.m_edges,
             n_edges
         );
-        if let Some(rates) = &cfg.tau2_per_edge {
-            assert_eq!(rates.len(), n_edges, "one tau2 per edge");
-            assert!(rates.iter().all(|&t| t > 0), "tau2 rates must be positive");
-        }
         let spec = RoundSpec {
             name: "HierMinimax",
             rounds: cfg.rounds,
@@ -144,10 +132,7 @@ impl Algorithm for HierMinimax {
             quantizer: cfg.quantizer,
             opts: &cfg.opts,
             sampler: Sampler::Weighted(cfg.m_edges),
-            blocks: Blocks::Edges {
-                tau2: cfg.tau2,
-                rates: cfg.tau2_per_edge.as_deref(),
-            },
+            blocks: Blocks::Edges { tau2: cfg.tau2 },
             fold: Fold::Multiplicity,
             dual: Some(Dual {
                 eta_p: cfg.eta_p,
@@ -155,7 +140,7 @@ impl Algorithm for HierMinimax {
                 model: cfg.weight_update_model,
             }),
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 
@@ -177,7 +162,6 @@ mod tests {
             loss_batch: 4,
             weight_update_model: WeightUpdateModel::default(),
             quantizer: Quantizer::Exact,
-            tau2_per_edge: None,
             opts: RunOpts {
                 eval_every: 1,
                 parallelism: Parallelism::Sequential,

@@ -5,8 +5,6 @@
 //!   checkpoint-based edge-weight updates, and partial participation.
 //! - [`MultiLevelMinimax`] — the paper's §3 generalisation to arbitrary
 //!   hierarchy depth (clients → edges → regions → … → cloud).
-//! - [`OverselectMinimax`] — HierMinimax with straggler-aware
-//!   over-selection in Phase 1.
 //! - Baselines, exactly the four the evaluation compares against (§6):
 //!   [`FedAvg`] (two-layer minimization, multi-step), [`StochasticAfl`]
 //!   (two-layer minimax, single-step), [`Drfa`] (two-layer minimax,
@@ -14,7 +12,7 @@
 //!   two-layer extension baselines [`FedProx`] and [`QFedAvg`].
 //!
 //! One round driver, `driver` (DESIGN.md §7c), runs them all. Its units
-//! are edges (HierMinimax, HierFAVG, Overselect), groups of edges
+//! are edges (HierMinimax, HierFAVG), groups of edges
 //! (MultiLevel), or single clients that talk to the cloud directly (the
 //! two-layer baselines FedAvg, FedProx, q-FedAvg, Stochastic-AFL and
 //! DRFA).
@@ -41,7 +39,6 @@ mod hier_common;
 mod hierfavg;
 mod hierminimax;
 mod multilevel;
-mod overselect;
 mod qffl;
 
 pub use drfa::{Drfa, DrfaConfig};
@@ -50,7 +47,6 @@ pub use fedprox::{FedProx, FedProxConfig};
 pub use hierfavg::{HierFavg, HierFavgConfig};
 pub use hierminimax::{HierMinimax, HierMinimaxConfig, WeightUpdateModel};
 pub use multilevel::{MultiLevelConfig, MultiLevelMinimax, UpperLevel};
-pub use overselect::{OverselectConfig, OverselectMinimax, OverselectResult};
 pub use qffl::{QFedAvg, QfflConfig};
 
 use crate::history::History;

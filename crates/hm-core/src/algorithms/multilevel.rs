@@ -151,7 +151,7 @@ pub(super) fn subtree_update(
         // draws survival bits independent of the three-layer case even
         // when block indices coincide (with `upper: []` the depth is 0 and
         // the three-layer streams are preserved).
-        let outputs = run_edge_blocks(EdgeBlockParams {
+        let outputs = run_edge_blocks(&EdgeBlockParams {
             w_start,
             edges,
             level: upper.len(),
@@ -267,7 +267,7 @@ impl Algorithm for MultiLevelMinimax {
                 model: WeightUpdateModel::RandomCheckpoint,
             }),
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 

@@ -105,7 +105,7 @@ impl Algorithm for QFedAvg {
             },
             dual: None,
         };
-        driver::run(problem, seed, spec).map(|(r, _)| r)
+        driver::run(problem, seed, spec)
     }
 }
 

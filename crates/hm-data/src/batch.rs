@@ -74,46 +74,6 @@ pub fn sample_batch_into(
     data.subset_into(&scratch.idx, &mut scratch.batch);
 }
 
-/// A deterministic epoch-style batcher: shuffles once, then yields
-/// consecutive batches, reshuffling at each epoch boundary. Used by the
-/// centralised duality-gap solver, where full passes are preferable.
-#[derive(Debug)]
-pub struct EpochBatcher {
-    order: Vec<usize>,
-    cursor: usize,
-    batch_size: usize,
-}
-
-impl EpochBatcher {
-    /// Create a batcher over `n` samples.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `batch_size == 0`.
-    pub fn new(n: usize, batch_size: usize, rng: &mut StreamRng) -> Self {
-        assert!(n > 0 && batch_size > 0);
-        let mut order: Vec<usize> = (0..n).collect();
-        rng.shuffle(&mut order);
-        Self {
-            order,
-            cursor: 0,
-            batch_size,
-        }
-    }
-
-    /// Next batch of indices, borrowed from the internal order buffer (valid
-    /// until the next call); reshuffles when the epoch is exhausted.
-    pub fn next_batch(&mut self, rng: &mut StreamRng) -> &[usize] {
-        if self.cursor >= self.order.len() {
-            rng.shuffle(&mut self.order);
-            self.cursor = 0;
-        }
-        let end = (self.cursor + self.batch_size).min(self.order.len());
-        let batch = &self.order[self.cursor..end];
-        self.cursor = end;
-        batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,22 +109,5 @@ mod tests {
         let d = Dataset::new(Matrix::zeros(0, 1), vec![], 1);
         let mut rng = StreamRng::new(0, Purpose::Batch, 0, 0);
         let _ = sample_batch(&d, 1, &mut rng);
-    }
-
-    #[test]
-    fn epoch_batcher_covers_every_index_once_per_epoch() {
-        let mut rng = StreamRng::new(1, Purpose::Batch, 0, 0);
-        let mut b = EpochBatcher::new(10, 3, &mut rng);
-        let mut seen: Vec<usize> = Vec::new();
-        for _ in 0..4 {
-            seen.extend(b.next_batch(&mut rng));
-        }
-        // 3+3+3+1 = one full epoch.
-        let mut sorted = seen.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..10).collect::<Vec<_>>());
-        // Next call starts a new epoch.
-        let nb = b.next_batch(&mut rng);
-        assert_eq!(nb.len(), 3);
     }
 }

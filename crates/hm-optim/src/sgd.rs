@@ -4,94 +4,6 @@
 use crate::projection::{Projection, ProjectionOp};
 use hm_tensor::vecops;
 
-/// Client-side optimizer hyper-parameters beyond plain SGD. The paper's
-/// algorithms use plain SGD (the defaults); these knobs are standard FL
-/// practice and are exposed for library users building on the substrate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SgdHyper {
-    /// Learning rate.
-    pub lr: f32,
-    /// Heavy-ball momentum coefficient in `[0, 1)` (`0` = plain SGD).
-    pub momentum: f32,
-    /// Decoupled weight decay per step (`0` = none).
-    pub weight_decay: f32,
-    /// Clip the gradient to this L2 norm before stepping (`None` = off).
-    pub clip_norm: Option<f32>,
-}
-
-impl SgdHyper {
-    /// Plain SGD at the given rate — what eq. (4) uses.
-    pub fn plain(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            clip_norm: None,
-        }
-    }
-}
-
-/// Momentum-SGD state: the velocity buffer, matched to one parameter
-/// vector.
-#[derive(Debug, Clone)]
-pub struct SgdState {
-    velocity: Vec<f32>,
-}
-
-impl SgdState {
-    /// Zero-velocity state for a `d`-dimensional model.
-    pub fn new(d: usize) -> Self {
-        Self {
-            velocity: vec![0.0; d],
-        }
-    }
-
-    /// One projected step with the full hyper-parameter set:
-    /// `v ← μ v + g_clipped`, `w ← Π((1 − λ·lr) w − lr·v)`.
-    ///
-    /// # Panics
-    /// Panics on length mismatch or non-finite rates.
-    pub fn step(
-        &mut self,
-        params: &mut [f32],
-        grad: &[f32],
-        hyper: &SgdHyper,
-        proj: &ProjectionOp,
-    ) {
-        assert_eq!(params.len(), grad.len(), "param/grad length mismatch");
-        assert_eq!(params.len(), self.velocity.len(), "state length mismatch");
-        assert!(hyper.lr.is_finite() && hyper.momentum.is_finite());
-        assert!(
-            (0.0..1.0).contains(&hyper.momentum),
-            "momentum out of [0,1)"
-        );
-        // Clip (scaling, not truncation, so the direction is preserved).
-        let scale = match hyper.clip_norm {
-            Some(c) => {
-                assert!(c > 0.0, "clip norm must be positive");
-                let n = vecops::norm2(grad);
-                if n > f64::from(c) {
-                    (f64::from(c) / n) as f32
-                } else {
-                    1.0
-                }
-            }
-            None => 1.0,
-        };
-        for (v, &g) in self.velocity.iter_mut().zip(grad) {
-            *v = hyper.momentum * *v + scale * g;
-        }
-        if hyper.weight_decay > 0.0 {
-            let shrink = 1.0 - hyper.weight_decay * hyper.lr;
-            for p in params.iter_mut() {
-                *p *= shrink;
-            }
-        }
-        vecops::axpy(-hyper.lr, &self.velocity, params);
-        proj.project(params);
-    }
-}
-
 /// One projected gradient step in place. `grad` is the stochastic gradient
 /// at the current `params`.
 ///
@@ -150,87 +62,6 @@ pub fn projected_ascent_step(params: &mut [f32], grad: &[f32], lr: f32, proj: &P
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plain_hyper_matches_projected_sgd_step() {
-        let hyper = SgdHyper::plain(0.1);
-        let grad = [1.0_f32, -2.0];
-        let mut a = vec![0.5_f32, 0.5];
-        let mut b = a.clone();
-        let mut st = SgdState::new(2);
-        st.step(&mut a, &grad, &hyper, &ProjectionOp::Unconstrained);
-        projected_sgd_step(&mut b, &grad, 0.1, &ProjectionOp::Unconstrained);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let hyper = SgdHyper {
-            momentum: 0.9,
-            ..SgdHyper::plain(0.1)
-        };
-        let grad = [1.0_f32];
-        let mut w = vec![0.0_f32];
-        let mut st = SgdState::new(1);
-        st.step(&mut w, &grad, &hyper, &ProjectionOp::Unconstrained);
-        assert!((w[0] + 0.1).abs() < 1e-6); // v = 1
-        st.step(&mut w, &grad, &hyper, &ProjectionOp::Unconstrained);
-        // v = 0.9 + 1 = 1.9 → w = -0.1 - 0.19
-        assert!((w[0] + 0.29).abs() < 1e-6, "{w:?}");
-    }
-
-    #[test]
-    fn clipping_preserves_direction() {
-        let hyper = SgdHyper {
-            clip_norm: Some(1.0),
-            ..SgdHyper::plain(1.0)
-        };
-        let grad = [3.0_f32, 4.0]; // norm 5 → scaled to 1
-        let mut w = vec![0.0_f32, 0.0];
-        let mut st = SgdState::new(2);
-        st.step(&mut w, &grad, &hyper, &ProjectionOp::Unconstrained);
-        assert!(
-            (w[0] + 0.6).abs() < 1e-6 && (w[1] + 0.8).abs() < 1e-6,
-            "{w:?}"
-        );
-    }
-
-    #[test]
-    fn small_gradient_not_clipped() {
-        let hyper = SgdHyper {
-            clip_norm: Some(10.0),
-            ..SgdHyper::plain(1.0)
-        };
-        let grad = [0.3_f32];
-        let mut w = vec![0.0_f32];
-        let mut st = SgdState::new(1);
-        st.step(&mut w, &grad, &hyper, &ProjectionOp::Unconstrained);
-        assert!((w[0] + 0.3).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let hyper = SgdHyper {
-            weight_decay: 0.5,
-            ..SgdHyper::plain(0.1)
-        };
-        let grad = [0.0_f32];
-        let mut w = vec![1.0_f32];
-        let mut st = SgdState::new(1);
-        st.step(&mut w, &grad, &hyper, &ProjectionOp::Unconstrained);
-        assert!((w[0] - 0.95).abs() < 1e-6); // (1 - 0.5·0.1)·1
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum out of [0,1)")]
-    fn bad_momentum_panics() {
-        let hyper = SgdHyper {
-            momentum: 1.0,
-            ..SgdHyper::plain(0.1)
-        };
-        let mut st = SgdState::new(1);
-        st.step(&mut [0.0], &[0.0], &hyper, &ProjectionOp::Unconstrained);
-    }
 
     #[test]
     fn descent_moves_against_gradient() {

@@ -10,10 +10,10 @@
 //!   faults → `phase1_done` → Phase-2 faults and `dual_update` →
 //!   `fault_summary` → `adversary` → `round_end`).
 //! - **Sampling replay** — the Phase-1 draw is re-drawn from the keyed
-//!   `EdgeSampling` stream (∝ the streamed `p^(k)`, uniform over the up
-//!   edges, or over-selected and cut to the fastest), the checkpoint from
-//!   the `Checkpoint` stream, and the Phase-2 set `U^(k)` from the
-//!   `LossEstSampling` stream; the stream must match the replay exactly.
+//!   `EdgeSampling` stream (∝ the streamed `p^(k)`, or uniform over the
+//!   up edges), the checkpoint from the `Checkpoint` stream, and the
+//!   Phase-2 set `U^(k)` from the `LossEstSampling` stream; the stream
+//!   must match the replay exactly.
 //!   Every edge of `U^(k)` must show up as a `fault` event or in
 //!   `dual_update.edges`.
 //! - **Checkpoint bounds** — `(c1, c2) ∈ [τ1] × [τ2]`, checked before the
@@ -53,7 +53,7 @@
 //!   constrained set `P` (via [`ProjectionOp::feasibility_violation`]),
 //!   and every `phase1_done` must report zero non-finite parameters.
 //!
-//! One replay serves HierMinimax, HierFAVG, MultiLevel and Overselect.
+//! One replay serves HierMinimax, HierFAVG and MultiLevel.
 //! Like the round driver (DESIGN.md §7c) it is parameterized by three
 //! policies — the Phase-1 sampler, the block phase and an optional dual
 //! step — which [`Protocol`] builds from each algorithm's config. It stays an independent model: it calls `hm-simnet`'s pure
@@ -70,7 +70,7 @@
 //! [`ProjectionOp::feasibility_violation`]: hm_optim::ProjectionOp::feasibility_violation
 
 use hm_core::algorithms::{
-    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, OverselectConfig, RunOpts, UpperLevel,
+    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, RunOpts, UpperLevel,
 };
 use hm_core::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
@@ -296,25 +296,18 @@ pub struct ConformanceReport {
 /// How the cloud picks a round's Phase-1 participants (the driver's
 /// sampler policy).
 #[derive(Debug, Clone, Copy)]
-enum Sampler<'a> {
+enum Sampler {
     /// `m` draws ∝ `p` with replacement (HierMinimax, MultiLevel).
     Weighted(usize),
     /// `m` distinct edges, uniform over the edges still up (HierFAVG).
     Uniform(usize),
-    /// `m_over` draws ∝ `p`, stable-sorted by seconds per slot, the first
-    /// `m` kept (Overselect).
-    Fastest {
-        m: usize,
-        m_over: usize,
-        seconds_per_slot: &'a [f64],
-    },
 }
 
-impl Sampler<'_> {
+impl Sampler {
     /// Reports the cloud uses per round; Phase 2 samples as many.
     fn m(&self) -> usize {
         match *self {
-            Sampler::Weighted(m) | Sampler::Uniform(m) | Sampler::Fastest { m, .. } => m,
+            Sampler::Weighted(m) | Sampler::Uniform(m) => m,
         }
     }
 }
@@ -351,20 +344,14 @@ pub struct Protocol<'a> {
     quantizer: Quantizer,
     /// The run's options (fault plan, churn plan, quarantine).
     opts: &'a RunOpts,
-    sampler: Sampler<'a>,
+    sampler: Sampler,
     blocks: Blocks<'a>,
     /// Whether rounds draw a checkpoint and end with the dual step on `p`.
     dual: bool,
 }
 
 impl<'a> From<&'a HierMinimaxConfig> for Protocol<'a> {
-    /// # Panics
-    /// Panics on heterogeneous `tau2_per_edge` configs (not modelled).
     fn from(cfg: &'a HierMinimaxConfig) -> Self {
-        assert!(
-            cfg.tau2_per_edge.is_none(),
-            "conformance model covers homogeneous rates only"
-        );
         Protocol {
             rounds: cfg.rounds,
             tau1: cfg.tau1,
@@ -403,25 +390,6 @@ impl<'a> From<&'a MultiLevelConfig> for Protocol<'a> {
             opts: &cfg.opts,
             sampler: Sampler::Weighted(cfg.m_groups),
             blocks: Blocks::Tree(&cfg.upper),
-            dual: true,
-        }
-    }
-}
-
-impl<'a> From<&'a OverselectConfig> for Protocol<'a> {
-    fn from(cfg: &'a OverselectConfig) -> Self {
-        Protocol {
-            rounds: cfg.rounds,
-            tau1: cfg.tau1,
-            tau2: cfg.tau2,
-            quantizer: Quantizer::Exact,
-            opts: &cfg.opts,
-            sampler: Sampler::Fastest {
-                m: cfg.m_edges,
-                m_over: cfg.m_over,
-                seconds_per_slot: &cfg.seconds_per_slot,
-            },
-            blocks: Blocks::Edges,
             dual: true,
         }
     }
@@ -877,16 +845,6 @@ impl Replay<'_, '_> {
         let expect = match self.pr.sampler {
             Sampler::Weighted(m) => sample_edges_weighted(&p64, m, &mut rng),
             Sampler::Uniform(m) => self.sample_up(m, &mut rng),
-            Sampler::Fastest {
-                m,
-                m_over,
-                seconds_per_slot,
-            } => {
-                let mut drawn = sample_edges_weighted(&p64, m_over, &mut rng);
-                drawn.sort_by(|&a, &b| seconds_per_slot[a].total_cmp(&seconds_per_slot[b]));
-                drawn.truncate(m);
-                drawn
-            }
         };
         if *sampled != expect {
             return Err(ConformanceError::SamplingMismatch {
@@ -1358,9 +1316,7 @@ struct CommReplay<'r> {
 mod tests {
     use super::*;
     use crate::strategies::{case_opts, record};
-    use hm_core::algorithms::{
-        Algorithm, HierFavg, HierMinimax, MultiLevelMinimax, OverselectMinimax, RunResult,
-    };
+    use hm_core::algorithms::{Algorithm, HierFavg, HierMinimax, MultiLevelMinimax, RunResult};
     use hm_data::scenarios::tiny_problem;
     use hm_simnet::ChurnPlan;
 
@@ -1460,29 +1416,6 @@ mod tests {
         let events = multilevel(&fp, &mut cfg, 11);
         let report = check_stream(&fp, &cfg, 11, &events).unwrap();
         assert_eq!(report.rounds, 3);
-    }
-
-    #[test]
-    fn valid_overselect_stream_passes() {
-        let fp = problem(4, 2, 8);
-        let mut cfg = OverselectConfig {
-            rounds: 4,
-            tau1: 2,
-            tau2: 2,
-            m_edges: 2,
-            m_over: 4,
-            seconds_per_slot: vec![2.0, 1.0, 2.0, 3.0],
-            eta_w: 0.1,
-            eta_p: 0.05,
-            batch_size: 2,
-            loss_batch: 4,
-            opts: case_opts(),
-        };
-        let sink = record(&mut cfg.opts);
-        OverselectMinimax::new(cfg.clone()).run(&fp, 3);
-        let report = check_stream(&fp, &cfg, 3, &sink.events()).unwrap();
-        assert_eq!(report.rounds, 4);
-        assert!(report.checkpoints > 0);
     }
 
     /// A fault plan hitting every class replays cleanly: the checker

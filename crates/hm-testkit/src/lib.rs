@@ -5,7 +5,7 @@
 //!
 //! - [`conformance`] — one replay automaton that checks a run's telemetry
 //!   stream (the events it wrote, DESIGN.md §10) against Algorithm 1 for
-//!   HierMinimax, HierFAVG, MultiLevel and Overselect: phase ordering,
+//!   HierMinimax, HierFAVG and MultiLevel: phase ordering,
 //!   keyed-RNG sampling replay (Phase-1 draw ∝ `p^(k)`, checkpoint index
 //!   in `[τ1]×[τ2]`, Phase-2 uniform set), fault, adversary and churn
 //!   replay, per-block survivor sets, constrained-simplex feasibility of

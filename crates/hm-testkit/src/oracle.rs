@@ -16,8 +16,8 @@
 //! phase: it runs every block of every sampled edge in plain loop order,
 //! with fresh allocations, and applies faults and aggregation rules
 //! exactly as the protocol defines them. Cloud-link faults (edge outages,
-//! message loss), quarantine, membership churn and heterogeneous rates
-//! are not modelled; `tests/pinned_bits.rs` pins those paths instead.
+//! message loss), quarantine and membership churn are not modelled;
+//! `tests/pinned_bits.rs` pins those paths instead.
 //!
 //! The contract is **bit-identical** per-round iterates: the optimized run
 //! streams each round's model digest (`phase1_done.w_digest`, see
@@ -200,9 +200,8 @@ fn robust_reduce(agg: &Aggregator, sources: &[&[f32]], base: &[f32]) -> Vec<f32>
 /// client→edge and edge→cloud reductions follow `cfg.opts.aggregator`.
 ///
 /// # Panics
-/// Panics on what the reference does not model: heterogeneous
-/// `tau2_per_edge` rates, edge outages, message loss, quarantine and
-/// membership churn.
+/// Panics on what the reference does not model: edge outages, message
+/// loss, quarantine and membership churn.
 pub fn reference_hierminimax_round(
     problem: &FederatedProblem,
     cfg: &HierMinimaxConfig,
@@ -211,10 +210,6 @@ pub fn reference_hierminimax_round(
     w: &[f32],
     p: &[f32],
 ) -> ReferenceRound {
-    assert!(
-        cfg.tau2_per_edge.is_none(),
-        "reference round models homogeneous rates only"
-    );
     let plan = &cfg.opts.fault;
     assert!(
         plan.edge_outage == 0.0 && plan.msg_loss == 0.0,

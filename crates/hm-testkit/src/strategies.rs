@@ -14,8 +14,7 @@
 //! mapping a free integer instead of `prop_flat_map`.
 
 use hm_core::algorithms::{
-    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, OverselectConfig, RunOpts, UpperLevel,
-    WeightUpdateModel,
+    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, RunOpts, UpperLevel, WeightUpdateModel,
 };
 use hm_core::problem::FederatedProblem;
 use hm_data::scenarios::tiny_problem;
@@ -125,7 +124,6 @@ impl ScenarioSpec {
             loss_batch: 3,
             weight_update_model: self.weight_update_model,
             quantizer: self.quantizer,
-            tau2_per_edge: None,
             opts: RunOpts {
                 fault: self.fault.clone(),
                 ..case_opts()
@@ -144,29 +142,6 @@ impl ScenarioSpec {
             eta_w: 0.1,
             batch_size: 2,
             quantizer: self.quantizer,
-            opts: RunOpts {
-                fault: self.fault.clone(),
-                ..case_opts()
-            },
-        }
-    }
-
-    /// The Overselect config for this spec: all `N_E` edges drawn, the
-    /// fastest `m_E` kept, under speeds with ties (`1 + e mod 3` seconds
-    /// per slot) so the stable sort's order matters. The spec's codec
-    /// and Phase-2 model have no Overselect counterpart.
-    pub fn overselect_config(&self) -> OverselectConfig {
-        OverselectConfig {
-            rounds: self.rounds,
-            tau1: self.tau1,
-            tau2: self.tau2,
-            m_edges: self.m_edges,
-            m_over: self.n_edges,
-            seconds_per_slot: (0..self.n_edges).map(|e| 1.0 + (e % 3) as f64).collect(),
-            eta_w: 0.1,
-            eta_p: 0.05,
-            batch_size: 2,
-            loss_batch: 3,
             opts: RunOpts {
                 fault: self.fault.clone(),
                 ..case_opts()

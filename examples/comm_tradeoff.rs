@@ -41,7 +41,6 @@ fn main() {
             loss_batch: 8,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            tau2_per_edge: None,
             opts: RunOpts {
                 eval_every: 0,
                 parallelism: Parallelism::Rayon,

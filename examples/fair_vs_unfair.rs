@@ -53,7 +53,6 @@ fn main() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts,
     })
     .run(&problem, 1);

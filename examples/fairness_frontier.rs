@@ -74,7 +74,6 @@ fn main() {
             loss_batch: 32,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            tau2_per_edge: None,
             opts: opts.clone(),
         })
         .run(&p, 3);

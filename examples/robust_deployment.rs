@@ -1,17 +1,14 @@
 //! A deployment-flavoured run: everything at once.
 //!
 //! Combines the robustness and efficiency extensions on one problem —
-//! 8-bit quantized uplinks, a 10% per-block client crash rate,
-//! straggler-aware over-selection — and compares fairness, uplink volume, and simulated
-//! wall-clock against the vanilla algorithm.
+//! 8-bit quantized uplinks and a 10% per-block client crash rate — and
+//! compares fairness and uplink volume against the vanilla algorithm.
 //!
 //! ```bash
 //! cargo run --release --example robust_deployment
 //! ```
 
-use hierminimax::core::algorithms::{
-    Algorithm, HierMinimax, HierMinimaxConfig, OverselectConfig, OverselectMinimax, RunOpts,
-};
+use hierminimax::core::algorithms::{Algorithm, HierMinimax, HierMinimaxConfig, RunOpts};
 use hierminimax::core::metrics::evaluate;
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::generators::synthetic_images::ImageConfig;
@@ -42,7 +39,6 @@ fn main() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Quantizer::Exact,
-        tau2_per_edge: None,
         opts: opts.clone(),
     })
     .run(&problem, 3);
@@ -59,45 +55,21 @@ fn main() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Quantizer::Stochastic { bits: 8 },
-        tau2_per_edge: None,
         opts: RunOpts {
             fault: FaultPlan {
                 client_crash: 0.1,
                 ..FaultPlan::default()
             },
-            ..opts.clone()
+            ..opts
         },
     })
     .run(&problem, 3);
-
-    // Over-selection against a straggler profile (edges 8, 9 are 8x slow).
-    let mut speeds = vec![1.0_f64; 10];
-    speeds[8] = 8.0;
-    speeds[9] = 8.0;
-    let over = OverselectMinimax::new(OverselectConfig {
-        rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 5,
-        m_over: 8,
-        seconds_per_slot: speeds,
-        eta_w: 0.02,
-        eta_p: 0.005,
-        batch_size: 1,
-        loss_batch: 16,
-        opts,
-    })
-    .run_timed(&problem, 3);
 
     println!(
         "{:<26}{:>8}{:>8}{:>10}{:>16}",
         "variant", "avg", "worst", "var", "uplink floats"
     );
-    for (label, r) in [
-        ("vanilla", &vanilla),
-        ("8-bit + 10% crashes", &hardened),
-        ("over-selection (5 of 8)", &over.run),
-    ] {
+    for (label, r) in [("vanilla", &vanilla), ("8-bit + 10% crashes", &hardened)] {
         let e = evaluate(&problem, &r.final_w, Parallelism::Rayon);
         let uplink = r.comm.uplink_floats(Link::ClientEdge) + r.comm.uplink_floats(Link::EdgeCloud);
         println!(
@@ -105,11 +77,7 @@ fn main() {
             label, e.average, e.worst, e.variance_pp, uplink as f64
         );
     }
-    println!(
-        "\nover-selection discarded {} straggler slots; simulated wall-clock {:.0} s",
-        over.discarded, over.simulated_seconds
-    );
-    println!("The hardened variants keep the fairness profile of the vanilla run");
-    println!("while cutting uplink bytes (~3.6x at 8 bits) and wall-clock under");
-    println!("stragglers — the deployment story of refs. [3] and [22].");
+    println!("\nThe hardened variant keeps the fairness profile of the vanilla run");
+    println!("while cutting uplink bytes (~3.6x at 8 bits) — the deployment story");
+    println!("of ref. [22].");
 }

@@ -69,7 +69,6 @@ fn hierminimax(rounds: usize, opts: RunOpts) -> HierMinimax {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts,
     })
 }
@@ -257,7 +256,6 @@ fn attack_drift(fp: &FederatedProblem, agg: Aggregator, plan: FaultPlan) -> f64 
             loss_batch: 4,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            tau2_per_edge: None,
             opts: opts(Parallelism::Sequential, plan, agg),
         })
         .run(fp, SEED)

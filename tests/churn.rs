@@ -20,7 +20,7 @@
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
     Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig,
-    MultiLevelMinimax, OverselectConfig, OverselectMinimax, RunError, RunOpts, UpperLevel,
+    MultiLevelMinimax, RunError, RunOpts, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
@@ -267,10 +267,10 @@ fn stale_rounds_abort_with_typed_error() {
     );
 }
 
-/// MultiLevel and Overselect share the cap: under a total outage their
-/// `try_run` aborts after `limit + 1` stale rounds too.
+/// MultiLevel shares the cap: under a total outage its `try_run` aborts
+/// after `limit + 1` stale rounds too.
 #[test]
-fn multilevel_and_overselect_abort_on_stale_rounds() {
+fn multilevel_aborts_on_stale_rounds() {
     let fp = problem();
     let want = RunError::StaleRoundsExceeded {
         round: 2,
@@ -287,21 +287,7 @@ fn multilevel_and_overselect_abort_on_stale_rounds() {
         opts: all_out_opts(2),
         ..Default::default()
     });
-    assert_eq!(ml.try_run(&fp, SEED).err(), Some(want.clone()));
-    let ov = OverselectMinimax::new(OverselectConfig {
-        rounds: ROUNDS,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
-        m_over: 3,
-        seconds_per_slot: vec![1.0, 1.5, 2.0, 1.2],
-        eta_w: 0.1,
-        eta_p: 0.05,
-        batch_size: 2,
-        loss_batch: 4,
-        opts: all_out_opts(2),
-    });
-    assert_eq!(ov.try_run(&fp, SEED).err(), Some(want));
+    assert_eq!(ml.try_run(&fp, SEED).err(), Some(want));
 }
 
 /// A resumed run continues the stale-round streak of the run it came

@@ -94,7 +94,6 @@ fn three_layer_algorithms() -> Vec<Box<dyn Algorithm>> {
             loss_batch: 4,
             weight_update_model: Default::default(),
             quantizer: Default::default(),
-            tau2_per_edge: None,
             opts: opts(),
         })),
     ]

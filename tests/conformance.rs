@@ -5,7 +5,7 @@
 //! The property tests sweep generated scenarios (topology, periods,
 //! participation, client crash rates, fault plans, quantizers, constrained
 //! `P` sets)
-//! for HierMinimax, HierFAVG, MultiLevel and Overselect;
+//! for HierMinimax, HierFAVG and MultiLevel;
 //! the pinned corpus below re-checks specs that exercised tricky corners
 //! when first generated (total blackout, capped simplex, quantized
 //! uploads, degenerate `τ = 1`, lossy links with retries, outage-heavy
@@ -13,8 +13,7 @@
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierMinimax, HierMinimaxConfig, MultiLevelMinimax, OverselectMinimax,
-    WeightUpdateModel,
+    Algorithm, HierFavg, HierMinimax, HierMinimaxConfig, MultiLevelMinimax, WeightUpdateModel,
 };
 use hierminimax::core::CheckpointOpts;
 use hierminimax::simnet::sampling::sample_edges_uniform;
@@ -73,54 +72,6 @@ proptest! {
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         prop_assert_eq!(report.rounds, spec.rounds);
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Every generated Overselect run conforms: `N_E` draws ∝ `p`,
-    /// stable-sorted by edge speed, the fastest `m_E` kept, then
-    /// HierMinimax's round.
-    #[test]
-    fn overselect_streams_conform(spec in arb_scenario()) {
-        let fp = spec.problem();
-        let mut cfg = spec.overselect_config();
-        let sink = record(&mut cfg.opts);
-        OverselectMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
-            .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
-        prop_assert_eq!(report.rounds, spec.rounds);
-    }
-}
-
-/// Over-selection under the `chaos` fault plan: crashes, stragglers,
-/// outages and lossy links around the kept set, all replayed.
-#[test]
-fn overselect_under_chaos_conforms() {
-    let spec = ScenarioSpec {
-        n_edges: 5,
-        clients_per_edge: 3,
-        data_seed: 31,
-        run_seed: 8,
-        rounds: 8,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
-        quantizer: Quantizer::Exact,
-        p_domain: PDomainSpec::Simplex,
-        weight_update_model: WeightUpdateModel::RandomCheckpoint,
-        fault: FaultPlan::preset("chaos").unwrap(),
-    };
-    let fp = spec.problem();
-    let mut cfg = spec.overselect_config();
-    let sink = record(&mut cfg.opts);
-    let r = OverselectMinimax::new(cfg.clone()).run_timed(&fp, spec.run_seed);
-    assert!(r.run.faults.total() > 0, "chaos fires over 8 rounds");
-    assert_eq!(r.discarded, 8 * (5 - 2));
-    let report =
-        check_stream(&fp, &cfg, spec.run_seed, &sink.events()).unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(report.rounds, 8);
-    assert!(report.faults > 0);
 }
 
 /// A plan whose only fault is a per-block client crash `rate`.

@@ -24,7 +24,6 @@ fn hm_cfg(rounds: usize) -> HierMinimaxConfig {
         loss_batch: 8,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,
@@ -103,7 +102,6 @@ fn minimax_beats_minimization_on_worst_edge() {
         loss_batch: 16,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts,
     })
     .run(&fp, 3);
@@ -152,7 +150,6 @@ fn frozen_model_weights_climb_to_max_loss_vertex() {
         loss_batch: 64,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,

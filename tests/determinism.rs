@@ -1,12 +1,11 @@
 //! Workspace-level determinism guarantees (DESIGN.md §7): every algorithm
 //! produces bit-identical results across (a) repeated runs and (b)
-//! sequential vs rayon-parallel execution — for the hierarchical
-//! algorithms also under injected faults.
+//! sequential vs rayon-parallel execution, also under injected faults.
 
 use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig,
-    HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, OverselectConfig,
-    OverselectMinimax, RunOpts, StochasticAfl,
+    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
+    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
+    QfflConfig, RunOpts, StochasticAfl,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
@@ -25,7 +24,13 @@ fn opts(par: Parallelism) -> RunOpts {
     }
 }
 
-fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
+/// The eight `--method` algorithms, parameterised by executor and fault
+/// plan. Every one runs on the shared round driver and honours the plan.
+fn all_algorithms(par: Parallelism, fault: &FaultPlan) -> Vec<(&'static str, Box<dyn Algorithm>)> {
+    let opts = RunOpts {
+        fault: fault.clone(),
+        ..opts(par)
+    };
     vec![
         (
             "HierMinimax",
@@ -40,8 +45,7 @@ fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
                 loss_batch: 4,
                 weight_update_model: Default::default(),
                 quantizer: Default::default(),
-                tau2_per_edge: None,
-                opts: opts(par),
+                opts: opts.clone(),
             })),
         ),
         (
@@ -54,7 +58,22 @@ fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
                 eta_w: 0.1,
                 batch_size: 2,
                 quantizer: Default::default(),
-                opts: opts(par),
+                opts: opts.clone(),
+            })),
+        ),
+        (
+            "MultiLevelMinimax",
+            Box::new(MultiLevelMinimax::new(MultiLevelConfig {
+                rounds: 3,
+                tau1: 2,
+                tau2: 2,
+                upper: Default::default(),
+                m_groups: 2,
+                eta_w: 0.05,
+                eta_p: 0.02,
+                batch_size: 2,
+                loss_batch: 4,
+                opts: opts.clone(),
             })),
         ),
         (
@@ -65,7 +84,32 @@ fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
                 m_clients: 4,
                 eta_w: 0.1,
                 batch_size: 2,
-                opts: opts(par),
+                opts: opts.clone(),
+            })),
+        ),
+        (
+            "FedProx",
+            Box::new(FedProx::new(FedProxConfig {
+                rounds: 5,
+                tau1: 2,
+                m_clients: 4,
+                mu: 0.1,
+                eta_w: 0.1,
+                batch_size: 2,
+                opts: opts.clone(),
+            })),
+        ),
+        (
+            "q-FedAvg",
+            Box::new(QFedAvg::new(QfflConfig {
+                rounds: 5,
+                tau1: 2,
+                m_clients: 4,
+                q: 1.0,
+                eta_w: 0.1,
+                batch_size: 2,
+                loss_batch: 4,
+                opts: opts.clone(),
             })),
         ),
         (
@@ -77,7 +121,7 @@ fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
                 eta_q: 0.05,
                 batch_size: 2,
                 loss_batch: 4,
-                opts: opts(par),
+                opts: opts.clone(),
             })),
         ),
         (
@@ -90,7 +134,7 @@ fn all_algorithms(par: Parallelism) -> Vec<(&'static str, Box<dyn Algorithm>)> {
                 eta_q: 0.05,
                 batch_size: 2,
                 loss_batch: 4,
-                opts: opts(par),
+                opts,
             })),
         ),
     ]
@@ -121,7 +165,7 @@ fn assert_identical(name: &str, a: &RunResult, b: &RunResult) {
 fn repeated_runs_are_bit_identical() {
     let sc = tiny_problem(3, 2, 11);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    for (name, alg) in all_algorithms(Parallelism::Sequential) {
+    for (name, alg) in all_algorithms(Parallelism::Sequential, &FaultPlan::default()) {
         let a = alg.run(&fp, 5);
         let b = alg.run(&fp, 5);
         assert_identical(name, &a, &b);
@@ -132,8 +176,8 @@ fn repeated_runs_are_bit_identical() {
 fn parallel_matches_sequential_for_every_algorithm() {
     let sc = tiny_problem(3, 2, 12);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let seq = all_algorithms(Parallelism::Sequential);
-    let par = all_algorithms(Parallelism::Rayon);
+    let seq = all_algorithms(Parallelism::Sequential, &FaultPlan::default());
+    let par = all_algorithms(Parallelism::Rayon, &FaultPlan::default());
     for ((name, a), (_, b)) in seq.into_iter().zip(par) {
         let ra = a.run(&fp, 9);
         let rb = b.run(&fp, 9);
@@ -157,7 +201,6 @@ fn parallel_matches_sequential_for_mlp() {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: opts(par),
     };
     let a = HierMinimax::new(cfg(Parallelism::Sequential)).run(&fp, 3);
@@ -222,90 +265,12 @@ fn workspace_grad_is_bit_identical_to_legacy_path() {
     }
 }
 
-/// The four hierarchical algorithms (the ones with a `τ2`-block structure),
-/// parameterised by executor and fault plan.
-fn hierarchical_algorithms(
-    par: Parallelism,
-    fault: &FaultPlan,
-) -> Vec<(&'static str, Box<dyn Algorithm>)> {
-    let opts = RunOpts {
-        eval_every: 2,
-        parallelism: par,
-        fault: fault.clone(),
-        ..Default::default()
-    };
-    vec![
-        (
-            "HierMinimax",
-            Box::new(HierMinimax::new(HierMinimaxConfig {
-                rounds: 4,
-                tau1: 2,
-                tau2: 3,
-                m_edges: 2,
-                eta_w: 0.1,
-                eta_p: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                weight_update_model: Default::default(),
-                quantizer: Default::default(),
-                tau2_per_edge: None,
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "HierFAVG",
-            Box::new(HierFavg::new(HierFavgConfig {
-                rounds: 4,
-                tau1: 2,
-                tau2: 3,
-                m_edges: 2,
-                eta_w: 0.1,
-                batch_size: 2,
-                quantizer: Default::default(),
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "MultiLevelMinimax",
-            Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-                rounds: 3,
-                tau1: 2,
-                tau2: 2,
-                upper: Default::default(),
-                m_groups: 2,
-                eta_w: 0.05,
-                eta_p: 0.02,
-                batch_size: 2,
-                loss_batch: 4,
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "Overselect",
-            Box::new(OverselectMinimax::new(OverselectConfig {
-                rounds: 3,
-                tau1: 2,
-                tau2: 2,
-                m_edges: 2,
-                m_over: 3,
-                seconds_per_slot: vec![1.0, 1.5, 2.0, 1.2],
-                eta_w: 0.1,
-                eta_p: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                opts,
-            })),
-        ),
-    ]
-}
-
 #[test]
 fn hierarchical_algorithms_match_across_executors_under_faults() {
     // The block phase (fault prepass, one task chain per edge, pooled
     // scratch, batched metering, event replay) gives the same models,
     // weights, comm totals, fault counters and history on both executors,
-    // for every hierarchical algorithm, fault-free and under the chaos
-    // preset.
+    // for every algorithm, fault-free and under the chaos preset.
     let sc = tiny_problem(4, 2, 21);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let plans = [
@@ -313,12 +278,15 @@ fn hierarchical_algorithms_match_across_executors_under_faults() {
         ("chaos", FaultPlan::preset("chaos").unwrap()),
     ];
     for (plan_name, plan) in &plans {
-        let sequential = hierarchical_algorithms(Parallelism::Sequential, plan);
-        let rayon = hierarchical_algorithms(Parallelism::Rayon, plan);
+        let sequential = all_algorithms(Parallelism::Sequential, plan);
+        let rayon = all_algorithms(Parallelism::Rayon, plan);
         for ((name, a), (_, b)) in sequential.into_iter().zip(rayon) {
             let ra = a.run(&fp, 17);
             let rb = b.run(&fp, 17);
             assert_identical(&format!("{name} [{plan_name}]"), &ra, &rb);
+            if !plan.is_none() {
+                assert!(ra.faults.total() > 0, "{name}: chaos injected no fault");
+            }
         }
     }
 }
@@ -327,7 +295,7 @@ fn hierarchical_algorithms_match_across_executors_under_faults() {
 fn different_seeds_differ() {
     let sc = tiny_problem(3, 2, 14);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    for (name, alg) in all_algorithms(Parallelism::Sequential) {
+    for (name, alg) in all_algorithms(Parallelism::Sequential, &FaultPlan::default()) {
         let a = alg.run(&fp, 1);
         let b = alg.run(&fp, 2);
         assert_ne!(a.final_w, b.final_w, "{name}: seeds do not change the run");

@@ -21,7 +21,6 @@ fn cfg(dropout: f32, rounds: usize) -> HierMinimaxConfig {
         loss_batch: 8,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: RunOpts {
             fault: FaultPlan {
                 client_crash: dropout,

@@ -6,8 +6,7 @@
 
 use hierminimax::core::algorithms::{
     Algorithm, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig,
-    MultiLevelConfig, MultiLevelMinimax, OverselectConfig, OverselectMinimax, RunError, RunOpts,
-    UpperLevel,
+    MultiLevelConfig, MultiLevelMinimax, RunError, RunOpts, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
@@ -36,7 +35,6 @@ fn cfg(fault: FaultPlan, rounds: usize) -> HierMinimaxConfig {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: opts(fault, Parallelism::Sequential),
     }
 }
@@ -299,7 +297,7 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         eta_w: 0.1,
         batch_size: 2,
         quantizer: Default::default(),
-        opts: opts(chaos.clone(), Parallelism::Rayon),
+        opts: opts(chaos, Parallelism::Rayon),
     })
     .run(&fp, 29);
     assert!(hf.final_w.iter().all(|x| x.is_finite()));
@@ -334,23 +332,4 @@ fn all_hierarchical_paths_survive_heavy_faults() {
     let psum: f32 = ml.final_p.iter().sum();
     assert!((psum - 1.0).abs() < 1e-4, "multi-level p left P: {psum}");
     assert!(ml.faults.outages + ml.faults.gave_up + ml.faults.crashes > 0);
-
-    let ov = OverselectMinimax::new(OverselectConfig {
-        rounds: 6,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
-        m_over: 3,
-        seconds_per_slot: vec![1.0, 1.5, 2.0, 4.0],
-        eta_w: 0.1,
-        eta_p: 0.01,
-        batch_size: 2,
-        loss_batch: 4,
-        opts: opts(chaos, Parallelism::Sequential),
-    })
-    .run_timed(&fp, 37);
-    assert!(ov.run.final_w.iter().all(|x| x.is_finite()));
-    let osum: f32 = ov.run.final_p.iter().sum();
-    assert!((osum - 1.0).abs() < 1e-4, "overselect p left P: {osum}");
-    assert!(ov.run.faults.crashes + ov.run.faults.deadline_missed > 0);
 }

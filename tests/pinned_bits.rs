@@ -10,8 +10,8 @@
 //! model kernels round shows up here.
 //!
 //! A second group pins what the naive oracle in `hm-testkit` does not
-//! model: quarantine, membership churn, heterogeneous rates, cloud-link
-//! faults, and the HierFAVG, multi-level and over-selection loops. Each
+//! model: quarantine, membership churn, cloud-link faults, and the
+//! HierFAVG and multi-level loops. Each
 //! case is a short run on the tiny logistic problem, hashed over the
 //! final iterate, the final edge weights and the `Debug` text of the
 //! communication, fault, quarantine and churn counters, and checked under
@@ -55,8 +55,8 @@
 
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax,
-    OverselectConfig, OverselectMinimax, QFedAvg, QfflConfig, RunOpts, StochasticAfl, UpperLevel,
+    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
+    QfflConfig, RunOpts, StochasticAfl, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
@@ -330,23 +330,6 @@ fn edge_failover_under_chaos_bits_are_pinned() {
 }
 
 #[test]
-fn heterogeneous_rate_bits_are_pinned() {
-    let fp = tiny(4, 2, 33);
-    check_executors(
-        "tau2_per_edge+chaos",
-        0xec7a_91c3_dde4_5d7b,
-        0x2ba9_fbcf_f201_2ede,
-        |base| {
-            let cfg = HierMinimaxConfig {
-                tau2_per_edge: Some(vec![1, 3, 2, 2]),
-                ..hmx(6, 3, faulty(base, "chaos"))
-            };
-            HierMinimax::new(cfg).run(&fp, 43)
-        },
-    );
-}
-
-#[test]
 fn hierfavg_churn_under_chaos_bits_are_pinned() {
     let fp = tiny(4, 2, 34);
     check_executors(
@@ -434,34 +417,6 @@ fn multilevel_under_chaos_bits_are_pinned() {
                 ..Default::default()
             };
             MultiLevelMinimax::new(cfg).run(&fp, 45)
-        },
-    );
-}
-
-#[test]
-fn overselect_under_chaos_bits_are_pinned() {
-    let fp = tiny(4, 2, 36);
-    // Over-selection emits the standard event stream since it runs on the
-    // shared round driver; this stream constant was recorded then.
-    check_executors(
-        "overselect+chaos",
-        0x76af_8dc8_259c_9efb,
-        0x18fe_1514_467d_b80d,
-        |base| {
-            let cfg = OverselectConfig {
-                rounds: 5,
-                tau1: 2,
-                tau2: 2,
-                m_edges: 2,
-                m_over: 3,
-                seconds_per_slot: vec![1.0, 1.5, 2.0, 1.2],
-                eta_w: 0.1,
-                eta_p: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                opts: faulty(base, "chaos"),
-            };
-            OverselectMinimax::new(cfg).run(&fp, 46)
         },
     );
 }

@@ -8,14 +8,14 @@
 //! is bit-identical to the unprofiled run's.
 //!
 //! HierMinimax runs the full `{Sequential, Rayon} × {none, chaos}` grid;
-//! the other eight algorithms run the default cell. A separate shape test
+//! the other seven algorithms run the default cell. A separate shape test
 //! pins that both executors emit the same span sequence (phase, round,
 //! entity) — only the measured durations differ.
 
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax,
-    OverselectConfig, OverselectMinimax, QFedAvg, QfflConfig, RunOpts, StochasticAfl,
+    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
+    QfflConfig, RunOpts, StochasticAfl,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
@@ -53,7 +53,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     loss_batch: 4,
                     weight_update_model: Default::default(),
                     quantizer: Default::default(),
-                    tau2_per_edge: None,
                     opts,
                 })) as Box<dyn Algorithm>
             }),
@@ -84,24 +83,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     m_groups: 2,
                     eta_w: 0.05,
                     eta_p: 0.02,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "Overselect",
-            Box::new(|opts| {
-                Box::new(OverselectMinimax::new(OverselectConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 2,
-                    m_edges: 2,
-                    m_over: 3,
-                    seconds_per_slot: vec![1.0, 1.5, 2.0],
-                    eta_w: 0.1,
-                    eta_p: 0.05,
                     batch_size: 2,
                     loss_batch: 4,
                     opts,

@@ -35,7 +35,6 @@ fn recorded_run(
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Default::default(),
-        tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Sequential,
@@ -217,63 +216,4 @@ fn phase1_sampling_follows_the_weights() {
         avg_mass > 0.25,
         "weighted sampling looks uniform: {avg_mass}"
     );
-}
-
-#[test]
-fn heterogeneous_rates_still_learn_and_account_slots() {
-    // The paper's "flexible communication frequencies": edges run
-    // different numbers of client-edge aggregations per round.
-    let sc = tiny_problem(4, 2, 22);
-    let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let cfg = HierMinimaxConfig {
-        rounds: 60,
-        tau1: 2,
-        tau2: 2, // ignored when per-edge rates are set
-        m_edges: 2,
-        eta_w: 0.1,
-        eta_p: 0.005,
-        batch_size: 2,
-        loss_batch: 8,
-        weight_update_model: Default::default(),
-        quantizer: Default::default(),
-        tau2_per_edge: Some(vec![1, 2, 3, 4]),
-        opts: RunOpts {
-            eval_every: 0,
-            parallelism: Parallelism::Rayon,
-            ..Default::default()
-        },
-    };
-    let r = HierMinimax::new(cfg.clone()).run(&fp, 13);
-    // Slot accounting follows the slowest edge: τ1 · max τ2 = 8 per round.
-    assert_eq!(r.history.rounds.last().unwrap().slots_done, 60 * 8);
-    assert_eq!(r.comm.cloud_rounds(), 60);
-    // Uniform rates expressed per-edge must meter exactly like the plain
-    // uniform config (concurrent edges share sync windows, so local rounds
-    // are the max over sampled edges, not the per-edge sum).
-    let uniform_as_rates = HierMinimax::new(HierMinimaxConfig {
-        tau2_per_edge: Some(vec![2; 4]),
-        ..cfg.clone()
-    })
-    .run(&fp, 13);
-    let plain_uniform = HierMinimax::new(HierMinimaxConfig {
-        tau2_per_edge: None,
-        tau2: 2,
-        ..cfg
-    })
-    .run(&fp, 13);
-    assert_eq!(
-        uniform_as_rates.comm.rounds(Link::ClientEdge),
-        plain_uniform.comm.rounds(Link::ClientEdge),
-        "per-edge [2,2,2,2] must meter like uniform tau2 = 2"
-    );
-    // It still learns.
-    let e = hierminimax::core::metrics::evaluate(&fp, &r.final_w, Parallelism::Rayon);
-    assert!(
-        e.average > 0.9,
-        "heterogeneous-rate run reached only {:.3}",
-        e.average
-    );
-    // Weights remain a distribution.
-    let sum: f32 = r.final_p.iter().sum();
-    assert!((sum - 1.0).abs() < 1e-4);
 }

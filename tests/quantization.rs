@@ -20,7 +20,6 @@ fn cfg(quantizer: Quantizer, rounds: usize) -> HierMinimaxConfig {
         loss_batch: 8,
         weight_update_model: Default::default(),
         quantizer,
-        tau2_per_edge: None,
         opts: RunOpts {
             eval_every: 0,
             parallelism: Parallelism::Rayon,

@@ -8,16 +8,16 @@
 //! resumed run's suffix are spliced at the `checkpoint` event.
 //!
 //! HierMinimax runs the full `{Sequential, Rayon} × {none, chaos}` grid
-//! with a kill at every checkpointed round; the other eight algorithms run
+//! with a kill at every checkpointed round; the other seven algorithms run
 //! the kill-at-every-round sweep on the reduced grid, with a chaos × Rayon
-//! spot-check, and all nine run a Byzantine cell with a quarantine pass
+//! spot-check, and all eight run a Byzantine cell with a quarantine pass
 //! that benches clients.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path, Snapshot};
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax,
-    OverselectConfig, OverselectMinimax, QFedAvg, QfflConfig, RunOpts, StochasticAfl,
+    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
+    QfflConfig, RunOpts, StochasticAfl,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
@@ -65,7 +65,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     loss_batch: 4,
                     weight_update_model: Default::default(),
                     quantizer: Default::default(),
-                    tau2_per_edge: None,
                     opts,
                 })) as Box<dyn Algorithm>
             }),
@@ -96,24 +95,6 @@ fn all_algorithms() -> Vec<(&'static str, Factory)> {
                     m_groups: 2,
                     eta_w: 0.05,
                     eta_p: 0.02,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "Overselect",
-            Box::new(|opts| {
-                Box::new(OverselectMinimax::new(OverselectConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 2,
-                    m_edges: 2,
-                    m_over: 3,
-                    seconds_per_slot: vec![1.0, 1.5, 2.0],
-                    eta_w: 0.1,
-                    eta_p: 0.05,
                     batch_size: 2,
                     loss_batch: 4,
                     opts,
@@ -307,7 +288,7 @@ fn hierminimax_resume_matrix_full_grid() {
 #[test]
 fn every_algorithm_resumes_bit_identically() {
     // Reduced grid: the default executor cell, kill at every round, for
-    // all nine algorithms.
+    // all eight algorithms.
     let none = FaultPlan::preset("none").unwrap();
     for (name, factory) in all_algorithms() {
         let tag = format!("all-{}", name.to_lowercase().replace('-', "_"));

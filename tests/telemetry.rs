@@ -5,13 +5,13 @@
 //! - per-round `comm_delta` in the telemetry stream equals the history's
 //!   per-round meter delta, and the deltas telescope to the final meter
 //!   totals;
-//! - the JSONL file a HierMinimax or over-selection run writes passes the
-//!   schema validator and its `dual_update` lines reproduce the `p^(k)`
-//!   trajectory from history;
+//! - the JSONL file a HierMinimax run writes passes the schema validator
+//!   and its `dual_update` lines reproduce the `p^(k)` trajectory from
+//!   history;
 //! - enabling telemetry cannot perturb a run (bit-identical iterates);
 //! - every algorithm emits a well-formed `run_start` … `run_end` stream
 //!   with one `round_end` per training round;
-//! - every line the nine algorithms write decodes back to an event that
+//! - every line the eight algorithms write decodes back to an event that
 //!   re-encodes to the same line, and a decoded JSONL file is the run's
 //!   in-memory stream and replays through the conformance automaton.
 
@@ -22,8 +22,8 @@ use std::sync::Arc;
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
     AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax,
-    OverselectConfig, OverselectMinimax, QFedAvg, QfflConfig, RunOpts, StochasticAfl, UpperLevel,
+    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
+    QfflConfig, RunOpts, StochasticAfl, UpperLevel,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::CheckpointOpts;
@@ -54,39 +54,20 @@ fn hm_cfg(rounds: usize, opts: RunOpts) -> HierMinimaxConfig {
         loss_batch: 4,
         weight_update_model: Default::default(),
         quantizer: Quantizer::Exact,
-        tau2_per_edge: None,
         opts,
     }
 }
 
-/// Over-selection of 3 draws down to 2 on `fp`, edge `e` taking
-/// `1 + e/2` seconds per slot.
-fn overselect(fp: &FederatedProblem, rounds: usize, opts: RunOpts) -> OverselectMinimax {
-    OverselectMinimax::new(OverselectConfig {
-        rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
-        m_over: 3,
-        seconds_per_slot: (0..fp.num_edges()).map(|e| 1.0 + 0.5 * e as f64).collect(),
-        eta_w: 0.1,
-        eta_p: 0.05,
-        batch_size: 2,
-        loss_batch: 4,
-        opts,
-    })
-}
+/// Builds an algorithm from its run options.
+type Factory = Box<dyn Fn(RunOpts) -> Box<dyn Algorithm>>;
 
-/// Builds an algorithm for a problem from its run options.
-type Factory = Box<dyn Fn(&FederatedProblem, RunOpts) -> Box<dyn Algorithm>>;
-
-/// The nine algorithms under the names their streams carry, each running
+/// The eight algorithms under the names their streams carry, each running
 /// `rounds` rounds; HierMinimax and HierFAVG upload through `quantizer`.
 fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory)> {
     vec![
         (
             "HierMinimax",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(HierMinimax::new(HierMinimaxConfig {
                     quantizer,
                     ..hm_cfg(rounds, opts)
@@ -95,7 +76,7 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
         ),
         (
             "HierFAVG",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(HierFavg::new(HierFavgConfig {
                     rounds,
                     tau1: 2,
@@ -110,7 +91,7 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
         ),
         (
             "FedAvg",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(FedAvg::new(FedAvgConfig {
                     rounds,
                     tau1: 2,
@@ -123,7 +104,7 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
         ),
         (
             "FedProx",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(FedProx::new(FedProxConfig {
                     rounds,
                     tau1: 2,
@@ -137,7 +118,7 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
         ),
         (
             "q-FedAvg",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(QFedAvg::new(QfflConfig {
                     rounds,
                     tau1: 2,
@@ -152,7 +133,7 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
         ),
         (
             "DRFA",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(Drfa::new(DrfaConfig {
                     rounds,
                     tau1: 2,
@@ -167,7 +148,7 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
         ),
         (
             "Stochastic-AFL",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(StochasticAfl::new(AflConfig {
                     rounds,
                     m_clients: 4,
@@ -181,7 +162,7 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
         ),
         (
             "MultiLevelMinimax",
-            Box::new(move |_, opts| {
+            Box::new(move |opts| {
                 Box::new(MultiLevelMinimax::new(MultiLevelConfig {
                     rounds,
                     tau1: 2,
@@ -198,10 +179,6 @@ fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory
                     opts,
                 }))
             }),
-        ),
-        (
-            "Overselect",
-            Box::new(move |fp, opts| Box::new(overselect(fp, rounds, opts))),
         ),
     ]
 }
@@ -290,14 +267,14 @@ fn jsonl_stream_validates_and_p_trajectory_matches_history() {
     let sc = tiny_problem(3, 2, 22);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let rounds = 4;
-    let wanted = ["HierMinimax", "Overselect"];
+    let wanted = ["HierMinimax"];
     for (name, make) in algorithms(rounds, Quantizer::Exact) {
         if !wanted.contains(&name) {
             continue;
         }
         let path = dir.join(format!("{name}.jsonl"));
         let tel = Telemetry::jsonl(&path).unwrap();
-        let r = make(&fp, opts_with(tel)).run(&fp, 5);
+        let r = make(opts_with(tel)).run(&fp, 5);
 
         let body = std::fs::read_to_string(&path).unwrap();
         let summary = validate_stream(&body).unwrap_or_else(|e| panic!("{name}: {e}\n{body}"));
@@ -355,7 +332,7 @@ fn all_algorithms_emit_consistent_streams() {
 
     for (name, make) in algorithms(rounds, Quantizer::Exact) {
         let sink = Arc::new(MemorySink::new());
-        let r = make(&fp, opts_with(Telemetry::with_sink(sink.clone()))).run(&fp, 7);
+        let r = make(opts_with(Telemetry::with_sink(sink.clone()))).run(&fp, 7);
         let events = sink.events();
         let Some(TelemetryEvent::RunStart {
             algorithm,
@@ -408,11 +385,11 @@ fn profiled_stream(
         let snap = read_snapshot(&snapshot_path(dir, name, round)).unwrap();
         opts.checkpoint.resume = Some(Arc::new(snap));
     }
-    make(fp, opts).run(fp, 3);
+    make(opts).run(fp, 3);
     sink.events()
 }
 
-/// The nine algorithms, each with the options it honours on top of
+/// The eight algorithms, each with the options it honours on top of
 /// profiling and checkpoints, write every event kind between them, and a
 /// resumed run of each adds its `run_resume`. Every line decodes back to
 /// an event that re-encodes to the same line.
