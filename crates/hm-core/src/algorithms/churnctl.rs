@@ -8,6 +8,13 @@
 //! emitting the unsequenced `churn`/`rehome` telemetry records the
 //! conformance replay and report tooling consume.
 //!
+//! A joiner's shard lives exactly as long as its membership: it is minted
+//! when the client joins and dropped in the round the client leaves (a
+//! client that leaves never returns; joiners get fresh ids). A client
+//! stranded on a failed edge stays in that edge's member list and keeps
+//! its shard. So the controller's memory follows the live population, not
+//! the number of joins a run has seen.
+//!
 //! It is the run's one membership view, with churn on or off: the block
 //! phase, the quarantine pass, the volume weights, the uniform draws and
 //! Phase 2 all enumerate clients through it. An inert plan
@@ -23,20 +30,38 @@ use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_simnet::{ActiveTopology, ChurnPlan, ChurnStats, RoundChurn, Topology, NO_CHURN};
 use hm_telemetry::{Telemetry, TelemetryEvent};
-use std::collections::HashMap;
+use hm_tensor::Matrix;
+use std::collections::{HashMap, HashSet};
 
 /// Mint the data shard of a client that joins mid-run: a bootstrap
-/// resample (with replacement) of its home edge's training pool, the same
-/// size as the edge's original per-client shards, drawn from the keyed
-/// `Purpose::ChurnData` stream so the shard is a pure function of
-/// `(seed, gid)` — identical across executors and resume splices.
+/// resample (with replacement) of its home edge's training pool (the edge's
+/// client shards, concatenated in order), the same size as the edge's
+/// original per-client shards, drawn from the keyed `Purpose::ChurnData`
+/// stream so the shard is a pure function of `(seed, gid)` — identical
+/// across executors and resume splices. Each drawn pool row is copied
+/// straight from the client shard that holds it, so minting costs the
+/// shard's size, not the pool's.
 fn mint_shard(problem: &FederatedProblem, seed: u64, gid: usize, edge: usize) -> Dataset {
-    let pool = problem.scenario.edges[edge].train_concat();
-    let n0 = problem.clients_per_edge();
-    let size = (pool.len() / n0).max(1);
+    let shards = &problem.scenario.edges[edge].client_train;
+    let pool_len: usize = shards.iter().map(Dataset::len).sum();
+    let size = (pool_len / problem.clients_per_edge()).max(1);
     let mut rng = StreamRng::for_key(StreamKey::new(seed, Purpose::ChurnData, 0, gid as u64));
-    let idx: Vec<usize> = (0..size).map(|_| rng.below(pool.len())).collect();
-    pool.subset(&idx)
+    let mut x = Matrix::zeros(size, shards[0].dim());
+    let mut y = Vec::with_capacity(size);
+    for r in 0..size {
+        let (mut s, mut i) = (0, rng.below(pool_len));
+        while i >= shards[s].len() {
+            i -= shards[s].len();
+            s += 1;
+        }
+        x.row_mut(r).copy_from_slice(shards[s].x.row(i));
+        y.push(shards[s].y[i]);
+    }
+    Dataset {
+        x,
+        y,
+        num_classes: shards[0].num_classes,
+    }
 }
 
 /// Membership state of one hierarchical run.
@@ -44,11 +69,13 @@ pub(crate) struct ChurnCtl {
     plan: ChurnPlan,
     seed: u64,
     topo: ActiveTopology,
-    /// Data shards of clients that joined mid-run, keyed by global id.
+    /// Data shards of the joiners that are still members, keyed by global
+    /// id: minted on arrival, dropped when the client leaves.
     joined: HashMap<usize, Dataset>,
     stats: ChurnStats,
-    /// `(gid, home_edge_at_join)` per joiner, in id order — enough to
-    /// re-mint every joiner shard bit-identically on resume.
+    /// `(gid, home_edge_at_join)` of every joiner so far, departed ones
+    /// too, in id order — enough to re-mint any joiner shard
+    /// bit-identically on resume.
     joined_src: Vec<(usize, usize)>,
 }
 
@@ -115,9 +142,10 @@ impl ChurnCtl {
     }
 
     /// Apply one round of churn at the round boundary (before Phase-1
-    /// sampling): membership transitions, joiner shard minting,
-    /// quarantine-table growth, `p` re-projection, and event emission —
-    /// all gated on an active plan.
+    /// sampling): membership transitions, dropping the shards of joiners
+    /// that left and minting those of new ones, quarantine-table growth,
+    /// `p` re-projection, and event emission — all gated on an active
+    /// plan.
     pub(crate) fn begin_round(
         &mut self,
         problem: &FederatedProblem,
@@ -131,6 +159,9 @@ impl ChurnCtl {
         }
         let rc = self.topo.apply_round(&self.plan, self.seed, round);
         self.stats.absorb(&rc);
+        for gid in &rc.left {
+            self.joined.remove(gid);
+        }
         for &(gid, home) in &rc.joined {
             self.joined
                 .insert(gid, mint_shard(problem, self.seed, gid, home));
@@ -170,9 +201,10 @@ impl ChurnCtl {
         }
     }
 
-    /// Training shard of a client by global id: an original client
+    /// Training shard of a member by global id: an original client
     /// (`gid < base_total`) decomposes into `(edge, idx)` against the
-    /// problem; a joiner's shard is the one minted when it joined.
+    /// problem; a joiner's shard is the one minted when it joined. Panics
+    /// for a joiner that has left.
     pub(crate) fn data<'a>(&'a self, problem: &'a FederatedProblem, gid: usize) -> &'a Dataset {
         if gid < self.topo.base_total() {
             let n0 = problem.clients_per_edge();
@@ -199,22 +231,26 @@ impl ChurnCtl {
         )
     }
 
-    /// Restore from a snapshot's `CHURN_SECTION`, re-minting every joiner
-    /// shard from its keyed stream. Returns the persisted stale-round
-    /// counter.
+    /// Restore from a snapshot's `CHURN_SECTION`, re-minting from its keyed
+    /// stream the shard of every joiner in the restored member lists (the
+    /// departed ones stay in `joined_src` only). Returns the persisted
+    /// stale-round counter.
     pub(crate) fn restore(&mut self, problem: &FederatedProblem, bytes: &[u8]) -> u64 {
         let snap =
             crate::checkpoint::decode_churn(bytes).unwrap_or_else(|e| panic!("cannot resume: {e}"));
+        let live: HashSet<usize> = snap.members.iter().flatten().copied().collect();
+        self.joined = snap
+            .joined_src
+            .iter()
+            .filter(|(gid, _)| live.contains(gid))
+            .map(|&(gid, home)| (gid, mint_shard(problem, self.seed, gid, home)))
+            .collect();
         self.topo = ActiveTopology::from_parts(
             snap.base_total,
             snap.edge_up,
             snap.members,
             snap.next_join_id,
         );
-        for &(gid, home) in &snap.joined_src {
-            self.joined
-                .insert(gid, mint_shard(problem, self.seed, gid, home));
-        }
         self.joined_src = snap.joined_src;
         self.stats = snap.stats;
         snap.stale_rounds
@@ -267,19 +303,125 @@ mod tests {
         }
     }
 
+    /// The construction `mint_shard` replaced: copy the home edge's whole
+    /// pool, then gather the drawn rows. The reference its bits must match.
+    fn mint_from_pool(problem: &FederatedProblem, seed: u64, gid: usize, edge: usize) -> Dataset {
+        let pool = problem.scenario.edges[edge].train_concat();
+        let size = (pool.len() / problem.clients_per_edge()).max(1);
+        let mut rng = StreamRng::for_key(StreamKey::new(seed, Purpose::ChurnData, 0, gid as u64));
+        let idx: Vec<usize> = (0..size).map(|_| rng.below(pool.len())).collect();
+        pool.subset(&idx)
+    }
+
+    fn assert_same_shard(a: &Dataset, b: &Dataset, tag: &str) {
+        let bits = |d: &Dataset| {
+            d.x.as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(a.x.shape(), b.x.shape(), "{tag}: shape");
+        assert_eq!(bits(a), bits(b), "{tag}: features");
+        assert_eq!(a.y, b.y, "{tag}: labels");
+        assert_eq!(a.num_classes, b.num_classes, "{tag}: classes");
+    }
+
+    /// Leaves outpace joins, so most joiners are gone by the end of a run.
+    fn leave_heavy(rehome: bool) -> ChurnPlan {
+        ChurnPlan {
+            leave_rate: 0.3,
+            join_rate: 0.4,
+            edge_fail_rate: 0.01,
+            rehome,
+        }
+    }
+
+    /// Joiner ids in the member lists of every edge, up or failed, sorted.
+    fn member_joiners(ctl: &ChurnCtl) -> Vec<usize> {
+        let (base_total, _, members, _) = ctl.topo.parts();
+        let mut ids: Vec<usize> = members.iter().flatten().copied().collect();
+        ids.retain(|&gid| gid >= base_total);
+        ids.sort_unstable();
+        ids
+    }
+
+    /// Joiner ids whose shard the controller holds, sorted.
+    fn held_shards(ctl: &ChurnCtl) -> Vec<usize> {
+        let mut ids: Vec<usize> = ctl.joined.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
-    fn minted_shards_are_deterministic_and_sized() {
-        let fp = problem();
-        let a = mint_shard(&fp, 11, 6, 1);
-        let b = mint_shard(&fp, 11, 6, 1);
-        assert_eq!(a.x.as_slice(), b.x.as_slice());
-        assert_eq!(a.y, b.y);
+    fn minted_shards_match_a_gather_from_the_copied_pool() {
+        // Uneven client shards, so the drawn rows fall in shards of every
+        // size, the one-row shard included.
+        let mut sc = tiny_problem(3, 3, 5);
+        for edge in &mut sc.edges {
+            let first = edge.client_train[0].subset(&[0]);
+            edge.client_train[0] = first;
+            let n = edge.client_train[2].len();
+            let doubled: Vec<usize> = (0..n).chain(0..n).collect();
+            edge.client_train[2] = edge.client_train[2].subset(&doubled);
+        }
+        let fp = FederatedProblem::logistic_from_scenario(&sc);
+        for seed in [0, 11, 97] {
+            for edge in 0..fp.num_edges() {
+                for gid in 9..40 {
+                    assert_same_shard(
+                        &mint_shard(&fp, seed, gid, edge),
+                        &mint_from_pool(&fp, seed, gid, edge),
+                        &format!("seed {seed} edge {edge} gid {gid}"),
+                    );
+                }
+            }
+        }
         // Standard shard size: the edge pool split over n0 clients.
-        let pool = fp.scenario.edges[1].train_concat();
-        assert_eq!(a.len(), pool.len() / fp.clients_per_edge());
+        let a = mint_shard(&fp, 11, 9, 1);
+        let pool_len: usize = sc.edges[1].client_train.iter().map(Dataset::len).sum();
+        assert_eq!(a.len(), pool_len / fp.clients_per_edge());
         // A different gid draws a different resample.
-        let c = mint_shard(&fp, 11, 7, 1);
-        assert!(a.y != c.y || a.x.as_slice() != c.x.as_slice());
+        let b = mint_shard(&fp, 11, 10, 1);
+        assert!(a.y != b.y || a.x.as_slice() != b.x.as_slice());
+    }
+
+    #[test]
+    fn held_shards_are_exactly_the_member_joiners() {
+        let fp = problem();
+        let base_total = fp.topology().total_clients();
+        for rehome in [true, false] {
+            let mut ctl = ChurnCtl::new(&fp, &leave_heavy(rehome), 29);
+            let mut p = fp.initial_p();
+            let mut q = QuarantineCtl::new(0.0, 0, 6);
+            for k in 0..300 {
+                ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
+                let held = held_shards(&ctl);
+                assert_eq!(held, member_joiners(&ctl), "rehome {rehome}, round {k}");
+                for gid in held {
+                    let home = ctl.joined_src.iter().find(|s| s.0 == gid).unwrap().1;
+                    let tag = format!("rehome {rehome}, round {k}, gid {gid}");
+                    assert_same_shard(ctl.data(&fp, gid), &mint_shard(&fp, 29, gid, home), &tag);
+                }
+            }
+            // Most of the run's joiners have left and taken their shards.
+            let joins = ctl.joined_src.len();
+            assert_eq!(joins as u64, ctl.stats().joined);
+            assert!(
+                joins > 200 && ctl.joined.len() < 20,
+                "{joins} joins, {} held",
+                ctl.joined.len()
+            );
+            assert!(ctl.up_edges().len() < fp.num_edges(), "an edge failed");
+            if !rehome {
+                // A joiner stranded on a failed edge never leaves: the
+                // per-round check above kept its shard.
+                let stranded = (0..fp.num_edges())
+                    .filter(|&e| !ctl.is_up(e))
+                    .flat_map(|e| ctl.members_of(e))
+                    .any(|&gid| gid >= base_total);
+                assert!(stranded, "no joiner was stranded");
+            }
+        }
     }
 
     #[test]
@@ -329,29 +471,51 @@ mod tests {
         assert_eq!(p.iter().sum::<f32>(), 1.0);
     }
 
+    /// A restored controller holds exactly the live joiners' shards, writes
+    /// the same bytes and continues identically, under `chaos-churn` (edge
+    /// failures) and under a leave-heavy plan whose joiners have left
+    /// before the snapshot.
     #[test]
     fn checkpoint_round_trips_through_bytes() {
         let fp = problem();
-        let plan = ChurnPlan::preset("chaos-churn").unwrap();
-        let mut ctl = ChurnCtl::new(&fp, &plan, 13);
-        let mut p = fp.initial_p();
-        let mut q = QuarantineCtl::new(0.0, 0, 6);
-        for k in 0..6 {
-            ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
+        let cases = [
+            (ChurnPlan::preset("chaos-churn").unwrap(), 6),
+            (leave_heavy(true), 40),
+        ];
+        let mut departed = 0;
+        for (plan, rounds) in cases {
+            let mut ctl = ChurnCtl::new(&fp, &plan, 13);
+            let mut p = fp.initial_p();
+            let mut q = QuarantineCtl::new(0.0, 0, 6);
+            for k in 0..rounds {
+                ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
+            }
+            let bytes = ctl.checkpoint_bytes(2);
+            let held = held_shards(&ctl);
+            departed += ctl.joined_src.len() - held.len();
+            let mut fresh = ChurnCtl::new(&fp, &plan, 13);
+            assert_eq!(fresh.restore(&fp, &bytes), 2);
+            assert_eq!(fresh.stats(), ctl.stats());
+            assert_eq!(fresh.up_edges(), ctl.up_edges());
+            assert_eq!(fresh.id_bound(), ctl.id_bound());
+            assert_eq!(held_shards(&fresh), held);
+            for gid in held {
+                let tag = format!("gid {gid}");
+                assert_same_shard(fresh.data(&fp, gid), ctl.data(&fp, gid), &tag);
+            }
+            // Every joiner stays in the provenance list, so the snapshot
+            // bytes do not change.
+            assert_eq!(fresh.checkpoint_bytes(2), bytes);
+            let mut p2 = p.clone();
+            let mut q2 = QuarantineCtl::new(0.0, 0, 6);
+            for k in rounds..2 * rounds {
+                let a = ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
+                let b = fresh.begin_round(&fp, k, &mut p2, &mut q2, &Telemetry::disabled());
+                assert_eq!(a, b, "round {k}");
+                assert_eq!(p, p2, "round {k}");
+                assert_eq!(held_shards(&fresh), held_shards(&ctl), "round {k}");
+            }
         }
-        let bytes = ctl.checkpoint_bytes(2);
-        let mut fresh = ChurnCtl::new(&fp, &plan, 13);
-        let stale = fresh.restore(&fp, &bytes);
-        assert_eq!(stale, 2);
-        assert_eq!(fresh.stats(), ctl.stats());
-        assert_eq!(fresh.up_edges(), ctl.up_edges());
-        assert_eq!(fresh.id_bound(), ctl.id_bound());
-        // The restored controller continues identically.
-        let mut p2 = p.clone();
-        let a = ctl.begin_round(&fp, 6, &mut p, &mut q, &Telemetry::disabled());
-        let mut q2 = QuarantineCtl::new(0.0, 0, 6);
-        let b = fresh.begin_round(&fp, 6, &mut p2, &mut q2, &Telemetry::disabled());
-        assert_eq!(a, b);
-        assert_eq!(p, p2);
+        assert!(departed > 5, "joiners must leave before the snapshot");
     }
 }

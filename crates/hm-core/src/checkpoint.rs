@@ -6,12 +6,12 @@
 //! public byte primitives. The run loops interact with checkpointing
 //! through three calls:
 //!
-//! 1. [`ResumedRun::from_opts`] at run start — decode the snapshot in
+//! 1. `ResumedRun::from_opts` at run start — decode the snapshot in
 //!    `RunOpts::checkpoint.resume` (if any) into loop state;
-//! 2. [`emit_preamble`] — emit `run_start` (fresh) or an unsequenced
+//! 2. `emit_preamble` — emit `run_start` (fresh) or an unsequenced
 //!    `run_resume` (resumed) so later `checkpoint` events carry the same
 //!    sequence numbers as the uninterrupted run's;
-//! 3. [`CheckpointCtx::after_round`] at each round boundary — write a
+//! 3. `CheckpointCtx::after_round` at each round boundary — write a
 //!    snapshot when the cadence says one is due.
 //!
 //! A failed snapshot *write* warns on stderr and lets training continue

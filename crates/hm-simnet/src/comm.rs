@@ -112,7 +112,7 @@ impl CommStats {
 
     /// Decompose into the five raw counter arrays, ordered
     /// `[uplink_floats, downlink_floats, uplink_msgs, downlink_msgs,
-    /// rounds]` with [`Link::idx`] ordering inside each. The inverse of
+    /// rounds]` with `Link::idx` ordering inside each. The inverse of
     /// [`CommStats::from_parts`]; used by `hm-checkpoint` to serialise a
     /// snapshot without exposing the private fields.
     pub fn parts(&self) -> [[u64; Link::COUNT]; 5] {

@@ -15,8 +15,9 @@
 
 use crate::vecops;
 
-/// Accumulation chunk width for the norm-clip kernel (same tile size and
-/// per-element fold order as `vecops::AVG_CHUNK` averaging).
+/// Accumulation chunk width for the norm-clip kernel: a tile of f64 sums
+/// that stays in L1 while every survivor adds its clipped chunk, in slot
+/// order.
 const CLIP_CHUNK: usize = 512;
 
 /// Pluggable reduction used for client→edge and edge→cloud aggregation.

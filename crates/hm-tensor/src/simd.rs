@@ -100,18 +100,21 @@ fn detect() -> Level {
 /// loop, so each element gets the same operations in the same order
 /// whatever the vector width. There is no AVX-512F clone: one measured no
 /// faster than the AVX2 clone at the model's shapes (DESIGN.md §7b).
+/// Unbounded type parameters (`fn f<S>(…)`) are passed on to both copies;
+/// bounds go in `impl Trait` arguments.
 macro_rules! elementwise {
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident($level:ident: Level, $($arg:ident: $ty:ty),* $(,)?) $body:block
+        $vis:vis fn $name:ident $(<$($gen:ident),*>)?
+            ($level:ident: Level, $($arg:ident: $ty:ty),* $(,)?) $body:block
     ) => {
         $(#[$attr])*
-        $vis fn $name($level: $crate::simd::Level, $($arg: $ty),*) {
+        $vis fn $name $(<$($gen),*>)? ($level: $crate::simd::Level, $($arg: $ty),*) {
             #[inline(always)]
-            fn body($($arg: $ty),*) $body
+            fn body $(<$($gen),*>)? ($($arg: $ty),*) $body
             #[cfg(target_arch = "x86_64")]
             #[target_feature(enable = "avx2")]
-            fn avx2($($arg: $ty),*) {
+            fn avx2 $(<$($gen),*>)? ($($arg: $ty),*) {
                 body($($arg),*)
             }
             match $level.isa() {

@@ -5,11 +5,11 @@
 //! SGD step, aggregation, and projection.
 //!
 //! The ones that run on every step and every aggregation, [`axpy`] (the
-//! SGD update) and the f64 folds of [`average_present_into`] (every edge
-//! aggregation) and [`average_into`], run on the host's widest vector
-//! unit: their loops are element-wise, so the baseline and AVX2 copies of
-//! each loop give every element the same operations and the same bits
-//! (DESIGN.md §7b).
+//! SGD update) and the f64 fold of [`average_present_into`] (every edge
+//! aggregation), [`average_into`] and [`weighted_average_into`] (the
+//! cloud's), run on the host's widest vector unit: their loops are
+//! element-wise, so the baseline and AVX2 copies of each loop give every
+//! element the same operations and the same bits (DESIGN.md §7b).
 //! The reductions (`dot`, `norm2`, `sum`) keep one loop: their order is
 //! part of their bits.
 
@@ -108,11 +108,14 @@ pub fn mean(x: &[f32]) -> f64 {
     }
 }
 
-/// Accumulation chunk width for the averaging kernels: the f64 accumulator
-/// tile (4 KiB) plus one f32 source tile per pass stay resident in L1 while
-/// a source is streamed through, instead of re-touching every source's full
-/// cache footprint once per element.
-const AVG_CHUNK: usize = 512;
+/// Width of the tile of f64 sums the averaging fold holds across all its
+/// sources: 32 sums fill eight AVX2 registers, so a tile stays in
+/// registers while every source adds its part, and each output is stored
+/// once. Each source's part is 128 bytes; with 64-byte parts a fold of 100
+/// sources of 31,260 floats ran slower than one pass per source. The fold
+/// views each part as a `[f32; TILE]`: with a runtime tile length the
+/// compiler kept the sums on the stack and divided them one at a time.
+const TILE: usize = 32;
 
 /// Deterministic average of several equally-weighted parameter vectors.
 ///
@@ -121,58 +124,37 @@ const AVG_CHUNK: usize = 512;
 /// model-aggregation primitive used at both the edge (client models) and the
 /// cloud (edge models).
 ///
-/// Internally chunked: a stack tile of [`AVG_CHUNK`] f64 accumulators is
-/// zeroed, every source's chunk is added in source order, and the tile is
-/// divided out. Per element the fold order across sources is exactly the
-/// unchunked `for s in sources { acc += s[i] }`, so results are bit-identical
-/// to the straightforward loop while touching each source once per chunk
-/// instead of once per element.
+/// Per element the fold is `(0.0 + s₀[i] + s₁[i] + …) / n` in f64, in
+/// source order, rounded to f32 once. It makes one pass over the output,
+/// a tile of sums at a time.
 pub fn average_into(sources: &[&[f32]], out: &mut [f32]) {
     assert!(!sources.is_empty(), "average of zero vectors");
-    let n = sources.len() as f64;
     for s in sources {
         assert_eq!(s.len(), out.len(), "average length mismatch");
     }
-    let level = simd::host();
-    let mut acc = [0.0_f64; AVG_CHUNK];
-    let mut start = 0;
-    while start < out.len() {
-        let len = AVG_CHUNK.min(out.len() - start);
-        acc[..len].fill(0.0);
-        for s in sources {
-            add_f64(level, &mut acc[..len], &s[start..start + len]);
-        }
-        mean_f32(level, &acc[..len], n, &mut out[start..start + len]);
-        start += len;
-    }
+    let n = sources.len() as f64;
+    fold(simd::host(), sources, |_, s| Some((*s, 1.0)), n, out);
 }
 
 /// Weighted average `out[i] = Σ_j weights[j] * sources[j][i]`.
 ///
 /// Weights need not sum to one (callers normalise when they need a convex
-/// combination). Chunked like [`average_into`], with the identical
-/// per-element fold order (source order) and hence bit-identical results.
+/// combination). One pass like [`average_into`]: per element
+/// `0.0 + w₀·s₀[i] + w₁·s₁[i] + …` in f64, in source order, rounded to
+/// f32 once.
 pub fn weighted_average_into(sources: &[&[f32]], weights: &[f64], out: &mut [f32]) {
     assert_eq!(sources.len(), weights.len(), "weights/sources mismatch");
     assert!(!sources.is_empty(), "weighted average of zero vectors");
     for s in sources {
         assert_eq!(s.len(), out.len(), "average length mismatch");
     }
-    let mut acc = [0.0_f64; AVG_CHUNK];
-    let mut start = 0;
-    while start < out.len() {
-        let len = AVG_CHUNK.min(out.len() - start);
-        acc[..len].fill(0.0);
-        for (s, &w) in sources.iter().zip(weights) {
-            for (a, &v) in acc[..len].iter_mut().zip(&s[start..start + len]) {
-                *a += w * f64::from(v);
-            }
-        }
-        for (o, &a) in out[start..start + len].iter_mut().zip(&acc[..len]) {
-            *o = a as f32;
-        }
-        start += len;
-    }
+    fold(
+        simd::host(),
+        sources,
+        |j, s| Some((*s, weights[j])),
+        1.0,
+        out,
+    );
 }
 
 /// Fused fixed-shape average over the *present* entries of a slot array:
@@ -206,50 +188,68 @@ pub(crate) fn average_present_at<S>(
     get: impl Fn(&S) -> Option<&[f32]>,
     out: &mut [f32],
 ) -> usize {
-    let count = slots.iter().filter(|s| get(s).is_some()).count();
+    let mut count = 0;
+    for v in slots.iter().filter_map(&get) {
+        assert_eq!(v.len(), out.len(), "average length mismatch");
+        count += 1;
+    }
     if count == 0 {
         return 0;
     }
     if count == 1 {
         let v = slots.iter().find_map(&get).expect("one present entry");
-        assert_eq!(v.len(), out.len(), "average length mismatch");
         for (o, &x) in out.iter_mut().zip(v) {
             *o = x + 0.0;
         }
         return 1;
     }
-    let n = count as f64;
-    let mut acc = [0.0_f64; AVG_CHUNK];
-    let mut start = 0;
-    while start < out.len() {
-        let len = AVG_CHUNK.min(out.len() - start);
-        acc[..len].fill(0.0);
-        for s in slots {
-            if let Some(v) = get(s) {
-                assert_eq!(v.len(), out.len(), "average length mismatch");
-                add_f64(level, &mut acc[..len], &v[start..start + len]);
-            }
-        }
-        mean_f32(level, &acc[..len], n, &mut out[start..start + len]);
-        start += len;
-    }
+    fold(
+        level,
+        slots,
+        |_, s| get(s).map(|v| (v, 1.0)),
+        count as f64,
+        out,
+    );
     count
 }
 
 elementwise! {
-    /// `acc[i] += x[i]` in f64: one source's pass of the averaging fold.
-    fn add_f64(level: Level, acc: &mut [f64], x: &[f32]) {
-        for (a, &v) in acc.iter_mut().zip(x) {
-            *a += f64::from(v);
+    /// `out[i] = (0.0 + Σ_j w_j · v_j[i]) / div` over the parts
+    /// `(v_j, w_j)` that `part` yields for the slots, in slot order. The
+    /// means pass `w_j = 1.0` and `div = n`, the weighted average its
+    /// weights and `div = 1.0`: both are exact, so each keeps the bits of
+    /// its one-element-at-a-time loop. A tile of [`TILE`] sums stays in
+    /// registers while every part adds its share; the outputs past the
+    /// last whole tile fold one at a time, in the same order. Each part
+    /// must be as long as `out`.
+    fn fold<S>(
+        level: Level,
+        slots: &[S],
+        part: impl Fn(usize, &S) -> Option<(&[f32], f64)>,
+        div: f64,
+        out: &mut [f32],
+    ) {
+        let parts = || slots.iter().enumerate().filter_map(|(j, s)| part(j, s));
+        let whole = out.len() - out.len() % TILE;
+        let (tiles, tail) = out.split_at_mut(whole);
+        for (t, o) in tiles.chunks_exact_mut(TILE).enumerate() {
+            let mut acc = [0.0_f64; TILE];
+            for (v, w) in parts() {
+                let v: &[f32; TILE] = v[t * TILE..][..TILE].try_into().expect("TILE floats");
+                for (a, &x) in acc.iter_mut().zip(v) {
+                    *a += w * f64::from(x);
+                }
+            }
+            for (o, a) in o.iter_mut().zip(acc) {
+                *o = (a / div) as f32;
+            }
         }
-    }
-}
-
-elementwise! {
-    /// `out[i] = acc[i] / n`, rounded to f32: the end of the averaging fold.
-    fn mean_f32(level: Level, acc: &[f64], n: f64, out: &mut [f32]) {
-        for (o, &a) in out.iter_mut().zip(acc) {
-            *o = (a / n) as f32;
+        for (i, o) in tail.iter_mut().enumerate() {
+            let mut acc = 0.0_f64;
+            for (v, w) in parts() {
+                acc += w * f64::from(v[whole + i]);
+            }
+            *o = (acc / div) as f32;
         }
     }
 }
@@ -298,6 +298,28 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Exclusive bound on the fold proptests' lengths: many tiles, with
+    /// every tail length below and past them.
+    const FOLD_LEN: usize = 1100;
+
+    /// Six sparse vectors whose magnitudes span 2^-60..2^60 and in which
+    /// every third entry of a vector cancels the vector before it, so the
+    /// f64 sums of a fold round and their order shows in the bits.
+    fn adversarial_vecs(n: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut vecs: Vec<Vec<f32>> = (0..6).map(|j| sparse_vec(n, seed + j)).collect();
+        for (j, v) in vecs.iter_mut().enumerate() {
+            for (i, x) in v.iter_mut().enumerate() {
+                *x *= 2f32.powi(30 * ((i + j) % 5) as i32 - 60);
+            }
+        }
+        for j in 1..6 {
+            for i in (j % 3..n).step_by(3) {
+                vecs[j][i] = -vecs[j - 1][i];
+            }
+        }
+        vecs
+    }
+
     proptest! {
         /// `axpy` at every level the host runs equals the portable loop bit
         /// for bit, on lengths below, across and past every vector width,
@@ -321,27 +343,15 @@ mod tests {
 
         /// The multi-slot fold of `average_present_into` at every level
         /// equals the portable loop bit for bit, for any hole pattern of up
-        /// to six slots and lengths across the `AVG_CHUNK` boundary. The
-        /// magnitudes span 2^-60..2^60 and every third entry of a slot
-        /// cancels the slot before it, so the f64 sums round and their
-        /// order shows in the bits.
+        /// to six slots and lengths from one element to many tiles, with
+        /// every tail length.
         #[test]
         fn prop_average_present_bit_identical_at_every_level(
-            n in 1usize..(2 * AVG_CHUNK + 40),
+            n in 1usize..FOLD_LEN,
             mask in 0u32..64,
             seed in 0u64..500,
         ) {
-            let mut vecs: Vec<Vec<f32>> = (0..6).map(|j| sparse_vec(n, seed + j)).collect();
-            for (j, v) in vecs.iter_mut().enumerate() {
-                for (i, x) in v.iter_mut().enumerate() {
-                    *x *= 2f32.powi(30 * ((i + j) % 5) as i32 - 60);
-                }
-            }
-            for j in 1..6 {
-                for i in (j % 3..n).step_by(3) {
-                    vecs[j][i] = -vecs[j - 1][i];
-                }
-            }
+            let vecs = adversarial_vecs(n, seed);
             let slots: Vec<Option<Vec<f32>>> = vecs
                 .into_iter()
                 .enumerate()
@@ -359,6 +369,62 @@ mod tests {
     }
 
     proptest! {
+        /// `average_into`'s fold at every level equals the
+        /// one-element-at-a-time loop bit for bit, on one to six sources.
+        #[test]
+        fn prop_average_bit_identical_at_every_level(
+            n in 1usize..FOLD_LEN,
+            k in 1usize..7,
+            seed in 0u64..500,
+        ) {
+            let vecs = adversarial_vecs(n, seed);
+            let sources: Vec<&[f32]> = vecs[..k].iter().map(Vec::as_slice).collect();
+            let mut want = vec![7.0_f32; n];
+            naive_average(&sources, &mut want);
+            for level in simd::levels() {
+                let mut got = vec![7.0_f32; n];
+                fold(level, &sources, |_, s| Some((*s, 1.0)), k as f64, &mut got);
+                prop_assert!(bits(&got) == bits(&want), "{:?}", level);
+            }
+        }
+
+        /// `weighted_average_into`'s fold at every level equals the
+        /// one-element-at-a-time loop bit for bit, on one to six sources
+        /// and weights of either sign across 2^-40..2^40, `±0.0` included.
+        /// The weights carry all 53 bits, so each product rounds, and
+        /// every other weight repeats the one before: where a source
+        /// cancels the one before it the sum cancels exactly, and a fused
+        /// multiply-add would leave the product's rounding error in the
+        /// bits.
+        #[test]
+        fn prop_weighted_average_bit_identical_at_every_level(
+            n in 1usize..FOLD_LEN,
+            k in 1usize..7,
+            seed in 0u64..500,
+        ) {
+            let vecs = adversarial_vecs(n, seed);
+            let sources: Vec<&[f32]> = vecs[..k].iter().map(Vec::as_slice).collect();
+            let mut weights: Vec<f64> = arb_vec(k, seed.wrapping_add(9))
+                .iter()
+                .enumerate()
+                .map(|(j, &u)| match (seed as usize + j) % 7 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    r => f64::from(u) / 3.0 * 2f64.powi(20 * (r as i32 - 4)),
+                })
+                .collect();
+            for j in (1..k).step_by(2) {
+                weights[j] = weights[j - 1];
+            }
+            let mut want = vec![7.0_f32; n];
+            naive_weighted(&sources, &weights, &mut want);
+            for level in simd::levels() {
+                let mut got = vec![7.0_f32; n];
+                fold(level, &sources, |j, s| Some((*s, weights[j])), 1.0, &mut got);
+                prop_assert!(bits(&got) == bits(&want), "{:?}", level);
+            }
+        }
+
         #[test]
         fn prop_axpy_is_linear(n in 1usize..32, seed in 0u64..500, a in -4.0f32..4.0) {
             let x = arb_vec(n, seed);
@@ -498,8 +564,8 @@ mod tests {
         assert_eq!(max_abs(&[]), 0.0);
     }
 
-    /// Reference (unchunked) implementations the chunked kernels must match
-    /// bit-for-bit, including across the AVG_CHUNK boundary.
+    /// Reference (one element at a time) implementations the tiled folds
+    /// must match bit for bit, including across tile boundaries.
     fn naive_average(sources: &[&[f32]], out: &mut [f32]) {
         let n = sources.len() as f64;
         for (i, o) in out.iter_mut().enumerate() {
@@ -522,17 +588,10 @@ mod tests {
     }
 
     #[test]
-    fn chunked_average_matches_naive_bitwise() {
-        // Lengths straddling the chunk width: below, at, just above, and
-        // multiple chunks with a ragged tail.
-        for n in [
-            1usize,
-            7,
-            AVG_CHUNK - 1,
-            AVG_CHUNK,
-            AVG_CHUNK + 1,
-            3 * AVG_CHUNK + 13,
-        ] {
+    fn tiled_average_matches_naive_bitwise() {
+        // Lengths straddling the tile width: below, at, just above, and
+        // many tiles with a ragged tail.
+        for n in [1usize, 7, TILE - 1, TILE, TILE + 1, 511, 512, 513, 1549] {
             let a = arb_vec(n, 1);
             let b = arb_vec(n, 2);
             let c = arb_vec(n, 3);
@@ -565,7 +624,7 @@ mod tests {
         // compact-then-average bit for bit, for any hole pattern — the
         // one-entry copy too, on signed zeros, subnormals, infinities and
         // NaN payloads.
-        let n = AVG_CHUNK + 37;
+        let n = 549;
         let mut vecs: Vec<Vec<f32>> = (0..5).map(|s| arb_vec(n, 10 + s as u64)).collect();
         let specials = [-0.0, 0.0, f32::from_bits(1), -f32::from_bits(0x0040_0000)]
             .into_iter()

@@ -604,7 +604,7 @@ struct Replay<'a, 'e> {
 /// Check a run's telemetry stream against the Algorithm-1 model.
 ///
 /// `events` must be the complete stream (for example a `MemorySink`'s, or
-/// a resume splice, see [`crate::splice`]) of `problem` run under the
+/// a resume splice, see [`crate::splice()`]) of `problem` run under the
 /// config `protocol` was built from, with `seed`.
 ///
 /// # Panics

@@ -10,7 +10,7 @@
 //!   in `[τ1]×[τ2]`, Phase-2 uniform set), fault, adversary and churn
 //!   replay, per-block survivor sets, constrained-simplex feasibility of
 //!   every weight iterate, and closed-form per-round communication
-//!   accounting. [`splice`] joins a killed run's stream to its resumed
+//!   accounting. [`splice()`] joins a killed run's stream to its resumed
 //!   run's, so resumed runs are checked the same way.
 //! - [`oracle`] — a deliberately naive, allocation-heavy reference
 //!   reimplementation of one HierMinimax round (plus the flat FedAvg/DRFA

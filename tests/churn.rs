@@ -9,7 +9,8 @@
 //! - a churn run killed at any checkpointed round and resumed from its
 //!   snapshot (which carries the `churn` section: topology, rosters,
 //!   joiner provenance, stale counter) is bit-identical to the
-//!   uninterrupted run;
+//!   uninterrupted run, also one killed after joiners have left (the
+//!   resumed run re-mints only the joiners still in the member lists);
 //! - the availability oracle: under permanent edge failures, re-homing
 //!   the failed edge's clients onto survivors delivers at least 1.5× the
 //!   client uploads of the stale-fallback baseline (`rehome: false`);
@@ -26,6 +27,7 @@ use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::{ChurnPlan, FaultPlan, Link, Parallelism};
+use hierminimax::telemetry::{MemorySink, Telemetry, TelemetryEvent};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -154,32 +156,70 @@ fn churn_is_bit_identical_across_executors() {
 /// Kill at every checkpointed round under an active plan and resume: the
 /// snapshot's `churn` section restores the active topology, rosters,
 /// joiner shards and stale counter, so the resumed run is bit-identical.
+/// Under the leave-heavy plan joiners have already left at the later
+/// kills: the snapshot still lists every joiner, and the resumed run
+/// re-mints only those still in the member lists.
 #[test]
 fn churn_run_resumes_bit_identically_from_every_round() {
     let fp = problem();
-    for preset in ["edge-failover", "chaos-churn"] {
-        let plan = ChurnPlan::preset(preset).unwrap();
+    let base_total = fp.topology().total_clients();
+    let leave_heavy = ChurnPlan {
+        leave_rate: 0.3,
+        join_rate: 0.5,
+        edge_fail_rate: 0.0,
+        rehome: true,
+    };
+    let preset = |name| (name, ChurnPlan::preset(name).unwrap(), ROUNDS);
+    let cases = [
+        preset("edge-failover"),
+        preset("chaos-churn"),
+        ("leave-heavy", leave_heavy, 12),
+    ];
+    for (name, plan, rounds) in cases {
         let base = opts(Parallelism::Sequential, &plan);
-        let dir = scratch_dir(&format!("{preset}-w"));
-        let dir_r = scratch_dir(&format!("{preset}-r"));
+        let dir = scratch_dir(&format!("{name}-w"));
+        let dir_r = scratch_dir(&format!("{name}-r"));
 
+        let sink = Arc::new(MemorySink::new());
         let mut writer_opts = base.clone();
         writer_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
-        let full = HierMinimax::new(hmx_cfg(ROUNDS, writer_opts)).run(&fp, SEED);
-        assert!(full.churn.total() > 0, "{preset} must fire");
+        writer_opts.telemetry = Telemetry::with_sink(sink.clone());
+        let full = HierMinimax::new(hmx_cfg(rounds, writer_opts)).run(&fp, SEED);
+        assert!(full.churn.total() > 0, "{name} must fire");
 
         // Checkpointing must not perturb the run.
-        let plain = HierMinimax::new(hmx_cfg(ROUNDS, base.clone())).run(&fp, SEED);
-        assert_identical(&format!("{preset}: checkpointing perturbed"), &plain, &full);
+        let plain = HierMinimax::new(hmx_cfg(rounds, base.clone())).run(&fp, SEED);
+        assert_identical(&format!("{name}: checkpointing perturbed"), &plain, &full);
 
-        for kill in 1..ROUNDS {
+        if name == "leave-heavy" {
+            // A joiner leaves well before the last kill, so the later
+            // snapshots name departed joiners.
+            let first_departure = sink
+                .events()
+                .iter()
+                .find_map(|e| match e {
+                    TelemetryEvent::Churn { round, left, .. }
+                        if left.iter().any(|&g| g >= base_total) =>
+                    {
+                        Some(*round)
+                    }
+                    _ => None,
+                })
+                .expect("a joiner must leave during the run");
+            assert!(
+                first_departure + 2 < rounds,
+                "joiners left only at round {first_departure}"
+            );
+        }
+
+        for kill in 1..rounds {
             let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", kill))
-                .unwrap_or_else(|e| panic!("{preset}: reading round-{kill} snapshot: {e}"));
+                .unwrap_or_else(|e| panic!("{name}: reading round-{kill} snapshot: {e}"));
             let mut resumed_opts = base.clone();
             resumed_opts.checkpoint = CheckpointOpts::writing(&dir_r, 1);
             resumed_opts.checkpoint.resume = Some(Arc::new(snap));
-            let resumed = HierMinimax::new(hmx_cfg(ROUNDS, resumed_opts)).run(&fp, SEED);
-            assert_identical(&format!("{preset}: kill at round {kill}"), &full, &resumed);
+            let resumed = HierMinimax::new(hmx_cfg(rounds, resumed_opts)).run(&fp, SEED);
+            assert_identical(&format!("{name}: kill at round {kill}"), &full, &resumed);
         }
 
         let _ = std::fs::remove_dir_all(&dir);
