@@ -12,10 +12,8 @@
 //! are retuned for it; the architecture, partitioning, participation and τ
 //! values match the paper (see EXPERIMENTS.md).
 
-use hm_bench::harness::{run_suite, SuiteParams};
-use hm_bench::plot::{render, Series};
-use hm_bench::results::{parse_scale_flags, parse_seed, write_result};
-use hm_bench::table::{fmt_pct, fmt_rounds, TextTable};
+use hm_bench::harness::{report_suites, run_suite, SuiteParams};
+use hm_bench::results::{parse_scale_flags, parse_seed};
 use hm_core::FederatedProblem;
 use hm_data::generators::synthetic_images::ImageConfig;
 use hm_data::scenarios::{linear_sizes, one_class_per_edge_sized};
@@ -73,107 +71,5 @@ fn main() {
     let suites: Vec<_> = (0..3)
         .map(|i| run_suite(&problem, &sp, base_seed + i))
         .collect();
-    let suite = &suites[0];
-
-    let mut t = TextTable::new(vec![
-        "method",
-        "avg acc",
-        "worst acc",
-        "var (pp^2)",
-        &format!("rounds to {}% worst", (target * 100.0) as u32),
-    ]);
-    let mut csv = String::from("method,cloud_rounds,worst,avg\n");
-    let median = |mut v: Vec<Option<u64>>| -> Option<u64> {
-        // Median over seeds; None (never reached) sorts last, so a method
-        // that misses the target in most seeds reports "not reached".
-        v.sort_by_key(|x| x.unwrap_or(u64::MAX));
-        v[v.len() / 2]
-    };
-    for (mi, (m, r)) in suite.iter().enumerate() {
-        let avg_of = |f: &dyn Fn(&hm_core::EvalReport) -> f64| -> f64 {
-            suites
-                .iter()
-                .map(|su| f(su[mi].1.history.final_eval().expect("suite evaluates")))
-                .sum::<f64>()
-                / suites.len() as f64
-        };
-        let crossing = median(
-            suites
-                .iter()
-                .map(|su| su[mi].1.history.cloud_rounds_to_worst_sustained(target, 3))
-                .collect(),
-        );
-        t.row(vec![
-            m.name().to_string(),
-            fmt_pct(avg_of(&|e| e.average)),
-            fmt_pct(avg_of(&|e| e.worst)),
-            format!("{:.2}", avg_of(&|e| e.variance_pp)),
-            fmt_rounds(crossing),
-        ]);
-        for (rounds, worst, avg) in r.history.accuracy_series() {
-            csv.push_str(&format!(
-                "{},{},{:.6},{:.6}\n",
-                m.name(),
-                rounds,
-                worst,
-                avg
-            ));
-        }
-    }
-    println!("{}", t.render());
-
-    // Headline reductions vs HierMinimax (the paper's §6.1 percentages).
-    let med_crossing = |mi: usize| -> Option<u64> {
-        let mut v: Vec<Option<u64>> = suites
-            .iter()
-            .map(|su| su[mi].1.history.cloud_rounds_to_worst_sustained(target, 3))
-            .collect();
-        v.sort_by_key(|x| x.unwrap_or(u64::MAX));
-        v[v.len() / 2]
-    };
-    let hm_idx = suite
-        .iter()
-        .position(|(m, _)| m.name() == "HierMinimax")
-        .expect("suite order");
-    let hm_rounds = med_crossing(hm_idx);
-    if let Some(hm) = hm_rounds {
-        println!(
-            "communication-overhead reduction of HierMinimax at the target (median of 3 seeds):"
-        );
-        for (mi, (m, _)) in suite.iter().enumerate() {
-            if m.name() == "HierMinimax" {
-                continue;
-            }
-            match med_crossing(mi) {
-                Some(other) if other > 0 => println!(
-                    "  vs {:<15} {:>6} rounds -> {:.0}% reduction",
-                    m.name(),
-                    other,
-                    100.0 * (1.0 - hm as f64 / other as f64)
-                ),
-                _ => println!("  vs {:<15} target not reached within budget", m.name()),
-            }
-        }
-    } else {
-        println!("HierMinimax did not reach the target within the slot budget; rerun with --full.");
-    }
-
-    // ASCII figure: worst-accuracy curves of the first run.
-    let chart: Vec<Series> = suite
-        .iter()
-        .map(|(m, r)| Series {
-            label: m.name().to_string(),
-            points: r
-                .history
-                .accuracy_series()
-                .into_iter()
-                .map(|(rounds, worst, _)| (rounds as f64, worst))
-                .collect(),
-        })
-        .collect();
-    println!("\nworst test accuracy vs communication rounds (first seed):\n");
-    println!("{}", render(&chart, 72, 18, "cloud rounds", "worst acc"));
-
-    let path = write_result("fig3.csv", &csv);
-    println!("\nseries written to {}", path.display());
+    report_suites(&suites, target, "fig3.csv");
 }

@@ -4,62 +4,15 @@
 //! per-round local-update count: `τ1 = 2` for two-layer multi-step methods
 //! and `τ1 = τ2 = 2` for hierarchical ones).
 
-use hm_core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig,
-    HierMinimax, HierMinimaxConfig, RunOpts, StochasticAfl,
-};
+use crate::plot::{render, Series};
+use crate::results::write_result;
+use crate::table::{fmt_pct, fmt_rounds, TextTable};
+pub use hm_core::algorithms::Method;
+use hm_core::algorithms::{Hyper, RunOpts};
 use hm_core::problem::FederatedProblem;
-use hm_core::RunResult;
+use hm_core::{EvalReport, RunResult};
 use hm_simnet::{FaultPlan, Parallelism};
 use hm_telemetry::Telemetry;
-
-/// The five methods of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// FedAvg — two-layer minimization (multi-step).
-    FedAvg,
-    /// Stochastic-AFL — two-layer minimax (single-step).
-    StochasticAfl,
-    /// DRFA — two-layer minimax (multi-step).
-    Drfa,
-    /// HierFAVG — three-layer minimization.
-    HierFavg,
-    /// HierMinimax — three-layer minimax (the paper's algorithm).
-    HierMinimax,
-}
-
-impl Method {
-    /// All methods in the paper's presentation order.
-    pub fn all() -> [Method; 5] {
-        [
-            Method::FedAvg,
-            Method::StochasticAfl,
-            Method::Drfa,
-            Method::HierFavg,
-            Method::HierMinimax,
-        ]
-    }
-
-    /// Display name matching the paper.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Method::FedAvg => "FedAvg",
-            Method::StochasticAfl => "Stochastic-AFL",
-            Method::Drfa => "DRFA",
-            Method::HierFavg => "HierFAVG",
-            Method::HierMinimax => "HierMinimax",
-        }
-    }
-
-    /// Time slots consumed per training round under the suite parameters.
-    pub fn slots_per_round(&self, sp: &SuiteParams) -> usize {
-        match self {
-            Method::FedAvg | Method::Drfa => sp.tau1,
-            Method::StochasticAfl => 1,
-            Method::HierFavg | Method::HierMinimax => sp.tau1 * sp.tau2,
-        }
-    }
-}
 
 /// Shared parameters for a method suite.
 #[derive(Debug, Clone)]
@@ -95,6 +48,21 @@ pub struct SuiteParams {
 }
 
 impl SuiteParams {
+    /// The suite's hyper-parameters; [`Method::matched`] sets each
+    /// method's rounds and participation.
+    fn hyper(&self) -> Hyper {
+        Hyper {
+            tau1: self.tau1,
+            tau2: self.tau2,
+            m: self.m_edges,
+            eta_w: self.eta_w,
+            eta_p: self.eta_p,
+            batch_size: self.batch_size,
+            loss_batch: self.loss_batch,
+            ..Hyper::default()
+        }
+    }
+
     fn opts(&self, slots_per_round: usize, method: Method) -> RunOpts {
         let telemetry = match &self.telemetry_dir {
             None => Telemetry::disabled(),
@@ -112,18 +80,8 @@ impl SuiteParams {
             parallelism: self.parallelism,
             telemetry,
             fault: self.fault.clone(),
-            checkpoint: Default::default(),
-            profile: Default::default(),
-            aggregator: Default::default(),
-            quarantine_z: 0.0,
-            quarantine_window: 0,
-            churn: Default::default(),
-            max_stale_rounds: 0,
+            ..Default::default()
         }
-    }
-
-    fn rounds(&self, slots_per_round: usize) -> usize {
-        (self.total_slots / slots_per_round).max(1)
     }
 }
 
@@ -134,68 +92,9 @@ pub fn run_method(
     sp: &SuiteParams,
     seed: u64,
 ) -> RunResult {
-    let n0 = problem.clients_per_edge();
-    let m_clients = (sp.m_edges * n0).min(problem.topology().total_clients());
-    let spr = method.slots_per_round(sp);
-    let rounds = sp.rounds(spr);
-    let opts = sp.opts(spr, method);
-    match method {
-        Method::FedAvg => FedAvg::new(FedAvgConfig {
-            rounds,
-            tau1: sp.tau1,
-            m_clients,
-            eta_w: sp.eta_w,
-            batch_size: sp.batch_size,
-            opts,
-        })
-        .run(problem, seed),
-        Method::StochasticAfl => StochasticAfl::new(AflConfig {
-            rounds,
-            m_clients,
-            eta_w: sp.eta_w,
-            eta_q: sp.eta_p,
-            batch_size: sp.batch_size,
-            loss_batch: sp.loss_batch,
-            opts,
-        })
-        .run(problem, seed),
-        Method::Drfa => Drfa::new(DrfaConfig {
-            rounds,
-            tau1: sp.tau1,
-            m_clients,
-            eta_w: sp.eta_w,
-            eta_q: sp.eta_p,
-            batch_size: sp.batch_size,
-            loss_batch: sp.loss_batch,
-            opts,
-        })
-        .run(problem, seed),
-        Method::HierFavg => HierFavg::new(HierFavgConfig {
-            rounds,
-            tau1: sp.tau1,
-            tau2: sp.tau2,
-            m_edges: sp.m_edges,
-            eta_w: sp.eta_w,
-            batch_size: sp.batch_size,
-            quantizer: Default::default(),
-            opts,
-        })
-        .run(problem, seed),
-        Method::HierMinimax => HierMinimax::new(HierMinimaxConfig {
-            rounds,
-            tau1: sp.tau1,
-            tau2: sp.tau2,
-            m_edges: sp.m_edges,
-            eta_w: sp.eta_w,
-            eta_p: sp.eta_p,
-            batch_size: sp.batch_size,
-            loss_batch: sp.loss_batch,
-            weight_update_model: Default::default(),
-            quantizer: Default::default(),
-            opts,
-        })
-        .run(problem, seed),
-    }
+    let h = method.matched(&sp.hyper(), sp.total_slots, problem);
+    let opts = sp.opts(method.slots_per_round(&h), method);
+    method.build(&h, opts).run(problem, seed)
 }
 
 /// Run every method and return `(method, result)` pairs in paper order.
@@ -204,13 +103,111 @@ pub fn run_suite(
     sp: &SuiteParams,
     seed: u64,
 ) -> Vec<(Method, RunResult)> {
-    Method::all()
+    Method::PAPER
         .into_iter()
-        .map(|m| {
-            let r = run_method(m, problem, sp, seed);
-            (m, r)
-        })
+        .map(|m| (m, run_method(m, problem, sp, seed)))
         .collect()
+}
+
+/// Print the §6 comparison of `suites`, one run of [`run_suite`] per
+/// seed: the final accuracies averaged over the seeds, the median cloud
+/// rounds to a sustained worst accuracy of `target`, HierMinimax's
+/// reduction against each method, and the first seed's worst-accuracy
+/// curves. The first seed's accuracy series go to `results/<csv>`.
+pub fn report_suites(suites: &[Vec<(Method, RunResult)>], target: f64, csv: &str) {
+    let suite = &suites[0];
+    // Median over seeds; None (never reached) sorts last, so a method
+    // that misses the target in most seeds reports "not reached".
+    let crossing: Vec<Option<u64>> = (0..suite.len())
+        .map(|mi| {
+            let mut v: Vec<Option<u64>> = suites
+                .iter()
+                .map(|su| su[mi].1.history.cloud_rounds_to_worst_sustained(target, 3))
+                .collect();
+            v.sort_by_key(|x| x.unwrap_or(u64::MAX));
+            v[v.len() / 2]
+        })
+        .collect();
+    let mut t = TextTable::new(vec![
+        "method",
+        "avg acc",
+        "worst acc",
+        "var (pp^2)",
+        &format!("rounds to {}% worst", (target * 100.0) as u32),
+    ]);
+    let mut series = String::from("method,cloud_rounds,worst,avg\n");
+    for (mi, (m, r)) in suite.iter().enumerate() {
+        let avg_of = |f: &dyn Fn(&EvalReport) -> f64| -> f64 {
+            suites
+                .iter()
+                .map(|su| f(su[mi].1.history.final_eval().expect("suite evaluates")))
+                .sum::<f64>()
+                / suites.len() as f64
+        };
+        t.row(vec![
+            m.name().to_string(),
+            fmt_pct(avg_of(&|e| e.average)),
+            fmt_pct(avg_of(&|e| e.worst)),
+            format!("{:.2}", avg_of(&|e| e.variance_pp)),
+            fmt_rounds(crossing[mi]),
+        ]);
+        for (rounds, worst, avg) in r.history.accuracy_series() {
+            series.push_str(&format!(
+                "{},{},{:.6},{:.6}\n",
+                m.name(),
+                rounds,
+                worst,
+                avg
+            ));
+        }
+    }
+    println!("{}", t.render());
+
+    // Headline reductions vs HierMinimax (the paper's §6 percentages).
+    let hm = suite
+        .iter()
+        .position(|(m, _)| *m == Method::HierMinimax)
+        .expect("suite order");
+    if let Some(hm_rounds) = crossing[hm] {
+        println!(
+            "communication-overhead reduction of HierMinimax at the target (median of 3 seeds):"
+        );
+        for (mi, (m, _)) in suite.iter().enumerate() {
+            if mi == hm {
+                continue;
+            }
+            match crossing[mi] {
+                Some(other) if other > 0 => println!(
+                    "  vs {:<15} {:>6} rounds -> {:.0}% reduction",
+                    m.name(),
+                    other,
+                    100.0 * (1.0 - hm_rounds as f64 / other as f64)
+                ),
+                _ => println!("  vs {:<15} target not reached within budget", m.name()),
+            }
+        }
+    } else {
+        println!("HierMinimax did not reach the target within the slot budget; rerun with --full.");
+    }
+
+    // ASCII figure: worst-accuracy curves of the first run.
+    let chart: Vec<Series> = suite
+        .iter()
+        .map(|(m, r)| Series {
+            label: m.name().to_string(),
+            points: r
+                .history
+                .accuracy_series()
+                .into_iter()
+                .map(|(rounds, worst, _)| (rounds as f64, worst))
+                .collect(),
+        })
+        .collect();
+    println!("\nworst test accuracy vs communication rounds (first seed):\n");
+    println!("{}", render(&chart, 72, 18, "cloud rounds", "worst acc"));
+
+    let path = write_result(csv, &series);
+    println!("\nseries written to {}", path.display());
 }
 
 #[cfg(test)]
@@ -232,20 +229,6 @@ mod tests {
             parallelism: Parallelism::Sequential,
             telemetry_dir: None,
             fault: FaultPlan::default(),
-        }
-    }
-
-    #[test]
-    fn budgets_match_across_methods() {
-        let sp = sp();
-        assert_eq!(Method::FedAvg.slots_per_round(&sp), 2);
-        assert_eq!(Method::StochasticAfl.slots_per_round(&sp), 1);
-        assert_eq!(Method::Drfa.slots_per_round(&sp), 2);
-        assert_eq!(Method::HierMinimax.slots_per_round(&sp), 4);
-        // Rounds × slots/round == total_slots for divisible budgets.
-        for m in Method::all() {
-            let spr = m.slots_per_round(&sp);
-            assert_eq!(sp.rounds(spr) * spr, 16, "{m:?}");
         }
     }
 

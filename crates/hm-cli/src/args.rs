@@ -93,6 +93,25 @@ impl Args {
         }
     }
 
+    /// [`Args::num_or`] for a flag the command reads only when `read`;
+    /// otherwise the default, and the flag is left to
+    /// [`Args::reject_unknown`].
+    ///
+    /// # Errors
+    /// Fails when a read value does not parse.
+    pub fn num_if<T: std::str::FromStr>(
+        &self,
+        read: bool,
+        name: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
+        if read {
+            self.num_or(name, default)
+        } else {
+            Ok(default)
+        }
+    }
+
     /// Boolean switch: present (with no value or `true`) = true.
     pub fn switch(&self, name: &str) -> bool {
         matches!(self.take(name).map(String::as_str), Some("") | Some("true"))

@@ -2,11 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use crate::scenario;
-use hm_core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
-    QfflConfig, RunOpts, StochasticAfl, UpperLevel,
-};
+use hm_core::algorithms::{Algorithm, Hyper, Method, Param, RunOpts, UpperLevel};
 use hm_core::duality::{duality_gap, GapConfig};
 use hm_core::metrics::evaluate;
 use hm_core::problem::FederatedProblem;
@@ -218,26 +214,10 @@ fn aggregator(args: &Args) -> Result<Aggregator, ArgError> {
     Ok(agg)
 }
 
-/// The algorithm display name a `--method` value runs as — what a resume
-/// snapshot's `algorithm` field must match.
-fn method_algorithm_name(method: &str) -> &str {
-    match method {
-        "hierminimax" => "HierMinimax",
-        "hierfavg" => "HierFAVG",
-        "fedavg" => "FedAvg",
-        "fedprox" => "FedProx",
-        "afl" => "Stochastic-AFL",
-        "drfa" => "DRFA",
-        "qffl" => "q-FedAvg",
-        "multilevel" => "MultiLevelMinimax",
-        other => other, // rejected later by build_algorithm
-    }
-}
-
 /// Resolve `--checkpoint-dir`, `--checkpoint-every` and `--resume` into
-/// [`CheckpointOpts`]. A resume snapshot is read and validated here so
-/// corruption or a run-identity mismatch is a clean CLI error instead of
-/// a panic inside the run loop.
+/// [`CheckpointOpts`]. A resume snapshot is read here, so corruption is a
+/// clean CLI error instead of a panic inside the run loop;
+/// [`build_algorithm`] checks that it belongs to the run.
 fn checkpoint_opts(args: &Args) -> Result<CheckpointOpts, ArgError> {
     let dir = args.str_or("checkpoint-dir", "");
     let every_raw = args.str_or("checkpoint-every", "");
@@ -265,12 +245,6 @@ fn checkpoint_opts(args: &Args) -> Result<CheckpointOpts, ArgError> {
     if !resume.is_empty() {
         let snap = hm_checkpoint::read_snapshot(std::path::Path::new(&resume))
             .map_err(|e| ArgError(format!("--resume {resume}: {e}")))?;
-        let method = args.str_or("method", "hierminimax");
-        let algorithm = method_algorithm_name(&method).to_string();
-        let seed = args.num_or("seed", 7_u64)?;
-        let rounds = args.num_or("rounds", 500_usize)?;
-        snap.validate_for(&algorithm, seed, rounds)
-            .map_err(|e| ArgError(format!("--resume {resume}: {e}")))?;
         ck.resume = Some(Arc::new(snap));
     }
     Ok(ck)
@@ -292,6 +266,18 @@ fn opts(args: &Args) -> Result<(RunOpts, Option<Arc<JsonlSink>>), ArgError> {
         Some(sink) => Telemetry::with_sink(sink.clone()),
         None => Telemetry::disabled(),
     };
+    let quarantine_z = args.num_or("quarantine-z", 0.0_f64)?;
+    let quarantine_window = args.num_or("quarantine-window", 5_usize)?;
+    if !(quarantine_z.is_finite() && quarantine_z >= 0.0) {
+        return Err(ArgError(format!(
+            "--quarantine-z must be finite and at least 0 (got {quarantine_z})"
+        )));
+    }
+    if quarantine_z > 0.0 && quarantine_window == 0 {
+        return Err(ArgError(
+            "--quarantine-window must be at least 1 when --quarantine-z is positive".into(),
+        ));
+    }
     let opts = RunOpts {
         eval_every: args.num_or("eval-every", 0)?,
         parallelism: if args.switch("sequential") {
@@ -308,8 +294,8 @@ fn opts(args: &Args) -> Result<(RunOpts, Option<Arc<JsonlSink>>), ArgError> {
             Profiler::disabled()
         },
         aggregator: aggregator(args)?,
-        quarantine_z: args.num_or("quarantine-z", 0.0_f64)?,
-        quarantine_window: args.num_or("quarantine-window", 5_usize)?,
+        quarantine_z,
+        quarantine_window,
         churn: churn_plan(args)?,
         max_stale_rounds: args.num_or("max-stale-rounds", 0_usize)?,
     };
@@ -378,146 +364,102 @@ fn quantizer(args: &Args) -> Result<Quantizer, ArgError> {
 /// an average, so it takes no aggregation rule; only HierMinimax and
 /// HierFAVG have an upload codec and membership churn; MultiLevel's tree
 /// reports no per-client norms to quarantine.
-fn refuse_ignored(method: &str, opts: &RunOpts, quant: Quantizer) -> Result<(), ArgError> {
-    let hier = "hierminimax|hierfavg";
-    let cases = [
-        (
-            opts.aggregator != Aggregator::Mean,
-            "aggregator",
-            "hierminimax|hierfavg|fedavg|fedprox|afl|drfa|multilevel",
-        ),
-        (quant != Quantizer::Exact, "quant-bits", hier),
-        (
-            opts.quarantine_z > 0.0,
-            "quarantine-z",
-            "hierminimax|hierfavg|fedavg|fedprox|afl|drfa|qffl",
-        ),
-        (!opts.churn.is_none(), "churn-plan", hier),
-    ];
-    let ignored = cases
-        .into_iter()
-        .find(|&(set, _, methods)| set && !methods.split('|').any(|m| m == method));
-    match ignored {
-        Some((_, flag, methods)) => Err(ArgError(format!(
-            "--{flag} requires --method {methods} (got {method:?})"
-        ))),
-        None => Ok(()),
-    }
+fn refuse_ignored(method: Method, opts: &RunOpts, quant: Quantizer) -> Result<(), ArgError> {
+    let refuse = |set: bool, flag: &str, honours: fn(Method) -> bool| {
+        if !set || honours(method) {
+            return Ok(());
+        }
+        let methods: Vec<&str> = Method::ALL
+            .into_iter()
+            .filter(|&m| honours(m))
+            .map(Method::flag)
+            .collect();
+        Err(ArgError(format!(
+            "--{flag} requires --method {} (got {:?})",
+            methods.join("|"),
+            method.flag()
+        )))
+    };
+    refuse(opts.aggregator != Aggregator::Mean, "aggregator", |m| {
+        m != Method::QFedAvg
+    })?;
+    refuse(quant != Quantizer::Exact, "quant-bits", |m| {
+        m.reads(Param::Quantizer)
+    })?;
+    refuse(opts.quarantine_z > 0.0, "quarantine-z", |m| {
+        m != Method::MultiLevel
+    })?;
+    refuse(!opts.churn.is_none(), "churn-plan", |m| {
+        matches!(m, Method::HierMinimax | Method::HierFavg)
+    })
 }
 
-/// The selected algorithm, a clone of the shared [`RunOpts`] so the caller
-/// keeps live handles (telemetry, profiler) into the run it is about to
-/// start, and the `--telemetry` file's sink.
-type Built = (Box<dyn Algorithm>, RunOpts, Option<Arc<JsonlSink>>);
+/// The hyper-parameters from their ALGORITHM FLAGS, `--m` and `--batch`
+/// defaulting to `m` and `batch`. A flag for a parameter that `reads`
+/// refuses is not consumed, so [`Args::reject_unknown`] refuses it.
+fn hyper(
+    args: &Args,
+    reads: impl Fn(Param) -> bool,
+    m: usize,
+    batch: usize,
+) -> Result<Hyper, ArgError> {
+    let d = Hyper::default();
+    let upper = reads(Param::Upper);
+    Ok(Hyper {
+        rounds: args.num_or("rounds", d.rounds)?,
+        tau1: args.num_if(reads(Param::Tau1), "tau1", d.tau1)?,
+        tau2: args.num_if(reads(Param::Tau2), "tau2", d.tau2)?,
+        m: args.num_or("m", m)?,
+        eta_w: args.num_or("eta-w", d.eta_w)?,
+        eta_p: args.num_if(reads(Param::EtaP), "eta-p", d.eta_p)?,
+        batch_size: args.num_or("batch", batch)?,
+        loss_batch: args.num_if(reads(Param::LossBatch), "loss-batch", d.loss_batch)?,
+        mu: args.num_if(reads(Param::Mu), "mu", d.mu)?,
+        q: args.num_if(reads(Param::Q), "q", d.q)?,
+        upper: UpperLevel {
+            group_size: args.num_if(upper, "group-size", d.upper.group_size)?,
+            tau: args.num_if(upper, "tau3", d.upper.tau)?,
+        },
+        quantizer: d.quantizer,
+    })
+}
 
-/// Build the selected algorithm.
-#[allow(clippy::too_many_lines)]
+/// The selected algorithm and its seed, a clone of the shared [`RunOpts`]
+/// so the caller keeps live handles (telemetry, profiler) into the run it
+/// is about to start, and the `--telemetry` file's sink.
+struct Built {
+    alg: Box<dyn Algorithm>,
+    seed: u64,
+    handles: RunOpts,
+    jsonl: Option<Arc<JsonlSink>>,
+}
+
+/// Build the `--method` algorithm from the flags it reads. A `--resume`
+/// snapshot must come from the same algorithm, seed and rounds.
 fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
-    let method = args.str_or("method", "hierminimax");
-    let rounds = args.num_or("rounds", 500)?;
-    let tau1 = args.num_or("tau1", 2)?;
-    let tau2 = args.num_or("tau2", 2)?;
-    let m = args.num_or("m", 2)?;
-    let eta_w = args.num_or("eta-w", 0.02_f32)?;
-    let eta_p = args.num_or("eta-p", 0.005_f32)?;
-    let batch_size = args.num_or("batch", 2)?;
-    let loss_batch = args.num_or("loss-batch", 16)?;
-    let (opts, jsonl) = opts(args)?;
-    let handles = opts.clone();
-    let quant = quantizer(args)?;
-    let alg: Box<dyn Algorithm> = match method.as_str() {
-        "hierminimax" => Box::new(HierMinimax::new(HierMinimaxConfig {
-            rounds,
-            tau1,
-            tau2,
-            m_edges: m,
-            eta_w,
-            eta_p,
-            batch_size,
-            loss_batch,
-            weight_update_model: Default::default(),
-            quantizer: quant,
-            opts,
-        })),
-        "hierfavg" => Box::new(HierFavg::new(HierFavgConfig {
-            rounds,
-            tau1,
-            tau2,
-            m_edges: m,
-            eta_w,
-            batch_size,
-            quantizer: quant,
-            opts,
-        })),
-        "fedavg" => Box::new(FedAvg::new(FedAvgConfig {
-            rounds,
-            tau1,
-            m_clients: m,
-            eta_w,
-            batch_size,
-            opts,
-        })),
-        "fedprox" => Box::new(FedProx::new(FedProxConfig {
-            rounds,
-            tau1,
-            m_clients: m,
-            mu: args.num_or("mu", 0.1)?,
-            eta_w,
-            batch_size,
-            opts,
-        })),
-        "afl" => Box::new(StochasticAfl::new(AflConfig {
-            rounds,
-            m_clients: m,
-            eta_w,
-            eta_q: eta_p,
-            batch_size,
-            loss_batch,
-            opts,
-        })),
-        "drfa" => Box::new(Drfa::new(DrfaConfig {
-            rounds,
-            tau1,
-            m_clients: m,
-            eta_w,
-            eta_q: eta_p,
-            batch_size,
-            loss_batch,
-            opts,
-        })),
-        "qffl" => Box::new(QFedAvg::new(QfflConfig {
-            rounds,
-            tau1,
-            m_clients: m,
-            q: args.num_or("q", 1.0)?,
-            eta_w,
-            batch_size,
-            loss_batch,
-            opts,
-        })),
-        "multilevel" => Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-            rounds,
-            tau1,
-            tau2,
-            upper: vec![UpperLevel {
-                group_size: args.num_or("group-size", 2)?,
-                tau: args.num_or("tau3", 2)?,
-            }],
-            m_groups: m,
-            eta_w,
-            eta_p,
-            batch_size,
-            loss_batch,
-            opts,
-        })),
-        other => {
-            return Err(ArgError(format!(
-                "unknown method {other:?} (hierminimax|hierfavg|fedavg|fedprox|afl|drfa|qffl|multilevel)"
-            )))
-        }
+    let flag = args.str_or("method", "hierminimax");
+    let method = Method::parse(&flag).ok_or_else(|| {
+        let all: Vec<&str> = Method::ALL.into_iter().map(Method::flag).collect();
+        ArgError(format!("unknown method {flag:?} ({})", all.join("|")))
+    })?;
+    let h = Hyper {
+        quantizer: quantizer(args)?,
+        ..hyper(args, |p| method.reads(p), 2, 2)?
     };
-    refuse_ignored(&method, &handles, quant)?;
-    Ok((alg, handles, jsonl))
+    let seed = args.num_or("seed", 7_u64)?;
+    let (opts, jsonl) = opts(args)?;
+    let alg = method.build(&h, opts.clone());
+    refuse_ignored(method, &opts, h.quantizer)?;
+    if let Some(snap) = &opts.checkpoint.resume {
+        snap.validate_for(alg.name(), seed, h.rounds)
+            .map_err(|e| ArgError(format!("--resume {}: {e}", args.str_or("resume", ""))))?;
+    }
+    Ok(Built {
+        alg,
+        seed,
+        handles: opts,
+        jsonl,
+    })
 }
 
 fn report(problem: &FederatedProblem, name: &str, r: &RunResult) {
@@ -586,8 +528,12 @@ fn report(problem: &FederatedProblem, name: &str, r: &RunResult) {
 
 fn run(args: &Args) -> Result<(), ArgError> {
     let problem = build_problem(args)?;
-    let (alg, handles, jsonl) = build_algorithm(args)?;
-    let seed = args.num_or("seed", 7_u64)?;
+    let Built {
+        alg,
+        seed,
+        handles,
+        jsonl,
+    } = build_algorithm(args)?;
     let csv = args.str_or("csv", "");
     let save_model = args.str_or("save-model", "");
     args.reject_unknown()?;
@@ -874,140 +820,40 @@ fn compare(args: &Args) -> Result<(), ArgError> {
     }
     let problem = build_problem(args)?;
     let seed = args.num_or("seed", 7_u64)?;
-    let rounds = args.num_or("rounds", 500)?;
-    let tau1 = args.num_or("tau1", 2)?;
-    let tau2 = args.num_or("tau2", 2)?;
-    let m = args.num_or("m", 5)?;
-    let eta_w = args.num_or("eta-w", 0.02_f32)?;
-    let eta_p = args.num_or("eta-p", 0.005_f32)?;
-    let batch_size = args.num_or("batch", 1)?;
-    let loss_batch = args.num_or("loss-batch", 16)?;
+    // The suite reads τ1, τ2, η_p and the loss batch for every method.
+    let suite = |p| {
+        matches!(
+            p,
+            Param::Tau1 | Param::Tau2 | Param::EtaP | Param::LossBatch
+        )
+    };
+    let h = hyper(args, suite, 5, 1)?;
     let (opts, jsonl) = opts(args)?;
     let extended = args.switch("extended");
     args.reject_unknown()?;
 
-    let slots = rounds * tau1 * tau2;
-    let n0 = problem.clients_per_edge();
-    // Each method under its `--method` name, for the option check.
-    let mut algs: Vec<(&str, Box<dyn Algorithm>)> = Vec::new();
-    let mut add = |method, alg: Box<dyn Algorithm>| algs.push((method, alg));
-    add(
-        "fedavg",
-        Box::new(FedAvg::new(FedAvgConfig {
-            rounds: slots / tau1,
-            tau1,
-            m_clients: m * n0,
-            eta_w,
-            batch_size,
-            opts: opts.clone(),
-        })),
-    );
-    add(
-        "afl",
-        Box::new(StochasticAfl::new(AflConfig {
-            rounds: slots,
-            m_clients: m * n0,
-            eta_w,
-            eta_q: eta_p,
-            batch_size,
-            loss_batch,
-            opts: opts.clone(),
-        })),
-    );
-    add(
-        "drfa",
-        Box::new(Drfa::new(DrfaConfig {
-            rounds: slots / tau1,
-            tau1,
-            m_clients: m * n0,
-            eta_w,
-            eta_q: eta_p,
-            batch_size,
-            loss_batch,
-            opts: opts.clone(),
-        })),
-    );
-    add(
-        "hierfavg",
-        Box::new(HierFavg::new(HierFavgConfig {
-            rounds,
-            tau1,
-            tau2,
-            m_edges: m,
-            eta_w,
-            batch_size,
-            quantizer: Quantizer::Exact,
-            opts: opts.clone(),
-        })),
-    );
-    add(
-        "hierminimax",
-        Box::new(HierMinimax::new(HierMinimaxConfig {
-            rounds,
-            tau1,
-            tau2,
-            m_edges: m,
-            eta_w,
-            eta_p,
-            batch_size,
-            loss_batch,
-            weight_update_model: Default::default(),
-            quantizer: Quantizer::Exact,
-            opts: opts.clone(),
-        })),
-    );
+    let slots = h.rounds * h.tau1 * h.tau2;
+    if slots == 0 {
+        return Err(ArgError(
+            "compare: --rounds, --tau1 and --tau2 must be positive".into(),
+        ));
+    }
+    let mut methods = Method::PAPER.to_vec();
     if extended {
-        add(
-            "fedprox",
-            Box::new(FedProx::new(FedProxConfig {
-                rounds: slots / tau1,
-                tau1,
-                m_clients: m * n0,
-                mu: 0.1,
-                eta_w,
-                batch_size,
-                opts: opts.clone(),
-            })),
-        );
-        add(
-            "qffl",
-            Box::new(QFedAvg::new(QfflConfig {
-                rounds: slots / tau1,
-                tau1,
-                m_clients: m * n0,
-                q: 1.0,
-                eta_w,
-                batch_size,
-                loss_batch,
-                opts: opts.clone(),
-            })),
-        );
-        if problem.num_edges() % 2 == 0 {
-            add(
-                "multilevel",
-                Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-                    rounds: (slots / (tau1 * tau2 * 2)).max(1),
-                    tau1,
-                    tau2,
-                    upper: vec![UpperLevel {
-                        group_size: 2,
-                        tau: 2,
-                    }],
-                    m_groups: (m / 2).max(1).min(problem.num_edges() / 2),
-                    eta_w,
-                    eta_p,
-                    batch_size,
-                    loss_batch,
-                    opts: opts.clone(),
-                })),
-            );
+        methods.extend([Method::FedProx, Method::QFedAvg]);
+        if problem.num_edges() % h.upper.group_size == 0 {
+            methods.push(Method::MultiLevel);
         }
     }
     // Check every method before the first run, so no row of the table
     // is trained without an option it would ignore.
-    for (method, _) in &algs {
-        refuse_ignored(method, &opts, Quantizer::Exact)?;
+    for &method in &methods {
+        refuse_ignored(method, &opts, h.quantizer)?;
     }
+    let algs: Vec<Box<dyn Algorithm>> = methods
+        .iter()
+        .map(|m| m.build(&m.matched(&h, slots, &problem), opts.clone()))
+        .collect();
     println!(
         "comparing {} methods on {} with a budget of {} slots",
         algs.len(),
@@ -1018,7 +864,7 @@ fn compare(args: &Args) -> Result<(), ArgError> {
         "{:<24}{:>10}{:>10}{:>12}{:>14}",
         "method", "avg", "worst", "var(pp^2)", "cloud rounds"
     );
-    for (_, alg) in algs {
+    for alg in algs {
         let r = alg.run(&problem, seed);
         let e = evaluate(&problem, &r.final_w, Parallelism::Rayon);
         println!(
@@ -1045,8 +891,9 @@ fn gap(args: &Args) -> Result<(), ArgError> {
             "gap: multilevel reports group-level weights; use --method hierminimax".into(),
         ));
     }
-    let (alg, _, jsonl) = build_algorithm(args)?;
-    let seed = args.num_or("seed", 7_u64)?;
+    let Built {
+        alg, seed, jsonl, ..
+    } = build_algorithm(args)?;
     args.reject_unknown()?;
     let r = alg.run(&problem, seed);
     let g = duality_gap(&problem, &r.avg_w, &r.avg_p, &GapConfig::default());
@@ -1111,18 +958,10 @@ mod tests {
 
     #[test]
     fn every_method_builds() {
-        for m in [
-            "hierminimax",
-            "hierfavg",
-            "fedavg",
-            "fedprox",
-            "afl",
-            "drfa",
-            "qffl",
-            "multilevel",
-        ] {
-            let a = args(&format!("run --method {m} --rounds 1"));
-            build_algorithm(&a).unwrap_or_else(|e| panic!("{m}: {e}"));
+        for m in Method::ALL {
+            let a = args(&format!("run --method {} --rounds 1", m.flag()));
+            let built = build_algorithm(&a).unwrap_or_else(|e| panic!("{m:?}: {e}"));
+            assert_eq!(built.alg.name(), m.name());
         }
     }
 
@@ -1199,22 +1038,6 @@ mod tests {
         let a = args("compare --scenario tiny --edges 3 --clients 2 --resume x.hmck");
         let err = dispatch(&a).unwrap_err();
         assert!(err.0.contains("run subcommand"), "{err}");
-    }
-
-    #[test]
-    fn every_method_maps_to_an_algorithm_name() {
-        for (m, name) in [
-            ("hierminimax", "HierMinimax"),
-            ("hierfavg", "HierFAVG"),
-            ("fedavg", "FedAvg"),
-            ("fedprox", "FedProx"),
-            ("afl", "Stochastic-AFL"),
-            ("drfa", "DRFA"),
-            ("qffl", "q-FedAvg"),
-            ("multilevel", "MultiLevelMinimax"),
-        ] {
-            assert_eq!(method_algorithm_name(m), name);
-        }
     }
 
     #[test]

@@ -735,6 +735,24 @@ fn data_tiny_matches_golden_snapshot() {
 }
 
 #[test]
+fn compare_extended_matches_golden_snapshot() {
+    // All eight methods at the matched budget, one row each; the rows are
+    // the same on both executors.
+    let out = bin()
+        .args(["compare", "--extended", "--scenario", "emnist"])
+        .args(["--edges", "4", "--clients", "3"])
+        .args(["--train-per-client", "10", "--test-per-edge", "20"])
+        .args(["--rounds", "20", "--m", "2", "--seed", "5"])
+        .output()
+        .expect("spawn");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        golden("compare_extended_emnist_4x3.txt")
+    );
+}
+
+#[test]
 fn churn_plan_run_reports_membership_and_is_deterministic() {
     let run = || {
         bin()
@@ -1069,4 +1087,145 @@ fn max_stale_rounds_aborts_with_error() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("stale"), "{err}");
+}
+
+#[test]
+fn resume_checks_the_run_and_its_shape_before_round_zero() {
+    // Snapshots of a 6-edge run: resuming one as another method is refused
+    // before the problem line, and on 4 edges the run names the field whose
+    // length differs instead of crashing inside a round.
+    let dir = std::env::temp_dir().join(format!("hm-cli-shape-{}", std::process::id()));
+    let run = |method: &str, edges: &str, extra: &[&str]| {
+        bin()
+            .args(["run", "--scenario", "fashion", "--edges", edges])
+            .args(["--clients", "2", "--train-per-client", "10"])
+            .args(["--test-per-edge", "20", "--rounds", "6", "--m", "2"])
+            .args(["--seed", "3", "--method", method])
+            .args(extra)
+            .output()
+            .expect("spawn")
+    };
+    let ck = dir.display().to_string();
+    for method in ["hierminimax", "hierfavg"] {
+        let out = run(method, "6", &["--checkpoint-dir", &ck]);
+        assert!(out.status.success(), "{method}");
+        let snap = format!("{ck}/{method}-round-000003.hmck");
+        let other = if method == "hierfavg" {
+            "hierminimax"
+        } else {
+            "hierfavg"
+        };
+        let out = run(other, "6", &["--resume", &snap]);
+        assert_eq!(out.status.code(), Some(1), "{method}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("snapshot is from algorithm"),
+            "{method}: {err}"
+        );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("problem:"));
+        let out = run(method, "4", &["--resume", &snap]);
+        assert_eq!(out.status.code(), Some(1), "{method}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err, "error: cannot resume: snapshot p has 6 entries, the run has 4\n",
+            "{method}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn quarantine_values_that_do_nothing_are_refused() {
+    for (flags, want) in [
+        (
+            &["--quarantine-z", "-1"][..],
+            "--quarantine-z must be finite",
+        ),
+        (
+            &["--quarantine-z", "nan"][..],
+            "--quarantine-z must be finite",
+        ),
+        (
+            &["--quarantine-z", "1.0", "--quarantine-window", "0"][..],
+            "--quarantine-window must be at least 1",
+        ),
+    ] {
+        let out = bin()
+            .args([
+                "run",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "2", "--m", "2", "--fault-plan", "byzantine"])
+            .args(flags)
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{flags:?}: {err}");
+    }
+}
+
+#[test]
+fn flags_a_method_does_not_read_are_unknown() {
+    // `run` consumes an algorithm flag only for the methods that read it.
+    let cases = [
+        ("--tau1", "afl"),
+        ("--tau2", "fedavg"),
+        ("--tau2", "fedprox"),
+        ("--tau2", "afl"),
+        ("--tau2", "drfa"),
+        ("--tau2", "qffl"),
+        ("--eta-p", "hierfavg"),
+        ("--eta-p", "fedavg"),
+        ("--eta-p", "fedprox"),
+        ("--eta-p", "qffl"),
+        ("--loss-batch", "hierfavg"),
+        ("--loss-batch", "fedavg"),
+        ("--loss-batch", "fedprox"),
+        ("--mu", "qffl"),
+    ];
+    for (flag, method) in cases {
+        let out = bin()
+            .args([
+                "run",
+                "--scenario",
+                "tiny",
+                "--edges",
+                "4",
+                "--clients",
+                "2",
+            ])
+            .args(["--rounds", "2", "--method", method, flag, "3"])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{method} {flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err, format!("error: unknown flag(s): {flag}\n"), "{method}");
+    }
+}
+
+#[test]
+fn compare_refuses_more_edges_than_the_problem_has_before_the_first_run() {
+    let out = bin()
+        .args([
+            "compare",
+            "--scenario",
+            "tiny",
+            "--edges",
+            "4",
+            "--clients",
+            "2",
+        ])
+        .args(["--rounds", "2", "--m", "9"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err, "error: m_edges 9 exceeds 4 edges\n");
+    assert!(out.stdout.is_empty());
 }

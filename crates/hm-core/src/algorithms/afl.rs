@@ -21,7 +21,7 @@
 //! bit for bit while no client drops (`tests/oracle_diff.rs`).
 
 use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
-use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
 
@@ -75,7 +75,7 @@ impl StochasticAfl {
 
 impl Algorithm for StochasticAfl {
     fn name(&self) -> &'static str {
-        "Stochastic-AFL"
+        Method::StochasticAfl.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

@@ -19,7 +19,7 @@
 //! `tests/oracle_diff.rs`.
 
 use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
-use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
 
@@ -76,7 +76,7 @@ impl Drfa {
 
 impl Algorithm for Drfa {
     fn name(&self) -> &'static str {
-        "DRFA"
+        Method::Drfa.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

@@ -325,6 +325,12 @@ pub(crate) fn run(
     let resumed = ResumedRun::from_opts(opts, spec.name, seed, spec.rounds);
     let start = match &resumed {
         Some(rr) => {
+            let p_len = if spec.dual.is_some() {
+                p.len()
+            } else {
+                uniform_p.len()
+            };
+            rr.check_shape(d, p_len, dv.n_areas());
             w.clone_from(&rr.w);
             if spec.dual.is_some() {
                 p.clone_from(&rr.p);

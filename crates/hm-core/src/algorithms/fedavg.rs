@@ -8,7 +8,7 @@
 //! while no client drops (`tests/oracle_diff.rs`, DESIGN.md §7c).
 
 use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
-use super::{Algorithm, RunError, RunOpts, RunResult};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
 
@@ -59,7 +59,7 @@ impl FedAvg {
 
 impl Algorithm for FedAvg {
     fn name(&self) -> &'static str {
-        "FedAvg"
+        Method::FedAvg.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

@@ -7,7 +7,7 @@
 //! reweighting (q-FedAvg) vs minimax (HierMinimax).
 
 use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
-use super::{Algorithm, RunError, RunOpts, RunResult};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
 
@@ -68,7 +68,7 @@ impl FedProx {
 
 impl Algorithm for FedProx {
     fn name(&self) -> &'static str {
-        "FedProx"
+        Method::FedProx.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

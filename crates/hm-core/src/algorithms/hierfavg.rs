@@ -8,7 +8,7 @@
 //! client-edge aggregation remains a plain average.
 
 use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
-use super::{Algorithm, RunError, RunOpts, RunResult};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
 
@@ -66,7 +66,7 @@ impl HierFavg {
 
 impl Algorithm for HierFavg {
     fn name(&self) -> &'static str {
-        "HierFAVG"
+        Method::HierFavg.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
@@ -79,7 +79,7 @@ impl Algorithm for HierFavg {
             n_edges
         );
         let spec = RoundSpec {
-            name: "HierFAVG",
+            name: self.name(),
             rounds: cfg.rounds,
             tau1: cfg.tau1,
             eta_w: cfg.eta_w,

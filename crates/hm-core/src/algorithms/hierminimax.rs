@@ -18,7 +18,7 @@
 //! `p^{(k+1)} = Π_P(p^(k) + η_p τ1 τ2 v)` (eq. 7).
 
 use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
-use super::{Algorithm, RunError, RunOpts, RunResult};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
 
@@ -111,7 +111,7 @@ impl HierMinimax {
 
 impl Algorithm for HierMinimax {
     fn name(&self) -> &'static str {
-        "HierMinimax"
+        Method::HierMinimax.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
@@ -124,7 +124,7 @@ impl Algorithm for HierMinimax {
             n_edges
         );
         let spec = RoundSpec {
-            name: "HierMinimax",
+            name: self.name(),
             rounds: cfg.rounds,
             tau1: cfg.tau1,
             eta_w: cfg.eta_w,

@@ -17,6 +17,9 @@
 //! two-layer baselines FedAvg, FedProx, q-FedAvg, Stochastic-AFL and
 //! DRFA).
 //!
+//! [`Method`] is the table of all eight by their `--method` flag: the
+//! CLI's `run` and `compare` and the bench suite build through it.
+//!
 //! ## Communication-round convention
 //!
 //! Following the paper's framing (cloud connectivity is the scarce
@@ -38,6 +41,7 @@ mod fedprox;
 mod hier_common;
 mod hierfavg;
 mod hierminimax;
+mod method;
 mod multilevel;
 mod qffl;
 
@@ -46,6 +50,7 @@ pub use fedavg::{FedAvg, FedAvgConfig};
 pub use fedprox::{FedProx, FedProxConfig};
 pub use hierfavg::{HierFavg, HierFavgConfig};
 pub use hierminimax::{HierMinimax, HierMinimaxConfig, WeightUpdateModel};
+pub use method::{Hyper, Method, Param};
 pub use multilevel::{MultiLevelConfig, MultiLevelMinimax, UpperLevel};
 pub use qffl::{QFedAvg, QfflConfig};
 

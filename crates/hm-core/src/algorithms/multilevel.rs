@@ -21,7 +21,7 @@
 
 use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
 use super::hier_common::{robust_reduce_into, run_edge_blocks, EdgeBlockParams};
-use super::{Algorithm, RunError, RunOpts, RunResult, WeightUpdateModel};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult, WeightUpdateModel};
 use crate::problem::FederatedProblem;
 use hm_simnet::{Link, Quantizer};
 
@@ -227,7 +227,7 @@ pub(super) fn subtree_update(
 
 impl Algorithm for MultiLevelMinimax {
     fn name(&self) -> &'static str {
-        "MultiLevelMinimax"
+        Method::MultiLevel.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
@@ -248,7 +248,7 @@ impl Algorithm for MultiLevelMinimax {
         // Cloud-link faults act on the groups; intermediate links are
         // site-local and modeled as reliable.
         let spec = RoundSpec {
-            name: "MultiLevelMinimax",
+            name: self.name(),
             rounds: cfg.rounds,
             tau1: cfg.tau1,
             eta_w: cfg.eta_w,

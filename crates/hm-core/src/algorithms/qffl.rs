@@ -21,7 +21,7 @@
 //! with `L = 1/η_w` — the Lipschitz surrogate the authors recommend.
 
 use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
-use super::{Algorithm, RunError, RunOpts, RunResult};
+use super::{Algorithm, Method, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_optim::projection::Projection;
 use hm_simnet::Quantizer;
@@ -84,7 +84,7 @@ impl QFedAvg {
 
 impl Algorithm for QFedAvg {
     fn name(&self) -> &'static str {
-        "q-FedAvg"
+        Method::QFedAvg.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {

@@ -7,7 +7,8 @@
 //! through three calls:
 //!
 //! 1. `ResumedRun::from_opts` at run start — decode the snapshot in
-//!    `RunOpts::checkpoint.resume` (if any) into loop state;
+//!    `RunOpts::checkpoint.resume` (if any) into loop state, which
+//!    `ResumedRun::check_shape` holds to the run's vector lengths;
 //! 2. `emit_preamble` — emit `run_start` (fresh) or an unsequenced
 //!    `run_resume` (resumed) so later `checkpoint` events carry the same
 //!    sequence numbers as the uninterrupted run's;
@@ -359,6 +360,27 @@ impl ResumedRun {
             telemetry_seq: snap.telemetry_seq,
             snap,
         })
+    }
+
+    /// Check the snapshot's vectors against the run's shape: `d` model
+    /// parameters, `p` unit weights and `areas` averaged weights.
+    ///
+    /// # Panics
+    /// Panics with `cannot resume: …`, naming the first field whose length
+    /// differs, so a snapshot of another problem shape fails before round 0.
+    pub(crate) fn check_shape(&self, d: usize, p: usize, areas: usize) {
+        let snap = &self.snap;
+        for (field, len, want) in [
+            ("w", snap.w.len(), d),
+            ("p", snap.p.len(), p),
+            ("avg_w_sum", snap.avg_w_sum.len(), d),
+            ("avg_p_sum", snap.avg_p_sum.len(), areas),
+        ] {
+            assert!(
+                len == want,
+                "cannot resume: snapshot {field} has {len} entries, the run has {want}"
+            );
+        }
     }
 }
 

@@ -74,30 +74,6 @@ impl History {
         None
     }
 
-    /// Same headline metric against average accuracy.
-    pub fn cloud_rounds_to_average(&self, target: f64) -> Option<u64> {
-        self.rounds
-            .iter()
-            .find(|r| r.eval.as_ref().is_some_and(|e| e.average >= target))
-            .map(|r| r.comm.cloud_rounds())
-    }
-
-    /// Simulated wall-clock at the end of each round under a latency
-    /// model: `(seconds, cloud_rounds)` pairs, one per round. Lets
-    /// "time-to-accuracy" be derived from any recorded run without
-    /// re-running it.
-    pub fn time_series(&self, model: &hm_simnet::LatencyModel) -> Vec<(f64, u64)> {
-        self.rounds
-            .iter()
-            .map(|r| {
-                (
-                    model.simulated_seconds(&r.comm, r.slots_done),
-                    r.comm.cloud_rounds(),
-                )
-            })
-            .collect()
-    }
-
     /// Series of `(cloud_rounds, worst, average)` at evaluated rounds — the
     /// data behind Figs. 3 and 4.
     pub fn accuracy_series(&self) -> Vec<(u64, f64, f64)> {
@@ -189,19 +165,6 @@ mod tests {
         let csv = h.to_csv();
         assert!(csv.starts_with("round,"));
         assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
-    fn time_series_is_monotone() {
-        let mut h = History::default();
-        h.push(rec(0, 2, 0.3));
-        h.push(rec(1, 5, 0.5));
-        h.push(rec(2, 9, 0.7));
-        let model = hm_simnet::LatencyModel::mobile_edge();
-        let ts = h.time_series(&model);
-        assert_eq!(ts.len(), 3);
-        assert!(ts.windows(2).all(|w| w[0].0 <= w[1].0), "{ts:?}");
-        assert!(ts[0].0 > 0.0);
     }
 
     #[test]

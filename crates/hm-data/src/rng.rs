@@ -165,22 +165,11 @@ impl StreamRng {
         Self::for_key(StreamKey::new(master, purpose, round, entity))
     }
 
-    /// Export the generator's internal state ("cursor"). Together with
-    /// [`StreamRng::from_cursor`] this makes a stream's position
-    /// serialisable — used by `hm-checkpoint` to fingerprint and restore
-    /// the keyed streams a resumed run will draw from.
+    /// Export the generator's internal state ("cursor") — used by
+    /// `hm-checkpoint` to fingerprint the keyed streams a resumed run will
+    /// draw from.
     pub fn cursor(&self) -> [u64; 4] {
         self.s
-    }
-
-    /// Rebuild a stream from an exported [`StreamRng::cursor`].
-    ///
-    /// # Panics
-    /// Panics on the all-zero state, which xoshiro256** cannot occupy (no
-    /// reachable cursor is ever all zeros).
-    pub fn from_cursor(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&x| x != 0), "xoshiro cursor cannot be zero");
-        Self { s }
     }
 
     /// Standard-normal sample via the Box–Muller transform.

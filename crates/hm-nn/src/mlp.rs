@@ -47,11 +47,6 @@ impl Mlp {
         Self { widths, layout }
     }
 
-    /// The paper's architecture: hidden layers of 300 and 100 neurons.
-    pub fn paper_arch(input_dim: usize, classes: usize) -> Self {
-        Self::new(input_dim, &[300, 100], classes)
-    }
-
     /// Layer widths including input and output.
     pub fn widths(&self) -> &[usize] {
         &self.widths
@@ -184,13 +179,6 @@ mod tests {
         let x = Matrix::from_fn(n, dim, |r, c| ((r * 13 + c * 7) % 11) as f32 / 11.0 - 0.5);
         let y = (0..n).map(|i| i % classes).collect();
         Dataset::new(x, y, classes)
-    }
-
-    #[test]
-    fn param_count_matches_paper_arch() {
-        let m = Mlp::paper_arch(784, 10);
-        // 784*300+300 + 300*100+100 + 100*10+10 = 266610 (the paper's d).
-        assert_eq!(m.num_params(), 266_610);
     }
 
     #[test]

@@ -100,16 +100,6 @@ impl CommStats {
         self.uplink_floats.iter().sum::<u64>() + self.downlink_floats.iter().sum::<u64>()
     }
 
-    /// Floats moved on cloud-terminating links only.
-    pub fn cloud_floats(&self) -> u64 {
-        let e = Link::EdgeCloud.idx();
-        let c = Link::ClientCloud.idx();
-        self.uplink_floats[e]
-            + self.downlink_floats[e]
-            + self.uplink_floats[c]
-            + self.downlink_floats[c]
-    }
-
     /// Decompose into the five raw counter arrays, ordered
     /// `[uplink_floats, downlink_floats, uplink_msgs, downlink_msgs,
     /// rounds]` with `Link::idx` ordering inside each. The inverse of
@@ -371,7 +361,6 @@ mod tests {
         assert_eq!(s.uplink_msgs(Link::EdgeCloud), 5);
         assert_eq!(s.rounds(Link::EdgeCloud), 1);
         assert_eq!(s.cloud_rounds(), 1);
-        assert_eq!(s.cloud_floats(), 1000);
     }
 
     #[test]

@@ -166,19 +166,6 @@ impl Telemetry {
         }
     }
 
-    /// Replace the latency model used for `sim_s` fields.
-    pub fn with_latency(self, latency: LatencyModel) -> Self {
-        Self {
-            inner: self.inner.map(|inner| {
-                Arc::new(Inner {
-                    sink: Arc::clone(&inner.sink),
-                    latency,
-                    seq: AtomicU64::new(inner.seq.load(Relaxed)),
-                })
-            }),
-        }
-    }
-
     /// Enabled handle writing JSONL to `path` (truncates).
     pub fn jsonl(path: impl AsRef<Path>) -> std::io::Result<Self> {
         Ok(Self::with_sink(Arc::new(JsonlSink::create(path)?)))
@@ -266,7 +253,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hm_simnet::{CommMeter, Link};
+    use hm_simnet::CommMeter;
 
     fn ev(round: usize) -> TelemetryEvent {
         TelemetryEvent::RoundStart { round }
@@ -340,21 +327,9 @@ mod tests {
     }
 
     #[test]
-    fn latency_override_changes_sim_seconds() {
-        let t =
-            Telemetry::with_sink(Arc::new(NoopSink)).with_latency(LatencyModel::uniform(1.0, 1e9));
-        let m = CommMeter::new();
-        m.record_round(Link::EdgeCloud);
-        let s = m.snapshot();
-        let got = t.sim_seconds(&s, 0, 1);
-        assert!((got - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn fault_seconds_prices_slots_and_backoff() {
-        let t =
-            Telemetry::with_sink(Arc::new(NoopSink)).with_latency(LatencyModel::uniform(0.0, 1e9));
-        // uniform() sets client_step_s = 1e-3.
+        let t = Telemetry::with_sink(Arc::new(NoopSink));
+        // mobile_edge() sets client_step_s = 1e-3.
         assert!((t.fault_seconds(3.0, 0.25) - (3.0 * 1e-3 + 0.25)).abs() < 1e-12);
         assert_eq!(Telemetry::disabled().fault_seconds(3.0, 0.25), 0.0);
     }

@@ -134,11 +134,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Immutable view of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -166,17 +161,6 @@ impl Matrix {
     /// Iterator over row slices.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
         self.data.chunks_exact(self.cols.max(1))
-    }
-
-    /// Copy column `c` into a fresh vector.
-    pub fn col_to_vec(&self, c: usize) -> Vec<f32> {
-        assert!(
-            c < self.cols,
-            "col {} out of bounds ({} cols)",
-            c,
-            self.cols
-        );
-        (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
     /// Transposed copy of the matrix.
@@ -294,7 +278,7 @@ mod tests {
         let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         assert_eq!(m[(0, 0)], 1.0);
         assert_eq!(m[(1, 2)], 6.0);
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -348,12 +332,6 @@ mod tests {
         assert_eq!(s.row(0), &[3.0, 3.0]);
         assert_eq!(s.row(1), &[0.0, 0.0]);
         assert_eq!(s.row(2), &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn col_to_vec_extracts_column() {
-        let m = Matrix::from_fn(3, 3, |r, c| (r * 3 + c) as f32);
-        assert_eq!(m.col_to_vec(1), vec![1.0, 4.0, 7.0]);
     }
 
     #[test]

@@ -727,15 +727,6 @@ pub fn argmax_rows(m: &Matrix) -> Vec<usize> {
         .collect()
 }
 
-/// Frobenius norm with f64 accumulation.
-pub fn frobenius_norm(m: &Matrix) -> f64 {
-    m.as_slice()
-        .iter()
-        .map(|&x| f64::from(x) * f64::from(x))
-        .sum::<f64>()
-        .sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -884,12 +875,6 @@ mod tests {
     fn argmax_rows_first_tie_wins() {
         let m = Matrix::from_vec(2, 3, vec![1.0, 3.0, 3.0, -1.0, -5.0, -2.0]);
         assert_eq!(argmax_rows(&m), vec![1, 0]);
-    }
-
-    #[test]
-    fn frobenius_norm_simple() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((frobenius_norm(&m) - 5.0).abs() < 1e-12);
     }
 
     /// Asserts `got` and `want` hold the same bits, naming the level.

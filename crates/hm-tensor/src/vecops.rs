@@ -254,11 +254,6 @@ elementwise! {
     }
 }
 
-/// Largest absolute element (0 for an empty slice).
-pub fn max_abs(x: &[f32]) -> f32 {
-    x.iter().map(|v| v.abs()).fold(0.0_f32, f32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,12 +551,6 @@ mod tests {
     fn average_empty_panics() {
         let mut out = [0.0];
         average_into(&[], &mut out);
-    }
-
-    #[test]
-    fn max_abs_works() {
-        assert_eq!(max_abs(&[-3.0, 2.0]), 3.0);
-        assert_eq!(max_abs(&[]), 0.0);
     }
 
     /// Reference (one element at a time) implementations the tiled folds

@@ -96,11 +96,6 @@ impl<'a> MatrixView<'a> {
     pub fn rows_iter(&self) -> impl Iterator<Item = &'a [f32]> {
         self.data.chunks_exact(self.cols.max(1))
     }
-
-    /// Owned copy of the viewed data.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.rows, self.cols, self.data.to_vec())
-    }
 }
 
 impl<'a> From<&'a Matrix> for MatrixView<'a> {
@@ -123,7 +118,6 @@ mod tests {
             assert_eq!(v.row(r), m.row(r));
         }
         assert_eq!(v.at(2, 3), m[(2, 3)]);
-        assert_eq!(v.to_matrix(), m);
     }
 
     #[test]

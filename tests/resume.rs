@@ -404,3 +404,35 @@ fn snapshot_validation_rejects_mismatched_runs() {
         );
     }
 }
+
+#[test]
+fn snapshot_of_another_problem_shape_is_refused_before_round_zero() {
+    // Every algorithm's round-2 snapshot of the 3-edge problem, resumed on
+    // 4 edges (one more class, so a longer `w`): the run names the field
+    // whose length differs before round 0 instead of crashing inside it.
+    let fp = problem();
+    let fp4 = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 11));
+    for (name, factory) in all_algorithms() {
+        let dir = scratch_dir(&format!("shape-{name}"));
+        let mut w_opts = opts(Parallelism::Sequential, &FaultPlan::default());
+        w_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
+        factory(w_opts).run(&fp, SEED);
+        let snap = read_snapshot(&snapshot_path(&dir, name, 2)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut r_opts = opts(Parallelism::Sequential, &FaultPlan::default());
+        r_opts.checkpoint.resume = Some(Arc::new(snap));
+        let alg = factory(r_opts);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| alg.run(&fp4, SEED)))
+            .expect_err("a snapshot of another shape must not resume");
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        let want = format!(
+            "cannot resume: snapshot w has {} entries, the run has {}",
+            fp.num_params(),
+            fp4.num_params()
+        );
+        assert_eq!(msg, want, "{name}");
+    }
+}
