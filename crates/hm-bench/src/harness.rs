@@ -8,7 +8,7 @@ use crate::plot::{render, Series};
 use crate::results::write_result;
 use crate::table::{fmt_pct, fmt_rounds, TextTable};
 pub use hm_core::algorithms::Method;
-use hm_core::algorithms::{Hyper, RunOpts};
+use hm_core::algorithms::{Algorithm, Hyper, RunOpts};
 use hm_core::problem::FederatedProblem;
 use hm_core::{EvalReport, RunResult};
 use hm_simnet::{FaultPlan, Parallelism};

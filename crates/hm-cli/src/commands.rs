@@ -2,7 +2,7 @@
 
 use crate::args::{ArgError, Args};
 use crate::scenario;
-use hm_core::algorithms::{Algorithm, Hyper, Method, Param, RunOpts, UpperLevel};
+use hm_core::algorithms::{Algorithm, Hyper, Method, MethodRun, Opt, Param, RunOpts, UpperLevel};
 use hm_core::duality::{duality_gap, GapConfig};
 use hm_core::metrics::evaluate;
 use hm_core::problem::FederatedProblem;
@@ -359,39 +359,29 @@ fn quantizer(args: &Args) -> Result<Quantizer, ArgError> {
 }
 
 /// Refuse an option that `method` would silently ignore, naming the flag
-/// and the methods that honour it. Every method honours the fault plan,
-/// the adversary and the stale-round cap. q-FedAvg's server step is not
-/// an average, so it takes no aggregation rule; only HierMinimax and
-/// HierFAVG have an upload codec and membership churn; MultiLevel's tree
-/// reports no per-client norms to quarantine.
+/// and the methods that [honour](Method::honours) it.
 fn refuse_ignored(method: Method, opts: &RunOpts, quant: Quantizer) -> Result<(), ArgError> {
-    let refuse = |set: bool, flag: &str, honours: fn(Method) -> bool| {
-        if !set || honours(method) {
-            return Ok(());
+    let mean = opts.aggregator == Aggregator::Mean;
+    for (set, flag, opt) in [
+        (!mean, "aggregator", Opt::Aggregator),
+        (quant != Quantizer::Exact, "quant-bits", Opt::Codec),
+        (opts.quarantine_z > 0.0, "quarantine-z", Opt::Quarantine),
+        (!opts.churn.is_none(), "churn-plan", Opt::Churn),
+    ] {
+        if set && !method.honours(opt) {
+            let methods: Vec<&str> = Method::ALL
+                .into_iter()
+                .filter(|&m| m.honours(opt))
+                .map(Method::flag)
+                .collect();
+            return Err(ArgError(format!(
+                "--{flag} requires --method {} (got {:?})",
+                methods.join("|"),
+                method.flag()
+            )));
         }
-        let methods: Vec<&str> = Method::ALL
-            .into_iter()
-            .filter(|&m| honours(m))
-            .map(Method::flag)
-            .collect();
-        Err(ArgError(format!(
-            "--{flag} requires --method {} (got {:?})",
-            methods.join("|"),
-            method.flag()
-        )))
-    };
-    refuse(opts.aggregator != Aggregator::Mean, "aggregator", |m| {
-        m != Method::QFedAvg
-    })?;
-    refuse(quant != Quantizer::Exact, "quant-bits", |m| {
-        m.reads(Param::Quantizer)
-    })?;
-    refuse(opts.quarantine_z > 0.0, "quarantine-z", |m| {
-        m != Method::MultiLevel
-    })?;
-    refuse(!opts.churn.is_none(), "churn-plan", |m| {
-        matches!(m, Method::HierMinimax | Method::HierFavg)
-    })
+    }
+    Ok(())
 }
 
 /// The hyper-parameters from their ALGORITHM FLAGS, `--m` and `--batch`
@@ -405,6 +395,7 @@ fn hyper(
 ) -> Result<Hyper, ArgError> {
     let d = Hyper::default();
     let upper = reads(Param::Upper);
+    let level = d.upper[0];
     Ok(Hyper {
         rounds: args.num_or("rounds", d.rounds)?,
         tau1: args.num_if(reads(Param::Tau1), "tau1", d.tau1)?,
@@ -416,11 +407,11 @@ fn hyper(
         loss_batch: args.num_if(reads(Param::LossBatch), "loss-batch", d.loss_batch)?,
         mu: args.num_if(reads(Param::Mu), "mu", d.mu)?,
         q: args.num_if(reads(Param::Q), "q", d.q)?,
-        upper: UpperLevel {
-            group_size: args.num_if(upper, "group-size", d.upper.group_size)?,
-            tau: args.num_if(upper, "tau3", d.upper.tau)?,
-        },
-        quantizer: d.quantizer,
+        upper: vec![UpperLevel {
+            group_size: args.num_if(upper, "group-size", level.group_size)?,
+            tau: args.num_if(upper, "tau3", level.tau)?,
+        }],
+        ..d
     })
 }
 
@@ -428,15 +419,16 @@ fn hyper(
 /// so the caller keeps live handles (telemetry, profiler) into the run it
 /// is about to start, and the `--telemetry` file's sink.
 struct Built {
-    alg: Box<dyn Algorithm>,
+    alg: MethodRun,
     seed: u64,
     handles: RunOpts,
     jsonl: Option<Arc<JsonlSink>>,
 }
 
-/// Build the `--method` algorithm from the flags it reads. A `--resume`
-/// snapshot must come from the same algorithm, seed and rounds.
-fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
+/// Build the `--method` algorithm from the flags it reads, checked against
+/// `problem`. A `--resume` snapshot must come from the same algorithm,
+/// seed and rounds.
+fn build_algorithm(args: &Args, problem: &FederatedProblem) -> Result<Built, ArgError> {
     let flag = args.str_or("method", "hierminimax");
     let method = Method::parse(&flag).ok_or_else(|| {
         let all: Vec<&str> = Method::ALL.into_iter().map(Method::flag).collect();
@@ -448,8 +440,9 @@ fn build_algorithm(args: &Args) -> Result<Built, ArgError> {
     };
     let seed = args.num_or("seed", 7_u64)?;
     let (opts, jsonl) = opts(args)?;
-    let alg = method.build(&h, opts.clone());
     refuse_ignored(method, &opts, h.quantizer)?;
+    let alg = method.build(&h, opts.clone());
+    alg.check(problem);
     if let Some(snap) = &opts.checkpoint.resume {
         snap.validate_for(alg.name(), seed, h.rounds)
             .map_err(|e| ArgError(format!("--resume {}: {e}", args.str_or("resume", ""))))?;
@@ -533,7 +526,7 @@ fn run(args: &Args) -> Result<(), ArgError> {
         seed,
         handles,
         jsonl,
-    } = build_algorithm(args)?;
+    } = build_algorithm(args, &problem)?;
     let csv = args.str_or("csv", "");
     let save_model = args.str_or("save-model", "");
     args.reject_unknown()?;
@@ -841,19 +834,21 @@ fn compare(args: &Args) -> Result<(), ArgError> {
     let mut methods = Method::PAPER.to_vec();
     if extended {
         methods.extend([Method::FedProx, Method::QFedAvg]);
-        if problem.num_edges() % h.upper.group_size == 0 {
+        if problem.num_edges() % h.upper[0].group_size == 0 {
             methods.push(Method::MultiLevel);
         }
     }
     // Check every method before the first run, so no row of the table
-    // is trained without an option it would ignore.
+    // is trained without an option it would ignore or on a config it
+    // refuses.
     for &method in &methods {
         refuse_ignored(method, &opts, h.quantizer)?;
     }
-    let algs: Vec<Box<dyn Algorithm>> = methods
+    let algs: Vec<MethodRun> = methods
         .iter()
         .map(|m| m.build(&m.matched(&h, slots, &problem), opts.clone()))
         .collect();
+    algs.iter().for_each(|alg| alg.check(&problem));
     println!(
         "comparing {} methods on {} with a budget of {} slots",
         algs.len(),
@@ -893,7 +888,7 @@ fn gap(args: &Args) -> Result<(), ArgError> {
     }
     let Built {
         alg, seed, jsonl, ..
-    } = build_algorithm(args)?;
+    } = build_algorithm(args, &problem)?;
     args.reject_unknown()?;
     let r = alg.run(&problem, seed);
     let g = duality_gap(&problem, &r.avg_w, &r.avg_p, &GapConfig::default());
@@ -959,16 +954,20 @@ mod tests {
     #[test]
     fn every_method_builds() {
         for m in Method::ALL {
-            let a = args(&format!("run --method {} --rounds 1", m.flag()));
-            let built = build_algorithm(&a).unwrap_or_else(|e| panic!("{m:?}: {e}"));
+            let a = args(&format!(
+                "run --scenario tiny --edges 4 --clients 2 --method {} --rounds 1",
+                m.flag()
+            ));
+            let problem = build_problem(&a).unwrap();
+            let built = build_algorithm(&a, &problem).unwrap_or_else(|e| panic!("{m:?}: {e}"));
             assert_eq!(built.alg.name(), m.name());
         }
     }
 
     #[test]
     fn unknown_method_rejected() {
-        let a = args("run --method sgd");
-        assert!(build_algorithm(&a).is_err());
+        let a = args("run --scenario tiny --edges 4 --clients 2 --method sgd");
+        assert!(build_algorithm(&a, &build_problem(&a).unwrap()).is_err());
     }
 
     #[test]

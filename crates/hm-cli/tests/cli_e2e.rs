@@ -1135,6 +1135,42 @@ fn resume_checks_the_run_and_its_shape_before_round_zero() {
 }
 
 #[test]
+fn resume_onto_more_clients_is_refused_before_round_zero() {
+    // The same `w` and edge weights on 3 clients per edge: the snapshot's
+    // shape record names the clients, with and without a quarantine table
+    // sized for the snapshot's clients.
+    let dir = std::env::temp_dir().join(format!("hm-cli-clients-{}", std::process::id()));
+    let ck = dir.display().to_string();
+    let run = |method: &str, clients: &str, extra: &[&str]| {
+        bin()
+            .args(["run", "--scenario", "tiny", "--edges", "4"])
+            .args(["--clients", clients, "--rounds", "6", "--m", "2"])
+            .args(["--seed", "3", "--method", method])
+            .args(extra)
+            .output()
+            .expect("spawn")
+    };
+    let quarantine = ["--quarantine-z", "1", "--quarantine-window", "2"];
+    for (method, name, flags) in [
+        ("fedavg", "fedavg", &[][..]),
+        ("hierminimax", "hierminimax", &quarantine[..]),
+    ] {
+        let writer = [flags, &["--checkpoint-dir", &ck]].concat();
+        assert!(run(method, "2", &writer).status.success(), "{method}");
+        let snap = format!("{ck}/{name}-round-000002.hmck");
+        let out = run(method, "3", &[flags, &["--resume", &snap]].concat());
+        assert_eq!(out.status.code(), Some(1), "{method}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: cannot resume: snapshot has 2 clients per edge, the run has 3\n",
+            "{method}"
+        );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("cloud rounds"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn quarantine_values_that_do_nothing_are_refused() {
     for (flags, want) in [
         (

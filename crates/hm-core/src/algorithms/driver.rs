@@ -25,8 +25,9 @@
 //!
 //! Four closed policies carry every difference between the algorithms:
 //! the Phase-1 [`Sampler`], the [`Blocks`] phase, the cloud's [`Fold`]
-//! and an optional [`Dual`] step. Each algorithm's run method translates
-//! its config into a [`RoundSpec`] and calls [`run`].
+//! and an optional [`Dual`] step. [`Method`]'s run checks its
+//! `(Method, Hyper, RunOpts)`, maps it to a [`RoundSpec`] and calls
+//! [`run`].
 
 use super::churnctl::ChurnCtl;
 use super::hier_common::{
@@ -34,7 +35,10 @@ use super::hier_common::{
     EdgeBlockParams, QuarantineCtl,
 };
 use super::multilevel::{subtree_update, UpperLevel};
-use super::{finish_round, qffl, IterateAverage, RunError, RunOpts, RunResult, WeightUpdateModel};
+use super::{
+    finish_round, qffl, IterateAverage, Method, Opt, RunError, RunOpts, RunResult,
+    WeightUpdateModel,
+};
 use crate::checkpoint::{
     decode_quarantine, emit_preamble, encode_quarantine, CheckpointCtx, ResumedRun, CHURN_SECTION,
     QUARANTINE_SECTION,
@@ -176,8 +180,9 @@ pub(crate) struct Dual {
 
 /// One run: the shared hyper-parameters and the four policies.
 pub(crate) struct RoundSpec<'a> {
-    /// Snapshot identity and `run_start` name.
-    pub name: &'static str,
+    /// The method: its name is the snapshot identity and the `run_start`
+    /// name, and its table says which options it honours.
+    pub method: Method,
     pub rounds: usize,
     pub tau1: usize,
     pub eta_w: f32,
@@ -232,14 +237,7 @@ pub(crate) fn run(
     spec: RoundSpec<'_>,
 ) -> Result<RunResult, RunError> {
     let opts = spec.opts;
-    // An empty loss mini-batch fails before round 0, in Phase 2 and in
-    // q-FedAvg's loss report alike.
-    if let Some(Dual { loss_batch, .. }) = spec.dual {
-        assert!(loss_batch > 0, "loss_batch must be positive");
-    }
-    if let Fold::Qffl { loss_batch, .. } = spec.fold {
-        assert!(loss_batch > 0, "loss_batch must be positive");
-    }
+    let name = spec.method.name();
     let clients = spec.blocks.clients();
     let per_unit = spec.blocks.edges_per_unit();
     let n_units = if clients {
@@ -247,15 +245,6 @@ pub(crate) fn run(
     } else {
         problem.num_edges() / per_unit
     };
-    if clients {
-        let m = spec.sampler.m();
-        assert!(m <= n_units, "m_clients {m} exceeds {n_units} clients");
-        assert!(
-            opts.churn.is_none(),
-            "{} does not support membership churn; use HierMinimax",
-            spec.name
-        );
-    }
     let dv = Driver {
         problem,
         seed,
@@ -299,11 +288,11 @@ pub(crate) fn run(
     let mut history = History::default();
     let mut faults_prev = FaultStats::default();
     let mut adv_prev = QuarantineStats::default();
-    // Update-norm quarantine (inert at z = 0). The tree reports no
-    // per-client norms, so MultiLevel runs without it.
-    let z = match spec.blocks {
-        Blocks::Edges { .. } | Blocks::Clients { .. } => opts.quarantine_z,
-        Blocks::Tree { .. } => 0.0,
+    // Update-norm quarantine (inert at z = 0) where the method honours it.
+    let z = if spec.method.honours(Opt::Quarantine) {
+        opts.quarantine_z
+    } else {
+        0.0
     };
     let mut quarantine = QuarantineCtl::new(
         z,
@@ -322,7 +311,7 @@ pub(crate) fn run(
     // Resuming restores every piece of round-boundary state; all
     // randomness is keyed by (seed, round), so re-entering the loop at
     // `start` replays the uninterrupted run bit for bit.
-    let resumed = ResumedRun::from_opts(opts, spec.name, seed, spec.rounds);
+    let resumed = ResumedRun::from_opts(opts, name, seed, spec.rounds);
     let start = match &resumed {
         Some(rr) => {
             let p_len = if spec.dual.is_some() {
@@ -330,7 +319,7 @@ pub(crate) fn run(
             } else {
                 uniform_p.len()
             };
-            rr.check_shape(d, p_len, dv.n_areas());
+            rr.check_shape(problem, p_len, dv.n_areas());
             w.clone_from(&rr.w);
             if spec.dual.is_some() {
                 p.clone_from(&rr.p);
@@ -368,14 +357,14 @@ pub(crate) fn run(
     emit_preamble(
         tel,
         resumed.as_ref(),
-        spec.name,
+        name,
         spec.rounds,
         dv.n_areas(),
         d,
         seed,
     );
     opts.emit_aggregator_summary();
-    let ckpt = CheckpointCtx::new(opts, spec.name, seed, spec.rounds);
+    let ckpt = CheckpointCtx::new(opts, problem, name, seed, spec.rounds);
 
     for k in start..spec.rounds {
         tel.record(|| TelemetryEvent::RoundStart { round: k });

@@ -17,8 +17,7 @@
 //! unbiased for `∇_p F(w^{(k,c2,c1)}, ·)` — and updates
 //! `p^{(k+1)} = Π_P(p^(k) + η_p τ1 τ2 v)` (eq. 7).
 
-use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
-use super::{Algorithm, Method, RunError, RunOpts, RunResult};
+use super::{Algorithm, Hyper, Method, MethodRun, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
 
@@ -88,59 +87,38 @@ impl Default for HierMinimaxConfig {
     }
 }
 
-/// The HierMinimax algorithm (Algorithm 1).
+/// The HierMinimax algorithm (Algorithm 1): [`Method::HierMinimax`]'s
+/// run of the config's [`Hyper`].
 #[derive(Debug, Clone)]
-pub struct HierMinimax {
-    cfg: HierMinimaxConfig,
-}
+pub struct HierMinimax(MethodRun);
 
 impl HierMinimax {
     /// Build a runner from a config.
     pub fn new(cfg: HierMinimaxConfig) -> Self {
-        assert!(cfg.rounds > 0 && cfg.tau1 > 0 && cfg.tau2 > 0);
-        assert!(cfg.m_edges > 0, "need at least one participating edge");
-        assert!(cfg.batch_size > 0);
-        Self { cfg }
-    }
-
-    /// The configuration of this runner.
-    pub fn config(&self) -> &HierMinimaxConfig {
-        &self.cfg
+        let h = Hyper {
+            rounds: cfg.rounds,
+            tau1: cfg.tau1,
+            tau2: cfg.tau2,
+            m: cfg.m_edges,
+            eta_w: cfg.eta_w,
+            eta_p: cfg.eta_p,
+            batch_size: cfg.batch_size,
+            loss_batch: cfg.loss_batch,
+            weight_update_model: cfg.weight_update_model,
+            quantizer: cfg.quantizer,
+            ..Hyper::default()
+        };
+        Self(Method::HierMinimax.build(&h, cfg.opts))
     }
 }
 
 impl Algorithm for HierMinimax {
     fn name(&self) -> &'static str {
-        Method::HierMinimax.name()
+        self.0.name()
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
-        let cfg = &self.cfg;
-        let n_edges = problem.num_edges();
-        assert!(
-            cfg.m_edges <= n_edges,
-            "m_edges {} exceeds {} edges",
-            cfg.m_edges,
-            n_edges
-        );
-        let spec = RoundSpec {
-            name: self.name(),
-            rounds: cfg.rounds,
-            tau1: cfg.tau1,
-            eta_w: cfg.eta_w,
-            batch_size: cfg.batch_size,
-            quantizer: cfg.quantizer,
-            opts: &cfg.opts,
-            sampler: Sampler::Weighted(cfg.m_edges),
-            blocks: Blocks::Edges { tau2: cfg.tau2 },
-            fold: Fold::Multiplicity,
-            dual: Some(Dual {
-                eta_p: cfg.eta_p,
-                loss_batch: cfg.loss_batch,
-                model: cfg.weight_update_model,
-            }),
-        };
-        driver::run(problem, seed, spec)
+        self.0.try_run(problem, seed)
     }
 }
 
@@ -189,39 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_parallelism() {
-        let sc = tiny_problem(3, 2, 2);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let mut cfg = quick_cfg(3);
-        cfg.opts.parallelism = Parallelism::Sequential;
-        let a = HierMinimax::new(cfg.clone()).run(&fp, 7);
-        cfg.opts.parallelism = Parallelism::Rayon;
-        let b = HierMinimax::new(cfg).run(&fp, 7);
-        assert_eq!(a.final_w, b.final_w);
-        assert_eq!(a.final_p, b.final_p);
-    }
-
-    #[test]
     fn seeds_change_the_run() {
         let sc = tiny_problem(3, 2, 2);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
         let a = HierMinimax::new(quick_cfg(3)).run(&fp, 1);
         let b = HierMinimax::new(quick_cfg(3)).run(&fp, 2);
         assert_ne!(a.final_w, b.final_w);
-    }
-
-    #[test]
-    fn training_reduces_objective() {
-        let sc = tiny_problem(3, 2, 3);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let w0 = vec![0.0; fp.num_params()];
-        let p0 = fp.initial_p();
-        let before = fp.objective(&w0, &p0);
-        let mut cfg = quick_cfg(30);
-        cfg.m_edges = 3;
-        let r = HierMinimax::new(cfg).run(&fp, 5);
-        let after = fp.objective(&r.final_w, &p0);
-        assert!(after < before * 0.8, "objective {before} -> {after}");
     }
 
     #[test]
@@ -265,15 +216,5 @@ mod tests {
             "p never moved: {:?}",
             r.final_p
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn too_many_edges_panics() {
-        let sc = tiny_problem(2, 2, 1);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let mut cfg = quick_cfg(1);
-        cfg.m_edges = 5;
-        let _ = HierMinimax::new(cfg).run(&fp, 0);
     }
 }

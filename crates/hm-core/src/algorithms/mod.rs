@@ -1,24 +1,20 @@
 //! The distributed optimization algorithms.
 //!
-//! - [`HierMinimax`] — the paper's contribution (Algorithm 1): three-layer
-//!   minimax with multi-step local SGD, multi-step client-edge aggregation,
-//!   checkpoint-based edge-weight updates, and partial participation.
-//! - [`MultiLevelMinimax`] — the paper's §3 generalisation to arbitrary
-//!   hierarchy depth (clients → edges → regions → … → cloud).
-//! - Baselines, exactly the four the evaluation compares against (§6):
-//!   [`FedAvg`] (two-layer minimization, multi-step), [`StochasticAfl`]
-//!   (two-layer minimax, single-step), [`Drfa`] (two-layer minimax,
-//!   multi-step), and [`HierFavg`] (three-layer minimization); plus the
-//!   two-layer extension baselines [`FedProx`] and [`QFedAvg`].
+//! [`Method`] names the eight: [`HierMinimax`], the paper's contribution
+//! (Algorithm 1: three-layer minimax with multi-step local SGD,
+//! multi-step client-edge aggregation, checkpoint-based edge-weight
+//! updates and partial participation); its multi-level generalisation;
+//! the four baselines the evaluation compares against (§6): FedAvg,
+//! Stochastic-AFL, DRFA and HierFAVG; and the two-layer extension
+//! baselines FedProx and q-FedAvg. `(Method, Hyper, RunOpts)` describes
+//! a run, and [`Method::build`] runs it; [`HierMinimax::new`] converts
+//! its config into the same description.
 //!
 //! One round driver, `driver` (DESIGN.md §7c), runs them all. Its units
 //! are edges (HierMinimax, HierFAVG), groups of edges
 //! (MultiLevel), or single clients that talk to the cloud directly (the
 //! two-layer baselines FedAvg, FedProx, q-FedAvg, Stochastic-AFL and
 //! DRFA).
-//!
-//! [`Method`] is the table of all eight by their `--method` flag: the
-//! CLI's `run` and `compare` and the bench suite build through it.
 //!
 //! ## Communication-round convention
 //!
@@ -34,25 +30,16 @@
 //! do not count toward the headline metric.
 
 mod churnctl;
-mod drfa;
 mod driver;
-mod fedavg;
-mod fedprox;
 mod hier_common;
-mod hierfavg;
 mod hierminimax;
 mod method;
 mod multilevel;
 mod qffl;
 
-pub use drfa::{Drfa, DrfaConfig};
-pub use fedavg::{FedAvg, FedAvgConfig};
-pub use fedprox::{FedProx, FedProxConfig};
-pub use hierfavg::{HierFavg, HierFavgConfig};
 pub use hierminimax::{HierMinimax, HierMinimaxConfig, WeightUpdateModel};
-pub use method::{Hyper, Method, Param};
-pub use multilevel::{MultiLevelConfig, MultiLevelMinimax, UpperLevel};
-pub use qffl::{QFedAvg, QfflConfig};
+pub use method::{Hyper, Method, MethodRun, Opt, Param};
+pub use multilevel::UpperLevel;
 
 use crate::history::History;
 use crate::metrics::evaluate;
@@ -62,9 +49,6 @@ use hm_simnet::{
 };
 use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::Aggregator;
-
-mod afl;
-pub use afl::{AflConfig, StochasticAfl};
 
 /// Options shared by every algorithm runner.
 #[derive(Debug, Clone)]
@@ -123,7 +107,8 @@ pub struct RunOpts {
     /// default zero-rate plan makes no RNG draws and leaves every edge up
     /// with its original clients, so churn-capable runs with churn off are
     /// bit-identical to pre-churn builds. HierMinimax and HierFAVG honour
-    /// it; every other algorithm rejects an active plan.
+    /// it ([`Method::honours`]); every other algorithm rejects an active
+    /// plan.
     pub churn: ChurnPlan,
     /// Abort cap on consecutive stale rounds (rounds in which every
     /// sampled unit failed to report, leaving the global model untouched).

@@ -19,95 +19,12 @@
 //! ```
 //!
 //! with `L = 1/η_w` — the Lipschitz surrogate the authors recommend.
+//! [`Method::QFedAvg`](super::Method::QFedAvg) runs it as the cloud's
+//! fold over client units.
 
-use super::driver::{self, Blocks, Fold, RoundSpec, Sampler};
-use super::{Algorithm, Method, RunError, RunOpts, RunResult};
 use crate::problem::FederatedProblem;
 use hm_optim::projection::Projection;
-use hm_simnet::Quantizer;
 use hm_tensor::vecops;
-
-/// Configuration of a q-FedAvg run.
-#[derive(Debug, Clone)]
-pub struct QfflConfig {
-    /// Training rounds.
-    pub rounds: usize,
-    /// Local SGD steps per round.
-    pub tau1: usize,
-    /// Participating clients per round (uniform sampling).
-    pub m_clients: usize,
-    /// The fairness exponent `q ≥ 0` (`0` recovers FedAvg-style updates).
-    pub q: f64,
-    /// Local model learning rate (also sets `L = 1/η_w`).
-    pub eta_w: f32,
-    /// Mini-batch size for local SGD.
-    pub batch_size: usize,
-    /// Mini-batch size for the loss report `F_k`.
-    pub loss_batch: usize,
-    /// Shared runner options.
-    pub opts: RunOpts,
-}
-
-impl Default for QfflConfig {
-    fn default() -> Self {
-        Self {
-            rounds: 100,
-            tau1: 2,
-            m_clients: 4,
-            q: 1.0,
-            eta_w: 0.05,
-            batch_size: 4,
-            loss_batch: 16,
-            opts: RunOpts::default(),
-        }
-    }
-}
-
-/// The q-FedAvg extension baseline.
-#[derive(Debug, Clone)]
-pub struct QFedAvg {
-    cfg: QfflConfig,
-}
-
-impl QFedAvg {
-    /// Build a runner from a config.
-    ///
-    /// # Panics
-    /// Panics on degenerate configs or negative `q`.
-    pub fn new(cfg: QfflConfig) -> Self {
-        assert!(cfg.rounds > 0 && cfg.tau1 > 0 && cfg.m_clients > 0 && cfg.batch_size > 0);
-        assert!(cfg.q >= 0.0, "q must be non-negative");
-        assert!(cfg.eta_w > 0.0, "eta_w must be positive");
-        Self { cfg }
-    }
-}
-
-impl Algorithm for QFedAvg {
-    fn name(&self) -> &'static str {
-        Method::QFedAvg.name()
-    }
-
-    fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
-        let cfg = &self.cfg;
-        let spec = RoundSpec {
-            name: self.name(),
-            rounds: cfg.rounds,
-            tau1: cfg.tau1,
-            eta_w: cfg.eta_w,
-            batch_size: cfg.batch_size,
-            quantizer: Quantizer::Exact,
-            opts: &cfg.opts,
-            sampler: Sampler::Uniform(cfg.m_clients),
-            blocks: Blocks::Clients { mu: 0.0 },
-            fold: Fold::Qffl {
-                q: cfg.q,
-                loss_batch: cfg.loss_batch,
-            },
-            dual: None,
-        };
-        driver::run(problem, seed, spec)
-    }
-}
 
 /// The q-FedAvg server step of the module docs, in f64: fold the
 /// clients' local models `w̄_k` and losses `F_k` into `w`, then project
@@ -144,57 +61,19 @@ pub(super) fn server_step(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hm_data::scenarios::tiny_problem;
+    use crate::algorithms::{Algorithm, Hyper, Method, RunOpts};
     use hm_simnet::Parallelism;
 
-    fn quick_cfg(rounds: usize, q: f64) -> QfflConfig {
-        QfflConfig {
-            rounds,
-            tau1: 2,
-            m_clients: 4,
-            q,
-            eta_w: 0.1,
-            batch_size: 2,
-            loss_batch: 8,
-            opts: RunOpts {
-                eval_every: 0,
-                parallelism: Parallelism::Sequential,
-                ..Default::default()
-            },
-        }
-    }
-
-    #[test]
-    fn runs_and_learns() {
-        let sc = tiny_problem(3, 2, 81);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let w0 = vec![0.0; fp.num_params()];
-        let p0 = fp.initial_p();
-        let before = fp.objective(&w0, &p0);
-        let mut cfg = quick_cfg(150, 1.0);
-        cfg.m_clients = 6;
-        let r = QFedAvg::new(cfg).run(&fp, 3);
-        assert!(fp.objective(&r.final_w, &p0) < before * 0.8);
-    }
-
-    #[test]
-    fn one_cloud_round_per_training_round() {
-        let sc = tiny_problem(3, 2, 82);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let r = QFedAvg::new(quick_cfg(5, 1.0)).run(&fp, 1);
-        assert_eq!(r.comm.cloud_rounds(), 5);
-        assert_eq!(r.history.rounds.last().unwrap().slots_done, 10);
-    }
-
-    #[test]
-    fn deterministic_across_parallelism() {
-        let sc = tiny_problem(3, 2, 83);
-        let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let mut cfg = quick_cfg(4, 2.0);
-        let a = QFedAvg::new(cfg.clone()).run(&fp, 7);
-        cfg.opts.parallelism = Parallelism::Rayon;
-        let b = QFedAvg::new(cfg).run(&fp, 7);
-        assert_eq!(a.final_w, b.final_w);
+    /// q-FedAvg's run of `h` with `q`.
+    fn run(fp: &FederatedProblem, h: &Hyper, q: f64, seed: u64) -> crate::RunResult {
+        let opts = RunOpts {
+            eval_every: 0,
+            parallelism: Parallelism::Sequential,
+            ..Default::default()
+        };
+        Method::QFedAvg
+            .build(&Hyper { q, ..h.clone() }, opts)
+            .run(fp, seed)
     }
 
     #[test]
@@ -218,14 +97,17 @@ mod tests {
         };
         let sc = one_class_per_edge(cfg_img, 4, 2, 40, 100, 84);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
+        let h = Hyper {
+            rounds: 600,
+            m: 8, // full participation: isolate the q effect
+            eta_w: 0.05,
+            loss_batch: 64,
+            ..Hyper::default()
+        };
         let spread_at = |q: f64| -> f64 {
             let mut total = 0.0;
             for seed in 0..3u64 {
-                let mut c = quick_cfg(600, q);
-                c.m_clients = 8; // full participation: isolate the q effect
-                c.eta_w = 0.05;
-                c.loss_batch = 64;
-                let r = QFedAvg::new(c).run(&fp, 5 + seed);
+                let r = run(&fp, &h, q, 5 + seed);
                 let losses = fp.edge_losses(&r.final_w);
                 let max = losses.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 let min = losses.iter().copied().fold(f64::INFINITY, f64::min);
@@ -244,6 +126,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_q_rejected() {
-        let _ = QFedAvg::new(quick_cfg(1, -1.0));
+        let fp =
+            FederatedProblem::logistic_from_scenario(&hm_data::scenarios::tiny_problem(2, 2, 1));
+        run(&fp, &Hyper::default(), -1.0, 0);
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! 1. `ResumedRun::from_opts` at run start — decode the snapshot in
 //!    `RunOpts::checkpoint.resume` (if any) into loop state, which
-//!    `ResumedRun::check_shape` holds to the run's vector lengths;
+//!    `ResumedRun::check_shape` holds to the run's vector lengths and
+//!    problem shape;
 //! 2. `emit_preamble` — emit `run_start` (fresh) or an unsequenced
 //!    `run_resume` (resumed) so later `checkpoint` events carry the same
 //!    sequence numbers as the uninterrupted run's;
@@ -23,6 +24,7 @@
 use crate::algorithms::{IterateAverage, RunOpts};
 use crate::history::{History, RoundRecord};
 use crate::metrics::EvalReport;
+use crate::problem::FederatedProblem;
 use hm_checkpoint::format::{ByteReader, ByteWriter};
 use hm_checkpoint::{
     rng_cursors_for, snapshot_path, write_snapshot, Cadence, CheckpointError, Snapshot,
@@ -34,6 +36,22 @@ use std::sync::Arc;
 
 /// Extras section name holding the serialised round history.
 const HISTORY_SECTION: &str = "history";
+
+/// Extras section name holding the base problem's shape: its edges,
+/// clients per edge and model parameters, as three `u64`s. Every snapshot
+/// carries it, so a resume onto a problem of another shape is refused
+/// before round 0 even where the vector lengths agree.
+const SHAPE_SECTION: &str = "shape";
+
+/// The base problem's shape, named as [`ResumedRun::check_shape`] reports
+/// a mismatch.
+fn problem_shape(problem: &FederatedProblem) -> [(&'static str, u64); 3] {
+    [
+        ("edges", problem.num_edges() as u64),
+        ("clients per edge", problem.clients_per_edge() as u64),
+        ("model parameters", problem.num_params() as u64),
+    ]
+}
 
 /// Extras section name holding the quarantine horizon table and the
 /// cumulative adversary counters. Written only by runs with an active
@@ -362,14 +380,16 @@ impl ResumedRun {
         })
     }
 
-    /// Check the snapshot's vectors against the run's shape: `d` model
-    /// parameters, `p` unit weights and `areas` averaged weights.
+    /// Check the snapshot against the run's shape: its vectors against
+    /// the model's parameters, `p` unit weights and `areas` averaged
+    /// weights, then its shape record against `problem`'s.
     ///
     /// # Panics
-    /// Panics with `cannot resume: …`, naming the first field whose length
+    /// Panics with `cannot resume: …`, naming the first field that
     /// differs, so a snapshot of another problem shape fails before round 0.
-    pub(crate) fn check_shape(&self, d: usize, p: usize, areas: usize) {
+    pub(crate) fn check_shape(&self, problem: &FederatedProblem, p: usize, areas: usize) {
         let snap = &self.snap;
+        let d = problem.num_params();
         for (field, len, want) in [
             ("w", snap.w.len(), d),
             ("p", snap.p.len(), p),
@@ -379,6 +399,21 @@ impl ResumedRun {
             assert!(
                 len == want,
                 "cannot resume: snapshot {field} has {len} entries, the run has {want}"
+            );
+        }
+        // A snapshot written before the shape record has only its vectors
+        // to check.
+        let Some(bytes) = snap.extra(SHAPE_SECTION) else {
+            return;
+        };
+        let mut r = ByteReader::new(bytes);
+        for (field, want) in problem_shape(problem) {
+            let got = r
+                .get_u64()
+                .unwrap_or_else(|e| panic!("cannot resume: shape record: {e}"));
+            assert!(
+                got == want,
+                "cannot resume: snapshot has {got} {field}, the run has {want}"
             );
         }
     }
@@ -427,15 +462,28 @@ pub(crate) struct CheckpointCtx<'a> {
     algorithm: &'a str,
     seed: u64,
     rounds: usize,
+    /// The encoded [`SHAPE_SECTION`].
+    shape: Vec<u8>,
 }
 
 impl<'a> CheckpointCtx<'a> {
-    pub(crate) fn new(opts: &'a RunOpts, algorithm: &'a str, seed: u64, rounds: usize) -> Self {
+    pub(crate) fn new(
+        opts: &'a RunOpts,
+        problem: &FederatedProblem,
+        algorithm: &'a str,
+        seed: u64,
+        rounds: usize,
+    ) -> Self {
+        let mut shape = ByteWriter::new();
+        for (_, n) in problem_shape(problem) {
+            shape.put_u64(n);
+        }
         Self {
             opts,
             algorithm,
             seed,
             rounds,
+            shape: shape.into_bytes(),
         }
     }
 
@@ -468,6 +516,7 @@ impl<'a> CheckpointCtx<'a> {
         let (avg_p_sum, avg_p_count) = avg_p.parts();
         let mut extras = vec![(HISTORY_SECTION.to_string(), encode_history(history))];
         extras.extend(extra_sections);
+        extras.push((SHAPE_SECTION.to_string(), self.shape.clone()));
         let snap = Snapshot {
             algorithm: self.algorithm.to_string(),
             seed: self.seed,

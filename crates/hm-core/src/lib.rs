@@ -7,7 +7,8 @@
 //! - [`problem`] — the problem instance type (scenario + model + domains),
 //!   realising eq. (3): `min_{w∈W} max_{p∈P} Σ_e p_e f_e(w)`.
 //! - [`algorithms`] — [`algorithms::HierMinimax`] (Algorithm 1) and the
-//!   four baselines of §6 (FedAvg, Stochastic-AFL, DRFA, HierFAVG), all
+//!   four baselines of §6 (FedAvg, Stochastic-AFL, DRFA, HierFAVG), each
+//!   an [`algorithms::Method`] run from one [`algorithms::Hyper`], all
 //!   behind one [`algorithms::Algorithm`] trait.
 //! - [`localsgd`] — the client-side projected local SGD of eq. (4), with
 //!   checkpoint capture.

@@ -56,7 +56,8 @@
 //! One replay serves HierMinimax, HierFAVG and MultiLevel.
 //! Like the round driver (DESIGN.md §7c) it is parameterized by three
 //! policies — the Phase-1 sampler, the block phase and an optional dual
-//! step — which [`Protocol`] builds from each algorithm's config. It stays an independent model: it calls `hm-simnet`'s pure
+//! step — which [`Protocol::new`] builds from the run's `(Method, Hyper,
+//! RunOpts)`. It stays an independent model: it calls `hm-simnet`'s pure
 //! decision functions (samplers, [`FaultPlan`], [`ActiveTopology`]),
 //! never `hm-core`'s driver.
 //!
@@ -69,9 +70,7 @@
 //!
 //! [`ProjectionOp::feasibility_violation`]: hm_optim::ProjectionOp::feasibility_violation
 
-use hm_core::algorithms::{
-    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, RunOpts, UpperLevel,
-};
+use hm_core::algorithms::{Hyper, Method, Param, RunOpts, UpperLevel};
 use hm_core::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_simnet::sampling::{sample_checkpoint, sample_edges_uniform, sample_edges_weighted};
@@ -334,7 +333,7 @@ impl Blocks<'_> {
 }
 
 /// The protocol one run followed: shared hyper-parameters and the three
-/// policies. Built from an algorithm config with `From`.
+/// policies.
 #[derive(Debug, Clone, Copy)]
 pub struct Protocol<'a> {
     rounds: usize,
@@ -350,47 +349,32 @@ pub struct Protocol<'a> {
     dual: bool,
 }
 
-impl<'a> From<&'a HierMinimaxConfig> for Protocol<'a> {
-    fn from(cfg: &'a HierMinimaxConfig) -> Self {
+impl<'a> Protocol<'a> {
+    /// The protocol of `method`'s run of `h` under `opts`.
+    ///
+    /// # Panics
+    /// Panics for the two-layer baselines: the replay does not model
+    /// client units.
+    pub fn new(method: Method, h: &'a Hyper, opts: &'a RunOpts) -> Self {
+        let (sampler, blocks, dual) = match method {
+            Method::HierMinimax => (Sampler::Weighted(h.m), Blocks::Edges, true),
+            Method::HierFavg => (Sampler::Uniform(h.m), Blocks::Edges, false),
+            Method::MultiLevel => (Sampler::Weighted(h.m), Blocks::Tree(&h.upper), true),
+            other => panic!("the replay does not model {}'s client units", other.name()),
+        };
         Protocol {
-            rounds: cfg.rounds,
-            tau1: cfg.tau1,
-            tau2: cfg.tau2,
-            quantizer: cfg.quantizer,
-            opts: &cfg.opts,
-            sampler: Sampler::Weighted(cfg.m_edges),
-            blocks: Blocks::Edges,
-            dual: true,
-        }
-    }
-}
-
-impl<'a> From<&'a HierFavgConfig> for Protocol<'a> {
-    fn from(cfg: &'a HierFavgConfig) -> Self {
-        Protocol {
-            rounds: cfg.rounds,
-            tau1: cfg.tau1,
-            tau2: cfg.tau2,
-            quantizer: cfg.quantizer,
-            opts: &cfg.opts,
-            sampler: Sampler::Uniform(cfg.m_edges),
-            blocks: Blocks::Edges,
-            dual: false,
-        }
-    }
-}
-
-impl<'a> From<&'a MultiLevelConfig> for Protocol<'a> {
-    fn from(cfg: &'a MultiLevelConfig) -> Self {
-        Protocol {
-            rounds: cfg.rounds,
-            tau1: cfg.tau1,
-            tau2: cfg.tau2,
-            quantizer: Quantizer::Exact,
-            opts: &cfg.opts,
-            sampler: Sampler::Weighted(cfg.m_groups),
-            blocks: Blocks::Tree(&cfg.upper),
-            dual: true,
+            rounds: h.rounds,
+            tau1: h.tau1,
+            tau2: h.tau2,
+            quantizer: if method.reads(Param::Quantizer) {
+                h.quantizer
+            } else {
+                Quantizer::Exact
+            },
+            opts,
+            sampler,
+            blocks,
+            dual,
         }
     }
 }
@@ -605,18 +589,17 @@ struct Replay<'a, 'e> {
 ///
 /// `events` must be the complete stream (for example a `MemorySink`'s, or
 /// a resume splice, see [`crate::splice()`]) of `problem` run under the
-/// config `protocol` was built from, with `seed`.
+/// protocol `pr`, with `seed`.
 ///
 /// # Panics
 /// Panics on what the model does not cover: update-norm quarantine, and
 /// client crashes, stragglers or churn under MultiLevel.
 pub fn check_stream<'a>(
     problem: &FederatedProblem,
-    protocol: impl Into<Protocol<'a>>,
+    pr: Protocol<'a>,
     seed: u64,
     events: &[TelemetryEvent],
 ) -> Result<ConformanceReport, ConformanceError> {
-    let pr = protocol.into();
     let plan = &pr.opts.fault;
     let tree = matches!(pr.blocks, Blocks::Tree(_));
     if tree {
@@ -1316,7 +1299,7 @@ struct CommReplay<'r> {
 mod tests {
     use super::*;
     use crate::strategies::{case_opts, record};
-    use hm_core::algorithms::{Algorithm, HierFavg, HierMinimax, MultiLevelMinimax, RunResult};
+    use hm_core::algorithms::{Algorithm, RunResult};
     use hm_data::scenarios::tiny_problem;
     use hm_simnet::ChurnPlan;
 
@@ -1324,52 +1307,54 @@ mod tests {
         FederatedProblem::logistic_from_scenario(&tiny_problem(n_edges, n0, seed))
     }
 
-    /// Run `cfg` with a recording sink; returns the result and the stream.
-    fn hierminimax(
-        fp: &FederatedProblem,
-        cfg: &mut HierMinimaxConfig,
-        seed: u64,
-    ) -> (RunResult, Vec<TelemetryEvent>) {
-        let sink = record(&mut cfg.opts);
-        let r = HierMinimax::new(cfg.clone()).run(fp, seed);
+    /// One run to record and check.
+    struct Case {
+        method: Method,
+        h: Hyper,
+        opts: RunOpts,
+    }
+
+    impl Case {
+        fn protocol(&self) -> Protocol<'_> {
+            Protocol::new(self.method, &self.h, &self.opts)
+        }
+    }
+
+    /// `method`'s run of `rounds` rounds at rates 0.05 (η_p 0.01 up a
+    /// tree) and batch 4 under `opts`.
+    fn case(method: Method, rounds: usize, opts: RunOpts) -> Case {
+        let eta_p = if method == Method::MultiLevel {
+            0.01
+        } else {
+            0.05
+        };
+        let h = Hyper {
+            rounds,
+            eta_w: 0.05,
+            eta_p,
+            batch_size: 4,
+            ..Hyper::default()
+        };
+        Case { method, h, opts }
+    }
+
+    fn hm_cfg(rounds: usize, opts: RunOpts) -> Case {
+        case(Method::HierMinimax, rounds, opts)
+    }
+
+    fn hf_cfg(rounds: usize, opts: RunOpts) -> Case {
+        case(Method::HierFavg, rounds, opts)
+    }
+
+    fn ml_cfg(rounds: usize, opts: RunOpts) -> Case {
+        case(Method::MultiLevel, rounds, opts)
+    }
+
+    /// Run `case` with a recording sink; returns the result and the stream.
+    fn run(fp: &FederatedProblem, case: &mut Case, seed: u64) -> (RunResult, Vec<TelemetryEvent>) {
+        let sink = record(&mut case.opts);
+        let r = case.method.build(&case.h, case.opts.clone()).run(fp, seed);
         (r, sink.events())
-    }
-
-    fn hierfavg(fp: &FederatedProblem, cfg: &mut HierFavgConfig, seed: u64) -> Vec<TelemetryEvent> {
-        let sink = record(&mut cfg.opts);
-        HierFavg::new(cfg.clone()).run(fp, seed);
-        sink.events()
-    }
-
-    fn multilevel(
-        fp: &FederatedProblem,
-        cfg: &mut MultiLevelConfig,
-        seed: u64,
-    ) -> Vec<TelemetryEvent> {
-        let sink = record(&mut cfg.opts);
-        MultiLevelMinimax::new(cfg.clone()).run(fp, seed);
-        sink.events()
-    }
-
-    fn hm_cfg(rounds: usize, opts: RunOpts) -> HierMinimaxConfig {
-        HierMinimaxConfig {
-            rounds,
-            opts,
-            ..Default::default()
-        }
-    }
-
-    fn ml_cfg(rounds: usize, opts: RunOpts) -> MultiLevelConfig {
-        MultiLevelConfig {
-            rounds,
-            upper: vec![UpperLevel {
-                group_size: 2,
-                tau: 2,
-            }],
-            m_groups: 2,
-            opts,
-            ..Default::default()
-        }
     }
 
     fn count(events: &[TelemetryEvent], kind: &str) -> usize {
@@ -1387,8 +1372,8 @@ mod tests {
     fn valid_hierminimax_stream_passes() {
         let fp = problem(3, 2, 1);
         let mut cfg = hm_cfg(3, case_opts());
-        let (_, events) = hierminimax(&fp, &mut cfg, 42);
-        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
+        let (_, events) = run(&fp, &mut cfg, 42);
+        let report = check_stream(&fp, cfg.protocol(), 42, &events).unwrap();
         assert_eq!(report.rounds, 3);
         assert_eq!(report.events, events.len());
         assert!(report.local_steps > 0);
@@ -1398,13 +1383,9 @@ mod tests {
     #[test]
     fn valid_hierfavg_stream_passes() {
         let fp = problem(3, 2, 2);
-        let mut cfg = HierFavgConfig {
-            rounds: 3,
-            opts: case_opts(),
-            ..Default::default()
-        };
-        let events = hierfavg(&fp, &mut cfg, 7);
-        let report = check_stream(&fp, &cfg, 7, &events).unwrap();
+        let mut cfg = hf_cfg(3, case_opts());
+        let events = run(&fp, &mut cfg, 7).1;
+        let report = check_stream(&fp, cfg.protocol(), 7, &events).unwrap();
         assert_eq!(report.rounds, 3);
         assert_eq!(report.checkpoints, 0);
     }
@@ -1413,8 +1394,8 @@ mod tests {
     fn valid_multilevel_stream_passes() {
         let fp = problem(4, 2, 3);
         let mut cfg = ml_cfg(3, case_opts());
-        let events = multilevel(&fp, &mut cfg, 11);
-        let report = check_stream(&fp, &cfg, 11, &events).unwrap();
+        let events = run(&fp, &mut cfg, 11).1;
+        let report = check_stream(&fp, cfg.protocol(), 11, &events).unwrap();
         assert_eq!(report.rounds, 3);
     }
 
@@ -1440,8 +1421,8 @@ mod tests {
                 ..case_opts()
             },
         );
-        let (r, events) = hierminimax(&fp, &mut cfg, 42);
-        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
+        let (r, events) = run(&fp, &mut cfg, 42);
+        let report = check_stream(&fp, cfg.protocol(), 42, &events).unwrap();
         assert_eq!(report.rounds, 6);
         assert!(report.faults > 0, "plan rates high enough to always fire");
         // Every fault event in the stream was consumed by the replay.
@@ -1453,9 +1434,9 @@ mod tests {
     #[test]
     fn faulty_hierfavg_stream_passes() {
         let fp = problem(3, 2, 5);
-        let mut cfg = HierFavgConfig {
-            rounds: 5,
-            opts: RunOpts {
+        let mut cfg = hf_cfg(
+            5,
+            RunOpts {
                 fault: FaultPlan {
                     client_crash: 0.25,
                     edge_outage: 0.4,
@@ -1465,10 +1446,9 @@ mod tests {
                 },
                 ..case_opts()
             },
-            ..Default::default()
-        };
-        let events = hierfavg(&fp, &mut cfg, 19);
-        let report = check_stream(&fp, &cfg, 19, &events).unwrap();
+        );
+        let events = run(&fp, &mut cfg, 19).1;
+        let report = check_stream(&fp, cfg.protocol(), 19, &events).unwrap();
         assert_eq!(report.rounds, 5);
         assert!(report.faults > 0);
     }
@@ -1488,13 +1468,13 @@ mod tests {
                 ..case_opts()
             },
         );
-        let events = multilevel(&fp, &mut cfg, 13);
-        let report = check_stream(&fp, &cfg, 13, &events).unwrap();
+        let events = run(&fp, &mut cfg, 13).1;
+        let report = check_stream(&fp, cfg.protocol(), 13, &events).unwrap();
         assert_eq!(report.rounds, 5);
         assert!(report.faults > 0);
     }
 
-    fn outage_run() -> (FederatedProblem, HierMinimaxConfig, Vec<TelemetryEvent>) {
+    fn outage_run() -> (FederatedProblem, Case, Vec<TelemetryEvent>) {
         let fp = problem(3, 2, 4);
         let mut cfg = hm_cfg(
             6,
@@ -1508,7 +1488,7 @@ mod tests {
                 ..case_opts()
             },
         );
-        let (_, events) = hierminimax(&fp, &mut cfg, 42);
+        let (_, events) = run(&fp, &mut cfg, 42);
         (fp, cfg, events)
     }
 
@@ -1518,7 +1498,7 @@ mod tests {
     fn missing_fault_event_is_rejected() {
         let (fp, cfg, mut events) = outage_run();
         events.remove(position(&events, "fault"));
-        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 42, &events).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1534,7 +1514,7 @@ mod tests {
     fn forged_fault_event_is_rejected() {
         let fp = problem(3, 2, 4);
         let mut cfg = hm_cfg(2, case_opts());
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let (_, mut events) = run(&fp, &mut cfg, 5);
         let idx = position(&events, "phase1") + 1;
         events.insert(
             idx,
@@ -1546,7 +1526,7 @@ mod tests {
                 attempts: 0,
             },
         );
-        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 5, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::FaultMismatch { .. }),
             "expected fault mismatch, got {err}"
@@ -1563,14 +1543,14 @@ mod tests {
         if let TelemetryEvent::FaultSummary { retries, .. } = &mut forged[idx] {
             *retries += 1;
         }
-        let err = check_stream(&fp, &cfg, 42, &forged).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 42, &forged).unwrap_err();
         assert!(
             matches!(err, ConformanceError::FaultMismatch { .. }),
             "{err}"
         );
         let mut missing = events;
         missing.remove(idx);
-        let err = check_stream(&fp, &cfg, 42, &missing).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 42, &missing).unwrap_err();
         assert!(
             matches!(err, ConformanceError::FaultMismatch { .. }),
             "{err}"
@@ -1581,13 +1561,13 @@ mod tests {
     fn truncated_stream_is_rejected() {
         let fp = problem(3, 2, 1);
         let mut cfg = hm_cfg(2, case_opts());
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let (_, mut events) = run(&fp, &mut cfg, 5);
         let last_end = events
             .iter()
             .rposition(|e| matches!(e, TelemetryEvent::RoundEnd { .. }))
             .unwrap();
         events.truncate(last_end);
-        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 5, &events).unwrap_err();
         assert!(matches!(err, ConformanceError::TraceEnded { .. }), "{err}");
     }
 
@@ -1595,9 +1575,9 @@ mod tests {
     fn trailing_events_are_rejected() {
         let fp = problem(3, 2, 1);
         let mut cfg = hm_cfg(2, case_opts());
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let (_, mut events) = run(&fp, &mut cfg, 5);
         events.push(TelemetryEvent::RoundStart { round: 2 });
-        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 5, &events).unwrap_err();
         assert_eq!(err, ConformanceError::TrailingEvents { count: 1 });
     }
 
@@ -1607,12 +1587,12 @@ mod tests {
     fn non_finite_model_is_rejected() {
         let fp = problem(3, 2, 1);
         let mut cfg = hm_cfg(2, case_opts());
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let (_, mut events) = run(&fp, &mut cfg, 5);
         let idx = position(&events, "phase1_done");
         if let TelemetryEvent::Phase1Done { nonfinite, .. } = &mut events[idx] {
             *nonfinite = 1;
         }
-        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 5, &events).unwrap_err();
         assert!(matches!(err, ConformanceError::BadModel { .. }), "{err}");
     }
 
@@ -1622,13 +1602,13 @@ mod tests {
     fn reordered_block_clients_are_rejected() {
         let fp = problem(3, 2, 1);
         let mut cfg = hm_cfg(2, case_opts());
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let (_, mut events) = run(&fp, &mut cfg, 5);
         let idx = position(&events, "block_agg");
         if let TelemetryEvent::BlockAggregated { clients, .. } = &mut events[idx] {
             assert!(clients.len() > 1, "two clients per edge, no faults");
             clients.reverse();
         }
-        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 5, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::LocalStepsMismatch { .. }),
             "{err}"
@@ -1643,12 +1623,7 @@ mod tests {
         }
     }
 
-    fn adversarial_run() -> (
-        FederatedProblem,
-        HierMinimaxConfig,
-        RunResult,
-        Vec<TelemetryEvent>,
-    ) {
+    fn adversarial_run() -> (FederatedProblem, Case, RunResult, Vec<TelemetryEvent>) {
         let fp = problem(3, 2, 4);
         let mut cfg = hm_cfg(
             5,
@@ -1657,7 +1632,7 @@ mod tests {
                 ..case_opts()
             },
         );
-        let (r, events) = hierminimax(&fp, &mut cfg, 42);
+        let (r, events) = run(&fp, &mut cfg, 42);
         (fp, cfg, r, events)
     }
 
@@ -1667,7 +1642,7 @@ mod tests {
     #[test]
     fn adversarial_hierminimax_stream_passes_and_counts_corruption() {
         let (fp, cfg, r, events) = adversarial_run();
-        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
+        let report = check_stream(&fp, cfg.protocol(), 42, &events).unwrap();
         assert_eq!(report.rounds, 5);
         assert_eq!(report.faults, 5, "one validated adversary event per round");
         let streamed: u64 = events
@@ -1700,24 +1675,23 @@ mod tests {
                 ..case_opts()
             },
         );
-        let (_, events) = hierminimax(&fp, &mut cfg, 9);
-        let report = check_stream(&fp, &cfg, 9, &events).unwrap();
+        let (_, events) = run(&fp, &mut cfg, 9);
+        let report = check_stream(&fp, cfg.protocol(), 9, &events).unwrap();
         assert_eq!(report.rounds, 6);
     }
 
     #[test]
     fn adversarial_hierfavg_stream_passes() {
         let fp = problem(3, 2, 5);
-        let mut cfg = HierFavgConfig {
-            rounds: 4,
-            opts: RunOpts {
+        let mut cfg = hf_cfg(
+            4,
+            RunOpts {
                 fault: byzantine_plan(0.25),
                 ..case_opts()
             },
-            ..Default::default()
-        };
-        let events = hierfavg(&fp, &mut cfg, 19);
-        let report = check_stream(&fp, &cfg, 19, &events).unwrap();
+        );
+        let events = run(&fp, &mut cfg, 19).1;
+        let report = check_stream(&fp, cfg.protocol(), 19, &events).unwrap();
         assert_eq!(report.rounds, 4);
         assert_eq!(report.faults, 4);
     }
@@ -1732,8 +1706,8 @@ mod tests {
                 ..case_opts()
             },
         );
-        let events = multilevel(&fp, &mut cfg, 13);
-        let report = check_stream(&fp, &cfg, 13, &events).unwrap();
+        let events = run(&fp, &mut cfg, 13).1;
+        let report = check_stream(&fp, cfg.protocol(), 13, &events).unwrap();
         assert_eq!(report.rounds, 4);
         assert_eq!(report.faults, 4);
     }
@@ -1747,7 +1721,7 @@ mod tests {
         if let TelemetryEvent::Adversary { corrupted, .. } = &mut events[idx] {
             *corrupted += 1;
         }
-        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 42, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::FaultMismatch { .. }),
             "{err}"
@@ -1760,7 +1734,7 @@ mod tests {
     fn missing_adversary_event_is_rejected() {
         let (fp, cfg, _, mut events) = adversarial_run();
         events.remove(position(&events, "adversary"));
-        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 42, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::FaultMismatch { .. }),
             "{err}"
@@ -1773,7 +1747,7 @@ mod tests {
     fn injected_adversary_event_in_honest_stream_is_rejected() {
         let fp = problem(3, 2, 1);
         let mut cfg = hm_cfg(2, case_opts());
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let (_, mut events) = run(&fp, &mut cfg, 5);
         let idx = position(&events, "round_end");
         events.insert(
             idx,
@@ -1783,7 +1757,7 @@ mod tests {
                 attack: "sign-flip".into(),
             },
         );
-        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 5, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::UnexpectedEvent { .. }),
             "{err}"
@@ -1818,9 +1792,9 @@ mod tests {
     fn churn_hierminimax_stream_passes() {
         let fp = problem(4, 2, 4);
         let mut cfg = hm_cfg(6, churn_opts("chaos-churn"));
-        let (r, events) = hierminimax(&fp, &mut cfg, 42);
+        let (r, events) = run(&fp, &mut cfg, 42);
         assert!(r.churn.total() > 0, "chaos-churn over 6 rounds fires");
-        let report = check_stream(&fp, &cfg, 42, &events).unwrap();
+        let report = check_stream(&fp, cfg.protocol(), 42, &events).unwrap();
         assert_eq!(report.rounds, 6);
         assert!(report.local_steps > 0);
     }
@@ -1828,13 +1802,9 @@ mod tests {
     #[test]
     fn churn_hierfavg_stream_passes() {
         let fp = problem(4, 2, 5);
-        let mut cfg = HierFavgConfig {
-            rounds: 6,
-            opts: churn_opts("mild"),
-            ..Default::default()
-        };
-        let events = hierfavg(&fp, &mut cfg, 19);
-        let report = check_stream(&fp, &cfg, 19, &events).unwrap();
+        let mut cfg = hf_cfg(6, churn_opts("mild"));
+        let events = run(&fp, &mut cfg, 19).1;
+        let report = check_stream(&fp, cfg.protocol(), 19, &events).unwrap();
         assert_eq!(report.rounds, 6);
     }
 
@@ -1845,9 +1815,9 @@ mod tests {
     fn edge_failover_stream_passes_with_rehoming() {
         let fp = problem(4, 2, 6);
         let mut cfg = hm_cfg(10, churn_opts("edge-failover"));
-        let (r, events) = hierminimax(&fp, &mut cfg, 7);
+        let (r, events) = run(&fp, &mut cfg, 7);
         assert!(r.churn.rehomed > 0, "15% failure rate over 10 rounds fires");
-        let report = check_stream(&fp, &cfg, 7, &events).unwrap();
+        let report = check_stream(&fp, cfg.protocol(), 7, &events).unwrap();
         assert_eq!(report.rounds, 10);
     }
 
@@ -1868,8 +1838,8 @@ mod tests {
                 ..churn_opts("chaos-churn")
             },
         );
-        let (_, events) = hierminimax(&fp, &mut cfg, 23);
-        let report = check_stream(&fp, &cfg, 23, &events).unwrap();
+        let (_, events) = run(&fp, &mut cfg, 23);
+        let report = check_stream(&fp, cfg.protocol(), 23, &events).unwrap();
         assert_eq!(report.rounds, 5);
     }
 
@@ -1879,7 +1849,7 @@ mod tests {
     fn forged_rehoming_move_is_rejected() {
         let fp = problem(4, 2, 4);
         let mut cfg = hm_cfg(3, churn_opts("chaos-churn"));
-        let (_, events) = hierminimax(&fp, &mut cfg, 42);
+        let (_, events) = run(&fp, &mut cfg, 42);
         let forged = TelemetryEvent::Rehome {
             round: 0,
             client: 0,
@@ -1889,7 +1859,7 @@ mod tests {
         for idx in [position(&events, "churn") + 1, position(&events, "phase1")] {
             let mut events = events.clone();
             events.insert(idx, forged.clone());
-            let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
+            let err = check_stream(&fp, cfg.protocol(), 42, &events).unwrap_err();
             assert!(
                 matches!(err, ConformanceError::ChurnMismatch { .. }),
                 "at {idx}: {err}"
@@ -1901,17 +1871,13 @@ mod tests {
     #[test]
     fn forged_leave_is_rejected() {
         let fp = problem(4, 2, 5);
-        let mut cfg = HierFavgConfig {
-            rounds: 3,
-            opts: churn_opts("mild"),
-            ..Default::default()
-        };
-        let mut events = hierfavg(&fp, &mut cfg, 19);
+        let mut cfg = hf_cfg(3, churn_opts("mild"));
+        let mut events = run(&fp, &mut cfg, 19).1;
         let idx = position(&events, "churn");
         if let TelemetryEvent::Churn { left, .. } = &mut events[idx] {
             left.push(0);
         }
-        let err = check_stream(&fp, &cfg, 19, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 19, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::ChurnMismatch { .. }),
             "{err}"
@@ -1923,9 +1889,9 @@ mod tests {
     fn missing_churn_event_is_rejected() {
         let fp = problem(4, 2, 4);
         let mut cfg = hm_cfg(3, churn_opts("chaos-churn"));
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 42);
+        let (_, mut events) = run(&fp, &mut cfg, 42);
         events.remove(position(&events, "churn"));
-        let err = check_stream(&fp, &cfg, 42, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 42, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::ChurnMismatch { .. }),
             "{err}"
@@ -1938,7 +1904,7 @@ mod tests {
     fn churn_event_in_churnless_stream_is_rejected() {
         let fp = problem(3, 2, 1);
         let mut cfg = hm_cfg(2, case_opts());
-        let (_, mut events) = hierminimax(&fp, &mut cfg, 5);
+        let (_, mut events) = run(&fp, &mut cfg, 5);
         let idx = position(&events, "phase1");
         events.insert(
             idx,
@@ -1950,7 +1916,7 @@ mod tests {
                 rehomed: 0,
             },
         );
-        let err = check_stream(&fp, &cfg, 5, &events).unwrap_err();
+        let err = check_stream(&fp, cfg.protocol(), 5, &events).unwrap_err();
         assert!(
             matches!(err, ConformanceError::UnexpectedEvent { .. }),
             "{err}"

@@ -29,7 +29,7 @@
 //! aggregation accumulates per-coordinate in `f64` over sources in index
 //! order, and each SGD step is an `axpy` followed by a projection.
 
-use hm_core::algorithms::{DrfaConfig, FedAvgConfig, HierMinimaxConfig, WeightUpdateModel};
+use hm_core::algorithms::{Hyper, RunOpts, WeightUpdateModel};
 use hm_core::problem::FederatedProblem;
 use hm_data::batch::sample_batch;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
@@ -196,30 +196,31 @@ fn robust_reduce(agg: &Aggregator, sources: &[&[f32]], base: &[f32]) -> Vec<f32>
 /// naively. `w`/`p` are the round-start iterates `w^(k)` / `p^(k)`.
 ///
 /// Client crashes, straggler deadline misses and Byzantine corruption
-/// follow `cfg.opts.fault`;
-/// client→edge and edge→cloud reductions follow `cfg.opts.aggregator`.
+/// follow `opts.fault`;
+/// client→edge and edge→cloud reductions follow `opts.aggregator`.
 ///
 /// # Panics
 /// Panics on what the reference does not model: edge outages, message
 /// loss, quarantine and membership churn.
 pub fn reference_hierminimax_round(
     problem: &FederatedProblem,
-    cfg: &HierMinimaxConfig,
+    h: &Hyper,
+    opts: &RunOpts,
     seed: u64,
     k: usize,
     w: &[f32],
     p: &[f32],
 ) -> ReferenceRound {
-    let plan = &cfg.opts.fault;
+    let plan = &opts.fault;
     assert!(
         plan.edge_outage == 0.0 && plan.msg_loss == 0.0,
         "reference round models client-level faults only"
     );
     assert!(
-        cfg.opts.quarantine_z == 0.0 && cfg.opts.churn.is_none(),
+        opts.quarantine_z == 0.0 && opts.churn.is_none(),
         "reference round models neither quarantine nor churn"
     );
-    let agg = &cfg.opts.aggregator;
+    let agg = &opts.aggregator;
     let n_edges = problem.num_edges();
     let n0 = problem.clients_per_edge();
     let topo = problem.topology();
@@ -229,10 +230,10 @@ pub fn reference_hierminimax_round(
     // uniform on [τ1] × [τ2].
     let mut e_rng = StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
     let p64: Vec<f64> = p.iter().map(|&x| f64::from(x).max(0.0)).collect();
-    let sampled = e_rng.sample_weighted_with_replacement(&p64, cfg.m_edges);
+    let sampled = e_rng.sample_weighted_with_replacement(&p64, h.m);
     let mut c_rng = StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
-    let c1 = c_rng.below(cfg.tau1);
-    let c2 = c_rng.below(cfg.tau2);
+    let c1 = c_rng.below(h.tau1);
+    let c2 = c_rng.below(h.tau2);
     let (distinct, counts) = naive_multiplicities(&sampled);
 
     // Phase 1 (b): ModelUpdate at every distinct sampled edge — τ2 blocks
@@ -240,9 +241,9 @@ pub fn reference_hierminimax_round(
     // checkpoint in block c2.
     let mut edge_models: Vec<Vec<f32>> = distinct.iter().map(|_| w.to_vec()).collect();
     let mut edge_cps: Vec<Option<Vec<f32>>> = vec![None; distinct.len()];
-    for t2 in 0..cfg.tau2 {
+    for t2 in 0..h.tau2 {
         let cp_after = (t2 == c2).then_some(c1);
-        let block_tag = (k * cfg.tau2 + t2) as u64;
+        let block_tag = (k * h.tau2 + t2) as u64;
         for (ei, &e) in distinct.iter().enumerate() {
             let base = edge_models[ei].clone();
             let mut outs: Vec<Option<ClientIterates>> = Vec::new();
@@ -262,9 +263,9 @@ pub fn reference_hierminimax_round(
                     model,
                     problem.client_data(e, c),
                     &base,
-                    cfg.tau1,
-                    cfg.eta_w,
-                    cfg.batch_size,
+                    h.tau1,
+                    h.eta_w,
+                    h.batch_size,
                     &problem.w_domain,
                     &mut rng,
                     cp_after,
@@ -277,16 +278,16 @@ pub fn reference_hierminimax_round(
                         plan.corrupt_update(seed, block_tag, 0, client, &base, cp);
                     }
                 }
-                if cfg.quantizer != Quantizer::Exact {
+                if h.quantizer != Quantizer::Exact {
                     let mut qrng = StreamRng::for_key(StreamKey::new(
                         seed,
                         Purpose::Quantize,
                         block_tag,
                         client as u64,
                     ));
-                    naive_quantize_delta(&cfg.quantizer, &base, &mut w_out, &mut qrng);
+                    naive_quantize_delta(&h.quantizer, &base, &mut w_out, &mut qrng);
                     if let Some(cp) = cp_out.as_mut() {
-                        naive_quantize_delta(&cfg.quantizer, &base, cp, &mut qrng);
+                        naive_quantize_delta(&h.quantizer, &base, cp, &mut qrng);
                     }
                 }
                 outs.push(Some((w_out, cp_out)));
@@ -327,7 +328,7 @@ pub fn reference_hierminimax_round(
         .collect();
 
     // Edge → cloud codec: deltas against the round's broadcast model.
-    if cfg.quantizer != Quantizer::Exact {
+    if h.quantizer != Quantizer::Exact {
         for (ei, &e) in distinct.iter().enumerate() {
             let mut qrng = StreamRng::for_key(StreamKey::new(
                 seed,
@@ -335,17 +336,14 @@ pub fn reference_hierminimax_round(
                 k as u64,
                 1_000_000 + e as u64,
             ));
-            naive_quantize_delta(&cfg.quantizer, w, &mut edge_models[ei], &mut qrng);
-            naive_quantize_delta(&cfg.quantizer, w, &mut edge_cps[ei], &mut qrng);
+            naive_quantize_delta(&h.quantizer, w, &mut edge_models[ei], &mut qrng);
+            naive_quantize_delta(&h.quantizer, w, &mut edge_cps[ei], &mut qrng);
         }
     }
 
     // Cloud aggregation over the m_E sampled slots (eqs. 5–6). A robust
     // rule ignores the multiplicity weights; `w` is the broadcast model.
-    let weights: Vec<f64> = counts
-        .iter()
-        .map(|&c| c as f64 / cfg.m_edges as f64)
-        .collect();
+    let weights: Vec<f64> = counts.iter().map(|&c| c as f64 / h.m as f64).collect();
     let reduce = |sources: &[&[f32]]| match agg {
         Aggregator::Mean => naive_weighted_mean(sources, &weights),
         _ => robust_reduce(agg, sources, w),
@@ -357,7 +355,7 @@ pub fn reference_hierminimax_round(
 
     // Phase 2: uniform U^(k), per-edge loss estimates on the checkpoint
     // (or an ablation model), importance-weighted ascent (eq. 7).
-    let w_phase2: &[f32] = match cfg.weight_update_model {
+    let w_phase2: &[f32] = match h.weight_update_model {
         WeightUpdateModel::RandomCheckpoint => &w_checkpoint,
         WeightUpdateModel::FinalModel => &w_next,
         WeightUpdateModel::RoundStart => w,
@@ -368,9 +366,9 @@ pub fn reference_hierminimax_round(
         k as u64,
         u64::MAX,
     ));
-    let u_set = u_rng.sample_without_replacement(n_edges, cfg.m_edges);
+    let u_set = u_rng.sample_without_replacement(n_edges, h.m);
     let mut v = vec![0.0_f32; n_edges];
-    let scale = n_edges as f64 / cfg.m_edges as f64;
+    let scale = n_edges as f64 / h.m as f64;
     for &e in &u_set {
         let mut total = 0.0_f64;
         for c in 0..n0 {
@@ -385,7 +383,7 @@ pub fn reference_hierminimax_round(
                 model,
                 problem.client_data(e, c),
                 w_phase2,
-                cfg.loss_batch,
+                h.loss_batch,
                 &mut rng,
             );
         }
@@ -393,7 +391,7 @@ pub fn reference_hierminimax_round(
         v[e] = (scale * fe) as f32;
     }
     let mut p_next = p.to_vec();
-    let lr = cfg.eta_p * (cfg.tau1 * cfg.tau2) as f32;
+    let lr = h.eta_p * (h.tau1 * h.tau2) as f32;
     for (pi, &vi) in p_next.iter_mut().zip(&v) {
         *pi += lr * vi;
     }
@@ -410,14 +408,15 @@ pub fn reference_hierminimax_round(
 /// `Init`-stream model and the uniform `p^(0)`.
 pub fn reference_hierminimax_run(
     problem: &FederatedProblem,
-    cfg: &HierMinimaxConfig,
+    h: &Hyper,
+    opts: &RunOpts,
     seed: u64,
 ) -> Vec<ReferenceRound> {
     let mut w = reference_init_w(problem, seed);
     let mut p = problem.initial_p();
-    (0..cfg.rounds)
+    (0..h.rounds)
         .map(|k| {
-            let r = reference_hierminimax_round(problem, cfg, seed, k, &w, &p);
+            let r = reference_hierminimax_round(problem, h, opts, seed, k, &w, &p);
             w = r.w.clone();
             p = r.p.clone();
             r
@@ -429,7 +428,7 @@ pub fn reference_hierminimax_run(
 /// average weighted by local data size. Returns `w^{(k+1)}`.
 pub fn reference_fedavg_round(
     problem: &FederatedProblem,
-    cfg: &FedAvgConfig,
+    h: &Hyper,
     seed: u64,
     k: usize,
     w: &[f32],
@@ -437,7 +436,7 @@ pub fn reference_fedavg_round(
     let topo = problem.topology();
     let n = topo.total_clients();
     let mut s_rng = StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
-    let sampled = s_rng.sample_without_replacement(n, cfg.m_clients);
+    let sampled = s_rng.sample_without_replacement(n, h.m);
     let results: Vec<Vec<f32>> = sampled
         .iter()
         .map(|&client| {
@@ -452,9 +451,9 @@ pub fn reference_fedavg_round(
                 &*problem.model,
                 problem.client_data(edge, idx),
                 w,
-                cfg.tau1,
-                cfg.eta_w,
-                cfg.batch_size,
+                h.tau1,
+                h.eta_w,
+                h.batch_size,
                 &problem.w_domain,
                 &mut rng,
                 None,
@@ -482,7 +481,7 @@ pub fn reference_fedavg_round(
 /// vector DRFA's `dual_update` event carries).
 pub fn reference_drfa_round(
     problem: &FederatedProblem,
-    cfg: &DrfaConfig,
+    h: &Hyper,
     seed: u64,
     k: usize,
     w: &[f32],
@@ -496,10 +495,10 @@ pub fn reference_drfa_round(
 
     let mut e_rng = StreamRng::for_key(StreamKey::new(seed, Purpose::EdgeSampling, k as u64, 0));
     let q64: Vec<f64> = q.iter().map(|&x| f64::from(x).max(0.0)).collect();
-    let sampled = e_rng.sample_weighted_with_replacement(&q64, cfg.m_clients);
+    let sampled = e_rng.sample_weighted_with_replacement(&q64, h.m);
     let (distinct, counts) = naive_multiplicities(&sampled);
     let mut c_rng = StreamRng::for_key(StreamKey::new(seed, Purpose::Checkpoint, k as u64, 0));
-    let t_prime = c_rng.below(cfg.tau1);
+    let t_prime = c_rng.below(h.tau1);
 
     let results: Vec<ClientIterates> = distinct
         .iter()
@@ -514,19 +513,16 @@ pub fn reference_drfa_round(
                 &*problem.model,
                 shard(client),
                 w,
-                cfg.tau1,
-                cfg.eta_w,
-                cfg.batch_size,
+                h.tau1,
+                h.eta_w,
+                h.batch_size,
                 &problem.w_domain,
                 &mut rng,
                 Some(t_prime),
             )
         })
         .collect();
-    let weights: Vec<f64> = counts
-        .iter()
-        .map(|&c| c as f64 / cfg.m_clients as f64)
-        .collect();
+    let weights: Vec<f64> = counts.iter().map(|&c| c as f64 / h.m as f64).collect();
     let models: Vec<&[f32]> = results.iter().map(|(m, _)| m.as_slice()).collect();
     let w_next = naive_weighted_mean(&models, &weights);
     let cps: Vec<&[f32]> = results
@@ -541,9 +537,9 @@ pub fn reference_drfa_round(
         k as u64,
         u64::MAX,
     ));
-    let u_set = u_rng.sample_without_replacement(n, cfg.m_clients);
+    let u_set = u_rng.sample_without_replacement(n, h.m);
     let mut v = vec![0.0_f32; n];
-    let scale = n as f64 / cfg.m_clients as f64;
+    let scale = n as f64 / h.m as f64;
     for &client in &u_set {
         let mut rng = StreamRng::for_key(StreamKey::new(
             seed,
@@ -555,13 +551,13 @@ pub fn reference_drfa_round(
             &*problem.model,
             shard(client),
             &w_checkpoint,
-            cfg.loss_batch,
+            h.loss_batch,
             &mut rng,
         );
         v[client] = (scale * l) as f32;
     }
     let mut q_next = q.to_vec();
-    let lr = cfg.eta_q * cfg.tau1 as f32;
+    let lr = h.eta_p * h.tau1 as f32;
     for (qi, &vi) in q_next.iter_mut().zip(&v) {
         *qi += lr * vi;
     }
@@ -626,12 +622,16 @@ mod tests {
     fn reference_round_is_deterministic() {
         let sc = tiny_problem(3, 2, 11);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let cfg = HierMinimaxConfig {
+        let h = Hyper {
             rounds: 2,
-            ..Default::default()
+            eta_w: 0.05,
+            eta_p: 0.05,
+            batch_size: 4,
+            ..Hyper::default()
         };
-        let a = reference_hierminimax_run(&fp, &cfg, 7);
-        let b = reference_hierminimax_run(&fp, &cfg, 7);
+        let opts = RunOpts::default();
+        let a = reference_hierminimax_run(&fp, &h, &opts, 7);
+        let b = reference_hierminimax_run(&fp, &h, &opts, 7);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
         // p stays a distribution.

@@ -3,7 +3,7 @@
 //! A [`ScenarioSpec`] is a plain, `Debug`-printable description of one
 //! end-to-end test case — topology, periods, participation, fault plan,
 //! quantizer, constrained `P` set, and both seeds — from which the problem
-//! and every algorithm config can be built. Keeping the spec a value type
+//! and the run's [`Hyper`] and [`RunOpts`] can be built. Keeping the spec a value type
 //! (rather than generating problems directly) is what makes proptest's
 //! case reporting and regression pinning meaningful: a failing case prints
 //! and replays as a handful of integers.
@@ -13,9 +13,7 @@
 //! expressed by duplicating arms, and dependent fields (`m ≤ n`) by
 //! mapping a free integer instead of `prop_flat_map`.
 
-use hm_core::algorithms::{
-    HierFavgConfig, HierMinimaxConfig, MultiLevelConfig, RunOpts, UpperLevel, WeightUpdateModel,
-};
+use hm_core::algorithms::{Hyper, RunOpts, UpperLevel, WeightUpdateModel};
 use hm_core::problem::FederatedProblem;
 use hm_data::scenarios::tiny_problem;
 use hm_optim::ProjectionOp;
@@ -111,41 +109,29 @@ impl ScenarioSpec {
         fp
     }
 
-    /// The HierMinimax config for this spec.
-    pub fn hierminimax_config(&self) -> HierMinimaxConfig {
-        HierMinimaxConfig {
+    /// The hyper-parameters of this spec's HierMinimax or HierFAVG run
+    /// (HierFAVG reads no `P` or Phase-2 knob).
+    pub fn hyper(&self) -> Hyper {
+        Hyper {
             rounds: self.rounds,
             tau1: self.tau1,
             tau2: self.tau2,
-            m_edges: self.m_edges,
+            m: self.m_edges,
             eta_w: 0.1,
             eta_p: 0.05,
             batch_size: 2,
             loss_batch: 3,
             weight_update_model: self.weight_update_model,
             quantizer: self.quantizer,
-            opts: RunOpts {
-                fault: self.fault.clone(),
-                ..case_opts()
-            },
+            ..Hyper::default()
         }
     }
 
-    /// The HierFAVG config for this spec (fields without a HierFAVG
-    /// counterpart — `P` and the Phase-2 knobs — are simply unused).
-    pub fn hierfavg_config(&self) -> HierFavgConfig {
-        HierFavgConfig {
-            rounds: self.rounds,
-            tau1: self.tau1,
-            tau2: self.tau2,
-            m_edges: self.m_edges,
-            eta_w: 0.1,
-            batch_size: 2,
-            quantizer: self.quantizer,
-            opts: RunOpts {
-                fault: self.fault.clone(),
-                ..case_opts()
-            },
+    /// The run options of this spec: [`case_opts`] with its fault plan.
+    pub fn opts(&self) -> RunOpts {
+        RunOpts {
+            fault: self.fault.clone(),
+            ..case_opts()
         }
     }
 }
@@ -205,8 +191,8 @@ impl MultiLevelSpec {
         FederatedProblem::logistic_from_scenario(&sc)
     }
 
-    /// The multi-level config for this spec.
-    pub fn config(&self) -> MultiLevelConfig {
+    /// The hyper-parameters of this spec's MultiLevel run.
+    pub fn hyper(&self) -> Hyper {
         let upper = if self.with_upper {
             vec![UpperLevel {
                 group_size: self.group_size,
@@ -215,20 +201,25 @@ impl MultiLevelSpec {
         } else {
             Vec::new()
         };
-        MultiLevelConfig {
+        Hyper {
             rounds: self.rounds,
             tau1: self.tau1,
             tau2: self.tau2,
             upper,
-            m_groups: self.m_groups,
+            m: self.m_groups,
             eta_w: 0.1,
             eta_p: 0.02,
             batch_size: 2,
             loss_batch: 3,
-            opts: RunOpts {
-                fault: self.fault.clone(),
-                ..case_opts()
-            },
+            ..Hyper::default()
+        }
+    }
+
+    /// The run options of this spec: [`case_opts`] with its fault plan.
+    pub fn opts(&self) -> RunOpts {
+        RunOpts {
+            fault: self.fault.clone(),
+            ..case_opts()
         }
     }
 }
@@ -505,8 +496,7 @@ mod tests {
         #[test]
         fn multilevel_specs_divide_evenly(spec in arb_multilevel()) {
             prop_assert!(spec.m_groups >= 1 && spec.m_groups <= spec.groups);
-            let cfg = spec.config();
-            let per: usize = cfg.upper.iter().map(|u| u.group_size).product();
+            let per: usize = spec.hyper().upper.iter().map(|u| u.group_size).product();
             prop_assert_eq!(spec.n_edges() % per.max(1), 0);
         }
     }

@@ -10,9 +10,7 @@
 //! cargo run --release --example deep_hierarchy
 //! ```
 
-use hierminimax::core::algorithms::{
-    Algorithm, MultiLevelConfig, MultiLevelMinimax, RunOpts, UpperLevel,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, RunOpts, UpperLevel};
 use hierminimax::core::metrics::evaluate;
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::generators::synthetic_images::ImageConfig;
@@ -57,30 +55,25 @@ fn main() {
         "{:<30}{:>8}{:>14}{:>14}{:>10}{:>10}",
         "hierarchy", "groups", "cloud rounds", "local rounds", "avg", "worst"
     );
+    let opts = RunOpts {
+        eval_every: 0,
+        parallelism: Parallelism::Rayon,
+        ..Default::default()
+    };
     for (label, upper) in depths {
-        let cfg = MultiLevelConfig {
-            rounds: 0, // set below from the slot budget
-            tau1: 2,
-            tau2: 2,
+        // Two groups sampled per round, as many rounds as the budget fits.
+        let h = Hyper {
             upper,
-            m_groups: 2,
             eta_w: 0.02,
             eta_p: 0.002,
             batch_size: 1,
-            loss_batch: 16,
-            opts: RunOpts {
-                eval_every: 0,
-                parallelism: Parallelism::Rayon,
-                ..Default::default()
-            },
+            ..Hyper::default()
         };
-        let cfg = MultiLevelConfig {
-            rounds: (total_slots / cfg.slots_per_round()).max(1),
-            ..cfg
-        };
-        let alg = MultiLevelMinimax::new(cfg);
-        let groups = alg.num_groups(&problem);
-        let r = alg.run(&problem, 29);
+        let rounds = (total_slots / Method::MultiLevel.slots_per_round(&h)).max(1);
+        let h = Hyper { rounds, ..h };
+        let r = Method::MultiLevel.build(&h, opts.clone()).run(&problem, 29);
+        // `p` weighs the top-level groups.
+        let groups = r.final_p.len();
         let e = evaluate(&problem, &r.final_w, Parallelism::Rayon);
         println!(
             "{:<30}{:>8}{:>14}{:>14}{:>10.3}{:>10.3}",

@@ -10,9 +10,7 @@
 //! cargo run --release --example fair_vs_unfair
 //! ```
 
-use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, RunOpts,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, RunOpts};
 use hierminimax::core::metrics::evaluate;
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::generators::synthetic_images::ImageConfig;
@@ -28,34 +26,19 @@ fn main() {
         ..Default::default()
     };
 
-    println!("training HierFAVG (minimization) ...");
-    let favg = HierFavg::new(HierFavgConfig {
+    let h = Hyper {
         rounds: 1500,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 5,
-        eta_w: 0.05,
-        batch_size: 2,
-        quantizer: Default::default(),
-        opts: opts.clone(),
-    })
-    .run(&problem, 1);
-
-    println!("training HierMinimax (minimax) ...");
-    let hm = HierMinimax::new(HierMinimaxConfig {
-        rounds: 1500,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 5,
+        m: 5,
         eta_w: 0.05,
         eta_p: 0.002,
-        batch_size: 2,
-        loss_batch: 16,
-        weight_update_model: Default::default(),
-        quantizer: Default::default(),
-        opts,
-    })
-    .run(&problem, 1);
+        ..Hyper::default()
+    };
+
+    println!("training HierFAVG (minimization) ...");
+    let favg = Method::HierFavg.build(&h, opts.clone()).run(&problem, 1);
+
+    println!("training HierMinimax (minimax) ...");
+    let hm = Method::HierMinimax.build(&h, opts).run(&problem, 1);
 
     let e_favg = evaluate(&problem, &favg.final_w, Parallelism::Rayon);
     let e_hm = evaluate(&problem, &hm.final_w, Parallelism::Rayon);

@@ -10,9 +10,7 @@
 //! cargo run --release --example fairness_frontier
 //! ```
 
-use hierminimax::core::algorithms::{
-    Algorithm, HierMinimax, HierMinimaxConfig, QFedAvg, QfflConfig, RunOpts,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, RunOpts};
 use hierminimax::core::metrics::evaluate;
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::generators::synthetic_images::ImageConfig;
@@ -36,19 +34,20 @@ fn main() {
         "method", "avg", "worst", "var (pp^2)"
     );
 
-    // q-FFL sweep: soft fairness.
+    let h = Hyper {
+        rounds: 1500,
+        m: 15,
+        eta_w: 0.05,
+        eta_p: 0.002,
+        batch_size: 1,
+        loss_batch: 32,
+        ..Hyper::default()
+    };
+
+    // q-FFL sweep over 15 clients: soft fairness.
     for q in [0.0, 1.0, 3.0] {
-        let r = QFedAvg::new(QfflConfig {
-            rounds: 1500,
-            tau1: 2,
-            m_clients: 15,
-            q,
-            eta_w: 0.05,
-            batch_size: 1,
-            loss_batch: 32,
-            opts: opts.clone(),
-        })
-        .run(&problem, 3);
+        let q_h = Hyper { q, ..h.clone() };
+        let r = Method::QFedAvg.build(&q_h, opts.clone()).run(&problem, 3);
         let e = evaluate(&problem, &r.final_w, Parallelism::Rayon);
         println!(
             "{:<28}{:>10.4}{:>10.4}{:>12.2}",
@@ -63,20 +62,13 @@ fn main() {
     for cap in [0.15_f32, 0.3, 1.0] {
         let mut p = problem.clone();
         p.p_domain = ProjectionOp::CappedSimplex { lo: 0.0, hi: cap };
-        let r = HierMinimax::new(HierMinimaxConfig {
+        // Half the rounds of twice the slots, on 5 edges.
+        let hm_h = Hyper {
             rounds: 750,
-            tau1: 2,
-            tau2: 2,
-            m_edges: 5,
-            eta_w: 0.05,
-            eta_p: 0.002,
-            batch_size: 1,
-            loss_batch: 32,
-            weight_update_model: Default::default(),
-            quantizer: Default::default(),
-            opts: opts.clone(),
-        })
-        .run(&p, 3);
+            m: 5,
+            ..h.clone()
+        };
+        let r = Method::HierMinimax.build(&hm_h, opts.clone()).run(&p, 3);
         let e = evaluate(&p, &r.final_w, Parallelism::Rayon);
         println!(
             "{:<28}{:>10.4}{:>10.4}{:>12.2}",

@@ -22,7 +22,7 @@
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, RunOpts,
+    Algorithm, HierMinimax, HierMinimaxConfig, Hyper, Method, RunOpts,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
@@ -173,28 +173,18 @@ fn resume_carries_quarantine_state_bit_identically() {
         o.quarantine_window = 3;
         o
     };
-    for (name, factory) in [
-        (
-            "HierMinimax",
-            Box::new(|o: RunOpts| Box::new(hierminimax(ROUNDS, o)) as Box<dyn Algorithm>)
-                as Box<dyn Fn(RunOpts) -> Box<dyn Algorithm>>,
-        ),
-        (
-            "HierFAVG",
-            Box::new(|o: RunOpts| {
-                Box::new(HierFavg::new(HierFavgConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 3,
-                    m_edges: 3,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    quantizer: Default::default(),
-                    opts: o,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-    ] {
+    // `hierminimax(ROUNDS, _)`'s hyper-parameters.
+    let h = Hyper {
+        rounds: ROUNDS,
+        tau2: 3,
+        m: 3,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        loss_batch: 4,
+        ..Hyper::default()
+    };
+    for method in [Method::HierMinimax, Method::HierFavg] {
+        let (name, factory) = (method.name(), |o: RunOpts| method.build(&h, o));
         let dir = std::env::temp_dir().join(format!(
             "hm-byz-resume-{}-{}",
             name.to_lowercase(),

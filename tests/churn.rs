@@ -20,8 +20,7 @@
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig,
-    MultiLevelMinimax, RunError, RunOpts, UpperLevel,
+    Algorithm, HierMinimax, HierMinimaxConfig, Hyper, Method, MethodRun, RunError, RunOpts,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
@@ -63,17 +62,13 @@ fn hmx_cfg(rounds: usize, opts: RunOpts) -> HierMinimaxConfig {
     }
 }
 
-fn hfa_cfg(rounds: usize, opts: RunOpts) -> HierFavgConfig {
-    HierFavgConfig {
+fn hfa(rounds: usize, opts: RunOpts) -> MethodRun {
+    let h = Hyper {
         rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
         eta_w: 0.1,
-        batch_size: 2,
-        opts,
-        ..Default::default()
-    }
+        ..Hyper::default()
+    };
+    Method::HierFavg.build(&h, opts)
 }
 
 fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {
@@ -117,8 +112,8 @@ fn zero_rate_plan_is_bit_identical_to_no_churn() {
     assert_identical("hierminimax zero-rate", &with_zero, &without);
     assert_eq!(with_zero.churn.total(), 0);
 
-    let with_zero = HierFavg::new(hfa_cfg(ROUNDS, base)).run(&fp, SEED);
-    let without = HierFavg::new(hfa_cfg(ROUNDS, plain)).run(&fp, SEED);
+    let with_zero = hfa(ROUNDS, base).run(&fp, SEED);
+    let without = hfa(ROUNDS, plain).run(&fp, SEED);
     assert_identical("hierfavg zero-rate", &with_zero, &without);
 }
 
@@ -294,9 +289,7 @@ fn stale_rounds_abort_with_typed_error() {
             limit: 2,
         }
     );
-    let err = HierFavg::new(hfa_cfg(ROUNDS, all_out_opts(1)))
-        .try_run(&fp, SEED)
-        .unwrap_err();
+    let err = hfa(ROUNDS, all_out_opts(1)).try_run(&fp, SEED).unwrap_err();
     assert_eq!(
         err,
         RunError::StaleRoundsExceeded {
@@ -317,16 +310,15 @@ fn multilevel_aborts_on_stale_rounds() {
         consecutive: 3,
         limit: 2,
     };
-    let ml = MultiLevelMinimax::new(MultiLevelConfig {
+    // Two groups of two edges.
+    let h = Hyper {
         rounds: ROUNDS,
-        upper: vec![UpperLevel {
-            group_size: 2,
-            tau: 2,
-        }],
-        m_groups: 2,
-        opts: all_out_opts(2),
-        ..Default::default()
-    });
+        eta_w: 0.05,
+        eta_p: 0.01,
+        batch_size: 4,
+        ..Hyper::default()
+    };
+    let ml = Method::MultiLevel.build(&h, all_out_opts(2));
     assert_eq!(ml.try_run(&fp, SEED).err(), Some(want));
 }
 
@@ -348,7 +340,7 @@ fn resumed_run_keeps_the_stale_round_streak() {
         ("HierMinimax", |r, o| {
             Box::new(HierMinimax::new(hmx_cfg(r, o)))
         }),
-        ("HierFAVG", |r, o| Box::new(HierFavg::new(hfa_cfg(r, o)))),
+        ("HierFAVG", |r, o| Box::new(hfa(r, o))),
     ];
     for (name, factory) in algorithms {
         let dir = scratch_dir(&format!("stale-{name}"));

@@ -4,10 +4,7 @@
 //! monotonicity). These catch "forgot to meter an exchange" bugs when
 //! algorithms change.
 
-use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, QFedAvg, QfflConfig, RunOpts, StochasticAfl,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, MethodRun, Param, RunOpts};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::{Link, Parallelism};
@@ -20,90 +17,29 @@ fn opts() -> RunOpts {
     }
 }
 
-fn two_layer_algorithms() -> Vec<Box<dyn Algorithm>> {
-    vec![
-        Box::new(FedAvg::new(FedAvgConfig {
-            rounds: 6,
-            tau1: 2,
-            m_clients: 4,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts: opts(),
-        })),
-        Box::new(FedProx::new(FedProxConfig {
-            rounds: 6,
-            tau1: 2,
-            m_clients: 4,
-            mu: 0.1,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts: opts(),
-        })),
-        Box::new(StochasticAfl::new(AflConfig {
-            rounds: 6,
-            m_clients: 4,
-            eta_w: 0.1,
-            eta_q: 0.01,
-            batch_size: 2,
-            loss_batch: 4,
-            opts: opts(),
-        })),
-        Box::new(Drfa::new(DrfaConfig {
-            rounds: 6,
-            tau1: 2,
-            m_clients: 4,
-            eta_w: 0.1,
-            eta_q: 0.01,
-            batch_size: 2,
-            loss_batch: 4,
-            opts: opts(),
-        })),
-        Box::new(QFedAvg::new(QfflConfig {
-            rounds: 6,
-            tau1: 2,
-            m_clients: 4,
-            q: 1.0,
-            eta_w: 0.1,
-            batch_size: 2,
-            loss_batch: 4,
-            opts: opts(),
-        })),
-    ]
-}
-
-fn three_layer_algorithms() -> Vec<Box<dyn Algorithm>> {
-    vec![
-        Box::new(HierFavg::new(HierFavgConfig {
-            rounds: 6,
-            tau1: 2,
-            tau2: 3,
-            m_edges: 2,
-            eta_w: 0.1,
-            batch_size: 2,
-            quantizer: Default::default(),
-            opts: opts(),
-        })),
-        Box::new(HierMinimax::new(HierMinimaxConfig {
-            rounds: 6,
-            tau1: 2,
-            tau2: 3,
-            m_edges: 2,
-            eta_w: 0.1,
-            eta_p: 0.01,
-            batch_size: 2,
-            loss_batch: 4,
-            weight_update_model: Default::default(),
-            quantizer: Default::default(),
-            opts: opts(),
-        })),
-    ]
+/// The two-layer baselines, or (`!two_layer`) HierFAVG and HierMinimax.
+fn algorithms(two_layer: bool) -> Vec<MethodRun> {
+    let h = Hyper {
+        rounds: 6,
+        tau2: 3,
+        eta_w: 0.1,
+        eta_p: 0.01,
+        loss_batch: 4,
+        ..Hyper::default()
+    };
+    let m = if two_layer { 4 } else { 2 };
+    Method::ALL
+        .into_iter()
+        .filter(|&method| method != Method::MultiLevel && method.reads(Param::Tau2) != two_layer)
+        .map(|method| method.build(&Hyper { m, ..h.clone() }, opts()))
+        .collect()
 }
 
 #[test]
 fn two_layer_methods_use_only_the_client_cloud_link() {
     let sc = tiny_problem(3, 2, 101);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    for alg in two_layer_algorithms() {
+    for alg in algorithms(true) {
         let r = alg.run(&fp, 3);
         let s = r.comm;
         assert_eq!(s.rounds(Link::ClientEdge), 0, "{}", alg.name());
@@ -118,7 +54,7 @@ fn two_layer_methods_use_only_the_client_cloud_link() {
 fn three_layer_methods_never_touch_the_client_cloud_link() {
     let sc = tiny_problem(3, 2, 102);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    for alg in three_layer_algorithms() {
+    for alg in algorithms(false) {
         let r = alg.run(&fp, 3);
         let s = r.comm;
         assert_eq!(s.rounds(Link::ClientCloud), 0, "{}", alg.name());
@@ -135,7 +71,7 @@ fn model_traffic_floor_bounds_hold() {
     let sc = tiny_problem(3, 2, 103);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let d = fp.num_params() as u64;
-    for alg in two_layer_algorithms() {
+    for alg in algorithms(true) {
         let r = alg.run(&fp, 3);
         let s = r.comm;
         // m = 4 participants, 6 rounds: ≥ 4·6·d down and up (AFL's union
@@ -162,8 +98,8 @@ fn model_traffic_floor_bounds_hold() {
 fn cumulative_counters_are_monotone_across_history() {
     let sc = tiny_problem(3, 2, 104);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let mut algs = two_layer_algorithms();
-    algs.extend(three_layer_algorithms());
+    let mut algs = algorithms(true);
+    algs.extend(algorithms(false));
     for alg in algs {
         let r = alg.run(&fp, 5);
         for w in r.history.rounds.windows(2) {

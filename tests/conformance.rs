@@ -12,17 +12,38 @@
 //! rounds), so they stay covered regardless of how the generator evolves.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
-use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierMinimax, HierMinimaxConfig, MultiLevelMinimax, WeightUpdateModel,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, RunOpts, WeightUpdateModel};
+use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::CheckpointOpts;
 use hierminimax::simnet::sampling::sample_edges_uniform;
 use hierminimax::simnet::{CommStats, FaultPlan, Quantizer};
 use hierminimax::telemetry::TelemetryEvent;
 use hm_testkit::strategies::{arb_multilevel, arb_scenario, record};
-use hm_testkit::{check_stream, scrub, splice, ConformanceError, PDomainSpec, ScenarioSpec};
+use hm_testkit::{
+    check_stream, scrub, splice, ConformanceError, PDomainSpec, Protocol, ScenarioSpec,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// `method`'s run of `h` under `opts` on `fp`, recorded: its result and
+/// its stream.
+fn recorded(
+    method: Method,
+    h: &Hyper,
+    opts: &RunOpts,
+    fp: &FederatedProblem,
+    seed: u64,
+) -> (hierminimax::core::RunResult, Vec<TelemetryEvent>) {
+    let mut opts = opts.clone();
+    let sink = record(&mut opts);
+    let r = method.build(h, opts).run(fp, seed);
+    (r, sink.events())
+}
+
+/// HierMinimax's protocol on `h` under `opts`.
+fn hm<'a>(h: &'a Hyper, opts: &'a RunOpts) -> Protocol<'a> {
+    Protocol::new(Method::HierMinimax, h, opts)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -30,11 +51,9 @@ proptest! {
     /// Every generated HierMinimax run conforms to the Algorithm-1 model.
     #[test]
     fn hierminimax_traces_conform(spec in arb_scenario()) {
-        let fp = spec.problem();
-        let mut cfg = spec.hierminimax_config();
-        let sink = record(&mut cfg.opts);
-        HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
+        let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+        let (_, events) = recorded(Method::HierMinimax, &h, &opts, &fp, spec.run_seed);
+        let report = check_stream(&fp, hm(&h, &opts), spec.run_seed, &events)
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         prop_assert_eq!(report.rounds, spec.rounds);
     }
@@ -46,11 +65,10 @@ proptest! {
     /// Every generated HierFAVG run conforms to the Phase-1-only model.
     #[test]
     fn hierfavg_traces_conform(spec in arb_scenario()) {
-        let fp = spec.problem();
-        let mut cfg = spec.hierfavg_config();
-        let sink = record(&mut cfg.opts);
-        HierFavg::new(cfg.clone()).run(&fp, spec.run_seed);
-        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
+        let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+        let (_, events) = recorded(Method::HierFavg, &h, &opts, &fp, spec.run_seed);
+        let pr = Protocol::new(Method::HierFavg, &h, &opts);
+        let report = check_stream(&fp, pr, spec.run_seed, &events)
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         prop_assert_eq!(report.rounds, spec.rounds);
         prop_assert_eq!(report.checkpoints, 0);
@@ -64,11 +82,10 @@ proptest! {
     /// including the recursive intermediate-link comm accounting.
     #[test]
     fn multilevel_traces_conform(spec in arb_multilevel()) {
-        let fp = spec.problem();
-        let mut cfg = spec.config();
-        let sink = record(&mut cfg.opts);
-        MultiLevelMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        let report = check_stream(&fp, &cfg, spec.run_seed, &sink.events())
+        let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+        let (_, events) = recorded(Method::MultiLevel, &h, &opts, &fp, spec.run_seed);
+        let pr = Protocol::new(Method::MultiLevel, &h, &opts);
+        let report = check_stream(&fp, pr, spec.run_seed, &events)
             .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
         prop_assert_eq!(report.rounds, spec.rounds);
     }
@@ -189,28 +206,23 @@ fn regression_corpus() -> Vec<ScenarioSpec> {
 #[test]
 fn regression_corpus_conforms() {
     for spec in regression_corpus() {
-        let fp = spec.problem();
-        let mut cfg = spec.hierminimax_config();
-        let sink = record(&mut cfg.opts);
-        HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-        check_stream(&fp, &cfg, spec.run_seed, &sink.events())
-            .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
-        let mut fcfg = spec.hierfavg_config();
-        let sink = record(&mut fcfg.opts);
-        HierFavg::new(fcfg.clone()).run(&fp, spec.run_seed);
-        check_stream(&fp, &fcfg, spec.run_seed, &sink.events())
-            .unwrap_or_else(|e| panic!("{spec:?}: {e}"));
+        let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+        for method in [Method::HierMinimax, Method::HierFavg] {
+            let (_, events) = recorded(method, &h, &opts, &fp, spec.run_seed);
+            check_stream(
+                &fp,
+                Protocol::new(method, &h, &opts),
+                spec.run_seed,
+                &events,
+            )
+            .unwrap_or_else(|e| panic!("{spec:?} {method:?}: {e}"));
+        }
     }
 }
 
 // ---- Negative tests: injected protocol bugs must be caught. -------------
 
-fn valid_run() -> (
-    hierminimax::core::problem::FederatedProblem,
-    HierMinimaxConfig,
-    u64,
-    Vec<TelemetryEvent>,
-) {
+fn valid_run() -> (FederatedProblem, Hyper, RunOpts, u64, Vec<TelemetryEvent>) {
     let spec = ScenarioSpec {
         n_edges: 3,
         clients_per_edge: 2,
@@ -225,16 +237,14 @@ fn valid_run() -> (
         weight_update_model: WeightUpdateModel::RandomCheckpoint,
         fault: FaultPlan::default(),
     };
-    let fp = spec.problem();
-    let mut cfg = spec.hierminimax_config();
-    let sink = record(&mut cfg.opts);
-    HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
-    (fp, cfg, spec.run_seed, sink.events())
+    let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+    let (_, events) = recorded(Method::HierMinimax, &h, &opts, &fp, spec.run_seed);
+    (fp, h, opts, spec.run_seed, events)
 }
 
 #[test]
 fn off_by_one_checkpoint_is_caught() {
-    let (fp, cfg, seed, mut events) = valid_run();
+    let (fp, h, opts, seed, mut events) = valid_run();
     // Shift the first checkpoint draw past the end of the block — the
     // classic 1-based-indexing bug.
     let ev = events
@@ -246,9 +256,9 @@ fn off_by_one_checkpoint_is_caught() {
         ..
     } = ev
     {
-        *c1 += cfg.tau1;
+        *c1 += h.tau1;
     }
-    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, hm(&h, &opts), seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::CheckpointOutOfRange { .. }),
         "expected CheckpointOutOfRange, got {err}"
@@ -257,7 +267,7 @@ fn off_by_one_checkpoint_is_caught() {
 
 #[test]
 fn unweighted_phase1_sampling_is_caught() {
-    let (fp, cfg, seed, mut events) = valid_run();
+    let (fp, h, opts, seed, mut events) = valid_run();
     // Re-draw Phase 1 uniformly instead of ∝ p — the "forgot the weights"
     // bug. Uses the *same* keyed stream, so only the distribution differs.
     let n_edges = 3;
@@ -278,7 +288,7 @@ fn unweighted_phase1_sampling_is_caught() {
         assert_ne!(uniform, *edges, "pick a different seed for this test");
         *edges = uniform;
     }
-    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, hm(&h, &opts), seed, &events).unwrap_err();
     assert!(
         matches!(
             err,
@@ -293,7 +303,7 @@ fn unweighted_phase1_sampling_is_caught() {
 
 #[test]
 fn infeasible_weight_update_is_caught() {
-    let (fp, cfg, seed, mut events) = valid_run();
+    let (fp, h, opts, seed, mut events) = valid_run();
     // Ascent without the projection: p leaves the simplex.
     let ev = events
         .iter_mut()
@@ -302,7 +312,7 @@ fn infeasible_weight_update_is_caught() {
     if let TelemetryEvent::DualUpdate { p, .. } = ev {
         *p = vec![0.9; p.len()];
     }
-    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, hm(&h, &opts), seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::InfeasibleWeights { .. }),
         "expected InfeasibleWeights, got {err}"
@@ -311,7 +321,7 @@ fn infeasible_weight_update_is_caught() {
 
 #[test]
 fn wrong_comm_accounting_is_caught() {
-    let (fp, cfg, seed, mut events) = valid_run();
+    let (fp, h, opts, seed, mut events) = valid_run();
     // A meter that never recorded anything: every per-round delta zero.
     let ev = events
         .iter_mut()
@@ -320,7 +330,7 @@ fn wrong_comm_accounting_is_caught() {
     if let TelemetryEvent::RoundEnd { comm_delta, .. } = ev {
         *comm_delta = CommStats::default();
     }
-    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, hm(&h, &opts), seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::CommMismatch { .. }),
         "expected CommMismatch, got {err}"
@@ -329,7 +339,7 @@ fn wrong_comm_accounting_is_caught() {
 
 #[test]
 fn reordered_phases_are_caught() {
-    let (fp, cfg, seed, mut events) = valid_run();
+    let (fp, h, opts, seed, mut events) = valid_run();
     // Swap the first round's opening and its Phase-1 draw: right events,
     // wrong protocol order.
     let open = events
@@ -337,7 +347,7 @@ fn reordered_phases_are_caught() {
         .position(|e| matches!(e, TelemetryEvent::RoundStart { .. }))
         .unwrap();
     events.swap(open, open + 1);
-    let err = check_stream(&fp, &cfg, seed, &events).unwrap_err();
+    let err = check_stream(&fp, hm(&h, &opts), seed, &events).unwrap_err();
     assert!(
         matches!(err, ConformanceError::UnexpectedEvent { .. }),
         "expected UnexpectedEvent, got {err}"
@@ -376,20 +386,23 @@ fn checkpointed_and_resumed(
     let dir = std::env::temp_dir().join(format!("hm-splice-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut ck_cfg = spec.hierminimax_config();
-    ck_cfg.opts.checkpoint = CheckpointOpts::writing(&dir, 1);
-    let writer = record(&mut ck_cfg.opts);
-    HierMinimax::new(ck_cfg).run(&fp, spec.run_seed);
+    let (h, seed) = (spec.hyper(), spec.run_seed);
+    let ck = RunOpts {
+        checkpoint: CheckpointOpts::writing(&dir, 1),
+        ..spec.opts()
+    };
+    let (_, writer) = recorded(Method::HierMinimax, &h, &ck, &fp, seed);
 
     let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", resume_round))
         .unwrap_or_else(|e| panic!("{tag}: reading round-{resume_round} snapshot: {e}"));
-    let mut rs_cfg = spec.hierminimax_config();
-    rs_cfg.opts.checkpoint = CheckpointOpts::resuming(Arc::new(snap));
-    let resumed = record(&mut rs_cfg.opts);
-    HierMinimax::new(rs_cfg).run(&fp, spec.run_seed);
+    let rs = RunOpts {
+        checkpoint: CheckpointOpts::resuming(Arc::new(snap)),
+        ..spec.opts()
+    };
+    let (_, resumed) = recorded(Method::HierMinimax, &h, &rs, &fp, seed);
 
     let _ = std::fs::remove_dir_all(&dir);
-    (writer.events(), resumed.events())
+    (writer, resumed)
 }
 
 fn splice_spec() -> ScenarioSpec {
@@ -409,19 +422,24 @@ fn splice_spec() -> ScenarioSpec {
     }
 }
 
-/// The uninterrupted run of `spec` and its stream.
-fn uninterrupted(spec: &ScenarioSpec) -> (HierMinimaxConfig, Vec<TelemetryEvent>) {
-    let mut cfg = spec.hierminimax_config();
-    let sink = record(&mut cfg.opts);
-    HierMinimax::new(cfg.clone()).run(&spec.problem(), spec.run_seed);
-    (cfg, sink.events())
+/// The stream of `spec`'s uninterrupted run.
+fn uninterrupted(spec: &ScenarioSpec) -> Vec<TelemetryEvent> {
+    let (h, opts) = (spec.hyper(), spec.opts());
+    recorded(
+        Method::HierMinimax,
+        &h,
+        &opts,
+        &spec.problem(),
+        spec.run_seed,
+    )
+    .1
 }
 
 #[test]
 fn spliced_resumed_trace_conforms_and_matches_uninterrupted() {
     let spec = splice_spec();
-    let fp = spec.problem();
-    let (cfg, full) = uninterrupted(&spec);
+    let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+    let full = uninterrupted(&spec);
 
     for kill_round in 1..spec.rounds {
         let (writer, resumed) = checkpointed_and_resumed(&spec, kill_round, "honest");
@@ -431,7 +449,7 @@ fn spliced_resumed_trace_conforms_and_matches_uninterrupted() {
             comparable(&full),
             "splice at round {kill_round} diverges from the uninterrupted stream"
         );
-        let report = check_stream(&fp, &cfg, spec.run_seed, &spliced)
+        let report = check_stream(&fp, hm(&h, &opts), spec.run_seed, &spliced)
             .unwrap_or_else(|e| panic!("splice at round {kill_round}: {e}"));
         assert_eq!(report.rounds, spec.rounds);
     }
@@ -440,13 +458,12 @@ fn spliced_resumed_trace_conforms_and_matches_uninterrupted() {
 #[test]
 fn forged_splice_skipping_a_round_is_rejected() {
     let spec = splice_spec();
-    let fp = spec.problem();
-    let cfg = spec.hierminimax_config();
+    let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
     // Writer cut before round 1, resumed at round 2: round 1 is missing
     // from the spliced stream.
     let (writer, resumed) = checkpointed_and_resumed(&spec, 2, "skip");
     let forged = splice(&writer, &resumed, 1);
-    let err = check_stream(&fp, &cfg, spec.run_seed, &forged).unwrap_err();
+    let err = check_stream(&fp, hm(&h, &opts), spec.run_seed, &forged).unwrap_err();
     assert!(
         matches!(
             err,
@@ -459,13 +476,12 @@ fn forged_splice_skipping_a_round_is_rejected() {
 #[test]
 fn forged_splice_repeating_a_round_is_rejected() {
     let spec = splice_spec();
-    let fp = spec.problem();
-    let cfg = spec.hierminimax_config();
+    let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
     // Writer kept through round 1, resumed at round 1: round 1 appears
     // twice in the spliced stream.
     let (writer, resumed) = checkpointed_and_resumed(&spec, 1, "repeat");
     let forged = splice(&writer, &resumed, 2);
-    let err = check_stream(&fp, &cfg, spec.run_seed, &forged).unwrap_err();
+    let err = check_stream(&fp, hm(&h, &opts), spec.run_seed, &forged).unwrap_err();
     assert!(
         matches!(
             err,
@@ -510,8 +526,8 @@ fn resumed_regression_corpus() -> Vec<(ScenarioSpec, usize)> {
 #[test]
 fn resumed_regression_corpus_conforms() {
     for (i, (spec, kill_round)) in resumed_regression_corpus().into_iter().enumerate() {
-        let fp = spec.problem();
-        let (cfg, full) = uninterrupted(&spec);
+        let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+        let full = uninterrupted(&spec);
         let tag = format!("corpus-{i}");
         let (writer, resumed) = checkpointed_and_resumed(&spec, kill_round, &tag);
         let spliced = splice(&writer, &resumed, kill_round);
@@ -520,7 +536,7 @@ fn resumed_regression_corpus_conforms() {
             comparable(&full),
             "{spec:?} kill {kill_round}: splice diverges"
         );
-        check_stream(&fp, &cfg, spec.run_seed, &spliced)
+        check_stream(&fp, hm(&h, &opts), spec.run_seed, &spliced)
             .unwrap_or_else(|e| panic!("{spec:?} kill {kill_round}: {e}"));
     }
 }
@@ -535,53 +551,51 @@ fn resumed_regression_corpus_conforms() {
 
 #[test]
 fn spliced_churn_trace_conforms_and_matches_uninterrupted() {
-    use hierminimax::core::problem::FederatedProblem;
     use hierminimax::data::scenarios::tiny_problem;
     use hierminimax::simnet::ChurnPlan;
 
     let fp = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 23));
     let rounds = 6;
-    let mut cfg = HierMinimaxConfig {
+    let h = Hyper {
         rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
+        eta_w: 0.05,
+        eta_p: 0.05,
         batch_size: 2,
         loss_batch: 4,
-        opts: hierminimax::core::algorithms::RunOpts {
-            churn: ChurnPlan::preset("chaos-churn").unwrap(),
-            ..Default::default()
-        },
+        ..Hyper::default()
+    };
+    let opts = RunOpts {
+        churn: ChurnPlan::preset("chaos-churn").unwrap(),
         ..Default::default()
     };
     let seed = 42;
-    let full_sink = record(&mut cfg.opts);
-    let full_run = HierMinimax::new(cfg.clone()).run(&fp, seed);
+    let (full_run, full) = recorded(Method::HierMinimax, &h, &opts, &fp, seed);
     assert!(full_run.churn.rehomed > 0, "chaos-churn must re-home here");
-    let full = full_sink.events();
-    check_stream(&fp, &cfg, seed, &full).unwrap();
+    check_stream(&fp, hm(&h, &opts), seed, &full).unwrap();
 
     let dir = std::env::temp_dir().join(format!("hm-churn-splice-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut ck_cfg = cfg.clone();
-    ck_cfg.opts.checkpoint = CheckpointOpts::writing(&dir, 1);
-    let writer = record(&mut ck_cfg.opts);
-    HierMinimax::new(ck_cfg).run(&fp, seed);
+    let ck = RunOpts {
+        checkpoint: CheckpointOpts::writing(&dir, 1),
+        ..opts.clone()
+    };
+    let (_, writer) = recorded(Method::HierMinimax, &h, &ck, &fp, seed);
 
     for kill_round in 1..rounds {
         let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", kill_round))
             .unwrap_or_else(|e| panic!("reading round-{kill_round} snapshot: {e}"));
-        let mut rs_cfg = cfg.clone();
-        rs_cfg.opts.checkpoint = CheckpointOpts::resuming(Arc::new(snap));
-        let resumed = record(&mut rs_cfg.opts);
-        HierMinimax::new(rs_cfg).run(&fp, seed);
-        let spliced = splice(&writer.events(), &resumed.events(), kill_round);
+        let rs = RunOpts {
+            checkpoint: CheckpointOpts::resuming(Arc::new(snap)),
+            ..opts.clone()
+        };
+        let (_, resumed) = recorded(Method::HierMinimax, &h, &rs, &fp, seed);
+        let spliced = splice(&writer, &resumed, kill_round);
         assert_eq!(
             comparable(&spliced),
             comparable(&full),
             "churn splice at round {kill_round} diverges from the uninterrupted stream"
         );
-        let report = check_stream(&fp, &cfg, seed, &spliced)
+        let report = check_stream(&fp, hm(&h, &opts), seed, &spliced)
             .unwrap_or_else(|e| panic!("churn splice at round {kill_round}: {e}"));
         assert_eq!(report.rounds, rounds);
     }

@@ -3,7 +3,7 @@
 //! scale so they run in CI time.
 
 use hierminimax::core::algorithms::{
-    Algorithm, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig, RunOpts,
+    Algorithm, HierMinimax, HierMinimaxConfig, Hyper, Method, RunOpts,
 };
 use hierminimax::core::duality::{duality_gap, GapConfig};
 use hierminimax::core::metrics::evaluate;
@@ -79,32 +79,16 @@ fn minimax_beats_minimization_on_worst_edge() {
         parallelism: Parallelism::Rayon,
         ..Default::default()
     };
-    let rounds = 600;
-    let favg = HierFavg::new(HierFavgConfig {
-        rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 3,
-        eta_w: 0.02,
-        batch_size: 1,
-        quantizer: Default::default(),
-        opts: opts.clone(),
-    })
-    .run(&fp, 3);
-    let hm = HierMinimax::new(HierMinimaxConfig {
-        rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 3,
+    let h = Hyper {
+        rounds: 600,
+        m: 3,
         eta_w: 0.02,
         eta_p: 0.005,
         batch_size: 1,
-        loss_batch: 16,
-        weight_update_model: Default::default(),
-        quantizer: Default::default(),
-        opts,
-    })
-    .run(&fp, 3);
+        ..Hyper::default()
+    };
+    let [favg, hm] =
+        [Method::HierFavg, Method::HierMinimax].map(|m| m.build(&h, opts.clone()).run(&fp, 3));
 
     let e_favg = evaluate(&fp, &favg.final_w, Parallelism::Rayon);
     let e_hm = evaluate(&fp, &hm.final_w, Parallelism::Rayon);
@@ -196,9 +180,6 @@ fn frozen_model_weights_climb_to_max_loss_vertex() {
 /// the full stack end to end through the umbrella crate).
 #[test]
 fn all_methods_learn_tiny_problem_to_high_accuracy() {
-    use hierminimax::core::algorithms::{
-        AflConfig, Drfa, DrfaConfig, FedAvg, FedAvgConfig, StochasticAfl,
-    };
     let sc = tiny_problem(3, 2, 32);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let opts = RunOpts {
@@ -206,46 +187,15 @@ fn all_methods_learn_tiny_problem_to_high_accuracy() {
         parallelism: Parallelism::Rayon,
         ..Default::default()
     };
-    let algs: Vec<Box<dyn Algorithm>> = vec![
-        Box::new(HierMinimax::new(HierMinimaxConfig {
-            rounds: 200,
-            m_edges: 2,
-            eta_w: 0.1,
-            eta_p: 0.002,
-            opts: opts.clone(),
-            ..Default::default()
-        })),
-        Box::new(HierFavg::new(HierFavgConfig {
-            rounds: 200,
-            m_edges: 2,
-            eta_w: 0.1,
-            opts: opts.clone(),
-            ..Default::default()
-        })),
-        Box::new(FedAvg::new(FedAvgConfig {
-            rounds: 400,
-            m_clients: 4,
-            eta_w: 0.1,
-            opts: opts.clone(),
-            ..Default::default()
-        })),
-        Box::new(StochasticAfl::new(AflConfig {
-            rounds: 800,
-            m_clients: 4,
-            eta_w: 0.1,
-            eta_q: 0.002,
-            opts: opts.clone(),
-            ..Default::default()
-        })),
-        Box::new(Drfa::new(DrfaConfig {
-            rounds: 400,
-            m_clients: 4,
-            eta_w: 0.1,
-            eta_q: 0.002,
-            opts: opts.clone(),
-            ..Default::default()
-        })),
-    ];
+    // 800 time slots each, on the clients of two edges.
+    let h = Hyper {
+        m: 2,
+        eta_w: 0.1,
+        eta_p: 0.002,
+        batch_size: 4,
+        ..Hyper::default()
+    };
+    let algs = Method::PAPER.map(|m| m.build(&m.matched(&h, 800, &fp), opts.clone()));
     for alg in algs {
         let r = alg.run(&fp, 1);
         let e = evaluate(&fp, &r.final_w, Parallelism::Rayon);

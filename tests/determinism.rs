@@ -3,9 +3,7 @@
 //! sequential vs rayon-parallel execution, also under injected faults.
 
 use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
-    QfflConfig, RunOpts, StochasticAfl,
+    Algorithm, HierMinimax, HierMinimaxConfig, Hyper, Method, MethodRun, RunOpts,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
@@ -26,118 +24,38 @@ fn opts(par: Parallelism) -> RunOpts {
 
 /// The eight `--method` algorithms, parameterised by executor and fault
 /// plan. Every one runs on the shared round driver and honours the plan.
-fn all_algorithms(par: Parallelism, fault: &FaultPlan) -> Vec<(&'static str, Box<dyn Algorithm>)> {
+fn all_algorithms(par: Parallelism, fault: &FaultPlan) -> Vec<(&'static str, MethodRun)> {
     let opts = RunOpts {
         fault: fault.clone(),
         ..opts(par)
     };
-    vec![
-        (
-            "HierMinimax",
-            Box::new(HierMinimax::new(HierMinimaxConfig {
-                rounds: 5,
-                tau1: 2,
-                tau2: 3,
-                m_edges: 2,
-                eta_w: 0.1,
-                eta_p: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                weight_update_model: Default::default(),
-                quantizer: Default::default(),
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "HierFAVG",
-            Box::new(HierFavg::new(HierFavgConfig {
-                rounds: 5,
-                tau1: 2,
-                tau2: 3,
-                m_edges: 2,
-                eta_w: 0.1,
-                batch_size: 2,
-                quantizer: Default::default(),
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "MultiLevelMinimax",
-            Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-                rounds: 3,
-                tau1: 2,
-                tau2: 2,
-                upper: Default::default(),
-                m_groups: 2,
-                eta_w: 0.05,
-                eta_p: 0.02,
-                batch_size: 2,
-                loss_batch: 4,
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "FedAvg",
-            Box::new(FedAvg::new(FedAvgConfig {
-                rounds: 5,
-                tau1: 2,
-                m_clients: 4,
-                eta_w: 0.1,
-                batch_size: 2,
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "FedProx",
-            Box::new(FedProx::new(FedProxConfig {
-                rounds: 5,
-                tau1: 2,
-                m_clients: 4,
-                mu: 0.1,
-                eta_w: 0.1,
-                batch_size: 2,
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "q-FedAvg",
-            Box::new(QFedAvg::new(QfflConfig {
-                rounds: 5,
-                tau1: 2,
-                m_clients: 4,
-                q: 1.0,
-                eta_w: 0.1,
-                batch_size: 2,
-                loss_batch: 4,
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "Stochastic-AFL",
-            Box::new(StochasticAfl::new(AflConfig {
-                rounds: 5,
-                m_clients: 4,
-                eta_w: 0.1,
-                eta_q: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                opts: opts.clone(),
-            })),
-        ),
-        (
-            "DRFA",
-            Box::new(Drfa::new(DrfaConfig {
-                rounds: 5,
-                tau1: 2,
-                m_clients: 4,
-                eta_w: 0.1,
-                eta_q: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                opts,
-            })),
-        ),
-    ]
+    let h = Hyper {
+        rounds: 5,
+        tau2: 3,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        loss_batch: 4,
+        ..Hyper::default()
+    };
+    Method::ALL
+        .into_iter()
+        .map(|m| {
+            let h = match m {
+                Method::HierMinimax | Method::HierFavg => h.clone(),
+                // The three-layer tree: groups of one edge.
+                Method::MultiLevel => Hyper {
+                    rounds: 3,
+                    tau2: 2,
+                    upper: Vec::new(),
+                    eta_w: 0.05,
+                    eta_p: 0.02,
+                    ..h.clone()
+                },
+                _ => Hyper { m: 4, ..h.clone() },
+            };
+            (m.name(), m.build(&h, opts.clone()))
+        })
+        .collect()
 }
 
 fn assert_identical(name: &str, a: &RunResult, b: &RunResult) {

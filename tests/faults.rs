@@ -4,15 +4,12 @@
 //! accounting against the closed form, and strict determinism — the same
 //! seeded plan produces bit-identical runs across execution modes.
 
-use hierminimax::core::algorithms::{
-    Algorithm, FedAvg, FedAvgConfig, HierFavg, HierFavgConfig, HierMinimax, HierMinimaxConfig,
-    MultiLevelConfig, MultiLevelMinimax, RunError, RunOpts, UpperLevel,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, MethodRun, RunError, RunOpts};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::{FaultPlan, Link, MsgChannel, Parallelism};
 use hm_testkit::strategies::record;
-use hm_testkit::{check_stream, reference_init_w};
+use hm_testkit::{check_stream, reference_init_w, Protocol};
 
 fn opts(fault: FaultPlan, par: Parallelism) -> RunOpts {
     RunOpts {
@@ -23,20 +20,21 @@ fn opts(fault: FaultPlan, par: Parallelism) -> RunOpts {
     }
 }
 
-fn cfg(fault: FaultPlan, rounds: usize) -> HierMinimaxConfig {
-    HierMinimaxConfig {
+/// `rounds` rounds on two edges (MultiLevel: one group of two) at
+/// `η_w = 0.1`, `η_p = 0.01`.
+fn hyper(rounds: usize) -> Hyper {
+    Hyper {
         rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
         eta_w: 0.1,
         eta_p: 0.01,
-        batch_size: 2,
         loss_batch: 4,
-        weight_update_model: Default::default(),
-        quantizer: Default::default(),
-        opts: opts(fault, Parallelism::Sequential),
+        ..Hyper::default()
     }
+}
+
+/// HierMinimax's sequential run of `h` under `fault`.
+fn hmx(h: &Hyper, fault: FaultPlan) -> MethodRun {
+    Method::HierMinimax.build(h, opts(fault, Parallelism::Sequential))
 }
 
 /// A plan whose rates are all zero must not perturb the run at all, even
@@ -47,7 +45,7 @@ fn cfg(fault: FaultPlan, rounds: usize) -> HierMinimaxConfig {
 fn zero_rate_plan_is_bit_identical_to_fault_off() {
     let sc = tiny_problem(3, 2, 41);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let off = HierMinimax::new(cfg(FaultPlan::default(), 8)).run(&fp, 3);
+    let off = hmx(&hyper(8), FaultPlan::default()).run(&fp, 3);
     let zeroed = FaultPlan {
         max_retries: 7,
         backoff_base_s: 1.5,
@@ -55,7 +53,7 @@ fn zero_rate_plan_is_bit_identical_to_fault_off() {
         deadline_factor: 9.0,
         ..FaultPlan::default()
     };
-    let on = HierMinimax::new(cfg(zeroed, 8)).run(&fp, 3);
+    let on = hmx(&hyper(8), zeroed).run(&fp, 3);
     assert_eq!(off.final_w, on.final_w);
     assert_eq!(off.final_p, on.final_p);
     assert_eq!(off.avg_w, on.avg_w);
@@ -76,13 +74,18 @@ fn all_sampled_edges_out_keeps_model_stale_and_p_feasible() {
         edge_outage: 1.0,
         ..FaultPlan::default()
     };
-    let mut c = cfg(blackout, 4);
-    let sink = record(&mut c.opts);
-    let r = HierMinimax::new(c.clone()).run(&fp, 7);
+    let (h, mut o) = (hyper(4), opts(blackout, Parallelism::Sequential));
+    let sink = record(&mut o);
+    let r = Method::HierMinimax.build(&h, o.clone()).run(&fp, 7);
     let init = reference_init_w(&fp, 7);
     assert_eq!(r.final_w, init, "no surviving edge may move the model");
-    let report = check_stream(&fp, &c, 7, &sink.events())
-        .unwrap_or_else(|e| panic!("conformance under blackout: {e}"));
+    let report = check_stream(
+        &fp,
+        Protocol::new(Method::HierMinimax, &h, &o),
+        7,
+        &sink.events(),
+    )
+    .unwrap_or_else(|e| panic!("conformance under blackout: {e}"));
     assert_eq!(report.rounds, 4);
     assert!(report.faults > 0);
     let sum: f32 = r.final_p.iter().sum();
@@ -102,9 +105,11 @@ fn survivor_renormalization_sums_to_one() {
         client_crash: 0.4,
         ..FaultPlan::default()
     };
-    let mut c = cfg(crashy, 6);
-    c.eta_w = 0.0;
-    let r = HierMinimax::new(c).run(&fp, 11);
+    let h = Hyper {
+        eta_w: 0.0,
+        ..hyper(6)
+    };
+    let r = hmx(&h, crashy).run(&fp, 11);
     assert!(r.faults.crashes > 0, "crash rate 0.4 must fire");
     let init = reference_init_w(&fp, 11);
     let drift = r
@@ -134,17 +139,11 @@ fn crashed_baseline_clients_upload_nothing() {
             client_crash,
             ..FaultPlan::default()
         };
-        FedAvg::new(FedAvgConfig {
-            rounds,
-            tau1: 2,
-            m_clients: m,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts: RunOpts {
-                max_stale_rounds,
-                ..opts(fault, Parallelism::Sequential)
-            },
-        })
+        let o = RunOpts {
+            max_stale_rounds,
+            ..opts(fault, Parallelism::Sequential)
+        };
+        Method::FedAvg.build(&Hyper { m, ..hyper(rounds) }, o)
     };
     let sent = (rounds * m) as u64;
 
@@ -186,19 +185,14 @@ fn benched_baseline_clients_are_sent_nothing() {
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let (rounds, m) = (8, 6);
     let byzantine = FaultPlan::preset("byzantine").expect("byzantine preset exists");
-    let r = FedAvg::new(FedAvgConfig {
-        rounds,
-        tau1: 2,
-        m_clients: m,
-        eta_w: 0.1,
-        batch_size: 2,
-        opts: RunOpts {
-            quarantine_z: 1.0,
-            quarantine_window: 2,
-            ..opts(byzantine, Parallelism::Sequential)
-        },
-    })
-    .run(&fp, 9);
+    let o = RunOpts {
+        quarantine_z: 1.0,
+        quarantine_window: 2,
+        ..opts(byzantine, Parallelism::Sequential)
+    };
+    let r = Method::FedAvg
+        .build(&Hyper { m, ..hyper(rounds) }, o)
+        .run(&fp, 9);
     let benched = r.quarantine.excluded_uploads;
     assert!(benched > 0, "no sampled client was benched");
     let sent = (rounds * m) as u64 - benched;
@@ -222,9 +216,14 @@ fn retry_exhausted_rounds_match_closed_form_comm() {
     };
     let rounds = 12;
     let seed = 23;
-    let mut c = cfg(lossy.clone(), rounds);
-    c.m_edges = 1;
-    let r = HierMinimax::new(c).run(&fp, seed);
+    let r = hmx(
+        &Hyper {
+            m: 1,
+            ..hyper(rounds)
+        },
+        lossy.clone(),
+    )
+    .run(&fp, seed);
     assert!(r.faults.retries > 0, "loss 0.4 over 36 messages must retry");
     assert!(r.faults.gave_up > 0, "max_retries 1 must exhaust sometimes");
 
@@ -266,16 +265,16 @@ fn chaos_preset_is_deterministic_across_parallelism() {
     let sc = tiny_problem(3, 2, 45);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let chaos = FaultPlan::preset("chaos").expect("chaos preset exists");
-    let seq = HierMinimax::new(cfg(chaos.clone(), 10)).run(&fp, 17);
-    let mut rc = cfg(chaos.clone(), 10);
-    rc.opts.parallelism = Parallelism::Rayon;
-    let par = HierMinimax::new(rc).run(&fp, 17);
+    let seq = hmx(&hyper(10), chaos.clone()).run(&fp, 17);
+    let par = Method::HierMinimax
+        .build(&hyper(10), opts(chaos.clone(), Parallelism::Rayon))
+        .run(&fp, 17);
     assert_eq!(seq.final_w, par.final_w);
     assert_eq!(seq.final_p, par.final_p);
     assert_eq!(seq.comm, par.comm);
     assert_eq!(seq.faults, par.faults);
     // And a rerun of the same mode reproduces itself exactly.
-    let again = HierMinimax::new(cfg(chaos, 10)).run(&fp, 17);
+    let again = hmx(&hyper(10), chaos).run(&fp, 17);
     assert_eq!(seq.final_w, again.final_w);
     assert_eq!(seq.faults, again.faults);
 }
@@ -289,17 +288,9 @@ fn all_hierarchical_paths_survive_heavy_faults() {
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let chaos = FaultPlan::preset("chaos").expect("chaos preset exists");
 
-    let hf = HierFavg::new(HierFavgConfig {
-        rounds: 8,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
-        eta_w: 0.1,
-        batch_size: 2,
-        quantizer: Default::default(),
-        opts: opts(chaos, Parallelism::Rayon),
-    })
-    .run(&fp, 29);
+    let hf = Method::HierFavg
+        .build(&hyper(8), opts(chaos, Parallelism::Rayon))
+        .run(&fp, 29);
     assert!(hf.final_w.iter().all(|x| x.is_finite()));
     let hf_hits = hf.faults.crashes + hf.faults.outages + hf.faults.gave_up;
     assert!(hf_hits > 0, "chaos preset must hit HierFAVG");
@@ -312,22 +303,9 @@ fn all_hierarchical_paths_survive_heavy_faults() {
         max_retries: 1,
         ..FaultPlan::default()
     };
-    let ml = MultiLevelMinimax::new(MultiLevelConfig {
-        rounds: 6,
-        tau1: 2,
-        tau2: 2,
-        upper: vec![UpperLevel {
-            group_size: 2,
-            tau: 2,
-        }],
-        m_groups: 2,
-        eta_w: 0.1,
-        eta_p: 0.01,
-        batch_size: 2,
-        loss_batch: 4,
-        opts: opts(cloud_faults, Parallelism::Sequential),
-    })
-    .run(&fp, 31);
+    let ml = Method::MultiLevel
+        .build(&hyper(6), opts(cloud_faults, Parallelism::Sequential))
+        .run(&fp, 31);
     assert!(ml.final_w.iter().all(|x| x.is_finite()));
     let psum: f32 = ml.final_p.iter().sum();
     assert!((psum - 1.0).abs() < 1e-4, "multi-level p left P: {psum}");

@@ -2,14 +2,17 @@
 //! hyper-parameter that `Method::reads` says a method ignores leaves its
 //! run bit for bit as it was, and one it reads changes the run. The CLI
 //! consumes a method's algorithm flags by the same table, so this also
-//! pins which flags `hierminimax run` accepts for each method.
+//! pins which flags `hierminimax run` accepts for each method. HierMinimax's
+//! two entry points, its config and `Method::build`, give the same run.
 
-use hierminimax::core::algorithms::{Hyper, Method, Param, RunOpts};
+use hierminimax::core::algorithms::{
+    Algorithm, HierMinimax, HierMinimaxConfig, Hyper, Method, Param, RunOpts, WeightUpdateModel,
+};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{Parallelism, Quantizer};
+use hierminimax::simnet::{FaultPlan, Parallelism, Quantizer};
 
-const PARAMS: [Param; 8] = [
+const PARAMS: [Param; 9] = [
     Param::Tau1,
     Param::Tau2,
     Param::EtaP,
@@ -17,6 +20,7 @@ const PARAMS: [Param; 8] = [
     Param::Mu,
     Param::Q,
     Param::Upper,
+    Param::WeightUpdate,
     Param::Quantizer,
 ];
 
@@ -30,7 +34,8 @@ fn change(h: &Hyper, param: Param) -> Hyper {
         Param::LossBatch => h.loss_batch = 1,
         Param::Mu => h.mu = 5.0,
         Param::Q => h.q = 5.0,
-        Param::Upper => h.upper.tau = 3,
+        Param::Upper => h.upper[0].tau = 3,
+        Param::WeightUpdate => h.weight_update_model = WeightUpdateModel::FinalModel,
         Param::Quantizer => h.quantizer = Quantizer::Stochastic { bits: 2 },
     }
     h
@@ -60,4 +65,45 @@ fn every_method_reads_exactly_its_params() {
             assert_eq!(same, !m.reads(param), "{m:?} {param:?}");
         }
     }
+}
+
+#[test]
+fn hierminimax_config_and_method_table_give_the_same_run() {
+    let fp = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 5));
+    let opts = RunOpts {
+        eval_every: 2,
+        parallelism: Parallelism::Sequential,
+        fault: FaultPlan::preset("chaos").unwrap(),
+        ..Default::default()
+    };
+    let cfg = HierMinimaxConfig {
+        rounds: 6,
+        tau1: 3,
+        tau2: 2,
+        m_edges: 3,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        batch_size: 2,
+        loss_batch: 4,
+        weight_update_model: WeightUpdateModel::RoundStart,
+        quantizer: Quantizer::Stochastic { bits: 4 },
+        opts: opts.clone(),
+    };
+    let h = Hyper {
+        rounds: 6,
+        tau1: 3,
+        m: 3,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        loss_batch: 4,
+        weight_update_model: WeightUpdateModel::RoundStart,
+        quantizer: Quantizer::Stochastic { bits: 4 },
+        ..Hyper::default()
+    };
+    let a = HierMinimax::new(cfg).run(&fp, 9);
+    let b = Method::HierMinimax.build(&h, opts).run(&fp, 9);
+    assert!(a.faults.total() > 0, "the plan injected no fault");
+    // `Debug` prints each float's shortest round-trip form, so equal text
+    // means equal bits.
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }

@@ -1,10 +1,9 @@
 //! Integration tests of the multi-level (≥4-layer) generalisation.
 
-use hierminimax::core::algorithms::{
-    Algorithm, MultiLevelConfig, MultiLevelMinimax, RunOpts, UpperLevel,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, RunOpts, UpperLevel};
 use hierminimax::core::metrics::evaluate;
 use hierminimax::core::problem::FederatedProblem;
+use hierminimax::core::RunResult;
 use hierminimax::data::generators::synthetic_images::ImageConfig;
 use hierminimax::data::scenarios::{linear_sizes, one_class_per_edge_sized};
 use hierminimax::simnet::{Link, Parallelism};
@@ -26,23 +25,27 @@ fn problem(edges: usize) -> FederatedProblem {
     FederatedProblem::logistic_from_scenario(&sc)
 }
 
-fn cfg(upper: Vec<UpperLevel>, rounds: usize) -> MultiLevelConfig {
-    MultiLevelConfig {
+/// `rounds` rounds of the tree with `upper` above the edges, two
+/// top-level groups sampled per round.
+fn cfg(upper: Vec<UpperLevel>, rounds: usize) -> Hyper {
+    Hyper {
         rounds,
-        tau1: 2,
-        tau2: 2,
         upper,
-        m_groups: 2,
         eta_w: 0.05,
         eta_p: 0.005,
-        batch_size: 2,
         loss_batch: 8,
-        opts: RunOpts {
-            eval_every: 0,
-            parallelism: Parallelism::Rayon,
-            ..Default::default()
-        },
+        ..Hyper::default()
     }
+}
+
+/// MultiLevel's run of `h`.
+fn run(fp: &FederatedProblem, h: &Hyper, seed: u64) -> RunResult {
+    let opts = RunOpts {
+        eval_every: 0,
+        parallelism: Parallelism::Rayon,
+        ..Default::default()
+    };
+    Method::MultiLevel.build(h, opts).run(fp, seed)
 }
 
 #[test]
@@ -57,8 +60,8 @@ fn deeper_tree_trades_cloud_rounds_for_local_rounds() {
         }],
         slots / 8,
     );
-    let r3 = MultiLevelMinimax::new(three).run(&fp, 5);
-    let r4 = MultiLevelMinimax::new(four).run(&fp, 5);
+    let r3 = run(&fp, &three, 5);
+    let r4 = run(&fp, &four, 5);
     // Matched slot budgets.
     assert_eq!(
         r3.history.rounds.last().unwrap().slots_done,
@@ -72,14 +75,14 @@ fn deeper_tree_trades_cloud_rounds_for_local_rounds() {
 #[test]
 fn four_layer_still_learns_to_high_accuracy() {
     let fp = problem(4);
-    let r = MultiLevelMinimax::new(cfg(
+    let h = cfg(
         vec![UpperLevel {
             group_size: 2,
             tau: 2,
         }],
         300,
-    ))
-    .run(&fp, 7);
+    );
+    let r = run(&fp, &h, 7);
     let e = evaluate(&fp, &r.final_w, Parallelism::Rayon);
     assert!(
         e.average > 0.85,
@@ -106,8 +109,7 @@ fn group_weights_track_group_losses_when_frozen() {
     c.eta_w = 0.0;
     c.eta_p = 0.004;
     c.loss_batch = 64;
-    let alg = MultiLevelMinimax::new(c);
-    let r = alg.run(&fp, 4);
+    let r = run(&fp, &c, 4);
     // Group losses at the (frozen) init model.
     let losses = fp.edge_losses(&r.final_w);
     let g0 = (losses[0] + losses[1]) / 2.0;

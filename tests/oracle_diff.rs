@@ -13,10 +13,7 @@
 //! Stochastic-AFL are special cases of HierFAVG and HierMinimax, and the
 //! two implementations must agree bit for bit while no client drops.
 
-use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, HierFavg, HierMinimax,
-    HierMinimaxConfig, RunOpts, StochasticAfl, WeightUpdateModel,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, RunOpts, WeightUpdateModel};
 use hierminimax::core::RunResult;
 use hierminimax::simnet::{FaultPlan, Parallelism, Quantizer};
 use hierminimax::telemetry::{model_digest, TelemetryEvent};
@@ -76,14 +73,14 @@ proptest! {
             },
             ..spec
         };
-        let fp = spec.problem();
-        let mut cfg = spec.hierminimax_config();
-        cfg.opts.aggregator = aggregator;
-        let sink = record(&mut cfg.opts);
-        let r = HierMinimax::new(cfg.clone()).run(&fp, spec.run_seed);
+        let (fp, h) = (spec.problem(), spec.hyper());
+        let opts = RunOpts { aggregator, ..spec.opts() };
+        let mut recorded = opts.clone();
+        let sink = record(&mut recorded);
+        let r = Method::HierMinimax.build(&h, recorded).run(&fp, spec.run_seed);
         let (ws, ps) = streamed_iterates(&sink.events());
         let reference: Vec<ReferenceRound> =
-            reference_hierminimax_run(&fp, &cfg, spec.run_seed);
+            reference_hierminimax_run(&fp, &h, &opts, spec.run_seed);
 
         prop_assert_eq!(ws.len(), reference.len());
         prop_assert_eq!(ps.len(), reference.len());
@@ -97,6 +94,16 @@ proptest! {
     }
 }
 
+/// `spec`'s hyper-parameters for a two-layer baseline: its clients
+/// sampled `1 + (m_E · N_0) mod N` at a time.
+fn flat_hyper(spec: &ScenarioSpec) -> Hyper {
+    let n_clients = spec.n_edges * spec.clients_per_edge;
+    Hyper {
+        m: 1 + (spec.m_edges * spec.clients_per_edge) % n_clients,
+        ..spec.hyper()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -104,23 +111,16 @@ proptest! {
     #[test]
     fn fedavg_matches_reference(spec in arb_scenario()) {
         let fp = spec.problem();
-        let n_clients = spec.n_edges * spec.clients_per_edge;
-        let mut cfg = FedAvgConfig {
-            rounds: spec.rounds,
-            tau1: spec.tau1,
-            m_clients: 1 + (spec.m_edges * spec.clients_per_edge) % n_clients,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts: case_opts(),
-        };
-        let sink = record(&mut cfg.opts);
-        let r = FedAvg::new(cfg.clone()).run(&fp, spec.run_seed);
+        let h = flat_hyper(&spec);
+        let mut opts = case_opts();
+        let sink = record(&mut opts);
+        let r = Method::FedAvg.build(&h, opts).run(&fp, spec.run_seed);
         let (ws, _) = streamed_iterates(&sink.events());
-        prop_assert_eq!(ws.len(), cfg.rounds);
+        prop_assert_eq!(ws.len(), h.rounds);
 
         let mut w = reference_init_w(&fp, spec.run_seed);
         for (k, &streamed) in ws.iter().enumerate() {
-            w = reference_fedavg_round(&fp, &cfg, spec.run_seed, k, &w);
+            w = reference_fedavg_round(&fp, &h, spec.run_seed, k, &w);
             prop_assert_eq!(streamed, digest(&w), "w diverged at round {} ({:?})", k, spec);
         }
         prop_assert_eq!(&r.final_w, &w);
@@ -136,27 +136,19 @@ proptest! {
     fn drfa_matches_reference(spec in arb_scenario()) {
         let fp = spec.problem();
         let n_clients = spec.n_edges * spec.clients_per_edge;
-        let mut cfg = DrfaConfig {
-            rounds: spec.rounds,
-            tau1: spec.tau1,
-            m_clients: 1 + (spec.m_edges * spec.clients_per_edge) % n_clients,
-            eta_w: 0.1,
-            eta_q: 0.05,
-            batch_size: 2,
-            loss_batch: 3,
-            opts: case_opts(),
-        };
-        let sink = record(&mut cfg.opts);
-        let r = Drfa::new(cfg.clone()).run(&fp, spec.run_seed);
+        let h = flat_hyper(&spec);
+        let mut opts = case_opts();
+        let sink = record(&mut opts);
+        let r = Method::Drfa.build(&h, opts).run(&fp, spec.run_seed);
         let (ws, ps) = streamed_iterates(&sink.events());
-        prop_assert_eq!(ws.len(), cfg.rounds);
-        prop_assert_eq!(ps.len(), cfg.rounds);
+        prop_assert_eq!(ws.len(), h.rounds);
+        prop_assert_eq!(ps.len(), h.rounds);
 
         let mut w = reference_init_w(&fp, spec.run_seed);
         let mut q = vec![1.0_f32 / n_clients as f32; n_clients];
-        for k in 0..cfg.rounds {
+        for k in 0..h.rounds {
             let (w_next, q_next, p_edge) =
-                reference_drfa_round(&fp, &cfg, spec.run_seed, k, &w, &q);
+                reference_drfa_round(&fp, &h, spec.run_seed, k, &w, &q);
             prop_assert_eq!(ws[k], digest(&w_next), "w diverged at round {} ({:?})", k, spec);
             prop_assert_eq!(&ps[k], &p_edge, "p diverged at round {} ({:?})", k, spec);
             w = w_next;
@@ -269,42 +261,19 @@ proptest! {
             aggregator,
             ..case_opts()
         };
-        let hmx = |tau1: usize, model: WeightUpdateModel| {
-            let cfg = HierMinimaxConfig {
-                tau1,
-                weight_update_model: model,
-                opts: opts.clone(),
-                ..spec.hierminimax_config()
-            };
-            HierMinimax::new(cfg).run(&fp, spec.run_seed)
+        let (h, seed) = (spec.hyper(), spec.run_seed);
+        let run = |m: Method, h: &Hyper, opts: &RunOpts| m.build(h, opts.clone()).run(&fp, seed);
+
+        let fedavg = run(Method::FedAvg, &h, &opts);
+        let hierfavg = run(Method::HierFavg, &h, &opts);
+        assert_same_run("FedAvg vs HierFAVG", &fedavg, &hierfavg, &spec)?;
+
+        let drfa = run(Method::Drfa, &h, &opts);
+        let checkpoint = Hyper {
+            weight_update_model: WeightUpdateModel::RandomCheckpoint,
+            ..h.clone()
         };
-        let (m, seed) = (spec.m_edges, spec.run_seed);
-
-        let fedavg = FedAvg::new(FedAvgConfig {
-            rounds: spec.rounds,
-            tau1: spec.tau1,
-            m_clients: m,
-            eta_w: 0.1,
-            batch_size: 2,
-            opts: opts.clone(),
-        })
-        .run(&fp, seed);
-        let mut hierfavg = spec.hierfavg_config();
-        hierfavg.opts = opts.clone();
-        assert_same_run("FedAvg vs HierFAVG", &fedavg, &HierFavg::new(hierfavg).run(&fp, seed), &spec)?;
-
-        let drfa = Drfa::new(DrfaConfig {
-            rounds: spec.rounds,
-            tau1: spec.tau1,
-            m_clients: m,
-            eta_w: 0.1,
-            eta_q: 0.05,
-            batch_size: 2,
-            loss_batch: 3,
-            opts: opts.clone(),
-        })
-        .run(&fp, seed);
-        let hier = hmx(spec.tau1, WeightUpdateModel::RandomCheckpoint);
+        let hier = run(Method::HierMinimax, &checkpoint, &opts);
         assert_same_run("DRFA vs HierMinimax", &drfa, &hier, &spec)?;
 
         // A Stochastic-AFL client that took part in Phase 1 already holds
@@ -317,23 +286,13 @@ proptest! {
             },
             ..opts
         };
-        let afl = StochasticAfl::new(AflConfig {
-            rounds: spec.rounds,
-            m_clients: m,
-            eta_w: 0.1,
-            eta_q: 0.05,
-            batch_size: 2,
-            loss_batch: 3,
-            opts: opts.clone(),
-        })
-        .run(&fp, seed);
-        let hier = HierMinimax::new(HierMinimaxConfig {
+        let afl = run(Method::StochasticAfl, &h, &opts);
+        let round_start = Hyper {
             tau1: 1,
             weight_update_model: WeightUpdateModel::RoundStart,
-            opts,
-            ..spec.hierminimax_config()
-        })
-        .run(&fp, seed);
+            ..h
+        };
+        let hier = run(Method::HierMinimax, &round_start, &opts);
         assert_same_run("Stochastic-AFL vs HierMinimax", &afl, &hier, &spec)?;
     }
 }
@@ -356,11 +315,10 @@ fn reference_is_seed_sensitive() {
         weight_update_model: hierminimax::core::algorithms::WeightUpdateModel::RandomCheckpoint,
         fault: hierminimax::simnet::FaultPlan::default(),
     };
-    let fp = spec.problem();
-    let cfg = spec.hierminimax_config();
-    let a = reference_hierminimax_run(&fp, &cfg, 11);
-    let b = reference_hierminimax_run(&fp, &cfg, 11);
-    let c = reference_hierminimax_run(&fp, &cfg, 12);
+    let (fp, h, opts) = (spec.problem(), spec.hyper(), spec.opts());
+    let a = reference_hierminimax_run(&fp, &h, &opts, 11);
+    let b = reference_hierminimax_run(&fp, &h, &opts, 11);
+    let c = reference_hierminimax_run(&fp, &h, &opts, 12);
     assert_eq!(a, b);
     assert_ne!(a, c, "different seeds must produce different runs");
 }

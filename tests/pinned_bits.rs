@@ -54,9 +54,7 @@
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
 use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
-    QfflConfig, RunOpts, StochasticAfl, UpperLevel,
+    Algorithm, HierMinimax, HierMinimaxConfig, Hyper, Method, RunOpts,
 };
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::RunResult;
@@ -337,18 +335,16 @@ fn hierfavg_churn_under_chaos_bits_are_pinned() {
         0xf7ec_1de1_9e04_a376,
         0xb511_975d_fe11_ccfa,
         |base| {
-            let cfg = HierFavgConfig {
+            let h = Hyper {
                 rounds: 8,
-                m_edges: 2,
                 eta_w: 0.1,
-                batch_size: 2,
-                opts: RunOpts {
-                    churn: ChurnPlan::preset("mild").unwrap(),
-                    ..faulty(base, "chaos")
-                },
-                ..Default::default()
+                ..Hyper::default()
             };
-            let r = HierFavg::new(cfg).run(&fp, 44);
+            let opts = RunOpts {
+                churn: ChurnPlan::preset("mild").unwrap(),
+                ..faulty(base, "chaos")
+            };
+            let r = Method::HierFavg.build(&h, opts).run(&fp, 44);
             assert!(r.churn.total() > 0, "no client left or joined");
             r
         },
@@ -373,21 +369,20 @@ fn hierfavg_crashes_on_unequal_volumes_bits_are_pinned() {
         0x7e76_9ece_4cb0_8722,
         0x80aa_4d31_64d2_33a8,
         |opts| {
-            let cfg = HierFavgConfig {
+            let h = Hyper {
                 rounds: 6,
-                m_edges: 4,
+                m: 4,
                 eta_w: 0.05,
-                batch_size: 2,
-                opts: RunOpts {
-                    fault: FaultPlan {
-                        client_crash: 0.3,
-                        ..FaultPlan::default()
-                    },
-                    ..opts
-                },
-                ..Default::default()
+                ..Hyper::default()
             };
-            let r = HierFavg::new(cfg).run(&fp, 47);
+            let opts = RunOpts {
+                fault: FaultPlan {
+                    client_crash: 0.3,
+                    ..FaultPlan::default()
+                },
+                ..opts
+            };
+            let r = Method::HierFavg.build(&h, opts).run(&fp, 47);
             assert!(r.faults.crashes > 0, "no client crashed");
             r
         },
@@ -402,26 +397,37 @@ fn multilevel_under_chaos_bits_are_pinned() {
         0x0c78_c39c_8f9e_4d67,
         0x52b9_773b_be0e_9903,
         |base| {
-            let cfg = MultiLevelConfig {
+            // One level of regions of two edges, τ_region = 2.
+            let h = Hyper {
                 rounds: 4,
-                upper: vec![UpperLevel {
-                    group_size: 2,
-                    tau: 2,
-                }],
-                m_groups: 2,
                 eta_w: 0.1,
                 eta_p: 0.02,
-                batch_size: 2,
                 loss_batch: 4,
-                opts: faulty(base, "chaos"),
-                ..Default::default()
+                ..Hyper::default()
             };
-            MultiLevelMinimax::new(cfg).run(&fp, 45)
+            Method::MultiLevel
+                .build(&h, faulty(base, "chaos"))
+                .run(&fp, 45)
         },
     );
 }
 
 // ---- The flat two-layer baselines. --------------------------------------
+
+/// A two-layer baseline's `rounds` rounds of `tau1` local steps on four
+/// clients, at rates 0.1 (`η_q` 0.05) with batches of 2 and loss batches
+/// of 4.
+fn flat(rounds: usize, tau1: usize) -> Hyper {
+    Hyper {
+        rounds,
+        tau1,
+        m: 4,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        loss_batch: 4,
+        ..Hyper::default()
+    }
+}
 
 #[test]
 fn fedavg_bits_are_pinned() {
@@ -431,17 +437,7 @@ fn fedavg_bits_are_pinned() {
         "fedavg",
         0xd2ea_d862_51dd_59b0,
         0xf0c6_bd80_54a4_d46d,
-        |opts| {
-            let cfg = FedAvgConfig {
-                rounds: 6,
-                tau1: 2,
-                m_clients: 4,
-                eta_w: 0.1,
-                batch_size: 2,
-                opts,
-            };
-            FedAvg::new(cfg).run(&fp, 47)
-        },
+        |opts| Method::FedAvg.build(&flat(6, 2), opts).run(&fp, 47),
     );
 }
 
@@ -454,16 +450,11 @@ fn fedprox_bits_are_pinned() {
         0x127f_4a5e_14e1_7e80,
         0x1eb5_ea20_d482_c29b,
         |opts| {
-            let cfg = FedProxConfig {
-                rounds: 6,
-                tau1: 2,
-                m_clients: 4,
+            let h = Hyper {
                 mu: 0.1,
-                eta_w: 0.1,
-                batch_size: 2,
-                opts,
+                ..flat(6, 2)
             };
-            FedProx::new(cfg).run(&fp, 48)
+            Method::FedProx.build(&h, opts).run(&fp, 48)
         },
     );
 }
@@ -477,17 +468,11 @@ fn qffl_bits_are_pinned() {
         0x1a10_8571_a047_53b0,
         0xeadc_b019_cd28_8aaf,
         |opts| {
-            let cfg = QfflConfig {
-                rounds: 6,
-                tau1: 2,
-                m_clients: 4,
+            let h = Hyper {
                 q: 1.0,
-                eta_w: 0.1,
-                batch_size: 2,
-                loss_batch: 4,
-                opts,
+                ..flat(6, 2)
             };
-            QFedAvg::new(cfg).run(&fp, 49)
+            Method::QFedAvg.build(&h, opts).run(&fp, 49)
         },
     );
 }
@@ -500,18 +485,7 @@ fn afl_bits_are_pinned() {
         "stochastic-afl",
         0x9a60_9d6c_21c4_a45c,
         0xa352_b4f1_da7a_5491,
-        |opts| {
-            let cfg = AflConfig {
-                rounds: 8,
-                m_clients: 4,
-                eta_w: 0.1,
-                eta_q: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                opts,
-            };
-            StochasticAfl::new(cfg).run(&fp, 50)
-        },
+        |opts| Method::StochasticAfl.build(&flat(8, 1), opts).run(&fp, 50),
     );
 }
 
@@ -524,19 +498,7 @@ fn drfa_bits_are_pinned() {
         "drfa",
         0x9794_9e02_a9f7_b06e,
         0xcb28_154f_401c_c815,
-        |opts| {
-            let cfg = DrfaConfig {
-                rounds: 6,
-                tau1: 3,
-                m_clients: 4,
-                eta_w: 0.1,
-                eta_q: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                opts,
-            };
-            Drfa::new(cfg).run(&fp, 51)
-        },
+        |opts| Method::Drfa.build(&flat(6, 3), opts).run(&fp, 51),
     );
 }
 
@@ -549,17 +511,8 @@ fn drfa_under_chaos_bits_are_pinned() {
         0x9766_ebae_016b_3298,
         0x89c5_36c0_2d4a_cb10,
         |base| {
-            let cfg = DrfaConfig {
-                rounds: 6,
-                tau1: 3,
-                m_clients: 4,
-                eta_w: 0.1,
-                eta_q: 0.05,
-                batch_size: 2,
-                loss_batch: 4,
-                opts: faulty(base, "chaos"),
-            };
-            let r = Drfa::new(cfg).run(&fp, 52);
+            let opts = faulty(base, "chaos");
+            let r = Method::Drfa.build(&flat(6, 3), opts).run(&fp, 52);
             assert!(r.faults.total() > 0, "no fault was injected");
             r
         },
@@ -575,20 +528,14 @@ fn fedavg_byzantine_trimmed_mean_quarantine_bits_are_pinned() {
         0x0a40_0a76_adb5_a464,
         0x0b6e_83e2_30b5_3888,
         |base| {
-            let cfg = FedAvgConfig {
-                rounds: 8,
-                tau1: 2,
-                m_clients: 6,
-                eta_w: 0.1,
-                batch_size: 2,
-                opts: RunOpts {
-                    aggregator: Aggregator::TrimmedMean { beta: 0.25 },
-                    quarantine_z: 1.0,
-                    quarantine_window: 2,
-                    ..faulty(base, "byzantine")
-                },
+            let h = Hyper { m: 6, ..flat(8, 2) };
+            let opts = RunOpts {
+                aggregator: Aggregator::TrimmedMean { beta: 0.25 },
+                quarantine_z: 1.0,
+                quarantine_window: 2,
+                ..faulty(base, "byzantine")
             };
-            let r = FedAvg::new(cfg).run(&fp, 53);
+            let r = Method::FedAvg.build(&h, opts).run(&fp, 53);
             assert!(
                 r.quarantine.corrupted_updates > 0,
                 "no upload was corrupted"

@@ -12,11 +12,7 @@
 //! pins that both executors emit the same span sequence (phase, round,
 //! entity) — only the measured durations differ.
 
-use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
-    QfflConfig, RunOpts, StochasticAfl,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, MethodRun, RunOpts};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
@@ -33,134 +29,43 @@ fn problem() -> FederatedProblem {
     FederatedProblem::logistic_from_scenario(&sc)
 }
 
-type Factory = Box<dyn Fn(RunOpts) -> Box<dyn Algorithm>>;
+type Factory = Box<dyn Fn(RunOpts) -> MethodRun>;
+
+/// `method`'s hyper-parameters in the matrix: `ROUNDS` rounds, `τ2 = 3`
+/// (2 and the three-layer tree for MultiLevel) and four clients for the
+/// two-layer baselines.
+fn hyper(method: Method) -> Hyper {
+    let h = Hyper {
+        rounds: ROUNDS,
+        tau2: 3,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        loss_batch: 4,
+        ..Hyper::default()
+    };
+    match method {
+        Method::HierMinimax | Method::HierFavg => h,
+        Method::MultiLevel => Hyper {
+            tau2: 2,
+            upper: Vec::new(),
+            eta_w: 0.05,
+            eta_p: 0.02,
+            ..h
+        },
+        _ => Hyper { m: 4, ..h },
+    }
+}
 
 /// Every algorithm in the workspace, as a factory over `RunOpts` (same
 /// configs as the resume matrix in `tests/resume.rs`).
 fn all_algorithms() -> Vec<(&'static str, Factory)> {
-    vec![
-        (
-            "HierMinimax",
-            Box::new(|opts| {
-                Box::new(HierMinimax::new(HierMinimaxConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 3,
-                    m_edges: 2,
-                    eta_w: 0.1,
-                    eta_p: 0.05,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    weight_update_model: Default::default(),
-                    quantizer: Default::default(),
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "HierFAVG",
-            Box::new(|opts| {
-                Box::new(HierFavg::new(HierFavgConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 3,
-                    m_edges: 2,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    quantizer: Default::default(),
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "MultiLevelMinimax",
-            Box::new(|opts| {
-                Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 2,
-                    upper: Default::default(),
-                    m_groups: 2,
-                    eta_w: 0.05,
-                    eta_p: 0.02,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "FedAvg",
-            Box::new(|opts| {
-                Box::new(FedAvg::new(FedAvgConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "FedProx",
-            Box::new(|opts| {
-                Box::new(FedProx::new(FedProxConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    mu: 0.1,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "Stochastic-AFL",
-            Box::new(|opts| {
-                Box::new(StochasticAfl::new(AflConfig {
-                    rounds: ROUNDS,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    eta_q: 0.05,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "DRFA",
-            Box::new(|opts| {
-                Box::new(Drfa::new(DrfaConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    eta_q: 0.05,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "q-FedAvg",
-            Box::new(|opts| {
-                Box::new(QFedAvg::new(QfflConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    q: 1.0,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-    ]
+    Method::ALL
+        .into_iter()
+        .map(|m| {
+            let h = hyper(m);
+            (m.name(), Box::new(move |opts| m.build(&h, opts)) as Factory)
+        })
+        .collect()
 }
 
 fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {

@@ -14,11 +14,7 @@
 //! that benches clients.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path, Snapshot};
-use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
-    QfflConfig, RunOpts, StochasticAfl,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, MethodRun, RunOpts};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
@@ -44,135 +40,44 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-type Factory = Box<dyn Fn(RunOpts) -> Box<dyn Algorithm>>;
+type Factory = Box<dyn Fn(RunOpts) -> MethodRun>;
+
+/// `method`'s hyper-parameters in the matrix: `ROUNDS` rounds, `τ2 = 3`
+/// (2 and the three-layer tree for MultiLevel) and four clients for the
+/// two-layer baselines.
+fn hyper(method: Method) -> Hyper {
+    let h = Hyper {
+        rounds: ROUNDS,
+        tau2: 3,
+        eta_w: 0.1,
+        eta_p: 0.05,
+        loss_batch: 4,
+        ..Hyper::default()
+    };
+    match method {
+        Method::HierMinimax | Method::HierFavg => h,
+        Method::MultiLevel => Hyper {
+            tau2: 2,
+            upper: Vec::new(),
+            eta_w: 0.05,
+            eta_p: 0.02,
+            ..h
+        },
+        _ => Hyper { m: 4, ..h },
+    }
+}
 
 /// Every algorithm in the workspace, as a factory over `RunOpts` so the
 /// same config can be instantiated for the writer, plain, and resumed
 /// legs.
 fn all_algorithms() -> Vec<(&'static str, Factory)> {
-    vec![
-        (
-            "HierMinimax",
-            Box::new(|opts| {
-                Box::new(HierMinimax::new(HierMinimaxConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 3,
-                    m_edges: 2,
-                    eta_w: 0.1,
-                    eta_p: 0.05,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    weight_update_model: Default::default(),
-                    quantizer: Default::default(),
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "HierFAVG",
-            Box::new(|opts| {
-                Box::new(HierFavg::new(HierFavgConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 3,
-                    m_edges: 2,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    quantizer: Default::default(),
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "MultiLevelMinimax",
-            Box::new(|opts| {
-                Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    tau2: 2,
-                    upper: Default::default(),
-                    m_groups: 2,
-                    eta_w: 0.05,
-                    eta_p: 0.02,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "FedAvg",
-            Box::new(|opts| {
-                Box::new(FedAvg::new(FedAvgConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "FedProx",
-            Box::new(|opts| {
-                Box::new(FedProx::new(FedProxConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    mu: 0.1,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "Stochastic-AFL",
-            Box::new(|opts| {
-                Box::new(StochasticAfl::new(AflConfig {
-                    rounds: ROUNDS,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    eta_q: 0.05,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "DRFA",
-            Box::new(|opts| {
-                Box::new(Drfa::new(DrfaConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    eta_q: 0.05,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-        (
-            "q-FedAvg",
-            Box::new(|opts| {
-                Box::new(QFedAvg::new(QfflConfig {
-                    rounds: ROUNDS,
-                    tau1: 2,
-                    m_clients: 4,
-                    q: 1.0,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                })) as Box<dyn Algorithm>
-            }),
-        ),
-    ]
+    Method::ALL
+        .into_iter()
+        .map(|m| {
+            let h = hyper(m);
+            (m.name(), Box::new(move |opts| m.build(&h, opts)) as Factory)
+        })
+        .collect()
 }
 
 fn assert_identical(tag: &str, a: &RunResult, b: &RunResult) {
@@ -408,31 +313,42 @@ fn snapshot_validation_rejects_mismatched_runs() {
 #[test]
 fn snapshot_of_another_problem_shape_is_refused_before_round_zero() {
     // Every algorithm's round-2 snapshot of the 3-edge problem, resumed on
-    // 4 edges (one more class, so a longer `w`): the run names the field
-    // whose length differs before round 0 instead of crashing inside it.
+    // 4 edges (one more class, so a longer `w`) and on 3 clients per edge
+    // (the same `w` and edge weights): the run names the first field that
+    // differs before round 0 instead of crashing inside it or training on
+    // spliced state. Stochastic-AFL's and DRFA's `p` is per client, so it
+    // differs first there.
     let fp = problem();
     let fp4 = FederatedProblem::logistic_from_scenario(&tiny_problem(4, 2, 11));
+    let fp9 = FederatedProblem::logistic_from_scenario(&tiny_problem(3, 3, 11));
+    let longer_w = format!(
+        "cannot resume: snapshot w has {} entries, the run has {}",
+        fp.num_params(),
+        fp4.num_params()
+    );
     for (name, factory) in all_algorithms() {
         let dir = scratch_dir(&format!("shape-{name}"));
         let mut w_opts = opts(Parallelism::Sequential, &FaultPlan::default());
         w_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
         factory(w_opts).run(&fp, SEED);
-        let snap = read_snapshot(&snapshot_path(&dir, name, 2)).unwrap();
+        let snap = Arc::new(read_snapshot(&snapshot_path(&dir, name, 2)).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
-        let mut r_opts = opts(Parallelism::Sequential, &FaultPlan::default());
-        r_opts.checkpoint.resume = Some(Arc::new(snap));
-        let alg = factory(r_opts);
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| alg.run(&fp4, SEED)))
-            .expect_err("a snapshot of another shape must not resume");
-        let msg = panic
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .unwrap_or_default();
-        let want = format!(
-            "cannot resume: snapshot w has {} entries, the run has {}",
-            fp.num_params(),
-            fp4.num_params()
-        );
-        assert_eq!(msg, want, "{name}");
+        let more_clients = match name {
+            "Stochastic-AFL" | "DRFA" => "cannot resume: snapshot p has 6 entries, the run has 9",
+            _ => "cannot resume: snapshot has 2 clients per edge, the run has 3",
+        };
+        for (other, want) in [(&fp4, longer_w.as_str()), (&fp9, more_clients)] {
+            let mut r_opts = opts(Parallelism::Sequential, &FaultPlan::default());
+            r_opts.checkpoint.resume = Some(snap.clone());
+            let alg = factory(r_opts);
+            let panic =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| alg.run(other, SEED)))
+                    .expect_err("a snapshot of another shape must not resume");
+            let msg = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert_eq!(msg, want, "{name}");
+        }
     }
 }

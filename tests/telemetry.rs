@@ -20,18 +20,14 @@ use std::path::Path;
 use std::sync::Arc;
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path};
-use hierminimax::core::algorithms::{
-    AflConfig, Algorithm, Drfa, DrfaConfig, FedAvg, FedAvgConfig, FedProx, FedProxConfig, HierFavg,
-    HierFavgConfig, HierMinimax, HierMinimaxConfig, MultiLevelConfig, MultiLevelMinimax, QFedAvg,
-    QfflConfig, RunOpts, StochasticAfl, UpperLevel,
-};
+use hierminimax::core::algorithms::{Algorithm, Hyper, Method, MethodRun, RunOpts};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::CheckpointOpts;
 use hierminimax::data::scenarios::tiny_problem;
 use hierminimax::simnet::{AttackModel, ChurnPlan, CommStats, FaultPlan, Parallelism, Quantizer};
 use hierminimax::telemetry::{validate_stream, MemorySink, Profiler, Telemetry, TelemetryEvent};
 use hierminimax::tensor::Aggregator;
-use hm_testkit::{check_stream, scrub};
+use hm_testkit::{check_stream, scrub, Protocol};
 
 fn opts_with(telemetry: Telemetry) -> RunOpts {
     RunOpts {
@@ -42,145 +38,44 @@ fn opts_with(telemetry: Telemetry) -> RunOpts {
     }
 }
 
-fn hm_cfg(rounds: usize, opts: RunOpts) -> HierMinimaxConfig {
-    HierMinimaxConfig {
+/// `method`'s hyper-parameters: `rounds` rounds on two edges, four
+/// clients or two groups of two edges, uploading through `quantizer` where
+/// the method has a codec.
+fn hyper(method: Method, rounds: usize, quantizer: Quantizer) -> Hyper {
+    let (m, eta_p) = match method {
+        Method::HierMinimax | Method::HierFavg => (2, 0.05),
+        Method::MultiLevel => (2, 0.01),
+        _ => (4, 0.1),
+    };
+    Hyper {
         rounds,
-        tau1: 2,
-        tau2: 2,
-        m_edges: 2,
+        m,
         eta_w: 0.1,
-        eta_p: 0.05,
-        batch_size: 2,
+        eta_p,
         loss_batch: 4,
-        weight_update_model: Default::default(),
-        quantizer: Quantizer::Exact,
-        opts,
+        quantizer,
+        ..Hyper::default()
     }
 }
 
+/// HierMinimax's exact-upload run of `rounds` rounds.
+fn hm_hyper(rounds: usize) -> Hyper {
+    hyper(Method::HierMinimax, rounds, Quantizer::Exact)
+}
+
 /// Builds an algorithm from its run options.
-type Factory = Box<dyn Fn(RunOpts) -> Box<dyn Algorithm>>;
+type Factory = Box<dyn Fn(RunOpts) -> MethodRun>;
 
 /// The eight algorithms under the names their streams carry, each running
 /// `rounds` rounds; HierMinimax and HierFAVG upload through `quantizer`.
 fn algorithms(rounds: usize, quantizer: Quantizer) -> Vec<(&'static str, Factory)> {
-    vec![
-        (
-            "HierMinimax",
-            Box::new(move |opts| {
-                Box::new(HierMinimax::new(HierMinimaxConfig {
-                    quantizer,
-                    ..hm_cfg(rounds, opts)
-                }))
-            }),
-        ),
-        (
-            "HierFAVG",
-            Box::new(move |opts| {
-                Box::new(HierFavg::new(HierFavgConfig {
-                    rounds,
-                    tau1: 2,
-                    tau2: 2,
-                    m_edges: 2,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    quantizer,
-                    opts,
-                }))
-            }),
-        ),
-        (
-            "FedAvg",
-            Box::new(move |opts| {
-                Box::new(FedAvg::new(FedAvgConfig {
-                    rounds,
-                    tau1: 2,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    opts,
-                }))
-            }),
-        ),
-        (
-            "FedProx",
-            Box::new(move |opts| {
-                Box::new(FedProx::new(FedProxConfig {
-                    rounds,
-                    tau1: 2,
-                    m_clients: 4,
-                    mu: 0.1,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    opts,
-                }))
-            }),
-        ),
-        (
-            "q-FedAvg",
-            Box::new(move |opts| {
-                Box::new(QFedAvg::new(QfflConfig {
-                    rounds,
-                    tau1: 2,
-                    m_clients: 4,
-                    q: 1.0,
-                    eta_w: 0.1,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                }))
-            }),
-        ),
-        (
-            "DRFA",
-            Box::new(move |opts| {
-                Box::new(Drfa::new(DrfaConfig {
-                    rounds,
-                    tau1: 2,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    eta_q: 0.1,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                }))
-            }),
-        ),
-        (
-            "Stochastic-AFL",
-            Box::new(move |opts| {
-                Box::new(StochasticAfl::new(AflConfig {
-                    rounds,
-                    m_clients: 4,
-                    eta_w: 0.1,
-                    eta_q: 0.1,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                }))
-            }),
-        ),
-        (
-            "MultiLevelMinimax",
-            Box::new(move |opts| {
-                Box::new(MultiLevelMinimax::new(MultiLevelConfig {
-                    rounds,
-                    tau1: 2,
-                    tau2: 2,
-                    upper: vec![UpperLevel {
-                        group_size: 2,
-                        tau: 2,
-                    }],
-                    m_groups: 2,
-                    eta_w: 0.1,
-                    eta_p: 0.01,
-                    batch_size: 2,
-                    loss_batch: 4,
-                    opts,
-                }))
-            }),
-        ),
-    ]
+    Method::ALL
+        .into_iter()
+        .map(|m| {
+            let h = hyper(m, rounds, quantizer);
+            (m.name(), Box::new(move |opts| m.build(&h, opts)) as Factory)
+        })
+        .collect()
 }
 
 fn round_ends(events: &[TelemetryEvent]) -> Vec<&TelemetryEvent> {
@@ -198,14 +93,15 @@ fn round_comm_deltas_match_trace_and_conformance_automaton() {
     let sc = tiny_problem(3, 2, 21);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
     let sink = Arc::new(MemorySink::new());
-    let cfg = hm_cfg(5, opts_with(Telemetry::with_sink(sink.clone())));
+    let (h, opts) = (hm_hyper(5), opts_with(Telemetry::with_sink(sink.clone())));
     let seed = 77;
-    let r = HierMinimax::new(cfg.clone()).run(&fp, seed);
+    let r = Method::HierMinimax.build(&h, opts.clone()).run(&fp, seed);
 
     let events = sink.events();
+    let pr = Protocol::new(Method::HierMinimax, &h, &opts);
     let report =
-        check_stream(&fp, &cfg, seed, &events).unwrap_or_else(|e| panic!("conformance: {e}"));
-    assert_eq!(report.rounds, cfg.rounds);
+        check_stream(&fp, pr, seed, &events).unwrap_or_else(|e| panic!("conformance: {e}"));
+    assert_eq!(report.rounds, h.rounds);
 
     let ends = round_ends(&events);
     assert_eq!(ends.len(), report.rounds);
@@ -253,7 +149,7 @@ fn round_comm_deltas_match_trace_and_conformance_automaton() {
     else {
         panic!("stream must end with run_end, got {:?}", events.last());
     };
-    assert_eq!(*rounds, cfg.rounds);
+    assert_eq!(*rounds, h.rounds);
     assert_eq!(comm_total, &r.comm);
 }
 
@@ -311,9 +207,13 @@ fn jsonl_stream_validates_and_p_trajectory_matches_history() {
 fn enabling_telemetry_is_bit_identical_to_disabled() {
     let sc = tiny_problem(3, 2, 23);
     let fp = FederatedProblem::logistic_from_scenario(&sc);
-    let off = HierMinimax::new(hm_cfg(4, opts_with(Telemetry::disabled()))).run(&fp, 9);
+    let run = |telemetry| {
+        let opts = opts_with(telemetry);
+        Method::HierMinimax.build(&hm_hyper(4), opts).run(&fp, 9)
+    };
+    let off = run(Telemetry::disabled());
     let sink = Arc::new(MemorySink::new());
-    let on = HierMinimax::new(hm_cfg(4, opts_with(Telemetry::with_sink(sink.clone())))).run(&fp, 9);
+    let on = run(Telemetry::with_sink(sink.clone()));
     assert!(!sink.is_empty());
     assert_eq!(off.final_w, on.final_w);
     assert_eq!(off.final_p, on.final_p);
@@ -488,12 +388,17 @@ fn decoded_jsonl_file_is_the_run_stream_and_conforms() {
             ..Default::default()
         };
         let path = dir.join(format!("{parallelism:?}.jsonl"));
-        let mut cfg = hm_cfg(8, opts);
-        cfg.opts.telemetry = Telemetry::jsonl(&path).unwrap();
-        HierMinimax::new(cfg.clone()).run(&fp, seed);
+        let h = hm_hyper(8);
+        let run = |telemetry| {
+            let opts = RunOpts {
+                telemetry,
+                ..opts.clone()
+            };
+            Method::HierMinimax.build(&h, opts).run(&fp, seed);
+        };
+        run(Telemetry::jsonl(&path).unwrap());
         let sink = Arc::new(MemorySink::new());
-        cfg.opts.telemetry = Telemetry::with_sink(sink.clone());
-        HierMinimax::new(cfg.clone()).run(&fp, seed);
+        run(Telemetry::with_sink(sink.clone()));
 
         let body = std::fs::read_to_string(&path).unwrap();
         let decoded: Vec<TelemetryEvent> = body
@@ -508,8 +413,13 @@ fn decoded_jsonl_file_is_the_run_stream_and_conforms() {
             scrubbed(&sink.events()),
             "{parallelism:?}"
         );
-        check_stream(&fp, &cfg, seed, &decoded)
-            .unwrap_or_else(|e| panic!("{parallelism:?}: conformance: {e}"));
+        check_stream(
+            &fp,
+            Protocol::new(Method::HierMinimax, &h, &opts),
+            seed,
+            &decoded,
+        )
+        .unwrap_or_else(|e| panic!("{parallelism:?}: conformance: {e}"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
