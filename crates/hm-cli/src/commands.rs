@@ -217,7 +217,7 @@ fn aggregator(args: &Args) -> Result<Aggregator, ArgError> {
 /// Resolve `--checkpoint-dir`, `--checkpoint-every` and `--resume` into
 /// [`CheckpointOpts`]. A resume snapshot is read here, so corruption is a
 /// clean CLI error instead of a panic inside the run loop;
-/// [`build_algorithm`] checks that it belongs to the run.
+/// [`build_algorithm`]'s run check refuses one that does not fit the run.
 fn checkpoint_opts(args: &Args) -> Result<CheckpointOpts, ArgError> {
     let dir = args.str_or("checkpoint-dir", "");
     let every_raw = args.str_or("checkpoint-every", "");
@@ -426,8 +426,9 @@ struct Built {
 }
 
 /// Build the `--method` algorithm from the flags it reads, checked against
-/// `problem`. A `--resume` snapshot must come from the same algorithm,
-/// seed and rounds.
+/// `problem` ([`MethodRun::check`]): a `--resume` snapshot must come from
+/// the same algorithm, seed, rounds and problem shape, and carry the
+/// state the run keeps.
 fn build_algorithm(args: &Args, problem: &FederatedProblem) -> Result<Built, ArgError> {
     let flag = args.str_or("method", "hierminimax");
     let method = Method::parse(&flag).ok_or_else(|| {
@@ -442,11 +443,7 @@ fn build_algorithm(args: &Args, problem: &FederatedProblem) -> Result<Built, Arg
     let (opts, jsonl) = opts(args)?;
     refuse_ignored(method, &opts, h.quantizer)?;
     let alg = method.build(&h, opts.clone());
-    alg.check(problem);
-    if let Some(snap) = &opts.checkpoint.resume {
-        snap.validate_for(alg.name(), seed, h.rounds)
-            .map_err(|e| ArgError(format!("--resume {}: {e}", args.str_or("resume", ""))))?;
-    }
+    alg.check(problem, seed);
     Ok(Built {
         alg,
         seed,
@@ -848,7 +845,7 @@ fn compare(args: &Args) -> Result<(), ArgError> {
         .iter()
         .map(|m| m.build(&m.matched(&h, slots, &problem), opts.clone()))
         .collect();
-    algs.iter().for_each(|alg| alg.check(&problem));
+    algs.iter().for_each(|alg| alg.check(&problem, seed));
     println!(
         "comparing {} methods on {} with a budget of {} slots",
         algs.len(),

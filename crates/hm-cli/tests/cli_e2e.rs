@@ -1130,6 +1130,7 @@ fn resume_checks_the_run_and_its_shape_before_round_zero() {
             err, "error: cannot resume: snapshot p has 6 entries, the run has 4\n",
             "{method}"
         );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("problem:"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -1166,6 +1167,76 @@ fn resume_onto_more_clients_is_refused_before_round_zero() {
             "{method}"
         );
         assert!(!String::from_utf8_lossy(&out.stdout).contains("cloud rounds"));
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("problem:"));
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_refuses_quarantine_or_churn_state_the_run_would_drop() {
+    // A resume restores all of a snapshot's state or refuses it before the
+    // problem line: a quarantine run needs a horizon table for its 8
+    // clients, a run without quarantine cannot take one, and a churn
+    // section and a churn plan come together.
+    let dir = std::env::temp_dir().join(format!("hm-cli-drop-{}", std::process::id()));
+    let run = |ck: &str, flags: &[&str], extra: &[&str]| {
+        bin()
+            .args(["run", "--scenario", "tiny", "--edges", "4"])
+            .args(["--clients", "2", "--rounds", "6", "--m", "2"])
+            .args(["--seed", "3"])
+            .args(flags)
+            .args(extra)
+            .arg(ck)
+            .output()
+            .expect("spawn")
+    };
+    let byzantine = ["--fault-plan", "byzantine"];
+    let quarantine = [
+        "--fault-plan",
+        "byzantine",
+        "--quarantine-z",
+        "1",
+        "--quarantine-window",
+        "2",
+    ];
+    let churn = ["--churn-plan", "chaos-churn"];
+    for (i, (writer, resumer, want)) in [
+        (
+            &byzantine[..],
+            &[&byzantine[..], &["--quarantine-z", "1"]].concat()[..],
+            "snapshot has a quarantine table of 0 clients, the run quarantines 8",
+        ),
+        (
+            &quarantine[..],
+            &byzantine[..],
+            "snapshot has a quarantine table of 8 clients, the run has no quarantine",
+        ),
+        (
+            &churn[..],
+            &[][..],
+            "snapshot has a churn section, the run has no churn plan",
+        ),
+        (
+            &[][..],
+            &churn[..],
+            "snapshot has no churn section, the run has a churn plan",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let ck = dir.join(i.to_string()).display().to_string();
+        let out = run(&ck, writer, &["--checkpoint-dir"]);
+        assert!(out.status.success(), "case {i}");
+        let snap = format!("{ck}/hierminimax-round-000003.hmck");
+        let out = run(&snap, resumer, &["--resume"]);
+        assert_eq!(out.status.code(), Some(1), "case {i}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!("error: cannot resume: {want}\n"),
+            "case {i}"
+        );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("problem:"));
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -24,7 +24,7 @@
 //! two-layer baselines use [`ChurnCtl::clients`], the same view with
 //! every client a unit of its own.
 
-use super::hier_common::QuarantineCtl;
+use crate::checkpoint::ChurnSnapshot;
 use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
@@ -129,7 +129,6 @@ impl ChurnCtl {
     }
 
     /// Exclusive upper bound on every global client id minted so far.
-    #[cfg(test)]
     pub(crate) fn id_bound(&self) -> usize {
         self.topo.id_bound()
     }
@@ -143,15 +142,13 @@ impl ChurnCtl {
 
     /// Apply one round of churn at the round boundary (before Phase-1
     /// sampling): membership transitions, dropping the shards of joiners
-    /// that left and minting those of new ones, quarantine-table growth,
-    /// `p` re-projection, and event emission — all gated on an active
-    /// plan.
+    /// that left and minting those of new ones, `p` re-projection, and
+    /// event emission — all gated on an active plan.
     pub(crate) fn begin_round(
         &mut self,
         problem: &FederatedProblem,
         round: usize,
         p: &mut [f32],
-        quarantine: &mut QuarantineCtl,
         tel: &Telemetry,
     ) -> RoundChurn {
         if !self.active() {
@@ -167,7 +164,6 @@ impl ChurnCtl {
                 .insert(gid, mint_shard(problem, self.seed, gid, home));
             self.joined_src.push((gid, home));
         }
-        quarantine.ensure_clients(self.topo.id_bound());
         tel.record(|| TelemetryEvent::Churn {
             round,
             joined: rc.joined.clone(),
@@ -231,13 +227,10 @@ impl ChurnCtl {
         )
     }
 
-    /// Restore from a snapshot's `CHURN_SECTION`, re-minting from its keyed
-    /// stream the shard of every joiner in the restored member lists (the
-    /// departed ones stay in `joined_src` only). Returns the persisted
-    /// stale-round counter.
-    pub(crate) fn restore(&mut self, problem: &FederatedProblem, bytes: &[u8]) -> u64 {
-        let snap =
-            crate::checkpoint::decode_churn(bytes).unwrap_or_else(|e| panic!("cannot resume: {e}"));
+    /// Restore from a snapshot's decoded churn section, re-minting from
+    /// its keyed stream the shard of every joiner in the restored member
+    /// lists (the departed ones stay in `joined_src` only).
+    pub(crate) fn restore(&mut self, problem: &FederatedProblem, snap: ChurnSnapshot) {
         let live: HashSet<usize> = snap.members.iter().flatten().copied().collect();
         self.joined = snap
             .joined_src
@@ -253,7 +246,6 @@ impl ChurnCtl {
         );
         self.joined_src = snap.joined_src;
         self.stats = snap.stats;
-        snap.stale_rounds
     }
 }
 
@@ -272,8 +264,7 @@ mod tests {
         let mut ctl = ChurnCtl::new(&fp, &NO_CHURN, 7);
         assert!(!ctl.active());
         let mut p = vec![0.5, 0.25, 0.25];
-        let mut q = QuarantineCtl::new(0.0, 0, 6);
-        let rc = ctl.begin_round(&fp, 0, &mut p, &mut q, &Telemetry::disabled());
+        let rc = ctl.begin_round(&fp, 0, &mut p, &Telemetry::disabled());
         assert!(rc.is_empty());
         assert_eq!(p, vec![0.5, 0.25, 0.25]);
         assert_eq!(ctl.stats(), ChurnStats::default());
@@ -392,9 +383,8 @@ mod tests {
         for rehome in [true, false] {
             let mut ctl = ChurnCtl::new(&fp, &leave_heavy(rehome), 29);
             let mut p = fp.initial_p();
-            let mut q = QuarantineCtl::new(0.0, 0, 6);
             for k in 0..300 {
-                ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
+                ctl.begin_round(&fp, k, &mut p, &Telemetry::disabled());
                 let held = held_shards(&ctl);
                 assert_eq!(held, member_joiners(&ctl), "rehome {rehome}, round {k}");
                 for gid in held {
@@ -433,8 +423,7 @@ mod tests {
         };
         let mut ctl = ChurnCtl::new(&fp, &plan, 3);
         let mut p = vec![0.2, 0.3, 0.5];
-        let mut q = QuarantineCtl::new(0.0, 0, 6);
-        ctl.begin_round(&fp, 0, &mut p, &mut q, &Telemetry::disabled());
+        ctl.begin_round(&fp, 0, &mut p, &Telemetry::disabled());
         // Rate 1.0 kills all but the guarded last up edge.
         let up = ctl.up_edges();
         assert_eq!(up.len(), 1);
@@ -455,8 +444,7 @@ mod tests {
             ..NO_CHURN
         };
         let mut ctl = ChurnCtl::new(&fp, &plan, 3);
-        let mut q = QuarantineCtl::new(0.0, 0, 6);
-        ctl.begin_round(&fp, 0, &mut [], &mut q, &Telemetry::disabled());
+        ctl.begin_round(&fp, 0, &mut [], &Telemetry::disabled());
         let up = ctl.up_edges();
         assert_eq!(up.len(), 1);
         // All the mass sat on edges that died.
@@ -486,15 +474,16 @@ mod tests {
         for (plan, rounds) in cases {
             let mut ctl = ChurnCtl::new(&fp, &plan, 13);
             let mut p = fp.initial_p();
-            let mut q = QuarantineCtl::new(0.0, 0, 6);
             for k in 0..rounds {
-                ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
+                ctl.begin_round(&fp, k, &mut p, &Telemetry::disabled());
             }
             let bytes = ctl.checkpoint_bytes(2);
             let held = held_shards(&ctl);
             departed += ctl.joined_src.len() - held.len();
             let mut fresh = ChurnCtl::new(&fp, &plan, 13);
-            assert_eq!(fresh.restore(&fp, &bytes), 2);
+            let section = crate::checkpoint::decode_churn(&bytes).unwrap();
+            assert_eq!(section.stale_rounds, 2);
+            fresh.restore(&fp, section);
             assert_eq!(fresh.stats(), ctl.stats());
             assert_eq!(fresh.up_edges(), ctl.up_edges());
             assert_eq!(fresh.id_bound(), ctl.id_bound());
@@ -507,10 +496,9 @@ mod tests {
             // bytes do not change.
             assert_eq!(fresh.checkpoint_bytes(2), bytes);
             let mut p2 = p.clone();
-            let mut q2 = QuarantineCtl::new(0.0, 0, 6);
             for k in rounds..2 * rounds {
-                let a = ctl.begin_round(&fp, k, &mut p, &mut q, &Telemetry::disabled());
-                let b = fresh.begin_round(&fp, k, &mut p2, &mut q2, &Telemetry::disabled());
+                let a = ctl.begin_round(&fp, k, &mut p, &Telemetry::disabled());
+                let b = fresh.begin_round(&fp, k, &mut p2, &Telemetry::disabled());
                 assert_eq!(a, b, "round {k}");
                 assert_eq!(p, p2, "round {k}");
                 assert_eq!(held_shards(&fresh), held_shards(&ctl), "round {k}");

@@ -32,21 +32,15 @@
 use super::churnctl::ChurnCtl;
 use super::hier_common::{
     multiplicities, quantize_delta, robust_reduce_into, run_edge_blocks, EdgeBlockOutput,
-    EdgeBlockParams, QuarantineCtl,
+    QuarantineCtl,
 };
 use super::multilevel::{subtree_update, UpperLevel};
-use super::{
-    finish_round, qffl, IterateAverage, Method, Opt, RunError, RunOpts, RunResult,
-    WeightUpdateModel,
-};
-use crate::checkpoint::{
-    decode_quarantine, emit_preamble, encode_quarantine, CheckpointCtx, ResumedRun, CHURN_SECTION,
-    QUARANTINE_SECTION,
-};
-use crate::history::History;
+use super::{qffl, IterateAverage, Method, Opt, RunError, RunOpts, RunResult, WeightUpdateModel};
+use crate::checkpoint::{CheckpointCtx, Extras, Resume};
+use crate::history::{History, RoundRecord};
 use crate::localsgd::estimate_loss;
+use crate::metrics::{evaluate, EvalReport};
 use crate::problem::FederatedProblem;
-use hm_checkpoint::format::{ByteReader, ByteWriter};
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
 use hm_data::Dataset;
 use hm_optim::sgd::projected_ascent_step;
@@ -56,11 +50,6 @@ use hm_simnet::{
     CommMeter, FaultInjector, FaultKind, FaultStats, Link, MsgChannel, Quantizer, QuarantineStats,
 };
 use hm_telemetry::{model_digest, Phase, Profiler, Telemetry, TelemetryEvent};
-
-/// Snapshot extras section holding the stale-round streak of a run with
-/// a `max_stale_rounds` cap and no churn (the churn section carries it
-/// otherwise). Uncapped runs do not write it.
-const STALE_SECTION: &str = "stale_rounds";
 
 /// How the cloud picks the round's Phase-1 participants.
 pub(crate) enum Sampler {
@@ -100,7 +89,7 @@ pub(crate) enum Blocks<'a> {
 
 impl Blocks<'_> {
     /// Client-edge blocks per edge-level aggregation.
-    fn tau2(&self) -> usize {
+    pub(super) fn tau2(&self) -> usize {
         match *self {
             Blocks::Edges { tau2, .. } | Blocks::Tree { tau2, .. } => tau2,
             Blocks::Clients { .. } => 1,
@@ -108,7 +97,7 @@ impl Blocks<'_> {
     }
 
     /// The intermediate levels above the edges, top first.
-    fn upper(&self) -> &[UpperLevel] {
+    pub(super) fn upper(&self) -> &[UpperLevel] {
         match *self {
             Blocks::Edges { .. } | Blocks::Clients { .. } => &[],
             Blocks::Tree { upper, .. } => upper,
@@ -116,8 +105,17 @@ impl Blocks<'_> {
     }
 
     /// Whether the units are single clients.
-    fn clients(&self) -> bool {
+    pub(super) fn clients(&self) -> bool {
         matches!(self, Blocks::Clients { .. })
+    }
+
+    /// Proximal coefficient of every local step (FedProx; `0` for plain
+    /// SGD).
+    pub(super) fn mu(&self) -> f32 {
+        match *self {
+            Blocks::Clients { mu } => mu,
+            Blocks::Edges { .. } | Blocks::Tree { .. } => 0.0,
+        }
     }
 
     /// Edges under one sampled unit: 1, or `Π group_size` for a group.
@@ -198,19 +196,30 @@ pub(crate) struct RoundSpec<'a> {
 }
 
 /// One run in progress: the problem, the spec, the cloud's view of the
-/// network (fault oracle, meter, telemetry, profiler) and the
-/// shapes derived from the spec. The lifecycle steps are its methods;
+/// network (fault oracle, meter, telemetry, profiler), the run's
+/// membership view and quarantine pass, its checkpoint context, and the
+/// shapes derived from the spec. The lifecycle steps are its methods, and
+/// the block phase ([`run_edge_blocks`], [`subtree_update`]) reads it;
 /// [`run`] holds the state that carries across rounds.
-struct Driver<'a> {
-    problem: &'a FederatedProblem,
-    seed: u64,
-    spec: RoundSpec<'a>,
-    fault: FaultInjector,
-    meter: CommMeter,
-    tel: &'a Telemetry,
-    prof: &'a Profiler,
+pub(super) struct Driver<'a> {
+    pub(super) problem: &'a FederatedProblem,
+    pub(super) seed: u64,
+    pub(super) spec: RoundSpec<'a>,
+    /// Fault oracle deciding per-block client crashes and straggler fates
+    /// (keyed streams, so deterministic and independent of execution
+    /// order) and the cloud-link faults.
+    pub(super) fault: FaultInjector,
+    pub(super) meter: CommMeter,
+    pub(super) tel: &'a Telemetry,
+    pub(super) prof: &'a Profiler,
+    /// The run's membership view; an all-zero plan never changes it.
+    pub(super) churn: ChurnCtl,
+    /// Update-norm quarantine, inert at z = 0 and where the method does
+    /// not honour it.
+    pub(super) quarantine: QuarantineCtl,
+    ckpt: CheckpointCtx<'a>,
     /// Model dimension.
-    d: usize,
+    pub(super) d: usize,
     /// Edges under one sampled unit: 1, or a top-level group's edges.
     per_unit: usize,
     /// Units the cloud samples and `p` weighs: edges, top-level groups or
@@ -236,39 +245,13 @@ pub(crate) fn run(
     seed: u64,
     spec: RoundSpec<'_>,
 ) -> Result<RunResult, RunError> {
-    let opts = spec.opts;
-    let name = spec.method.name();
-    let clients = spec.blocks.clients();
-    let per_unit = spec.blocks.edges_per_unit();
-    let n_units = if clients {
-        problem.topology().total_clients()
-    } else {
-        problem.num_edges() / per_unit
-    };
-    let dv = Driver {
-        problem,
-        seed,
-        // An all-zero plan makes no RNG draws.
-        fault: FaultInjector::new(seed, opts.fault.clone()),
-        meter: CommMeter::new(),
-        tel: &opts.telemetry,
-        prof: &opts.profile,
-        d: problem.num_params(),
-        per_unit,
-        n_units,
-        slots: spec.tau1 * spec.blocks.blocks_per_round(),
-        link: if clients {
-            Link::ClientCloud
-        } else {
-            Link::EdgeCloud
-        },
-        spec,
-    };
+    let mut dv = Driver::new(problem, seed, spec);
+    let opts = dv.spec.opts;
+    let (rounds, dual) = (dv.spec.rounds, dv.spec.dual);
     let (d, slots, tel, prof) = (dv.d, dv.slots, dv.tel, dv.prof);
-    let spec = &dv.spec;
     // Client-edge traffic spreads over every edge area the sampled units
     // span; simulated time divides it among them.
-    let edge_areas = (spec.sampler.m() * per_unit).max(1);
+    let edge_areas = (dv.spec.sampler.m() * dv.per_unit).max(1);
     let cap = opts.max_stale_rounds as u64;
 
     let mut w = problem
@@ -279,7 +262,7 @@ pub(crate) fn run(
             0,
             0,
         )));
-    let mut p = vec![1.0 / n_units as f32; n_units];
+    let mut p = vec![1.0 / dv.n_units as f32; dv.n_units];
     // Without a dual step, the history and the snapshot carry the uniform
     // edge weights.
     let uniform_p = problem.initial_p();
@@ -288,109 +271,57 @@ pub(crate) fn run(
     let mut history = History::default();
     let mut faults_prev = FaultStats::default();
     let mut adv_prev = QuarantineStats::default();
-    // Update-norm quarantine (inert at z = 0) where the method honours it.
-    let z = if spec.method.honours(Opt::Quarantine) {
-        opts.quarantine_z
-    } else {
-        0.0
-    };
-    let mut quarantine = QuarantineCtl::new(
-        z,
-        opts.quarantine_window,
-        problem.topology().total_clients(),
-    );
-    // The run's membership view; an all-zero plan never changes it.
-    let mut churn = if clients {
-        ChurnCtl::clients(problem)
-    } else {
-        ChurnCtl::new(problem, &opts.churn, seed)
-    };
     // Consecutive rounds in which no report arrived.
     let mut stale: u64 = 0;
 
     // Resuming restores every piece of round-boundary state; all
     // randomness is keyed by (seed, round), so re-entering the loop at
     // `start` replays the uninterrupted run bit for bit.
-    let resumed = ResumedRun::from_opts(opts, name, seed, spec.rounds);
-    let start = match &resumed {
-        Some(rr) => {
-            let p_len = if spec.dual.is_some() {
-                p.len()
-            } else {
-                uniform_p.len()
-            };
-            rr.check_shape(problem, p_len, dv.n_areas());
-            w.clone_from(&rr.w);
-            if spec.dual.is_some() {
-                p.clone_from(&rr.p);
+    let resumed = dv.resume();
+    let mut comm_prev = dv.meter.snapshot();
+    let run_timer = tel.timer();
+    dv.ckpt.preamble(resumed.as_ref(), dv.n_areas());
+    opts.emit_aggregator_summary();
+    let start = match resumed {
+        Some(r) => {
+            w = r.w;
+            if dual.is_some() {
+                p = r.p;
             }
-            avg_w = rr.avg_w.clone();
-            avg_p = rr.avg_p.clone();
-            history = rr.history.clone();
-            dv.meter.restore(&rr.comm);
-            dv.fault.restore(&rr.faults);
-            faults_prev = rr.faults;
-            if let Some(bytes) = rr.snap.extra(QUARANTINE_SECTION) {
-                let (until, adv) =
-                    decode_quarantine(bytes).unwrap_or_else(|e| panic!("cannot resume: {e}"));
-                quarantine.restore(until);
-                dv.fault.restore_adversary(&adv);
-                adv_prev = adv;
-            }
-            if churn.active() {
-                let bytes = rr.snap.extra(CHURN_SECTION).unwrap_or_else(|| {
-                    panic!("cannot resume a churn run: snapshot has no churn section")
-                });
-                stale = churn.restore(problem, bytes);
-            } else if let Some(bytes) = rr.snap.extra(STALE_SECTION) {
-                stale = ByteReader::new(bytes)
-                    .get_u64()
-                    .expect("stale-round streak");
-            }
-            rr.start_round
+            (avg_w, avg_p, history) = (r.avg_w, r.avg_p, r.history);
+            (faults_prev, adv_prev, stale) = (r.faults, r.adversary, r.stale_rounds);
+            r.next_round
         }
         None => 0,
     };
-    let mut comm_prev = dv.meter.snapshot();
 
-    let run_timer = tel.timer();
-    emit_preamble(
-        tel,
-        resumed.as_ref(),
-        name,
-        spec.rounds,
-        dv.n_areas(),
-        d,
-        seed,
-    );
-    opts.emit_aggregator_summary();
-    let ckpt = CheckpointCtx::new(opts, problem, name, seed, spec.rounds);
-
-    for k in start..spec.rounds {
+    for k in start..rounds {
         tel.record(|| TelemetryEvent::RoundStart { round: k });
         let round_timer = tel.timer();
         let phase1_timer = tel.timer();
         let round_span = prof.start();
         // Churn resolves before any draw: leaves, edge failures (orphans
         // re-homed), joins, and `p` re-projected onto the surviving
-        // simplex. HierFAVG has no weights to re-project.
-        let fair: &mut [f32] = if spec.dual.is_some() { &mut p } else { &mut [] };
-        churn.begin_round(problem, k, fair, &mut quarantine, tel);
+        // simplex. HierFAVG has no weights to re-project. The quarantine
+        // table grows to cover every client that can report.
+        let fair: &mut [f32] = if dual.is_some() { &mut p } else { &mut [] };
+        dv.churn.begin_round(problem, k, fair, tel);
+        dv.quarantine.ensure_clients(dv.churn.id_bound());
 
         // ---- Phase 1: model update ---------------------------------------
-        let (sampled, cp) = dv.draw(k, &p, &churn);
-        let (participants, counts) = dv.broadcast(k, &sampled, cp.as_deref(), &quarantine);
+        let (sampled, cp) = dv.draw(k, &p);
+        let (participants, counts) = dv.broadcast(k, &sampled, cp.as_deref());
         // Round-start model, kept for the `RoundStart` ablation.
-        let w_start = match spec.dual {
+        let w_start = match dual {
             Some(Dual {
                 model: WeightUpdateModel::RoundStart,
                 ..
             }) => w.clone(),
             _ => Vec::new(),
         };
-        quarantine.begin_round();
-        let mut outputs = dv.block_phase(k, &w, &participants, cp.as_deref(), &quarantine, &churn);
-        quarantine.observe(&churn, &outputs);
+        dv.quarantine.begin_round();
+        let mut outputs = dv.block_phase(k, &w, &participants, cp.as_deref());
+        dv.quarantine.observe(&dv.churn, &outputs);
         let reported = dv.upload(k, &w, &mut outputs, cp.is_some());
         // A round in which no report arrived leaves the model untouched;
         // `max_stale_rounds` caps the tolerated streak.
@@ -406,15 +337,7 @@ pub(crate) fn run(
         } else {
             stale = 0;
         }
-        let w_checkpoint = dv.aggregate(
-            k,
-            &mut w,
-            &outputs,
-            &reported,
-            &counts,
-            &churn,
-            cp.is_some(),
-        );
+        let w_checkpoint = dv.aggregate(k, &mut w, &outputs, &reported, &counts, cp.is_some());
         tel.record(|| {
             let elapsed_s = phase1_timer.elapsed_s();
             let (w_digest, nonfinite) = model_digest(&w);
@@ -427,13 +350,13 @@ pub(crate) fn run(
         });
 
         // ---- Phase 2: unit weight update ---------------------------------
-        if let Some(dual) = spec.dual {
+        if let Some(dual) = dual {
             let w_eval: &[f32] = match dual.model {
                 WeightUpdateModel::RandomCheckpoint => &w_checkpoint,
                 WeightUpdateModel::FinalModel => &w,
                 WeightUpdateModel::RoundStart => &w_start,
             };
-            dv.phase2(k, dual, w_eval, &participants, &churn, &mut p);
+            dv.phase2(k, dual, w_eval, &participants, &mut p);
         }
 
         // ---- Accounting --------------------------------------------------
@@ -463,7 +386,7 @@ pub(crate) fn run(
                 attack: opts.fault.attack.as_str().to_string(),
             });
         }
-        quarantine.end_round(k, &dv.fault, tel);
+        dv.quarantine.end_round(k, &dv.fault, tel);
         adv_prev = adv_now;
         let comm_now = dv.meter.snapshot();
         let slots_done = (k + 1) * slots;
@@ -482,50 +405,40 @@ pub(crate) fn run(
         // ---- Evaluation and checkpoint -----------------------------------
         // The snapshot keeps the unit weights `p`; the history and the
         // averages see them per edge area.
-        let (p_snap, p_areas) = match spec.dual {
+        let (p_snap, p_areas) = match dual {
             Some(_) => (&p, dv.areas(&p)),
             None => (&uniform_p, uniform_p.clone()),
         };
-        finish_round(
-            problem,
-            opts,
-            &mut history,
-            &mut avg_w,
-            &mut avg_p,
-            k,
-            spec.rounds,
-            slots,
-            comm_now,
-            &w,
-            p_areas,
-        );
-        ckpt.after_round(k, &w, p_snap, &avg_w, &avg_p, &history, comm_now, fstats, {
-            let mut extra = Vec::new();
-            if quarantine.active() || dv.fault.has_adversary() {
-                // Read the counters fresh: `end_round` has added this
-                // round's quarantine sentences since `adv_now`.
-                extra.push((
-                    QUARANTINE_SECTION.to_string(),
-                    encode_quarantine(quarantine.state(), &dv.fault.adversary_stats()),
-                ));
-            }
-            if churn.active() {
-                extra.push((CHURN_SECTION.to_string(), churn.checkpoint_bytes(stale)));
-            } else if cap > 0 {
-                let mut section = ByteWriter::new();
-                section.put_u64(stale);
-                extra.push((STALE_SECTION.to_string(), section.into_bytes()));
-            }
-            extra
+        avg_w.add(&w);
+        avg_p.add(&p_areas);
+        let eval = opts.should_eval(k, rounds).then(|| dv.evaluate(k, &w));
+        history.push(RoundRecord {
+            round: k,
+            slots_done,
+            comm: comm_now,
+            p: p_areas,
+            eval,
         });
+        let extras = || Extras {
+            // Read the counters fresh: `end_round` has added this round's
+            // quarantine sentences since `adv_now`.
+            quarantine: (dv.quarantine.active() || dv.fault.has_adversary())
+                .then(|| (dv.quarantine.state(), dv.fault.adversary_stats())),
+            churn: dv.churn.active().then(|| dv.churn.checkpoint_bytes(stale)),
+            stale_rounds: (cap > 0 && !dv.churn.active()).then_some(stale),
+        };
+        let ckpt = &dv.ckpt;
+        ckpt.after_round(
+            k, &w, p_snap, &avg_w, &avg_p, &history, comm_now, fstats, extras,
+        );
     }
 
     let comm_final = dv.meter.snapshot();
     let faults_final = dv.fault.stats();
-    let total_slots = spec.rounds * slots;
+    let total_slots = rounds * slots;
     prof.emit_summary(tel);
     tel.record(|| TelemetryEvent::RunEnd {
-        rounds: spec.rounds,
+        rounds,
         slots: total_slots,
         comm_total: comm_final,
         sim_s: tel.sim_seconds(&comm_final, total_slots, edge_areas)
@@ -543,12 +456,91 @@ pub(crate) fn run(
         comm: comm_final,
         quarantine: dv.fault.adversary_stats(),
         faults: faults_final,
-        churn: churn.stats(),
+        churn: dv.churn.stats(),
     };
     Ok(result)
 }
 
-impl Driver<'_> {
+impl<'a> Driver<'a> {
+    /// The driver of `spec` on `problem`, with a fresh fault oracle,
+    /// meter, membership view and quarantine pass.
+    pub(super) fn new(problem: &'a FederatedProblem, seed: u64, spec: RoundSpec<'a>) -> Self {
+        let opts = spec.opts;
+        let clients = spec.blocks.clients();
+        let per_unit = spec.blocks.edges_per_unit();
+        let n_clients = problem.topology().total_clients();
+        let z = if spec.method.honours(Opt::Quarantine) {
+            opts.quarantine_z
+        } else {
+            0.0
+        };
+        Driver {
+            problem,
+            seed,
+            // An all-zero plan makes no RNG draws.
+            fault: FaultInjector::new(seed, opts.fault.clone()),
+            meter: CommMeter::new(),
+            tel: &opts.telemetry,
+            prof: &opts.profile,
+            churn: if clients {
+                ChurnCtl::clients(problem)
+            } else {
+                ChurnCtl::new(problem, &opts.churn, seed)
+            },
+            quarantine: QuarantineCtl::new(z, opts.quarantine_window, n_clients),
+            ckpt: CheckpointCtx::new(opts, problem, spec.method.name(), seed, spec.rounds),
+            d: problem.num_params(),
+            per_unit,
+            n_units: if clients {
+                n_clients
+            } else {
+                problem.num_edges() / per_unit
+            },
+            slots: spec.tau1 * spec.blocks.blocks_per_round(),
+            link: if clients {
+                Link::ClientCloud
+            } else {
+                Link::EdgeCloud
+            },
+            spec,
+        }
+    }
+
+    /// Restore the resume snapshot, if the run has one: decode it against
+    /// the run ([`CheckpointCtx::resume`]), restore the meter, the fault
+    /// and adversary counters and both controllers from it, and return
+    /// the rest of its state for [`run`] to assign. `None` for a fresh
+    /// run.
+    ///
+    /// # Panics
+    /// Panics with `cannot resume: …` when the snapshot does not fit the
+    /// run: the one failure site of a resume.
+    pub(super) fn resume(&mut self) -> Option<Resume> {
+        let opts: &RunOpts = self.spec.opts;
+        let snap = opts.checkpoint.resume.as_deref()?;
+        // Without a dual step the snapshot holds the uniform edge weights.
+        let p = if self.spec.dual.is_some() {
+            self.n_units
+        } else {
+            self.problem.num_edges()
+        };
+        // Before round 0 the horizon table has one entry per client, or
+        // none without a quarantine pass.
+        let (areas, quarantined) = (self.n_areas(), self.quarantine.state().len());
+        let mut r = self
+            .ckpt
+            .resume(snap, p, areas, quarantined, self.churn.active())
+            .unwrap_or_else(|e| panic!("cannot resume: {e}"));
+        self.meter.restore(&r.comm);
+        self.fault.restore(&r.faults);
+        self.fault.restore_adversary(&r.adversary);
+        self.quarantine.restore(std::mem::take(&mut r.until));
+        if let Some(churn) = r.churn.take() {
+            self.churn.restore(self.problem, churn);
+        }
+        Some(r)
+    }
+
     /// The edges under unit `g`: the edge itself, or a top-level group's
     /// `per_unit` contiguous edges.
     fn edges_of(&self, g: usize) -> std::ops::Range<usize> {
@@ -591,18 +583,30 @@ impl Driver<'_> {
         estimate_loss(&*self.problem.model, data, w, batch, &mut rng)
     }
 
+    /// Evaluate `w` on every edge's test data after round `k`, recording
+    /// the `eval` event.
+    fn evaluate(&self, k: usize, w: &[f32]) -> EvalReport {
+        let eval_timer = self.prof.start();
+        let e = evaluate(self.problem, w, self.spec.opts.parallelism);
+        self.prof
+            .record(self.tel, Phase::Eval, Some(k), None, eval_timer);
+        self.tel.record(|| TelemetryEvent::Eval {
+            round: k,
+            average: e.average,
+            worst: e.worst,
+            variance_pp: e.variance_pp,
+            per_edge_accuracy: e.per_edge_accuracy.clone(),
+        });
+        e
+    }
+
     /// `m` distinct units, uniform over those still up (`m` clamped to
     /// their count): a unit is up when all its edges are, since a dead
     /// edge can never report. Returns the pool size, the clamped `m` and
     /// the draw.
-    fn sample_up(
-        &self,
-        churn: &ChurnCtl,
-        m: usize,
-        rng: &mut StreamRng,
-    ) -> (usize, usize, Vec<usize>) {
+    fn sample_up(&self, m: usize, rng: &mut StreamRng) -> (usize, usize, Vec<usize>) {
         let up: Vec<usize> = (0..self.n_units)
-            .filter(|&g| self.edges_of(g).all(|e| churn.is_up(e)))
+            .filter(|&g| self.edges_of(g).all(|e| self.churn.is_up(e)))
             .collect();
         let m = m.min(up.len());
         let idx = sample_edges_uniform(up.len(), m, rng);
@@ -680,7 +684,7 @@ impl Driver<'_> {
 
     /// The Phase-1 draw: the sampled units and, for the minimax methods,
     /// the checkpoint index.
-    fn draw(&self, k: usize, p: &[f32], churn: &ChurnCtl) -> (Vec<usize>, Option<Vec<usize>>) {
+    fn draw(&self, k: usize, p: &[f32]) -> (Vec<usize>, Option<Vec<usize>>) {
         let sampling_span = self.prof.start();
         let mut rng = StreamRng::for_key(StreamKey::new(
             self.seed,
@@ -693,7 +697,7 @@ impl Driver<'_> {
                 let p64: Vec<f64> = p.iter().map(|&x| f64::from(x).max(0.0)).collect();
                 sample_edges_weighted(&p64, m, &mut rng)
             }
-            Sampler::Uniform(m) => self.sample_up(churn, m, &mut rng).2,
+            Sampler::Uniform(m) => self.sample_up(m, &mut rng).2,
         };
         // Only its base coordinates `(c1, c2)` are reported. A client
         // unit captures a checkpoint only when Phase 2 evaluates it.
@@ -733,15 +737,14 @@ impl Driver<'_> {
         k: usize,
         sampled: &[usize],
         cp: Option<&[usize]>,
-        quarantine: &QuarantineCtl,
     ) -> (Vec<usize>, Vec<usize>) {
         let (mut distinct, mut counts) = multiplicities(sampled);
-        if self.spec.blocks.clients() && quarantine.active() {
+        if self.spec.blocks.clients() && self.quarantine.active() {
             // A benched client unit is sent nothing: like a client that
             // was never sampled, it draws no fault stream. Its skipped
             // upload is counted.
             let free: Vec<usize> = (0..distinct.len())
-                .filter(|&i| !quarantine.benches(distinct[i], k))
+                .filter(|&i| !self.quarantine.benches(distinct[i], k))
                 .collect();
             self.fault
                 .add_excluded((distinct.len() - free.len()) as u64);
@@ -765,48 +768,19 @@ impl Driver<'_> {
         w: &[f32],
         participants: &[usize],
         cp: Option<&[usize]>,
-        quarantine: &QuarantineCtl,
-        churn: &ChurnCtl,
     ) -> Vec<EdgeBlockOutput> {
-        let c1c2 = cp.map(base_checkpoint);
-        let leaf = EdgeBlockParams {
-            problem: self.problem,
-            w_start: w,
-            edges: participants,
-            tau1: self.spec.tau1,
-            tau2: self.spec.blocks.tau2(),
-            eta_w: self.spec.eta_w,
-            batch_size: self.spec.batch_size,
-            mu: match self.spec.blocks {
-                Blocks::Clients { mu } => mu,
-                _ => 0.0,
-            },
-            checkpoint: c1c2,
-            quantizer: self.spec.quantizer,
-            fault: &self.fault,
-            level: 0,
-            round: k,
-            seed: self.seed,
-            meter: &self.meter,
-            par: self.spec.opts.parallelism,
-            telemetry: self.tel,
-            profile: self.prof,
-            aggregator: self.spec.opts.aggregator,
-            quarantined: quarantine.exclusions(),
-            track_norms: quarantine.active(),
-            churn,
-            edge_hop: !self.spec.blocks.clients(),
-        };
         let outputs: Vec<EdgeBlockOutput> = match self.spec.blocks {
-            Blocks::Edges { .. } | Blocks::Clients { .. } => run_edge_blocks(&leaf),
-            Blocks::Tree { upper, .. } => {
+            Blocks::Edges { .. } | Blocks::Clients { .. } => {
+                run_edge_blocks(self, w, participants, 0, k, cp.map(base_checkpoint))
+            }
+            Blocks::Tree { .. } => {
                 let cp = cp.expect("the tree runs with a checkpoint");
                 participants
                     .iter()
                     .map(|&g| {
                         let edges: Vec<usize> = self.edges_of(g).collect();
                         let (w_final, checkpoint) =
-                            subtree_update(&leaf, upper, w, &edges, 0, cp, k * self.n_units + g);
+                            subtree_update(self, w, &edges, 0, cp, k * self.n_units + g);
                         EdgeBlockOutput {
                             edge: g,
                             w_final,
@@ -878,7 +852,6 @@ impl Driver<'_> {
     /// A round with nothing to fold (no report arrived, or only units with
     /// no members and so no data volume) keeps `w^(k)` bit for bit, and
     /// its checkpoint model is `w^(k)`.
-    #[allow(clippy::too_many_arguments)]
     fn aggregate(
         &self,
         k: usize,
@@ -886,9 +859,9 @@ impl Driver<'_> {
         outputs: &[EdgeBlockOutput],
         reported: &[usize],
         counts: &[usize],
-        churn: &ChurnCtl,
         with_cp: bool,
     ) -> Vec<f32> {
+        let churn = &self.churn;
         let agg_span = self.prof.start();
         // Each report's pull on a weighted fold, normalized below: its
         // multiplicity in the draw, or its unit's current members' shards,
@@ -978,16 +951,8 @@ impl Driver<'_> {
     /// Phase 2 (eq. 7): sample a uniform unit set `U^(k)`, estimate each
     /// live unit's loss on `w_eval`, and take the projected ascent step
     /// on `p` with the unbiased estimate `v_g = (pool/m)·f_g`.
-    fn phase2(
-        &self,
-        k: usize,
-        dual: Dual,
-        w_eval: &[f32],
-        participants: &[usize],
-        churn: &ChurnCtl,
-        p: &mut [f32],
-    ) {
-        let (problem, d) = (self.problem, self.d);
+    fn phase2(&self, k: usize, dual: Dual, w_eval: &[f32], participants: &[usize], p: &mut [f32]) {
+        let (problem, d, churn) = (self.problem, self.d, &self.churn);
         let phase2_timer = self.tel.timer();
         let dual_span = self.prof.start();
         let mut u_rng = StreamRng::for_key(StreamKey::new(
@@ -996,7 +961,7 @@ impl Driver<'_> {
             k as u64,
             u64::MAX,
         ));
-        let (pool, m, u_set) = self.sample_up(churn, self.spec.sampler.m(), &mut u_rng);
+        let (pool, m, u_set) = self.sample_up(self.spec.sampler.m(), &mut u_rng);
         // Cloud → U^(k): the evaluation model. A unit that is out, or
         // whose downlink is lost after retries, contributes v = 0: the
         // estimate shrinks toward zero instead of aborting the update.

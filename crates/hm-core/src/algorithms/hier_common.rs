@@ -3,13 +3,16 @@
 //! with optional checkpoint capture, plus the cloud-side reductions and
 //! the quarantine controller the driver uses.
 //!
-//! Every participating edge's clients are its current members in the
-//! run's one membership view, [`ChurnCtl`]: with churn off, that is the
-//! original clients `edge·n₀ + idx`, in order. The two-layer baselines
-//! run the same procedure on units of one client with `τ2 = 1` and no
-//! edge hop ([`EdgeBlockParams::edge_hop`]): a one-member aggregation
-//! returns its input, so the unit's output is the client's upload, and a
-//! unit whose client dropped has nothing to send
+//! The block phase reads the run's settings, fault oracle, meter,
+//! telemetry and controllers from the [`Driver`]; a call supplies only
+//! what varies: the start model, the edges, the fault level, the round
+//! tag and the checkpoint index. Every participating edge's clients are
+//! its current members in the driver's one membership view,
+//! [`ChurnCtl`]: with churn off, that is the original clients `edge·n₀ +
+//! idx`, in order. The two-layer baselines run the same procedure on
+//! units of one client with `τ2 = 1` and no edge hop: a one-member
+//! aggregation returns its input, so the unit's output is the client's
+//! upload, and a unit whose client dropped has nothing to send
 //! ([`EdgeBlockOutput::uploads`]).
 //!
 //! A round's block phase runs in three steps (DESIGN.md §7):
@@ -32,13 +35,15 @@
 //! (DESIGN.md §7), the per-client RNG streams are keyed by `(seed,
 //! purpose, block, client)` rather than execution order, and the prepass
 //! feeds the straggler-slot accumulator per block in `t2` order.
+//!
+//! [`Parallelism::map_chains`]: hm_simnet::Parallelism::map_chains
 
 use super::churnctl::ChurnCtl;
+use super::driver::Driver;
 use crate::localsgd::local_sgd_into;
-use crate::problem::FederatedProblem;
 use hm_data::rng::{Purpose, StreamKey, StreamRng};
-use hm_simnet::{CommMeter, FaultInjector, Link, Parallelism, Quantizer, StragglerFate};
-use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
+use hm_simnet::{FaultInjector, Link, Quantizer, StragglerFate};
+use hm_telemetry::{Phase, Telemetry, TelemetryEvent};
 use hm_tensor::{vecops, Aggregator};
 
 /// Flattened client-slot layout of one round: for each participating edge
@@ -52,12 +57,12 @@ struct SlotMap {
 }
 
 impl SlotMap {
-    fn build(p: &EdgeBlockParams<'_>) -> Self {
+    fn build(churn: &ChurnCtl, edges: &[usize]) -> Self {
         let mut gids = Vec::new();
-        let mut offsets = Vec::with_capacity(p.edges.len() + 1);
+        let mut offsets = Vec::with_capacity(edges.len() + 1);
         offsets.push(0);
-        for &e in p.edges {
-            gids.extend_from_slice(p.churn.members_of(e));
+        for &e in edges {
+            gids.extend_from_slice(churn.members_of(e));
             offsets.push(gids.len());
         }
         Self { gids, offsets }
@@ -71,11 +76,6 @@ impl SlotMap {
     /// Slot range of participating edge `ei`.
     fn range(&self, ei: usize) -> std::ops::Range<usize> {
         self.offsets[ei]..self.offsets[ei + 1]
-    }
-
-    /// Member count of participating edge `ei`.
-    fn len_of(&self, ei: usize) -> usize {
-        self.offsets[ei + 1] - self.offsets[ei]
     }
 }
 
@@ -92,78 +92,13 @@ pub(crate) struct EdgeBlockOutput {
     /// Per local client slot `c`: `(Σ blocks ‖upload − block-start‖₂,
     /// blocks participated)`, measured on the decoded upload (after
     /// quantization and any Byzantine corruption) — the observable the
-    /// quarantine pass z-scores. Empty unless
-    /// [`EdgeBlockParams::track_norms`] is set.
+    /// quarantine pass z-scores. Empty unless the driver's quarantine
+    /// pass is active.
     pub client_norms: Vec<(f64, u32)>,
     /// Whether the unit has a model to send the cloud. An edge always
     /// has: with every client dropped it forwards its block-start model.
     /// A unit without an edge hop has one only when its client survived.
     pub uploads: bool,
-}
-
-/// Parameters of one round's `ModelUpdate` across the participating edges.
-pub(crate) struct EdgeBlockParams<'a> {
-    pub problem: &'a FederatedProblem,
-    /// The global model broadcast by the cloud at the start of the round.
-    pub w_start: &'a [f32],
-    /// Distinct participating edge ids.
-    pub edges: &'a [usize],
-    pub tau1: usize,
-    pub tau2: usize,
-    pub eta_w: f32,
-    pub batch_size: usize,
-    /// Proximal coefficient of every local step (FedProx; `0` for plain
-    /// SGD).
-    pub mu: f32,
-    /// Checkpoint index `(c1, c2)`, or `None` for minimization methods.
-    pub checkpoint: Option<(usize, usize)>,
-    /// Codec applied to client model uploads (the Hier-Local-QSGD
-    /// extension); downlink broadcasts stay full precision.
-    pub quantizer: Quantizer,
-    /// Fault oracle deciding per-block client crashes and straggler fates
-    /// (keyed streams, so deterministic and independent of execution
-    /// order). A crashed client neither computes nor uploads for that
-    /// block; a straggler past the deadline computes but its late upload
-    /// is discarded and not metered. The edge averages the survivors, and
-    /// an edge whose clients all dropped keeps its block-start model.
-    pub fault: &'a FaultInjector,
-    /// Hierarchy level of these clients' subtree (0 = the three-layer
-    /// client-edge-cloud case, whose fault streams are keyed by the plain
-    /// client id; deeper multi-level trees pass their depth so equal block
-    /// indices at different levels draw independent fault bits).
-    pub level: usize,
-    /// Training round `k` (keys the RNG streams).
-    pub round: usize,
-    pub seed: u64,
-    pub meter: &'a CommMeter,
-    pub par: Parallelism,
-    pub telemetry: &'a Telemetry,
-    /// Span profiler. Per-edge chain durations are measured inside the
-    /// workers (wall-clock only — never consulted by the computation) and
-    /// recorded after the join, in edge order, so profiled span streams
-    /// are identical in shape across parallelism modes.
-    pub profile: &'a Profiler,
-    /// Client→edge reduction rule. [`Aggregator::Mean`] is the frozen
-    /// reference path (bit-identical to the historical
-    /// `average_present_into` fold); the robust rules defend against
-    /// Byzantine uploads at the cost of statistical efficiency.
-    pub aggregator: Aggregator,
-    /// Per-global-client quarantine horizon: client `i` sits out every
-    /// block of the round while `round < quarantined[i]` (it neither
-    /// computes nor uploads, and makes no fault-stream draws). An empty
-    /// slice disables the check at zero cost.
-    pub quarantined: &'a [u64],
-    /// Collect [`EdgeBlockOutput::client_norms`] for the quarantine pass.
-    /// Off by default — norm tracking costs one `dist2_sq` per surviving
-    /// upload but never perturbs the trained bits.
-    pub track_norms: bool,
-    /// The run's membership view: each edge's clients and their shards.
-    pub churn: &'a ChurnCtl,
-    /// Whether the clients talk to an edge server. Without one (the
-    /// two-layer baselines' one-client units) there is no client-edge
-    /// traffic to meter, no `block_agg` event to emit and no edge to
-    /// forward the block-start model of a unit whose client dropped.
-    pub edge_hop: bool,
 }
 
 /// Per-round fault and survivor schedule, computed before any client work.
@@ -187,13 +122,17 @@ struct RoundSchedule {
     block_survivors: Vec<u64>,
 }
 
-fn compute_schedule(p: &EdgeBlockParams<'_>, slots: &SlotMap) -> RoundSchedule {
+/// The schedule of the blocks keyed by `round` at fault `level`: client
+/// faults of a deeper hierarchy key on its depth, so equal block indices
+/// at different levels draw independent bits.
+fn compute_schedule(dv: &Driver<'_>, slots: &SlotMap, level: usize, round: usize) -> RoundSchedule {
+    let (tau2, fault) = (dv.spec.blocks.tau2(), &dv.fault);
     let n_slots = slots.n_slots();
-    let mut alive = vec![false; p.tau2 * n_slots];
-    let mut corrupt = vec![false; p.tau2 * n_slots];
-    let mut block_survivors = vec![0u64; p.tau2];
-    for t2 in 0..p.tau2 {
-        let block_tag = (p.round * p.tau2 + t2) as u64;
+    let mut alive = vec![false; tau2 * n_slots];
+    let mut corrupt = vec![false; tau2 * n_slots];
+    let mut block_survivors = vec![0u64; tau2];
+    for t2 in 0..tau2 {
+        let block_tag = (round * tau2 + t2) as u64;
         // Which clients survive this block: a quarantined client sits the
         // round out (no fault-stream draws at all); otherwise a client is
         // cut by a crash or by straggling past the deadline; an
@@ -203,13 +142,13 @@ fn compute_schedule(p: &EdgeBlockParams<'_>, slots: &SlotMap) -> RoundSchedule {
         let mut max_slow = 1.0_f64;
         for slot in 0..n_slots {
             let client = slots.gids[slot];
-            let a = if quarantine_excludes(p.quarantined, client, p.round) {
-                p.fault.add_excluded(1);
+            let a = if dv.quarantine.benches(client, round) {
+                fault.add_excluded(1);
                 false
-            } else if !p.fault.client_alive(block_tag, p.level, client) {
+            } else if !fault.client_alive(block_tag, level, client) {
                 false
             } else {
-                match p.fault.straggler(block_tag, p.level, client) {
+                match fault.straggler(block_tag, level, client) {
                     StragglerFate::Missed => false,
                     StragglerFate::Slow(s) => {
                         max_slow = max_slow.max(s);
@@ -219,14 +158,13 @@ fn compute_schedule(p: &EdgeBlockParams<'_>, slots: &SlotMap) -> RoundSchedule {
                 }
             };
             alive[t2 * n_slots + slot] = a;
-            corrupt[t2 * n_slots + slot] = a && p.fault.client_corrupt(block_tag, p.level, client);
+            corrupt[t2 * n_slots + slot] = a && fault.client_corrupt(block_tag, level, client);
             block_survivors[t2] += u64::from(a);
         }
         if max_slow > 1.0 {
             // The synchronous block waits for its slowest in-deadline
             // straggler: τ1 nominal slots stretch by the slowdown factor.
-            p.fault
-                .add_straggler_slots((max_slow - 1.0) * p.tau1 as f64);
+            fault.add_straggler_slots((max_slow - 1.0) * dv.spec.tau1 as f64);
         }
     }
     RoundSchedule {
@@ -236,52 +174,52 @@ fn compute_schedule(p: &EdgeBlockParams<'_>, slots: &SlotMap) -> RoundSchedule {
     }
 }
 
-/// Is `client` quarantined for `round`? An empty horizon table (the
-/// disabled state) never excludes anybody.
-fn quarantine_excludes(quarantined: &[u64], client: usize, round: usize) -> bool {
-    quarantined
-        .get(client)
-        .is_some_and(|&until| (round as u64) < until)
-}
-
 /// Meter the whole round's client-edge traffic in closed form: one
 /// broadcast to every client per block, one upload per surviving client
-/// per block (doubled in the checkpoint block, whose model is piggybacked
-/// on the gather), and `τ2` synchronisation rounds — the per-block totals
-/// of the protocol in a handful of atomic updates.
-fn meter_round(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedule) {
-    let d = p.problem.num_params() as u64;
-    let n_slots = slots.n_slots() as u64;
-    p.meter
-        .record_broadcast(Link::ClientEdge, d, p.tau2 as u64 * n_slots);
-    let unit = p.quantizer.wire_floats(d as usize);
-    let cp_block = p.checkpoint.map(|(_, c2)| c2);
+/// per block (doubled in the checkpoint block `c2`, whose model is
+/// piggybacked on the gather), and `τ2` synchronisation rounds — the
+/// per-block totals of the protocol in a handful of atomic updates.
+fn meter_round(
+    dv: &Driver<'_>,
+    slots: &SlotMap,
+    schedule: &RoundSchedule,
+    cp_block: Option<usize>,
+) {
+    let (meter, tau2) = (&dv.meter, dv.spec.blocks.tau2() as u64);
+    let d = dv.d as u64;
+    meter.record_broadcast(Link::ClientEdge, d, tau2 * slots.n_slots() as u64);
+    let unit = dv.spec.quantizer.wire_floats(dv.d);
     let mut plain_survivors = 0u64;
     for (t2, &s) in schedule.block_survivors.iter().enumerate() {
         if cp_block == Some(t2) {
-            p.meter.record_gather(Link::ClientEdge, 2 * unit, s);
+            meter.record_gather(Link::ClientEdge, 2 * unit, s);
         } else {
             plain_survivors += s;
         }
     }
-    p.meter
-        .record_gather(Link::ClientEdge, unit, plain_survivors);
-    p.meter.record_rounds(Link::ClientEdge, p.tau2 as u64);
+    meter.record_gather(Link::ClientEdge, unit, plain_survivors);
+    meter.record_rounds(Link::ClientEdge, tau2);
 }
 
 /// Replay the round's `block_agg` events after the parallel join, in
 /// protocol order: per block, one per edge with at least one survivor,
 /// listing the clients it aggregated in slot order.
-fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSchedule) {
+fn replay_events(
+    dv: &Driver<'_>,
+    edges: &[usize],
+    round: usize,
+    slots: &SlotMap,
+    schedule: &RoundSchedule,
+) {
     let n_slots = slots.n_slots();
-    for t2 in 0..p.tau2 {
+    for t2 in 0..dv.spec.blocks.tau2() {
         let alive = &schedule.alive[t2 * n_slots..(t2 + 1) * n_slots];
-        for (ei, &edge) in p.edges.iter().enumerate() {
+        for (ei, &edge) in edges.iter().enumerate() {
             if !alive[slots.range(ei)].contains(&true) {
                 continue;
             }
-            p.telemetry.record(|| TelemetryEvent::BlockAggregated {
-                round: p.round,
+            dv.tel.record(|| TelemetryEvent::BlockAggregated {
+                round,
                 edge,
                 t2,
                 clients: slots
@@ -294,40 +232,62 @@ fn replay_events(p: &EdgeBlockParams<'_>, slots: &SlotMap, schedule: &RoundSched
     }
 }
 
-/// Per-edge chain result: final edge model, checkpoint model, per-client
-/// `(summed update norm, block count)` samples for the quarantine pass,
-/// whether any block had a survivor, and the chain's wall-clock seconds
-/// for the profiler.
-type ChainOutput = (Vec<f32>, Option<Vec<f32>>, Vec<(f64, u32)>, bool, f64);
-
-/// Run `τ2` client-edge aggregation blocks on each participating edge:
-/// the fault schedule and the metering up front, then one chain per edge
-/// running all `τ2` blocks back to back, then the event replay.
+/// Run `τ2` client-edge aggregation blocks on each of `edges` from
+/// `w_start`: the fault schedule and the metering up front, then one
+/// chain per edge running all `τ2` blocks back to back, then the event
+/// replay. `level` and `round` key the blocks' fault and RNG streams
+/// (`round` is the cloud round, or MultiLevel's position tag), and
+/// `checkpoint` is the index `(c1, c2)` to capture, if any. One output
+/// per edge, in order.
 ///
 /// Blocks of one edge are sequential, as the protocol requires; edges do
-/// not synchronise until the end of the round (see module docs).
-/// With an edge hop, communication is metered on the `ClientEdge` link:
-/// one broadcast + one gather + one round per block, with the checkpoint
-/// model piggybacked on the gather of block `c2` (doubling that block's
-/// uplink payload, as in the paper where clients "send along" the
-/// checkpoint).
-pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
-    let ne = p.edges.len();
-    let slots = SlotMap::build(p);
-    let schedule = compute_schedule(p, &slots);
-    if p.edge_hop {
-        meter_round(p, &slots, &schedule);
+/// not synchronise until the end of the round (see module docs). A
+/// crashed client neither computes nor uploads for that block, and a
+/// benched one sits out every block without drawing a fault stream; a
+/// straggler past the deadline computes, but its late upload is discarded
+/// and not metered. The edge folds the survivors, and an edge whose
+/// clients all dropped keeps its block-start model. With an edge hop,
+/// communication is metered on the `ClientEdge` link: one broadcast + one
+/// gather + one round per block, with the checkpoint model piggybacked on
+/// the gather of block `c2` (doubling that block's uplink payload, as in
+/// the paper where clients "send along" the checkpoint).
+pub(super) fn run_edge_blocks(
+    dv: &Driver<'_>,
+    w_start: &[f32],
+    edges: &[usize],
+    level: usize,
+    round: usize,
+    checkpoint: Option<(usize, usize)>,
+) -> Vec<EdgeBlockOutput> {
+    let spec = &dv.spec;
+    let (tau1, tau2, mu) = (spec.tau1, spec.blocks.tau2(), spec.blocks.mu());
+    let (q, aggregator) = (spec.quantizer, spec.opts.aggregator);
+    // Without an edge hop (the two-layer baselines' one-client units)
+    // there is no client-edge traffic to meter, no `block_agg` event to
+    // emit and no edge to forward the block-start model of a unit whose
+    // client dropped.
+    let edge_hop = !spec.blocks.clients();
+    // Norm tracking for the quarantine pass costs one `dist2_sq` per
+    // surviving upload but never perturbs the trained bits.
+    let track_norms = dv.quarantine.active();
+    let slots = SlotMap::build(&dv.churn, edges);
+    let schedule = compute_schedule(dv, &slots, level, round);
+    if edge_hop {
+        meter_round(dv, &slots, &schedule, checkpoint.map(|(_, c2)| c2));
     }
 
-    let outputs: Vec<ChainOutput> = {
+    let chains: Vec<(EdgeBlockOutput, f64)> = {
         let schedule = &schedule;
         let slots = &slots;
-        p.par.map_chains(ne, |ei| {
+        spec.opts.parallelism.map_chains(edges.len(), |ei| {
             hm_nn::with_scratch(|scratch| {
-                let chain_timer = p.profile.start();
-                let n0_e = slots.len_of(ei);
-                let mut model = p.w_start.to_vec();
-                let mut checkpoint: Option<Vec<f32>> = None;
+                // Wall-clock only, never consulted by the computation;
+                // recorded after the join, in edge order, so profiled span
+                // streams have the same shape on both executors.
+                let chain_timer = dv.prof.start();
+                let n0_e = slots.range(ei).len();
+                let mut model = w_start.to_vec();
+                let mut cp_model: Option<Vec<f32>> = None;
                 // Per-client upload buffers, reused across blocks. An
                 // empty model slot means "dropped this block" (models are
                 // never zero-length), which is what the aggregation's
@@ -338,18 +298,19 @@ pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                 // base snapshot is only cloned for rules that need the
                 // block-start model (NormClip), so the Mean path stays
                 // allocation-free beyond the buffers above.
-                let needs_base = p.aggregator.needs_base();
+                let needs_base = aggregator.needs_base();
                 let mut agg_scratch: Vec<f32> = Vec::new();
                 let mut base_buf: Vec<f32> = Vec::new();
-                let mut norms: Vec<(f64, u32)> = if p.track_norms {
+                let mut norms: Vec<(f64, u32)> = if track_norms {
                     vec![(0.0, 0); n0_e]
                 } else {
                     Vec::new()
                 };
                 let mut aggregated = false;
-                for t2 in 0..p.tau2 {
-                    let is_cp_block = p.checkpoint.map(|(_, c2)| c2 == t2).unwrap_or(false);
-                    let cp_after = p.checkpoint.and_then(|(c1, c2)| (c2 == t2).then_some(c1));
+                for t2 in 0..tau2 {
+                    let is_cp_block = checkpoint.map(|(_, c2)| c2 == t2).unwrap_or(false);
+                    let cp_after = checkpoint.and_then(|(c1, c2)| (c2 == t2).then_some(c1));
+                    let block_tag = (round * tau2 + t2) as u64;
                     let base = t2 * slots.n_slots() + slots.offsets[ei];
                     for c in 0..n0_e {
                         client_cp[c] = None;
@@ -359,21 +320,21 @@ pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                         }
                         let client = slots.gids[slots.offsets[ei] + c];
                         let mut rng = StreamRng::for_key(StreamKey::new(
-                            p.seed,
+                            dv.seed,
                             Purpose::Batch,
-                            (p.round * p.tau2 + t2) as u64,
+                            block_tag,
                             client as u64,
                         ));
                         let mut cp_out = local_sgd_into(
-                            &*p.problem.model,
-                            p.churn.data(p.problem, client),
+                            &*dv.problem.model,
+                            dv.churn.data(dv.problem, client),
                             &model,
                             &mut client_w[c],
-                            p.tau1,
-                            p.eta_w,
-                            p.batch_size,
-                            p.mu,
-                            &p.problem.w_domain,
+                            tau1,
+                            spec.eta_w,
+                            spec.batch_size,
+                            mu,
+                            &dv.problem.w_domain,
                             &mut rng,
                             cp_after,
                             scratch,
@@ -383,37 +344,37 @@ pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                         // codec sees it. The checkpoint rides the same
                         // gather, so it is forged too.
                         if schedule.corrupt[base + c] {
-                            let block_tag = (p.round * p.tau2 + t2) as u64;
-                            p.fault.corrupt_update(
+                            dv.fault.corrupt_update(
                                 block_tag,
-                                p.level,
+                                level,
                                 client,
                                 &model,
                                 &mut client_w[c],
                             );
                             if let Some(cp) = cp_out.as_mut() {
-                                p.fault
-                                    .corrupt_update(block_tag, p.level, client, &model, cp);
+                                dv.fault
+                                    .corrupt_update(block_tag, level, client, &model, cp);
                             }
                         }
                         // Uplink codec: quantize the *update delta* against
                         // the block-start model the edge already holds (as
                         // in Hier-Local-QSGD — deltas are small, so coarse
                         // grids stay accurate), then reconstruct the model
-                        // the edge decodes.
-                        if p.quantizer != Quantizer::Exact {
+                        // the edge decodes. Downlink broadcasts stay full
+                        // precision.
+                        if q != Quantizer::Exact {
                             let mut qrng = StreamRng::for_key(StreamKey::new(
-                                p.seed,
+                                dv.seed,
                                 Purpose::Quantize,
-                                (p.round * p.tau2 + t2) as u64,
+                                block_tag,
                                 client as u64,
                             ));
-                            quantize_delta(&p.quantizer, &model, &mut client_w[c], &mut qrng);
+                            quantize_delta(&q, &model, &mut client_w[c], &mut qrng);
                             if let Some(cp) = cp_out.as_mut() {
-                                quantize_delta(&p.quantizer, &model, cp, &mut qrng);
+                                quantize_delta(&q, &model, cp, &mut qrng);
                             }
                         }
-                        if p.track_norms {
+                        if track_norms {
                             let entry = &mut norms[c];
                             entry.0 += vecops::dist2_sq(&client_w[c], &model).sqrt();
                             entry.1 += 1;
@@ -429,7 +390,7 @@ pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                     if needs_base {
                         base_buf.clone_from(&model);
                     }
-                    let survivors = p.aggregator.aggregate_present_into(
+                    let survivors = aggregator.aggregate_present_into(
                         &client_w,
                         |w| (!w.is_empty()).then_some(w.as_slice()),
                         needs_base.then_some(base_buf.as_slice()),
@@ -442,7 +403,7 @@ pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                     aggregated = true;
                     if is_cp_block {
                         let mut cp = vec![0.0_f32; model.len()];
-                        let got = p.aggregator.aggregate_present_into(
+                        let got = aggregator.aggregate_present_into(
                             &client_cp,
                             Option::as_deref,
                             needs_base.then_some(base_buf.as_slice()),
@@ -450,61 +411,41 @@ pub(crate) fn run_edge_blocks(p: &EdgeBlockParams<'_>) -> Vec<EdgeBlockOutput> {
                             &mut cp,
                         );
                         assert_eq!(got, survivors, "checkpoint block must return checkpoints");
-                        checkpoint = Some(cp);
+                        cp_model = Some(cp);
                     }
                 }
-                (
-                    model,
-                    checkpoint,
-                    norms,
-                    aggregated,
-                    chain_timer.elapsed_s(),
-                )
+                // Checkpoint fallback: if every client of an edge dropped
+                // during the checkpoint block, fall back to the edge's
+                // final model so Phase 2 still has an estimate to evaluate
+                // (slightly biased, but only in a failure corner the
+                // paper's protocol does not define).
+                if cp_model.is_none() && checkpoint.is_some() {
+                    cp_model = Some(model.clone());
+                }
+                let output = EdgeBlockOutput {
+                    edge: edges[ei],
+                    w_final: model,
+                    checkpoint: cp_model,
+                    client_norms: norms,
+                    uploads: edge_hop || aggregated,
+                };
+                (output, chain_timer.elapsed_s())
             })
         })
     };
 
-    if p.edge_hop {
-        replay_events(p, &slots, &schedule);
+    if edge_hop {
+        replay_events(dv, edges, round, &slots, &schedule);
     }
-    for (ei, (_, _, _, _, chain_s)) in outputs.iter().enumerate() {
-        p.profile.record_secs(
-            p.telemetry,
-            Phase::LocalSgdChain,
-            Some(p.round),
-            Some(p.edges[ei]),
-            *chain_s,
-        );
-    }
-
-    p.edges
-        .iter()
-        .zip(outputs)
-        .map(|(&edge, chain)| finish_edge(p, edge, chain))
+    chains
+        .into_iter()
+        .map(|(output, chain_s)| {
+            let edge = Some(output.edge);
+            dv.prof
+                .record_secs(dv.tel, Phase::LocalSgdChain, Some(round), edge, chain_s);
+            output
+        })
         .collect()
-}
-
-/// The unit's output from its chain. Checkpoint fallback: if every client
-/// of an edge dropped during the checkpoint block, fall back to the edge's
-/// final model so Phase 2 still has an estimate to evaluate (slightly
-/// biased, but only in a failure corner the paper's protocol does not
-/// define).
-fn finish_edge(
-    p: &EdgeBlockParams<'_>,
-    edge: usize,
-    (w_final, checkpoint, client_norms, aggregated, _): ChainOutput,
-) -> EdgeBlockOutput {
-    let checkpoint = match (checkpoint, p.checkpoint) {
-        (None, Some(_)) => Some(w_final.clone()),
-        (cp, _) => cp,
-    };
-    EdgeBlockOutput {
-        edge,
-        w_final,
-        checkpoint,
-        client_norms,
-        uploads: p.edge_hop || aggregated,
-    }
 }
 
 /// Quantize `v` as a delta against `base` (which the receiver already
@@ -595,15 +536,12 @@ impl QuarantineCtl {
         self.z > 0.0
     }
 
-    /// The horizon table to pass as [`EdgeBlockParams::quarantined`]
-    /// (empty when disabled, which turns the per-slot check off).
-    pub(crate) fn exclusions(&self) -> &[u64] {
-        &self.until
-    }
-
-    /// Whether `client` sits out `round`.
+    /// Whether `client` sits out `round`. A disabled controller's empty
+    /// horizon table never benches anybody.
     pub(crate) fn benches(&self, client: usize, round: usize) -> bool {
-        quarantine_excludes(&self.until, client, round)
+        self.until
+            .get(client)
+            .is_some_and(|&until| (round as u64) < until)
     }
 
     pub(crate) fn begin_round(&mut self) {
@@ -612,9 +550,9 @@ impl QuarantineCtl {
     }
 
     /// Grow the per-client tables to cover `n` global ids (no-op when
-    /// disabled or already large enough). Churn-enabled runs call this
-    /// after joins mint fresh ids, so the horizon table covers every
-    /// client that can ever report.
+    /// disabled or already large enough). The driver calls this after
+    /// every round's churn, with the bound on the ids minted so far, so
+    /// the horizon table covers every client that can ever report.
     pub(crate) fn ensure_clients(&mut self, n: usize) {
         if self.active() && n > self.until.len() {
             self.until.resize(n, 0);
@@ -699,20 +637,14 @@ impl QuarantineCtl {
         &self.until
     }
 
-    /// Restore a checkpointed horizon table (no-op when disabled). The
-    /// table may be larger than the fresh one when membership churn
-    /// minted joiner ids before the snapshot was written; it can never
-    /// legitimately be smaller.
+    /// Restore a checkpointed horizon table, which the resume decode has
+    /// checked: one entry per client of an active controller or more (when
+    /// membership churn minted joiner ids before the snapshot was
+    /// written), and empty for a disabled one.
     pub(crate) fn restore(&mut self, until: Vec<u64>) {
-        if self.active() {
-            assert!(
-                until.len() >= self.until.len(),
-                "quarantine state size mismatch on resume"
-            );
-            self.sums.resize(until.len(), 0.0);
-            self.blocks.resize(until.len(), 0);
-            self.until = until;
-        }
+        self.sums.resize(until.len(), 0.0);
+        self.blocks.resize(until.len(), 0);
+        self.until = until;
     }
 }
 
@@ -736,8 +668,10 @@ pub(crate) fn multiplicities(sampled: &[usize]) -> (Vec<usize>, Vec<usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::{Hyper, Method, RunOpts};
+    use crate::problem::FederatedProblem;
     use hm_data::scenarios::tiny_problem;
-    use hm_simnet::{FaultPlan, NO_CHURN};
+    use hm_simnet::{FaultPlan, Parallelism, NO_CHURN};
     use hm_telemetry::MemorySink;
     use std::sync::Arc;
 
@@ -745,6 +679,37 @@ mod tests {
     fn recorder() -> (Telemetry, Arc<MemorySink>) {
         let sink = Arc::new(MemorySink::new());
         (Telemetry::with_sink(sink.clone()), sink)
+    }
+
+    /// Block settings: `τ1`, `τ2`, `η_w`, a batch of 2 and `quantizer`.
+    fn blocks(tau1: usize, tau2: usize, eta_w: f32, quantizer: Quantizer) -> Hyper {
+        Hyper {
+            tau1,
+            tau2,
+            eta_w,
+            batch_size: 2,
+            quantizer,
+            ..Hyper::default()
+        }
+    }
+
+    /// Sequential options recording into `telemetry`.
+    fn sequential(telemetry: Telemetry) -> RunOpts {
+        RunOpts {
+            parallelism: Parallelism::Sequential,
+            telemetry,
+            ..Default::default()
+        }
+    }
+
+    /// HierMinimax's round driver for `h` and `opts` on `fp`.
+    fn driver<'a>(
+        fp: &'a FederatedProblem,
+        h: &'a Hyper,
+        opts: &'a RunOpts,
+        seed: u64,
+    ) -> Driver<'a> {
+        Driver::new(fp, seed, Method::HierMinimax.spec(h, opts))
     }
 
     #[test]
@@ -759,35 +724,11 @@ mod tests {
     fn edge_blocks_run_and_meter() {
         let sc = tiny_problem(3, 2, 1);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let meter = CommMeter::new();
         let (tel, sink) = recorder();
-        let fi = FaultInjector::none(42);
+        let (h, opts) = (blocks(2, 3, 0.1, Quantizer::Exact), sequential(tel));
+        let dv = driver(&fp, &h, &opts, 42);
         let w0 = vec![0.0; fp.num_params()];
-        let out = run_edge_blocks(&EdgeBlockParams {
-            problem: &fp,
-            w_start: &w0,
-            edges: &[0, 2],
-            tau1: 2,
-            tau2: 3,
-            eta_w: 0.1,
-            batch_size: 2,
-            mu: 0.0,
-            checkpoint: Some((1, 1)),
-            quantizer: Quantizer::Exact,
-            fault: &fi,
-            level: 0,
-            round: 0,
-            seed: 42,
-            meter: &meter,
-            par: Parallelism::Sequential,
-            telemetry: &tel,
-            profile: &Profiler::disabled(),
-            aggregator: Aggregator::Mean,
-            quarantined: &[],
-            track_norms: false,
-            churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
-            edge_hop: true,
-        });
+        let out = run_edge_blocks(&dv, &w0, &[0, 2], 0, 0, Some((1, 1)));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].edge, 0);
         assert_eq!(out[1].edge, 2);
@@ -796,7 +737,7 @@ mod tests {
             assert!(hm_tensor::vecops::norm2(&o.w_final) > 0.0);
             assert!(o.checkpoint.is_some());
         }
-        let s = meter.snapshot();
+        let s = dv.meter.snapshot();
         // 3 blocks → 3 client-edge rounds, zero cloud rounds here.
         assert_eq!(s.rounds(Link::ClientEdge), 3);
         assert_eq!(s.cloud_rounds(), 0);
@@ -832,43 +773,20 @@ mod tests {
         // that is the broadcast global model itself.
         let sc = tiny_problem(2, 2, 3);
         let fp = FederatedProblem::logistic_from_scenario(&sc);
-        let meter = CommMeter::new();
-        let fi = FaultInjector::none(7);
+        let h = blocks(3, 2, 0.05, Quantizer::Exact);
+        let opts = sequential(Telemetry::disabled());
         let w0 = vec![0.25; fp.num_params()];
-        let out = run_edge_blocks(&EdgeBlockParams {
-            problem: &fp,
-            w_start: &w0,
-            edges: &[1],
-            tau1: 3,
-            tau2: 2,
-            eta_w: 0.05,
-            batch_size: 2,
-            mu: 0.0,
-            checkpoint: Some((0, 0)),
-            quantizer: Quantizer::Exact,
-            fault: &fi,
-            level: 0,
-            round: 0,
-            seed: 7,
-            meter: &meter,
-            par: Parallelism::Sequential,
-            telemetry: &Telemetry::disabled(),
-            profile: &Profiler::disabled(),
-            aggregator: Aggregator::Mean,
-            quarantined: &[],
-            track_norms: false,
-            churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
-            edge_hop: true,
-        });
+        let out = run_edge_blocks(&driver(&fp, &h, &opts, 7), &w0, &[1], 0, 0, Some((0, 0)));
         assert_eq!(out[0].checkpoint.as_deref(), Some(w0.as_slice()));
     }
 
     /// Run one round on the given executor, returning the outputs plus
-    /// the meter totals and telemetry events.
+    /// the meter totals and telemetry events. The quarantine pass is on
+    /// (so the norms are tracked) and benches nobody.
     fn run_one(
         fp: &FederatedProblem,
         fault: FaultPlan,
-        par: Parallelism,
+        parallelism: Parallelism,
         quantizer: Quantizer,
         aggregator: Aggregator,
     ) -> (
@@ -876,35 +794,20 @@ mod tests {
         hm_simnet::CommStats,
         Vec<TelemetryEvent>,
     ) {
-        let meter = CommMeter::new();
-        let (tel, sink) = recorder();
-        let fi = FaultInjector::new(11, fault);
-        let out = run_edge_blocks(&EdgeBlockParams {
-            problem: fp,
-            w_start: &vec![0.0; fp.num_params()],
-            edges: &[0, 1, 2],
-            tau1: 2,
-            tau2: 3,
-            eta_w: 0.1,
-            batch_size: 2,
-            mu: 0.0,
-            checkpoint: Some((1, 1)),
-            quantizer,
-            fault: &fi,
-            level: 0,
-            round: 3,
-            seed: 11,
-            meter: &meter,
-            par,
-            telemetry: &tel,
-            profile: &Profiler::disabled(),
+        let (telemetry, sink) = recorder();
+        let h = blocks(2, 3, 0.1, quantizer);
+        let opts = RunOpts {
+            parallelism,
+            telemetry,
+            fault,
             aggregator,
-            quarantined: &[],
-            track_norms: true,
-            churn: &ChurnCtl::new(fp, &NO_CHURN, 0),
-            edge_hop: true,
-        });
-        (out, meter.snapshot(), sink.events())
+            quarantine_z: 1.0,
+            ..Default::default()
+        };
+        let dv = driver(fp, &h, &opts, 11);
+        let w0 = vec![0.0; fp.num_params()];
+        let out = run_edge_blocks(&dv, &w0, &[0, 1, 2], 0, 3, Some((1, 1)));
+        (out, dv.meter.snapshot(), sink.events())
     }
 
     #[test]
@@ -974,34 +877,15 @@ mod tests {
         let mut until = vec![0u64; n_clients];
         let benched = topo.client_id(0, 0);
         until[benched] = 10;
-        let meter = CommMeter::new();
         let (tel, sink) = recorder();
-        let fi = FaultInjector::none(5);
-        let out = run_edge_blocks(&EdgeBlockParams {
-            problem: &fp,
-            w_start: &vec![0.0; fp.num_params()],
-            edges: &[0, 1],
-            tau1: 1,
-            tau2: 2,
-            eta_w: 0.1,
-            batch_size: 2,
-            mu: 0.0,
-            checkpoint: None,
-            quantizer: Quantizer::Exact,
-            fault: &fi,
-            level: 0,
-            round: 3,
-            seed: 5,
-            meter: &meter,
-            par: Parallelism::Sequential,
-            telemetry: &tel,
-            profile: &Profiler::disabled(),
-            aggregator: Aggregator::Mean,
-            quarantined: &until,
-            track_norms: true,
-            churn: &ChurnCtl::new(&fp, &NO_CHURN, 0),
-            edge_hop: true,
-        });
+        let h = blocks(1, 2, 0.1, Quantizer::Exact);
+        let opts = RunOpts {
+            quarantine_z: 1.0,
+            ..sequential(tel)
+        };
+        let mut dv = driver(&fp, &h, &opts, 5);
+        dv.quarantine.restore(until);
+        let out = run_edge_blocks(&dv, &vec![0.0; fp.num_params()], &[0, 1], 0, 3, None);
         // The benched client was never aggregated and was counted once per
         // block.
         let events = sink.events();
@@ -1010,7 +894,7 @@ mod tests {
             e,
             TelemetryEvent::BlockAggregated { clients, .. } if !clients.contains(&benched)
         )));
-        assert_eq!(fi.adversary_stats().excluded_uploads, 2);
+        assert_eq!(dv.fault.adversary_stats().excluded_uploads, 2);
         assert_eq!(out[0].client_norms[0], (0.0, 0));
         assert!(out[0].client_norms[1].1 > 0);
     }
@@ -1042,7 +926,7 @@ mod tests {
         let newly = ctl.end_round(7, &fi, &Telemetry::disabled());
         assert_eq!(newly, 1);
         let outlier = fp.topology().client_id(1, 1);
-        assert_eq!(ctl.exclusions()[outlier], 7 + 1 + 4);
+        assert_eq!(ctl.state()[outlier], 7 + 1 + 4);
         assert!(ctl.benches(outlier, 9));
         assert!(!ctl.benches(outlier, 12));
         assert_eq!(fi.adversary_stats().quarantined_clients, 1);
@@ -1050,11 +934,11 @@ mod tests {
         let saved = ctl.state().to_vec();
         let mut ctl2 = QuarantineCtl::new(1.5, 4, n);
         ctl2.restore(saved);
-        assert_eq!(ctl2.exclusions(), ctl.exclusions());
+        assert_eq!(ctl2.state(), ctl.state());
         // Disabled controller: no exclusions, no draws, no state.
         let off = QuarantineCtl::new(0.0, 4, n);
         assert!(!off.active());
-        assert!(off.exclusions().is_empty());
+        assert!(off.state().is_empty());
     }
 
     #[test]

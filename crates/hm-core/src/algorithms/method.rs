@@ -8,7 +8,7 @@
 //!
 //! [`HierMinimax::new`]: super::HierMinimax::new
 
-use super::driver::{self, Blocks, Dual, Fold, RoundSpec, Sampler};
+use super::driver::{self, Blocks, Driver, Dual, Fold, RoundSpec, Sampler};
 use super::{Algorithm, RunError, RunOpts, RunResult, UpperLevel, WeightUpdateModel};
 use crate::problem::FederatedProblem;
 use hm_simnet::Quantizer;
@@ -311,7 +311,7 @@ impl Method {
 
     /// The round driver's spec for a checked run: the method's four
     /// policies, filled from the parameters it reads.
-    fn spec<'a>(self, h: &'a Hyper, opts: &'a RunOpts) -> RoundSpec<'a> {
+    pub(super) fn spec<'a>(self, h: &'a Hyper, opts: &'a RunOpts) -> RoundSpec<'a> {
         use Method::*;
         let dual = match self {
             HierMinimax => Some(h.weight_update_model),
@@ -377,15 +377,26 @@ pub struct MethodRun {
 }
 
 impl MethodRun {
-    /// The config check: refuse a run on `problem` that the method cannot
-    /// make, before round 0. [`Algorithm::try_run`] calls it first.
+    /// The run check: refuse a run on `problem` with `seed` that the
+    /// method cannot make, or a resume snapshot that does not fit it,
+    /// before round 0. [`Algorithm::try_run`] makes the same checks first.
     ///
     /// # Panics
     /// Panics on a degenerate config (no rounds, steps, participants or
     /// batch), a negative FedProx `μ` or q-FedAvg `q`, an empty loss
     /// batch, an active churn plan the method does not honour, or more
-    /// participants than the problem has units.
-    pub fn check(&self, problem: &FederatedProblem) {
+    /// participants than the problem has units; and with `cannot resume:
+    /// …` on a resume snapshot of another run, problem shape or state
+    /// (DESIGN.md §12). A fresh run does no work beyond the config check.
+    pub fn check(&self, problem: &FederatedProblem, seed: u64) {
+        self.check_config(problem);
+        if self.opts.checkpoint.resume.is_some() {
+            Driver::new(problem, seed, self.method.spec(&self.h, &self.opts)).resume();
+        }
+    }
+
+    /// The config half of [`MethodRun::check`].
+    fn check_config(&self, problem: &FederatedProblem) {
         let (method, h, opts) = (self.method, &self.h, &self.opts);
         let reads = |p| method.reads(p);
         assert!(h.rounds > 0 && (h.tau1 > 0 || !reads(Param::Tau1)));
@@ -433,7 +444,8 @@ impl Algorithm for MethodRun {
     }
 
     fn try_run(&self, problem: &FederatedProblem, seed: u64) -> Result<RunResult, RunError> {
-        self.check(problem);
+        // The driver decodes a resume snapshot before round 0.
+        self.check_config(problem);
         driver::run(problem, seed, self.method.spec(&self.h, &self.opts))
     }
 }

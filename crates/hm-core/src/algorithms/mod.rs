@@ -42,12 +42,11 @@ pub use method::{Hyper, Method, MethodRun, Opt, Param};
 pub use multilevel::UpperLevel;
 
 use crate::history::History;
-use crate::metrics::evaluate;
 use crate::problem::FederatedProblem;
 use hm_simnet::{
     ChurnPlan, ChurnStats, CommStats, FaultPlan, FaultStats, Parallelism, QuarantineStats,
 };
-use hm_telemetry::{Phase, Profiler, Telemetry, TelemetryEvent};
+use hm_telemetry::{Profiler, Telemetry, TelemetryEvent};
 use hm_tensor::Aggregator;
 
 /// Options shared by every algorithm runner.
@@ -284,51 +283,6 @@ impl IterateAverage {
             count: count as usize,
         }
     }
-}
-
-/// Shared end-of-round bookkeeping: push a history record (evaluating if
-/// scheduled) and fold the iterates into the running averages.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_round(
-    problem: &FederatedProblem,
-    opts: &RunOpts,
-    history: &mut History,
-    avg_w: &mut IterateAverage,
-    avg_p: &mut IterateAverage,
-    round: usize,
-    rounds_total: usize,
-    slots_per_round: usize,
-    comm: CommStats,
-    w: &[f32],
-    p_per_edge: Vec<f32>,
-) {
-    avg_w.add(w);
-    avg_p.add(&p_per_edge);
-    let eval = if opts.should_eval(round, rounds_total) {
-        let eval_timer = opts.profile.start();
-        let e = evaluate(problem, w, opts.parallelism);
-        opts.profile
-            .record(&opts.telemetry, Phase::Eval, Some(round), None, eval_timer);
-        Some(e)
-    } else {
-        None
-    };
-    if let Some(e) = &eval {
-        opts.telemetry.record(|| TelemetryEvent::Eval {
-            round,
-            average: e.average,
-            worst: e.worst,
-            variance_pp: e.variance_pp,
-            per_edge_accuracy: e.per_edge_accuracy.clone(),
-        });
-    }
-    history.push(crate::history::RoundRecord {
-        round,
-        slots_done: (round + 1) * slots_per_round,
-        comm,
-        p: p_per_edge,
-        eval,
-    });
 }
 
 #[cfg(test)]

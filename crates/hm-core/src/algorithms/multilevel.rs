@@ -23,7 +23,8 @@
 //! exchange with the cloud on `EdgeCloud` (WAN class), consistent with the
 //! cost model where everything below the cloud is site-local.
 
-use super::hier_common::{robust_reduce_into, run_edge_blocks, EdgeBlockParams};
+use super::driver::Driver;
+use super::hier_common::{robust_reduce_into, run_edge_blocks};
 use hm_simnet::Link;
 
 /// One intermediate aggregation level above the edge servers.
@@ -37,23 +38,23 @@ pub struct UpperLevel {
 }
 
 /// Recursive subtree update: runs the aggregation loop of upper level `li`
-/// (an index into `upper`, top first) over `edges`, starting from
-/// `w_start`, and returns the subtree's `(model, checkpoint)`.
+/// (an index into the driver's upper levels, top first) over `edges`,
+/// starting from `w_start`, and returns the subtree's `(model,
+/// checkpoint)`.
 ///
-/// `leaf` holds the block-phase parameters of the edge-level base case,
-/// `cp_index` the round's checkpoint index (one coordinate per upper
+/// `cp_index` is the round's checkpoint index (one coordinate per upper
 /// level, then `(c1, c2)`), and `round_tag` keys the RNG streams uniquely
 /// per (round, position) as `(tag · τ_l + t) · children + child`.
 pub(super) fn subtree_update(
-    leaf: &EdgeBlockParams<'_>,
-    upper: &[UpperLevel],
+    dv: &Driver<'_>,
     w_start: &[f32],
     edges: &[usize],
     li: usize,
     cp_index: &[usize],
     round_tag: usize,
 ) -> (Vec<f32>, Option<Vec<f32>>) {
-    let agg = &leaf.aggregator;
+    let upper = dv.spec.blocks.upper();
+    let agg = &dv.spec.opts.aggregator;
     let mut agg_scratch: Vec<f32> = Vec::new();
     if li == upper.len() {
         // Base case: one edge-level block over these edges. Client faults
@@ -61,13 +62,8 @@ pub(super) fn subtree_update(
         // draws survival bits independent of the three-layer case even
         // when block indices coincide (with `upper: []` the depth is 0 and
         // the three-layer streams are preserved).
-        let outputs = run_edge_blocks(&EdgeBlockParams {
-            w_start,
-            edges,
-            level: upper.len(),
-            round: round_tag,
-            ..*leaf
-        });
+        let c1c2 = (cp_index[li], cp_index[li + 1]);
+        let outputs = run_edge_blocks(dv, w_start, edges, li, round_tag, Some(c1c2));
         let finals: Vec<&[f32]> = outputs.iter().map(|o| o.w_final.as_slice()).collect();
         let mut w = vec![0.0_f32; w_start.len()];
         robust_reduce_into(agg, &finals, None, w_start, &mut agg_scratch, &mut w);
@@ -100,21 +96,21 @@ pub(super) fn subtree_update(
     let mut checkpoint: Option<Vec<f32>> = None;
     for t in 0..level.tau {
         // Broadcast down to children (intermediate link).
-        leaf.meter
+        dv.meter
             .record_broadcast(Link::ClientEdge, w.len() as u64, children.len() as u64);
         let child_results: Vec<(Vec<f32>, Option<Vec<f32>>)> = children
             .iter()
             .enumerate()
             .map(|(ci, child)| {
                 let tag = (round_tag * level.tau + t) * children.len() + ci;
-                subtree_update(leaf, upper, &w, child, li + 1, cp_index, tag)
+                subtree_update(dv, &w, child, li + 1, cp_index, tag)
             })
             .collect();
         // Gather child models (+ checkpoints when this is the
         // checkpointed sub-block) and aggregate.
-        leaf.meter
+        dv.meter
             .record_gather(Link::ClientEdge, 2 * w.len() as u64, children.len() as u64);
-        leaf.meter.record_round(Link::ClientEdge);
+        dv.meter.record_round(Link::ClientEdge);
         let base = if agg.needs_base() {
             w.clone()
         } else {

@@ -1,16 +1,18 @@
-//! Bridge between the algorithm run loops and `hm-checkpoint`.
+//! Bridge between the round driver and `hm-checkpoint`.
 //!
 //! `hm-checkpoint` sits below this crate (it knows `hm-data` and
-//! `hm-simnet` but not `History` or `EvalReport`), so the round history is
-//! serialised here into a snapshot's named `extras` section using the
-//! public byte primitives. The run loops interact with checkpointing
+//! `hm-simnet` but not `History` or `EvalReport`), so the round history
+//! and the driver's extra state are serialised here into a snapshot's
+//! named `extras` sections using the public byte primitives; this module
+//! holds every section codec. The driver interacts with checkpointing
 //! through three calls:
 //!
-//! 1. `ResumedRun::from_opts` at run start — decode the snapshot in
-//!    `RunOpts::checkpoint.resume` (if any) into loop state, which
-//!    `ResumedRun::check_shape` holds to the run's vector lengths and
-//!    problem shape;
-//! 2. `emit_preamble` — emit `run_start` (fresh) or an unsequenced
+//! 1. `CheckpointCtx::resume` before round 0 — decode the snapshot in
+//!    `RunOpts::checkpoint.resume` against the run: its identity, vector
+//!    lengths and shape record, and every section. It is the one reader of
+//!    a snapshot's sections, and it refuses a snapshot whose state the run
+//!    would drop;
+//! 2. `CheckpointCtx::preamble` — emit `run_start` (fresh) or an unsequenced
 //!    `run_resume` (resumed) so later `checkpoint` events carry the same
 //!    sequence numbers as the uninterrupted run's;
 //! 3. `CheckpointCtx::after_round` at each round boundary — write a
@@ -18,8 +20,8 @@
 //!
 //! A failed snapshot *write* warns on stderr and lets training continue
 //! (a checkpoint is insurance, not a correctness dependency); a corrupt
-//! or mismatched snapshot *read* is a typed error long before any
-//! training state is touched.
+//! or mismatched snapshot *read* is a typed `ResumeError` long before
+//! any training state is touched.
 
 use crate::algorithms::{IterateAverage, RunOpts};
 use crate::history::{History, RoundRecord};
@@ -30,7 +32,7 @@ use hm_checkpoint::{
     rng_cursors_for, snapshot_path, write_snapshot, Cadence, CheckpointError, Snapshot,
 };
 use hm_simnet::{ChurnStats, CommStats, FaultStats, QuarantineStats};
-use hm_telemetry::{Telemetry, TelemetryEvent};
+use hm_telemetry::TelemetryEvent;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -43,8 +45,8 @@ const HISTORY_SECTION: &str = "history";
 /// before round 0 even where the vector lengths agree.
 const SHAPE_SECTION: &str = "shape";
 
-/// The base problem's shape, named as [`ResumedRun::check_shape`] reports
-/// a mismatch.
+/// The base problem's shape, named as [`CheckpointCtx::resume`] reports a
+/// mismatch.
 fn problem_shape(problem: &FederatedProblem) -> [(&'static str, u64); 3] {
     [
         ("edges", problem.num_edges() as u64),
@@ -53,15 +55,48 @@ fn problem_shape(problem: &FederatedProblem) -> [(&'static str, u64); 3] {
     ]
 }
 
+/// Extras section name holding the stale-round streak of a run with a
+/// `max_stale_rounds` cap and no churn, as one `u64` (the churn section
+/// carries it otherwise). Uncapped runs do not write it.
+const STALE_SECTION: &str = "stale_rounds";
+
+/// `value`, if `r` has read all of `what`'s section: a section's length
+/// is part of its format.
+fn finish<T>(r: &ByteReader<'_>, what: &str, value: T) -> Result<T, CheckpointError> {
+    match r.remaining() {
+        0 => Ok(value),
+        _ => Err(CheckpointError::Malformed(format!(
+            "trailing bytes after {what}"
+        ))),
+    }
+}
+
+/// Serialise a record of `u64`s: the shape and stale-round sections.
+fn encode_u64s(values: &[u64]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    values.iter().for_each(|&v| w.put_u64(v));
+    w.into_bytes()
+}
+
+/// Inverse of [`encode_u64s`] for a record of `N` values.
+fn decode_u64s<const N: usize>(bytes: &[u8], what: &str) -> Result<[u64; N], CheckpointError> {
+    let mut r = ByteReader::new(bytes);
+    let mut values = [0; N];
+    for v in &mut values {
+        *v = r.get_u64()?;
+    }
+    finish(&r, what, values)
+}
+
 /// Extras section name holding the quarantine horizon table and the
 /// cumulative adversary counters. Written only by runs with an active
 /// adversary or quarantine pass, so adversary-off snapshots stay
 /// byte-identical to pre-robust builds.
-pub(crate) const QUARANTINE_SECTION: &str = "quarantine";
+const QUARANTINE_SECTION: &str = "quarantine";
 
 /// Serialise the quarantine horizon table (per-global-client first
 /// re-admission round) plus the cumulative adversary counters.
-pub(crate) fn encode_quarantine(until: &[u64], adv: &QuarantineStats) -> Vec<u8> {
+fn encode_quarantine(until: &[u64], adv: &QuarantineStats) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_u64(adv.corrupted_updates);
     w.put_u64(adv.quarantined_clients);
@@ -74,9 +109,7 @@ pub(crate) fn encode_quarantine(until: &[u64], adv: &QuarantineStats) -> Vec<u8>
 }
 
 /// Inverse of [`encode_quarantine`].
-pub(crate) fn decode_quarantine(
-    bytes: &[u8],
-) -> Result<(Vec<u64>, QuarantineStats), CheckpointError> {
+fn decode_quarantine(bytes: &[u8]) -> Result<(Vec<u64>, QuarantineStats), CheckpointError> {
     let mut r = ByteReader::new(bytes);
     let adv = QuarantineStats {
         corrupted_updates: r.get_u64()?,
@@ -88,12 +121,7 @@ pub(crate) fn decode_quarantine(
     for _ in 0..n {
         until.push(r.get_u64()?);
     }
-    if r.remaining() != 0 {
-        return Err(CheckpointError::Malformed(
-            "trailing bytes after quarantine state".into(),
-        ));
-    }
-    Ok((until, adv))
+    finish(&r, "quarantine state", (until, adv))
 }
 
 /// Extras section name holding the membership-churn state: the active
@@ -102,7 +130,7 @@ pub(crate) fn decode_quarantine(
 /// counters, and the run loop's consecutive stale-round counter. Written
 /// only by runs with an active churn plan, so churn-off snapshots stay
 /// byte-identical to pre-churn builds.
-pub(crate) const CHURN_SECTION: &str = "churn";
+const CHURN_SECTION: &str = "churn";
 
 /// Decoded contents of a snapshot's [`CHURN_SECTION`].
 pub(crate) struct ChurnSnapshot {
@@ -188,19 +216,7 @@ pub(crate) fn decode_churn(bytes: &[u8]) -> Result<ChurnSnapshot, CheckpointErro
         joined_src.push((gid, home));
     }
     let stale_rounds = r.get_u64()?;
-    if r.remaining() != 0 {
-        return Err(CheckpointError::Malformed(
-            "trailing bytes after churn state".into(),
-        ));
-    }
-    if edge_up.len() != members.len() {
-        return Err(CheckpointError::Malformed(format!(
-            "churn state edge count mismatch: {} up-flags vs {} member lists",
-            edge_up.len(),
-            members.len()
-        )));
-    }
-    Ok(ChurnSnapshot {
+    let churn = ChurnSnapshot {
         base_total,
         edge_up,
         members,
@@ -208,7 +224,8 @@ pub(crate) fn decode_churn(bytes: &[u8]) -> Result<ChurnSnapshot, CheckpointErro
         stats,
         joined_src,
         stale_rounds,
-    })
+    };
+    finish(&r, "churn state", churn)
 }
 
 /// Checkpoint settings carried in [`RunOpts`].
@@ -219,10 +236,13 @@ pub struct CheckpointOpts {
     pub dir: Option<PathBuf>,
     /// How often to write (default: never).
     pub cadence: Cadence,
-    /// Snapshot to resume from. Must satisfy
-    /// [`Snapshot::validate_for`] the run's `(algorithm, seed, rounds)`;
-    /// the run loops assert this, the CLI checks it up front for a typed
-    /// error.
+    /// Snapshot to resume from. It must belong to the run: its identity
+    /// ([`Snapshot::validate_for`] the run's `(algorithm, seed, rounds)`),
+    /// vector lengths, problem shape and sections are checked before
+    /// round 0, by [`MethodRun::check`] and by the run itself, which panic
+    /// with `cannot resume: …` on a mismatch.
+    ///
+    /// [`MethodRun::check`]: crate::algorithms::MethodRun::check
     pub resume: Option<Arc<Snapshot>>,
 }
 
@@ -236,8 +256,7 @@ impl CheckpointOpts {
         }
     }
 
-    /// Resume from `snap` (validated by the run loop against its own
-    /// identity).
+    /// Resume from `snap` (checked against the run before round 0).
     pub fn resuming(snap: Arc<Snapshot>) -> Self {
         Self {
             resume: Some(snap),
@@ -311,159 +330,81 @@ pub fn decode_history(bytes: &[u8]) -> Result<History, CheckpointError> {
             eval,
         });
     }
-    if r.remaining() != 0 {
-        return Err(CheckpointError::Malformed(
-            "trailing bytes after history".into(),
-        ));
-    }
-    Ok(history)
+    finish(&r, "history", history)
 }
 
-/// Loop state decoded from a resume snapshot.
+/// Why a snapshot cannot resume a run: the text after `cannot resume: `.
 #[derive(Debug)]
-pub(crate) struct ResumedRun {
+pub(crate) enum ResumeError {
+    /// The snapshot belongs to another run, or a section fails to decode.
+    Checkpoint(CheckpointError),
+    /// A record fails to decode: its name and the error.
+    Record(&'static str, CheckpointError),
+    /// The snapshot's state does not fit the run: what differs.
+    Mismatch(String),
+}
+
+impl From<CheckpointError> for ResumeError {
+    fn from(e: CheckpointError) -> Self {
+        ResumeError::Checkpoint(e)
+    }
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::Checkpoint(e) => write!(f, "{e}"),
+            ResumeError::Record(name, e) => write!(f, "{name}: {e}"),
+            ResumeError::Mismatch(why) => f.write_str(why),
+        }
+    }
+}
+
+/// A resume snapshot's state, decoded and checked against its run by
+/// [`CheckpointCtx::resume`].
+pub(crate) struct Resume {
     /// First round to execute.
-    pub start_round: usize,
-    /// Global model at the boundary.
+    pub next_round: usize,
     pub w: Vec<f32>,
-    /// The unit weights `p` (per-client `q` for the two-layer minimax
-    /// baselines; the uniform edge weights for a run with no dual step).
+    /// The unit weights (the uniform edge weights without a dual step).
     pub p: Vec<f32>,
-    /// Restored iterate-average accumulators.
     pub avg_w: IterateAverage,
     pub avg_p: IterateAverage,
-    /// History through the boundary.
     pub history: History,
-    /// Cumulative counters to restore into the meter / injector.
     pub comm: CommStats,
     pub faults: FaultStats,
+    pub adversary: QuarantineStats,
     /// Telemetry position to continue the event sequence from.
     pub telemetry_seq: u64,
-    /// The snapshot itself, for algorithm-specific extras.
-    pub snap: Arc<Snapshot>,
+    /// The quarantine horizon table, empty for a run without the pass.
+    pub until: Vec<u64>,
+    /// The membership state, exactly for a run with a churn plan.
+    pub churn: Option<ChurnSnapshot>,
+    /// Consecutive stale rounds at the boundary.
+    pub stale_rounds: u64,
 }
 
-impl ResumedRun {
-    /// Decode `opts.checkpoint.resume` for a run identified by
-    /// `(algorithm, seed, rounds)`, or `None` for a fresh start.
-    ///
-    /// # Panics
-    /// Panics if the snapshot fails [`Snapshot::validate_for`] or its
-    /// history section is missing/corrupt — callers that want a typed
-    /// error (the CLI) validate before building `RunOpts`.
-    pub fn from_opts(
-        opts: &RunOpts,
-        algorithm: &str,
-        seed: u64,
-        rounds: usize,
-    ) -> Option<ResumedRun> {
-        let snap = opts.checkpoint.resume.as_ref()?.clone();
-        if let Err(e) = snap.validate_for(algorithm, seed, rounds) {
-            panic!("cannot resume: {e}");
-        }
-        let history = snap
-            .extra(HISTORY_SECTION)
-            .ok_or_else(|| CheckpointError::Malformed("snapshot has no history section".into()))
-            .and_then(decode_history)
-            .unwrap_or_else(|e| panic!("cannot resume: {e}"));
-        Some(ResumedRun {
-            start_round: snap.next_round as usize,
-            w: snap.w.clone(),
-            p: snap.p.clone(),
-            avg_w: IterateAverage::from_parts(snap.avg_w_sum.clone(), snap.avg_w_count),
-            avg_p: IterateAverage::from_parts(snap.avg_p_sum.clone(), snap.avg_p_count),
-            history,
-            comm: snap.comm,
-            faults: snap.faults,
-            telemetry_seq: snap.telemetry_seq,
-            snap,
-        })
-    }
-
-    /// Check the snapshot against the run's shape: its vectors against
-    /// the model's parameters, `p` unit weights and `areas` averaged
-    /// weights, then its shape record against `problem`'s.
-    ///
-    /// # Panics
-    /// Panics with `cannot resume: …`, naming the first field that
-    /// differs, so a snapshot of another problem shape fails before round 0.
-    pub(crate) fn check_shape(&self, problem: &FederatedProblem, p: usize, areas: usize) {
-        let snap = &self.snap;
-        let d = problem.num_params();
-        for (field, len, want) in [
-            ("w", snap.w.len(), d),
-            ("p", snap.p.len(), p),
-            ("avg_w_sum", snap.avg_w_sum.len(), d),
-            ("avg_p_sum", snap.avg_p_sum.len(), areas),
-        ] {
-            assert!(
-                len == want,
-                "cannot resume: snapshot {field} has {len} entries, the run has {want}"
-            );
-        }
-        // A snapshot written before the shape record has only its vectors
-        // to check.
-        let Some(bytes) = snap.extra(SHAPE_SECTION) else {
-            return;
-        };
-        let mut r = ByteReader::new(bytes);
-        for (field, want) in problem_shape(problem) {
-            let got = r
-                .get_u64()
-                .unwrap_or_else(|e| panic!("cannot resume: shape record: {e}"));
-            assert!(
-                got == want,
-                "cannot resume: snapshot has {got} {field}, the run has {want}"
-            );
-        }
-    }
+/// The driver's state beyond a snapshot's common fields, one entry per
+/// extras section it may write.
+pub(crate) struct Extras<'a> {
+    /// The quarantine horizon table and the cumulative adversary counters,
+    /// for a run with a quarantine pass or an adversary.
+    pub quarantine: Option<(&'a [u64], QuarantineStats)>,
+    /// The encoded membership state of a churn run.
+    pub churn: Option<Vec<u8>>,
+    /// The stale-round streak of a capped run without churn.
+    pub stale_rounds: Option<u64>,
 }
 
-/// Emit the run preamble: `run_start` for a fresh run (resetting the
-/// event counter), or an unsequenced `run_resume` continuing the
-/// checkpointed sequence position.
-pub(crate) fn emit_preamble(
-    tel: &Telemetry,
-    resumed: Option<&ResumedRun>,
-    algorithm: &str,
-    rounds: usize,
-    n_edges: usize,
-    num_params: usize,
-    seed: u64,
-) {
-    match resumed {
-        Some(rr) => {
-            tel.set_seq(rr.telemetry_seq);
-            let (next_round, seq) = (rr.start_round, rr.telemetry_seq);
-            tel.record(|| TelemetryEvent::RunResume {
-                algorithm: algorithm.to_string(),
-                rounds,
-                next_round,
-                seed,
-                seq,
-            });
-        }
-        None => {
-            tel.set_seq(0);
-            tel.record(|| TelemetryEvent::RunStart {
-                algorithm: algorithm.to_string(),
-                rounds,
-                n_edges,
-                num_params,
-                seed,
-            });
-        }
-    }
-}
-
-/// Per-run checkpointing context held by a run loop.
+/// Per-run checkpointing context held by the round driver: the run's
+/// identity and shape, which every snapshot it writes records and every
+/// snapshot it resumes must match.
 pub(crate) struct CheckpointCtx<'a> {
     opts: &'a RunOpts,
     algorithm: &'a str,
     seed: u64,
     rounds: usize,
-    /// The encoded [`SHAPE_SECTION`].
-    shape: Vec<u8>,
+    shape: [(&'static str, u64); 3],
 }
 
 impl<'a> CheckpointCtx<'a> {
@@ -474,24 +415,162 @@ impl<'a> CheckpointCtx<'a> {
         seed: u64,
         rounds: usize,
     ) -> Self {
-        let mut shape = ByteWriter::new();
-        for (_, n) in problem_shape(problem) {
-            shape.put_u64(n);
-        }
         Self {
             opts,
             algorithm,
             seed,
             rounds,
-            shape: shape.into_bytes(),
+            shape: problem_shape(problem),
+        }
+    }
+
+    /// Decode `snap` against this run, whose `p` has `p` entries, whose
+    /// averaged weights have `areas`, whose quarantine pass tracks
+    /// `quarantined` clients (0 without one) and which has a churn plan
+    /// when `churn`. Checks, in order: the identity
+    /// ([`Snapshot::validate_for`]), the vector lengths, the shape record,
+    /// and the history, quarantine, churn and stale-round sections.
+    ///
+    /// The one reader of a snapshot's sections. It returns all of the
+    /// snapshot's state or refuses it: a run cannot drop a quarantine
+    /// table or a churn section, nor start one the snapshot lacks.
+    pub(crate) fn resume(
+        &self,
+        snap: &Snapshot,
+        p: usize,
+        areas: usize,
+        quarantined: usize,
+        churn: bool,
+    ) -> Result<Resume, ResumeError> {
+        let mismatch = |why: String| Err(ResumeError::Mismatch(why));
+        snap.validate_for(self.algorithm, self.seed, self.rounds)?;
+        let [(_, edges), (_, per_edge), (_, d)] = self.shape;
+        for (field, len, want) in [
+            ("w", snap.w.len(), d as usize),
+            ("p", snap.p.len(), p),
+            ("avg_w_sum", snap.avg_w_sum.len(), d as usize),
+            ("avg_p_sum", snap.avg_p_sum.len(), areas),
+        ] {
+            if len != want {
+                return mismatch(format!(
+                    "snapshot {field} has {len} entries, the run has {want}"
+                ));
+            }
+        }
+        // A snapshot written before the shape record has only its vectors
+        // to check.
+        if let Some(bytes) = snap.extra(SHAPE_SECTION) {
+            let got = decode_u64s::<3>(bytes, "shape")
+                .map_err(|e| ResumeError::Record("shape record", e))?;
+            for ((field, want), got) in self.shape.into_iter().zip(got) {
+                if got != want {
+                    return mismatch(format!("snapshot has {got} {field}, the run has {want}"));
+                }
+            }
+        }
+        let history = snap
+            .extra(HISTORY_SECTION)
+            .ok_or_else(|| CheckpointError::Malformed("snapshot has no history section".into()))
+            .and_then(decode_history)?;
+        let (until, adversary) = match snap.extra(QUARANTINE_SECTION) {
+            Some(bytes) => decode_quarantine(bytes)?,
+            None => (Vec::new(), QuarantineStats::default()),
+        };
+        // A quarantine pass needs a horizon table for each of its clients
+        // (churn may have grown it past them); a run without one would
+        // drop the table.
+        let n = until.len();
+        if quarantined == 0 && n > 0 {
+            return mismatch(format!(
+                "snapshot has a quarantine table of {n} clients, the run has no quarantine"
+            ));
+        }
+        if n < quarantined {
+            return mismatch(format!(
+                "snapshot has a quarantine table of {n} clients, the run quarantines {quarantined}"
+            ));
+        }
+        let churn_state = snap.extra(CHURN_SECTION).map(decode_churn).transpose()?;
+        match &churn_state {
+            None if churn => {
+                return mismatch("snapshot has no churn section, the run has a churn plan".into())
+            }
+            Some(_) if !churn => {
+                return mismatch("snapshot has a churn section, the run has no churn plan".into())
+            }
+            Some(c)
+                if [c.edge_up.len(), c.members.len(), c.base_total]
+                    != [edges, edges, edges * per_edge].map(|n| n as usize) =>
+            {
+                return mismatch(format!(
+                    "snapshot churn state has {} up-flags, {} member lists and {} base \
+                     clients, the run has {edges} edges of {per_edge} clients",
+                    c.edge_up.len(),
+                    c.members.len(),
+                    c.base_total
+                ));
+            }
+            _ => {}
+        }
+        let stale = match snap.extra(STALE_SECTION) {
+            Some(bytes) => decode_u64s::<1>(bytes, "stale-round streak")
+                .map_err(|e| ResumeError::Record("stale-round streak", e))?[0],
+            None => 0,
+        };
+        Ok(Resume {
+            next_round: snap.next_round as usize,
+            w: snap.w.clone(),
+            p: snap.p.clone(),
+            avg_w: IterateAverage::from_parts(snap.avg_w_sum.clone(), snap.avg_w_count),
+            avg_p: IterateAverage::from_parts(snap.avg_p_sum.clone(), snap.avg_p_count),
+            history,
+            comm: snap.comm,
+            faults: snap.faults,
+            adversary,
+            telemetry_seq: snap.telemetry_seq,
+            until,
+            stale_rounds: churn_state.as_ref().map_or(stale, |c| c.stale_rounds),
+            churn: churn_state,
+        })
+    }
+
+    /// Emit the run preamble for a run reporting `n_areas` weights:
+    /// `run_start` for a fresh run (resetting the event counter), or an
+    /// unsequenced `run_resume` continuing the resumed sequence position.
+    pub(crate) fn preamble(&self, resumed: Option<&Resume>, n_areas: usize) {
+        let (tel, algorithm) = (&self.opts.telemetry, self.algorithm);
+        let (rounds, seed) = (self.rounds, self.seed);
+        match resumed {
+            Some(r) => {
+                tel.set_seq(r.telemetry_seq);
+                let (next_round, seq) = (r.next_round, r.telemetry_seq);
+                tel.record(|| TelemetryEvent::RunResume {
+                    algorithm: algorithm.to_string(),
+                    rounds,
+                    next_round,
+                    seed,
+                    seq,
+                });
+            }
+            None => {
+                tel.set_seq(0);
+                tel.record(|| TelemetryEvent::RunStart {
+                    algorithm: algorithm.to_string(),
+                    rounds,
+                    n_edges: n_areas,
+                    num_params: self.shape[2].1 as usize,
+                    seed,
+                });
+            }
         }
     }
 
     /// Write a snapshot after round `round` (0-based) completed, if the
-    /// cadence says one is due. Never checkpoints the final round —
-    /// there is nothing left to resume.
+    /// cadence says one is due, with the sections `extras` returns (called
+    /// only then). Never checkpoints the final round — there is nothing
+    /// left to resume.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn after_round(
+    pub(crate) fn after_round<'e>(
         &self,
         round: usize,
         w: &[f32],
@@ -501,7 +580,7 @@ impl<'a> CheckpointCtx<'a> {
         history: &History,
         comm: CommStats,
         faults: FaultStats,
-        extra_sections: Vec<(String, Vec<u8>)>,
+        extras: impl FnOnce() -> Extras<'e>,
     ) {
         let Some(dir) = &self.opts.checkpoint.dir else {
             return;
@@ -514,9 +593,16 @@ impl<'a> CheckpointCtx<'a> {
         tel.record(|| TelemetryEvent::Checkpoint { round, seq });
         let (avg_w_sum, avg_w_count) = avg_w.parts();
         let (avg_p_sum, avg_p_count) = avg_p.parts();
-        let mut extras = vec![(HISTORY_SECTION.to_string(), encode_history(history))];
-        extras.extend(extra_sections);
-        extras.push((SHAPE_SECTION.to_string(), self.shape.clone()));
+        let x = extras();
+        let sections = [
+            Some((HISTORY_SECTION, encode_history(history))),
+            x.quarantine
+                .map(|(until, adv)| (QUARANTINE_SECTION, encode_quarantine(until, &adv))),
+            x.churn.map(|bytes| (CHURN_SECTION, bytes)),
+            x.stale_rounds
+                .map(|stale| (STALE_SECTION, encode_u64s(&[stale]))),
+            Some((SHAPE_SECTION, encode_u64s(&self.shape.map(|(_, n)| n)))),
+        ];
         let snap = Snapshot {
             algorithm: self.algorithm.to_string(),
             seed: self.seed,
@@ -532,7 +618,11 @@ impl<'a> CheckpointCtx<'a> {
             faults,
             telemetry_seq: tel.seq(),
             rng_cursors: rng_cursors_for(self.seed, (round + 1) as u64),
-            extras,
+            extras: sections
+                .into_iter()
+                .flatten()
+                .map(|(name, bytes)| (name.to_string(), bytes))
+                .collect(),
         };
         let path = snapshot_path(dir, self.algorithm, round + 1);
         let write_timer = self.opts.profile.start();

@@ -11,14 +11,16 @@
 //! with a kill at every checkpointed round; the other seven algorithms run
 //! the kill-at-every-round sweep on the reduced grid, with a chaos × Rayon
 //! spot-check, and all eight run a Byzantine cell with a quarantine pass
-//! that benches clients.
+//! that benches clients. A snapshot that does not fit the run (another
+//! run, another problem shape, state the run would drop, a truncated
+//! section) is refused with `cannot resume: …` before round 0.
 
 use hierminimax::checkpoint::{read_snapshot, snapshot_path, Snapshot};
 use hierminimax::core::algorithms::{Algorithm, Hyper, Method, MethodRun, RunOpts};
 use hierminimax::core::problem::FederatedProblem;
 use hierminimax::core::{CheckpointOpts, RunResult};
 use hierminimax::data::scenarios::tiny_problem;
-use hierminimax::simnet::{FaultPlan, Parallelism};
+use hierminimax::simnet::{ChurnPlan, FaultPlan, Parallelism};
 use hierminimax::telemetry::{MemorySink, Telemetry, TelemetryEvent};
 use hm_testkit::{scrub, splice};
 use std::path::PathBuf;
@@ -277,21 +279,10 @@ fn final_round_snapshot_is_never_written() {
 
 // ---- Negatives: a snapshot must only resume the run it came from. -------
 
-fn sample_snapshot() -> Snapshot {
-    let fp = problem();
-    let dir = scratch_dir("negative");
-    let (_, factory) = all_algorithms().swap_remove(0);
-    let mut w_opts = opts(Parallelism::Sequential, &FaultPlan::preset("none").unwrap());
-    w_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
-    factory(w_opts).run(&fp, SEED);
-    let snap = read_snapshot(&snapshot_path(&dir, "HierMinimax", 2)).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    snap
-}
-
 #[test]
 fn snapshot_validation_rejects_mismatched_runs() {
-    let snap = sample_snapshot();
+    let none = FaultPlan::preset("none").unwrap();
+    let snap = hierminimax_snapshot("negative", &opts(Parallelism::Sequential, &none));
     snap.validate_for("HierMinimax", SEED, ROUNDS).unwrap();
     let cases = [
         ("DRFA", SEED, ROUNDS, "algorithm"),
@@ -308,6 +299,17 @@ fn snapshot_validation_rejects_mismatched_runs() {
             "expected a typed mismatch error for {what}, got: {msg}"
         );
     }
+}
+
+/// The panic message of `f`, which must panic.
+fn refusal(f: impl FnOnce()) -> String {
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("a snapshot that does not fit the run must not resume");
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
 }
 
 #[test]
@@ -341,14 +343,138 @@ fn snapshot_of_another_problem_shape_is_refused_before_round_zero() {
             let mut r_opts = opts(Parallelism::Sequential, &FaultPlan::default());
             r_opts.checkpoint.resume = Some(snap.clone());
             let alg = factory(r_opts);
-            let panic =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| alg.run(other, SEED)))
-                    .expect_err("a snapshot of another shape must not resume");
-            let msg = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .unwrap_or_default();
+            let msg = refusal(|| {
+                alg.run(other, SEED);
+            });
             assert_eq!(msg, want, "{name}");
         }
+    }
+}
+
+/// HierMinimax's round-2 snapshot of a run under `base` options.
+fn hierminimax_snapshot(tag: &str, base: &RunOpts) -> Snapshot {
+    let dir = scratch_dir(tag);
+    let (name, factory) = all_algorithms().swap_remove(0);
+    let mut w_opts = base.clone();
+    w_opts.checkpoint = CheckpointOpts::writing(&dir, 1);
+    factory(w_opts).run(&problem(), SEED);
+    let snap = read_snapshot(&snapshot_path(&dir, name, 2)).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    snap
+}
+
+/// A chaos-churn run, sequential.
+fn churn_opts() -> RunOpts {
+    RunOpts {
+        churn: ChurnPlan::preset("chaos-churn").unwrap(),
+        ..opts(Parallelism::Sequential, &FaultPlan::default())
+    }
+}
+
+/// A Byzantine run, sequential, with a quarantine pass when `z > 0`.
+fn byzantine_opts(z: f64) -> RunOpts {
+    RunOpts {
+        quarantine_z: z,
+        quarantine_window: 2,
+        ..opts(
+            Parallelism::Sequential,
+            &FaultPlan::preset("byzantine").unwrap(),
+        )
+    }
+}
+
+#[test]
+fn every_truncated_section_is_refused_typed() {
+    // A `max_stale_rounds` run, a churn run and a quarantine run carry,
+    // between them, every extras section. Each section cut short by one
+    // byte is refused with `cannot resume: …` by the run check and by the
+    // run, and never panics inside a decoder.
+    let fp = problem();
+    let capped = RunOpts {
+        max_stale_rounds: 3,
+        ..opts(Parallelism::Sequential, &FaultPlan::default())
+    };
+    let (_, factory) = all_algorithms().swap_remove(0);
+    let mut seen: Vec<String> = Vec::new();
+    for (tag, base) in [
+        ("capped", capped),
+        ("churn", churn_opts()),
+        ("quarantine", byzantine_opts(1.0)),
+    ] {
+        let snap = hierminimax_snapshot(&format!("sections-{tag}"), &base);
+        for (i, (section, bytes)) in snap.extras.iter().enumerate() {
+            seen.push(section.clone());
+            let mut cut = snap.clone();
+            cut.extras[i].1.truncate(bytes.len() - 1);
+            let alg = factory(RunOpts {
+                checkpoint: CheckpointOpts::resuming(Arc::new(cut)),
+                ..base.clone()
+            });
+            for (path, msg) in [
+                ("check", refusal(|| alg.check(&fp, SEED))),
+                (
+                    "try_run",
+                    refusal(|| {
+                        let _ = alg.try_run(&fp, SEED);
+                    }),
+                ),
+            ] {
+                assert!(
+                    msg.starts_with("cannot resume: "),
+                    "{tag}: {section} cut short, {path}: {msg}"
+                );
+            }
+        }
+    }
+    seen.sort();
+    seen.dedup();
+    assert_eq!(
+        seen,
+        ["churn", "history", "quarantine", "shape", "stale_rounds"],
+        "every section is cut"
+    );
+}
+
+#[test]
+fn resume_refuses_state_the_run_would_drop() {
+    // A resume restores all of a snapshot's state or refuses it before
+    // round 0: a quarantine run needs a horizon table for its 6 clients, a
+    // run without quarantine cannot take one, and a churn section and a
+    // churn plan come together.
+    let fp = problem();
+    let plain = opts(Parallelism::Sequential, &FaultPlan::default());
+    let cases = [
+        (
+            byzantine_opts(0.0),
+            byzantine_opts(1.0),
+            "cannot resume: snapshot has a quarantine table of 0 clients, the run quarantines 6",
+        ),
+        (
+            byzantine_opts(1.0),
+            byzantine_opts(0.0),
+            "cannot resume: snapshot has a quarantine table of 6 clients, the run has no quarantine",
+        ),
+        (
+            churn_opts(),
+            plain.clone(),
+            "cannot resume: snapshot has a churn section, the run has no churn plan",
+        ),
+        (
+            plain,
+            churn_opts(),
+            "cannot resume: snapshot has no churn section, the run has a churn plan",
+        ),
+    ];
+    let (_, factory) = all_algorithms().swap_remove(0);
+    for (i, (writer, resumer, want)) in cases.into_iter().enumerate() {
+        let snap = hierminimax_snapshot(&format!("drop-{i}"), &writer);
+        let alg = factory(RunOpts {
+            checkpoint: CheckpointOpts::resuming(Arc::new(snap)),
+            ..resumer
+        });
+        let msg = refusal(|| {
+            let _ = alg.try_run(&fp, SEED);
+        });
+        assert_eq!(msg, want);
     }
 }
