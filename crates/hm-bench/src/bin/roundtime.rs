@@ -1,5 +1,11 @@
-//! Single-thread training throughput at two layers, written as
+//! Single-thread training throughput at three layers, written as
 //! machine-readable `results/BENCH_roundtime.json`:
+//! - the kernel layer: calls/sec of the fig4 MLP's three wide backward
+//!   products at batch 8 (the 100×256 and 50×100 weight gradients and the
+//!   8×50·50×100 delta propagation) and of its first bias gradient (the
+//!   column sums of the 8×100 delta), over a rotating set of real deltas so
+//!   the zero pattern is fresh on every call, and of the 3-source mean fold
+//!   at the logistic model's d = 2,570 and the MLP's d = 31,260;
 //! - the model layer: local-SGD steps/sec of the three model families on
 //!   one client's data (multinomial logistic 256→10 at batch 16, the fig4
 //!   MLP 256-100-50-10 at batch 8, the CNN at batch 8), the step loop of
@@ -7,11 +13,15 @@
 //! - the round layer: full HierMinimax rounds/sec on seven shapes, with
 //!   each round's per-phase breakdown.
 //!
-//! Every run is single-threaded (`Parallelism::Sequential`). Rates on the
-//! rayon pool move with the host's core count, its other load and the OS
-//! scheduler; single-thread rates move with the work. The phase breakdown
-//! is a breakdown of that single-thread work: per-edge `local_sgd_chain`
-//! spans never overlap, so the shares add up to at most the round.
+//! Every run is single-threaded: the rounds run `Parallelism::Sequential`,
+//! and the rayon pool is pinned to one thread (the shim reads
+//! `RAYON_NUM_THREADS` once, on first use), so a product big enough to
+//! split runs on the calling thread too. Rates on the pool move with the
+//! host's core count, its other load and the OS scheduler; single-thread
+//! rates move with the work. The phase breakdown is a breakdown of that
+//! single-thread work: per-edge `local_sgd_chain` spans never overlap, so
+//! the shares add up to at most the round. The header names the vector
+//! level the kernels ran at.
 //!
 //! Round shapes cover three regimes: `balanced` (few edges, several
 //! clients each, chunky per-block work), `wide` (many edges, one client
@@ -19,11 +29,11 @@
 //! per-round cost is mostly per-block overhead).
 //!
 //! Flags:
-//! - `--quick`: CI-scale step and round counts.
+//! - `--quick`: CI-scale call, step and round counts.
 //! - `--check`: measure, then divide each case's rate by the one in the
 //!   committed `results/BENCH_roundtime.json` and exit non-zero when the
-//!   geometric mean of those ratios, over both layers, falls below 0.9
-//!   (the file is left untouched). The aggregate is the gate — per-case
+//!   geometric mean of those ratios, over all three layers, falls below
+//!   0.9 (the file is left untouched). The aggregate is the gate — per-case
 //!   numbers on a shared CI box are too noisy to gate on — but per-case
 //!   ratios are still printed for diagnosis.
 
@@ -38,7 +48,8 @@ use hm_data::Dataset;
 use hm_nn::{Mlp, Model, MulticlassLogistic, SimpleCnn};
 use hm_optim::ProjectionOp;
 use hm_simnet::Parallelism;
-use hm_telemetry::{Profiler, Telemetry};
+use hm_telemetry::Profiler;
+use hm_tensor::{ops, vecops, Matrix, MatrixView};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,46 +91,99 @@ fn config(case: &Case, rounds: usize) -> HierMinimaxConfig {
         opts: RunOpts {
             eval_every: 0, // only the final round is evaluated
             parallelism: Parallelism::Sequential,
-            telemetry: Telemetry::disabled(),
-            fault: Default::default(),
-            checkpoint: Default::default(),
-            profile: Default::default(),
-            aggregator: Default::default(),
-            quarantine_z: 0.0,
-            quarantine_window: 0,
-            churn: Default::default(),
-            max_stale_rounds: 0,
+            ..Default::default()
         },
     }
 }
 
-/// One model-layer case: `steps` local-SGD steps from a fixed
-/// initialization, on the same batch stream every run.
-struct StepCase<'a> {
-    name: &'static str,
+/// A model-layer job: `steps` local-SGD steps of `model` from `w0`, on
+/// the same batch stream every run.
+fn sgd<'a>(
     model: &'a dyn Model,
     data: &'a Dataset,
+    w0: &'a [f32],
     batch: usize,
     steps: usize,
-}
-
-impl StepCase<'_> {
-    fn run(&self, w0: &[f32]) {
-        let mut rng = StreamRng::new(1, Purpose::Batch, 0, 0);
-        let proj = ProjectionOp::Unconstrained;
-        black_box(local_sgd(
-            self.model, self.data, w0, self.steps, 0.05, self.batch, &proj, &mut rng, None,
-        ));
+) -> Timed<'a> {
+    Timed {
+        count: steps,
+        run: Box::new(move || {
+            let mut rng = StreamRng::new(1, Purpose::Batch, 0, 0);
+            let proj = ProjectionOp::Unconstrained;
+            black_box(local_sgd(
+                model, data, w0, steps, 0.05, batch, &proj, &mut rng, None,
+            ));
+        }),
     }
 }
 
-/// One timed job: `run` does `count` steps or rounds.
+/// The operands of the fig4 MLP's wide backward products for one batch:
+/// the inputs `x`, the first hidden layer's output `h1`, and the deltas
+/// `d1` and `d2` of the two hidden layers (`8 × 100` and `8 × 50`), from
+/// a real forward and backward pass.
+struct Backward {
+    x: Matrix,
+    h1: Matrix,
+    d1: Matrix,
+    d2: Matrix,
+}
+
+/// One forward and backward pass of the 256-100-50-10 MLP with the flat
+/// parameters `w` (`[W1, b1, W2, b2, W3, b3]`) on `batch`, as
+/// `hm_nn::Mlp` computes it.
+fn backward_operands(w: &[f32], batch: &Dataset) -> Backward {
+    let (w1, rest) = w.split_at(100 * 256);
+    let (b1, rest) = rest.split_at(100);
+    let (w2, rest) = rest.split_at(50 * 100);
+    let (b2, rest) = rest.split_at(50);
+    let (w3, b3) = rest.split_at(10 * 50);
+    let layer = |x: &Matrix, w: &[f32], b: &[f32], relu: bool| {
+        let mut z = Matrix::zeros(0, 0);
+        ops::matmul_transb_into(x.view(), MatrixView::new(b.len(), x.cols(), w), &mut z);
+        ops::add_row_inplace(&mut z, b);
+        if relu {
+            ops::relu_inplace(&mut z);
+        }
+        z
+    };
+    let h1 = layer(&batch.x, w1, b1, true);
+    let h2 = layer(&h1, w2, b2, true);
+    let mut d3 = ops::softmax_rows(&layer(&h2, w3, b3, false));
+    for (r, &y) in batch.y.iter().enumerate() {
+        d3[(r, y)] -= 1.0;
+    }
+    d3.map_inplace(|v| v / batch.len() as f32);
+    let back = |d: &Matrix, w: &[f32], h: &Matrix| {
+        let mut out = Matrix::zeros(0, 0);
+        ops::matmul_into(d.view(), MatrixView::new(d.cols(), h.cols(), w), &mut out);
+        ops::relu_backward_inplace(&mut out, h);
+        out
+    };
+    let d2 = back(&d3, w3, &h2);
+    let d1 = back(&d2, w2, &h1);
+    Backward {
+        x: batch.x.clone(),
+        h1,
+        d1,
+        d2,
+    }
+}
+
+/// One timed job: `run` does `count` calls, steps or rounds.
 struct Timed<'a> {
     count: usize,
     run: Box<dyn Fn() + 'a>,
 }
 
-/// Steps or rounds per second of every job, best of `reps` timed runs
+/// A kernel-layer job: calls `kernel(0)`, …, `kernel(count - 1)`.
+fn calls<'a>(count: usize, kernel: impl Fn(usize) + 'a) -> Timed<'a> {
+    Timed {
+        count,
+        run: Box::new(move || (0..count).for_each(&kernel)),
+    }
+}
+
+/// Calls, steps or rounds per second of every job, best of `reps` timed runs
 /// each, after one untimed warm-up run (page in data, size the pooled
 /// scratch). The minimum elapsed time is the least-interference estimate
 /// of a job's cost (runs are deterministic, so the work is identical
@@ -175,8 +239,13 @@ fn phase_breakdown(case: &Case) -> Vec<(String, f64)> {
 }
 
 fn main() {
+    std::env::set_var("RAYON_NUM_THREADS", "1");
     let (quick, _full) = parse_scale_flags();
     let check = std::env::args().any(|a| a == "--check");
+    println!(
+        "roundtime: one thread, kernels at vector level {}",
+        hm_tensor::vector_level()
+    );
     // Per-rep times must be long enough to dominate timer and scheduler
     // noise, so even quick mode keeps rounds high and instead takes the
     // best of more repetitions (the gate has a 10% tolerance on top). On a
@@ -187,70 +256,26 @@ fn main() {
     let reps = if quick { 20 } else { 5 };
 
     let img = ImageConfig::emnist_digits_like();
+    let case = |name, problem, tau1, tau2, m_edges, batch, rounds: usize| Case {
+        name,
+        problem,
+        tau1,
+        tau2,
+        m_edges,
+        batch,
+        rounds: rounds * scale,
+    };
+    let tiny_logistic = |e, c| FederatedProblem::logistic_from_scenario(&tiny_problem(e, c, 7));
+    let tiny_mlp = |e, c| FederatedProblem::mlp_from_scenario(&tiny_problem(e, c, 8), &[32, 16]);
+    let split_cnn = |e, c, n| cnn_problem(&dirichlet_split(img.clone(), e, c, n, 0.5, 0.25, 9));
     let cases = [
-        Case {
-            name: "logistic/balanced",
-            problem: FederatedProblem::logistic_from_scenario(&tiny_problem(4, 4, 7)),
-            tau1: 2,
-            tau2: 4,
-            m_edges: 4,
-            batch: 4,
-            rounds: 600 * scale,
-        },
-        Case {
-            name: "logistic/deep",
-            problem: FederatedProblem::logistic_from_scenario(&tiny_problem(4, 4, 7)),
-            tau1: 1,
-            tau2: 16,
-            m_edges: 4,
-            batch: 1,
-            rounds: 200 * scale,
-        },
-        Case {
-            name: "logistic/wide",
-            problem: FederatedProblem::logistic_from_scenario(&tiny_problem(24, 1, 7)),
-            tau1: 2,
-            tau2: 8,
-            m_edges: 24,
-            batch: 4,
-            rounds: 150 * scale,
-        },
-        Case {
-            name: "mlp/balanced",
-            problem: FederatedProblem::mlp_from_scenario(&tiny_problem(4, 4, 8), &[32, 16]),
-            tau1: 2,
-            tau2: 4,
-            m_edges: 4,
-            batch: 4,
-            rounds: 150 * scale,
-        },
-        Case {
-            name: "mlp/wide",
-            problem: FederatedProblem::mlp_from_scenario(&tiny_problem(24, 1, 8), &[32, 16]),
-            tau1: 2,
-            tau2: 8,
-            m_edges: 24,
-            batch: 4,
-            rounds: 60 * scale,
-        },
-        Case {
-            name: "cnn/balanced",
-            problem: cnn_problem(&dirichlet_split(img.clone(), 4, 4, 32, 0.5, 0.25, 9)),
-            tau1: 1,
-            tau2: 4,
-            m_edges: 4,
-            batch: 4,
-            rounds: 24 * scale,
-        },
-        Case {
-            name: "cnn/wide",
-            problem: cnn_problem(&dirichlet_split(img.clone(), 16, 1, 16, 0.5, 0.25, 9)),
-            tau1: 1,
-            tau2: 8,
-            m_edges: 16,
-            batch: 4,
-            rounds: 15 * scale,
-        },
+        case("logistic/balanced", tiny_logistic(4, 4), 2, 4, 4, 4, 600),
+        case("logistic/deep", tiny_logistic(4, 4), 1, 16, 4, 1, 200),
+        case("logistic/wide", tiny_logistic(24, 1), 2, 8, 24, 4, 150),
+        case("mlp/balanced", tiny_mlp(4, 4), 2, 4, 4, 4, 150),
+        case("mlp/wide", tiny_mlp(24, 1), 2, 8, 24, 4, 60),
+        case("cnn/balanced", split_cnn(4, 4, 32), 1, 4, 4, 4, 24),
+        case("cnn/wide", split_cnn(16, 1, 16), 1, 8, 16, 4, 15),
     ];
 
     let committed = check.then(|| read_committed("BENCH_roundtime.json"));
@@ -259,48 +284,80 @@ fn main() {
     let logistic = MulticlassLogistic::new(256, 10);
     let mlp = Mlp::new(256, &[100, 50], 10);
     let cnn = SimpleCnn::new(16, 3, 4, 8, 32, 10);
-    let steps = [
-        StepCase {
-            name: "logistic",
-            model: &logistic,
-            data,
-            batch: 16,
-            steps: 600 * scale,
-        },
-        StepCase {
-            name: "mlp",
-            model: &mlp,
-            data,
-            batch: 8,
-            steps: 200 * scale,
-        },
-        StepCase {
-            name: "cnn",
-            model: &cnn,
-            data,
-            batch: 8,
-            steps: 60 * scale,
-        },
-    ];
-    let inits: Vec<Vec<f32>> = steps
-        .iter()
-        .map(|case| {
-            let mut rng = StreamRng::new(2, Purpose::Init, 0, 0);
-            case.model.init_params(&mut rng)
+    let init = |model: &dyn Model| model.init_params(&mut StreamRng::new(2, Purpose::Init, 0, 0));
+    let inits = [init(&logistic), init(&mlp), init(&cnn)];
+
+    let pool = Dataset::concat(
+        &sc.edges
+            .iter()
+            .flat_map(|e| &e.client_train)
+            .collect::<Vec<_>>(),
+    );
+    let mut rng = StreamRng::new(3, Purpose::Batch, 0, 0);
+    let sets: Vec<Backward> = (0..64)
+        .map(|_| {
+            let rows: Vec<usize> = (0..8).map(|_| rng.below(pool.len())).collect();
+            backward_operands(&inits[1], &pool.subset(&rows))
         })
         .collect();
+    let w2 = MatrixView::new(50, 100, &inits[1][100 * 256 + 100..][..50 * 100]);
+    let averaged: Vec<Vec<f32>> = (4..7)
+        .map(|seed| mlp.init_params(&mut StreamRng::new(seed, Purpose::Init, 0, 0)))
+        .collect();
+    let grad = std::cell::RefCell::new(vec![0.0_f32; 100 * 256]);
+    let delta = std::cell::RefCell::new(Matrix::zeros(0, 0));
+    let mean = std::cell::RefCell::new(vec![0.0_f32; 31_260]);
+    let op = |i: usize| &sets[i % sets.len()];
+    let sources = |d: usize| -> Vec<&[f32]> { averaged.iter().map(|m| &m[..d]).collect() };
+    let (small, large) = (sources(2570), sources(31_260));
+    let mean_of = |sources: &'_ [&[f32]]| {
+        vecops::average_into(sources, &mut mean.borrow_mut()[..sources[0].len()])
+    };
     let algs: Vec<HierMinimax> = cases
         .iter()
         .map(|case| HierMinimax::new(config(case, case.rounds)))
         .collect();
-    let mut jobs: Vec<Timed> = steps
-        .iter()
-        .zip(&inits)
-        .map(|(case, w0)| Timed {
-            count: case.steps,
-            run: Box::new(move || case.run(w0)),
-        })
-        .collect();
+    let (kernels, mut jobs): (Vec<&str>, Vec<Timed>) = [
+        (
+            "transa_100x256",
+            calls(2000 * scale, |i| {
+                let s = op(i);
+                ops::matmul_transa_slice(s.d1.view(), s.x.view(), &mut grad.borrow_mut()[..]);
+            }),
+        ),
+        (
+            "transa_50x100",
+            calls(6000 * scale, |i| {
+                let s = op(i);
+                let mut g = grad.borrow_mut();
+                ops::matmul_transa_slice(s.d2.view(), s.h1.view(), &mut g[..50 * 100]);
+            }),
+        ),
+        (
+            "matmul_8x50x100",
+            calls(6000 * scale, |i| {
+                ops::matmul_into(op(i).d2.view(), w2, &mut delta.borrow_mut())
+            }),
+        ),
+        (
+            "col_sums_8x100",
+            calls(80_000 * scale, |i| {
+                ops::col_sums_into(op(i).d1.view(), &mut grad.borrow_mut()[..100])
+            }),
+        ),
+        ("mean3_2570", calls(8000 * scale, |_| mean_of(&small))),
+        ("mean3_31260", calls(600 * scale, |_| mean_of(&large))),
+    ]
+    .into_iter()
+    .unzip();
+    let (models, step_jobs): (Vec<&str>, Vec<Timed>) = [
+        ("logistic", sgd(&logistic, data, &inits[0], 16, 600 * scale)),
+        ("mlp", sgd(&mlp, data, &inits[1], 8, 200 * scale)),
+        ("cnn", sgd(&cnn, data, &inits[2], 8, 60 * scale)),
+    ]
+    .into_iter()
+    .unzip();
+    jobs.extend(step_jobs);
     jobs.extend(cases.iter().zip(&algs).map(|(case, alg)| Timed {
         count: case.rounds,
         run: Box::new(move || {
@@ -308,7 +365,8 @@ fn main() {
         }),
     }));
     let rates = best_rates(&jobs, reps);
-    let (step_rates, round_rates) = rates.split_at(steps.len());
+    let (kernel_rates, rates) = rates.split_at(kernels.len());
+    let (step_rates, round_rates) = rates.split_at(models.len());
 
     let mut ratios = Vec::new();
     let mut report = |section: &str, name: &str, unit: &str, rate: f64| match &committed {
@@ -324,14 +382,19 @@ fn main() {
         }
         None => println!("{name:<20} {rate:>9.2} {unit}/sec"),
     };
-    let mut model_entries = Vec::new();
-    for (case, &rate) in steps.iter().zip(step_rates) {
-        report("model", case.name, "steps", rate);
-        model_entries.push(format!(
-            "    \"{}\": {{ \"steps_per_sec\": {rate:.2} }}",
-            case.name
-        ));
-    }
+    let mut flat = |section: &str, unit: &str, names: &[&str], rates: &[f64]| {
+        let entries: Vec<String> = names
+            .iter()
+            .zip(rates)
+            .map(|(name, &rate)| {
+                report(section, name, unit, rate);
+                format!("    \"{name}\": {{ \"{unit}_per_sec\": {rate:.2} }}")
+            })
+            .collect();
+        entries.join(",\n")
+    };
+    let kernel_entries = flat("kernels", "calls", &kernels, kernel_rates);
+    let model_entries = flat("model", "steps", &models, step_rates);
     let mut entries = Vec::new();
     for (case, &rate) in cases.iter().zip(round_rates) {
         report("cases", case.name, "rounds", rate);
@@ -364,9 +427,10 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"roundtime\",\n  \"quick\": {},\n  \"parallelism\": \"sequential\",\n  \"model\": {{\n{}\n  }},\n  \"cases\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"roundtime\",\n  \"quick\": {},\n  \"parallelism\": \"sequential\",\n  \"kernels\": {{\n{}\n  }},\n  \"model\": {{\n{}\n  }},\n  \"cases\": {{\n{}\n  }}\n}}\n",
         quick,
-        model_entries.join(",\n"),
+        kernel_entries,
+        model_entries,
         entries.join(",\n")
     );
     let path = write_result("BENCH_roundtime.json", &json);

@@ -17,9 +17,10 @@
 //!   host's widest vector unit (portable, SSE2, AVX2 or AVX-512F), detected
 //!   once at run time; every unit computes the same bits (`simd`). The
 //!   `unsafe` code is the vector loads of the forward kernel
-//!   ([`ops::matmul_transb_into`]), each kept inside its row, and the calls
-//!   into the AVX2 and AVX-512 paths, made only on a host that reported
-//!   them. Each block states why it is sound.
+//!   ([`ops::matmul_transb_into`]) and the masked loads and stores of the
+//!   backward tile, each kept inside its row, and the calls into the AVX2
+//!   and AVX-512 paths, made only on a host that reported them. Each block
+//!   states why it is sound.
 
 #![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
@@ -32,4 +33,5 @@ pub mod view;
 
 pub use matrix::Matrix;
 pub use robust::{Aggregator, AGGREGATORS};
+pub use simd::vector_level;
 pub use view::MatrixView;

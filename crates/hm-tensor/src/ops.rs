@@ -17,10 +17,14 @@
 //!   register holds it.
 //! - The backward kernels, [`matmul_into`] (`Δ · W`) and
 //!   [`matmul_transa_slice`] (`Δᵀ · X`), accumulate scaled rows into each
-//!   output row in ascending order and skip exact-zero coefficients. Their
-//!   loops are element-wise, so the baseline and AVX2 copies of the same
-//!   loop give every element the same operations; an AVX-512 host runs
-//!   the AVX2 copy.
+//!   output row in ascending order and skip exact-zero coefficients. On
+//!   wide shapes at AVX-512F a register tile keeps a block of one output
+//!   row in registers across all of its coefficients and masks the zero
+//!   ones (`tile_rows`). Every other path is an element-wise loop (a
+//!   branchless scan of the nonzeros on wide shapes, a branch on narrow
+//!   ones), whose baseline and AVX2 copies give every element the same
+//!   operations. All give every element the additions of the skipping
+//!   loop, in its order.
 
 use crate::simd::{self, elementwise, Isa, Level};
 use crate::{Matrix, MatrixView};
@@ -74,29 +78,55 @@ pub fn matmul_into(a: MatrixView, b: MatrixView, out: &mut Matrix) {
     matmul_at(simd::host(), a, b, out);
 }
 
-/// [`matmul_into`] on the loops compiled for `level`.
+/// [`matmul_into`] on the loops compiled for `level`: from an inner
+/// dimension of [`SCAN_MIN_COLS`], the register tile at AVX-512 and the
+/// scan below it; the branchy loop on narrower shapes and, below AVX-512,
+/// on the row-parallel path.
 pub(crate) fn matmul_at(level: Level, a: MatrixView, b: MatrixView, out: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
     out.resize(m, n);
-    out.fill(0.0);
     let out = out.as_mut_slice();
-    if go_parallel(m * k * n, m) {
-        out.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(r, out_row)| ikj_rows(level, a, r, b, out_row));
-    } else if (SCAN_MIN_COLS..=NZ_BUF).contains(&k) {
+    let work = m * k * n;
+    #[cfg(target_arch = "x86_64")]
+    if k >= SCAN_MIN_COLS && level.isa() == Isa::Avx512 {
+        let coefs = Coefs {
+            a: a.as_slice(),
+            row: k,
+            step: 1,
+        };
+        return by_rows(work, n, out, |r0, rows| {
+            tile_rows(level, coefs, r0, b, rows)
+        });
+    }
+    if (SCAN_MIN_COLS..=NZ_BUF).contains(&k) && !go_parallel(work, m) {
         ikj_scan(level, a, b, out);
     } else {
-        ikj_rows(level, a, 0, b, out);
+        by_rows(work, n, out, |r0, rows| ikj_rows(level, a, r0, b, rows));
+    }
+}
+
+/// Runs `rows(r0, out)` over whole output rows of width `n`: one row per
+/// task on the pool when the product is big enough, else all at once.
+fn by_rows(work: usize, n: usize, out: &mut [f32], rows: impl Fn(usize, &mut [f32]) + Sync) {
+    if n == 0 {
+        return;
+    }
+    if go_parallel(work, out.len() / n) {
+        out.par_chunks_mut(n)
+            .enumerate()
+            .for_each(|(r, out_row)| rows(r, out_row));
+    } else {
+        rows(0, out);
     }
 }
 
 elementwise! {
-    /// Rows `r0..` of `A · B` into `out` (whole rows, zeroed), in ikj
-    /// order: each output row takes `A[r, i] · B[i, :]` in ascending `i`,
-    /// skipping zero coefficients.
+    /// Rows `r0..` of `A · B` into `out` (whole rows), in ikj order: each
+    /// output row takes `A[r, i] · B[i, :]` in ascending `i`, skipping zero
+    /// coefficients.
     fn ikj_rows(level: Level, a: MatrixView, r0: usize, b: MatrixView, out: &mut [f32]) {
+        out.fill(0.0);
         for (dr, out_row) in out.chunks_mut(b.cols()).enumerate() {
             for (i, &aik) in a.row(r0 + dr).iter().enumerate() {
                 if aik == 0.0 {
@@ -111,8 +141,8 @@ elementwise! {
 }
 
 elementwise! {
-    /// The sequential wide-shape path of [`matmul_into`]: compact each
-    /// row's nonzero positions branchlessly, then replay them
+    /// The sequential wide-shape path of [`matmul_into`] below AVX-512:
+    /// compact each row's nonzero positions branchlessly, then replay them
     /// unconditionally — the additions of [`ikj_rows`] in its ascending-`i`
     /// order (bit-identical), without a data-dependent branch per element.
     /// Training batches are resampled every step, so the zero pattern is
@@ -125,6 +155,7 @@ elementwise! {
         let a_flat = a.as_slice();
         let b_flat = b.as_slice();
         let mut nz = [0u32; NZ_BUF];
+        out.fill(0.0);
         for r in 0..a.rows() {
             let a_row = &a_flat[r * k..(r + 1) * k];
             let out_row = &mut out[r * n..(r + 1) * n];
@@ -148,11 +179,139 @@ elementwise! {
 /// branchless sparsity scans; shapes past it fall back to branchy skips.
 const NZ_BUF: usize = 1024;
 
-/// Minimum scanned width (the inner dimension of [`matmul_into`], the
-/// output rows of [`matmul_transa_slice`]) at which the backward kernels
-/// compact nonzeros branchlessly. Narrower operands are logits-layer
-/// deltas: dense, so the branchy skip predicts perfectly there.
+/// Minimum width (the inner dimension of [`matmul_into`], the output rows
+/// of [`matmul_transa_slice`]) at which the backward kernels leave the
+/// branchy loop for the register tile (AVX-512) or the branchless scans
+/// (below it). Narrower operands are logits-layer deltas: dense, so the
+/// branchy skip predicts perfectly there.
 const SCAN_MIN_COLS: usize = 32;
+
+/// Output columns the AVX-512 backward tile holds in registers: four
+/// registers of floats.
+#[cfg(target_arch = "x86_64")]
+const TILE_COLS: usize = 64;
+
+/// The coefficients of a backward product: output row `r` is
+/// `Σ_i a[r · row + i · step] · B[i, :]` over the rows of `B`. `Δ · W`
+/// reads row `r` of `Δ` (`row = k`, `step = 1`), `Δᵀ · X` its column `r`
+/// (`row = 1`, `step = m`).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Coefs<'a> {
+    a: &'a [f32],
+    row: usize,
+    step: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Coefs<'_> {
+    /// The `i`-th coefficient of output row `r`.
+    #[inline(always)]
+    fn at(self, r: usize, i: usize) -> f32 {
+        self.a[r * self.row + i * self.step]
+    }
+}
+
+/// Rows `r0..` of a backward product into `out` (whole rows of
+/// `b.cols()`) at AVX-512F, bit-identical to the skipping loops: for each
+/// block of 64 columns, one output row's sums stay in four registers while
+/// every row of `B` adds its scaled part in ascending order, and are
+/// stored once. A zero coefficient is masked, not branched on: each
+/// product is added under a lane mask that is all set or all clear
+/// (`_mm512_mask_add_ps`). Training batches are resampled every step, so
+/// the zero pattern is fresh noise to a branch predictor (DESIGN.md §7b).
+///
+/// The skipping loop leaves a sum unchanged where the coefficient is
+/// `±0.0`. A sum starts at `+0.0` and can never become `-0.0` (in
+/// round-to-nearest, `x + y` is `-0.0` only when both are), so a masked
+/// add leaves it as the skip does, also where `B` holds an infinity or a
+/// NaN behind the zero coefficient.
+///
+/// # Panics
+/// Panics unless `level` is AVX-512F: narrower levels run the scans,
+/// which were faster there than a tile (DESIGN.md §7b).
+#[cfg(target_arch = "x86_64")]
+fn tile_rows(level: Level, coefs: Coefs<'_>, r0: usize, b: MatrixView, out: &mut [f32]) {
+    assert_eq!(level.isa(), Isa::Avx512, "the backward tile is AVX-512F");
+    // SAFETY: a `Level` of `Avx512` exists only on a host that reported
+    // AVX-512F (`simd::detect`).
+    unsafe { avx512_tile_rows(coefs, r0, b, out) }
+}
+
+/// [`tile_rows`]: blocks of four registers, then one to four registers
+/// for the rest of the row, the last one loaded and stored under a lane
+/// mask.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn avx512_tile_rows(coefs: Coefs<'_>, r0: usize, b: MatrixView, out: &mut [f32]) {
+    let n = b.cols();
+    for (dr, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let r = r0 + dr;
+        let mut j0 = 0;
+        while n - j0 >= TILE_COLS {
+            avx512_tile::<4>(coefs, r, b, j0, n - j0, out_row);
+            j0 += TILE_COLS;
+        }
+        match (n - j0).div_ceil(16) {
+            0 => {}
+            1 => avx512_tile::<1>(coefs, r, b, j0, n - j0, out_row),
+            2 => avx512_tile::<2>(coefs, r, b, j0, n - j0, out_row),
+            3 => avx512_tile::<3>(coefs, r, b, j0, n - j0, out_row),
+            _ => avx512_tile::<4>(coefs, r, b, j0, n - j0, out_row),
+        }
+    }
+}
+
+/// Columns `j0..j0 + min(16 · NV, width)` of output row `r` in `NV`
+/// AVX-512 registers, each lane a sum of [`tile_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn avx512_tile<const NV: usize>(
+    coefs: Coefs<'_>,
+    r: usize,
+    b: MatrixView,
+    j0: usize,
+    width: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        _mm512_mask_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    let lanes: [u16; NV] = std::array::from_fn(|v| match width.saturating_sub(16 * v) {
+        w if w >= 16 => u16::MAX,
+        w => (1 << w) - 1,
+    });
+    let n = b.cols();
+    assert!(
+        width > 16 * (NV - 1) && j0 + width <= n && out.len() == n,
+        "tile out of its row"
+    );
+    let b = b.as_slice();
+    // SAFETY: every row of `B` and `out` holds `n` floats, and register
+    // `v` covers columns `j0 + 16v..`, of which it loads and stores only
+    // the lanes set in `lanes[v]`: `min(16, width - 16v)` of them, at least
+    // one (`width > 16 (NV - 1)`) and none past `j0 + width <= n`. So every
+    // pointer stays inside its row and no access leaves it.
+    unsafe {
+        let mut acc = [_mm512_setzero_ps(); NV];
+        for (i, row) in b.chunks_exact(n).enumerate() {
+            let c = coefs.at(r, i);
+            let keep = u16::from(c != 0.0).wrapping_neg();
+            let cv = _mm512_set1_ps(c);
+            let row = row.as_ptr().add(j0);
+            for (v, s) in acc.iter_mut().enumerate() {
+                let x = _mm512_maskz_loadu_ps(lanes[v], row.add(16 * v));
+                *s = _mm512_mask_add_ps(*s, keep, *s, _mm512_mul_ps(cv, x));
+            }
+        }
+        let out = out.as_mut_ptr().add(j0);
+        for (v, s) in acc.into_iter().enumerate() {
+            _mm512_mask_storeu_ps(out.add(16 * v), lanes[v], s);
+        }
+    }
+}
 
 /// `C = A · Bᵀ` for `A (m×k)` and `B (n×k)`.
 ///
@@ -498,27 +657,38 @@ pub fn matmul_transa_slice(a: MatrixView, b: MatrixView, out: &mut [f32]) {
     transa_at(simd::host(), a, b, out);
 }
 
-/// [`matmul_transa_slice`] on the loops compiled for `level`.
+/// [`matmul_transa_slice`] on the loops compiled for `level`: from
+/// [`SCAN_MIN_COLS`] output rows, the register tile at AVX-512 and the
+/// scan below it; the branchy loop on narrower shapes and, below AVX-512,
+/// on the row-parallel path.
 pub(crate) fn transa_at(level: Level, a: MatrixView, b: MatrixView, out: &mut [f32]) {
     let (k, m) = a.shape();
     let n = b.cols();
-    out.fill(0.0);
-    if go_parallel(m * k * n, m) {
-        out.par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(r, out_row)| transa_rows(level, a, r, b, out_row));
-    } else if (SCAN_MIN_COLS..=NZ_BUF).contains(&m) {
+    let work = m * k * n;
+    #[cfg(target_arch = "x86_64")]
+    if m >= SCAN_MIN_COLS && level.isa() == Isa::Avx512 {
+        let coefs = Coefs {
+            a: a.as_slice(),
+            row: 1,
+            step: m,
+        };
+        return by_rows(work, n, out, |r0, rows| {
+            tile_rows(level, coefs, r0, b, rows)
+        });
+    }
+    if (SCAN_MIN_COLS..=NZ_BUF).contains(&m) && !go_parallel(work, m) {
         transa_scan(level, a, b, out);
     } else {
-        transa_rows(level, a, 0, b, out);
+        by_rows(work, n, out, |r0, rows| transa_rows(level, a, r0, b, rows));
     }
 }
 
 elementwise! {
-    /// Rows `r0..` of `Aᵀ · B` into `out` (whole rows, zeroed): output row
-    /// `r` takes `A[i, r] · B[i, :]` in ascending `i`, skipping zero
+    /// Rows `r0..` of `Aᵀ · B` into `out` (whole rows): output row `r`
+    /// takes `A[i, r] · B[i, :]` in ascending `i`, skipping zero
     /// coefficients.
     fn transa_rows(level: Level, a: MatrixView, r0: usize, b: MatrixView, out: &mut [f32]) {
+        out.fill(0.0);
         for (dr, out_row) in out.chunks_mut(b.cols()).enumerate() {
             for i in 0..a.rows() {
                 let air = a.at(i, r0 + dr);
@@ -534,11 +704,11 @@ elementwise! {
 }
 
 elementwise! {
-    /// The sequential wide-shape path of [`matmul_transa_slice`], with the
-    /// batch dimension outermost: each `A` row (a training delta) is
-    /// scanned for nonzeros once, branchlessly, instead of being probed
-    /// once per output row. Every output element still receives its
-    /// addends in ascending batch-row order, so the result is
+    /// The sequential wide-shape path of [`matmul_transa_slice`] below
+    /// AVX-512, with the batch dimension outermost: each `A` row (a
+    /// training delta) is scanned for nonzeros once, branchlessly, instead
+    /// of being probed once per output row. Every output element still
+    /// receives its addends in ascending batch-row order, so the result is
     /// bit-identical to [`transa_rows`]. Narrow `A` (logits-layer deltas)
     /// stays on the branchy loop — dense, so the skip branch predicts
     /// perfectly and a scan is pure overhead.
@@ -548,6 +718,7 @@ elementwise! {
         let a_flat = a.as_slice();
         let b_flat = b.as_slice();
         let mut nz = [0u32; NZ_BUF];
+        out.fill(0.0);
         for i in 0..k {
             let a_row = &a_flat[i * m..(i + 1) * m];
             let b_row = &b_flat[i * n..(i + 1) * n];
@@ -643,16 +814,53 @@ pub fn col_sums(m: &Matrix) -> Vec<f32> {
 /// Panics when `out.len() != m.cols()`.
 pub fn col_sums_into(m: MatrixView, out: &mut [f32]) {
     assert_eq!(out.len(), m.cols(), "col_sums: output length mismatch");
-    let data = m.as_slice();
-    let cols = m.cols();
-    for (c, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0_f64;
-        let mut i = c;
-        while i < data.len() {
-            acc += f64::from(data[i]);
-            i += cols;
+    col_sums_at(simd::host(), m, out);
+}
+
+elementwise! {
+    /// [`col_sums_into`] in column tiles of 32, 16, 8, 4 and 1: each
+    /// tile's f64 sums stay in registers while the rows are added one
+    /// after another, so the loop runs along each row instead of striding
+    /// down each column. (A tile with a runtime width stays in memory,
+    /// where its speed moved up to 3× with its stack address.)
+    fn col_sums_at(level: Level, m: MatrixView, out: &mut [f32]) {
+        let cols = m.cols();
+        let mut c0 = 0;
+        while cols - c0 >= 32 {
+            col_tile::<32>(m, c0, out);
+            c0 += 32;
         }
-        *o = acc as f32;
+        if cols - c0 >= 16 {
+            col_tile::<16>(m, c0, out);
+            c0 += 16;
+        }
+        if cols - c0 >= 8 {
+            col_tile::<8>(m, c0, out);
+            c0 += 8;
+        }
+        if cols - c0 >= 4 {
+            col_tile::<4>(m, c0, out);
+            c0 += 4;
+        }
+        for c in c0..cols {
+            col_tile::<1>(m, c, out);
+        }
+    }
+}
+
+/// Columns `c0..c0 + W` of [`col_sums_at`]: `W` f64 sums, each taking its
+/// column's rows top to bottom.
+#[inline(always)]
+fn col_tile<const W: usize>(m: MatrixView, c0: usize, out: &mut [f32]) {
+    let mut acc = [0.0_f64; W];
+    for row in m.as_slice().chunks_exact(m.cols()) {
+        let x: &[f32; W] = row[c0..c0 + W].try_into().expect("W columns");
+        for (a, &x) in acc.iter_mut().zip(x) {
+            *a += f64::from(x);
+        }
+    }
+    for (o, a) in out[c0..c0 + W].iter_mut().zip(acc) {
+        *o = a as f32;
     }
 }
 
@@ -877,13 +1085,42 @@ mod tests {
         assert_eq!(argmax_rows(&m), vec![1, 0]);
     }
 
-    /// Asserts `got` and `want` hold the same bits, naming the level.
-    fn assert_same_bits(got: &[f32], want: &[f32], level: Level) -> Result<(), TestCaseError> {
+    /// Output widths of the backward tests: one column, each side of the
+    /// 16- and 64-column blocks, fig4's 100 and 256, and two blocks plus a
+    /// tail.
+    const WIDTHS: [usize; 10] = [1, 15, 16, 17, 63, 64, 65, 100, 130, 256];
+
+    /// Batch sizes of the backward tests: the rows of `Δ`.
+    const BATCHES: [usize; 5] = [1, 8, 16, 65, 200];
+
+    /// `sparse_mat` with about 3 % of entries set to `+inf`, `-inf` or NaN,
+    /// so some sit behind zero coefficients and some behind nonzero ones.
+    fn special_mat(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut m = sparse_mat(rows, cols, seed);
+        let mut s = seed.wrapping_mul(0xA24BAED4963EE407).wrapping_add(5);
+        for v in m.as_mut_slice() {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            match s % 100 {
+                0 => *v = f32::INFINITY,
+                1 => *v = f32::NEG_INFINITY,
+                2 => *v = f32::NAN,
+                _ => {}
+            }
+        }
+        m
+    }
+
+    /// Asserts `got` and `want` hold the same bits, naming the level, where
+    /// any NaN equals any NaN: Rust leaves the payload of a NaN that
+    /// arithmetic makes unspecified.
+    fn assert_same_floats(got: &[f32], want: &[f32], level: Level) -> Result<(), TestCaseError> {
         prop_assert_eq!(got.len(), want.len());
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             prop_assert!(
-                g.to_bits() == w.to_bits(),
-                "{:?} element {}: {} vs portable {}",
+                g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan(),
+                "{:?} element {}: {} vs the reference's {}",
                 level,
                 i,
                 g,
@@ -891,6 +1128,28 @@ mod tests {
             );
         }
         Ok(())
+    }
+
+    /// At AVX-512, the tile on every row at once (the sequential path) and
+    /// on one row per call (the row-parallel path) gives `want`.
+    #[cfg(target_arch = "x86_64")]
+    fn check_tile(
+        level: Level,
+        coefs: Coefs,
+        b: MatrixView,
+        want: &[f32],
+    ) -> Result<(), TestCaseError> {
+        if level.isa() != Isa::Avx512 || b.cols() == 0 {
+            return Ok(());
+        }
+        let mut got = vec![f32::NAN; want.len()];
+        tile_rows(level, coefs, 0, b, &mut got);
+        assert_same_floats(&got, want, level)?;
+        let mut got = vec![f32::NAN; want.len()];
+        for (r, row) in got.chunks_mut(b.cols()).enumerate() {
+            tile_rows(level, coefs, r, b, row);
+        }
+        assert_same_floats(&got, want, level)
     }
 
     proptest! {
@@ -943,62 +1202,93 @@ mod tests {
             }
         }
 
-        /// `Δ · W` at every level equals the portable loop bit for bit, on
-        /// the branchy narrow path (`k < SCAN_MIN_COLS`), the sequential
-        /// scan (`k` from `SCAN_MIN_COLS`) and the row-parallel path, with
-        /// `Δ` full of `±0.0` like a ReLU-masked delta.
+        /// `Δ · W` at every level, through the dispatch and (at AVX-512)
+        /// the tile, equals the portable skipping loop `ikj_rows` bit for
+        /// bit: `Δ` is full of `±0.0` like a ReLU-masked delta and `W`
+        /// holds `±inf` and NaN. `k` runs from 0 across `SCAN_MIN_COLS`
+        /// (the branchy narrow path, then the sequential scan or tile);
+        /// `parallel` takes 8 to 11 rows, at least 64 inner and 131 output
+        /// columns, which puts the product on the row-parallel path.
         #[test]
         fn prop_matmul_bit_identical_at_every_level(
-            shape in 0usize..3,
-            m in 1usize..9,
-            k in 0usize..SCAN_MIN_COLS,
-            n in 1usize..70,
+            parallel in any::<bool>(),
+            m in prop_oneof![(0..BATCHES.len()).prop_map(|i| BATCHES[i]), 1usize..9],
+            k in 0usize..SCAN_MIN_COLS + 40,
+            n in prop_oneof![(0..WIDTHS.len()).prop_map(|i| WIDTHS[i]), 1usize..200],
             seed in 0u64..1000,
         ) {
-            let (m, k, n) = match shape {
-                0 => (m, k, n),
-                1 => (m, k + SCAN_MIN_COLS, n),
-                _ => (m % 4 + 8, k + 64, n + 130),
-            };
-            prop_assert_eq!(go_parallel(m * k * n, m), shape == 2);
+            let (m, k, n) = if parallel { (m % 4 + 8, k + 64, n + 130) } else { (m, k, n) };
+            prop_assert!(!parallel || go_parallel(m * k * n, m));
             let a = sparse_mat(m, k, seed);
-            let b = sparse_mat(k, n, seed + 5);
-            let mut want = Matrix::zeros(0, 0);
-            matmul_at(Level::portable(), a.view(), b.view(), &mut want);
+            let b = special_mat(k, n, seed + 5);
+            let mut want = vec![f32::NAN; m * n];
+            ikj_rows(Level::portable(), a.view(), 0, b.view(), &mut want);
             for level in simd::levels() {
+                #[cfg(target_arch = "x86_64")]
+                check_tile(level, Coefs { a: a.as_slice(), row: k, step: 1 }, b.view(), &want)?;
                 let mut got = Matrix::full(2, 2, f32::NAN);
                 matmul_at(level, a.view(), b.view(), &mut got);
                 prop_assert_eq!(got.shape(), (m, n));
-                assert_same_bits(got.as_slice(), want.as_slice(), level)?;
+                assert_same_floats(got.as_slice(), &want, level)?;
             }
         }
 
-        /// `Δᵀ · X` at every level equals the portable loop bit for bit, on
-        /// the branchy narrow path (`m < SCAN_MIN_COLS` output rows), the
-        /// sequential scan and the row-parallel path, with sparse `±0.0`
-        /// operands.
+        /// `Δᵀ · X` at every level, through the dispatch and (at AVX-512)
+        /// the tile, equals the portable skipping loop `transa_rows`, with
+        /// the operands of the test above. The `m` output rows run from 1
+        /// across `SCAN_MIN_COLS`; `parallel` takes a batch of 64 to 75 and
+        /// at least 131 columns, which puts the product on the row-parallel
+        /// path.
         #[test]
         fn prop_transa_bit_identical_at_every_level(
-            shape in 0usize..3,
-            k in 1usize..12,
-            m in 1usize..SCAN_MIN_COLS,
-            n in 1usize..70,
+            parallel in any::<bool>(),
+            k in prop_oneof![(0..BATCHES.len()).prop_map(|i| BATCHES[i]), 1usize..12],
+            m in 1usize..SCAN_MIN_COLS + 40,
+            n in prop_oneof![(0..WIDTHS.len()).prop_map(|i| WIDTHS[i]), 1usize..200],
             seed in 0u64..1000,
         ) {
-            let (k, m, n) = match shape {
-                0 => (k, m, n),
-                1 => (k, m + SCAN_MIN_COLS, n),
-                _ => (k + 64, m % 8 + 8, n + 130),
-            };
-            prop_assert_eq!(go_parallel(m * k * n, m), shape == 2);
+            let (k, m, n) = if parallel { (k % 12 + 64, m + 7, n + 130) } else { (k, m, n) };
+            prop_assert!(!parallel || go_parallel(m * k * n, m));
             let a = sparse_mat(k, m, seed);
-            let b = sparse_mat(k, n, seed + 9);
-            let mut want = vec![0.0_f32; m * n];
-            transa_at(Level::portable(), a.view(), b.view(), &mut want);
+            let b = special_mat(k, n, seed + 9);
+            let mut want = vec![f32::NAN; m * n];
+            transa_rows(Level::portable(), a.view(), 0, b.view(), &mut want);
             for level in simd::levels() {
+                #[cfg(target_arch = "x86_64")]
+                check_tile(level, Coefs { a: a.as_slice(), row: 1, step: m }, b.view(), &want)?;
                 let mut got = vec![f32::NAN; m * n];
                 transa_at(level, a.view(), b.view(), &mut got);
-                assert_same_bits(&got, &want, level)?;
+                assert_same_floats(&got, &want, level)?;
+            }
+        }
+
+        /// `col_sums_into` at every level equals the column-at-a-time f64
+        /// loop bit for bit, on widths below, at and past the 32-column
+        /// tile. Values span 2^-60..2^60 and every third row cancels the
+        /// one before it, so a changed order rounds differently.
+        #[test]
+        fn prop_col_sums_bit_identical_to_column_loop(
+            rows in 0usize..20,
+            cols in 0usize..100,
+            seed in 0u64..1000,
+        ) {
+            let mut m = sparse_mat(rows, cols, seed);
+            for r in 0..rows {
+                for c in 0..cols {
+                    m[(r, c)] = if r % 3 == 2 {
+                        -m[(r - 1, c)]
+                    } else {
+                        m[(r, c)] * 2f32.powi(30 * ((r + c) % 5) as i32 - 60)
+                    };
+                }
+            }
+            let want: Vec<f32> = (0..cols)
+                .map(|c| (0..rows).fold(0.0_f64, |a, r| a + f64::from(m[(r, c)])) as f32)
+                .collect();
+            for level in simd::levels() {
+                let mut got = vec![f32::NAN; cols];
+                col_sums_at(level, m.view(), &mut got);
+                assert_same_floats(&got, &want, level)?;
             }
         }
     }

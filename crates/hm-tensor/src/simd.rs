@@ -8,7 +8,9 @@
 //!   [`elementwise!`] compiles for the baseline and for AVX2;
 //! - the forward kernel `ops::matmul_transb_into`, whose wider paths keep
 //!   each output's four-lane recurrence and only pack more input rows into
-//!   one register.
+//!   one register;
+//! - the AVX-512 backward register tile of `ops`, which gives each output
+//!   the skipping loop's additions in its order.
 //!
 //! A reduction across elements is never cloned: its order is part of its
 //! bits. No path fuses a multiply and an add; the clones enable AVX2, but
@@ -65,6 +67,17 @@ impl Level {
 pub(crate) fn host() -> Level {
     static HOST: OnceLock<Level> = OnceLock::new();
     *HOST.get_or_init(detect)
+}
+
+/// The vector level the kernels run at on this host: `"avx512"`,
+/// `"avx2"`, `"sse2"` or `"portable"`, detected once.
+pub fn vector_level() -> &'static str {
+    match host().isa() {
+        Isa::Portable => "portable",
+        Isa::Sse2 => "sse2",
+        Isa::Avx => "avx2",
+        Isa::Avx512 => "avx512",
+    }
 }
 
 /// Every level this host runs, narrowest first: tests force each one.
